@@ -9,17 +9,12 @@ give byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 schema or input error,
 64 unsupported construction (including map punctures at sample points).
-
-SPECTRAL_FORGE_THREADS caps sample-level parallelism; report assembly is
-single-threaded and sample ordering is by index regardless of thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from .covers import HyperCover
@@ -37,27 +32,6 @@ from .spectral import (PellMap, SpectralCover, TwoSections,
 from .surface import GroupPresentation, fibre_component_groups, pic_relative
 
 __all__ = ["main", "run_command"]
-
-
-# ============================================================
-# Sample-level parallelism
-# ============================================================
-
-def _thread_count() -> int:
-    raw = os.environ.get("SPECTRAL_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map, threaded when SPECTRAL_FORGE_THREADS > 1."""
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # ============================================================
@@ -180,7 +154,8 @@ def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
         cover = scn.cover
         pts = _cover_points(scn, cover, samples, seed)
         # force evaluation so declared sample points hit punctures loudly
-        _pmap(cover.values_at, pts)
+        for b in pts:
+            cover.values_at(b)
     else:
         fam = _require_family(scn)
         pts = _family_points(scn, samples, seed)
@@ -317,7 +292,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
             return abs(ratio)
         return abs(ratio / curve.tau ** k - 1.0)
 
-    defects = _pmap(product_defect, pts)
+    defects = [product_defect(b) for b in pts]
     worst = max(defects) if defects else 0.0
     add("fibre_product_involution", worst <= tol, f"max defect {worst:.3e}")
 
@@ -357,7 +332,7 @@ def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
             out.append((b.real, b.imag, sheet, alpha.real, alpha.imag))
         return out
 
-    table = _pmap(rows_at, pts)
+    table = [rows_at(b) for b in pts]
     lines = ["b_re,b_im,sheet,alpha_re,alpha_im"]
     for group in table:
         for b_re, b_im, sheet, a_re, a_im in group:

@@ -12,7 +12,8 @@ stored twice:
 - c2 = presentation c2 plus the signed degree of each step,
 - the fibre class at a modified point is read off the top of that point's
   push stack, and an allowable (pop) step is the exact inverse of the most
-  recent push there.
+  recent push there.  The per-point stacks are indexed once per family and
+  extended step by step, so journal bookkeeping is linear in its length.
 
 Jumping-sequence bookkeeping follows the stack discipline: pushing degree
 r >= current height prepends r to the sequence, the allowable modification
@@ -29,6 +30,7 @@ twist, computed by pushing the class forward to the base.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .covers import (BasePoint, DivisorClass, HyperCover, class_add,
                      norm_degree)
@@ -119,8 +121,6 @@ class PushStep:
     at: BasePoint
     degree: int
     line_point: complex
-    surjection_choice: complex = 1.0 + 0j
-    via_cyclic_cover: bool = False
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -138,6 +138,18 @@ class PopStep:
 
 
 JournalStep = PushStep | PopStep
+
+
+def _stack_step(stacks: dict[BasePoint, tuple[PushStep, ...]],
+                step: JournalStep) -> None:
+    """Apply one journal step to per-point push stacks in place."""
+    stack = stacks.get(step.at, ())
+    if isinstance(step, PushStep):
+        stacks[step.at] = stack + (step,)
+    elif not stack:
+        raise InvalidFamilyError("pop without a jump in journal")
+    else:
+        stacks[step.at] = stack[:-1]
 
 
 # ============================================================
@@ -198,7 +210,7 @@ class FamilySpec:
                 parts[i] = a1 + a2
         return LineBundleOnX(self.surface, 0, nrm, tuple(parts))
 
-    @property
+    @cached_property
     def determinant(self) -> LineBundleOnX:
         det = self.presentation_determinant()
         for step in self.steps:
@@ -214,23 +226,16 @@ class FamilySpec:
                 return LineBundleOnX(self.surface, 0, 1.0 + 0j, tuple(parts))
         return LineBundleOnX(self.surface, 1, 1.0 + 0j, tuple(parts))
 
-    @property
+    @cached_property
     def chern(self) -> ChernData:
         """c2 follows the stack discipline: pushes add their degree, each
-        pop removes the degree of the push it cancels."""
+        pop removes the degree of the push it cancels.  This pass keeps its
+        own stacks, apart from the journal index, so the ``chern_stack``
+        check of ``props`` compares two independent routes."""
         c2 = self.base_c2
-        stacks: dict[int, list[int]] = {}
-        keys: list[BasePoint] = []
-
-        def key_of(at: BasePoint) -> int:
-            for i, k in enumerate(keys):
-                if k == at:
-                    return i
-            keys.append(at)
-            return len(keys) - 1
-
+        stacks: dict[BasePoint, list[int]] = {}
         for step in self.steps:
-            stack = stacks.setdefault(key_of(step.at), [])
+            stack = stacks.setdefault(step.at, [])
             if isinstance(step, PushStep):
                 stack.append(step.degree)
                 c2 += step.degree
@@ -242,30 +247,32 @@ class FamilySpec:
 
     # ----- journal bookkeeping -------------------------------------------
 
-    def jump_stack(self, at: BasePoint) -> list[PushStep]:
-        stack: list[PushStep] = []
+    @cached_property
+    def _stacks(self) -> dict[BasePoint, tuple[PushStep, ...]]:
+        """Push stack of every journal point, in first-appearance order
+        (emptied stacks keep their place).  ``with_step`` extends the
+        parent's index by one step instead of rescanning the journal."""
+        stacks: dict[BasePoint, tuple[PushStep, ...]] = {}
         for step in self.steps:
-            if step.at == at:
-                if isinstance(step, PushStep):
-                    stack.append(step)
-                else:
-                    if not stack:
-                        raise InvalidFamilyError("pop without a jump in journal")
-                    stack.pop()
-        return stack
+            _stack_step(stacks, step)
+        return stacks
+
+    def jump_stack(self, at: BasePoint) -> list[PushStep]:
+        return list(self._stacks.get(at, ()))
 
     def jump_points(self) -> list[BasePoint]:
-        pts: list[BasePoint] = []
-        for step in self.steps:
-            if not any(step.at == p for p in pts):
-                pts.append(step.at)
-        return [p for p in pts if self.jump_stack(p)]
+        return [p for p, stack in self._stacks.items() if stack]
 
     def has_jumps(self) -> bool:
-        return bool(self.jump_points())
+        return any(self._stacks.values())
 
     def with_step(self, step: JournalStep) -> "FamilySpec":
-        return replace(self, steps=self.steps + (step,))
+        out = replace(self, steps=self.steps + (step,))
+        stacks = dict(self._stacks)
+        _stack_step(stacks, step)
+        # written like cached_property's own store: the dataclass is frozen
+        out.__dict__["_stacks"] = stacks
+        return out
 
     # ----- fibre data -----------------------------------------------------
 
@@ -307,8 +314,7 @@ class FamilySpec:
         at = self._match_journal_point(b)
         if at is None:
             return self.base_fiber_class(b)
-        stack = self.jump_stack(at)
-        top = stack[-1]
+        top = self._stacks[at][-1]
         curve = self.curve
         det_here = self.determinant.restrict_to_fiber(b)
         sub = TateLineBundle(curve, top.degree, top.line_point)
@@ -412,7 +418,7 @@ def can_add_jump(family: FamilySpec, at: BasePoint, r: int,
         return False
     if at.is_infinity:
         return False
-    stack = family.jump_stack(at)
+    stack = family._stacks.get(at)
     if stack:
         h = stack[-1].degree
         if r > h:
@@ -433,8 +439,8 @@ def can_add_jump(family: FamilySpec, at: BasePoint, r: int,
     return r >= 2
 
 
-def elem_mod(family: FamilySpec, at: BasePoint, r: int, line_point: complex,
-             surjection_choice: complex = 1.0 + 0j) -> FamilySpec:
+def elem_mod(family: FamilySpec, at: BasePoint, r: int,
+             line_point: complex) -> FamilySpec:
     """Elementary modification: kernel of a surjection onto the degree-r
     bundle with the given factor on the fibre over `at`.
 
@@ -446,37 +452,24 @@ def elem_mod(family: FamilySpec, at: BasePoint, r: int, line_point: complex,
     if not can_add_jump(family, at, r, line_point):
         raise NoSurjectionError(
             f"no surjection of degree {r} exists at {at}")
-    via_cyclic = (at.x is not None and family.surface.is_multiple_point(at))
-    step = PushStep(at, r, line_point, surjection_choice, via_cyclic)
-    return family.with_step(step)
+    return family.with_step(PushStep(at, r, line_point))
 
 
 def allowable_mod(family: FamilySpec, at: BasePoint) -> FamilySpec:
     """The canonical modification onto the destabilising quotient; removes
     the head of the jumping sequence at `at`."""
-    stack = family.jump_stack(at)
-    if not stack:
+    if not family._stacks.get(at):
         raise NoSurjectionError(f"no jump at {at}; nothing to remove")
     return family.with_step(PopStep(at))
 
 
 def jumping_sequence(family: FamilySpec, at: BasePoint) -> JumpRecord:
-    """Extract the jump data by repeated allowable modification."""
-    heights: list[int] = []
-    current = family
-    guard = sum(s.degree for s in family.steps if isinstance(s, PushStep)) + 1
-    while True:
-        stack = current.jump_stack(at)
-        if not stack:
-            break
-        if len(heights) > guard:
-            raise InvalidFamilyError("jumping sequence failed to terminate")
-        heights.append(stack[-1].degree)
-        current = allowable_mod(current, at)
+    """The jump data at `at`: the push stack's degrees from the top down,
+    which is what repeated allowable modification peels off."""
+    heights = tuple(s.degree for s in reversed(family._stacks.get(at, ())))
     if not heights:
         raise NoSurjectionError(f"no jump at {at}")
-    return JumpRecord(at, heights[0], sum(heights), len(heights),
-                      tuple(heights))
+    return JumpRecord(at, heights[0], sum(heights), len(heights), heights)
 
 
 def jump_report(family: FamilySpec) -> list[JumpRecord]:
@@ -506,7 +499,7 @@ def assign_jumping_sequence(family: FamilySpec, at: BasePoint,
         raise ValueError("sequence must be nonempty")
     if any(seq[i + 1] > seq[i] for i in range(len(seq) - 1)):
         raise ValueError("jumping sequences must be non-increasing")
-    if family.jump_stack(at):
+    if family._stacks.get(at):
         raise UnsupportedError("fibre already jumped; assign on a clean fibre")
     nu = line_point if line_point is not None else 2.0 + 0j
     out = family
@@ -567,9 +560,9 @@ def cover_from_family(family: FamilySpec,
            if isinstance(samples, int) else list(samples))
     curve = family.curve
     verticals: list[tuple[BasePoint, int]] = []
-    for p in family.jump_points():
-        mult = sum(s.degree for s in family.jump_stack(p))
-        verticals.append((p, mult))
+    for p, stack in family._stacks.items():
+        if stack:
+            verticals.append((p, sum(s.degree for s in stack)))
     bis: Bisection
     if isinstance(family.data, SplitData):
         a1, a2 = family.spectral_values_at(0.0)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .covers import BasePoint, DivisorClass, HyperCover, Poly, QI
-from .errors import SchemaError
-from .families import FamilySpec, PopStep, PushStep
+from .errors import NoSurjectionError, SchemaError
+from .families import FamilySpec, allowable_mod, elem_mod
 from .spectral import PellMap, SpectralCover, TwoSections
 from .surface import LineBundleOnX, MultipleFibre, SurfaceSpec
 from .tate import TateCurve
@@ -327,20 +327,28 @@ def _parse_torsion_pairs(value: Any, where: str) -> tuple[tuple[int, int], ...]:
 
 
 def _apply_step(fam: FamilySpec, step: Any, where: str) -> FamilySpec:
-    from .families import allowable_mod, elem_mod
+    """Replay one journal entry; a step the family cannot take makes the
+    scenario malformed, so it is reported as a schema error at `where`."""
     if not isinstance(step, dict) or "op" not in step:
         raise SchemaError(f"{where}: expected an object with op")
     at = parse_base_point(step.get("at"), f"{where}.at")
-    if step["op"] == "push":
+    op = step["op"]
+    if op == "push":
         degree = step.get("degree", 1)
         if not isinstance(degree, int) or degree < 1:
             raise SchemaError(f"{where}.degree: expected integer >= 1")
         point = parse_complex(step.get("line_point", [2.0, 0.0]),
                               f"{where}.line_point")
-        return elem_mod(fam, at, degree, point)
-    if step["op"] == "pop":
+        if point == 0:
+            raise SchemaError(f"{where}.line_point: must be nonzero")
+    elif op != "pop":
+        raise SchemaError(f"{where}.op: unknown op {op!r}")
+    try:
+        if op == "push":
+            return elem_mod(fam, at, degree, point)
         return allowable_mod(fam, at)
-    raise SchemaError(f"{where}.op: unknown op {step['op']!r}")
+    except NoSurjectionError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _parse_cover(value: Any, surface: SurfaceSpec) -> SpectralCover:

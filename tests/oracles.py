@@ -3,14 +3,16 @@
 Independent engines used to verify library outputs.
 
 Everything here recomputes a quantity from first principles (coefficient
-recursions, truncated functional-equation matrices, Smith normal forms)
-without touching the library's closed forms, so each test compares two
-genuinely different computation routes.
+recursions, truncated functional-equation matrices, Smith normal forms,
+linear journal replays) without touching the library's closed forms, so
+each test compares two genuinely different computation routes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from spectral_forge import LineBundleOnX, PopStep, PushStep
 
 # ============================================================
 # Rank-1 cohomology: Laurent seed counting
@@ -180,3 +182,73 @@ def smith_invariant_factors(orders: "list[int]") -> "list[int]":
     snf = smith_normal_form(mat, domain=ZZ)
     out = [int(snf[i, i]) for i in range(min(snf.shape))]
     return [x for x in out if x not in (0, 1)]
+
+
+# ============================================================
+# Modification journals: linear replay
+# ============================================================
+
+def replay_jump_stack(steps, at) -> list:
+    """The push stack at `at`, by scanning the whole journal."""
+    stack: list = []
+    for step in steps:
+        if step.at == at:
+            if isinstance(step, PushStep):
+                stack.append(step)
+            else:
+                if not stack:
+                    raise ValueError("pop without a jump in journal")
+                stack.pop()
+    return stack
+
+
+def replay_jump_points(steps) -> list:
+    """Points with a nonempty stack, in order of first appearance."""
+    pts: list = []
+    for step in steps:
+        if not any(step.at == p for p in pts):
+            pts.append(step.at)
+    return [p for p in pts if replay_jump_stack(steps, p)]
+
+
+def replay_jumping_sequence(steps, at) -> tuple[int, ...]:
+    """Heights peeled off by repeated pops at `at`, each read from a fresh
+    replay of the lengthened journal."""
+    steps = list(steps)
+    heights: list[int] = []
+    while stack := replay_jump_stack(steps, at):
+        heights.append(stack[-1].degree)
+        steps.append(PopStep(at))
+    return tuple(heights)
+
+
+def replay_c2(base_c2: int, steps) -> int:
+    """Second Chern number: a push adds its degree, a pop removes the degree
+    of the push it cancels (points matched by linear search)."""
+    c2 = base_c2
+    keys: list = []
+    stacks: list[list[int]] = []
+    for step in steps:
+        i = next((j for j, k in enumerate(keys) if k == step.at), None)
+        if i is None:
+            keys.append(step.at)
+            stacks.append([])
+            i = len(keys) - 1
+        if isinstance(step, PushStep):
+            stacks[i].append(step.degree)
+            c2 += step.degree
+        else:
+            c2 -= stacks[i].pop()
+    return c2
+
+
+def replay_determinant(family):
+    """The presentation determinant twisted, step by step, by the dual of
+    each step's fibre: a residue at a multiple fibre, else the base class."""
+    surface = family.surface
+    det = family.presentation_determinant()
+    for step in family.steps:
+        parts = tuple(int(mf.at == step.at) for mf in surface.multiple_fibres)
+        twist = LineBundleOnX(surface, 0 if any(parts) else 1, 1.0 + 0j, parts)
+        det = det.tensor(twist.dual())
+    return det

@@ -8,10 +8,11 @@ output, CSV sampling.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from spectral_forge import scenario_hash
+from spectral_forge import BasePoint, FamilySpec, scenario_hash
 from spectral_forge.cli import main, run_command
 
 F_CUBIC = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
@@ -251,6 +252,104 @@ def test_missing_family_section_exits_two(tmp_path, capsys):
     path = write(tmp_path, doc)
     assert run_command(["fm", "--scenario", path]) == 2
     assert "family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps,bad", [
+    ([{"op": "pop", "at": [3, 1, 0, 1]}], 0),
+    ([{"op": "push", "at": [3, 1, 0, 1], "degree": 2},
+      {"op": "push", "at": [3, 1, 0, 1], "degree": 1}], 1),
+    ([{"op": "push", "at": [3, 1, 0, 1], "line_point": [0.0, 0.0]}], 0),
+], ids=["pop-unjumped", "push-below-height", "zero-line-point"])
+def test_malformed_journal_exits_two_and_names_the_step(tmp_path, capsys,
+                                                         steps, bad):
+    doc = split_doc()
+    doc["family"]["modifications"] = steps
+    path = write(tmp_path, doc)
+    assert run_command(["modify", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: family.modifications[{bad}]")
+
+
+def test_chern_stack_gate_detects_a_lost_push(tmp_path, capsys, monkeypatch):
+    doc = split_doc()
+    doc["family"]["modifications"] = [
+        {"op": "push", "at": [3, 1, 0, 1], "degree": 2},
+        {"op": "push", "at": [0, 1, 3, 1], "degree": 1}]
+    path = write(tmp_path, doc)
+    code, report = run_json(capsys, ["props", "--scenario", path])
+    assert code == 0 and report["status"] == "pass"
+    # corrupt the journal index: the first jumped fibre loses its top push
+    build = FamilySpec.__dict__["_stacks"].func
+
+    def lossy(self):
+        stacks = build(self)
+        for at, stack in stacks.items():
+            if stack:
+                stacks[at] = stack[:-1]
+                break
+        return stacks
+
+    monkeypatch.setattr(FamilySpec, "_stacks", property(lossy))
+    code, report = run_json(capsys, ["props", "--scenario", path])
+    assert code == 1 and report["status"] == "fail"
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "chern_stack"]
+
+
+# Away from the sample circle |b| = 2 of tau = 2.
+SCALING_POINTS = ([3, 1, 0, 1], [-3, 1, 0, 1], [0, 1, 3, 1], [0, 1, -3, 1],
+                  [5, 2, 1, 1], [-5, 2, -1, 1], [7, 3, 0, 1], [1, 2, 5, 2])
+
+
+def split_journal(length: int) -> list[dict]:
+    """A valid journal over 8 points, 3 pushes to 2 pops at each."""
+    rng = random.Random(length)
+    per_point = length // len(SCALING_POINTS)
+    order = [i for i in range(len(SCALING_POINTS)) for _ in range(per_point)]
+    rng.shuffle(order)
+    pops_left = [per_point * 2 // 5] * len(SCALING_POINTS)
+    pushes_left = [per_point - q for q in pops_left]
+    stacks: list[list[int]] = [[] for _ in SCALING_POINTS]
+    steps = []
+    for i in order:
+        stack, at = stacks[i], SCALING_POINTS[i]
+        p, q = pushes_left[i], pops_left[i]
+        if stack and q and (not p or rng.random() < q / (p + q)):
+            pops_left[i] -= 1
+            stack.pop()
+            steps.append({"op": "pop", "at": at})
+            continue
+        pushes_left[i] -= 1
+        degree = (stack[-1] if stack else 1) + rng.randrange(2)
+        stack.append(degree)
+        steps.append({"op": "push", "at": at, "degree": degree,
+                      "line_point": [1.7, 0.0]})
+    return steps
+
+
+def test_journal_bookkeeping_scales_linearly(tmp_path, monkeypatch):
+    """Point comparisons, not time: a 4x longer journal may cost at most 5x
+    as many BasePoint equality tests in modify and props."""
+    calls = [0]
+    plain_eq = BasePoint.__eq__
+
+    def counted_eq(self, other):
+        calls[0] += 1
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(BasePoint, "__eq__", counted_eq)
+    counts = {}
+    for length in (400, 1600):
+        doc = split_doc()
+        del doc["descent"]
+        doc["family"]["modifications"] = split_journal(length)
+        path = write(tmp_path, doc, f"journal{length}.json")
+        calls[0] = 0
+        for cmd in ("modify", "props"):
+            assert run_command([cmd, "--scenario", path, "--json",
+                                str(tmp_path / "out.json")]) == 0
+        counts[length] = calls[0]
+    assert counts[1600] <= 5 * counts[400], counts
 
 
 def test_main_entry_point_matches(tmp_path, capsys):

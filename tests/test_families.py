@@ -8,8 +8,12 @@ between a family and its recomputed spectral cover.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_forge import (
     AtiyahRegular,
@@ -18,6 +22,7 @@ from spectral_forge import (
     InvalidFamilyError,
     NoSurjectionError,
     PellMap,
+    QI,
     SplitFiber,
     TwoSections,
     UnstableFiber,
@@ -44,6 +49,13 @@ from conftest import (
     split_family,
     surf_m23,
     surf_plain,
+)
+from oracles import (
+    replay_c2,
+    replay_determinant,
+    replay_jump_points,
+    replay_jump_stack,
+    replay_jumping_sequence,
 )
 
 X0 = BasePoint.of(3)
@@ -238,6 +250,94 @@ def test_random_journals_satisfy_integer_identities():
         # journal twists never touch the constant factor
         assert (fam.determinant.constant_factor
                 == fresh_split().determinant.constant_factor)
+
+
+# ============================================================
+# Journal index against a linear replay
+# ============================================================
+
+# Eight points: 3 twice (built differently, so both must share one stack),
+# the multiple fibre at 5 of surf_m23 and five plain fibres.
+JOURNAL_POINTS = (BasePoint.of(3), BasePoint(QI(Fraction(6, 2))),
+                  BasePoint.of(5), BasePoint.of(-2), BasePoint.of(0, 3),
+                  BasePoint(QI.from_pair(5, 2, 1, 1)), BasePoint.of(7, -1),
+                  BasePoint.of(-4))
+JOURNAL_OPS = st.lists(
+    st.tuples(st.integers(0, len(JOURNAL_POINTS) - 1), st.booleans(),
+              st.integers(0, 2)),
+    max_size=40)
+
+
+def journal_family(signed_zero: bool, ops) -> FamilySpec:
+    """A valid journal: pops only on jumped fibres, pushes never below the
+    current height (equal height reuses the line point).  Each step's
+    validity is read from the replay, not from the library."""
+    fam = (split_family(surf_m23(), complex(0.7, -0.0), complex(1.3, -0.0))
+           if signed_zero else split_family(surf_m23(), 0.7 + 0.1j, 1.3 - 0.2j))
+    for i, pop, bump in ops:
+        at = JOURNAL_POINTS[i]
+        stack = replay_jump_stack(fam.steps, at)
+        if pop:
+            if stack:
+                fam = allowable_mod(fam, at)
+            else:
+                with pytest.raises(NoSurjectionError):
+                    allowable_mod(fam, at)
+            continue
+        if stack and bump == 0:
+            fam = elem_mod(fam, at, stack[-1].degree, stack[-1].line_point)
+        else:
+            fam = elem_mod(fam, at, (stack[-1].degree if stack else 0)
+                           + max(bump, 1), NU)
+    return fam
+
+
+def float_bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def assert_matches_replay(fam: FamilySpec) -> None:
+    steps = fam.steps
+    for at in JOURNAL_POINTS:
+        got = fam.jump_stack(at)
+        assert got == replay_jump_stack(steps, at)
+        got.append(None)
+        assert fam.jump_stack(at) == replay_jump_stack(steps, at)
+    points = replay_jump_points(steps)
+    assert fam.jump_points() == points
+    assert fam.has_jumps() == bool(points)
+    assert [(r.at, r.sequence) for r in jump_report(fam)] == [
+        (p, replay_jumping_sequence(steps, p)) for p in points]
+    want = replay_determinant(fam)
+    det = fam.determinant
+    assert det.base_class == want.base_class
+    assert det.fibre_parts == want.fibre_parts
+    assert float_bits(det.constant_factor) == float_bits(want.constant_factor)
+    assert fam.chern.c2 == replay_c2(fam.base_c2, steps)
+    assert fam.chern.c1_fibre_multiple == want.base_class
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.booleans(), JOURNAL_OPS)
+def test_journal_index_matches_linear_replay(signed_zero, ops):
+    fam = journal_family(signed_zero, ops)
+    assert_matches_replay(fam)
+    # the same journal built in one go derives its own index
+    direct = FamilySpec(fam.surface, fam.data, fam.base_c2, fam.steps)
+    assert direct == fam and hash(direct) == hash(fam)
+    assert repr(direct) == repr(fam)
+    assert_matches_replay(direct)
+    # a shorter journal never inherits the longer one's index
+    for k in (0, len(fam.steps) // 2):
+        assert_matches_replay(replace(fam, steps=fam.steps[:k]))
+
+
+def test_equal_points_share_one_stack():
+    three = BasePoint(QI(Fraction(6, 2)))
+    fam = elem_mod(elem_mod(fresh_split(), X0, 1, NU), three, 2, NU)
+    assert fam.jump_points() == [X0]
+    assert jumping_sequence(fam, three).sequence == (2, 1)
+    assert not allowable_mod(allowable_mod(fam, X0), three).has_jumps()
 
 
 # ============================================================
