@@ -45,9 +45,9 @@ from .scenario import (Scenario, canonical_json, load_scenario,
                        parse_scenario, scenario_hash)
 from .spectral import (ChernData, PellMap, PerturbedMap, RegularChart,
                        RuledGraph, SpectralCover, TwoSections,
-                       bisection_torus_degree, check_invariance, discriminant,
+                       bisection_torus_degree, check_invariance,
                        graph_in_ruled_surface, invariance_residual,
-                       n_invariant, regular_chart, sample_circle)
+                       regular_chart, sample_circle)
 from .surface import (FibreComponentGroups, GroupPresentation, LineBundleOnX,
                       MultipleFibre, SurfaceSpec, fibre_component_groups,
                       invariant_factors, involution_on_fibre, pic_relative,
@@ -73,12 +73,12 @@ __all__ = [
     "can_add_jump", "canonical_json", "check_invariance", "class_add",
     "class_equal", "class_neg", "classes_equal_by_search",
     "cover_from_family", "default_sample_points", "descent_divisor",
-    "discriminant", "elem_mod", "extension_from_pair",
+    "elem_mod", "extension_from_pair",
     "fibre_component_groups", "fm_inverse", "fm_transform",
     "graph_in_ruled_surface", "h1_restrict", "in_prym", "invariance_residual",
     "invariant_factors", "involution_on_fibre", "involution_pullback",
     "is_regular", "jump_report", "jumping_sequence", "load_scenario",
-    "make_extension", "n_invariant", "norm_degree", "obstruction",
+    "make_extension", "norm_degree", "obstruction",
     "obstruction_zeros", "parse_scenario", "pic_relative", "point_class",
     "regular_chart", "roundtrip_check", "ruled_orbit", "sample_circle",
     "scenario_hash", "spectral_points", "theta_even", "theta_odd",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
     "QI",
@@ -277,10 +278,16 @@ class Poly:
             acc = acc * b + c
         return acc
 
+    @cached_property
+    def _horner_complex(self) -> tuple[complex, ...]:
+        """Float coefficients, leading first.  Lazy: exact-only polynomials
+        with coefficients thousands of bits high never pay for it."""
+        return tuple(c.to_complex() for c in reversed(self.coeffs))
+
     def eval_complex(self, b: complex) -> complex:
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * b + c.to_complex()
+        for c in self._horner_complex:
+            acc = acc * b + c
         return acc
 
     def __repr__(self) -> str:

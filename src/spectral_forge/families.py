@@ -524,9 +524,9 @@ def default_sample_points(family: FamilySpec, count: int = 32,
     for mf in family.surface.multiple_fibres:
         if not mf.at.is_infinity:
             specials.append(mf.at.to_complex())
-    for step in family.steps:
-        if not step.at.is_infinity:
-            specials.append(step.at.to_complex())
+    for at in family._stacks:
+        if not at.is_infinity:
+            specials.append(at.to_complex())
     for attempt in range(8):
         r = base_r * (1.0 + 0.13 * attempt)
         pts = sample_circle(count, r, 0j, phase=phase + 0.05 * attempt)

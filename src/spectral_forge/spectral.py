@@ -30,11 +30,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from .covers import BasePoint, HyperCover, Poly, QI
-from .errors import (InconsistentFamilyError, InvalidFamilyError,
-                     PunctureError, VerificationError)
+from .errors import PunctureError, VerificationError
 from .fiber import extension_from_pair
 from .surface import LineBundleOnX, SurfaceSpec
 from .tate import TateCurve
@@ -47,8 +46,6 @@ __all__ = [
     "SpectralCover",
     "RegularChart",
     "RuledGraph",
-    "discriminant",
-    "n_invariant",
     "check_invariance",
     "invariance_residual",
     "graph_in_ruled_surface",
@@ -67,18 +64,6 @@ class ChernData:
 
     c1_fibre_multiple: int
     c2: int
-
-
-def discriminant(cd: ChernData) -> Fraction:
-    """Rank-2 discriminant (c2 - c1^2/4)/2; fibre classes square to zero."""
-    return Fraction(cd.c2, 2)
-
-
-def n_invariant(cd: ChernData) -> int:
-    """The non-negative integer -ch2 = c2 under the fibre-class convention."""
-    if cd.c2 < 0:
-        raise InvalidFamilyError(f"negative second Chern number: {cd.c2}")
-    return cd.c2
 
 
 # ============================================================
@@ -165,24 +150,37 @@ class PellMap:
         return self.evaluate_at(b, w)
 
     def evaluate_at(self, b: complex, w: complex) -> complex:
-        den = self.r_part.eval_complex(b)
-        if abs(den) < 1e-300:
-            raise PunctureError(f"pole of bisection map at b={b}")
-        num = self.u_part.eval_complex(b) + self.v_part.eval_complex(b) * w
-        if abs(num) < 1e-300:
-            raise PunctureError(f"zero of bisection map at b={b}")
-        return self.scale.to_complex() * num / den
+        return self._values_at(b, (w,))[0]
 
     def sheet_values(self, b: complex) -> tuple[complex, complex]:
-        w0, w1 = self.cover.sheets(b)
-        return (self.evaluate_at(b, w0), self.evaluate_at(b, w1))
+        return self._values_at(b, self.cover.sheets(b))
 
     def punctures_near(self, b: complex, margin: float = 1e-6) -> bool:
-        den = abs(self.r_part.eval_complex(b))
-        w0, w1 = self.cover.sheets(b)
-        num = min(abs(self.u_part.eval_complex(b) + self.v_part.eval_complex(b) * w)
-                  for w in (w0, w1))
-        return den < margin or num < margin
+        den, u, v = self._ruv_at(b)
+        num = min(abs(u + v * w) for w in self.cover.sheets(b))
+        return abs(den) < margin or num < margin
+
+    @cached_property
+    def _scale_complex(self) -> complex:
+        return self.scale.to_complex()
+
+    def _ruv_at(self, b: complex) -> tuple[complex, complex, complex]:
+        return (self.r_part.eval_complex(b), self.u_part.eval_complex(b),
+                self.v_part.eval_complex(b))
+
+    def _values_at(self, b: complex, ws: tuple[complex, ...]) -> tuple[complex, ...]:
+        """A at (b, w) for each w, from one evaluation of R, U and V.  The
+        pole is checked before any zero, and zeros in the order of ``ws``."""
+        den, u, v = self._ruv_at(b)
+        if abs(den) < 1e-300:
+            raise PunctureError(f"pole of bisection map at b={b}")
+        out = []
+        for w in ws:
+            num = u + v * w
+            if abs(num) < 1e-300:
+                raise PunctureError(f"zero of bisection map at b={b}")
+            out.append(self._scale_complex * num / den)
+        return tuple(out)
 
 
 @dataclass(frozen=True)

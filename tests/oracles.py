@@ -4,7 +4,7 @@ Independent engines used to verify library outputs.
 
 Everything here recomputes a quantity from first principles (coefficient
 recursions, truncated functional-equation matrices, Smith normal forms,
-linear journal replays) without touching the library's closed forms, so
+linear journal replays, uncached float evaluation) without touching the library's closed forms, so
 each test compares two genuinely different computation routes.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from spectral_forge import LineBundleOnX, PopStep, PushStep
+from spectral_forge import LineBundleOnX, PopStep, PunctureError, PushStep
 
 # ============================================================
 # Rank-1 cohomology: Laurent seed counting
@@ -252,3 +252,48 @@ def replay_determinant(family):
         twist = LineBundleOnX(surface, 0 if any(parts) else 1, 1.0 + 0j, parts)
         det = det.tensor(twist.dual())
     return det
+
+
+# ============================================================
+# Float image of exact data: uncached evaluation
+# ============================================================
+
+def reference_eval_complex(poly, b: complex) -> complex:
+    """Horner's rule with every coefficient converted to float afresh."""
+    acc = 0j
+    for c in reversed(poly.coeffs):
+        acc = acc * b + c.to_complex()
+    return acc
+
+
+def reference_sheets(cover, b: complex) -> tuple[complex, complex]:
+    w = complex(reference_eval_complex(cover.f, b)) ** 0.5
+    return (w, -w)
+
+
+def reference_evaluate_at(pell, b: complex, w: complex) -> complex:
+    """s (U + V w) / R at one (b, w), evaluating R, U, V and s for this w
+    alone; the pole is checked before the zero."""
+    den = reference_eval_complex(pell.r_part, b)
+    if abs(den) < 1e-300:
+        raise PunctureError(f"pole of bisection map at b={b}")
+    num = (reference_eval_complex(pell.u_part, b)
+           + reference_eval_complex(pell.v_part, b) * w)
+    if abs(num) < 1e-300:
+        raise PunctureError(f"zero of bisection map at b={b}")
+    return pell.scale.to_complex() * num / den
+
+
+def reference_sheet_values(pell, b: complex) -> tuple[complex, complex]:
+    """One full evaluation per sheet, sheet 0 first."""
+    w0, w1 = reference_sheets(pell.cover, b)
+    return (reference_evaluate_at(pell, b, w0),
+            reference_evaluate_at(pell, b, w1))
+
+
+def reference_punctures_near(pell, b: complex, margin: float = 1e-6) -> bool:
+    den = abs(reference_eval_complex(pell.r_part, b))
+    num = min(abs(reference_eval_complex(pell.u_part, b)
+                  + reference_eval_complex(pell.v_part, b) * w)
+              for w in reference_sheets(pell.cover, b))
+    return den < margin or num < margin

@@ -12,8 +12,10 @@ import random
 
 import pytest
 
-from spectral_forge import BasePoint, FamilySpec, scenario_hash
+from spectral_forge import (QI, BasePoint, FamilySpec, class_add, point_class,
+                            scenario_hash)
 from spectral_forge.cli import main, run_command
+from conftest import cover_g2
 
 F_CUBIC = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
 
@@ -350,6 +352,37 @@ def test_journal_bookkeeping_scales_linearly(tmp_path, monkeypatch):
                                 str(tmp_path / "out.json")]) == 0
         counts[length] = calls[0]
     assert counts[1600] <= 5 * counts[400], counts
+
+
+def test_float_conversions_do_not_scale_with_samples(tmp_path, monkeypatch):
+    """Exact coefficients are converted to floats once per polynomial, not
+    once per sample, and exact-only arithmetic converts none."""
+    calls = [0]
+    plain_to_complex = QI.to_complex
+
+    def counted_to_complex(self):
+        calls[0] += 1
+        return plain_to_complex(self)
+
+    monkeypatch.setattr(QI, "to_complex", counted_to_complex)
+    path = write(tmp_path, pushforward_doc())
+    for cmd in ("props", "cover"):
+        counts = {}
+        for samples in (256, 2048):
+            calls[0] = 0
+            assert run_command([cmd, "--scenario", path, "--samples",
+                                str(samples), "--seed", "1", "--json",
+                                str(tmp_path / "out.json")]) == 0
+            counts[samples] = calls[0]
+        assert counts[256] == counts[2048], (cmd, counts)
+
+    calls[0] = 0
+    cov = cover_g2()
+    p = point_class(cov, QI.of(1), QI.of(1))
+    acc = p
+    for _ in range(30):
+        acc = class_add(acc, p)
+    assert calls[0] == 0
 
 
 def test_main_entry_point_matches(tmp_path, capsys):

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import cmath
 import random
+import struct
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_forge import (
     AtiyahRegular,
@@ -18,6 +22,7 @@ from spectral_forge import (
     PellMap,
     PerturbedMap,
     Poly,
+    PunctureError,
     QI,
     SpectralCover,
     TwoSections,
@@ -31,11 +36,20 @@ from spectral_forge.errors import VerificationError
 from spectral_forge.spectral import bisection_torus_degree, regular_chart
 from conftest import (
     TAU_DYADIC,
+    cover_g0,
     cover_g1,
+    cover_g2,
+    cover_g3,
     pell_g0,
     pell_g1,
     pell_g2,
     surf_plain,
+)
+from oracles import (
+    reference_eval_complex,
+    reference_evaluate_at,
+    reference_punctures_near,
+    reference_sheet_values,
 )
 
 
@@ -192,3 +206,104 @@ def test_regular_chart_at_branch_value_is_nonsplit():
     fc = make_extension(curve, 1.0 + 0j, ch.p, ch.q)
     assert isinstance(fc, AtiyahRegular)
     assert curve.same_point(fc.line.factor * ch.scale, a)
+
+
+# ============================================================
+# Punctures
+# ============================================================
+
+def tiny_pell_g0() -> PellMap:
+    """pell_g0's data times 10^-290.  A Pell map has R^2 = (U + Vw)(U - Vw),
+    so an exact zero of U + Vw is always a root of R; near the underflow
+    threshold |U + Vw| falls below 1e-300 at b = 1 - 1e-6 on sheet 1 while
+    |R| ~ 1e-296 stays above it."""
+    c = Poly.of(Fraction(1, 10 ** 145))
+    return PellMap.from_pell_pair(cover_g0(), c, c, QI.of(1))
+
+
+def test_root_of_r_is_a_pole():
+    m = pell_g0()
+    for call in (lambda: m.evaluate(1 + 0j, 0), lambda: m.sheet_values(1 + 0j),
+                 lambda: m.evaluate_at(1 + 0j, 2.0 + 0j)):
+        with pytest.raises(PunctureError, match="pole"):
+            call()
+    assert m.punctures_near(1 + 0j)
+    assert not m.punctures_near(-2 + 0j)
+
+
+def test_pole_is_checked_before_zero():
+    # at b = 1 both R and U + Vw (sheet 1, w = -1) vanish
+    m = pell_g0()
+    assert m.u_part.eval_complex(1 + 0j) + m.v_part.eval_complex(1 + 0j) * -1 == 0
+    for call in (lambda: m.evaluate(1 + 0j, 1), lambda: m.evaluate_at(1 + 0j, -1 + 0j)):
+        with pytest.raises(PunctureError, match="pole"):
+            call()
+
+
+def test_zero_of_numerator_is_a_zero():
+    with pytest.raises(PunctureError, match="zero"):
+        pell_g0().evaluate_at(0j, -0.5 + 0j)
+    m = tiny_pell_g0()
+    b = 1 - 1e-6 + 0j
+    assert abs(m.evaluate(b, 0)) > 1.0
+    for call in (lambda: m.evaluate(b, 1), lambda: m.sheet_values(b),
+                 lambda: m.evaluate_at(b, m.cover.sheets(b)[1])):
+        with pytest.raises(PunctureError, match="zero"):
+            call()
+    # |R| stays above this margin, so only the zero can trip it
+    assert m.punctures_near(b, margin=1e-298)
+    assert not m.punctures_near(0.5 + 0j, margin=1e-298)
+
+
+# ============================================================
+# Float image of exact data: bit-for-bit against the uncached route
+# ============================================================
+
+def float_bits(*zs: complex) -> bytes:
+    """Exact bit pattern, so signed zeros count as different."""
+    return b"".join(struct.pack("<2d", z.real, z.imag) for z in zs)
+
+
+def outcome(call, *args):
+    try:
+        out = call(*args)
+    except PunctureError as e:
+        return ("puncture", str(e))
+    return float_bits(*(out if isinstance(out, tuple) else (out,)))
+
+
+HEIGHT = 2 ** 200
+QIS = st.builds(
+    lambda a, b, c, d: QI(Fraction(a, b), Fraction(c, d)),
+    st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT),
+    st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT))
+SMALL_QIS = st.builds(QI.of, st.integers(-9, 9), st.integers(-9, 9))
+POINTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                            allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(QIS, SMALL_QIS, st.just(QI())), max_size=8), POINTS)
+def test_eval_complex_matches_uncached_horner(coeffs, b):
+    poly = Poly(tuple(coeffs))
+    expected = float_bits(reference_eval_complex(poly, b))
+    assert float_bits(poly.eval_complex(b)) == expected
+    # the second call reads the cache
+    assert float_bits(poly.eval_complex(b)) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([cover_g0, cover_g1, cover_g2, cover_g3]),
+       st.lists(st.one_of(QIS, SMALL_QIS), min_size=1, max_size=3),
+       st.lists(st.one_of(QIS, SMALL_QIS), max_size=3),
+       st.one_of(QIS, SMALL_QIS), st.lists(POINTS, min_size=1, max_size=4))
+def test_pell_map_matches_two_call_evaluation(cover, p, q, s, points):
+    assume(not s.is_zero() and not Poly(tuple(p)).is_zero())
+    pell = PellMap.from_pell_pair(cover(), Poly(tuple(p)), Poly(tuple(q)), s)
+    for m in (pell, pell.inverse(), pell.sheet_flip()):
+        for b in points + [0j]:  # b = 0: the branch point of w^2 = b
+            assert outcome(m.sheet_values, b) == outcome(reference_sheet_values, m, b)
+            assert m.punctures_near(b) == reference_punctures_near(m, b)
+            w = m.cover.sheets(b)[1]
+            assert (outcome(m.evaluate_at, b, w)
+                    == outcome(reference_evaluate_at, m, b, w))
