@@ -22,10 +22,9 @@ from __future__ import annotations
 from .covers import (BasePoint, DivisorClass, HyperCover, Poly, QI, class_add,
                      class_equal, class_neg, classes_equal_by_search,
                      in_prym, involution_pullback, norm_degree, point_class)
-from .errors import (InconsistentFamilyError, InvalidFamilyError,
-                     MultipleFibreRestrictionError, NoSurjectionError,
-                     PunctureError, SchemaError, SpectralForgeError,
-                     UnsupportedError, VerificationError)
+from .errors import (InvalidFamilyError, MultipleFibreRestrictionError,
+                     NoSurjectionError, PunctureError, SchemaError,
+                     SpectralForgeError, UnsupportedError, VerificationError)
 from .families import (FamilySpec, JumpRecord, PopStep, PushStep,
                        PushforwardData, SplitData, allowable_mod,
                        assign_jumping_sequence, attach_generic_jumps,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AtiyahRegular", "BasePoint", "ChernData", "DescentTwist", "DivisorClass",
     "FamilySpec", "FiberClass", "FibreComponentGroups", "GroupPresentation",
-    "HyperCover", "InconsistentFamilyError", "InvalidFamilyError",
+    "HyperCover", "InvalidFamilyError",
     "JumpRecord", "LineBundleOnX", "LineData", "MultipleFibre",
     "MultipleFibreRestrictionError", "NoSurjectionError", "PellMap",
     "PerturbedMap", "Poly", "PopStep", "PunctureError", "PushStep",

@@ -9,9 +9,14 @@ Everything in this module is exact: coefficients live in Q(i) (pairs of
 
 with a single point at infinity fixed by the sheet involution iota: w -> -w.
 Degree-0 divisor classes are stored in Mumford form (u, v) with u monic,
-deg v < deg u, u | v**2 - f, balanced by a multiple of infinity.  Group law is
-Cantor composition plus reduction to deg u <= g.  No floating point enters the
-group law; float evaluation of the curve is provided separately for sampling.
+deg v < deg u, u | v**2 - f, balanced by a multiple of infinity; the
+``DivisorClass`` constructor checks these invariants, and the group law,
+which preserves them, builds its results without the check.  Group law is
+Cantor composition plus reduction to deg u <= g.  Polynomial products and
+divisions run on integer images (one common denominator, Gaussian-integer
+numerators) and return canonical Q(i) coefficients.  No floating point
+enters the group law; float evaluation of the curve is provided separately
+for sampling.
 
 Two independent decision procedures for principality are provided:
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 __all__ = [
     "QI",
@@ -56,16 +62,43 @@ __all__ = [
 # Gaussian rationals
 # ============================================================
 
-@dataclass(frozen=True)
+_F0 = Fraction(0)
+_set = object.__setattr__
+
+
 class QI:
-    """Element of Q(i): re + im*i with exact Fraction parts."""
+    """Element of Q(i): re + im*i with exact Fraction parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Immutable; the hash is computed on first use and kept, so dict lookups
+    keyed by base points do not redo the Fraction hashes."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("re", "im", "_hash")
+
+    def __init__(self, re: int | Fraction = _F0, im: int | Fraction = _F0) -> None:
+        _set(self, "re", re if type(re) is Fraction else Fraction(re))
+        _set(self, "im", im if type(im) is Fraction else Fraction(im))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable QI")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable QI")
+
+    def __reduce__(self) -> tuple:
+        return QI, (self.re, self.im)
+
+    def __eq__(self, o: object) -> bool:
+        if o.__class__ is not QI:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.re, self.im))
+            _set(self, "_hash", h)
+            return h
 
     # ----- constructors ---------------------------------------------------
 
@@ -126,6 +159,39 @@ class QI:
 
 _QI_ZERO = QI()
 _QI_ONE = QI(Fraction(1))
+
+
+# ----- integer images ---------------------------------------------------
+#
+# The Poly kernels below work on (den, re, im): coefficient k is
+# (re[k] + im[k] i) / den with integer re, im and one common den (positive
+# in a kept image), so a product or a division costs integer multiplications
+# and a single round of gcds when the result is turned back into canonical
+# QI coefficients.
+
+_Image = tuple[int, list[int], list[int]]
+
+
+def _poly_over(den: int, re: list[int], im: list[int]) -> "Poly":
+    """The polynomial with image (den, re, im); takes ownership of the lists.
+
+    Dividing out g = gcd(den, re, im) leaves exactly the image ``_image``
+    computes from the canonical coefficients (den / g is the lcm of their
+    denominators), so it is kept as the result's image."""
+    while re and not re[-1] and not im[-1]:
+        re.pop()
+        im.pop()
+    g = gcd(den, *re, *im)
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        re = [a // g for a in re]
+        im = [b // g for b in im]
+    p = Poly(tuple(QI(Fraction(a, den) if a else _F0, Fraction(b, den) if b else _F0)
+                   for a, b in zip(re, im)))
+    p.__dict__["_image"] = (den, re, im)
+    return p
 
 
 # ============================================================
@@ -192,52 +258,97 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
 
+    @cached_property
+    def _image(self) -> _Image:
+        """(den, re, im) with den the lcm of all coefficient denominators."""
+        cs = self.coeffs
+        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
+        return (den, [c.re.numerator * (den // c.re.denominator) for c in cs],
+                [c.im.numerator * (den // c.im.denominator) for c in cs])
+
     def __mul__(self, o: "Poly") -> "Poly":
         if self.is_zero() or o.is_zero():
             return Poly()
-        out = [_QI_ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(tuple(out))
+        if o.is_one():
+            return self
+        if self.is_one():
+            return o
+        da, ar, ai = self._image
+        db, br, bi = o._image
+        re = [0] * (len(ar) + len(br) - 1)
+        im = re[:]
+        for i, (x, y) in enumerate(zip(ar, ai)):
+            for j, (u, v) in enumerate(zip(br, bi)):
+                re[i + j] += x * u - y * v
+                im[i + j] += x * v + y * u
+        return _poly_over(da * db, re, im)
 
     def scale(self, c: QI) -> "Poly":
-        return Poly(tuple(a * c for a in self.coeffs))
+        return self * Poly((c,))
 
-    def divmod(self, o: "Poly") -> tuple["Poly", "Poly"]:
+    def _pseudo_divmod(self, o: "Poly") -> tuple[_Image, _Image]:
+        """Quotient and remainder as integer images.
+
+        Pseudo-division over Z[i]: with r, d the images of self and o and L
+        the leading numerator of d, L^k r = q d + rem (k = deg r - deg d + 1).
+        Dividing by L^k goes through conj(L)^k and the norm N(L)^k, so the
+        quotient is q conj(L)^k den_o / (N^k den_r) and the remainder
+        rem conj(L)^k / (N^k den_r)."""
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q: list[QI] = [_QI_ZERO] * max(0, self.degree - o.degree + 1)
-        r = list(self.coeffs)
-        inv_lead = o.lead().inv()
-        while len(r) - 1 >= o.degree and any(not c.is_zero() for c in r):
-            while r and r[-1].is_zero():
-                r.pop()
-            if len(r) - 1 < o.degree:
-                break
-            k = len(r) - 1 - o.degree
-            c = r[-1] * inv_lead
-            q[k] = q[k] + c
-            for j, b in enumerate(o.coeffs):
-                r[k + j] = r[k + j] - c * b
-        return Poly(tuple(q)), Poly(tuple(r))
+        m = o.degree
+        k = self.degree - m + 1
+        dr, rr, ri = self._image
+        if k <= 0:
+            return (1, [], []), (dr, rr[:], ri[:])
+        do, orr, oi = o._image
+        rr, ri = rr[:], ri[:]
+        lr, li = orr[m], oi[m]
+        qr, qi = [0] * k, [0] * k
+        for j in range(k - 1, -1, -1):
+            tr, ti = rr.pop(), ri.pop()
+            for s in range(j + 1, k):
+                qr[s], qi[s] = qr[s] * lr - qi[s] * li, qr[s] * li + qi[s] * lr
+            qr[j], qi[j] = tr, ti
+            for s in range(j + m):
+                a, b = rr[s], ri[s]
+                rr[s], ri[s] = a * lr - b * li, a * li + b * lr
+            if tr or ti:
+                for s in range(m):
+                    a, b = orr[s], oi[s]
+                    rr[j + s] -= tr * a - ti * b
+                    ri[j + s] -= tr * b + ti * a
+        # 1 / L^k = (cr + ci i) / n: conj(L)^k / N(L)^k, or 1 / L^k for real L
+        cr, ci, n = 1, 0, lr ** k
+        if li:
+            n = 1
+            for _ in range(k):
+                cr, ci = cr * lr + ci * li, ci * lr - cr * li
+                n *= lr * lr + li * li
+        den = n * dr
+        return ((den, [(a * cr - b * ci) * do for a, b in zip(qr, qi)],
+                 [(a * ci + b * cr) * do for a, b in zip(qr, qi)]),
+                (den, [a * cr - b * ci for a, b in zip(rr, ri)],
+                 [a * ci + b * cr for a, b in zip(rr, ri)]))
+
+    def divmod(self, o: "Poly") -> tuple["Poly", "Poly"]:
+        q, r = self._pseudo_divmod(o)
+        return _poly_over(*q), _poly_over(*r)
 
     def __floordiv__(self, o: "Poly") -> "Poly":
-        return self.divmod(o)[0]
+        return _poly_over(*self._pseudo_divmod(o)[0])
 
     def __mod__(self, o: "Poly") -> "Poly":
-        return self.divmod(o)[1]
+        return _poly_over(*self._pseudo_divmod(o)[1])
 
     def exact_div(self, o: "Poly") -> "Poly":
-        q, r = self.divmod(o)
-        if not r.is_zero():
+        q, (_, rr, ri) = self._pseudo_divmod(o)
+        if any(rr) or any(ri):
             raise ArithmeticError("polynomial division was not exact")
-        return q
+        return _poly_over(*q)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.lead().is_one():
             return self
         return self.scale(self.lead().inv())
 
@@ -380,7 +491,11 @@ class HyperCover:
 class DivisorClass:
     """Semi-reduced Mumford pair (u, v) minus inf_mult * infinity.
 
-    Invariants (checked): u monic, deg v < deg u, u | v**2 - f.
+    Invariants: u monic, deg v < deg u, u | v**2 - f.  The constructor checks
+    them on every class built from outside data (scenario files, user code,
+    ``point_class``); the group law (``mumford_compose``, ``cantor_reduce``,
+    ``class_neg``) produces classes that satisfy them by construction and
+    builds those without the check.
     degree() = deg u - inf_mult; the group law acts on degree-0 classes.
     """
 
@@ -423,6 +538,15 @@ class DivisorClass:
         return f"DivisorClass(u={self.u}, v={self.v}, -{self.inf_mult}*inf)"
 
 
+def _group_law_class(cover: HyperCover, u: Poly, v: Poly,
+                     inf_mult: int) -> DivisorClass:
+    """A class produced by the group law from valid classes: the invariants
+    hold by construction, so ``DivisorClass.__post_init__`` is skipped."""
+    d = object.__new__(DivisorClass)
+    d.__dict__.update(cover=cover, u=u, v=v, inf_mult=inf_mult)
+    return d
+
+
 def point_class(cover: HyperCover, x: QI, w: QI) -> DivisorClass:
     """Degree-0 class (P) - (inf) for the affine point P = (x, w)."""
     if not (w * w - cover.f.eval(x)).is_zero():
@@ -438,17 +562,18 @@ def mumford_compose(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
         raise ValueError("classes live on different covers")
     f = d1.cover.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
-    g1, e1, e2 = u1.xgcd(u2)
+    g1, e1, _ = u1.xgcd(u2)
     g, c1, c2 = g1.xgcd(v1 + v2)
-    if g.is_zero():
-        g = Poly.const(_QI_ONE)
-    s1, s2, s3 = c1 * e1, c1 * e2, c2
     u = (u1 * u2).exact_div(g * g)
-    num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-    v = num.exact_div(g) % u
-    u = u.monic()
+    # Cantor's numerator s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f), with s1 = c1 e1,
+    # s2 = c1 e2, s3 = c2, equals g v1 + s1 u1 (v2 - v1) + s3 (f - v1^2)
+    # because s1 u1 + s2 u2 + s3 (v1 + v2) = g; this form needs no e2
+    num = c1 * e1 * u1 * (v2 - v1)
+    if not c2.is_zero():
+        num = num + c2 * (f - v1 * v1)
+    v = (v1 + (num.exact_div(g) if g.degree > 0 else num)) % u
     # each cancelled conjugate pair P + iota(P) is equivalent to 2*inf
-    return DivisorClass(d1.cover, u, v, d1.inf_mult + d2.inf_mult - 2 * g.degree)
+    return _group_law_class(d1.cover, u, v, d1.inf_mult + d2.inf_mult - 2 * g.degree)
 
 
 def cantor_reduce(d: DivisorClass) -> DivisorClass:
@@ -464,7 +589,7 @@ def cantor_reduce(d: DivisorClass) -> DivisorClass:
         u = u_next
     # linear equivalence preserves total degree; rebalance against infinity
     inf = d.inf_mult - (deg_in - u.degree)
-    return DivisorClass(cover, u, v, inf)
+    return _group_law_class(cover, u, v, inf)
 
 
 def class_add(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
@@ -473,7 +598,7 @@ def class_add(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
 
 def class_neg(d: DivisorClass) -> DivisorClass:
     v = (-d.v) % d.u if d.u.degree > 0 else Poly()
-    return DivisorClass(d.cover, d.u, v, d.inf_mult)
+    return _group_law_class(d.cover, d.u, v, d.inf_mult)
 
 
 def involution_pullback(d: DivisorClass) -> DivisorClass:

@@ -14,7 +14,6 @@ __all__ = [
     "VerificationError",
     "UnsupportedError",
     "PunctureError",
-    "InconsistentFamilyError",
     "InvalidFamilyError",
     "MultipleFibreRestrictionError",
     "NoSurjectionError",
@@ -39,10 +38,6 @@ class UnsupportedError(SpectralForgeError):
 
 class PunctureError(UnsupportedError):
     """Evaluation hit a zero or pole of a rational map."""
-
-
-class InconsistentFamilyError(VerificationError):
-    """Declared and recomputed family data disagree."""
 
 
 class InvalidFamilyError(SpectralForgeError):

@@ -312,10 +312,6 @@ def obstruction_zeros(curve: TateCurve, c: complex, p: complex, q: complex,
     partner = g0.inverse()
     if abs(f(partner.value)) > 1e-8 * scale:
         raise ArithmeticError("inverse-pair symmetry check failed")
-    if len(zeros) == 2 and not zeros[1] == partner:
-        # a second distinct zero must be the partner; tolerate roundoff by
-        # preferring the symmetric pair
-        pass
     return (g0, partner)
 
 

@@ -156,10 +156,6 @@ class LineBundleOnX:
                 "restriction at a multiple fibre requires the cyclic cover")
         return TateLineBundle(self.surface.curve, 0, self.constant_factor)
 
-    def jacobian_section(self, b: complex) -> TatePoint:
-        """Image in the relative Jacobian: the constant factor's point."""
-        return self.surface.curve.point(self.restrict_to_fiber(b).factor)
-
     def isomorphic(self, other: "LineBundleOnX") -> bool:
         return (self.surface == other.surface
                 and self.base_class == other.base_class

@@ -4,15 +4,19 @@ Independent engines used to verify library outputs.
 
 Everything here recomputes a quantity from first principles (coefficient
 recursions, truncated functional-equation matrices, Smith normal forms,
-linear journal replays, uncached float evaluation) without touching the library's closed forms, so
-each test compares two genuinely different computation routes.
+linear journal replays, uncached float evaluation, schoolbook Q(i)
+polynomial loops, Cantor's algorithm in sympy) without touching the
+library's closed forms, so each test compares two genuinely different
+computation routes.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from spectral_forge import LineBundleOnX, PopStep, PunctureError, PushStep
+from spectral_forge import LineBundleOnX, Poly, PopStep, PunctureError, PushStep, QI
 
 # ============================================================
 # Rank-1 cohomology: Laurent seed counting
@@ -297,3 +301,115 @@ def reference_punctures_near(pell, b: complex, margin: float = 1e-6) -> bool:
                   + reference_eval_complex(pell.v_part, b) * w)
               for w in reference_sheets(pell.cover, b))
     return den < margin or num < margin
+
+
+# ============================================================
+# Exact polynomials: schoolbook Q(i) loops
+# ============================================================
+
+def reference_mul(a, b):
+    """Product coefficient by coefficient, every step a Q(i) operation."""
+    if a.is_zero() or b.is_zero():
+        return Poly()
+    out = [QI()] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(tuple(out))
+
+
+def reference_divmod(a, b):
+    """Long division, one Q(i) quotient coefficient per step."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [QI()] * max(0, a.degree - b.degree + 1)
+    r = list(a.coeffs)
+    inv_lead = b.lead().inv()
+    while len(r) - 1 >= b.degree and any(not c.is_zero() for c in r):
+        while r and r[-1].is_zero():
+            r.pop()
+        if len(r) - 1 < b.degree:
+            break
+        k = len(r) - 1 - b.degree
+        c = r[-1] * inv_lead
+        q[k] = q[k] + c
+        for j, y in enumerate(b.coeffs):
+            r[k + j] = r[k + j] - c * y
+    return Poly(tuple(q)), Poly(tuple(r))
+
+
+def reference_scale(p, c):
+    return Poly(tuple(x * c for x in p.coeffs))
+
+
+def reference_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, reference_divmod(a, b)[1]
+    return reference_scale(a, a.lead().inv()) if not a.is_zero() else a
+
+
+def reference_xgcd(a, b):
+    """(g, s, t) with s a + t b = g, g monic or zero, by the Euclid loop."""
+    r0, r1 = a, b
+    s0, s1 = Poly.of(1), Poly()
+    t0, t1 = Poly(), Poly.of(1)
+    while not r1.is_zero():
+        q, r = reference_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - reference_mul(q, s1)
+        t0, t1 = t1, t0 - reference_mul(q, t1)
+    if r0.is_zero():
+        return r0, s0, t0
+    c = r0.lead().inv()
+    return reference_scale(r0, c), reference_scale(s0, c), reference_scale(t0, c)
+
+
+# ============================================================
+# Cantor's algorithm over sympy's Q(i)
+# ============================================================
+
+def to_sympy(p):
+    """The library polynomial as a sympy Poly in x over QQ_I."""
+    from sympy import QQ, QQ_I, Poly as SymPoly, symbols
+    coeffs = [QQ_I(QQ(c.re.numerator, c.re.denominator),
+                   QQ(c.im.numerator, c.im.denominator))
+              for c in reversed(p.coeffs)]
+    return SymPoly.from_list(coeffs or [QQ_I.zero], symbols("x"), domain=QQ_I)
+
+
+def from_sympy(p):
+    """The sympy polynomial as a tuple of (re, im) Fraction pairs, constant
+    term first, in the library's coefficient order."""
+    return tuple((Fraction(int(c.x.numerator), int(c.x.denominator)),
+                  Fraction(int(c.y.numerator), int(c.y.denominator)))
+                 for c in reversed(p.rep.to_list()))
+
+
+def sympy_compose(f, u1, v1, u2, v2):
+    """Semi-reduced Mumford sum (Cantor 1987, composition step) of two
+    classes given as sympy polynomials; returns (u, v, deg d)."""
+    d1, e1, e2 = _sympy_xgcd(u1, u2)
+    d, c1, c2 = _sympy_xgcd(d1, v1 + v2)
+    s1, s2, s3 = c1 * e1, c1 * e2, c2
+    u = (u1 * u2).exquo(d * d)
+    num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
+    v = num.exquo(d).rem(u)
+    return u.monic(), v, d.degree()
+
+
+def sympy_reduce(f, u, v, genus):
+    """Cantor's reduction step repeated until deg u <= genus."""
+    while u.degree() > genus:
+        u = (f - v * v).exquo(u).monic()
+        v = (-v).rem(u)
+    return u, v
+
+
+def _sympy_xgcd(a, b):
+    """(g, s, t) with s a + t b = g monic; g = a when b is zero."""
+    if b.is_zero:
+        return a.monic(), a.monic().exquo(a), b
+    s, t, g = a.gcdex(b)
+    return g, s, t

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -247,6 +248,20 @@ def test_classify_without_double_cover_exits_64(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd,key", [("fm", "roundtrip_status"),
+                                     ("roundtrip", "status")])
+def test_family_with_jumps_exits_64_with_report(tmp_path, capsys, cmd, key):
+    """The README example has a jump, outside the round trip's hypotheses."""
+    doc = pushforward_doc()
+    doc["family"]["modifications"] = [
+        {"op": "push", "at": [3, 1, 0, 1], "degree": 2, "line_point": [1.7, 0.0]}]
+    doc["descent"] = {"b0": [0, 1, 0, 1]}
+    path = write(tmp_path, doc)
+    code, report = run_json(capsys, [cmd, "--scenario", path])
+    assert code == 64
+    assert report[key] == "hypothesis_violated"
+
+
 def test_missing_family_section_exits_two(tmp_path, capsys):
     doc = {"surface": {"tau": [2.0, 0.0]},
            "cover": {"bisection": {"type": "two_sections",
@@ -352,6 +367,27 @@ def test_journal_bookkeeping_scales_linearly(tmp_path, monkeypatch):
                                 str(tmp_path / "out.json")]) == 0
         counts[length] = calls[0]
     assert counts[1600] <= 5 * counts[400], counts
+
+
+def test_journal_points_hash_once(tmp_path, monkeypatch):
+    """Each parsed journal point hashes its two Fraction parts once; base
+    point lookups after that reuse the cached Q(i) hash."""
+    calls = [0]
+    plain_hash = Fraction.__hash__
+
+    def counted_hash(self):
+        calls[0] += 1
+        return plain_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    doc = pushforward_doc()
+    doc["family"]["modifications"] = split_journal(800)
+    path = write(tmp_path, doc)
+    for cmd in ("modify", "props", "cover"):
+        calls[0] = 0
+        assert run_command([cmd, "--scenario", path, "--json",
+                            str(tmp_path / "out.json")]) == 0
+        assert calls[0] <= 2 * 800, (cmd, calls[0])
 
 
 def test_float_conversions_do_not_scale_with_samples(tmp_path, monkeypatch):

@@ -2,14 +2,17 @@
 """
 Exact divisor-class arithmetic on the double covers: reduction invariants,
 group laws, principality by reduction cross-checked against the
-function-search route, and the branch two-torsion classes.
+function-search route, the branch two-torsion classes, and the integer
+polynomial kernels against schoolbook Q(i) loops and Cantor in sympy.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spectral_forge import (
     DivisorClass,
@@ -31,6 +34,8 @@ from spectral_forge.covers import (
     norm_degree,
 )
 from conftest import affine_points, combine, cover_g1, cover_g2, cover_g3, cover_g0, prym_generators
+from oracles import (from_sympy, reference_divmod, reference_gcd, reference_mul,
+                     reference_xgcd, sympy_compose, sympy_reduce, to_sympy)
 
 COVERS = [cover_g1(), cover_g2(), cover_g3()]
 
@@ -185,3 +190,155 @@ def test_conjugate_sum_witness_satisfies_norm_identity(cov):
         q, rem = nrm.divmod(target)
         assert rem.is_zero()
         assert q.degree == 0
+
+
+# ============================================================
+# Integer kernels vs schoolbook Q(i) loops
+# ============================================================
+
+BIG = 2 ** 500
+PARTS = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                  st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+GAUSSIAN = st.builds(QI, PARTS, PARTS.filter(bool))
+
+
+def polys(max_size: int):
+    return st.lists(st.builds(QI, PARTS, PARTS), max_size=max_size).map(
+        lambda cs: Poly(tuple(cs)))
+
+
+def divisors(max_size: int):
+    """Nonzero polynomials, half of them with a non-real leading coefficient."""
+    return st.one_of(polys(max_size).filter(lambda p: not p.is_zero()),
+                     st.builds(lambda p, c: Poly(p.coeffs + (c,)),
+                               polys(max_size - 1), GAUSSIAN))
+
+
+HUGE = QI(Fraction(BIG - 1, 3 ** 300), Fraction(-(BIG // 7), 5 ** 200))
+EDGE_CASES = [
+    (Poly(), Poly.of(3)),
+    (Poly.of(5), Poly((QI.of(1), QI.of(0), QI(Fraction(2, 3), Fraction(-1))))),
+    (Poly((HUGE, QI.of(1, 1), HUGE)), Poly((QI.of(-2), HUGE.conj()))),
+    (Poly((QI.of(7), HUGE)), Poly((HUGE, QI.of(0), QI.of(2, -3)))),
+]
+
+
+def with_edge_cases(test):
+    for a, b in EDGE_CASES:
+        test = example(a=a, b=b)(test)
+    return test
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(a=polys(7), b=divisors(7))
+@with_edge_cases
+def test_kernels_match_schoolbook(a, b):
+    product = a * b
+    assert product == reference_mul(a, b)
+    q, r = a.divmod(b)
+    assert (q, r) == reference_divmod(a, b)
+    assert a // b == q and a % b == r
+    assert product.exact_div(b) == a
+    if not r.is_zero():
+        with pytest.raises(ArithmeticError):
+            a.exact_div(b)
+    # the image a result keeps is the one its coefficients give
+    for p in (product, q, r):
+        assert p._image == Poly(p.coeffs)._image
+    with pytest.raises(ZeroDivisionError):
+        a.divmod(Poly())
+
+
+# Euclid over Q(i) roughly doubles the coefficient height per step, which the
+# schoolbook reference pays for in full: keep the degrees lower here.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(a=polys(4), b=divisors(4))
+@with_edge_cases
+def test_euclid_matches_schoolbook(a, b):
+    assert a.gcd(b) == reference_gcd(a, b)
+    assert a.xgcd(b) == reference_xgcd(a, b)
+
+
+# ============================================================
+# Cantor's algorithm vs sympy over QQ_I
+# ============================================================
+
+def same_class(d, u, v, inf) -> bool:
+    return (tuple((c.re, c.im) for c in d.u.coeffs) == from_sympy(u)
+            and tuple((c.re, c.im) for c in d.v.coeffs) == from_sympy(v)
+            and d.inf_mult == inf)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cantor_matches_sympy(data):
+    """Random walks of rational points (both signs of w) on genus 1-3
+    covers, every step recomputed by compose and reduce over sympy's Q(i)
+    from the previous exact class."""
+    cov = data.draw(st.sampled_from(COVERS), label="cover")
+    points = [point_class(cov, x, w)
+              for x, w0 in affine_points(cov) for w in (w0, -w0)]
+    f = to_sympy(cov.f)
+    d = data.draw(st.sampled_from(points), label="start")
+    for _ in range(data.draw(st.integers(1, 10), label="steps")):
+        p = data.draw(st.sampled_from(points), label="step")
+        u, v, g = sympy_compose(f, to_sympy(d.u), to_sympy(d.v),
+                                to_sympy(p.u), to_sympy(p.v))
+        inf = d.inf_mult + p.inf_mult - 2 * g
+        composed = mumford_compose(d, p)
+        assert same_class(composed, u, v, inf)
+        ru, rv = sympy_reduce(f, u, v, cov.genus)
+        rinf = inf - (u.degree() - ru.degree())
+        assert same_class(cantor_reduce(composed), ru, rv, rinf)
+        d = class_add(d, p)
+        assert same_class(d, ru, rv, rinf)
+        assert same_class(class_neg(d), ru, (-rv).rem(ru), rinf)
+
+
+# ============================================================
+# The group law trusts its own classes
+# ============================================================
+
+def test_group_law_skips_the_check_and_the_qi_loops(monkeypatch):
+    """Counts, not time: a genus-3 n*P chain builds no class through the
+    checking constructor and makes few Q(i) products, and every class it
+    builds passes that check when rebuilt."""
+    cov = cover_g3()
+    p = point_class(cov, QI.of(1), QI.of(1))
+    counts = {"check": 0, "mul": 0}
+    plain_check, plain_mul = DivisorClass.__post_init__, QI.__mul__
+
+    def counted_check(self):
+        counts["check"] += 1
+        plain_check(self)
+
+    def counted_mul(self, o):
+        counts["mul"] += 1
+        return plain_mul(self, o)
+
+    monkeypatch.setattr(DivisorClass, "__post_init__", counted_check)
+    monkeypatch.setattr(QI, "__mul__", counted_mul)
+    for steps in (20, 40):
+        counts.update(check=0, mul=0)
+        d, chain = p, []
+        for _ in range(steps):
+            d = class_add(d, p)
+            chain.append(d)
+        assert counts["check"] == 0, counts
+        assert counts["mul"] < 50 * steps, counts
+        for d in chain:
+            assert DivisorClass(cov, d.u, d.v, d.inf_mult) == d
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: (d.u, d.v + Poly.of(1)),
+    lambda d: (d.u.scale(QI.of(2)), d.v),
+    lambda d: (d.u, d.v + d.u),
+], ids=["divisibility", "monic", "degree"])
+def test_checking_constructor_rejects_corrupted_classes(corrupt):
+    cov = cover_g3()
+    p = point_class(cov, QI.of(1), QI.of(1))
+    d = class_add(class_add(p, p), p)
+    u, v = corrupt(d)
+    with pytest.raises(ValueError):
+        DivisorClass(cov, u, v, d.inf_mult)

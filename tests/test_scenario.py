@@ -165,6 +165,16 @@ def test_pushforward_twist_and_torsion_parse():
     assert scn.family.data.twist.degree() == 0
 
 
+def test_corrupted_twist_is_rejected():
+    """v = 2 at the point b = 0 of w^2 = b^3 + 1: u = b does not divide
+    v^2 - f, and the parse says where."""
+    doc = pushforward_doc()
+    doc["family"]["presentation"]["twist"] = {
+        "u": [[0, 1, 0, 1], [1, 1, 0, 1]], "v": [[2, 1, 0, 1]], "inf": 1}
+    with pytest.raises(SchemaError, match="family.presentation.twist"):
+        parse_scenario(doc)
+
+
 def test_modification_steps_apply_in_order():
     doc = split_doc()
     doc["family"]["modifications"] = [
