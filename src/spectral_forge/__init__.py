@@ -38,8 +38,7 @@ from .fiber import (AtiyahRegular, FiberClass, SplitFiber, UnstableFiber,
 from .fourier import (DescentTwist, LineData, RoundtripReport,
                       TransformedSheaf, branch_correction, descent_divisor,
                       fm_inverse, fm_transform, roundtrip_check,
-                      torsion_roundtrip_check, universal_factor,
-                      z_action_residual)
+                      torsion_roundtrip_check, z_action_residual)
 from .scenario import (Scenario, canonical_json, load_scenario,
                        parse_scenario, scenario_hash)
 from .spectral import (ChernData, PellMap, PerturbedMap, RegularChart,
@@ -81,6 +80,5 @@ __all__ = [
     "obstruction_zeros", "parse_scenario", "pic_relative", "point_class",
     "regular_chart", "roundtrip_check", "ruled_orbit", "sample_circle",
     "scenario_hash", "spectral_points", "theta_even", "theta_odd",
-    "theta_sections", "torsion_roundtrip_check", "universal_factor",
-    "z_action_residual",
+    "theta_sections", "torsion_roundtrip_check", "z_action_residual",
 ]

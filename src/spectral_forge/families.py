@@ -34,13 +34,13 @@ from functools import cached_property
 
 from .covers import (BasePoint, DivisorClass, HyperCover, class_add,
                      norm_degree)
-from .errors import (InvalidFamilyError, NoSurjectionError, PunctureError,
-                     UnsupportedError, VerificationError)
+from .errors import (InvalidFamilyError, NoSurjectionError, UnsupportedError,
+                     VerificationError)
 from .fiber import (AtiyahRegular, FiberClass, SplitFiber, UnstableFiber,
                     is_regular, spectral_points)
 from .spectral import (Bisection, ChernData, PellMap, SpectralCover,
-                       TwoSections, bisection_torus_degree, check_invariance,
-                       sample_circle)
+                       TwoSections, _sample_ladder, bisection_torus_degree,
+                       check_invariance)
 from .surface import LineBundleOnX, SurfaceSpec
 from .tate import TateCurve, TateLineBundle
 
@@ -518,8 +518,6 @@ def default_sample_points(family: FamilySpec, count: int = 32,
 
     Tries a short ladder of radii and phases until every sample avoids
     multiple fibres, journal points, branch points and map punctures."""
-    curve = family.curve
-    base_r = abs(curve.tau)
     specials: list[complex] = []
     for mf in family.surface.multiple_fibres:
         if not mf.at.is_infinity:
@@ -527,24 +525,24 @@ def default_sample_points(family: FamilySpec, count: int = 32,
     for at in family._stacks:
         if not at.is_infinity:
             specials.append(at.to_complex())
-    for attempt in range(8):
-        r = base_r * (1.0 + 0.13 * attempt)
-        pts = sample_circle(count, r, 0j, phase=phase + 0.05 * attempt)
-        ok = True
-        for b in pts:
-            if any(abs(b - s) < 1e-3 for s in specials):
-                ok = False
-                break
-            if isinstance(family.data, PushforwardData):
-                if family.data.cover.branch_distance(b) < 1e-6:
-                    ok = False
-                    break
-                if family.data.factor_map.punctures_near(b):
-                    ok = False
-                    break
-        if ok:
-            return pts
-    raise PunctureError("no clean sample circle found for this family")
+    data = family.data
+
+    def reject(b: complex) -> bool:
+        if any(abs(b - s) < 1e-3 for s in specials):
+            return True
+        return (isinstance(data, PushforwardData)
+                and (data.cover.branch_distance(b) < 1e-6
+                     or data.factor_map.punctures_near(b)))
+
+    return _sample_ladder(count, abs(family.curve.tau), phase, reject)
+
+
+def _resolve_points(family: FamilySpec,
+                    samples: "int | list[complex]") -> list[complex]:
+    """The family's default sample circle for a count, else the given points."""
+    if isinstance(samples, int):
+        return default_sample_points(family, samples)
+    return list(samples)
 
 
 def cover_from_family(family: FamilySpec,
@@ -556,8 +554,7 @@ def cover_from_family(family: FamilySpec,
     twist-cohomology support is recomputed and compared, so inconsistent
     declarations fail loudly.
     """
-    pts = (default_sample_points(family, samples)
-           if isinstance(samples, int) else list(samples))
+    pts = _resolve_points(family, samples)
     curve = family.curve
     verticals: list[tuple[BasePoint, int]] = []
     for p, stack in family._stacks.items():

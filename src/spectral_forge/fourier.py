@@ -21,20 +21,18 @@ Chern numbers (forward) and support plus line data (reverse).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .covers import BasePoint, DivisorClass, class_equal
 from .errors import UnsupportedError
 from .families import (FamilySpec, SplitData, cover_from_family,
-                       default_sample_points)
+                       _resolve_points)
 from .spectral import (ChernData, PellMap, SpectralCover, TwoSections,
                        sample_circle)
 from .surface import LineBundleOnX
 from .tate import TateCurve
 
 __all__ = [
-    "universal_factor",
     "DescentTwist",
     "descent_divisor",
     "z_action_residual",
@@ -47,23 +45,6 @@ __all__ = [
     "roundtrip_check",
     "torsion_roundtrip_check",
 ]
-
-
-# ============================================================
-# Universal bundle factor
-# ============================================================
-
-def universal_factor(alpha: complex, z: complex) -> complex:
-    """Automorphy factor of the universal bundle restricted to fibre x {alpha}.
-
-    Degree-0 bundles on the fibre are presented by constant factors, so the
-    value is alpha independently of z; z enters only through the domain
-    contract z != 0."""
-    if z == 0:
-        raise ValueError("z must be a nonzero annulus coordinate")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    return alpha
 
 
 # ============================================================
@@ -113,18 +94,6 @@ def descent_divisor(family: FamilySpec, b0: BasePoint) -> DescentTwist:
     return DescentTwist(b0, pair, family.surface.theta_degree)
 
 
-def _nearest_translate(curve: TateCurve, value: complex) -> int:
-    """Integer n minimising |value / tau^n - 1| over a local window."""
-    tau = curve.tau
-    guess = round(math.log(abs(value)) / math.log(abs(tau)))
-    best_n, best_d = guess, abs(value / tau ** guess - 1.0)
-    for n in (guess - 1, guess + 1):
-        d = abs(value / tau ** n - 1.0)
-        if d < best_d:
-            best_n, best_d = n, d
-    return best_n
-
-
 def z_action_residual(family: FamilySpec, twist: DescentTwist,
                       samples: "int | list[complex]" = 20,
                       levels: int = 2) -> float:
@@ -158,8 +127,8 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
             for j in range(-levels, levels):
                 c_j = beta * tau ** j * alpha
                 c_next = beta * tau ** (j + 1) * alpha
-                n_j = _nearest_translate(curve, c_j)
-                n_next = _nearest_translate(curve, c_next)
+                n_j = curve.lattice_distance(c_j)[0]
+                n_next = curve.lattice_distance(c_next)[0]
                 step = twist.coefficient(j + 1) - twist.coefficient(j)
                 frame = (x - b0) ** (d - step)
                 closure = (frame * tau ** (n_next - n_j - 1)
@@ -198,7 +167,6 @@ class TransformedSheaf:
     line_data: LineData
     chern: ChernData
     phi0_vanishes: bool
-    rank_profile: str = "1"
 
 
 def _has_trivial_sub(family: FamilySpec, pts: list[complex]) -> bool:
@@ -222,9 +190,8 @@ def fm_transform(family: FamilySpec,
     support) or a sub-line-bundle trivial on all fibres; the degree-1 piece
     is torsion on the spectral cover, recorded here by reference data
     sufficient for the inverse."""
-    support = cover_from_family(family, samples)
-    pts = (default_sample_points(family, samples)
-           if isinstance(samples, int) else list(samples))
+    pts = _resolve_points(family, samples)
+    support = cover_from_family(family, pts)
     phi0 = not family.has_jumps() and not _has_trivial_sub(family, pts)
     det = family.determinant
     if isinstance(family.data, SplitData):
@@ -254,8 +221,6 @@ def fm_inverse(sheaf: TransformedSheaf) -> FamilySpec:
     if sheaf.support.verticals:
         raise UnsupportedError(
             "vertical components are outside the inverse hypotheses")
-    if sheaf.rank_profile not in ("1", "1,nodal-2"):
-        raise UnsupportedError(f"unsupported rank profile {sheaf.rank_profile}")
     surface = sheaf.support.surface
     bis = sheaf.support.bisection
     if isinstance(bis, TwoSections):
@@ -322,8 +287,7 @@ def roundtrip_check(family: FamilySpec,
     if family.has_jumps():
         return RoundtripReport("hypothesis_violated",
                                (("jump-free", False, "family has jumps"),))
-    pts = (default_sample_points(family, samples)
-           if isinstance(samples, int) else list(samples))
+    pts = _resolve_points(family, samples)
     sheaf = fm_transform(family, pts)
     rebuilt = fm_inverse(sheaf)
     curve = family.curve
@@ -381,11 +345,7 @@ def _classes_close(curve: TateCurve, a, b, tol: float) -> bool:
 
 def _factor_close(curve: TateCurve, x: complex, y: complex,
                   tol: float) -> bool:
-    ratio = x / y
-    k = curve.lattice_log(ratio)
-    if k is None:
-        return False
-    return abs(ratio / curve.tau ** k - 1.0) <= tol
+    return curve.lattice_distance(x / y)[1] <= min(tol, curve.tolerance)
 
 
 def torsion_roundtrip_check(sheaf: TransformedSheaf,
@@ -397,15 +357,14 @@ def torsion_roundtrip_check(sheaf: TransformedSheaf,
     except UnsupportedError as exc:
         return RoundtripReport("hypothesis_violated",
                                (("admissible", False, str(exc)),))
-    sheaf2 = fm_transform(rebuilt_family, samples)
+    pts = _resolve_points(rebuilt_family, samples)
+    sheaf2 = fm_transform(rebuilt_family, pts)
     curve = rebuilt_family.curve
     checks: list[tuple[str, bool, str]] = []
 
     ok_vert = sheaf2.support.verticals == ()
     checks.append(("support_verticals", ok_vert, ""))
 
-    pts = (default_sample_points(rebuilt_family, samples)
-           if isinstance(samples, int) else list(samples))
     ok_bis = True
     detail = ""
     for b in pts:

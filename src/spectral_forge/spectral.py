@@ -31,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .covers import BasePoint, HyperCover, Poly, QI
 from .errors import PunctureError, VerificationError
@@ -292,6 +293,20 @@ def sample_circle(count: int, radius: float, center: complex = 0j,
     return pts
 
 
+def _sample_ladder(count: int, base_r: float, phase: float,
+                   reject: Callable[[complex], bool]) -> list[complex]:
+    """The first of 8 circles, radius and phase stepped together, on which
+    ``reject`` flags no sample point."""
+    for attempt in range(8):
+        pts = sample_circle(count, base_r * (1.0 + 0.13 * attempt), 0j,
+                            phase=phase + 0.05 * attempt)
+        if not any(reject(b) for b in pts):
+            return pts
+    raise PunctureError(
+        f"sampling: no clean sample circle among 8 rungs from radius "
+        f"{base_r:.6g}, phase {phase:.6g}")
+
+
 def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
                         samples: "int | list[complex]" = 32,
                         radius: float | None = None) -> float:
@@ -306,16 +321,8 @@ def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
     worst = 0.0
     for b in pts:
         v0, v1 = cover.bisection.sheet_values(b)
-        product = v0 * v1
         target = delta.restrict_to_fiber(b).factor
-        ratio = product / target
-        k = curve.lattice_log(ratio)
-        if k is None:
-            # not in the lattice at all; distance to the nearest power
-            t = math.log(abs(ratio)) / math.log(abs(curve.tau))
-            k = round(t)
-        defect = abs(ratio / curve.tau ** k - 1.0)
-        worst = max(worst, defect)
+        worst = max(worst, curve.lattice_distance(v0 * v1 / target)[1])
     return worst
 
 

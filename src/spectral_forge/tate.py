@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,17 +86,39 @@ class TateCurve:
     def point(self, z: complex) -> "TatePoint":
         return self.canonical_rep(z)
 
-    def lattice_log(self, x: complex) -> int | None:
-        """Integer k with x = tau**k (within relative tolerance), or None."""
+    @cached_property
+    def _log_tau_and_gap(self) -> tuple[float, float]:
+        """log|tau|, and the defect (|tau| - 1)/(|tau| + 1) below which no
+        neighbouring power of tau can be closer."""
+        r = abs(self.tau)
+        return math.log(r), (r - 1.0) / (r + 1.0)
+
+    def lattice_distance(self, x: complex) -> tuple[int, float]:
+        """The power k of tau nearest to x and its defect |x / tau**k - 1|.
+
+        k is searched among k0 - 1, k0, k0 + 1 with k0 the log-rounded
+        exponent; ties keep k0, then k0 - 1.  Raises ValueError at 0.
+        """
         x = complex(x)
         if x == 0:
+            raise ValueError("0 has no lattice distance")
+        log_tau, gap = self._log_tau_and_gap
+        k0 = round(math.log(abs(x)) / log_tau)
+        best_k, best_d = k0, abs(x / self.tau ** k0 - 1.0)
+        if best_d < gap:
+            return best_k, best_d
+        for k in (k0 - 1, k0 + 1):
+            d = abs(x / self.tau ** k - 1.0)
+            if d < best_d:
+                best_k, best_d = k, d
+        return best_k, best_d
+
+    def lattice_log(self, x: complex) -> int | None:
+        """Integer k with x = tau**k (within relative tolerance), or None."""
+        if x == 0:
             return None
-        k0 = round(math.log(abs(x)) / math.log(abs(self.tau)))
-        for k in (k0 - 1, k0, k0 + 1):
-            t = self.tau ** k
-            if abs(x - t) <= self.tolerance * abs(t):
-                return k
-        return None
+        k, defect = self.lattice_distance(x)
+        return k if defect <= self.tolerance else None
 
     def in_lattice(self, x: complex) -> bool:
         return self.lattice_log(x) is not None

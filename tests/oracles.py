@@ -4,14 +4,15 @@ Independent engines used to verify library outputs.
 
 Everything here recomputes a quantity from first principles (coefficient
 recursions, truncated functional-equation matrices, Smith normal forms,
-linear journal replays, uncached float evaluation, schoolbook Q(i)
-polynomial loops, Cantor's algorithm in sympy) without touching the
-library's closed forms, so each test compares two genuinely different
-computation routes.
+linear journal replays, uncached float evaluation, the former per-module
+lattice distances, schoolbook Q(i) polynomial loops, Cantor's algorithm in
+sympy) without touching the library's closed forms, so each test compares
+two genuinely different computation routes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +302,64 @@ def reference_punctures_near(pell, b: complex, margin: float = 1e-6) -> bool:
                   + reference_eval_complex(pell.v_part, b) * w)
               for w in reference_sheets(pell.cover, b))
     return den < margin or num < margin
+
+
+# ============================================================
+# Lattice distance: the former per-module routes
+# ============================================================
+
+def reference_lattice_log(tau: complex, x: complex,
+                          tol: float = 1e-9) -> "int | None":
+    """First k of k0 - 1, k0, k0 + 1 with |x - tau^k| <= tol |tau^k|."""
+    if x == 0:
+        return None
+    k0 = round(math.log(abs(x)) / math.log(abs(tau)))
+    for k in (k0 - 1, k0, k0 + 1):
+        t = tau ** k
+        if abs(x - t) <= tol * abs(t):
+            return k
+    return None
+
+
+def reference_nearest_translate(tau: complex, value: complex) -> int:
+    """Integer n minimising |value / tau^n - 1| over a local window."""
+    guess = round(math.log(abs(value)) / math.log(abs(tau)))
+    best_n, best_d = guess, abs(value / tau ** guess - 1.0)
+    for n in (guess - 1, guess + 1):
+        d = abs(value / tau ** n - 1.0)
+        if d < best_d:
+            best_n, best_d = n, d
+    return best_n
+
+
+def reference_factor_close(tau: complex, x: complex, y: complex, tol: float,
+                           curve_tol: float = 1e-9) -> bool:
+    """x / y is a power of tau within the curve tolerance and within tol."""
+    ratio = x / y
+    k = reference_lattice_log(tau, ratio, curve_tol)
+    if k is None:
+        return False
+    return abs(ratio / tau ** k - 1.0) <= tol
+
+
+def reference_invariance_defect(tau: complex, ratio: complex,
+                                tol: float = 1e-9) -> float:
+    """Defect at the lattice power if there is one, else at the
+    log-rounded power."""
+    k = reference_lattice_log(tau, ratio, tol)
+    if k is None:
+        k = round(math.log(abs(ratio)) / math.log(abs(tau)))
+    return abs(ratio / tau ** k - 1.0)
+
+
+def reference_product_defect(tau: complex, ratio: complex,
+                             tol: float = 1e-9) -> float:
+    """Defect at the lattice power if there is one, else |ratio|: off the
+    lattice this is a modulus, not a defect."""
+    k = reference_lattice_log(tau, ratio, tol)
+    if k is None:
+        return abs(ratio)
+    return abs(ratio / tau ** k - 1.0)
 
 
 # ============================================================

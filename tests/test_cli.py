@@ -7,14 +7,16 @@ output, CSV sampling.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from spectral_forge import (QI, BasePoint, FamilySpec, class_add, point_class,
-                            scenario_hash)
+from spectral_forge import (QI, BasePoint, FamilySpec, PellMap, TatePoint,
+                            class_add, point_class, scenario_hash)
+from spectral_forge import cli
 from spectral_forge.cli import main, run_command
 from conftest import cover_g2
 
@@ -43,6 +45,43 @@ def pushforward_doc() -> dict:
                     "s": [1, 1, 0, 1]},
         }},
         "run": {"samples": 16},
+    }
+
+
+def readme_doc() -> dict:
+    """The README's scenario: a pushforward family with one jump, on a
+    surface with a multiple fibre; fm and roundtrip exit 64 on the jump."""
+    return {
+        "surface": {"tau": [2.0, 0.0], "theta_degree": 1,
+                    "multiple_fibres": [{"at": [5, 1, 0, 1], "m": 2}]},
+        "family": {
+            "presentation": {
+                "type": "pushforward",
+                "cover": {"f": F_CUBIC},
+                "map": {"p": [[3, 1, 0, 1]], "q": [[1, 1, 0, 1]],
+                        "s": [1, 1, 0, 1]},
+            },
+            "modifications": [
+                {"op": "push", "at": [3, 1, 0, 1], "degree": 2,
+                 "line_point": [1.7, 0.0]},
+            ],
+        },
+        "descent": {"b0": [0, 1, 0, 1]},
+        "run": {"samples": 32, "tol": 1e-9, "seed": 0},
+    }
+
+
+def pell_cover_doc() -> dict:
+    """A cover without a family: its samples come from the cover's own
+    puncture-avoiding circle."""
+    return {
+        "surface": {"tau": [2.0, 0.0]},
+        "cover": {"bisection": {
+            "type": "pell",
+            "cover": {"f": F_CUBIC},
+            "map": {"p": [[3, 1, 0, 1]], "q": [[1, 1, 0, 1]]},
+        }},
+        "run": {"samples": 16, "seed": 3},
     }
 
 
@@ -425,3 +464,141 @@ def test_main_entry_point_matches(tmp_path, capsys):
     path = write(tmp_path, split_doc())
     assert main(["modify", "--scenario", path]) == 0
     capsys.readouterr()
+
+
+# ============================================================
+# Gate negative controls
+# ============================================================
+
+@pytest.mark.parametrize("factors", [
+    [[1e-6, 0.0], [1e-6, 0.0]],
+    [[1e6, 0.0], [1e6, 0.0]],
+    [[0.7, 0.1], [1.3, -0.2]],
+], ids=["small", "large", "plain"])
+def test_fibre_product_gate_detects_a_moved_point(tmp_path, capsys,
+                                                  monkeypatch, factors):
+    """Moving one spectral point by 1.3 leaves the sheet product 0.3 away
+    from every power of tau, whatever the size of the factors."""
+    doc = split_doc()
+    doc["family"]["presentation"]["factors"] = factors
+    path = write(tmp_path, doc)
+    code, report = run_json(capsys, ["props", "--scenario", path])
+    assert code == 0 and report["status"] == "pass"
+
+    plain = cli.spectral_points
+
+    def moved(fc):
+        first, second = plain(fc)
+        return (TatePoint(first.curve, first.value * 1.3), second)
+
+    monkeypatch.setattr(cli, "spectral_points", moved)
+    code, report = run_json(capsys, ["props", "--scenario", path])
+    assert code == 1 and report["status"] == "fail"
+    failed = [(c["name"], c["detail"]) for c in report["checks"]
+              if not c["passed"]]
+    assert failed == [("fibre_product_involution", "max defect 3.000e-01")]
+
+
+@pytest.mark.parametrize("doc", [pushforward_doc, pell_cover_doc],
+                         ids=["family", "cover-only"])
+def test_exhausted_sample_ladder_exits_64_naming_the_stage(
+        tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.setattr(PellMap, "punctures_near",
+                        lambda self, b, margin=1e-6: True)
+    path = write(tmp_path, doc())
+    for cmd in ("cover", "sample"):
+        assert run_command([cmd, "--scenario", path]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsupported: sampling: ")
+
+
+# ============================================================
+# Golden reports
+# ============================================================
+
+COMMANDS = ("cover", "fm", "roundtrip", "classify", "modify", "props",
+            "sample")
+GOLDEN_DOCS = {"split": split_doc, "pushforward": pushforward_doc,
+               "readme": readme_doc, "pell-cover": pell_cover_doc}
+
+
+def digest(data: bytes) -> "str | None":
+    """First 16 hex digits of the SHA-256 of non-empty output, else None."""
+    return hashlib.sha256(data).hexdigest()[:16] if data else None
+
+
+def report_digests(tmp_path, capsys, name: str) -> dict[str, tuple]:
+    """Exit code and digests of the JSON report and of stdout (the CSV of
+    sample) for every subcommand on one scenario."""
+    path = write(tmp_path, GOLDEN_DOCS[name](), f"{name}.json")
+    out = tmp_path / f"{name}.report.json"
+    digests = {}
+    for cmd in COMMANDS:
+        if out.exists():
+            out.unlink()
+        code = run_command([cmd, "--scenario", path, "--json", str(out)])
+        report = out.read_bytes() if out.exists() else b""
+        stdout = capsys.readouterr().out.encode()
+        digests[cmd] = (code, digest(report), digest(stdout))
+    return digests
+
+
+GOLDEN: dict[str, dict[str, tuple]] = {
+    "pell-cover": {
+        "cover": (0, "595367bc1be02420", None),
+        "fm": (2, None, None),
+        "roundtrip": (2, None, None),
+        "classify": (0, "00416a35fdef53d3", None),
+        "modify": (2, None, None),
+        "props": (2, None, None),
+        "sample": (0, "9542056e32a6b023", "92b9264b2af80624"),
+    },
+    "pushforward": {
+        "cover": (0, "c4ba9ed2015caf12", None),
+        "fm": (0, "90a68677834778c3", None),
+        "roundtrip": (0, "a68e5c96721fba01", None),
+        "classify": (0, "a20cb6dcb95b98ab", None),
+        "modify": (0, "0710ec88298897cb", None),
+        "props": (0, "c08dd7098be2e9e3", None),
+        "sample": (0, "eef720ca9bb898b0", "5c359416171d6622"),
+    },
+    "readme": {
+        "cover": (0, "d01c37f0cf85bd22", None),
+        "fm": (64, "e59f42364d66cddd", None),
+        "roundtrip": (64, "58383b90441e2bee", None),
+        "classify": (0, "246d6ab61f0b53dd", None),
+        "modify": (0, "bbf3e6970baa3723", None),
+        "props": (0, "9f016e72c89650e2", None),
+        "sample": (0, "f439cd9931b311bd", "b435a608aa436fe3"),
+    },
+    "split": {
+        "cover": (0, "216d2d61072cfb4d", None),
+        "fm": (0, "b75c6be0cfd1cb49", None),
+        "roundtrip": (0, "108ad2a5c074c8b3", None),
+        "classify": (64, None, None),
+        "modify": (0, "c4197ba37319d084", None),
+        "props": (0, "ec95002730dabc98", None),
+        "sample": (0, "ad14c26ec70faf93", "7fd1c501348d92c2"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOCS))
+def test_reports_match_golden(tmp_path, capsys, name):
+    assert report_digests(tmp_path, capsys, name) == GOLDEN[name]
+
+
+def test_golden_detects_a_one_byte_change(tmp_path, capsys, monkeypatch):
+    plain = cli.canonical_json
+
+    def flipped(report) -> str:
+        text = plain(report)
+        return text[:-1] + chr(ord(text[-1]) ^ 1)
+
+    monkeypatch.setattr(cli, "canonical_json", flipped)
+    digests = report_digests(tmp_path, capsys, "pushforward")
+    for cmd, (code, report, stdout) in GOLDEN["pushforward"].items():
+        assert digests[cmd][0] == code
+        assert digests[cmd][1] != report
+        assert digests[cmd][2] == stdout

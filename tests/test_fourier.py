@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from spectral_forge import cli, families, fourier
 from spectral_forge import (
     BasePoint,
     ChernData,
@@ -28,7 +29,6 @@ from spectral_forge import (
     fm_transform,
     roundtrip_check,
     torsion_roundtrip_check,
-    universal_factor,
     z_action_residual,
 )
 from conftest import (
@@ -47,16 +47,27 @@ B0 = BasePoint.of(0)
 
 
 # ============================================================
-# Universal factor and descent divisor
+# Sampling and descent divisor
 # ============================================================
 
-def test_universal_factor_is_the_fibre_factor():
-    assert universal_factor(0.7 + 0.1j, 2.0) == 0.7 + 0.1j
-    assert universal_factor(0.7 + 0.1j, -1.3j) == 0.7 + 0.1j
-    with pytest.raises(ValueError):
-        universal_factor(0.7, 0.0)
-    with pytest.raises(ValueError):
-        universal_factor(0.0, 1.0)
+def test_transforms_run_the_sample_ladder_once(monkeypatch):
+    """Counted through every module that binds the family sample ladder."""
+    calls = [0]
+    ladder = families.default_sample_points
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return ladder(*args, **kwargs)
+
+    for mod in (families, fourier, cli):
+        if getattr(mod, "default_sample_points", None) is ladder:
+            monkeypatch.setattr(mod, "default_sample_points", counted)
+    fam = push_family(surf_plain(), cover_g1(), pell_g1())
+    sheaf = fm_transform(fam, 16)
+    assert calls[0] == 1
+    calls[0] = 0
+    assert torsion_roundtrip_check(sheaf, 16).passed()
+    assert calls[0] == 1
 
 
 def test_descent_divisor_records_pair_and_coefficients():
@@ -146,10 +157,6 @@ def test_inverse_guards():
         good.line_data, good.chern, True)
     with pytest.raises(UnsupportedError):
         fm_inverse(vert)
-    bad_rank = TransformedSheaf(good.support, good.line_data, good.chern,
-                                True, rank_profile="2")
-    with pytest.raises(UnsupportedError):
-        fm_inverse(bad_rank)
     perturbed = TransformedSheaf(
         SpectralCover(fam.surface, (),
                       PerturbedMap(good.support.bisection, 1e-3)),

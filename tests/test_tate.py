@@ -8,11 +8,15 @@ functional-equation oracles.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_forge import TateCurve, TateLineBundle, theta_sections
+from spectral_forge.fourier import _factor_close
 from conftest import TAU_DYADIC, TAU_GENERIC
 from oracles import (
     automorphy_nullity,
@@ -20,6 +24,11 @@ from oracles import (
     laurent_h0,
     laurent_h1,
     line_entries,
+    reference_factor_close,
+    reference_invariance_defect,
+    reference_lattice_log,
+    reference_nearest_translate,
+    reference_product_defect,
 )
 
 CURVES = [TateCurve(TAU_DYADIC), TateCurve(TAU_GENERIC)]
@@ -51,6 +60,66 @@ def test_lattice_log_roundtrip(curve):
         assert curve.lattice_log(curve.tau ** n) == n
         assert curve.in_lattice(curve.tau ** n)
     assert curve.lattice_log(1.7 + 0.3j) is None
+
+
+LATTICE_TAUS = [2 + 0j, 1.5 + 0.5j, 1.2 + 0.1j, 1 + 1e-5 + 0j]
+
+# x = tau^n * (1 + delta e^(i phi)) on the lattice (delta = 0) or off it by
+# 1e-16 up to 10; and x anywhere in C* with e^-40 <= |x| <= e^40
+NEAR_LATTICE = st.tuples(
+    st.integers(-40, 40),
+    st.one_of(st.just(0.0),
+              st.floats(-16.0, 1.0).map(lambda e: 10.0 ** e)),
+    st.floats(0.0, 2.0 * math.pi),
+)
+ANYWHERE = st.tuples(st.floats(-40.0, 40.0), st.floats(-math.pi, math.pi))
+
+
+def away_from(value: float, threshold: float) -> bool:
+    """Two roundings of one defect can straddle a threshold only within a
+    few ulps of it."""
+    return abs(value - threshold) > 1e-12 * threshold
+
+
+def check_against_old_routes(curve: TateCurve, x: complex) -> None:
+    tau, tol = curve.tau, curve.tolerance
+    k, defect = curve.lattice_distance(x)
+    assert k == reference_nearest_translate(tau, x)
+    old_k = reference_lattice_log(tau, x, tol)
+    if old_k is not None:
+        old = (old_k, abs(x / tau ** old_k - 1.0))
+        assert (k, defect) == old
+        assert reference_product_defect(tau, x, tol) == defect
+    fallback = reference_invariance_defect(tau, x, tol)
+    assert defect <= fallback
+    gap = (abs(tau) - 1.0) / (abs(tau) + 1.0)
+    if fallback < gap:
+        assert defect == fallback
+    if away_from(defect, tol):
+        assert curve.lattice_log(x) == old_k
+    for close_tol in (1e-6, 1e-9, 1e-12):
+        if away_from(defect, min(close_tol, tol)):
+            assert (_factor_close(curve, x, 1.0, close_tol)
+                    == reference_factor_close(tau, x, 1.0, close_tol, tol))
+
+
+@pytest.mark.parametrize("tau", LATTICE_TAUS)
+@settings(max_examples=150, deadline=None)
+@given(near=NEAR_LATTICE, anywhere=ANYWHERE)
+def test_lattice_distance_matches_the_old_routes(tau, near, anywhere):
+    curve = TateCurve(tau)
+    n, delta, phi = near
+    check_against_old_routes(curve, tau ** n * (1.0 + cmath.rect(delta, phi)))
+    log_mod, arg = anywhere
+    check_against_old_routes(curve, cmath.rect(math.exp(log_mod), arg))
+
+
+def test_lattice_distance_at_zero():
+    curve = TateCurve(TAU_GENERIC)
+    with pytest.raises(ValueError):
+        curve.lattice_distance(0)
+    assert curve.lattice_log(0) is None
+    assert not curve.in_lattice(0)
 
 
 def test_square_roots_square_back():
