@@ -5,7 +5,9 @@ Command line driver.
 Subcommands: cover, fm, roundtrip, classify, modify, props, sample.
 Every JSON report embeds the scenario hash and the tolerance used, and is
 serialized canonically (sorted keys, tight separators) so repeated runs
-give byte-identical output.
+give byte-identical output.  The tolerance, ``--tol`` or else ``run.tol``,
+is the surface curve's: it decides every lattice, invariance, round-trip and
+descent gate.
 
 Exit codes: 0 success, 1 verification failure, 2 schema or input error,
 64 unsupported construction (including map punctures at sample points, and
@@ -39,11 +41,10 @@ __all__ = ["main", "run_command"]
 # Shared helpers
 # ============================================================
 
-def _effective(scn: Scenario, args: argparse.Namespace) -> tuple[int, float, int]:
+def _effective(scn: Scenario, args: argparse.Namespace) -> tuple[int, int]:
     samples = args.samples if args.samples is not None else scn.samples
-    tol = args.tol if args.tol is not None else scn.tol
     seed = args.seed if args.seed is not None else scn.seed
-    return samples, tol, seed
+    return samples, seed
 
 
 def _require_family(scn: Scenario) -> FamilySpec:
@@ -134,10 +135,9 @@ def _roundtrip_exit(status: str) -> int:
     return {"pass": 0, "fail": 1, "hypothesis_violated": 64}[status]
 
 
-def _envelope(command: str, scn: Scenario, samples: int, tol: float,
-              seed: int) -> dict:
+def _envelope(command: str, scn: Scenario, samples: int, seed: int) -> dict:
     return {"command": command, "scenario_hash": scn.hash(),
-            "tolerance": tol, "samples": samples, "seed": seed}
+            "tolerance": scn.tol, "samples": samples, "seed": seed}
 
 
 # ============================================================
@@ -145,7 +145,7 @@ def _envelope(command: str, scn: Scenario, samples: int, tol: float,
 # ============================================================
 
 def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, tol, seed = _effective(scn, args)
+    samples, seed = _effective(scn, args)
     code = 0
     if scn.cover is not None:
         cover = scn.cover
@@ -157,12 +157,12 @@ def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
         fam = _require_family(scn)
         pts = _family_points(scn, samples, seed)
         cover = cover_from_family(fam, pts)
-    report = _envelope("cover", scn, samples, tol, seed)
+    report = _envelope("cover", scn, samples, seed)
     report["cover"] = _encode_cover(cover)
     delta = _invariance_delta(scn)
     if delta is not None:
         residual = invariance_residual(cover, delta, pts)
-        passed = residual <= tol
+        passed = residual <= scn.tol
         report["invariance"] = {"checked": True, "max_residual": residual,
                                 "passed": passed}
         if not passed:
@@ -173,13 +173,13 @@ def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, tol, seed = _effective(scn, args)
+    samples, seed = _effective(scn, args)
     fam = _require_family(scn)
     pts = _family_points(scn, samples, seed)
     sheaf = fm_transform(fam, pts)
     residual = invariance_residual(sheaf.support, fam.involution_bundle(), pts)
-    rt = roundtrip_check(fam, pts, tol)
-    report = _envelope("fm", scn, samples, tol, seed)
+    rt = roundtrip_check(fam, pts)
+    report = _envelope("fm", scn, samples, seed)
     report["phi0_vanishes"] = sheaf.phi0_vanishes
     report["support"] = _encode_cover(sheaf.support)
     report["residual"] = residual
@@ -191,11 +191,11 @@ def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_roundtrip(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, tol, seed = _effective(scn, args)
+    samples, seed = _effective(scn, args)
     fam = _require_family(scn)
     pts = _family_points(scn, samples, seed)
-    rt = roundtrip_check(fam, pts, tol)
-    report = _envelope("roundtrip", scn, samples, tol, seed)
+    rt = roundtrip_check(fam, pts)
+    report = _envelope("roundtrip", scn, samples, seed)
     report["status"] = rt.status
     report["phi0_vanishes"] = rt.phi0_vanishes
     report["checks"] = [{"name": n, "passed": ok, "detail": d}
@@ -204,11 +204,11 @@ def _cmd_roundtrip(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_classify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, tol, seed = _effective(scn, args)
+    samples, seed = _effective(scn, args)
     cover = _hyper_cover(scn)
     groups = fibre_component_groups(scn.surface, cover)
     pic = pic_relative(scn.surface)
-    report = _envelope("classify", scn, samples, tol, seed)
+    report = _envelope("classify", scn, samples, seed)
     report["prym_rank"] = groups.prym_genus
     report["jacobian_copies"] = groups.jacobian_copies
     report["kernel_components"] = groups.kernel_components
@@ -223,9 +223,9 @@ def _cmd_classify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_modify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, tol, seed = _effective(scn, args)
+    samples, seed = _effective(scn, args)
     fam = _require_family(scn)
-    report = _envelope("modify", scn, samples, tol, seed)
+    report = _envelope("modify", scn, samples, seed)
     report["jumps"] = [
         {"at": encode_base_point(rec.at), "h": rec.height,
          "mu": rec.multiplicity, "l": rec.length,
@@ -245,7 +245,7 @@ def _cmd_modify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, tol, seed = _effective(scn, args)
+    samples, seed = _effective(scn, args)
     fam = _require_family(scn)
     pts = _family_points(scn, samples, seed)
     checks: list[dict] = []
@@ -262,7 +262,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
     if cover is not None:
         residual = invariance_residual(cover, fam.involution_bundle(), pts)
-        add("cover_invariance", residual <= tol, f"max residual {residual:.3e}")
+        add("cover_invariance", residual <= scn.tol, f"max residual {residual:.3e}")
 
     for rec in jump_report(fam):
         ok = (rec.height == rec.sequence[0]
@@ -286,7 +286,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
     defects = [product_defect(b) for b in pts]
     worst = max(defects) if defects else 0.0
-    add("fibre_product_involution", worst <= tol, f"max defect {worst:.3e}")
+    add("fibre_product_involution", worst <= scn.tol, f"max defect {worst:.3e}")
 
     if scn.descent_point is not None:
         twist = descent_divisor(fam, scn.descent_point)
@@ -294,11 +294,11 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
         # check never degenerates near |x - b0| = 1
         r_on = z_action_residual(fam, twist, samples)
         r_off = z_action_residual(fam, twist.disabled(), samples)
-        add("descent_twist_enabled", r_on <= tol, f"residual {r_on:.3e}")
+        add("descent_twist_enabled", r_on <= scn.tol, f"residual {r_on:.3e}")
         add("descent_twist_disabled_detects", r_off >= 0.1,
             f"residual {r_off:.3e}")
 
-    report = _envelope("props", scn, samples, tol, seed)
+    report = _envelope("props", scn, samples, seed)
     report["checks"] = checks
     ok = all(c["passed"] for c in checks)
     report["status"] = "pass" if ok else "fail"
@@ -306,7 +306,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, tol, seed = _effective(scn, args)
+    samples, seed = _effective(scn, args)
     if scn.cover is not None:
         cover = scn.cover
         pts = _cover_points(scn, cover, samples, seed)
@@ -335,7 +335,7 @@ def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
-    report = _envelope("sample", scn, samples, tol, seed)
+    report = _envelope("sample", scn, samples, seed)
     report["rows"] = 2 * len(pts)
     report["csv"] = args.csv or "-"
     return report, 0
@@ -376,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None,
                        help="sample count (default 32 or scenario value)")
         p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (default 1e-9 or scenario value)")
+                       help="the one tolerance, in (0, 1), for every gate "
+                            "(default 1e-9 or scenario run.tol)")
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (default 0 or scenario value)")
         p.add_argument("--csv", default=None, help="CSV output path")
@@ -387,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv: "Sequence[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scn = load_scenario(args.scenario)
+        scn = load_scenario(args.scenario, args.tol)
         report, code = _HANDLERS[args.command](scn, args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -247,13 +247,13 @@ def obstruction(curve: TateCurve, c: complex, p: complex, q: complex,
     return p * theta_even(tau, g, m) + q * c * theta_odd(tau, g, m)
 
 
-def obstruction_zeros(curve: TateCurve, c: complex, p: complex, q: complex,
-                      radial: int = 24, angular: int = 96) -> tuple[TatePoint, TatePoint]:
+def obstruction_zeros(curve: TateCurve, c: complex, p: complex,
+                      q: complex) -> tuple[TatePoint, TatePoint]:
     """The two zeros of the obstruction on the fundamental annulus.
 
-    Coarse log-polar scan for local minima of |Obs| followed by Newton
-    iteration; Obs(1/g) = g**(-2) Obs(g) supplies the partner zero, which
-    also serves as a cross-check.
+    Coarse 24 x 96 log-polar scan of |Obs|, then Newton iteration from the
+    144 smallest values; Obs(1/g) = g**(-2) Obs(g) supplies the partner
+    zero, which also serves as a cross-check.
     """
     if p == 0 and q == 0:
         raise ValueError("zero extension data has no obstruction zeros")
@@ -270,6 +270,7 @@ def obstruction_zeros(curve: TateCurve, c: complex, p: complex, q: complex,
     # scale reference for convergence tests
     scale = max(abs(p), abs(q * c), 1e-300)
 
+    radial, angular = 24, 96
     log_r_max = math.log(abs(tau))
     candidates: list[complex] = []
     values: list[float] = []

@@ -95,8 +95,7 @@ def descent_divisor(family: FamilySpec, b0: BasePoint) -> DescentTwist:
 
 
 def z_action_residual(family: FamilySpec, twist: DescentTwist,
-                      samples: "int | list[complex]" = 20,
-                      levels: int = 2) -> float:
+                      samples: "int | list[complex]" = 20) -> float:
     """Cocycle-closure defect of the lattice action on the twisted data.
 
     The level-j stalk over (x, sheet) carries the coefficient
@@ -107,7 +106,7 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
     (x - b0)^theta_degree, with theta_degree the surface invariant of the
     family; the twist's coefficient step (i+1)d - id cancels it exactly
     when the twist is enabled and carries the same degree.  Returns the max
-    closure defect over all samples, sheets and steps.
+    closure defect over all samples, sheets and steps j = -2 .. 1.
     """
     curve = family.curve
     tau = curve.tau
@@ -124,7 +123,7 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
         alphas = family.spectral_values_at(x)
         betas = family.fiber_factors_at(x)
         for alpha, beta in zip(alphas, betas):
-            for j in range(-levels, levels):
+            for j in range(-2, 2):
                 c_j = beta * tau ** j * alpha
                 c_next = beta * tau ** (j + 1) * alpha
                 n_j = curve.lattice_distance(c_j)[0]
@@ -277,13 +276,13 @@ class RoundtripReport:
 
 
 def roundtrip_check(family: FamilySpec,
-                    samples: "int | list[complex]" = 50,
-                    tol: float = 1e-9) -> RoundtripReport:
+                    samples: "int | list[complex]" = 50) -> RoundtripReport:
     """Forward-then-inverse comparison on a jump-free family.
 
     Compares fibrewise isomorphism classes at every sample, the determinant
-    section, and the Chern data.  Families with jumps fall outside the
-    hypotheses and are reported as such, not silently skipped."""
+    section, and the Chern data, within the curve tolerance.  Families with
+    jumps fall outside the hypotheses and are reported as such, not
+    silently skipped."""
     if family.has_jumps():
         return RoundtripReport("hypothesis_violated",
                                (("jump-free", False, "family has jumps"),))
@@ -298,7 +297,7 @@ def roundtrip_check(family: FamilySpec,
     for b in pts:
         fc_a = family.fiber_class_at(b)
         fc_b = rebuilt.fiber_class_at(b)
-        if not _classes_close(curve, fc_a, fc_b, tol):
+        if not _classes_close(curve, fc_a, fc_b):
             ok_fibres = False
             detail = f"fibre class mismatch at b={b}"
             break
@@ -321,36 +320,34 @@ def roundtrip_check(family: FamilySpec,
     return RoundtripReport(status, tuple(checks), sheaf.phi0_vanishes)
 
 
-def _classes_close(curve: TateCurve, a, b, tol: float) -> bool:
-    """Isomorphism comparison of two fibre classes with tolerance."""
+def _classes_close(curve: TateCurve, a, b) -> bool:
+    """Isomorphism comparison of two fibre classes with curve tolerance."""
     from .fiber import AtiyahRegular as AR
     from .fiber import SplitFiber as SF
     from .fiber import UnstableFiber as UF
     if isinstance(a, SF) and isinstance(b, SF):
         f = (a.l1.factor, a.l2.factor)
         g = (b.l1.factor, b.l2.factor)
-        direct = (_factor_close(curve, f[0], g[0], tol)
-                  and _factor_close(curve, f[1], g[1], tol))
-        crossed = (_factor_close(curve, f[0], g[1], tol)
-                   and _factor_close(curve, f[1], g[0], tol))
+        direct = (_factor_close(curve, f[0], g[0])
+                  and _factor_close(curve, f[1], g[1]))
+        crossed = (_factor_close(curve, f[0], g[1])
+                   and _factor_close(curve, f[1], g[0]))
         return direct or crossed
     if isinstance(a, AR) and isinstance(b, AR):
-        return _factor_close(curve, a.line.factor, b.line.factor, tol)
+        return _factor_close(curve, a.line.factor, b.line.factor)
     if isinstance(a, UF) and isinstance(b, UF):
         return (a.height == b.height
-                and _factor_close(curve, a.sub.factor, b.sub.factor, tol)
-                and _factor_close(curve, a.det.factor, b.det.factor, tol))
+                and _factor_close(curve, a.sub.factor, b.sub.factor)
+                and _factor_close(curve, a.det.factor, b.det.factor))
     return False
 
 
-def _factor_close(curve: TateCurve, x: complex, y: complex,
-                  tol: float) -> bool:
-    return curve.lattice_distance(x / y)[1] <= min(tol, curve.tolerance)
+def _factor_close(curve: TateCurve, x: complex, y: complex) -> bool:
+    return curve.lattice_distance(x / y)[1] <= curve.tolerance
 
 
 def torsion_roundtrip_check(sheaf: TransformedSheaf,
-                            samples: "int | list[complex]" = 50,
-                            tol: float = 1e-9) -> RoundtripReport:
+                            samples: "int | list[complex]" = 50) -> RoundtripReport:
     """Inverse-then-forward comparison for admissible torsion data."""
     try:
         rebuilt_family = fm_inverse(sheaf)
@@ -370,10 +367,10 @@ def torsion_roundtrip_check(sheaf: TransformedSheaf,
     for b in pts:
         v_in = sheaf.support.values_at(b)
         v_out = sheaf2.support.values_at(b)
-        pairs_ok = ((_factor_close(curve, v_in[0], v_out[0], tol)
-                     and _factor_close(curve, v_in[1], v_out[1], tol))
-                    or (_factor_close(curve, v_in[0], v_out[1], tol)
-                        and _factor_close(curve, v_in[1], v_out[0], tol)))
+        pairs_ok = ((_factor_close(curve, v_in[0], v_out[0])
+                     and _factor_close(curve, v_in[1], v_out[1]))
+                    or (_factor_close(curve, v_in[0], v_out[1])
+                        and _factor_close(curve, v_in[1], v_out[0])))
         if not pairs_ok:
             ok_bis = False
             detail = f"support values differ at b={b}"

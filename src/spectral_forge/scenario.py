@@ -118,9 +118,12 @@ class Scenario:
     determinant: LineBundleOnX | None
     descent_point: BasePoint | None
     samples: int
-    tol: float
     seed: int
     points: tuple[complex, ...] | None
+
+    @property
+    def tol(self) -> float:
+        return self.surface.curve.tolerance
 
     def hash(self) -> str:
         return scenario_hash(self.raw)
@@ -134,7 +137,7 @@ def scenario_hash(raw: dict) -> str:
     return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str, tol: float | None = None) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -142,13 +145,35 @@ def load_scenario(path: str) -> Scenario:
         raise SchemaError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
-    return parse_scenario(raw)
+    return parse_scenario(raw, tol)
 
 
-def parse_scenario(raw: Any) -> Scenario:
+def parse_scenario(raw: Any, tol: float | None = None) -> Scenario:
+    """The typed scenario.  ``tol``, when given, replaces ``run.tol``; that
+    one value becomes the surface curve's tolerance."""
     if not isinstance(raw, dict):
         raise SchemaError("scenario root must be an object")
-    surface = _parse_surface(raw.get("surface"))
+    run = raw.get("run", {})
+    if not isinstance(run, dict):
+        raise SchemaError("run: expected an object")
+    samples = run.get("samples", 32)
+    if tol is None:
+        tol = run.get("tol", 1e-9)
+    seed = run.get("seed", 0)
+    if not isinstance(samples, int) or samples < 1:
+        raise SchemaError("run.samples: expected a positive integer")
+    if not isinstance(tol, (int, float)) or not 0 < tol < 1:
+        raise SchemaError(f"run.tol: expected a number in (0, 1), got {tol!r}")
+    if not isinstance(seed, int):
+        raise SchemaError("run.seed: expected an integer")
+    points = None
+    if run.get("points") is not None:
+        raw_pts = run["points"]
+        if not isinstance(raw_pts, list) or not raw_pts:
+            raise SchemaError("run.points: expected a nonempty array")
+        points = tuple(parse_complex(p, f"run.points[{i}]")
+                       for i, p in enumerate(raw_pts))
+    surface = _parse_surface(raw.get("surface"), float(tol))
     family = None
     if "family" in raw and raw["family"] is not None:
         family = _parse_family(raw["family"], surface)
@@ -164,43 +189,23 @@ def parse_scenario(raw: Any) -> Scenario:
         if not isinstance(descent, dict) or "b0" not in descent:
             raise SchemaError("descent: expected an object with b0")
         descent_point = parse_base_point(descent["b0"], "descent.b0")
-    run = raw.get("run", {})
-    if not isinstance(run, dict):
-        raise SchemaError("run: expected an object")
-    samples = run.get("samples", 32)
-    tol = run.get("tol", 1e-9)
-    seed = run.get("seed", 0)
-    if not isinstance(samples, int) or samples < 1:
-        raise SchemaError("run.samples: expected a positive integer")
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise SchemaError("run.tol: expected a positive number")
-    if not isinstance(seed, int):
-        raise SchemaError("run.seed: expected an integer")
-    points = None
-    if run.get("points") is not None:
-        raw_pts = run["points"]
-        if not isinstance(raw_pts, list) or not raw_pts:
-            raise SchemaError("run.points: expected a nonempty array")
-        points = tuple(parse_complex(p, f"run.points[{i}]")
-                       for i, p in enumerate(raw_pts))
     return Scenario(raw, surface, family, cover, determinant, descent_point,
-                    samples, float(tol), seed, points)
+                    samples, seed, points)
 
 
 # ============================================================
 # Section parsers
 # ============================================================
 
-def _parse_surface(value: Any) -> SurfaceSpec:
+def _parse_surface(value: Any, tol: float) -> SurfaceSpec:
     if not isinstance(value, dict):
         raise SchemaError("surface: required object missing")
+    if "tolerance" in value:
+        raise SchemaError("surface.tolerance: removed; set run.tol instead")
     tau = parse_complex(value.get("tau"), "surface.tau")
     theta = value.get("theta_degree", 1)
     if not isinstance(theta, int) or theta < 1:
         raise SchemaError("surface.theta_degree: expected a positive integer")
-    tol = value.get("tolerance", 1e-9)
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise SchemaError("surface.tolerance: expected a positive number")
     fibres = []
     for i, mf in enumerate(value.get("multiple_fibres", [])):
         if not isinstance(mf, dict):
@@ -212,7 +217,7 @@ def _parse_surface(value: Any) -> SurfaceSpec:
                 f"surface.multiple_fibres[{i}].m: expected integer >= 2")
         fibres.append(MultipleFibre(at, m))
     try:
-        curve = TateCurve(tau, float(tol))
+        curve = TateCurve(tau, tol)
         return SurfaceSpec(curve, theta, tuple(fibres))
     except ValueError as exc:
         raise SchemaError(f"surface: {exc}") from exc

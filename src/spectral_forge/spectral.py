@@ -276,9 +276,9 @@ class SpectralCover:
 # Invariance
 # ============================================================
 
-def _sample_list(samples: "int | list[complex]", radius: float) -> list[complex]:
+def _sample_list(samples: "int | list[complex]", curve: TateCurve) -> list[complex]:
     if isinstance(samples, int):
-        return sample_circle(samples, radius)
+        return sample_circle(samples, abs(curve.tau))
     return list(samples)
 
 
@@ -308,18 +308,15 @@ def _sample_ladder(count: int, base_r: float, phase: float,
 
 
 def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
-                        samples: "int | list[complex]" = 32,
-                        radius: float | None = None) -> float:
+                        samples: "int | list[complex]" = 32) -> float:
     """Max defect of A(c) * A(iota c) = delta_b over the samples.
 
     The defect at b is the distance of the product of the two sheet values
     from delta's fibre factor, measured after lattice reduction.
     """
     curve = cover.curve
-    r = radius if radius is not None else abs(curve.tau)
-    pts = _sample_list(samples, r)
     worst = 0.0
-    for b in pts:
+    for b in _sample_list(samples, curve):
         v0, v1 = cover.bisection.sheet_values(b)
         target = delta.restrict_to_fiber(b).factor
         worst = max(worst, curve.lattice_distance(v0 * v1 / target)[1])
@@ -327,12 +324,10 @@ def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
 
 
 def check_invariance(cover: SpectralCover, delta: LineBundleOnX,
-                     samples: "int | list[complex]" = 32,
-                     tol: float | None = None,
-                     radius: float | None = None) -> bool:
-    """True iff the sheet-product matches delta's factor at every sample."""
-    t = tol if tol is not None else cover.curve.tolerance
-    return invariance_residual(cover, delta, samples, radius) <= t
+                     samples: "int | list[complex]" = 32) -> bool:
+    """True iff the sheet product matches delta's factor at every sample,
+    within the cover curve's tolerance (a scenario's ``run.tol``)."""
+    return invariance_residual(cover, delta, samples) <= cover.curve.tolerance
 
 
 # ============================================================
@@ -349,20 +344,17 @@ class RuledGraph:
 
 
 def graph_in_ruled_surface(cover: SpectralCover, delta: LineBundleOnX,
-                           samples: "int | list[complex]" = 32,
-                           tol: float | None = None,
-                           radius: float | None = None) -> RuledGraph:
+                           samples: "int | list[complex]" = 32) -> RuledGraph:
     """Descend the cover to the ruled quotient: verticals become ruling
-    fibres, the bisection a single-valued section in orbit coordinates."""
-    t = tol if tol is not None else cover.curve.tolerance
-    if invariance_residual(cover, delta, samples, radius) > t:
+    fibres, the bisection a single-valued section in orbit coordinates.
+    Raises VerificationError unless ``check_invariance`` holds, so the
+    cover curve's tolerance decides."""
+    if not check_invariance(cover, delta, samples):
         raise VerificationError("cover is not invariant for this delta")
     curve = cover.curve
-    r = radius if radius is not None else abs(curve.tau)
-    pts = _sample_list(samples, r)
     section = []
     fixed = []
-    for b in pts:
+    for b in _sample_list(samples, curve):
         v0, v1 = cover.bisection.sheet_values(b)
         p0, p1 = curve.point(v0), curve.point(v1)
         pair = sorted([p0, p1],

@@ -86,11 +86,11 @@ class SurfaceSpec:
     def is_multiple_point(self, b: BasePoint) -> bool:
         return any(mf.at == b for mf in self.multiple_fibres)
 
-    def is_multiple_point_complex(self, b: complex, tol: float = 1e-9) -> bool:
+    def is_multiple_point_complex(self, b: complex) -> bool:
         for mf in self.multiple_fibres:
             if mf.at.is_infinity:
                 continue
-            if abs(mf.at.to_complex() - b) <= tol:
+            if abs(mf.at.to_complex() - b) <= self.curve.tolerance:
                 return True
         return False
 
@@ -151,7 +151,7 @@ class LineBundleOnX:
 
     def restrict_to_fiber(self, b: complex) -> TateLineBundle:
         """Restriction to the smooth fibre over b: degree 0, constant factor."""
-        if self.surface.is_multiple_point_complex(b, self.surface.curve.tolerance):
+        if self.surface.is_multiple_point_complex(b):
             raise MultipleFibreRestrictionError(
                 "restriction at a multiple fibre requires the cyclic cover")
         return TateLineBundle(self.surface.curve, 0, self.constant_factor)

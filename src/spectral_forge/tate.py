@@ -6,8 +6,8 @@ Conventions
 -----------
 - Points of T are represented by their canonical lift into the fundamental
   annulus 1 <= |v| < |tau|.  Two complex numbers represent the same point iff
-  their ratio is an exact integer power of tau (numerically: within relative
-  tolerance, default 1e-9).
+  their ratio is an exact integer power of tau (numerically: within the
+  curve's relative tolerance, set by the scenario's ``run.tol``).
 - A line bundle of degree d with constant factor alpha is the bundle whose
   sections are holomorphic s on C* with
 

@@ -149,11 +149,11 @@ def test_c3_roundtrips_both_directions(roundtrip_corpus):
     ok = len(roundtrip_corpus) >= 5
     for fam in roundtrip_corpus:
         ok = ok and not fam.has_jumps()
-        ok = ok and roundtrip_check(fam, 50, 1e-9).passed()
+        ok = ok and roundtrip_check(fam, 50).passed()
     sheaves = _torsion_sheaves()
     ok = ok and len(sheaves) >= 3
     for sheaf in sheaves:
-        ok = ok and torsion_roundtrip_check(sheaf, 50, 1e-9).passed()
+        ok = ok and torsion_roundtrip_check(sheaf, 50).passed()
     dt = time.perf_counter() - t0
     _line("C3", ok and dt < 30.0,
           f"{len(roundtrip_corpus)} families + {len(sheaves)} torsion "

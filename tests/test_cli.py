@@ -255,6 +255,13 @@ def test_declared_determinant_mismatch_exits_one(tmp_path, capsys):
     assert report["invariance"]["passed"]
 
 
+@pytest.mark.parametrize("tol", ["0", "1.5", "nan"])
+def test_tol_flag_outside_the_unit_interval_exits_two(tmp_path, capsys, tol):
+    path = write(tmp_path, split_doc())
+    assert run_command(["cover", "--scenario", path, "--tol", tol]) == 2
+    assert "run.tol" in capsys.readouterr().err
+
+
 def test_schema_error_exits_two(tmp_path, capsys):
     doc = split_doc()
     del doc["surface"]
@@ -497,6 +504,25 @@ def test_fibre_product_gate_detects_a_moved_point(tmp_path, capsys,
     failed = [(c["name"], c["detail"]) for c in report["checks"]
               if not c["passed"]]
     assert failed == [("fibre_product_involution", "max defect 3.000e-01")]
+
+
+def test_tol_decides_the_lattice_gate(tmp_path, capsys):
+    """A declared determinant 1e-6 off the family's passes the lattice
+    comparison at tolerance 1e-5, from --tol or from run.tol, and fails at
+    the default 1e-9 and at 1e-7."""
+    doc = split_doc()
+    det = (0.7 + 0.1j) * (1.3 - 0.2j) * (1 + 1e-6)
+    doc["determinant"] = {"factor": [det.real, det.imag]}
+    path = write(tmp_path, doc)
+    for flags in ([], ["--tol", "1e-7"]):
+        assert run_command(["cover", "--scenario", path, *flags]) == 1
+        assert "declared determinant disagrees" in capsys.readouterr().err
+    assert run_command(["cover", "--scenario", path, "--tol", "1e-5"]) == 0
+    assert '"tolerance":1e-05' in capsys.readouterr().out
+    doc["run"]["tol"] = 1e-5
+    assert run_command(["cover", "--scenario",
+                        write(tmp_path, doc, "loose.json")]) == 0
+    assert '"tolerance":1e-05' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("doc", [pushforward_doc, pell_cover_doc],

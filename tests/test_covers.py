@@ -229,7 +229,8 @@ def with_edge_cases(test):
     return test
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150, derandomize=True, deadline=None,
+          database=None)
 @given(a=polys(7), b=divisors(7))
 @with_edge_cases
 def test_kernels_match_schoolbook(a, b):
@@ -251,7 +252,8 @@ def test_kernels_match_schoolbook(a, b):
 
 # Euclid over Q(i) roughly doubles the coefficient height per step, which the
 # schoolbook reference pays for in full: keep the degrees lower here.
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60, derandomize=True, deadline=None,
+          database=None)
 @given(a=polys(4), b=divisors(4))
 @with_edge_cases
 def test_euclid_matches_schoolbook(a, b):
@@ -269,7 +271,8 @@ def same_class(d, u, v, inf) -> bool:
             and d.inf_mult == inf)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30, derandomize=True, deadline=None,
+          database=None)
 @given(data=st.data())
 def test_cantor_matches_sympy(data):
     """Random walks of rational points (both signs of w) on genus 1-3

@@ -7,6 +7,8 @@ and inverse-then-forward roundtrips on directly-built torsion sheaves.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from spectral_forge import cli, families, fourier
@@ -14,10 +16,13 @@ from spectral_forge import (
     BasePoint,
     ChernData,
     DescentTwist,
+    FamilySpec,
     LineData,
     PellMap,
     PerturbedMap,
     SpectralCover,
+    SurfaceSpec,
+    TateCurve,
     TransformedSheaf,
     TwoSections,
     UnsupportedError,
@@ -32,6 +37,7 @@ from spectral_forge import (
     z_action_residual,
 )
 from conftest import (
+    TAU_DYADIC,
     combine,
     cover_g1,
     pell_g0,
@@ -179,15 +185,38 @@ def test_branch_correction_is_reported_not_asserted():
 def test_roundtrip_corpus_passes(roundtrip_corpus):
     assert len(roundtrip_corpus) >= 5
     for fam in roundtrip_corpus:
-        report = roundtrip_check(fam, 50, 1e-9)
+        report = roundtrip_check(fam, 50)
         assert report.passed(), report.checks
         assert report.phi0_vanishes
+
+
+@pytest.mark.parametrize("tol, passes", [((), False), ((1e-5,), True)],
+                         ids=["default", "1e-5"])
+def test_roundtrip_tolerance_is_the_curve_tolerance(monkeypatch, tol, passes):
+    """An inverse that moves one line factor by 1e-6 fails the fibre and
+    determinant comparisons on TateCurve(tau) and passes on
+    TateCurve(tau, 1e-5)."""
+    plain = fourier.fm_inverse
+
+    def nudged(sheaf):
+        data = plain(sheaf).data
+        moved = replace(data.l1,
+                        constant_factor=data.l1.constant_factor * (1 + 1e-6))
+        return FamilySpec.split(moved.surface, moved, data.l2)
+
+    monkeypatch.setattr(fourier, "fm_inverse", nudged)
+    fam = split_family(SurfaceSpec(TateCurve(TAU_DYADIC, *tol)),
+                       0.7 + 0.1j, 1.3 - 0.2j)
+    report = roundtrip_check(fam, 16)
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert failed == ([] if passes
+                      else ["fiberwise_classes", "determinant_section"])
 
 
 def test_roundtrip_refuses_jumped_families():
     base = split_family(surf_plain(), 0.7 + 0.1j, 1.3 - 0.2j)
     fam = attach_generic_jumps(base, [(BasePoint.of(3), 1)])
-    report = roundtrip_check(fam, 20, 1e-9)
+    report = roundtrip_check(fam, 20)
     assert report.status == "hypothesis_violated"
     assert not report.passed()
 
@@ -218,7 +247,7 @@ def test_direct_torsion_sheaves_roundtrip():
     sheaves = torsion_sheaves()
     assert len(sheaves) >= 3
     for sheaf in sheaves:
-        report = torsion_roundtrip_check(sheaf, 50, 1e-9)
+        report = torsion_roundtrip_check(sheaf, 50)
         assert report.passed(), report.checks
 
 

@@ -7,6 +7,7 @@ whole-document parsing with schema diagnostics.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -139,6 +140,10 @@ def test_run_defaults_and_points():
     doc["run"]["points"] = [[2.0, 0.0], [0.0, 2.0]]
     scn = parse_scenario(doc)
     assert scn.points == (2.0 + 0j, 2.0j)
+    # run.tol is the curve's tolerance; the tol argument (--tol) replaces it
+    doc["run"]["tol"] = 1e-5
+    assert parse_scenario(doc).surface.curve.tolerance == 1e-5
+    assert parse_scenario(doc, tol=1e-7).surface.curve.tolerance == 1e-7
 
 
 def test_pushforward_document_parses():
@@ -228,6 +233,11 @@ def test_pell_cover_section_parses():
     (lambda d: d["surface"].update(theta_degree=0), "theta"),
     (lambda d: d["run"].update(samples=0), "samples"),
     (lambda d: d["run"].update(tol=-1.0), "tol"),
+    pytest.param(lambda d: d["run"].update(tol=0), "run.tol", id="tol-0"),
+    pytest.param(lambda d: d["run"].update(tol=1), "run.tol", id="tol-1"),
+    pytest.param(lambda d: d["run"].update(tol=2.0), "run.tol", id="tol-2"),
+    pytest.param(lambda d: d["surface"].update(tolerance=1e-6), "run.tol",
+                 id="surface-tolerance"),
     (lambda d: d["run"].update(seed="x"), "seed"),
     (lambda d: d["run"].update(points=[]), "points"),
     (lambda d: d["family"]["presentation"].update(type="weird"), "type"),
@@ -240,7 +250,7 @@ def test_pell_cover_section_parses():
 def test_schema_error_catalogue(mangle, where):
     doc = split_doc()
     mangle(doc)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=re.escape(where)):
         parse_scenario(doc)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import random
 import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from spectral_forge import (
     PunctureError,
     QI,
     SpectralCover,
+    TateCurve,
     TwoSections,
     check_invariance,
     graph_in_ruled_surface,
@@ -145,6 +147,24 @@ def test_perturbed_map_is_detected(invariant_covers, eps):
         res = invariance_residual(broken, delta, 32)
         assert res > 1e-4
         assert not check_invariance(broken, delta, 32)
+
+
+@pytest.mark.parametrize("tol, invariant", [((), False), ((1e-5,), True)],
+                         ids=["default", "1e-5"])
+def test_curve_tolerance_decides_invariance(invariant_covers, tol, invariant):
+    """Covers perturbed by 1e-6 fail on TateCurve(tau) and pass on
+    TateCurve(tau, 1e-5): the gates take their tolerance from the curve."""
+    for cov, delta in invariant_covers:
+        surface = replace(cov.surface, curve=TateCurve(cov.curve.tau, *tol))
+        broken = SpectralCover(surface, cov.verticals,
+                               PerturbedMap(cov.bisection, 1e-6))
+        delta = replace(delta, surface=surface)
+        assert check_invariance(broken, delta, 32) is invariant
+        if invariant:
+            graph_in_ruled_surface(broken, delta, 32)
+        else:
+            with pytest.raises(VerificationError):
+                graph_in_ruled_surface(broken, delta, 32)
 
 
 # ============================================================
