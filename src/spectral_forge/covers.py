@@ -412,6 +412,12 @@ class Poly:
 # Base points of P^1
 # ============================================================
 
+# Absolute radius within which a float base coordinate b is taken to be a
+# given base point.  Fixed: the run tolerance measures defects of ratios in
+# C*/tau^Z, not distances on the base line.
+BASE_POINT_RADIUS = 1e-9
+
+
 @dataclass(frozen=True)
 class BasePoint:
     """Point of the base line: a Q(i) coordinate, or infinity (x=None)."""

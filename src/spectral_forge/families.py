@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .covers import (BasePoint, DivisorClass, HyperCover, class_add,
-                     norm_degree)
+from .covers import (BASE_POINT_RADIUS, BasePoint, DivisorClass, HyperCover,
+                     class_add, norm_degree)
 from .errors import (InvalidFamilyError, NoSurjectionError, UnsupportedError,
                      VerificationError)
 from .fiber import (AtiyahRegular, FiberClass, SplitFiber, UnstableFiber,
@@ -285,11 +285,10 @@ class FamilySpec:
         return self.determinant.constant_factor
 
     def _match_journal_point(self, b: complex) -> BasePoint | None:
-        tol = max(self.curve.tolerance, 1e-12)
         for p in self.jump_points():
             if p.is_infinity:
                 continue
-            if abs(p.to_complex() - b) <= tol:
+            if abs(p.to_complex() - b) <= BASE_POINT_RADIUS:
                 return p
         return None
 

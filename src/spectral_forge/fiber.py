@@ -32,9 +32,10 @@ both invariant under g -> tau/g (equivalently f(1/g) = g^(-2) f(g)) and
 quasi-periodic with multiplier g**2, so Obs has exactly two zeros per
 fundamental annulus and they form the pair {g0, tau/g0}, which on the
 curve is the inverse pair {g0, 1/g0}.  ``make_extension`` locates that
-pair numerically (coarse scan plus Newton polish on the rapidly convergent
-series) and returns the resulting fibre class; ``extension_from_pair``
-inverts the correspondence.
+pair numerically (the argument principle on the two circles bounding one
+fundamental annulus, then Newton polish on the truncated series, which is
+a polynomial after multiplying by a power of g) and returns the resulting
+fibre class; ``extension_from_pair`` inverts the correspondence.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .tate import TateCurve, TateLineBundle, TatePoint
 
@@ -202,12 +206,21 @@ def _theta_window(tau: complex, digits: float = 32.0) -> int:
     return max(8, int(math.ceil(m)) + 2)
 
 
+@lru_cache(maxsize=32, typed=True)
+def _theta_table(tau: complex, m: int) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """tau**(-(n^2 + n)) and tau**(-n^2) for n = -m..m: the coefficients of
+    Theta0 and Theta1 in the window m."""
+    ns = range(-m, m + 1)
+    return (tuple(tau ** (-(n * n + n)) for n in ns),
+            tuple(tau ** (-n * n) for n in ns))
+
+
 def theta_even(tau: complex, g: complex, window: int | None = None) -> complex:
     """Theta0(g) = sum_n tau**(-(n^2 + n)) g^(2n)."""
     m = window or _theta_window(tau)
     total = 0j
-    for n in range(-m, m + 1):
-        total += tau ** (-(n * n + n)) * g ** (2 * n)
+    for n, a in zip(range(-m, m + 1), _theta_table(tau, m)[0]):
+        total += a * g ** (2 * n)
     return total
 
 
@@ -215,23 +228,8 @@ def theta_odd(tau: complex, g: complex, window: int | None = None) -> complex:
     """Theta1(g) = sum_n tau**(-n^2) g^(2n - 1)."""
     m = window or _theta_window(tau)
     total = 0j
-    for n in range(-m, m + 1):
-        total += tau ** (-n * n) * g ** (2 * n - 1)
-    return total
-
-
-def _theta_even_deriv(tau: complex, g: complex, window: int) -> complex:
-    total = 0j
-    for n in range(-window, window + 1):
-        if n != 0:
-            total += (2 * n) * tau ** (-(n * n + n)) * g ** (2 * n - 1)
-    return total
-
-
-def _theta_odd_deriv(tau: complex, g: complex, window: int) -> complex:
-    total = 0j
-    for n in range(-window, window + 1):
-        total += (2 * n - 1) * tau ** (-n * n) * g ** (2 * n - 2)
+    for n, b in zip(range(-m, m + 1), _theta_table(tau, m)[1]):
+        total += b * g ** (2 * n - 1)
     return total
 
 
@@ -247,73 +245,153 @@ def obstruction(curve: TateCurve, c: complex, p: complex, q: complex,
     return p * theta_even(tau, g, m) + q * c * theta_odd(tau, g, m)
 
 
+# Contour radii |tau|**f tried in turn, and the node cap per circle.
+_CONTOUR_FRACTIONS = (0.5, 0.0, 0.25, 0.75)
+_MAX_NODES = 4096
+# Contour sums converge once they agree to this between K and 2K nodes (the
+# trapezoid error roughly squares when K doubles), relative to the radius.
+_SUM_AGREEMENT = 1e-8
+# A contour on which |P| at a node falls below this fraction of the sum of
+# the moduli of its terms has lost its digits to cancellation (|tau| near 1)
+# or passes next to a zero; the next radius is tried.
+_CONTOUR_FLOOR = 1e-11
+# Roots closer than this (relative to the outer radius) are resolved
+# around the critical point of Obs between them.
+_CLOSE_ROOTS = 1e-3
+# |Obs| relative to the sum of the moduli of its terms below which a
+# critical point is taken to be a double zero.
+_DOUBLE_RESIDUAL = 1e-14
+# The second zero must be the inverse of the first to this relative defect.
+_PARTNER_DEFECT = 1e-8
+
+
+class _ObstructionPoly:
+    """P(g) = g**(2m + 1) * Obs(g): a polynomial of degree 4m + 1 whose odd
+    coefficients are p * tau**(-(n^2 + n)) and even ones q * c * tau**(-n^2),
+    so Obs and P share their zeros in C*."""
+
+    def __init__(self, tau: complex, c: complex, p: complex, q: complex):
+        m = _theta_window(tau)
+        even, odd = _theta_table(tau, m)
+        coef = [0j] * (4 * m + 2)
+        coef[1::2] = [p * a for a in even]
+        coef[0::2] = [q * c * b for b in odd]
+        self.shift = 2 * m + 1
+        self.top_down = coef[::-1]
+
+    def at(self, g: complex) -> tuple[complex, complex, complex, float]:
+        """Obs, Obs' and Obs'' at g, all times g**(2m + 1), and the sum of the
+        moduli of the terms of Obs(g) times |g|**(2m + 1)."""
+        r = abs(g)
+        p0 = p1 = p2 = 0j
+        size = 0.0
+        for a in self.top_down:
+            p2 = p2 * g + p1
+            p1 = p1 * g + p0
+            p0 = p0 * g + a
+            size = size * r + abs(a)
+        p2 *= 2
+        s = self.shift
+        return (p0, p1 - s * p0 / g,
+                p2 - 2 * s * p1 / g + s * (s + 1) * p0 / (g * g), size)
+
+    def annulus_sums(self, rho: float, big: float) -> np.ndarray:
+        """N, s1, s2 for the zeros of Obs in rho < |g| < big: trapezoid values
+        of (1/2 pi i) int g**j P'/P dg, j = 0, 1, 2, over |g| = big minus
+        |g| = rho, with K nodes per circle offset by half a step.  K doubles
+        until N is 2 and s1, s2 agree between K and 2K nodes."""
+        floor = _CONTOUR_FLOOR * min(self.at(big)[3], self.at(rho)[3])
+        prev = None
+        k = 16
+        while k <= _MAX_NODES:
+            unit = np.exp(1j * math.pi * (2 * np.arange(k) + 1) / k)
+            g = np.concatenate((big * unit, rho * unit))
+            val = np.zeros(2 * k, dtype=complex)
+            der = np.zeros(2 * k, dtype=complex)
+            for a in self.top_down:     # P and P' at all 2K nodes by Horner
+                der *= g
+                der += val
+                val *= g
+                val += a
+            if not np.abs(val).min() > floor:
+                raise ArithmeticError("contour values lost to cancellation")
+            w = g * der / val           # g P'(g) / P(g)
+            both = np.array([w, g * w, g * g * w]).reshape(3, 2, k).mean(axis=2)
+            sums = both[:, 0] - both[:, 1]
+            if (prev is not None and abs(sums[0] - 2) < 1e-8
+                    and abs(sums[1] - prev[1]) <= _SUM_AGREEMENT * big
+                    and abs(sums[2] - prev[2]) <= _SUM_AGREEMENT * big * big):
+                return sums
+            prev = sums
+            k *= 2
+        raise ArithmeticError(f"contour sums did not converge in {_MAX_NODES} nodes "
+                              f"(N = {complex(prev[0]):.6g})")
+
+    def newton(self, g: complex, order: int, scale: float) -> complex:
+        """Zero of Obs (order 0) or Obs' (order 1) near g.  Stops after a step
+        below 1e-10 * scale: convergence is quadratic, so the error left is
+        at the rounding level."""
+        for _ in range(12):
+            vals = self.at(g)
+            step = vals[order] / vals[order + 1]
+            g -= step
+            if abs(step) <= 1e-10 * scale:
+                return g
+        raise ArithmeticError("Newton polish of an obstruction zero did not converge")
+
+
+def _zeros_in_annulus(curve: TateCurve, poly: _ObstructionPoly,
+                      rho: float) -> tuple[TatePoint, TatePoint]:
+    """The checked pair from the zeros of Obs in rho < |g| < rho*|tau|."""
+    big = rho * abs(curve.tau)
+    _, s1, s2 = (complex(s) for s in poly.annulus_sums(rho, big))
+    half = cmath.sqrt(2 * s2 - s1 * s1) / 2
+    centre = s1 / 2
+    if abs(half) <= _CLOSE_ROOTS * big:
+        # the quadratic gives close roots only to about the square root of
+        # the sums' accuracy; the critical point between them is a double
+        # zero when Obs vanishes there, else the roots are about
+        # centre +- sqrt(-2 Obs / Obs'')
+        centre = poly.newton(centre, 1, big)
+        f, _, f2, size = poly.at(centre)
+        if abs(f) <= _DOUBLE_RESIDUAL * size:
+            if curve.lattice_distance(centre * centre)[1] > _PARTNER_DEFECT:
+                raise ArithmeticError("double obstruction zero is not 2-torsion")
+            g0 = curve.point(centre)
+            return (g0, g0.inverse())
+        half = cmath.sqrt(-2 * f / f2)
+    z0 = poly.newton(centre + half, 0, big)
+    z1 = poly.newton(centre - half, 0, big)
+    if curve.lattice_distance(z0 * z1)[1] > _PARTNER_DEFECT:
+        raise ArithmeticError("inverse-pair symmetry check failed")
+    g0 = curve.point(z0)
+    return (g0, g0.inverse())
+
+
 def obstruction_zeros(curve: TateCurve, c: complex, p: complex,
                       q: complex) -> tuple[TatePoint, TatePoint]:
-    """The two zeros of the obstruction on the fundamental annulus.
+    """The two zeros {g0, 1/g0} of the obstruction on the fundamental annulus.
 
-    Coarse 24 x 96 log-polar scan of |Obs|, then Newton iteration from the
-    144 smallest values; Obs(1/g) = g**(-2) Obs(g) supplies the partner
-    zero, which also serves as a cross-check.
+    Argument principle: on the circles |g| = rho and rho*|tau| the trapezoid
+    rule gives the count N and the power sums s1, s2 of the zeros between
+    them, with the nodes doubled until N is 2 and the sums settle; the
+    zeros solve z^2 - s1 z + (s1^2 - s2)/2 = 0 and are polished by Newton.
+    A double zero (at a 2-torsion point) is polished as a zero of Obs'.
+    Each radius in ``_CONTOUR_FRACTIONS`` is tried in turn; raises
+    ArithmeticError when none yields a pair that passes these checks (and
+    the inverse-pair check), and never returns an unchecked pair.
     """
     if p == 0 and q == 0:
         raise ValueError("zero extension data has no obstruction zeros")
     tau = curve.tau
-    m = _theta_window(tau)
-
-    def f(g: complex) -> complex:
-        return p * theta_even(tau, g, m) + q * c * theta_odd(tau, g, m)
-
-    def fp(g: complex) -> complex:
-        return (p * _theta_even_deriv(tau, g, m)
-                + q * c * _theta_odd_deriv(tau, g, m))
-
-    # scale reference for convergence tests
-    scale = max(abs(p), abs(q * c), 1e-300)
-
-    radial, angular = 24, 96
-    log_r_max = math.log(abs(tau))
-    candidates: list[complex] = []
-    values: list[float] = []
-    for i in range(radial):
-        r = math.exp(log_r_max * i / radial)
-        for j in range(angular):
-            th = 2.0 * math.pi * j / angular
-            g = r * cmath.exp(1j * th)
-            candidates.append(g)
-            values.append(abs(f(g)))
-    order = sorted(range(len(candidates)), key=values.__getitem__)
-
-    zeros: list[TatePoint] = []
-    for idx in order[: 12 * angular // 8]:
-        g = candidates[idx]
-        ok = False
-        for _ in range(60):
-            fg = f(g)
-            if abs(fg) < 1e-13 * scale:
-                ok = True
-                break
-            d = fp(g)
-            if d == 0:
-                break
-            step = fg / d
-            if abs(step) > 0.5 * abs(g):
-                step *= 0.5 * abs(g) / abs(step)
-            g = g - step
-        if not ok or g == 0:
-            continue
-        pt = curve.point(g)
-        if not any(pt == z for z in zeros):
-            zeros.append(pt)
-        if len(zeros) >= 2:
-            break
-
-    if not zeros:
-        raise ArithmeticError("obstruction zero search failed to converge")
-    g0 = zeros[0]
-    partner = g0.inverse()
-    if abs(f(partner.value)) > 1e-8 * scale:
-        raise ArithmeticError("inverse-pair symmetry check failed")
-    return (g0, partner)
+    poly = _ObstructionPoly(tau, c, p, q)
+    failures = []
+    for frac in _CONTOUR_FRACTIONS:
+        try:
+            return _zeros_in_annulus(curve, poly, abs(tau) ** frac)
+        except ArithmeticError as exc:
+            failures.append(f"|tau|^{frac}: {exc}")
+    raise ArithmeticError("obstruction zero search failed: " + "; ".join(failures))
 
 
 # ============================================================

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .covers import BasePoint, HyperCover
+from .covers import BASE_POINT_RADIUS, BasePoint, HyperCover
 from .errors import MultipleFibreRestrictionError
 from .tate import TateLineBundle, TatePoint
 
@@ -90,7 +90,7 @@ class SurfaceSpec:
         for mf in self.multiple_fibres:
             if mf.at.is_infinity:
                 continue
-            if abs(mf.at.to_complex() - b) <= self.curve.tolerance:
+            if abs(mf.at.to_complex() - b) <= BASE_POINT_RADIUS:
                 return True
         return False
 

@@ -6,7 +6,8 @@ Everything here recomputes a quantity from first principles (coefficient
 recursions, truncated functional-equation matrices, Smith normal forms,
 linear journal replays, uncached float evaluation, the former per-module
 lattice distances, schoolbook Q(i) polynomial loops, Cantor's algorithm in
-sympy) without touching the library's closed forms, so each test compares
+sympy, the per-term theta loops and 50-digit theta zeros in mpmath) without
+touching the library's closed forms, so each test compares
 two genuinely different computation routes.
 """
 
@@ -472,3 +473,62 @@ def _sympy_xgcd(a, b):
         return a.monic(), a.monic().exquo(a), b
     s, t, g = a.gcdex(b)
     return g, s, t
+
+
+# ============================================================
+# Obstruction thetas: the per-term loops and 50-digit zeros
+# ============================================================
+
+def reference_theta_even(tau: complex, g: complex, m: int) -> complex:
+    """Theta0 summed term by term, each coefficient a fresh power of tau."""
+    total = 0j
+    for n in range(-m, m + 1):
+        total += tau ** (-(n * n + n)) * g ** (2 * n)
+    return total
+
+
+def reference_theta_odd(tau: complex, g: complex, m: int) -> complex:
+    """Theta1 summed term by term, each coefficient a fresh power of tau."""
+    total = 0j
+    for n in range(-m, m + 1):
+        total += tau ** (-n * n) * g ** (2 * n - 1)
+    return total
+
+
+def mp_obstruction(tau: complex, c: complex, p: complex, q: complex):
+    """g -> p * Theta0(g) + q * c * Theta1(g) in mpmath at the working
+    precision, with the series cut where |tau|**(-n^2) |g|**(2|n|) falls
+    below 1e-60 on the annulus 1/|tau| <= |g| <= |tau|**2."""
+    import mpmath as mp
+    t, cc, pp, qq = (mp.mpc(z) for z in (tau, c, p, q))
+    log_t = math.log(abs(tau))
+    m = int(math.sqrt(60 * math.log(10) / log_t)) + 6
+    even = [(n, t ** (-(n * n + n))) for n in range(-m, m + 1)]
+    odd = [(n, t ** (-n * n)) for n in range(-m, m + 1)]
+
+    def obs(g):
+        return (pp * mp.fsum(a * g ** (2 * n) for n, a in even)
+                + qq * cc * mp.fsum(b * g ** (2 * n - 1) for n, b in odd))
+    return obs
+
+
+def mp_theta_pair(tau: complex, c: complex, g0: complex) -> tuple[complex, complex]:
+    """Extension data (p, q) = (Theta1(g0), -Theta0(g0) / c), scaled to unit
+    max modulus, from the 50-digit series and rounded to complex: Obs then
+    vanishes at g0 up to that rounding."""
+    import mpmath as mp
+    with mp.workdps(50):
+        theta0 = mp_obstruction(tau, 1, 1, 0)(mp.mpc(g0))
+        theta1 = mp_obstruction(tau, 1, 0, 1)(mp.mpc(g0))
+        p, q = theta1, -theta0 / mp.mpc(c)
+        scale = max(abs(p), abs(q))
+        return complex(p / scale), complex(q / scale)
+
+
+def mp_zero_near(tau: complex, c: complex, p: complex, q: complex,
+                 start: complex) -> complex:
+    """The zero of the 50-digit obstruction that mpmath's findroot reaches
+    from start."""
+    import mpmath as mp
+    with mp.workdps(50):
+        return complex(mp.findroot(mp_obstruction(tau, c, p, q), mp.mpc(start)))

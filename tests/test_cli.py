@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from spectral_forge import (QI, BasePoint, FamilySpec, PellMap, TatePoint,
-                            class_add, point_class, scenario_hash)
+                            UnstableFiber, class_add, parse_scenario,
+                            point_class, scenario_hash)
 from spectral_forge import cli
 from spectral_forge.cli import main, run_command
 from conftest import cover_g2
@@ -523,6 +524,26 @@ def test_tol_decides_the_lattice_gate(tmp_path, capsys):
     assert run_command(["cover", "--scenario",
                         write(tmp_path, doc, "loose.json")]) == 0
     assert '"tolerance":1e-05' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("at, code", [(5.02, 0), (5, 64)], ids=["near", "on"])
+def test_base_points_match_at_a_fixed_radius(tmp_path, capsys, at, code):
+    """A loose run tolerance does not widen base-point matching: b = 5.02
+    lies 0.02 from the README's multiple fibre at b = 5 and stays an
+    ordinary fibre at --tol 0.05, while b = 5 itself exits 64."""
+    doc = readme_doc()
+    doc["run"]["points"] = [[at, 0], [2, 1]]
+    path = write(tmp_path, doc)
+    assert run_command(["cover", "--scenario", path, "--tol", "0.05"]) == code
+    assert ("multiple fibre" in capsys.readouterr().err) == (code == 64)
+
+
+def test_journal_points_match_at_a_fixed_radius():
+    """The README journal's jump at b = 3 is matched at 3 + 1e-12 but not at
+    3.02, also when the run tolerance is 0.05."""
+    family = parse_scenario(readme_doc(), tol=0.05).family
+    assert isinstance(family.fiber_class_at(3 + 1e-12), UnstableFiber)
+    assert not isinstance(family.fiber_class_at(3.02), UnstableFiber)
 
 
 @pytest.mark.parametrize("doc", [pushforward_doc, pell_cover_doc],

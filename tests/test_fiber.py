@@ -23,15 +23,26 @@ from spectral_forge import (
     make_extension,
     spectral_points,
 )
+from spectral_forge import fiber
 from spectral_forge.fiber import (
+    _theta_window,
     extension_from_pair,
     obstruction,
     obstruction_zeros,
     theta_even,
     theta_odd,
 )
-from conftest import TAU_DYADIC, TAU_GENERIC
-from oracles import automorphy_nullity, dual_extension_entries, extension_h0, extension_h1
+from conftest import TAU_DYADIC, TAU_GENERIC, TAU_WIDE
+from oracles import (
+    automorphy_nullity,
+    dual_extension_entries,
+    extension_h0,
+    extension_h1,
+    mp_theta_pair,
+    mp_zero_near,
+    reference_theta_even,
+    reference_theta_odd,
+)
 
 DY = TateCurve(TAU_DYADIC)
 GEN = TateCurve(TAU_GENERIC)
@@ -148,10 +159,10 @@ def test_obstruction_quasi_periodicity():
 
 def test_monomial_cocycle_zeros_are_fourth_roots():
     # p-only data: even theta cancels pairwise at g = +-i, exactly
+    # compared as points of T: a zero on |g| = 1 may be represented just
+    # inside |g| = |tau| = 2 (here -i as -2i)
     z0, z1 = obstruction_zeros(DY, 1.0, 1.0, 0.0)
-    got = sorted([z0.value, z1.value], key=lambda v: v.imag)
-    assert abs(got[0] + 1j) < 1e-9
-    assert abs(got[1] - 1j) < 1e-9
+    assert ((z0 == -1j and z1 == 1j) or (z0 == 1j and z1 == -1j))
     assert abs(theta_even(DY.tau, 1j)) < 1e-12
 
 
@@ -204,12 +215,20 @@ def test_trivial_cocycle_gives_regular_split():
     assert DY.in_lattice(fc.det_factor())
 
 
-def test_two_torsion_target_gives_regular_nonsplit():
-    g0 = cmath.sqrt(DY.tau)
-    p, q = extension_from_pair(DY, 1.0, g0)
-    fc = make_extension(DY, 1.0, p, q)
+TWO_TORSION = {"one": lambda t: 1.0 + 0j, "minus-one": lambda t: -1.0 + 0j,
+               "sqrt-tau": cmath.sqrt, "minus-sqrt-tau": lambda t: -cmath.sqrt(t)}
+
+
+@pytest.mark.parametrize("target", TWO_TORSION.values(), ids=TWO_TORSION.keys())
+@pytest.mark.parametrize("curve", [DY, GEN], ids=["dyadic", "generic"])
+def test_two_torsion_target_gives_regular_nonsplit(curve, target):
+    # each target is a double zero of the obstruction
+    g0 = target(curve.tau)
+    p, q = extension_from_pair(curve, 1.0, g0)
+    fc = make_extension(curve, 1.0, p, q)
     assert isinstance(fc, AtiyahRegular)
-    assert fc.line.curve.same_point(fc.line.factor ** 2, 1.0)
+    assert curve.same_point(fc.line.factor, g0)
+    assert curve.same_point(fc.line.factor ** 2, 1.0)
 
 
 def test_chart_roundtrip_reproduces_class():
@@ -228,3 +247,124 @@ def test_chart_roundtrip_reproduces_class():
 def test_obstruction_rejects_zero_data():
     with pytest.raises(ValueError):
         obstruction_zeros(DY, 1.0, 0.0, 0.0)
+
+
+# ============================================================
+# The contour solver: conditioning, cost and the mpmath oracle
+# ============================================================
+
+@pytest.mark.parametrize("tau", [1.05, 1.1, 1.2])
+def test_near_unit_modulus_never_returns_a_wrong_pair(tau):
+    """Near |tau| = 1 the theta series cancel below double precision, so
+    most of these round trips cannot be solved; each must then raise rather
+    than return a pair other than {g0, 1/g0}."""
+    curve = TateCurve(tau)
+    for rho in (0.2, 0.5, 0.7):
+        for k in range(6):
+            g0 = abs(tau) ** rho * cmath.exp(2j * cmath.pi * (k + 0.37) / 6)
+            p, q = extension_from_pair(curve, 1.0, g0)
+            try:
+                z0, z1 = obstruction_zeros(curve, 1.0, p, q)
+            except ArithmeticError:
+                continue
+            assert ((z0 == g0 and z1 == 1 / g0)
+                    or (z0 == 1 / g0 and z1 == g0)), (tau, g0)
+
+
+def test_solver_makes_no_scalar_theta_calls(monkeypatch):
+    calls = [0]
+    for name in ("theta_even", "theta_odd"):
+        plain = getattr(fiber, name)
+
+        def counted(*args, plain=plain, **kwargs):
+            calls[0] += 1
+            return plain(*args, **kwargs)
+        monkeypatch.setattr(fiber, name, counted)
+    p, q = extension_from_pair(GEN, 1.0, 1.1 + 0.3j)
+    assert calls[0] == 2            # the counter sees the module's calls
+    calls[0] = 0
+    obstruction_zeros(GEN, 1.0, p, q)
+    make_extension(GEN, 1.0, p, q)
+    assert calls[0] == 0
+
+
+def fake_polynomial(monkeypatch, roots):
+    """Make the solver see prod (g - r) over roots in place of P."""
+    top_down = [1.0 + 0j]
+    for r in roots:
+        top_down = [a - r * b for a, b in zip(top_down + [0j], [0j] + top_down)]
+
+    def init(self, tau, c, p, q):
+        self.shift = 0
+        self.top_down = top_down
+    monkeypatch.setattr(fiber._ObstructionPoly, "__init__", init)
+
+
+@pytest.mark.parametrize("roots, message", [
+    ([1.5, 2.5j], "|tau|^0.5: inverse-pair symmetry check failed"),
+    ([1.5, 2.5j, -1.7], "|tau|^0.5: contour sums did not converge"),
+    ([1.5, 1.5], "|tau|^0.5: double obstruction zero is not 2-torsion"),
+], ids=["not-inverse", "three-zeros", "double-not-2-torsion"])
+def test_solver_checks_reject_a_wrong_zero_set(monkeypatch, roots, message):
+    """Negative controls for the checks: at tau = 2 the annulus
+    sqrt(2) < |g| < 2 sqrt(2) holds exactly these roots."""
+    fake_polynomial(monkeypatch, roots)
+    with pytest.raises(ArithmeticError) as info:
+        obstruction_zeros(DY, 1.0, 1.0, 1.0)
+    assert message in str(info.value)
+
+
+def same_mod_tau(tau: complex, x: complex, y: complex, tol: float) -> bool:
+    ratio = x / y
+    k = round(cmath.log(abs(ratio)).real / cmath.log(abs(tau)).real)
+    return abs(ratio / tau ** k - 1) <= tol
+
+
+@pytest.mark.parametrize("tau", [TAU_DYADIC, TAU_GENERIC, TAU_WIDE],
+                         ids=["dyadic", "generic", "wide"])
+def test_zero_pairs_match_mpmath(tau):
+    curve = TateCurve(tau)
+    rng = random.Random(131)
+    for _ in range(3):
+        c = cmath.rect(10 ** rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * cmath.pi))
+        # random extension data: both zeros are zeros of the 50-digit series
+        p = cmath.rect(1.0, rng.uniform(0, 2 * cmath.pi))
+        q = cmath.rect(10 ** rng.uniform(-0.3, 0.3), rng.uniform(0, 2 * cmath.pi))
+        z0, z1 = obstruction_zeros(curve, c, p, q)
+        for z in (z0.value, z1.value):
+            assert abs(z - mp_zero_near(tau, c, p, q, z)) <= 1e-10 * abs(z)
+        # data built in mpmath from a chosen zero g0: the pair is {g0, 1/g0}
+        g0 = cmath.rect(abs(tau) ** rng.uniform(0.05, 0.95),
+                        rng.uniform(0, 2 * cmath.pi))
+        p, q = mp_theta_pair(tau, c, g0)
+        want = [mp_zero_near(tau, c, p, q, g) for g in (g0, 1 / g0)]
+        got = [z.value for z in obstruction_zeros(curve, c, p, q)]
+        assert ((same_mod_tau(tau, got[0], want[0], 1e-10)
+                 and same_mod_tau(tau, got[1], want[1], 1e-10))
+                or (same_mod_tau(tau, got[0], want[1], 1e-10)
+                    and same_mod_tau(tau, got[1], want[0], 1e-10))), (g0, got)
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return (z.real.hex(), z.imag.hex())
+
+
+@pytest.mark.parametrize("tau", [TAU_DYADIC, TAU_GENERIC, TAU_WIDE, 1.2 + 0j,
+                                 1.05 + 0.01j])
+def test_theta_table_sums_are_bit_identical_to_the_term_loops(tau):
+    curve = TateCurve(tau)
+    m = _theta_window(tau)
+    rng = random.Random(7)
+    c, p, q = 1.3 - 0.2j, 0.8 + 0.1j, -0.4 + 1.1j
+    for _ in range(20):
+        g = cmath.rect(abs(tau) ** rng.uniform(-1.0, 2.0), rng.uniform(0, 2 * cmath.pi))
+        for window in (None, m, 8):
+            w = window or m
+            assert bits(theta_even(tau, g, window)) == bits(reference_theta_even(tau, g, w))
+            assert bits(theta_odd(tau, g, window)) == bits(reference_theta_odd(tau, g, w))
+        t0, t1 = reference_theta_even(tau, g, m), reference_theta_odd(tau, g, m)
+        assert bits(obstruction(curve, c, p, q, g)) == bits(p * t0 + q * c * t1)
+        pp, qq = t1, -t0 / c
+        s = max(abs(pp), abs(qq))
+        assert ([bits(z) for z in extension_from_pair(curve, c, g)]
+                == [bits(pp / s), bits(qq / s)])
