@@ -12,11 +12,12 @@ Degree-0 divisor classes are stored in Mumford form (u, v) with u monic,
 deg v < deg u, u | v**2 - f, balanced by a multiple of infinity; the
 ``DivisorClass`` constructor checks these invariants, and the group law,
 which preserves them, builds its results without the check.  Group law is
-Cantor composition plus reduction to deg u <= g.  Polynomial products and
-divisions run on integer images (one common denominator, Gaussian-integer
-numerators) and return canonical Q(i) coefficients.  No floating point
-enters the group law; float evaluation of the curve is provided separately
-for sampling.
+Cantor composition plus reduction to deg u <= g.  A polynomial is held as
+its canonical integer image (one common denominator, Gaussian-integer
+numerators): sums, products and divisions run on images, and the Q(i)
+coefficients are built only when something reads them, so the group law
+makes no Q(i) number.  No floating point enters the group law; float
+evaluation of the curve is provided separately for sampling.
 
 Two independent decision procedures for principality are provided:
 
@@ -163,21 +164,29 @@ _QI_ONE = QI(Fraction(1))
 
 # ----- integer images ---------------------------------------------------
 #
-# The Poly kernels below work on (den, re, im): coefficient k is
-# (re[k] + im[k] i) / den with integer re, im and one common den (positive
-# in a kept image), so a product or a division costs integer multiplications
-# and a single round of gcds when the result is turned back into canonical
-# QI coefficients.
+# A Poly is its image (den, re, im): coefficient k is (re[k] + im[k] i) / den
+# with integer re, im and one common den.  The kept image is canonical: no
+# trailing zero, den > 0 and gcd(den, re, im) = 1, so den is the lcm of the
+# coefficient denominators and two polynomials are equal exactly when their
+# images are.  Sums, products and divisions cost integer operations and one
+# content gcd per result; the Fraction coefficients (``Poly.coeffs``) are
+# built only when something reads them.  The lists of a kept image are never
+# mutated.
 
 _Image = tuple[int, list[int], list[int]]
 
 
-def _poly_over(den: int, re: list[int], im: list[int]) -> "Poly":
-    """The polynomial with image (den, re, im); takes ownership of the lists.
+def _poly(image: _Image) -> "Poly":
+    """The polynomial whose canonical image is ``image``."""
+    p = object.__new__(Poly)
+    p.__dict__["_image"] = image
+    return p
 
-    Dividing out g = gcd(den, re, im) leaves exactly the image ``_image``
-    computes from the canonical coefficients (den / g is the lcm of their
-    denominators), so it is kept as the result's image."""
+
+def _poly_over(den: int, re: list[int], im: list[int]) -> "Poly":
+    """The polynomial with image (den, re, im), den != 0; takes ownership of
+    the lists.  Strips trailing zeros and divides out g = gcd(den, re, im),
+    with the sign of den, which leaves the canonical image."""
     while re and not re[-1] and not im[-1]:
         re.pop()
         im.pop()
@@ -188,27 +197,53 @@ def _poly_over(den: int, re: list[int], im: list[int]) -> "Poly":
         den //= g
         re = [a // g for a in re]
         im = [b // g for b in im]
-    p = Poly(tuple(QI(Fraction(a, den) if a else _F0, Fraction(b, den) if b else _F0)
-                   for a, b in zip(re, im)))
-    p.__dict__["_image"] = (den, re, im)
-    return p
+    return _poly((den, re, im))
 
 
 # ============================================================
 # Dense univariate polynomials over Q(i)
 # ============================================================
 
-@dataclass(frozen=True)
 class Poly:
-    """Dense polynomial over Q(i), coefficients ascending, no trailing zeros."""
+    """Dense polynomial over Q(i), coefficients ascending, no trailing zeros.
 
-    coeffs: tuple[QI, ...] = ()
+    Immutable.  Held as its canonical integer image (see above); ``coeffs``,
+    the tuple of QI coefficients, is built on first read.  Equality compares
+    images; hash and repr are those of the coefficient tuple."""
 
-    def __post_init__(self) -> None:
-        cs = list(self.coeffs)
+    def __init__(self, coeffs: tuple[QI, ...] = ()) -> None:
+        cs = list(coeffs)
         while cs and cs[-1].is_zero():
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
+        self.__dict__.update(
+            coeffs=tuple(cs),
+            _image=(den, [c.re.numerator * (den // c.re.denominator) for c in cs],
+                    [c.im.numerator * (den // c.im.denominator) for c in cs]))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Poly")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Poly")
+
+    def __reduce__(self) -> tuple:
+        den, re, im = self._image
+        return _poly_over, (den, re[:], im[:])
+
+    @cached_property
+    def coeffs(self) -> tuple[QI, ...]:
+        den, re, im = self._image
+        return tuple(QI(Fraction(a, den) if a else _F0, Fraction(b, den) if b else _F0)
+                     for a, b in zip(re, im))
+
+    def __eq__(self, o: object) -> bool:
+        if o.__class__ is not Poly:
+            return NotImplemented
+        return self._image == o._image
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     # ----- constructors ---------------------------------------------------
 
@@ -229,46 +264,57 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._image[1]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._image[1]
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        return self._image == _ONE._image
 
     def lead(self) -> QI:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, k: int) -> QI:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _QI_ZERO
+        den, re, im = self._image
+        if not 0 <= k < len(re):
+            return _QI_ZERO
+        return QI(Fraction(re[k], den), Fraction(im[k], den))
 
     # ----- ring operations ------------------------------------------------
 
+    def _plus(self, o: "Poly", sign: int) -> "Poly":
+        """self + sign * o over the lcm of the two denominators."""
+        da, ar, ai = self._image
+        db, br, bi = o._image
+        den = da if da == db else lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        re = ar[:] if ma == 1 else [a * ma for a in ar]
+        im = ai[:] if ma == 1 else [b * ma for b in ai]
+        pad = len(br) - len(re)
+        if pad > 0:
+            re += [0] * pad
+            im += [0] * pad
+        for k, (a, b) in enumerate(zip(br, bi)):
+            re[k] += a * mb
+            im[k] += b * mb
+        return _poly_over(den, re, im)
+
     def __add__(self, o: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(tuple(self.coeff(k) + o.coeff(k) for k in range(n)))
+        return self._plus(o, 1)
 
     def __sub__(self, o: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(tuple(self.coeff(k) - o.coeff(k) for k in range(n)))
+        return self._plus(o, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    @cached_property
-    def _image(self) -> _Image:
-        """(den, re, im) with den the lcm of all coefficient denominators."""
-        cs = self.coeffs
-        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
-        return (den, [c.re.numerator * (den // c.re.denominator) for c in cs],
-                [c.im.numerator * (den // c.im.denominator) for c in cs])
+        den, re, im = self._image
+        return _poly((den, [-a for a in re], [-b for b in im]))
 
     def __mul__(self, o: "Poly") -> "Poly":
         if self.is_zero() or o.is_zero():
-            return Poly()
+            return _ZERO
         if o.is_one():
             return self
         if self.is_one():
@@ -348,33 +394,48 @@ class Poly:
         return _poly_over(*q)
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.lead().is_one():
+        """self over its leading coefficient L / den: the numerators over L,
+        through conj(L) / N(L) when L is not real."""
+        den, re, im = self._image
+        if not re:
             return self
-        return self.scale(self.lead().inv())
+        lr, li = re[-1], im[-1]
+        if not li:
+            return self if lr == den else _poly_over(lr, re[:], im[:])
+        return _poly_over(lr * lr + li * li, [a * lr + b * li for a, b in zip(re, im)],
+                          [b * lr - a * li for a, b in zip(re, im)])
 
     def deriv(self) -> "Poly":
-        return Poly(tuple(c * QI.of(k) for k, c in enumerate(self.coeffs) if k >= 1))
+        den, re, im = self._image
+        return _poly_over(den, [k * a for k, a in enumerate(re)][1:],
+                          [k * b for k, b in enumerate(im)][1:])
 
     def gcd(self, o: "Poly") -> "Poly":
         a, b = self, o
         while not b.is_zero():
             a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
 
-    def xgcd(self, o: "Poly") -> tuple["Poly", "Poly", "Poly"]:
-        """(g, s, t) with s*self + t*o = g, g monic (or zero)."""
+    def _gcd_cofactor(self, o: "Poly") -> tuple["Poly", "Poly"]:
+        """(g, s) of ``xgcd``: the Euclid loop tracks only the cofactor of
+        self."""
         r0, r1 = self, o
-        s0, s1 = Poly.const(_QI_ONE), Poly()
-        t0, t1 = Poly(), Poly.const(_QI_ONE)
+        s0, s1 = _ONE, _ZERO
         while not r1.is_zero():
             q, r = r0.divmod(r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
         if r0.is_zero():
-            return r0, s0, t0
-        c = r0.lead().inv()
-        return r0.scale(c), s0.scale(c), t0.scale(c)
+            return r0, s0
+        # 1 / lead(r0) = den conj(L) / N(L) for the leading numerator L
+        den, re, im = r0._image
+        lr, li = re[-1], im[-1]
+        return r0.monic(), s0 * _poly_over(lr * lr + li * li, [den * lr], [-den * li])
+
+    def xgcd(self, o: "Poly") -> tuple["Poly", "Poly", "Poly"]:
+        """(g, s, t) with s*self + t*o = g, g monic (or zero)."""
+        g, s = self._gcd_cofactor(o)
+        return g, s, (g - s * self).exact_div(o) if not o.is_zero() else _ZERO
 
     def is_squarefree(self) -> bool:
         if self.degree < 1:
@@ -391,9 +452,12 @@ class Poly:
 
     @cached_property
     def _horner_complex(self) -> tuple[complex, ...]:
-        """Float coefficients, leading first.  Lazy: exact-only polynomials
-        with coefficients thousands of bits high never pay for it."""
-        return tuple(c.to_complex() for c in reversed(self.coeffs))
+        """Float coefficients, leading first, each part a correctly rounded
+        integer quotient as ``float(Fraction)`` is.  Lazy: exact-only
+        polynomials with coefficients thousands of bits high never pay for
+        it."""
+        den, re, im = self._image
+        return tuple(complex(a / den, b / den) for a, b in zip(reversed(re), reversed(im)))
 
     def eval_complex(self, b: complex) -> complex:
         acc = 0j
@@ -406,6 +470,10 @@ class Poly:
             return "Poly(0)"
         terms = [f"{c}*b^{k}" for k, c in enumerate(self.coeffs) if not c.is_zero()]
         return "Poly(" + " + ".join(terms) + ")"
+
+
+_ZERO = _poly((1, [], []))
+_ONE = _poly((1, [1], [0]))
 
 
 # ============================================================
@@ -568,9 +636,15 @@ def mumford_compose(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
         raise ValueError("classes live on different covers")
     f = d1.cover.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
-    g1, e1, _ = u1.xgcd(u2)
-    g, c1, c2 = g1.xgcd(v1 + v2)
-    u = (u1 * u2).exact_div(g * g)
+    g1, e1 = u1._gcd_cofactor(u2)
+    if g1.is_one():
+        # coprime supports, the usual case: take (g, c1, c2) = (1, 1, 0);
+        # v mod u1 u2 is fixed by v1 and v2 alone (CRT), so the class is the
+        # one any other Bezout solution gives
+        g, c1, c2, u = g1, g1, _ZERO, u1 * u2
+    else:
+        g, c1, c2 = g1.xgcd(v1 + v2)
+        u = (u1 * u2).exact_div(g * g)
     # Cantor's numerator s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f), with s1 = c1 e1,
     # s2 = c1 e2, s3 = c2, equals g v1 + s1 u1 (v2 - v1) + s3 (f - v1^2)
     # because s1 u1 + s2 u2 + s3 (v1 + v2) = g; this form needs no e2
@@ -591,7 +665,7 @@ def cantor_reduce(d: DivisorClass) -> DivisorClass:
     while u.degree > g:
         u_next = (cover.f - v * v).exact_div(u)
         u_next = u_next.monic()
-        v = (-v) % u_next if u_next.degree > 0 else Poly()
+        v = (-v) % u_next if u_next.degree > 0 else _ZERO
         u = u_next
     # linear equivalence preserves total degree; rebalance against infinity
     inf = d.inf_mult - (deg_in - u.degree)
@@ -603,7 +677,7 @@ def class_add(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
 
 
 def class_neg(d: DivisorClass) -> DivisorClass:
-    v = (-d.v) % d.u if d.u.degree > 0 else Poly()
+    v = (-d.v) % d.u if d.u.degree > 0 else _ZERO
     return _group_law_class(d.cover, d.u, v, d.inf_mult)
 
 

@@ -139,12 +139,14 @@ class PellMap:
         return self.norm_constant().to_complex()
 
     def inverse(self) -> "PellMap":
-        return PellMap(self.cover, self.u_part, -self.v_part, self.r_part,
-                       self.scale.inv())
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "PellMap":
+        return _flipped_pell_map(self, self.scale.inv())
 
     def sheet_flip(self) -> "PellMap":
-        return PellMap(self.cover, self.u_part, -self.v_part, self.r_part,
-                       self.scale)
+        return _flipped_pell_map(self, self.scale)
 
     def evaluate(self, b: complex, sheet: int) -> complex:
         w = self.cover.sheets(b)[sheet]
@@ -182,6 +184,16 @@ class PellMap:
                 raise PunctureError(f"zero of bisection map at b={b}")
             out.append(self._scale_complex * num / den)
         return tuple(out)
+
+
+def _flipped_pell_map(m: PellMap, scale: QI) -> PellMap:
+    """m with V -> -V and the given nonzero scale.  The Pell identity
+    U^2 - f V^2 = R^2 is invariant under V -> -V, so the map is built
+    without ``PellMap.__post_init__``."""
+    out = object.__new__(PellMap)
+    out.__dict__.update(cover=m.cover, u_part=m.u_part, v_part=-m.v_part,
+                        r_part=m.r_part, scale=scale)
+    return out
 
 
 @dataclass(frozen=True)

@@ -400,14 +400,34 @@ def reference_divmod(a, b):
     return Poly(tuple(q)), Poly(tuple(r))
 
 
+def reference_add(a, b):
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Poly(tuple(a.coeff(k) + b.coeff(k) for k in range(n)))
+
+
+def reference_sub(a, b):
+    n = max(len(a.coeffs), len(b.coeffs))
+    return Poly(tuple(a.coeff(k) - b.coeff(k) for k in range(n)))
+
+
+def reference_neg(p):
+    return Poly(tuple(-c for c in p.coeffs))
+
+
 def reference_scale(p, c):
     return Poly(tuple(x * c for x in p.coeffs))
+
+
+def reference_monic(p):
+    if p.is_zero() or p.lead().is_one():
+        return p
+    return reference_scale(p, p.lead().inv())
 
 
 def reference_gcd(a, b):
     while not b.is_zero():
         a, b = b, reference_divmod(a, b)[1]
-    return reference_scale(a, a.lead().inv()) if not a.is_zero() else a
+    return reference_monic(a)
 
 
 def reference_xgcd(a, b):
@@ -418,8 +438,8 @@ def reference_xgcd(a, b):
     while not r1.is_zero():
         q, r = reference_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - reference_mul(q, s1)
-        t0, t1 = t1, t0 - reference_mul(q, t1)
+        s0, s1 = s1, reference_sub(s0, reference_mul(q, s1))
+        t0, t1 = t1, reference_sub(t0, reference_mul(q, t1))
     if r0.is_zero():
         return r0, s0, t0
     c = r0.lead().inv()

@@ -8,7 +8,10 @@ polynomial kernels against schoolbook Q(i) loops and Cantor in sympy.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,7 @@ from spectral_forge import (
     point_class,
 )
 from spectral_forge.covers import (
+    _poly_over,
     cantor_reduce,
     conjugate_sum_principal_witness,
     involution_pullback,
@@ -34,8 +38,10 @@ from spectral_forge.covers import (
     norm_degree,
 )
 from conftest import affine_points, combine, cover_g1, cover_g2, cover_g3, cover_g0, prym_generators
-from oracles import (from_sympy, reference_divmod, reference_gcd, reference_mul,
-                     reference_xgcd, sympy_compose, sympy_reduce, to_sympy)
+from oracles import (from_sympy, reference_add, reference_divmod,
+                     reference_eval_complex, reference_gcd, reference_monic, reference_mul, reference_neg, reference_scale,
+                     reference_sub, reference_xgcd, sympy_compose, sympy_reduce,
+                     to_sympy)
 
 COVERS = [cover_g1(), cover_g2(), cover_g3()]
 
@@ -243,11 +249,82 @@ def test_kernels_match_schoolbook(a, b):
     if not r.is_zero():
         with pytest.raises(ArithmeticError):
             a.exact_div(b)
+    c = b.lead()
+    linear = [(a + b, reference_add(a, b)), (b + a, reference_add(b, a)),
+              (a - b, reference_sub(a, b)), (b - a, reference_sub(b, a)),
+              (a - a, Poly()), (-a, reference_neg(a)), (-b, reference_neg(b)),
+              (a.scale(c), reference_scale(a, c)), (b.scale(c), reference_scale(b, c)),
+              (a.monic(), reference_monic(a)), (b.monic(), reference_monic(b))]
+    for got, want in linear:
+        assert got == want
     # the image a result keeps is the one its coefficients give
-    for p in (product, q, r):
+    for p in (product, q, r, *(got for got, _ in linear)):
         assert p._image == Poly(p.coeffs)._image
     with pytest.raises(ZeroDivisionError):
         a.divmod(Poly())
+
+
+# ============================================================
+# Lazy coefficients: a Poly built from an integer image is the Poly of its
+# coefficients
+# ============================================================
+
+INTS = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+
+
+def complex_bits(z: complex) -> bytes:
+    return struct.pack("<2d", z.real, z.imag)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          database=None)
+@given(nums=st.lists(st.tuples(INTS, INTS), max_size=6),
+       div=st.tuples(INTS, INTS).filter(any), k=INTS.filter(bool))
+@example(nums=[], div=(1, 0), k=-5)
+@example(nums=[(0, 0), (0, 0)], div=(2, 1), k=3)
+@example(nums=[(1, 0)], div=(1, 0), k=1)
+@example(nums=[(6, 0)], div=(-4, 0), k=3)
+@example(nums=[(1, 0), (0, 0), (2, -2), (0, 0)], div=(1, 1), k=-2)
+def test_lazy_and_eager_polys_agree(nums, div, k):
+    """sum_j num_j b^j / (c + d i), built once from the image
+    k * (N, num_j conj(c + d i)) with N = c^2 + d^2 (no Fraction, k may be
+    negative or share factors with everything), once from its QI
+    coefficients; the zero polynomial, constants, Gaussian and negative
+    denominators and trailing zeros are among the examples."""
+    c, d = div
+    n = c * c + d * d
+
+    def lazy() -> Poly:
+        return _poly_over(k * n, [k * (a * c + b * d) for a, b in nums],
+                          [k * (b * c - a * d) for a, b in nums])
+
+    eager = Poly(tuple(QI.of(a, b) / QI.of(c, d) for a, b in nums))
+    p = lazy()
+    assert p == eager and eager == p
+    moved = eager + Poly((QI.of(0, 1),))
+    assert p != moved and moved != p
+    assert "coeffs" not in vars(p)
+    assert p.degree == eager.degree and p.is_zero() == eager.is_zero()
+    assert p.is_one() == eager.is_one()
+    for j in range(-1, len(nums) + 1):
+        assert p.coeff(j) == eager.coeff(j)
+    if eager.is_zero():
+        with pytest.raises(ValueError):
+            p.lead()
+    else:
+        assert p.lead() == eager.lead()
+    for z in (0.5 + 0.25j, -1.5 + 2j):
+        want = complex_bits(reference_eval_complex(eager, z))
+        assert complex_bits(p.eval_complex(z)) == want
+        assert complex_bits(eager.eval_complex(z)) == want
+    assert "coeffs" not in vars(p)
+    assert p.eval(QI.of(2, -1)) == eager.eval(QI.of(2, -1))
+    assert p.coeffs == eager.coeffs
+    assert hash(p) == hash(eager) and repr(p) == repr(eager)
+    for q in (pickle.loads(pickle.dumps(lazy())), copy.deepcopy(lazy()),
+              pickle.loads(pickle.dumps(eager)), copy.deepcopy(eager)):
+        assert q == eager and q._image == eager._image
+        assert hash(q) == hash(eager) and repr(q) == repr(eager)
 
 
 # Euclid over Q(i) roughly doubles the coefficient height per step, which the
@@ -304,12 +381,14 @@ def test_cantor_matches_sympy(data):
 
 def test_group_law_skips_the_check_and_the_qi_loops(monkeypatch):
     """Counts, not time: a genus-3 n*P chain builds no class through the
-    checking constructor and makes few Q(i) products, and every class it
-    builds passes that check when rebuilt."""
+    checking constructor and no Q(i) number at all, the coefficients of
+    its classes are built when read, and every class passes the check when
+    rebuilt."""
     cov = cover_g3()
     p = point_class(cov, QI.of(1), QI.of(1))
-    counts = {"check": 0, "mul": 0}
-    plain_check, plain_mul = DivisorClass.__post_init__, QI.__mul__
+    counts = {"check": 0, "mul": 0, "qi": 0}
+    plain_check, plain_mul, plain_init = (DivisorClass.__post_init__, QI.__mul__,
+                                          QI.__init__)
 
     def counted_check(self):
         counts["check"] += 1
@@ -319,16 +398,21 @@ def test_group_law_skips_the_check_and_the_qi_loops(monkeypatch):
         counts["mul"] += 1
         return plain_mul(self, o)
 
+    def counted_init(self, *args):
+        counts["qi"] += 1
+        plain_init(self, *args)
+
     monkeypatch.setattr(DivisorClass, "__post_init__", counted_check)
     monkeypatch.setattr(QI, "__mul__", counted_mul)
+    monkeypatch.setattr(QI, "__init__", counted_init)
     for steps in (20, 40):
-        counts.update(check=0, mul=0)
+        counts.update(check=0, mul=0, qi=0)
         d, chain = p, []
         for _ in range(steps):
             d = class_add(d, p)
             chain.append(d)
-        assert counts["check"] == 0, counts
-        assert counts["mul"] < 50 * steps, counts
+        assert counts == {"check": 0, "mul": 0, "qi": 0}, counts
+        assert d.u.coeffs and counts["qi"] >= len(d.u.coeffs), counts
         for d in chain:
             assert DivisorClass(cov, d.u, d.v, d.inf_mult) == d
 

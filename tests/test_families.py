@@ -8,6 +8,7 @@ between a family and its recomputed spectral cover.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import replace
 from fractions import Fraction
 
@@ -369,6 +370,33 @@ def test_pushforward_cover_is_the_inverse_map():
         want = inv.sheet_values(b)
         assert abs(got[0] - want[0]) < 1e-12
         assert abs(got[1] - want[1]) < 1e-12
+
+
+def test_spectral_values_build_no_checked_map(monkeypatch):
+    """Counts, not time: 1,000 spectral_values_at calls build no PellMap
+    through the Pell-identity check, reuse one inverse map, and return the
+    bits of the checked inverse; the trusted inverse and sheet flip pass
+    the check when rebuilt."""
+    fam = fresh_push()
+    m = fam.data.factor_map
+    checked = PellMap(m.cover, m.u_part, -m.v_part, m.r_part, m.scale.inv())
+    pts = default_sample_points(fam, 1000)
+    calls = []
+    plain = PellMap.__post_init__
+    monkeypatch.setattr(PellMap, "__post_init__",
+                        lambda self: calls.append(self) or plain(self))
+    got = [fam.spectral_values_at(b) for b in pts]
+    assert calls == [] and m.inverse() is m.inverse()
+
+    def bits(values):
+        return struct.pack(f"<{4 * len(values)}d",
+                           *(x for pair in values for z in pair for x in (z.real, z.imag)))
+
+    assert bits(got) == bits([checked.sheet_values(b) for b in pts])
+    for trusted in (m.inverse(), m.sheet_flip()):
+        assert PellMap(trusted.cover, trusted.u_part, trusted.v_part,
+                       trusted.r_part, trusted.scale) == trusted
+    assert len(calls) == 2
 
 
 def test_sample_points_avoid_special_fibres():

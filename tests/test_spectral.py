@@ -85,12 +85,12 @@ def test_pell_inverse_multiplies_to_one():
 
 
 def test_sheet_flip_swaps_values():
-    pm = pell_g1()
-    flip = pm.sheet_flip()
-    for b in sample_circle(8, 2.0):
-        v = pm.sheet_values(b)
-        f = flip.sheet_values(b)
-        assert abs(v[0] - f[1]) < 1e-12 and abs(v[1] - f[0]) < 1e-12
+    for pm in (pell_g1(), pell_g1(QI.of(2, 1))):
+        flip = pm.sheet_flip()
+        for b in sample_circle(8, 2.0):
+            v = pm.sheet_values(b)
+            f = flip.sheet_values(b)
+            assert abs(v[0] - f[1]) < 1e-12 and abs(v[1] - f[0]) < 1e-12
 
 
 def test_two_sections_basics():
