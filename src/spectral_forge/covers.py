@@ -289,10 +289,10 @@ class Poly:
         """self + sign * o over the lcm of the two denominators."""
         da, ar, ai = self._image
         db, br, bi = o._image
-        den = da if da == db else lcm(da, db)
+        den = lcm(da, db)
         ma, mb = den // da, sign * (den // db)
-        re = ar[:] if ma == 1 else [a * ma for a in ar]
-        im = ai[:] if ma == 1 else [b * ma for b in ai]
+        re = [a * ma for a in ar]
+        im = [b * ma for b in ai]
         pad = len(br) - len(re)
         if pad > 0:
             re += [0] * pad
@@ -637,14 +637,8 @@ def mumford_compose(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
     f = d1.cover.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
     g1, e1 = u1._gcd_cofactor(u2)
-    if g1.is_one():
-        # coprime supports, the usual case: take (g, c1, c2) = (1, 1, 0);
-        # v mod u1 u2 is fixed by v1 and v2 alone (CRT), so the class is the
-        # one any other Bezout solution gives
-        g, c1, c2, u = g1, g1, _ZERO, u1 * u2
-    else:
-        g, c1, c2 = g1.xgcd(v1 + v2)
-        u = (u1 * u2).exact_div(g * g)
+    g, c1, c2 = g1.xgcd(v1 + v2)
+    u = (u1 * u2).exact_div(g * g)
     # Cantor's numerator s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f), with s1 = c1 e1,
     # s2 = c1 e2, s3 = c2, equals g v1 + s1 u1 (v2 - v1) + s3 (f - v1^2)
     # because s1 u1 + s2 u2 + s3 (v1 + v2) = g; this form needs no e2
