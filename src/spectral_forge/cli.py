@@ -7,7 +7,9 @@ Every JSON report embeds the scenario hash and the tolerance used, and is
 serialized canonically (sorted keys, tight separators) so repeated runs
 give byte-identical output.  The tolerance, ``--tol`` or else ``run.tol``,
 is the surface curve's: it decides every lattice, invariance, round-trip and
-descent gate.
+descent gate.  ``--samples`` and ``--seed`` replace ``run.samples`` and
+``run.seed`` and are checked like them (samples must be a positive
+integer).  Only ``sample`` takes ``--csv``.
 
 Exit codes: 0 success, 1 verification failure, 2 schema or input error,
 64 unsupported construction (including map punctures at sample points, and
@@ -41,12 +43,6 @@ __all__ = ["main", "run_command"]
 # Shared helpers
 # ============================================================
 
-def _effective(scn: Scenario, args: argparse.Namespace) -> tuple[int, int]:
-    samples = args.samples if args.samples is not None else scn.samples
-    seed = args.seed if args.seed is not None else scn.seed
-    return samples, seed
-
-
 def _require_family(scn: Scenario) -> FamilySpec:
     if scn.family is None:
         raise SchemaError("this command needs a family section")
@@ -57,27 +53,32 @@ def _require_family(scn: Scenario) -> FamilySpec:
     return scn.family
 
 
-def _family_points(scn: Scenario, samples: int, seed: int) -> list[complex]:
+def _family_points(scn: Scenario) -> list[complex]:
     if scn.points is not None:
         return list(scn.points)
     fam = _require_family(scn)
-    return default_sample_points(fam, samples, phase=0.05 * seed)
+    return default_sample_points(fam, scn.samples, phase=0.05 * scn.seed)
 
 
-def _cover_points(scn: Scenario, cover: SpectralCover, samples: int,
-                  seed: int) -> list[complex]:
-    """Deterministic circle avoiding punctures; explicit points bypass the
-    avoidance so poles at declared samples surface as puncture errors."""
-    if scn.points is not None:
-        return list(scn.points)
-    if scn.family is not None:
-        return _family_points(scn, samples, seed)
+def _cover_and_points(scn: Scenario) -> tuple[SpectralCover, list[complex]]:
+    """The declared cover, else the family's, with its sample points.  A
+    declared cover without a family samples a circle avoiding punctures;
+    explicit points bypass the avoidance so poles at declared samples
+    surface as puncture errors."""
+    if scn.cover is None:
+        fam = _require_family(scn)
+        pts = _family_points(scn)
+        return cover_from_family(fam, pts), pts
+    cover = scn.cover
+    if scn.points is not None or scn.family is not None:
+        return cover, _family_points(scn)
     bis = cover.bisection
 
     def reject(b: complex) -> bool:
         return isinstance(bis, PellMap) and bis.punctures_near(b)
 
-    return _sample_ladder(samples, abs(cover.curve.tau), 0.05 * seed, reject)
+    return cover, _sample_ladder(scn.samples, abs(cover.curve.tau),
+                                 0.05 * scn.seed, reject)
 
 
 def _invariance_delta(scn: Scenario):
@@ -135,9 +136,9 @@ def _roundtrip_exit(status: str) -> int:
     return {"pass": 0, "fail": 1, "hypothesis_violated": 64}[status]
 
 
-def _envelope(command: str, scn: Scenario, samples: int, seed: int) -> dict:
+def _envelope(command: str, scn: Scenario) -> dict:
     return {"command": command, "scenario_hash": scn.hash(),
-            "tolerance": scn.tol, "samples": samples, "seed": seed}
+            "tolerance": scn.tol, "samples": scn.samples, "seed": scn.seed}
 
 
 # ============================================================
@@ -145,19 +146,13 @@ def _envelope(command: str, scn: Scenario, samples: int, seed: int) -> dict:
 # ============================================================
 
 def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, seed = _effective(scn, args)
     code = 0
+    cover, pts = _cover_and_points(scn)
     if scn.cover is not None:
-        cover = scn.cover
-        pts = _cover_points(scn, cover, samples, seed)
         # force evaluation so declared sample points hit punctures loudly
         for b in pts:
             cover.values_at(b)
-    else:
-        fam = _require_family(scn)
-        pts = _family_points(scn, samples, seed)
-        cover = cover_from_family(fam, pts)
-    report = _envelope("cover", scn, samples, seed)
+    report = _envelope("cover", scn)
     report["cover"] = _encode_cover(cover)
     delta = _invariance_delta(scn)
     if delta is not None:
@@ -173,13 +168,12 @@ def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, seed = _effective(scn, args)
     fam = _require_family(scn)
-    pts = _family_points(scn, samples, seed)
+    pts = _family_points(scn)
     sheaf = fm_transform(fam, pts)
     residual = invariance_residual(sheaf.support, fam.involution_bundle(), pts)
     rt = roundtrip_check(fam, pts)
-    report = _envelope("fm", scn, samples, seed)
+    report = _envelope("fm", scn)
     report["phi0_vanishes"] = sheaf.phi0_vanishes
     report["support"] = _encode_cover(sheaf.support)
     report["residual"] = residual
@@ -191,11 +185,10 @@ def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_roundtrip(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, seed = _effective(scn, args)
     fam = _require_family(scn)
-    pts = _family_points(scn, samples, seed)
+    pts = _family_points(scn)
     rt = roundtrip_check(fam, pts)
-    report = _envelope("roundtrip", scn, samples, seed)
+    report = _envelope("roundtrip", scn)
     report["status"] = rt.status
     report["phi0_vanishes"] = rt.phi0_vanishes
     report["checks"] = [{"name": n, "passed": ok, "detail": d}
@@ -204,11 +197,10 @@ def _cmd_roundtrip(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_classify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, seed = _effective(scn, args)
     cover = _hyper_cover(scn)
     groups = fibre_component_groups(scn.surface, cover)
     pic = pic_relative(scn.surface)
-    report = _envelope("classify", scn, samples, seed)
+    report = _envelope("classify", scn)
     report["prym_rank"] = groups.prym_genus
     report["jacobian_copies"] = groups.jacobian_copies
     report["kernel_components"] = groups.kernel_components
@@ -223,9 +215,8 @@ def _cmd_classify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_modify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, seed = _effective(scn, args)
     fam = _require_family(scn)
-    report = _envelope("modify", scn, samples, seed)
+    report = _envelope("modify", scn)
     report["jumps"] = [
         {"at": encode_base_point(rec.at), "h": rec.height,
          "mu": rec.multiplicity, "l": rec.length,
@@ -245,9 +236,8 @@ def _cmd_modify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, seed = _effective(scn, args)
     fam = _require_family(scn)
-    pts = _family_points(scn, samples, seed)
+    pts = _family_points(scn)
     checks: list[dict] = []
 
     def add(name: str, passed: bool, detail: str = "") -> None:
@@ -292,13 +282,13 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
         twist = descent_divisor(fam, scn.descent_point)
         # the residual samples its own circle around b0 so the disabled
         # check never degenerates near |x - b0| = 1
-        r_on = z_action_residual(fam, twist, samples)
-        r_off = z_action_residual(fam, twist.disabled(), samples)
+        r_on = z_action_residual(fam, twist, scn.samples)
+        r_off = z_action_residual(fam, twist.disabled(), scn.samples)
         add("descent_twist_enabled", r_on <= scn.tol, f"residual {r_on:.3e}")
         add("descent_twist_disabled_detects", r_off >= 0.1,
             f"residual {r_off:.3e}")
 
-    report = _envelope("props", scn, samples, seed)
+    report = _envelope("props", scn)
     report["checks"] = checks
     ok = all(c["passed"] for c in checks)
     report["status"] = "pass" if ok else "fail"
@@ -306,14 +296,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    samples, seed = _effective(scn, args)
-    if scn.cover is not None:
-        cover = scn.cover
-        pts = _cover_points(scn, cover, samples, seed)
-    else:
-        fam = _require_family(scn)
-        pts = _family_points(scn, samples, seed)
-        cover = cover_from_family(fam, pts)
+    cover, pts = _cover_and_points(scn)
     curve = cover.curve
 
     def rows_at(b: complex) -> list[tuple[float, float, int, float, float]]:
@@ -335,7 +318,7 @@ def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
-    report = _envelope("sample", scn, samples, seed)
+    report = _envelope("sample", scn)
     report["rows"] = 2 * len(pts)
     report["csv"] = args.csv or "-"
     return report, 0
@@ -374,21 +357,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--samples", type=int, default=None,
-                       help="sample count (default 32 or scenario value)")
+                       help="sample count, a positive integer (default 32 "
+                            "or scenario run.samples)")
         p.add_argument("--tol", type=float, default=None,
                        help="the one tolerance, in (0, 1), for every gate "
                             "(default 1e-9 or scenario run.tol)")
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (default 0 or scenario value)")
-        p.add_argument("--csv", default=None, help="CSV output path")
         p.add_argument("--json", default=None, help="JSON report path")
+        if name == "sample":
+            p.add_argument("--csv", default=None, help="CSV output path")
     return parser
 
 
 def run_command(argv: "Sequence[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scn = load_scenario(args.scenario, args.tol)
+        scn = load_scenario(args.scenario, args.tol, args.samples, args.seed)
         report, code = _HANDLERS[args.command](scn, args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

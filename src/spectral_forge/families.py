@@ -98,7 +98,6 @@ class PushforwardData:
     factor_map: PellMap
     twist: DivisorClass | None = None
     torsion_pairs: tuple[tuple[int, int], ...] = ()
-    regular: bool = True
 
     def __post_init__(self) -> None:
         if not self.cover.same_curve(self.factor_map.cover):
@@ -182,9 +181,8 @@ class FamilySpec:
                     factor_map: PellMap,
                     twist: DivisorClass | None = None,
                     torsion_pairs: tuple[tuple[int, int], ...] = (),
-                    base_c2: int | None = None,
-                    regular: bool = True) -> "FamilySpec":
-        data = PushforwardData(cover, factor_map, twist, torsion_pairs, regular)
+                    base_c2: int | None = None) -> "FamilySpec":
+        data = PushforwardData(cover, factor_map, twist, torsion_pairs)
         if base_c2 is None:
             base_c2 = bisection_torus_degree(factor_map.inverse())
         return FamilySpec(surface, data, base_c2, ())
@@ -281,9 +279,6 @@ class FamilySpec:
         the dual of the determinant."""
         return self.determinant.dual()
 
-    def determinant_factor(self) -> complex:
-        return self.determinant.constant_factor
-
     def _match_journal_point(self, b: complex) -> BasePoint | None:
         for p in self.jump_points():
             if p.is_infinity:
@@ -299,12 +294,8 @@ class FamilySpec:
             return SplitFiber(self.data.l1.restrict_to_fiber(b),
                               self.data.l2.restrict_to_fiber(b))
         f0, f1 = self.data.factor_map.sheet_values(b)
-        p0, p1 = curve.point(f0), curve.point(f1)
-        if p0 == p1:
-            if self.data.regular:
-                return AtiyahRegular(TateLineBundle(curve, 0, f0))
-            return SplitFiber(TateLineBundle(curve, 0, f0),
-                              TateLineBundle(curve, 0, f1))
+        if curve.point(f0) == curve.point(f1):
+            return AtiyahRegular(TateLineBundle(curve, 0, f0))
         return SplitFiber(TateLineBundle(curve, 0, f0),
                           TateLineBundle(curve, 0, f1))
 
@@ -477,22 +468,21 @@ def jump_report(family: FamilySpec) -> list[JumpRecord]:
 
 def attach_generic_jumps(family: FamilySpec,
                          plan: list[tuple[BasePoint, int]],
-                         line_point: complex | None = None) -> FamilySpec:
+                         line_point: complex = 2.0 + 0j) -> FamilySpec:
     """Realise each planned jump by multiplicity-many degree-1 steps, so all
     resulting sequences are {1, ..., 1}."""
     out = family
     for at, mult in plan:
         if mult < 1:
             raise ValueError("plan multiplicities must be >= 1")
-        nu = line_point if line_point is not None else 2.0 + 0j
         for _ in range(mult):
-            out = elem_mod(out, at, 1, nu)
+            out = elem_mod(out, at, 1, line_point)
     return out
 
 
 def assign_jumping_sequence(family: FamilySpec, at: BasePoint,
                             seq: list[int],
-                            line_point: complex | None = None) -> FamilySpec:
+                            line_point: complex = 2.0 + 0j) -> FamilySpec:
     """Build a jump with the prescribed sequence by pushing in reverse."""
     if not seq:
         raise ValueError("sequence must be nonempty")
@@ -500,10 +490,9 @@ def assign_jumping_sequence(family: FamilySpec, at: BasePoint,
         raise ValueError("jumping sequences must be non-increasing")
     if family._stacks.get(at):
         raise UnsupportedError("fibre already jumped; assign on a clean fibre")
-    nu = line_point if line_point is not None else 2.0 + 0j
     out = family
     for r in reversed(seq):
-        out = elem_mod(out, at, r, nu)
+        out = elem_mod(out, at, r, line_point)
     return out
 
 
@@ -572,18 +561,10 @@ def cover_from_family(family: FamilySpec,
             continue  # vertical point: whole fibre supported
         want = [p.value for p in pts_fc]
         got = [curve.canonical_rep(v).value for v in bis.sheet_values(b)]
-        if not _pair_match(curve, want, got):
+        if not curve.same_pair(want, got):
             raise VerificationError(
                 f"declared and recomputed covers disagree at b={b}")
     return SpectralCover(family.surface, tuple(verticals), bis)
-
-
-def _pair_match(curve: TateCurve, want: list[complex],
-                got: list[complex]) -> bool:
-    if curve.same_point(want[0], got[0]) and curve.same_point(want[1], got[1]):
-        return True
-    return (curve.same_point(want[0], got[1])
-            and curve.same_point(want[1], got[0]))
 
 
 def build_regular_family(cover: SpectralCover, delta: LineBundleOnX,
@@ -593,19 +574,30 @@ def build_regular_family(cover: SpectralCover, delta: LineBundleOnX,
     Pre: no verticals, bisection invariant for delta.  The determinant of
     the result is the dual of delta; split covers give split families, Pell
     bisections give pushforward families whose nonsplit locus sits exactly
-    over the branch points."""
+    over the branch points.  This is the inverse transform with trivial
+    line data."""
     if cover.verticals:
         raise UnsupportedError("regular construction needs a vertical-free cover")
     if not check_invariance(cover, delta, samples):
         raise VerificationError("cover is not invariant for this delta")
+    return _family_on_cover(cover)
+
+
+def _family_on_cover(
+        cover: SpectralCover, base_classes: tuple[int, int] = (0, 0),
+        twist: DivisorClass | None = None,
+        torsion_pairs: tuple[tuple[int, int], ...] = ()) -> FamilySpec:
+    """The family with the vertical-free spectral cover ``cover`` and the
+    given line data: for two sections the split family of their inverses
+    (base classes as given), for a Pell bisection the pushforward along
+    its inverse map (twist and torsion pairs as given)."""
     surface = cover.surface
-    if isinstance(cover.bisection, TwoSections):
-        a1, a2 = cover.bisection.a1, cover.bisection.a2
-        l1 = LineBundleOnX(surface, 0, 1.0 / a1)
-        l2 = LineBundleOnX(surface, 0, 1.0 / a2)
+    bis = cover.bisection
+    if isinstance(bis, TwoSections):
+        l1 = LineBundleOnX(surface, base_classes[0], 1.0 / bis.a1)
+        l2 = LineBundleOnX(surface, base_classes[1], 1.0 / bis.a2)
         return FamilySpec.split(surface, l1, l2)
-    if not isinstance(cover.bisection, PellMap):
-        raise UnsupportedError("perturbed bisections are not constructible")
-    fam_map = cover.bisection.inverse()
-    return FamilySpec.pushforward(surface, cover.bisection.cover, fam_map,
-                                  regular=True)
+    if not isinstance(bis, PellMap):
+        raise UnsupportedError("perturbed supports are not invertible")
+    return FamilySpec.pushforward(surface, bis.cover, bis.inverse(),
+                                  twist=twist, torsion_pairs=torsion_pairs)

@@ -91,10 +91,9 @@ class SplitFiber:
         return self.l1.factor * self.l2.factor
 
     def isomorphic(self, other: "FiberClass") -> bool:
-        if not isinstance(other, SplitFiber):
-            return False
-        return ((self.l1.isomorphic(other.l1) and self.l2.isomorphic(other.l2))
-                or (self.l1.isomorphic(other.l2) and self.l2.isomorphic(other.l1)))
+        return (isinstance(other, SplitFiber)
+                and self.curve.same_pair((self.l1.factor, self.l2.factor),
+                                         (other.l1.factor, other.l2.factor)))
 
 
 @dataclass(frozen=True)
@@ -198,11 +197,10 @@ def h1_restrict(fc: FiberClass, alpha: complex) -> int:
 # Obstruction theta functions
 # ============================================================
 
-def _theta_window(tau: complex, digits: float = 32.0) -> int:
-    """Series cutoff M with |tau|**(2M - M^2) below 10**-digits."""
+def _theta_window(tau: complex) -> int:
+    """Series cutoff M with |tau|**(2M - M^2) below 10**-32."""
     log_tau = math.log(abs(tau))
-    target = digits * math.log(10.0)
-    m = 1.0 + math.sqrt(1.0 + target / log_tau)
+    m = 1.0 + math.sqrt(1.0 + 32.0 * math.log(10.0) / log_tau)
     return max(8, int(math.ceil(m)) + 2)
 
 

@@ -26,11 +26,8 @@ from dataclasses import dataclass
 from .covers import BasePoint, DivisorClass, class_equal
 from .errors import UnsupportedError
 from .families import (FamilySpec, SplitData, cover_from_family,
-                       _resolve_points)
-from .spectral import (ChernData, PellMap, SpectralCover, TwoSections,
-                       sample_circle)
-from .surface import LineBundleOnX
-from .tate import TateCurve
+                       _family_on_cover, _resolve_points)
+from .spectral import ChernData, SpectralCover, sample_circle
 
 __all__ = [
     "DescentTwist",
@@ -220,24 +217,9 @@ def fm_inverse(sheaf: TransformedSheaf) -> FamilySpec:
     if sheaf.support.verticals:
         raise UnsupportedError(
             "vertical components are outside the inverse hypotheses")
-    surface = sheaf.support.surface
-    bis = sheaf.support.bisection
-    if isinstance(bis, TwoSections):
-        if sheaf.line_data.split_base_classes is None:
-            base1 = base2 = 0
-        else:
-            base1, base2 = sheaf.line_data.split_base_classes
-        l1 = LineBundleOnX(surface, base1, 1.0 / bis.a1)
-        l2 = LineBundleOnX(surface, base2, 1.0 / bis.a2)
-        return FamilySpec.split(surface, l1, l2)
-    if not isinstance(bis, PellMap):
-        raise UnsupportedError("perturbed supports are not invertible")
-    fam_map = bis.inverse()
-    return FamilySpec.pushforward(
-        surface, bis.cover, fam_map,
-        twist=sheaf.line_data.twist,
-        torsion_pairs=sheaf.line_data.torsion_pairs,
-    )
+    line = sheaf.line_data
+    return _family_on_cover(sheaf.support, line.split_base_classes or (0, 0),
+                            line.twist, line.torsion_pairs)
 
 
 def branch_correction(sheaf: TransformedSheaf) -> dict:
@@ -295,9 +277,7 @@ def roundtrip_check(family: FamilySpec,
     ok_fibres = True
     detail = ""
     for b in pts:
-        fc_a = family.fiber_class_at(b)
-        fc_b = rebuilt.fiber_class_at(b)
-        if not _classes_close(curve, fc_a, fc_b):
+        if not family.fiber_class_at(b).isomorphic(rebuilt.fiber_class_at(b)):
             ok_fibres = False
             detail = f"fibre class mismatch at b={b}"
             break
@@ -320,32 +300,6 @@ def roundtrip_check(family: FamilySpec,
     return RoundtripReport(status, tuple(checks), sheaf.phi0_vanishes)
 
 
-def _classes_close(curve: TateCurve, a, b) -> bool:
-    """Isomorphism comparison of two fibre classes with curve tolerance."""
-    from .fiber import AtiyahRegular as AR
-    from .fiber import SplitFiber as SF
-    from .fiber import UnstableFiber as UF
-    if isinstance(a, SF) and isinstance(b, SF):
-        f = (a.l1.factor, a.l2.factor)
-        g = (b.l1.factor, b.l2.factor)
-        direct = (_factor_close(curve, f[0], g[0])
-                  and _factor_close(curve, f[1], g[1]))
-        crossed = (_factor_close(curve, f[0], g[1])
-                   and _factor_close(curve, f[1], g[0]))
-        return direct or crossed
-    if isinstance(a, AR) and isinstance(b, AR):
-        return _factor_close(curve, a.line.factor, b.line.factor)
-    if isinstance(a, UF) and isinstance(b, UF):
-        return (a.height == b.height
-                and _factor_close(curve, a.sub.factor, b.sub.factor)
-                and _factor_close(curve, a.det.factor, b.det.factor))
-    return False
-
-
-def _factor_close(curve: TateCurve, x: complex, y: complex) -> bool:
-    return curve.lattice_distance(x / y)[1] <= curve.tolerance
-
-
 def torsion_roundtrip_check(sheaf: TransformedSheaf,
                             samples: "int | list[complex]" = 50) -> RoundtripReport:
     """Inverse-then-forward comparison for admissible torsion data."""
@@ -365,13 +319,8 @@ def torsion_roundtrip_check(sheaf: TransformedSheaf,
     ok_bis = True
     detail = ""
     for b in pts:
-        v_in = sheaf.support.values_at(b)
-        v_out = sheaf2.support.values_at(b)
-        pairs_ok = ((_factor_close(curve, v_in[0], v_out[0])
-                     and _factor_close(curve, v_in[1], v_out[1]))
-                    or (_factor_close(curve, v_in[0], v_out[1])
-                        and _factor_close(curve, v_in[1], v_out[0])))
-        if not pairs_ok:
+        if not curve.same_pair(sheaf.support.values_at(b),
+                               sheaf2.support.values_at(b)):
             ok_bis = False
             detail = f"support values differ at b={b}"
             break

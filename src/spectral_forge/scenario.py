@@ -137,7 +137,9 @@ def scenario_hash(raw: dict) -> str:
     return hashlib.sha256(canonical_json(raw).encode("utf-8")).hexdigest()
 
 
-def load_scenario(path: str, tol: float | None = None) -> Scenario:
+def load_scenario(path: str, tol: float | None = None,
+                  samples: int | None = None,
+                  seed: int | None = None) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -145,21 +147,27 @@ def load_scenario(path: str, tol: float | None = None) -> Scenario:
         raise SchemaError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
-    return parse_scenario(raw, tol)
+    return parse_scenario(raw, tol, samples, seed)
 
 
-def parse_scenario(raw: Any, tol: float | None = None) -> Scenario:
-    """The typed scenario.  ``tol``, when given, replaces ``run.tol``; that
-    one value becomes the surface curve's tolerance."""
+def parse_scenario(raw: Any, tol: float | None = None,
+                   samples: int | None = None,
+                   seed: int | None = None) -> Scenario:
+    """The typed scenario.  ``tol``, ``samples`` and ``seed``, when given,
+    replace ``run.tol``, ``run.samples`` and ``run.seed`` and pass the same
+    checks; the tolerance becomes the surface curve's.  The hash stays the
+    hash of ``raw``."""
     if not isinstance(raw, dict):
         raise SchemaError("scenario root must be an object")
     run = raw.get("run", {})
     if not isinstance(run, dict):
         raise SchemaError("run: expected an object")
-    samples = run.get("samples", 32)
+    if samples is None:
+        samples = run.get("samples", 32)
     if tol is None:
         tol = run.get("tol", 1e-9)
-    seed = run.get("seed", 0)
+    if seed is None:
+        seed = run.get("seed", 0)
     if not isinstance(samples, int) or samples < 1:
         raise SchemaError("run.samples: expected a positive integer")
     if not isinstance(tol, (int, float)) or not 0 < tol < 1:

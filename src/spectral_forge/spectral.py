@@ -94,9 +94,6 @@ class TwoSections:
     def inverse(self) -> "TwoSections":
         return TwoSections(1.0 / self.a1, 1.0 / self.a2)
 
-    def torus_degree(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
 class PellMap:
@@ -173,7 +170,11 @@ class PellMap:
 
     def _values_at(self, b: complex, ws: tuple[complex, ...]) -> tuple[complex, ...]:
         """A at (b, w) for each w, from one evaluation of R, U and V.  The
-        pole is checked before any zero, and zeros in the order of ``ws``."""
+        pole is checked before any zero, and zeros in the order of ``ws``.
+        Since R^2 = (U + V w)(U - V w), every zero of U + V w is a zero of
+        R, which is checked first: the "zero" branch is reached only through
+        float rounding, or through the absolute threshold when |U + V w| is
+        below it and |R| is not."""
         den, u, v = self._ruv_at(b)
         if abs(den) < 1e-300:
             raise PunctureError(f"pole of bisection map at b={b}")
@@ -217,9 +218,6 @@ class PerturbedMap:
 
     def norm_value(self) -> complex:
         return self.base.norm_value()
-
-    def torus_degree(self) -> int:
-        return bisection_torus_degree(self.base)
 
 
 def bisection_torus_degree(bis: "TwoSections | PellMap | PerturbedMap") -> int:

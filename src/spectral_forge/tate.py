@@ -129,6 +129,14 @@ class TateCurve:
             raise ValueError("points of T are nonzero")
         return self.in_lattice(complex(x) / complex(y))
 
+    def same_pair(self, a: tuple[complex, complex],
+                  b: tuple[complex, complex]) -> bool:
+        """True iff the unordered pairs {a[0], a[1]} and {b[0], b[1]} are
+        the same two points of T: matched in order, else crossed."""
+        return ((self.same_point(a[0], b[0]) and self.same_point(a[1], b[1]))
+                or (self.same_point(a[0], b[1])
+                    and self.same_point(a[1], b[0])))
+
     def square_roots(self, p: "TatePoint") -> tuple["TatePoint", ...]:
         """The four points q with q*q = p on T (2-torsion translates)."""
         r = cmath.sqrt(p.value)
@@ -172,9 +180,6 @@ class TatePoint:
 
     def inverse(self) -> "TatePoint":
         return self.curve.canonical_rep(1.0 / self.value)
-
-    def is_identity(self) -> bool:
-        return self.curve.in_lattice(self.value)
 
     def is_two_torsion(self) -> bool:
         return self.curve.in_lattice(self.value * self.value)

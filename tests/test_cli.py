@@ -256,6 +256,23 @@ def test_declared_determinant_mismatch_exits_one(tmp_path, capsys):
     assert report["invariance"]["passed"]
 
 
+@pytest.mark.parametrize("cmd", ["cover", "props", "sample"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_nonpositive_samples_flag_exits_two(tmp_path, capsys, cmd, samples):
+    """The flag is checked like run.samples, not run on an empty circle."""
+    path = write(tmp_path, split_doc())
+    assert run_command([cmd, "--scenario", path, "--samples", samples]) == 2
+    assert "run.samples" in capsys.readouterr().err
+
+
+def test_csv_flag_is_rejected_outside_sample(tmp_path, capsys):
+    path = write(tmp_path, split_doc())
+    with pytest.raises(SystemExit) as exc:
+        run_command(["cover", "--scenario", path, "--csv", "x"])
+    assert exc.value.code == 2
+    assert "--csv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["0", "1.5", "nan"])
 def test_tol_flag_outside_the_unit_interval_exits_two(tmp_path, capsys, tol):
     path = write(tmp_path, split_doc())

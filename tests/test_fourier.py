@@ -171,6 +171,22 @@ def test_inverse_guards():
         fm_inverse(perturbed)
 
 
+def test_regular_family_is_the_inverse_of_trivial_line_data(invariant_covers):
+    for cov, delta in invariant_covers[:5]:
+        sheaf = TransformedSheaf(cov, LineData(), ChernData(0, 0), True)
+        assert families.build_regular_family(cov, delta, 16) == fm_inverse(sheaf)
+    cov, delta = invariant_covers[2]
+    # a factor tau on one sheet keeps the sheet product on the lattice, so
+    # the perturbed cover passes the invariance check and reaches the build
+    perturbed = SpectralCover(cov.surface, (), PerturbedMap(
+        cov.bisection, cov.curve.tau - 1.0))
+    with pytest.raises(UnsupportedError, match="perturbed supports"):
+        families.build_regular_family(perturbed, delta, 16)
+    with pytest.raises(UnsupportedError, match="perturbed supports"):
+        fm_inverse(TransformedSheaf(perturbed, LineData(), ChernData(0, 0),
+                                    True))
+
+
 def test_branch_correction_is_reported_not_asserted():
     fam = push_family(surf_plain(), cover_g1(), pell_g1())
     report = branch_correction(fm_transform(fam, 16))

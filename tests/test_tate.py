@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_forge import TateCurve, TateLineBundle, theta_sections
-from spectral_forge.fourier import _factor_close
 from conftest import TAU_DYADIC, TAU_GENERIC
 from oracles import (
     automorphy_nullity,
@@ -99,7 +98,7 @@ def check_against_old_routes(curve: TateCurve, x: complex) -> None:
         assert curve.lattice_log(x) == old_k
     for close_tol in (1e-6, 1e-9, 1e-12):
         if away_from(defect, close_tol):
-            assert (_factor_close(TateCurve(tau, close_tol), x, 1.0)
+            assert (TateCurve(tau, close_tol).same_point(x, 1.0)
                     == reference_factor_close(tau, x, 1.0, close_tol,
                                               close_tol))
 
@@ -113,6 +112,26 @@ def test_lattice_distance_matches_the_old_routes(tau, near, anywhere):
     check_against_old_routes(curve, tau ** n * (1.0 + cmath.rect(delta, phi)))
     log_mod, arg = anywhere
     check_against_old_routes(curve, cmath.rect(math.exp(log_mod), arg))
+
+
+def test_same_pair_is_unordered_and_modulo_tau():
+    curve = TateCurve(TAU_GENERIC)
+    tau = curve.tau
+    a, b = 0.8 + 0.5j, 1.3 - 0.4j
+    assert curve.same_pair((a, b), (a, b))
+    assert curve.same_pair((a, b), (b, a))
+    assert curve.same_pair((a, b), (b * tau ** 2, a / tau))
+    assert curve.same_pair((a * tau ** -3, b), (a, b * tau))
+    assert not curve.same_pair((a, b), (a, a))
+    assert not curve.same_pair((a, a), (a, b))
+    assert not curve.same_pair((a, b), (a, 1.7 + 0.2j))
+
+
+def test_same_pair_within_the_curve_tolerance():
+    a, b = 0.8 + 0.5j, 1.3 - 0.4j
+    moved = (b * (1 + 1e-6), a)
+    assert not TateCurve(TAU_GENERIC).same_pair((a, b), moved)
+    assert TateCurve(TAU_GENERIC, 1e-5).same_pair((a, b), moved)
 
 
 def test_lattice_distance_at_zero():
