@@ -22,17 +22,20 @@ import argparse
 import sys
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
+from . import _carray
 from .covers import HyperCover
 from .errors import (SchemaError, SpectralForgeError, UnsupportedError,
                      VerificationError)
-from .families import (FamilySpec, PushforwardData, cover_from_family,
-                       default_sample_points, jump_report)
+from .families import (FamilySpec, PushforwardData, _spectral_arrays,
+                       cover_from_family, default_sample_points, jump_report)
 from .fiber import spectral_points
-from .fourier import (descent_divisor, fm_transform, roundtrip_check,
-                      z_action_residual)
+from .fourier import (_roundtrip_report, descent_divisor, fm_transform,
+                      roundtrip_check, z_action_residual)
 from .scenario import (Scenario, canonical_json, encode_base_point,
                        encode_complex, load_scenario)
-from .spectral import (PellMap, SpectralCover, TwoSections,
+from .spectral import (PellMap, SpectralCover, TwoSections, _max_defect,
                        _sample_ladder, invariance_residual)
 from .surface import GroupPresentation, fibre_component_groups, pic_relative
 
@@ -81,6 +84,16 @@ def _cover_and_points(scn: Scenario) -> tuple[SpectralCover, list[complex]]:
                                  0.05 * scn.seed, reject)
 
 
+def _cover_values(cover: SpectralCover,
+                  pts: list[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """The cover's two sheet values at every sample, each evaluated once;
+    odd samples by ``values_at``, in order, so punctures raise as there."""
+    v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
+    for i in np.flatnonzero(odd).tolist():
+        v0[i], v1[i] = cover.values_at(pts[i])
+    return v0, v1
+
+
 def _invariance_delta(scn: Scenario):
     """Bundle whose fibre factor the sheet product must hit; the inverse
     determinant for a family, the declared one otherwise."""
@@ -125,6 +138,27 @@ def _encode_cover(cover: SpectralCover) -> dict:
     }
 
 
+def _max_product_defect(fam: FamilySpec, pts: list[complex]) -> float:
+    """The largest lattice defect of the product of a fibre's two spectral
+    points against the involution bundle's factor (0 on jumped fibres)."""
+    def product_defect(i: int) -> float:
+        spts = spectral_points(fam.fiber_class_at(pts[i]))
+        if spts is None:
+            return 0.0
+        product = spts[0].value * spts[1].value
+        target = fam.involution_bundle().restrict_to_fiber(pts[i]).factor
+        return fam.curve.lattice_distance(product / target)[1]
+
+    b = np.array(pts, dtype=complex)
+    s0, s1, odd = _spectral_arrays(fam, b)
+    odd |= fam.surface._multiple_mask(b)
+    target = complex(fam.involution_bundle().constant_factor)
+    _, defects, odd_lattice = fam.curve._lattice_distance_array(
+        _carray.quot(_carray.mul(s0, s1), target))
+    defects = _carray.fill_odd(defects, odd | odd_lattice, product_defect)
+    return max(defects.tolist()) if len(pts) else 0.0
+
+
 def _encode_group(g: GroupPresentation) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion),
             "divisible": list(g.divisible), "generators": list(g.generators)}
@@ -148,15 +182,19 @@ def _envelope(command: str, scn: Scenario) -> dict:
 def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     code = 0
     cover, pts = _cover_and_points(scn)
+    values = None
     if scn.cover is not None:
-        # force evaluation so declared sample points hit punctures loudly
-        for b in pts:
-            cover.values_at(b)
+        # evaluate every sample so declared sample points hit punctures loudly
+        values = _cover_values(cover, pts)
     report = _envelope("cover", scn)
     report["cover"] = _encode_cover(cover)
     delta = _invariance_delta(scn)
     if delta is not None:
-        residual = invariance_residual(cover, delta, pts)
+        if values is None:
+            residual = invariance_residual(cover, delta, pts)
+        else:
+            residual = _max_defect(cover, delta, pts, *values,
+                                   np.zeros(len(pts), dtype=bool))
         passed = residual <= scn.tol
         report["invariance"] = {"checked": True, "max_residual": residual,
                                 "passed": passed}
@@ -172,7 +210,7 @@ def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     pts = _family_points(scn)
     sheaf = fm_transform(fam, pts)
     residual = invariance_residual(sheaf.support, fam.involution_bundle(), pts)
-    rt = roundtrip_check(fam, pts)
+    rt = _roundtrip_report(fam, pts, sheaf)
     report = _envelope("fm", scn)
     report["phi0_vanishes"] = sheaf.phi0_vanishes
     report["support"] = _encode_cover(sheaf.support)
@@ -265,17 +303,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     add("chern_stack", fam.chern.c2 == fam.base_c2 + stacked,
         f"c2 {fam.chern.c2} vs base {fam.base_c2} + stacked {stacked}")
 
-    def product_defect(b: complex) -> float:
-        fc = fam.fiber_class_at(b)
-        spts = spectral_points(fc)
-        if spts is None:
-            return 0.0
-        product = spts[0].value * spts[1].value
-        target = fam.involution_bundle().restrict_to_fiber(b).factor
-        return fam.curve.lattice_distance(product / target)[1]
-
-    defects = [product_defect(b) for b in pts]
-    worst = max(defects) if defects else 0.0
+    worst = _max_product_defect(fam, pts)
     add("fibre_product_involution", worst <= scn.tol, f"max defect {worst:.3e}")
 
     if scn.descent_point is not None:
@@ -298,20 +326,17 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     cover, pts = _cover_and_points(scn)
     curve = cover.curve
-
-    def rows_at(b: complex) -> list[tuple[float, float, int, float, float]]:
-        v0, v1 = cover.values_at(b)
-        out = []
-        for sheet, v in ((0, v0), (1, v1)):
-            alpha = curve.canonical_rep(v).value
-            out.append((b.real, b.imag, sheet, alpha.real, alpha.imag))
-        return out
-
-    table = [rows_at(b) for b in pts]
+    v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
+    a0, odd0 = curve._canonical_array(v0)
+    a1, odd1 = curve._canonical_array(v1)
+    alphas = _carray.fill_odd(
+        np.stack([a0, a1], axis=1), odd | odd0 | odd1,
+        lambda i: [curve.canonical_rep(v).value for v in cover.values_at(pts[i])])
     lines = ["b_re,b_im,sheet,alpha_re,alpha_im"]
-    for group in table:
-        for b_re, b_im, sheet, a_re, a_im in group:
-            lines.append(f"{b_re!r},{b_im!r},{sheet},{a_re!r},{a_im!r}")
+    for b, (re0, re1), (im0, im1) in zip(pts, alphas.real.tolist(),
+                                         alphas.imag.tolist()):
+        at = f"{b.real!r},{b.imag!r}"
+        lines += (f"{at},0,{re0!r},{im0!r}", f"{at},1,{re1!r},{im1!r}")
     csv_text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -38,6 +38,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+import numpy as np
+
+from . import _carray
+
 __all__ = [
     "QI",
     "Poly",
@@ -465,6 +469,17 @@ class Poly:
             acc = acc * b + c
         return acc
 
+    def _eval_array(self, b: np.ndarray) -> np.ndarray:
+        """``eval_complex`` at each element of a complex128 array, bit for
+        bit: the same Horner steps on separate real and imaginary parts."""
+        br, bi = b.real, b.imag
+        re = np.zeros(b.shape)
+        im = np.zeros(b.shape)
+        with np.errstate(all="ignore"):
+            for c in self._horner_complex:
+                re, im = re * br - im * bi + c.real, re * bi + im * br + c.imag
+        return _carray.pack(re, im)
+
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
@@ -552,6 +567,11 @@ class HyperCover:
     def branch_distance(self, b: complex) -> float:
         """|f(b)|, a cheap proximity measure to the branch locus."""
         return abs(self.f.eval_complex(b))
+
+    def _sheets_array(self, b: np.ndarray) -> np.ndarray:
+        """The first sheet w of ``sheets`` at each sample (the second is
+        -w); an infinite part marks an overflow, which raises in ``sheets``."""
+        return _carray.sqrt(self.f._eval_array(b))
 
     def same_curve(self, other: "HyperCover") -> bool:
         return self.f == other.f

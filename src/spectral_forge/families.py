@@ -32,6 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+import numpy as np
+
+from . import _carray
 from .covers import (BASE_POINT_RADIUS, BasePoint, DivisorClass, HyperCover,
                      class_add, norm_degree)
 from .errors import (InvalidFamilyError, NoSurjectionError, UnsupportedError,
@@ -554,17 +557,72 @@ def cover_from_family(family: FamilySpec,
         bis = TwoSections(a1, a2)
     else:
         bis = family.data.factor_map.inverse()
-    for b in pts:
-        fc = family.fiber_class_at(b)
-        pts_fc = spectral_points(fc)
+
+    def agree_at(i: int) -> bool:
+        pts_fc = spectral_points(family.fiber_class_at(pts[i]))
         if pts_fc is None:
-            continue  # vertical point: whole fibre supported
+            return True  # vertical point: whole fibre supported
         want = [p.value for p in pts_fc]
-        got = [curve.canonical_rep(v).value for v in bis.sheet_values(b)]
-        if not curve.same_pair(want, got):
-            raise VerificationError(
-                f"declared and recomputed covers disagree at b={b}")
+        got = [curve.canonical_rep(v).value for v in bis.sheet_values(pts[i])]
+        return curve.same_pair(want, got)
+
+    b = np.array(pts, dtype=complex)
+    s0, s1, odd = _spectral_arrays(family, b)
+    g0, g1, godd = bis._values_array(b)
+    c0, odd0 = curve._canonical_array(g0)
+    c1, odd1 = curve._canonical_array(g1)
+    agree, odd2 = curve._same_pair_array(s0, s1, c0, c1)
+    bad = _carray.first_failure(agree, odd | godd | odd0 | odd1 | odd2, agree_at)
+    if bad is not None:
+        raise VerificationError(
+            f"declared and recomputed covers disagree at b={pts[bad]}")
     return SpectralCover(family.surface, tuple(verticals), bis)
+
+
+def _factor_arrays(family: FamilySpec,
+                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fiber_factors_at`` at each sample, with the odd mask of
+    ``PellMap._values_array``."""
+    data = family.data
+    if isinstance(data, SplitData):
+        return TwoSections(data.l1.constant_factor,
+                           data.l2.constant_factor)._values_array(b)
+    return data.factor_map._values_array(b)
+
+
+def _fibre_arrays(
+        family: FamilySpec,
+        b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``fiber_class_at`` at each sample as arrays: the factors of the two
+    graded pieces, the mask of ``AtiyahRegular`` classes (whose line has the
+    first factor), and the odd mask.  Odd samples are the journal points
+    (unstable fibres), the samples where ``fiber_class_at`` raises and those
+    the arrays cannot follow; the scalar route decides them."""
+    curve = family.curve
+    f0, f1, odd = _factor_arrays(family, b)
+    if isinstance(family.data, SplitData):
+        atiyah = np.zeros(b.shape, dtype=bool)
+        odd = odd | family.surface._multiple_mask(b)
+    else:
+        c0, odd0 = curve._canonical_array(f0)
+        c1, odd1 = curve._canonical_array(f1)
+        atiyah, odd2 = curve._same_point_array(c0, c1)
+        odd = odd | odd0 | odd1 | odd2
+    journal = [p.to_complex() for p in family.jump_points() if not p.is_infinity]
+    odd |= _carray.nearest(b, journal) <= BASE_POINT_RADIUS
+    return f0, f1, atiyah, odd
+
+
+def _spectral_arrays(
+        family: FamilySpec,
+        b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values of ``spectral_points(family.fiber_class_at(b))`` at each
+    sample, with the odd mask of ``_fibre_arrays`` and of the reduction."""
+    curve = family.curve
+    f0, f1, atiyah, odd = _fibre_arrays(family, b)
+    s0, odd0 = curve._canonical_array(_carray.quot(1.0, f0))
+    s1, odd1 = curve._canonical_array(_carray.quot(1.0, f1))
+    return s0, np.where(atiyah, s0, s1), odd | odd0 | odd1
 
 
 def build_regular_family(cover: SpectralCover, delta: LineBundleOnX,

@@ -23,10 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _carray
 from .covers import BasePoint, DivisorClass, class_equal
 from .errors import UnsupportedError
 from .families import (FamilySpec, SplitData, cover_from_family,
-                       _family_on_cover, _resolve_points)
+                       _factor_arrays, _family_on_cover, _fibre_arrays,
+                       _resolve_points)
 from .spectral import ChernData, SpectralCover, sample_circle
 
 __all__ = [
@@ -166,16 +170,24 @@ class TransformedSheaf:
 
 
 def _has_trivial_sub(family: FamilySpec, pts: list[complex]) -> bool:
-    """Whether some graded piece is lattice-trivial on every sampled fibre."""
+    """Whether some graded piece is lattice-trivial on every sampled fibre.
+
+    A scalar loop would stop at the first sample where neither piece is
+    still trivial; odd samples before that point are decided by the scalar
+    methods, in order, as that loop would."""
     curve = family.curve
-    flags = [True, True]
-    for b in pts:
-        f0, f1 = family.fiber_factors_at(b)
-        flags[0] = flags[0] and curve.in_lattice(f0)
-        flags[1] = flags[1] and curve.in_lattice(f1)
-        if not (flags[0] or flags[1]):
-            return False
-    return flags[0] or flags[1]
+    f0, f1, odd = _factor_arrays(family, np.array(pts, dtype=complex))
+    _, d0, odd0 = curve._lattice_distance_array(f0)
+    _, d1, odd1 = curve._lattice_distance_array(f1)
+    trivial0, trivial1 = d0 <= curve.tolerance, d1 <= curve.tolerance
+    for i in np.flatnonzero(odd | odd0 | odd1).tolist():
+        flag0, flag1 = bool(trivial0[:i].all()), bool(trivial1[:i].all())
+        if not (flag0 or flag1):
+            break
+        g0, g1 = family.fiber_factors_at(pts[i])
+        trivial0[i] = flag0 and curve.in_lattice(g0)
+        trivial1[i] = flag1 and curve.in_lattice(g1)
+    return bool(trivial0.all() or trivial1.all())
 
 
 def fm_transform(family: FamilySpec,
@@ -257,6 +269,10 @@ class RoundtripReport:
         return self.status == "pass"
 
 
+_JUMPED = RoundtripReport("hypothesis_violated",
+                          (("jump-free", False, "family has jumps"),))
+
+
 def roundtrip_check(family: FamilySpec,
                     samples: "int | list[complex]" = 50) -> RoundtripReport:
     """Forward-then-inverse comparison on a jump-free family.
@@ -266,21 +282,33 @@ def roundtrip_check(family: FamilySpec,
     jumps fall outside the hypotheses and are reported as such, not
     silently skipped."""
     if family.has_jumps():
-        return RoundtripReport("hypothesis_violated",
-                               (("jump-free", False, "family has jumps"),))
+        return _JUMPED
     pts = _resolve_points(family, samples)
-    sheaf = fm_transform(family, pts)
+    return _roundtrip_report(family, pts, fm_transform(family, pts))
+
+
+def _roundtrip_report(family: FamilySpec, pts: list[complex],
+                      sheaf: TransformedSheaf) -> RoundtripReport:
+    """``roundtrip_check`` at the given points, from the family's forward
+    transform ``sheaf`` at those points."""
+    if family.has_jumps():
+        return _JUMPED
     rebuilt = fm_inverse(sheaf)
     curve = family.curve
     checks: list[tuple[str, bool, str]] = []
 
-    ok_fibres = True
-    detail = ""
-    for b in pts:
-        if not family.fiber_class_at(b).isomorphic(rebuilt.fiber_class_at(b)):
-            ok_fibres = False
-            detail = f"fibre class mismatch at b={b}"
-            break
+    b = np.array(pts, dtype=complex)
+    f0, f1, atiyah, odd = _fibre_arrays(family, b)
+    g0, g1, atiyah_g, odd_g = _fibre_arrays(rebuilt, b)
+    pairs, odd_pairs = curve._same_pair_array(f0, f1, g0, g1)
+    lines, odd_lines = curve._same_point_array(f0, g0)
+    same = np.where(atiyah, atiyah_g & lines, ~atiyah_g & pairs)
+    bad = _carray.first_failure(
+        same, odd | odd_g | odd_pairs | odd_lines,
+        lambda i: family.fiber_class_at(pts[i]).isomorphic(
+            rebuilt.fiber_class_at(pts[i])))
+    ok_fibres = bad is None
+    detail = "" if ok_fibres else f"fibre class mismatch at b={pts[bad]}"
     checks.append(("fiberwise_classes", ok_fibres, detail))
 
     det_a = family.determinant
@@ -316,14 +344,16 @@ def torsion_roundtrip_check(sheaf: TransformedSheaf,
     ok_vert = sheaf2.support.verticals == ()
     checks.append(("support_verticals", ok_vert, ""))
 
-    ok_bis = True
-    detail = ""
-    for b in pts:
-        if not curve.same_pair(sheaf.support.values_at(b),
-                               sheaf2.support.values_at(b)):
-            ok_bis = False
-            detail = f"support values differ at b={b}"
-            break
+    b = np.array(pts, dtype=complex)
+    a0, a1, odd = sheaf.support.bisection._values_array(b)
+    c0, c1, odd_c = sheaf2.support.bisection._values_array(b)
+    same, odd_pairs = curve._same_pair_array(a0, a1, c0, c1)
+    bad = _carray.first_failure(
+        same, odd | odd_c | odd_pairs,
+        lambda i: curve.same_pair(sheaf.support.values_at(pts[i]),
+                                  sheaf2.support.values_at(pts[i])))
+    ok_bis = bad is None
+    detail = "" if ok_bis else f"support values differ at b={pts[bad]}"
     checks.append(("support_bisection", ok_bis, detail))
 
     ld_in, ld_out = sheaf.line_data, sheaf2.line_data

@@ -155,25 +155,18 @@ def parse_scenario(raw: Any, tol: float | None = None,
                    seed: int | None = None) -> Scenario:
     """The typed scenario.  ``tol``, ``samples`` and ``seed``, when given,
     replace ``run.tol``, ``run.samples`` and ``run.seed`` and pass the same
-    checks; the tolerance becomes the surface curve's.  The hash stays the
-    hash of ``raw``."""
+    checks, which the file's values must pass as well; the tolerance becomes
+    the surface curve's.  The hash stays the hash of ``raw``."""
     if not isinstance(raw, dict):
         raise SchemaError("scenario root must be an object")
     run = raw.get("run", {})
     if not isinstance(run, dict):
         raise SchemaError("run: expected an object")
-    if samples is None:
-        samples = run.get("samples", 32)
-    if tol is None:
-        tol = run.get("tol", 1e-9)
-    if seed is None:
-        seed = run.get("seed", 0)
-    if not isinstance(samples, int) or samples < 1:
-        raise SchemaError("run.samples: expected a positive integer")
-    if not isinstance(tol, (int, float)) or not 0 < tol < 1:
-        raise SchemaError(f"run.tol: expected a number in (0, 1), got {tol!r}")
-    if not isinstance(seed, int):
-        raise SchemaError("run.seed: expected an integer")
+    in_file = (run.get("samples", 32), run.get("tol", 1e-9), run.get("seed", 0))
+    _check_run(*in_file)
+    samples, tol, seed = (f if v is None else v
+                          for v, f in zip((samples, tol, seed), in_file))
+    _check_run(samples, tol, seed)
     points = None
     if run.get("points") is not None:
         raw_pts = run["points"]
@@ -199,6 +192,15 @@ def parse_scenario(raw: Any, tol: float | None = None,
         descent_point = parse_base_point(descent["b0"], "descent.b0")
     return Scenario(raw, surface, family, cover, determinant, descent_point,
                     samples, seed, points)
+
+
+def _check_run(samples: Any, tol: Any, seed: Any) -> None:
+    if not isinstance(samples, int) or samples < 1:
+        raise SchemaError("run.samples: expected a positive integer")
+    if not isinstance(tol, (int, float)) or not 0 < tol < 1:
+        raise SchemaError(f"run.tol: expected a number in (0, 1), got {tol!r}")
+    if not isinstance(seed, int):
+        raise SchemaError("run.seed: expected an integer")
 
 
 # ============================================================

@@ -33,6 +33,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
+import numpy as np
+
+from . import _carray
 from .covers import BasePoint, HyperCover, Poly, QI
 from .errors import PunctureError, VerificationError
 from .fiber import extension_from_pair
@@ -87,6 +90,10 @@ class TwoSections:
 
     def sheet_values(self, b: complex) -> tuple[complex, complex]:
         return (self.a1, self.a2)
+
+    def _values_array(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (np.full(b.shape, complex(self.a1)), np.full(b.shape, complex(self.a2)),
+                np.zeros(b.shape, dtype=bool))
 
     def norm_value(self) -> complex:
         return self.a1 * self.a2
@@ -168,6 +175,27 @@ class PellMap:
         return (self.r_part.eval_complex(b), self.u_part.eval_complex(b),
                 self.v_part.eval_complex(b))
 
+    def _ruv_array(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (self.r_part._eval_array(b), self.u_part._eval_array(b),
+                self.v_part._eval_array(b))
+
+    def _values_array(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``sheet_values`` at each sample, bit for bit, with the mask of odd
+        samples: those where ``sheet_values`` raises (an overflow of w, a
+        pole, a zero) or meets a non-finite value.  Their values are not
+        used; the scalar method decides them."""
+        w = self.cover._sheets_array(b)
+        den, u, v = self._ruv_array(b)
+        odd = ~np.isfinite(w) | ~(_carray.absolute(den) >= 1e-300)
+        out = []
+        for ws in (w, -w):
+            num = u + _carray.mul(v, ws)
+            odd |= ~(_carray.absolute(num) >= 1e-300)
+            value = _carray.quot(_carray.mul(self._scale_complex, num), den)
+            odd |= ~np.isfinite(value)
+            out.append(value)
+        return out[0], out[1], odd
+
     def _values_at(self, b: complex, ws: tuple[complex, ...]) -> tuple[complex, ...]:
         """A at (b, w) for each w, from one evaluation of R, U and V.  The
         pole is checked before any zero, and zeros in the order of ``ws``.
@@ -215,6 +243,11 @@ class PerturbedMap:
     def sheet_values(self, b: complex) -> tuple[complex, complex]:
         v0, v1 = self.base.sheet_values(b)
         return (v0 * (1.0 + self.eps), v1)
+
+    def _values_array(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        v0, v1, odd = self.base._values_array(b)
+        v0 = _carray.mul(v0, 1.0 + self.eps)
+        return v0, v1, odd | ~np.isfinite(v0)
 
     def norm_value(self) -> complex:
         return self.base.norm_value()
@@ -295,12 +328,13 @@ def _sample_list(samples: "int | list[complex]", curve: TateCurve) -> list[compl
 def sample_circle(count: int, radius: float, center: complex = 0j,
                   phase: float = 0.0) -> list[complex]:
     """Evenly spaced points on a circle; a small default phase offset keeps
-    them away from real-axis special points."""
-    pts = []
-    for k in range(count):
-        th = phase + 2.0 * math.pi * (k + 0.318) / count
-        pts.append(center + radius * cmath.exp(1j * th))
-    return pts
+    them away from real-axis special points.  The points are
+    ``center + radius * cmath.exp(1j * th)``, bit for bit, with
+    th = phase + 2 pi (k + 0.318) / count; on finite input that exponential
+    is (cos th, sin th)."""
+    th = phase + 2.0 * math.pi * (np.arange(count, dtype=float) + 0.318) / count
+    unit = _carray.pack(_carray.each(math.cos, th), _carray.each(math.sin, th))
+    return (center + _carray.mul(radius, unit)).tolist()
 
 
 def _sample_ladder(count: int, base_r: float, phase: float,
@@ -324,13 +358,28 @@ def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
     The defect at b is the distance of the product of the two sheet values
     from delta's fibre factor, measured after lattice reduction.
     """
+    pts = _sample_list(samples, cover.curve)
+    v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
+    return _max_defect(cover, delta, pts, v0, v1, odd)
+
+
+def _max_defect(cover: SpectralCover, delta: LineBundleOnX, pts: list[complex],
+                v0: np.ndarray, v1: np.ndarray, odd: np.ndarray) -> float:
+    """``invariance_residual`` from the sheet values at the samples; odd
+    samples, and those where the restriction or the lattice reduction
+    raises, are measured by the scalar route, in sample order."""
     curve = cover.curve
-    worst = 0.0
-    for b in _sample_list(samples, curve):
-        v0, v1 = cover.bisection.sheet_values(b)
-        target = delta.restrict_to_fiber(b).factor
-        worst = max(worst, curve.lattice_distance(v0 * v1 / target)[1])
-    return worst
+    odd = odd | delta.surface._multiple_mask(np.array(pts, dtype=complex))
+    target = complex(delta.constant_factor)
+    _, d, lodd = curve._lattice_distance_array(
+        _carray.quot(_carray.mul(v0, v1), target))
+
+    def defect_at(i: int) -> float:
+        w0, w1 = cover.bisection.sheet_values(pts[i])
+        factor = delta.restrict_to_fiber(pts[i]).factor
+        return curve.lattice_distance(w0 * w1 / factor)[1]
+
+    return max([0.0, *_carray.fill_odd(d, odd | lodd, defect_at).tolist()])
 
 
 def check_invariance(cover: SpectralCover, delta: LineBundleOnX,

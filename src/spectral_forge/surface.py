@@ -29,6 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
+from . import _carray
 from .covers import BASE_POINT_RADIUS, BasePoint, HyperCover
 from .errors import MultipleFibreRestrictionError
 from .tate import TateLineBundle, TatePoint
@@ -93,6 +96,11 @@ class SurfaceSpec:
             if abs(mf.at.to_complex() - b) <= BASE_POINT_RADIUS:
                 return True
         return False
+
+    def _multiple_mask(self, b: np.ndarray) -> np.ndarray:
+        """``is_multiple_point_complex`` at each sample."""
+        return _carray.nearest(b, [mf.at.to_complex() for mf in self.multiple_fibres
+                                   if not mf.at.is_infinity]) <= BASE_POINT_RADIUS
 
 
 # ============================================================

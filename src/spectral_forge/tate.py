@@ -32,6 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _carray
+
 __all__ = [
     "TateCurve",
     "TatePoint",
@@ -112,6 +114,105 @@ class TateCurve:
             if d < best_d:
                 best_k, best_d = k, d
         return best_k, best_d
+
+    def _tau_powers(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """tau ** k at each element of an integral float array, each distinct
+        power computed once by the scalar ``tau ** k``; the mask marks powers
+        that raise, vanish or are not finite."""
+        lo, hi = (int(k.min()), int(k.max())) if k.size else (0, -1)
+        if hi - lo < 4096:
+            distinct, index = range(lo, hi + 1), (k - lo).astype(np.intp)
+        else:
+            distinct, index = np.unique(k, return_inverse=True)
+        powers = []
+        for kk in distinct:
+            try:
+                powers.append(self.tau ** int(kk))
+            except ArithmeticError:
+                powers.append(0j)
+        pw = np.array(powers, dtype=complex)
+        return pw[index], (~np.isfinite(pw) | (pw == 0))[index]
+
+    def _log_abs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """math.log(abs(x)) at each element, and the mask of elements where
+        it raises or is not finite (zero or non-finite x); those read 0."""
+        r = _carray.absolute(x)
+        odd = ~np.isfinite(x) | (r == 0) | ~np.isfinite(r)
+        return _carray.each(math.log, np.where(odd, 1.0, r)), odd
+
+    def _canonical_array(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``canonical_rep(z).value`` at each element, bit for bit, and the
+        odd mask: elements where ``canonical_rep`` raises, or where a power
+        of tau is not a finite nonzero float (their values are not used)."""
+        logs, odd = self._log_abs(z)
+        k = -np.floor(logs / math.log(abs(self.tau)) + 1e-12)
+        pw, bad = self._tau_powers(k)
+        odd |= bad
+        v = _carray.mul(z, pw)
+        r = _carray.absolute(v)
+        for i in np.flatnonzero(~odd & ((r < 1.0) | (r >= abs(self.tau)))).tolist():
+            vi = complex(v[i])
+            if abs(vi) < 1.0:
+                vi *= self.tau
+            else:
+                vi /= self.tau
+            v[i] = vi
+        return v, odd
+
+    def _lattice_distance_array(
+            self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``lattice_distance(x)`` at each element, bit for bit, as arrays
+        of k (floats) and defects, with the odd mask: elements where
+        ``lattice_distance`` raises, or a power of tau is not a finite
+        nonzero float."""
+        logs, odd = self._log_abs(x)
+        log_tau, gap = self._log_tau_and_gap
+        k = np.rint(logs / log_tau)
+        pw, bad = self._tau_powers(k)
+        odd |= bad
+        d = self._defects(x, pw)
+        far = np.flatnonzero(~(d < gap) & ~odd)
+        if far.size:
+            xs, k0 = x[far], k[far]
+            best_k, best_d = k0, d[far]
+            for step in (-1.0, 1.0):
+                pw, bad = self._tau_powers(k0 + step)
+                odd[far[bad]] = True
+                dk = self._defects(xs, pw)
+                better = dk < best_d
+                best_k = np.where(better, k0 + step, best_k)
+                best_d = np.where(better, dk, best_d)
+            k[far], d[far] = best_k, best_d
+        return k, d, odd
+
+    @staticmethod
+    def _defects(x: np.ndarray, powers: np.ndarray) -> np.ndarray:
+        """abs(x / power - 1.0) at each element."""
+        q = _carray.quot(x, powers)
+        return _carray.absolute(_carray.pack(q.real - 1.0, q.imag))
+
+    def _same_point_array(self, x: np.ndarray,
+                          y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``same_point(x, y)`` at each element, and the odd mask (where
+        ``same_point`` raises or the lattice arrays cannot follow it)."""
+        _, d, odd = self._lattice_distance_array(_carray.quot(x, y))
+        return d <= self.tolerance, odd | (x == 0) | (y == 0)
+
+    def _same_pair_array(self, a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
+                         b1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``same_pair((a0, a1), (b0, b1))`` at each element, with the odd
+        mask of the comparisons made: the crossed ones only where the pairs
+        do not match in order."""
+        m00, o00 = self._same_point_array(a0, b0)
+        m11, o11 = self._same_point_array(a1, b1)
+        match, odd = m00 & m11, o00 | o11
+        rest = np.flatnonzero(~match)
+        if rest.size:
+            m01, o01 = self._same_point_array(a0[rest], b1[rest])
+            m10, o10 = self._same_point_array(a1[rest], b0[rest])
+            match[rest] = m01 & m10
+            odd[rest] |= o01 | o10
+        return match, odd
 
     def lattice_log(self, x: complex) -> int | None:
         """Integer k with x = tau**k (within relative tolerance), or None."""

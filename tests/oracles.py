@@ -5,20 +5,22 @@ Independent engines used to verify library outputs.
 Everything here recomputes a quantity from first principles (coefficient
 recursions, truncated functional-equation matrices, Smith normal forms,
 linear journal replays, uncached float evaluation, the former per-module
-lattice distances, schoolbook Q(i) polynomial loops, Cantor's algorithm in
-sympy, the per-term theta loops and 50-digit theta zeros in mpmath) without
-touching the library's closed forms, so each test compares
-two genuinely different computation routes.
+lattice distances, the former scalar sample loops, schoolbook Q(i)
+polynomial loops, Cantor's algorithm in sympy, the per-term theta loops and
+50-digit theta zeros in mpmath) without touching the library's closed
+forms, so each test compares two genuinely different computation routes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from spectral_forge import LineBundleOnX, Poly, PopStep, PunctureError, PushStep, QI
+from spectral_forge import (LineBundleOnX, Poly, PopStep, PunctureError, PushStep,
+                            QI, VerificationError, spectral_points)
 
 # ============================================================
 # Rank-1 cohomology: Laurent seed counting
@@ -361,6 +363,100 @@ def reference_product_defect(tau: complex, ratio: complex,
     if k is None:
         return abs(ratio)
     return abs(ratio / tau ** k - 1.0)
+
+
+# ============================================================
+# The per-sample path: the library's former scalar loops
+# ============================================================
+# One sample at a time through the single-point methods, as the library
+# ran before its sample path moved to arrays.
+
+def reference_sample_circle(count: int, radius: float, center: complex = 0j,
+                            phase: float = 0.0) -> list[complex]:
+    pts = []
+    for k in range(count):
+        th = phase + 2.0 * math.pi * (k + 0.318) / count
+        pts.append(center + radius * cmath.exp(1j * th))
+    return pts
+
+
+def reference_invariance_residual(cover, delta, pts) -> float:
+    curve = cover.curve
+    worst = 0.0
+    for b in pts:
+        v0, v1 = cover.bisection.sheet_values(b)
+        target = delta.restrict_to_fiber(b).factor
+        worst = max(worst, curve.lattice_distance(v0 * v1 / target)[1])
+    return worst
+
+
+def reference_cover_check(family, bis, pts) -> None:
+    """The consistency loop of ``cover_from_family`` against ``bis``."""
+    curve = family.curve
+    for b in pts:
+        pts_fc = spectral_points(family.fiber_class_at(b))
+        if pts_fc is None:
+            continue
+        want = [p.value for p in pts_fc]
+        got = [curve.canonical_rep(v).value for v in bis.sheet_values(b)]
+        if not curve.same_pair(want, got):
+            raise VerificationError(
+                f"declared and recomputed covers disagree at b={b}")
+
+
+def reference_max_product_defect(family, pts) -> float:
+    """The largest ``props`` fibre-product defect."""
+    def product_defect(b: complex) -> float:
+        spts = spectral_points(family.fiber_class_at(b))
+        if spts is None:
+            return 0.0
+        product = spts[0].value * spts[1].value
+        target = family.involution_bundle().restrict_to_fiber(b).factor
+        return family.curve.lattice_distance(product / target)[1]
+
+    defects = [product_defect(b) for b in pts]
+    return max(defects) if defects else 0.0
+
+
+def reference_fibre_mismatch(family, rebuilt, pts) -> str:
+    """The fibre-class check of ``roundtrip_check``: its detail."""
+    for b in pts:
+        if not family.fiber_class_at(b).isomorphic(rebuilt.fiber_class_at(b)):
+            return f"fibre class mismatch at b={b}"
+    return ""
+
+
+def reference_support_mismatch(sheaf, sheaf2, pts) -> str:
+    """The support check of ``torsion_roundtrip_check``: its detail."""
+    curve = sheaf2.support.curve
+    for b in pts:
+        if not curve.same_pair(sheaf.support.values_at(b),
+                               sheaf2.support.values_at(b)):
+            return f"support values differ at b={b}"
+    return ""
+
+
+def reference_has_trivial_sub(family, pts) -> bool:
+    curve = family.curve
+    flags = [True, True]
+    for b in pts:
+        f0, f1 = family.fiber_factors_at(b)
+        flags[0] = flags[0] and curve.in_lattice(f0)
+        flags[1] = flags[1] and curve.in_lattice(f1)
+        if not (flags[0] or flags[1]):
+            return False
+    return flags[0] or flags[1]
+
+
+def reference_sample_rows(cover, pts) -> list[str]:
+    """The CSV lines of ``sample`` after its header."""
+    curve = cover.curve
+    lines = []
+    for b in pts:
+        for sheet, v in enumerate(cover.values_at(b)):
+            alpha = curve.canonical_rep(v).value
+            lines.append(f"{b.real!r},{b.imag!r},{sheet},{alpha.real!r},{alpha.imag!r}")
+    return lines
 
 
 # ============================================================

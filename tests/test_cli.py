@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectral_forge import (QI, BasePoint, FamilySpec, PellMap, TatePoint,
+from spectral_forge import (QI, BasePoint, FamilySpec, PellMap,
                             UnstableFiber, class_add, parse_scenario,
                             point_class, scenario_hash)
 from spectral_forge import cli
@@ -280,6 +280,20 @@ def test_tol_flag_outside_the_unit_interval_exits_two(tmp_path, capsys, tol):
     assert "run.tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("run, flag", [
+    ({"tol": "abc"}, ["--tol", "1e-9"]),
+    ({"samples": -3}, ["--samples", "8"]),
+    ({"seed": "x"}, ["--seed", "1"]),
+], ids=["tol", "samples", "seed"])
+def test_file_run_values_are_checked_under_a_flag(tmp_path, capsys, run, flag):
+    """A flag replaces a run value but does not excuse a bad one in the file."""
+    doc = pell_cover_doc()
+    doc["run"].update(run)
+    path = write(tmp_path, doc)
+    assert run_command(["cover", "--scenario", path, *flag]) == 2
+    assert capsys.readouterr().err.startswith(f"error: run.{next(iter(run))}")
+
+
 def test_schema_error_exits_two(tmp_path, capsys):
     doc = split_doc()
     del doc["surface"]
@@ -485,6 +499,24 @@ def test_float_conversions_do_not_scale_with_samples(tmp_path, monkeypatch):
     assert calls[0] == 0
 
 
+def test_fm_transforms_once(tmp_path, monkeypatch):
+    """The fm report and its round trip share one forward transform."""
+    from spectral_forge import fourier
+    calls = [0]
+    plain = fourier.fm_transform
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(fourier, "fm_transform", counted)
+    monkeypatch.setattr(cli, "fm_transform", counted)
+    path = write(tmp_path, pushforward_doc())
+    assert run_command(["fm", "--scenario", path, "--json",
+                        str(tmp_path / "out.json")]) == 0
+    assert calls[0] == 1
+
+
 def test_main_entry_point_matches(tmp_path, capsys):
     path = write(tmp_path, split_doc())
     assert main(["modify", "--scenario", path]) == 0
@@ -510,13 +542,13 @@ def test_fibre_product_gate_detects_a_moved_point(tmp_path, capsys,
     code, report = run_json(capsys, ["props", "--scenario", path])
     assert code == 0 and report["status"] == "pass"
 
-    plain = cli.spectral_points
+    plain = cli._spectral_arrays
 
-    def moved(fc):
-        first, second = plain(fc)
-        return (TatePoint(first.curve, first.value * 1.3), second)
+    def moved(family, b):
+        first, second, odd = plain(family, b)
+        return first * 1.3, second, odd
 
-    monkeypatch.setattr(cli, "spectral_points", moved)
+    monkeypatch.setattr(cli, "_spectral_arrays", moved)
     code, report = run_json(capsys, ["props", "--scenario", path])
     assert code == 1 and report["status"] == "fail"
     failed = [(c["name"], c["detail"]) for c in report["checks"]
