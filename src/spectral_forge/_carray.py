@@ -49,18 +49,9 @@ def mul(a: "Array | complex", b: "Array | complex") -> Array:
 
 def quot(a: "Array | complex", b: "Array | complex") -> Array:
     """a / b as ``_Py_c_quot``: zero divisors give no error here."""
+    b = np.asarray(b)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     with np.errstate(all="ignore"):
-        if np.ndim(b) == 0:
-            if abs(br) >= abs(bi):
-                ratio = bi / br
-                den = br + bi * ratio
-                return pack((ar + ai * ratio) / den, (ai - ar * ratio) / den)
-            if abs(bi) >= abs(br):
-                ratio = br / bi
-                den = br * ratio + bi
-                return pack((ar * ratio + ai) / den, (ai * ratio - ar) / den)
-            return pack(ar * math.nan, ai * math.nan)
         by_re = np.abs(br) >= np.abs(bi)
         by_im = np.abs(bi) >= np.abs(br)
         r1 = bi / br

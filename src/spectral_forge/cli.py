@@ -35,7 +35,7 @@ from .fourier import (_roundtrip_report, descent_divisor, fm_transform,
                       roundtrip_check, z_action_residual)
 from .scenario import (Scenario, canonical_json, encode_base_point,
                        encode_complex, load_scenario)
-from .spectral import (PellMap, SpectralCover, TwoSections, _max_defect,
+from .spectral import (PellMap, SpectralCover, TwoSections, _fibre_defects,
                        _sample_ladder, invariance_residual)
 from .surface import GroupPresentation, fibre_component_groups, pic_relative
 
@@ -82,16 +82,6 @@ def _cover_and_points(scn: Scenario) -> tuple[SpectralCover, list[complex]]:
 
     return cover, _sample_ladder(scn.samples, abs(cover.curve.tau),
                                  0.05 * scn.seed, reject)
-
-
-def _cover_values(cover: SpectralCover,
-                  pts: list[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """The cover's two sheet values at every sample, each evaluated once;
-    odd samples by ``values_at``, in order, so punctures raise as there."""
-    v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
-    for i in np.flatnonzero(odd).tolist():
-        v0[i], v1[i] = cover.values_at(pts[i])
-    return v0, v1
 
 
 def _invariance_delta(scn: Scenario):
@@ -141,22 +131,14 @@ def _encode_cover(cover: SpectralCover) -> dict:
 def _max_product_defect(fam: FamilySpec, pts: list[complex]) -> float:
     """The largest lattice defect of the product of a fibre's two spectral
     points against the involution bundle's factor (0 on jumped fibres)."""
-    def product_defect(i: int) -> float:
+    def spectral_pair(i: int) -> "tuple[complex, complex] | None":
         spts = spectral_points(fam.fiber_class_at(pts[i]))
-        if spts is None:
-            return 0.0
-        product = spts[0].value * spts[1].value
-        target = fam.involution_bundle().restrict_to_fiber(pts[i]).factor
-        return fam.curve.lattice_distance(product / target)[1]
+        return None if spts is None else (spts[0].value, spts[1].value)
 
     b = np.array(pts, dtype=complex)
-    s0, s1, odd = _spectral_arrays(fam, b)
-    odd |= fam.surface._multiple_mask(b)
-    target = complex(fam.involution_bundle().constant_factor)
-    _, defects, odd_lattice = fam.curve._lattice_distance_array(
-        _carray.quot(_carray.mul(s0, s1), target))
-    defects = _carray.fill_odd(defects, odd | odd_lattice, product_defect)
-    return max(defects.tolist()) if len(pts) else 0.0
+    defects = _fibre_defects(fam.curve, fam.involution_bundle(), pts,
+                             *_spectral_arrays(fam, b), spectral_pair)
+    return max(defects) if defects else 0.0
 
 
 def _encode_group(g: GroupPresentation) -> dict:
@@ -182,19 +164,18 @@ def _envelope(command: str, scn: Scenario) -> dict:
 def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     code = 0
     cover, pts = _cover_and_points(scn)
-    values = None
+    v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
     if scn.cover is not None:
         # evaluate every sample so declared sample points hit punctures loudly
-        values = _cover_values(cover, pts)
+        v0, v1 = _carray.fill_odd(np.stack([v0, v1], axis=1), odd,
+                                  lambda i: cover.values_at(pts[i])).T
+        odd[:] = False
     report = _envelope("cover", scn)
     report["cover"] = _encode_cover(cover)
     delta = _invariance_delta(scn)
     if delta is not None:
-        if values is None:
-            residual = invariance_residual(cover, delta, pts)
-        else:
-            residual = _max_defect(cover, delta, pts, *values,
-                                   np.zeros(len(pts), dtype=bool))
+        residual = max([0.0, *_fibre_defects(cover.curve, delta, pts, v0, v1, odd,
+                                             lambda i: cover.values_at(pts[i]))])
         passed = residual <= scn.tol
         report["invariance"] = {"checked": True, "max_residual": residual,
                                 "passed": passed}

@@ -360,26 +360,33 @@ def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
     """
     pts = _sample_list(samples, cover.curve)
     v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
-    return _max_defect(cover, delta, pts, v0, v1, odd)
+    defects = _fibre_defects(cover.curve, delta, pts, v0, v1, odd,
+                             lambda i: cover.bisection.sheet_values(pts[i]))
+    return max([0.0, *defects])
 
 
-def _max_defect(cover: SpectralCover, delta: LineBundleOnX, pts: list[complex],
-                v0: np.ndarray, v1: np.ndarray, odd: np.ndarray) -> float:
-    """``invariance_residual`` from the sheet values at the samples; odd
-    samples, and those where the restriction or the lattice reduction
-    raises, are measured by the scalar route, in sample order."""
-    curve = cover.curve
+def _fibre_defects(curve: TateCurve, delta: LineBundleOnX, pts: list[complex],
+                   v0: np.ndarray, v1: np.ndarray, odd: np.ndarray,
+                   pair_at: Callable[[int], "tuple[complex, complex] | None"]
+                   ) -> list[float]:
+    """The lattice defect of v0 * v1 against delta's fibre factor at each
+    sample.  Odd samples, multiple fibres and samples the lattice arrays do
+    not follow are measured by the scalar route, in sample order, from
+    ``pair_at(i)``: the two values at sample i, or None where the fibre has
+    none (defect 0)."""
     odd = odd | delta.surface._multiple_mask(np.array(pts, dtype=complex))
     target = complex(delta.constant_factor)
     _, d, lodd = curve._lattice_distance_array(
         _carray.quot(_carray.mul(v0, v1), target))
 
     def defect_at(i: int) -> float:
-        w0, w1 = cover.bisection.sheet_values(pts[i])
+        pair = pair_at(i)
+        if pair is None:
+            return 0.0
         factor = delta.restrict_to_fiber(pts[i]).factor
-        return curve.lattice_distance(w0 * w1 / factor)[1]
+        return curve.lattice_distance(pair[0] * pair[1] / factor)[1]
 
-    return max([0.0, *_carray.fill_odd(d, odd | lodd, defect_at).tolist()])
+    return _carray.fill_odd(d, odd | lodd, defect_at).tolist()
 
 
 def check_invariance(cover: SpectralCover, delta: LineBundleOnX,

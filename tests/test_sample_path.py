@@ -36,7 +36,10 @@ from test_cli import pell_cover_doc, pushforward_doc, write
 from test_spectral import tiny_pell_g0
 
 N = 60_000
-TAUS = (TAU_DYADIC, TAU_GENERIC, TAU_WIDE, 1.05 + 0j, -3 + 0.1j)
+# near 1 the exponents k of a value set span more than the dense table of
+# TateCurve._tau_powers (4,096 powers), so its np.unique route is taken
+TAU_NEAR_ONE = 1 + 1e-4 + 0j
+TAUS = (TAU_DYADIC, TAU_GENERIC, TAU_WIDE, 1.05 + 0j, -3 + 0.1j, TAU_NEAR_ONE)
 
 
 def bits(values) -> np.ndarray:
@@ -131,6 +134,8 @@ def test_canonical_rep_and_lattice_distance_match(tau):
     z = random_values(5)
     v, odd = curve._canonical_array(z)
     assert not odd.any()
+    if tau == TAU_NEAR_ONE:
+        assert np.ptp(np.rint(np.log(np.abs(z)) / math.log(abs(tau)))) > 4096
     assert mismatches(v, [curve.canonical_rep(x).value for x in z.tolist()]) == 0
     k, d, odd = curve._lattice_distance_array(z)
     assert not odd.any()
@@ -173,13 +178,14 @@ def test_square_root_of_negative_reals_keeps_the_signed_zero():
 def edge_values(tau: complex) -> np.ndarray:
     """|v| exactly 1 and |tau|, exact powers of tau, and values within
     about 1e-12 of a rounding edge of canonical_rep (integer log) and of
-    lattice_distance (half-integer log)."""
+    lattice_distance (half-integer log), near |v| = 1 and near 1e+-300."""
     r = abs(tau)
+    far = int(300 / math.log10(r))
     units = [1, -1, 1j, -1j, tau, -tau, 1j * tau, -1j * tau,
              tau.conjugate(), r, -r, 1j * r]
     powers = [tau ** k for k in range(-30, 31)]
     edges = []
-    for n in range(-12, 13):
+    for n in (*range(-12, 13), -far, far):
         for m in range(-40, 41):
             edges.append(r ** n * (1 + m * 2.5e-14))
             edges.append(r ** (n + 0.5) * (1 + m * 2.5e-14) * 1j)
@@ -193,6 +199,8 @@ def test_lattice_edges_match(tau):
     z = edge_values(complex(tau))
     v, odd = curve._canonical_array(z)
     assert not odd.any()
+    if abs(tau) < 1.1:
+        assert np.ptp(np.rint(np.log(np.abs(z)) / math.log(abs(tau)))) > 4096
     assert mismatches(v, [curve.canonical_rep(x).value for x in z.tolist()]) == 0
     k, d, odd = curve._lattice_distance_array(z)
     assert not odd.any()

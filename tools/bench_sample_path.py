@@ -10,7 +10,7 @@ pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 
 The first two use the array forms where the source tree has them, else one
 scalar call per sample, so the same script times an older tree.  Each layer
-is run ``--repeat`` times after one warm-up; best and median seconds are
+is run REPEAT times after one warm-up; best and median seconds are
 kept.  Results are merged into the output file under ``--label``, so two
 runs (one per tree) give the before and after:
 
@@ -40,6 +40,7 @@ DESCRIPTION = (
     "samples; best and median seconds of 'repeat' runs after one warm-up, "
     "one entry of 'runs' per source tree; speedup_best is parent over change.")
 SIZES = (256, 2048, 20_000)
+REPEAT = 7
 SCENARIO = {
     "surface": {"tau": [2.0, 0.0], "theta_degree": 1},
     "family": {"presentation": {
@@ -49,17 +50,17 @@ SCENARIO = {
 }
 
 
-def timed(fn, repeat: int) -> dict:
+def timed(fn) -> dict:
     fn()
     runs = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         fn()
         runs.append(time.perf_counter() - t0)
     return {"best_s": min(runs), "median_s": statistics.median(runs)}
 
 
-def measure(repeat: int, workdir: Path) -> dict:
+def measure(workdir: Path) -> dict:
     import numpy as np
     from spectral_forge import cover_from_family, default_sample_points, parse_scenario
     from spectral_forge.cli import run_command
@@ -94,10 +95,10 @@ def measure(repeat: int, workdir: Path) -> dict:
         argv = ["props", "--scenario", str(path), "--samples", str(n),
                 "--seed", "1", "--json", str(workdir / "props.json")]
         out[str(n)] = {
-            "sheet_values": timed(sheets, repeat),
-            "canonical_rep": timed(canonical, repeat),
-            "cover_from_family": timed(lambda: cover_from_family(family, pts), repeat),
-            "props": timed(lambda: run_command(argv), repeat),
+            "sheet_values": timed(sheets),
+            "canonical_rep": timed(canonical),
+            "cover_from_family": timed(lambda: cover_from_family(family, pts)),
+            "props": timed(lambda: run_command(argv)),
         }
     return out
 
@@ -117,14 +118,13 @@ def main() -> None:
                         help="source tree holding spectral_forge (default: this repo's)")
     parser.add_argument("--label", default="change", help="key of this run in the output")
     parser.add_argument("--out", default=str(ROOT / "BENCH_sample_path.json"))
-    parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args()
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
     import numpy as np
 
     with tempfile.TemporaryDirectory() as tmp:
-        layers = measure(args.repeat, Path(tmp))
+        layers = measure(Path(tmp))
     out_path = Path(args.out)
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
     doc["description"] = DESCRIPTION
@@ -132,7 +132,7 @@ def main() -> None:
         "layers": layers,
         "provenance": {"python": platform.python_version(), "numpy": np.__version__,
                        "machine": platform.machine(), "nproc": os.cpu_count(),
-                       "commit": git_commit(src), "repeat": args.repeat},
+                       "commit": git_commit(src), "repeat": REPEAT},
     }
     runs = doc["runs"]
     if "parent" in runs and "change" in runs:
