@@ -19,6 +19,7 @@ fm/roundtrip on a family with jumps, whose report is still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, Callable, Sequence
 
@@ -345,7 +346,11 @@ _HANDLERS: dict[str, Callable] = {
 # Entry point
 # ============================================================
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls (each call fills a fresh namespace, and a usage
+    error formats its message at the time it is raised)."""
     parser = argparse.ArgumentParser(
         prog="spectral-forge",
         description="Rank-2 bundles on elliptic surfaces over a Tate curve: "

@@ -8,12 +8,16 @@ of line-bundle data along a hyperelliptic double cover) plus an ordered
 journal of elementary modifications.  All invariants are derived, never
 stored twice:
 
-- determinant = presentation determinant twisted by O(-fibre) once per step,
+- determinant = presentation determinant twisted by O(-fibre) for every
+  step, computed from how many steps fall on each multiple fibre and how
+  many elsewhere,
 - c2 = presentation c2 plus the signed degree of each step,
 - the fibre class at a modified point is read off the top of that point's
   push stack, and an allowable (pop) step is the exact inverse of the most
-  recent push there.  The per-point stacks are indexed once per family and
-  extended step by step, so journal bookkeeping is linear in its length.
+  recent push there.  The per-point stacks are indexed once per family.  A
+  parsed journal is replayed in one pass against one mutable index
+  (``_JournalReplay``) and becomes a single family, so journal bookkeeping
+  is linear in its length.
 
 Jumping-sequence bookkeeping follows the stack discipline: pushing degree
 r >= current height prepends r to the sequence, the allowable modification
@@ -29,8 +33,10 @@ twist, computed by pushing the class forward to the base.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -141,6 +147,9 @@ class PopStep:
 
 JournalStep = PushStep | PopStep
 
+# the constant factor of each step's fibre twist, O(-fibre)
+_UNIT_FACTOR = 1.0 / (1.0 + 0j)
+
 
 def _stack_step(stacks: dict[BasePoint, tuple[PushStep, ...]],
                 step: JournalStep) -> None:
@@ -152,6 +161,20 @@ def _stack_step(stacks: dict[BasePoint, tuple[PushStep, ...]],
         raise InvalidFamilyError("pop without a jump in journal")
     else:
         stacks[step.at] = stack[:-1]
+
+
+def _presentation_fiber_class(curve: TateCurve,
+                              data: SplitData | PushforwardData,
+                              b: complex) -> FiberClass:
+    """Fibre class over b of the presentation ``data``, journal ignored."""
+    if isinstance(data, SplitData):
+        return SplitFiber(data.l1.restrict_to_fiber(b),
+                          data.l2.restrict_to_fiber(b))
+    f0, f1 = data.factor_map.sheet_values(b)
+    if curve.point(f0) == curve.point(f1):
+        return AtiyahRegular(TateLineBundle(curve, 0, f0))
+    return SplitFiber(TateLineBundle(curve, 0, f0),
+                      TateLineBundle(curve, 0, f1))
 
 
 # ============================================================
@@ -213,19 +236,33 @@ class FamilySpec:
 
     @cached_property
     def determinant(self) -> LineBundleOnX:
+        """The presentation determinant twisted by O(-fibre) for every
+        journal step: a step on a multiple fibre lowers that fibre's residue
+        by one, any other step lowers the base class by one.  Both come from
+        step counts per point, so the cost does not grow with the journal
+        beyond one counting pass."""
         det = self.presentation_determinant()
-        for step in self.steps:
-            det = det.tensor(self._fibre_twist(step.at).dual())
-        return det
-
-    def _fibre_twist(self, at: BasePoint) -> LineBundleOnX:
-        mults = self.surface.multiple_fibres
-        parts = [0] * len(mults)
-        for i, mf in enumerate(mults):
-            if mf.at == at:
-                parts[i] = 1
-                return LineBundleOnX(self.surface, 0, 1.0 + 0j, tuple(parts))
-        return LineBundleOnX(self.surface, 1, 1.0 + 0j, tuple(parts))
+        if not self.steps:
+            return det
+        parts = list(det.fibre_parts)
+        off_multiple = len(self.steps)
+        for at, n in Counter(step.at for step in self.steps).items():
+            for i, mf in enumerate(self.surface.multiple_fibres):
+                if mf.at == at:
+                    parts[i] -= n
+                    off_multiple -= n
+                    break
+        # Each step's twist has the factor _UNIT_FACTOR = 1+0j, and
+        # multiplying by it is not the identity on every float: a -0.0 part
+        # becomes +0.0 on the first multiply, and an infinite part turns its
+        # partner into nan on the first and itself on the second.  From the
+        # second multiply on nothing changes, so folding in at most two keeps
+        # the bits of one multiply per step.
+        factor = det.constant_factor
+        for _ in range(min(len(self.steps), 2)):
+            factor = factor * _UNIT_FACTOR
+        return LineBundleOnX(self.surface, det.base_class - off_multiple,
+                             factor, tuple(parts))
 
     @cached_property
     def chern(self) -> ChernData:
@@ -292,15 +329,7 @@ class FamilySpec:
 
     def base_fiber_class(self, b: complex) -> FiberClass:
         """Fibre class of the unmodified presentation over b."""
-        curve = self.curve
-        if isinstance(self.data, SplitData):
-            return SplitFiber(self.data.l1.restrict_to_fiber(b),
-                              self.data.l2.restrict_to_fiber(b))
-        f0, f1 = self.data.factor_map.sheet_values(b)
-        if curve.point(f0) == curve.point(f1):
-            return AtiyahRegular(TateLineBundle(curve, 0, f0))
-        return SplitFiber(TateLineBundle(curve, 0, f0),
-                          TateLineBundle(curve, 0, f1))
+        return _presentation_fiber_class(self.curve, self.data, b)
 
     def fiber_class_at(self, b: complex) -> FiberClass:
         """Journal-aware fibre class over a smooth fibre."""
@@ -399,19 +428,28 @@ class JumpRecord:
 # Modification calculus
 # ============================================================
 
-def can_add_jump(family: FamilySpec, at: BasePoint, r: int,
-                 line_point: complex | None = None) -> bool:
-    """Whether a surjection onto a degree-r line bundle exists on the fibre.
+def _unjumped_regular(surface: SurfaceSpec, data: SplitData | PushforwardData,
+                      at: BasePoint) -> bool:
+    """Whether the presentation's fibre over the finite point `at` is
+    regular; it depends on the presentation and the point only."""
+    if surface.is_multiple_point(at):
+        # evaluated on the cyclic cover; the lifted fibre is regular for the
+        # presentations supported here
+        return True
+    return is_regular(_presentation_fiber_class(surface.curve, data,
+                                                at.to_complex()))
 
-    Regular fibres admit every r >= 1.  The split fibre with equal factors
-    admits r >= 2 but not r = 1.  On a fibre already jumped to height h, a
-    further surjection needs r > h, or r = h onto the destabilising sub
-    itself."""
+
+def _push_allowed(stack: Sequence[PushStep] | None,
+                  at: BasePoint, r: int, line_point: complex | None,
+                  curve: TateCurve,
+                  regular: Callable[[BasePoint], bool]) -> bool:
+    """``can_add_jump`` on the push stack at `at`; ``regular(at)`` decides
+    an unjumped fibre and is asked before the degree is looked at."""
     if r < 1:
         return False
     if at.is_infinity:
         return False
-    stack = family._stacks.get(at)
     if stack:
         h = stack[-1].degree
         if r > h:
@@ -420,16 +458,36 @@ def can_add_jump(family: FamilySpec, at: BasePoint, r: int,
             return False
         if line_point is None:
             return False
-        return family.curve.in_lattice(line_point / stack[-1].line_point)
-    if at.x is not None and family.surface.is_multiple_point(at):
-        # evaluated on the cyclic cover; the lifted fibre is regular for the
-        # presentations supported here
-        return True
-    fc = family.base_fiber_class(at.to_complex())
-    if is_regular(fc):
-        return True
-    # non-regular semistable: split with equal factors
-    return r >= 2
+        return curve.in_lattice(line_point / stack[-1].line_point)
+    # non-regular semistable (split with equal factors) needs r >= 2
+    return regular(at) or r >= 2
+
+
+def _check_push(stack: Sequence[PushStep] | None,
+                at: BasePoint, r: int, line_point: complex,
+                curve: TateCurve,
+                regular: Callable[[BasePoint], bool]) -> None:
+    if not _push_allowed(stack, at, r, line_point, curve, regular):
+        raise NoSurjectionError(f"no surjection of degree {r} exists at {at}")
+
+
+def _check_pop(stack: Sequence[PushStep] | None,
+               at: BasePoint) -> None:
+    if not stack:
+        raise NoSurjectionError(f"no jump at {at}; nothing to remove")
+
+
+def can_add_jump(family: FamilySpec, at: BasePoint, r: int,
+                 line_point: complex | None = None) -> bool:
+    """Whether a surjection onto a degree-r line bundle exists on the fibre.
+
+    Regular fibres admit every r >= 1.  The split fibre with equal factors
+    admits r >= 2 but not r = 1.  On a fibre already jumped to height h, a
+    further surjection needs r > h, or r = h onto the destabilising sub
+    itself."""
+    return _push_allowed(family._stacks.get(at), at, r, line_point,
+                         family.curve,
+                         partial(_unjumped_regular, family.surface, family.data))
 
 
 def elem_mod(family: FamilySpec, at: BasePoint, r: int,
@@ -442,18 +500,57 @@ def elem_mod(family: FamilySpec, at: BasePoint, r: int,
     pair (sub of degree r) + (its dual times the determinant)."""
     if r < 1:
         raise ValueError("modification degree must be >= 1")
-    if not can_add_jump(family, at, r, line_point):
-        raise NoSurjectionError(
-            f"no surjection of degree {r} exists at {at}")
+    _check_push(family._stacks.get(at), at, r, line_point, family.curve,
+                partial(_unjumped_regular, family.surface, family.data))
     return family.with_step(PushStep(at, r, line_point))
 
 
 def allowable_mod(family: FamilySpec, at: BasePoint) -> FamilySpec:
     """The canonical modification onto the destabilising quotient; removes
     the head of the jumping sequence at `at`."""
-    if not family._stacks.get(at):
-        raise NoSurjectionError(f"no jump at {at}; nothing to remove")
+    _check_pop(family._stacks.get(at), at)
     return family.with_step(PopStep(at))
+
+
+class _JournalReplay:
+    """A journal replayed in one pass against a presentation: one mutable
+    push stack per point, each step checked as ``elem_mod`` and
+    ``allowable_mod`` check it, and a single ``FamilySpec`` at the end.
+
+    The regularity of an unjumped fibre is computed once per point.  Callers
+    that pass equal points as one object get identity hits in both tables."""
+
+    def __init__(self, surface: SurfaceSpec, data: SplitData | PushforwardData,
+                 base_c2: int) -> None:
+        self.surface = surface
+        self.data = data
+        self.base_c2 = base_c2
+        self.steps: list[JournalStep] = []
+        self.stacks: dict[BasePoint, list[PushStep]] = {}
+        self._regular = cache(partial(_unjumped_regular, surface, data))
+
+    def push(self, at: BasePoint, r: int, line_point: complex) -> None:
+        stack = self.stacks.get(at)
+        _check_push(stack, at, r, line_point, self.surface.curve, self._regular)
+        step = PushStep(at, r, line_point)
+        if stack is None:
+            self.stacks[at] = [step]
+        else:
+            stack.append(step)
+        self.steps.append(step)
+
+    def pop(self, at: BasePoint) -> None:
+        stack = self.stacks.get(at)
+        _check_pop(stack, at)
+        stack.pop()
+        self.steps.append(PopStep(at))
+
+    def family(self) -> FamilySpec:
+        out = FamilySpec(self.surface, self.data, self.base_c2,
+                         tuple(self.steps))
+        # written like cached_property's own store: the dataclass is frozen
+        out.__dict__["_stacks"] = {p: tuple(s) for p, s in self.stacks.items()}
+        return out
 
 
 def jumping_sequence(family: FamilySpec, at: BasePoint) -> JumpRecord:

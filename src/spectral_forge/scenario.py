@@ -25,8 +25,9 @@ from typing import Any
 
 from .covers import BasePoint, DivisorClass, HyperCover, Poly, QI
 from .errors import NoSurjectionError, SchemaError
-from .families import FamilySpec, allowable_mod, elem_mod
-from .spectral import PellMap, SpectralCover, TwoSections
+from .families import FamilySpec, PushforwardData, SplitData, _JournalReplay
+from .spectral import (PellMap, SpectralCover, TwoSections,
+                       bisection_torus_degree)
 from .surface import LineBundleOnX, MultipleFibre, SurfaceSpec
 from .tate import TateCurve
 
@@ -51,7 +52,8 @@ __all__ = [
 
 def parse_complex(value: Any, where: str) -> complex:
     if (not isinstance(value, list) or len(value) != 2
-            or not all(isinstance(x, (int, float)) for x in value)):
+            or not isinstance(value[0], (int, float))
+            or not isinstance(value[1], (int, float))):
         raise SchemaError(f"{where}: expected [re, im], got {value!r}")
     return complex(float(value[0]), float(value[1]))
 
@@ -299,12 +301,11 @@ def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
             raise SchemaError(
                 "family.presentation.base_classes: expected 2 integers")
         try:
-            fam = FamilySpec.split(
-                surface,
-                LineBundleOnX(surface, bases[0], f1),
-                LineBundleOnX(surface, bases[1], f2))
+            data = SplitData(LineBundleOnX(surface, bases[0], f1),
+                             LineBundleOnX(surface, bases[1], f2))
         except ValueError as exc:
             raise SchemaError(f"family.presentation: {exc}") from exc
+        base_c2 = 0
     elif kind == "pushforward":
         cover = _parse_cover_curve(pres.get("cover"), "family.presentation.cover")
         fmap = _parse_pell_map(pres.get("map"), cover, "family.presentation.map")
@@ -318,15 +319,23 @@ def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
         if base_c2 is not None and not isinstance(base_c2, int):
             raise SchemaError("family.presentation.c2: expected an integer")
         try:
-            fam = FamilySpec.pushforward(surface, cover, fmap, twist, torsion,
-                                         base_c2)
+            data = PushforwardData(cover, fmap, twist, torsion)
+            if base_c2 is None:
+                # the default of FamilySpec.pushforward
+                base_c2 = bisection_torus_degree(fmap.inverse())
         except ValueError as exc:
             raise SchemaError(f"family.presentation: {exc}") from exc
     else:
         raise SchemaError(f"family.presentation.type: unknown kind {kind!r}")
+    # One pass: each step is parsed and then replayed before the next is
+    # read, so the first bad step is the one reported, whatever its kind.
+    journal = _JournalReplay(surface, data, base_c2)
+    spelled: dict[tuple[int, ...], BasePoint] = {}
+    interned: dict[BasePoint, BasePoint] = {}
     for i, step in enumerate(value.get("modifications", [])):
-        fam = _apply_step(fam, step, f"family.modifications[{i}]")
-    return fam
+        _replay_step(journal, step, f"family.modifications[{i}]",
+                     spelled, interned)
+    return journal.family()
 
 
 def _parse_torsion_pairs(value: Any, where: str) -> tuple[tuple[int, int], ...]:
@@ -341,12 +350,39 @@ def _parse_torsion_pairs(value: Any, where: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _apply_step(fam: FamilySpec, step: Any, where: str) -> FamilySpec:
-    """Replay one journal entry; a step the family cannot take makes the
-    scenario malformed, so it is reported as a schema error at `where`."""
+# the element types of a base point spelled as four plain integers
+_FOUR_INTS = [int] * 4
+
+
+def _journal_point(value: Any, where: str,
+                   spelled: dict[tuple[int, ...], BasePoint],
+                   interned: dict[BasePoint, BasePoint]) -> BasePoint:
+    """``parse_base_point`` of step `where`'s point, with per-parse tables:
+    a spelling seen before (four plain integers) is not parsed again, and
+    equal points share the first-seen object, so stack lookups meet
+    identical keys."""
+    key = None
+    if type(value) is list and list(map(type, value)) == _FOUR_INTS:
+        key = tuple(value)
+        point = spelled.get(key)
+        if point is not None:
+            return point
+    point = parse_base_point(value, f"{where}.at")
+    point = interned.setdefault(point, point)
+    if key is not None:
+        spelled[key] = point
+    return point
+
+
+def _replay_step(journal: _JournalReplay, step: Any, where: str,
+                 spelled: dict[tuple[int, ...], BasePoint],
+                 interned: dict[BasePoint, BasePoint]) -> None:
+    """Parse one journal entry and replay it; a step the family cannot take
+    makes the scenario malformed, so it is reported as a schema error at
+    `where`."""
     if not isinstance(step, dict) or "op" not in step:
         raise SchemaError(f"{where}: expected an object with op")
-    at = parse_base_point(step.get("at"), f"{where}.at")
+    at = _journal_point(step.get("at"), where, spelled, interned)
     op = step["op"]
     if op == "push":
         degree = step.get("degree", 1)
@@ -360,8 +396,9 @@ def _apply_step(fam: FamilySpec, step: Any, where: str) -> FamilySpec:
         raise SchemaError(f"{where}.op: unknown op {op!r}")
     try:
         if op == "push":
-            return elem_mod(fam, at, degree, point)
-        return allowable_mod(fam, at)
+            journal.push(at, degree, point)
+        else:
+            journal.pop(at)
     except NoSurjectionError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

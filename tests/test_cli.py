@@ -7,17 +7,23 @@ output, CSV sampling.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from spectral_forge import (QI, BasePoint, FamilySpec, PellMap,
+from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX, PellMap,
                             UnstableFiber, class_add, parse_scenario,
                             point_class, scenario_hash)
-from spectral_forge import cli
+from spectral_forge import cli, families
 from spectral_forge.cli import main, run_command
 from conftest import cover_g2
 
@@ -349,20 +355,42 @@ def test_missing_family_section_exits_two(tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("steps,bad", [
-    ([{"op": "pop", "at": [3, 1, 0, 1]}], 0),
-    ([{"op": "push", "at": [3, 1, 0, 1], "degree": 2},
-      {"op": "push", "at": [3, 1, 0, 1], "degree": 1}], 1),
-    ([{"op": "push", "at": [3, 1, 0, 1], "line_point": [0.0, 0.0]}], 0),
-], ids=["pop-unjumped", "push-below-height", "zero-line-point"])
+P3 = [3, 1, 0, 1]
+
+
+@pytest.mark.parametrize("steps,err", [
+    ([{"op": "pop", "at": P3}],
+     "family.modifications[0]: no jump at BasePoint(3); nothing to remove"),
+    ([{"op": "push", "at": P3, "degree": 2},
+      {"op": "push", "at": P3, "degree": 1}],
+     "family.modifications[1]: no surjection of degree 1 exists at BasePoint(3)"),
+    ([{"op": "push", "at": P3, "line_point": [0.0, 0.0]}],
+     "family.modifications[0].line_point: must be nonzero"),
+    # parse and replay interleave: the first bad step is reported
+    ([{"op": "push", "at": P3, "degree": 2},
+      {"op": "push", "at": P3, "degree": 1},
+      {"op": "flip", "at": P3}],
+     "family.modifications[1]: no surjection of degree 1 exists at BasePoint(3)"),
+    ([{"op": "push", "at": P3, "degree": 0},
+      {"op": "pop", "at": [0, 1, 3, 1]}],
+     "family.modifications[0].degree: expected integer >= 1"),
+    ([{"op": "push", "at": "inf"}],
+     "family.modifications[0]: no surjection of degree 1 exists at BasePoint(inf)"),
+    # equal height needs the same line point up to the lattice; [6, 2, 0, 1]
+    # is another spelling of 3
+    ([{"op": "push", "at": P3, "degree": 2, "line_point": [1.7, 0.0]},
+      {"op": "push", "at": [6, 2, 0, 1], "degree": 2, "line_point": [1.9, 0.0]}],
+     "family.modifications[1]: no surjection of degree 2 exists at BasePoint(3)"),
+], ids=["pop-unjumped", "push-below-height", "zero-line-point",
+        "impossible-then-malformed", "malformed-then-impossible",
+        "push-at-infinity", "equal-height-off-lattice"])
 def test_malformed_journal_exits_two_and_names_the_step(tmp_path, capsys,
-                                                         steps, bad):
+                                                         steps, err):
     doc = split_doc()
     doc["family"]["modifications"] = steps
     path = write(tmp_path, doc)
     assert run_command(["modify", "--scenario", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: family.modifications[{bad}]")
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_chern_stack_gate_detects_a_lost_push(tmp_path, capsys, monkeypatch):
@@ -466,6 +494,115 @@ def test_journal_points_hash_once(tmp_path, monkeypatch):
         assert run_command([cmd, "--scenario", path, "--json",
                             str(tmp_path / "out.json")]) == 0
         assert calls[0] <= 2 * 800, (cmd, calls[0])
+
+
+@pytest.mark.parametrize("make_doc", [split_doc, pushforward_doc],
+                         ids=["split", "pushforward"])
+def test_journal_parse_builds_one_family(monkeypatch, make_doc):
+    """Counts, not time: an 800-step journal is replayed against one stack
+    index into a single family, with no family per step and no Fraction
+    comparison (the pushforward presentation makes a few of its own)."""
+    counts = {"init": 0, "replace": 0, "eq": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(FamilySpec, "__init__",
+                        counted("init", FamilySpec.__init__))
+    monkeypatch.setattr(dataclasses, "replace",
+                        counted("replace", dataclasses.replace))
+    monkeypatch.setattr(families, "replace", counted("replace", families.replace))
+    monkeypatch.setattr(Fraction, "__eq__", counted("eq", Fraction.__eq__))
+    seen = {}
+    for length in (0, 800):
+        doc = make_doc()
+        doc["family"]["modifications"] = split_journal(length)
+        for key in counts:
+            counts[key] = 0
+        fam = parse_scenario(doc).family
+        assert len(fam.steps) == length
+        seen[length] = dict(counts)
+    assert seen[800]["init"] == 1 and seen[800]["replace"] == 0, seen
+    assert seen[800]["eq"] == seen[0]["eq"], seen
+    if make_doc is split_doc:
+        assert seen[800]["eq"] == 0, seen
+
+
+def test_determinant_cost_does_not_grow_with_the_journal(monkeypatch):
+    """The determinant is built from step counts: the same number of line
+    bundles at 200 and at 1,600 steps."""
+    calls = [0]
+    plain = LineBundleOnX.__post_init__
+
+    def counted(self):
+        calls[0] += 1
+        plain(self)
+
+    monkeypatch.setattr(LineBundleOnX, "__post_init__", counted)
+    counts = {}
+    for length in (200, 1600):
+        doc = split_doc()
+        doc["family"]["modifications"] = split_journal(length)
+        fam = parse_scenario(doc).family
+        calls[0] = 0
+        fam.determinant
+        counts[length] = calls[0]
+    assert counts[200] == counts[1600], counts
+
+
+def test_parser_is_built_once_and_reports_match_fresh_processes(
+        tmp_path, capsys, monkeypatch):
+    """One process runs sample --csv, modify, a call argparse rejects, and
+    props; each exit code, output and CSV equals that of a fresh process,
+    and the argument parser is built at most once over the four calls."""
+    monkeypatch.setenv("COLUMNS", "80")
+    built = [0]
+    plain = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        return plain(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    path = write(tmp_path, readme_doc())
+    calls = [["sample", "--scenario", path, "--csv", "rows.csv"],
+             ["modify", "--scenario", path],
+             ["modify", "--scenario", path, "--csv", "rows.csv"],
+             ["props", "--scenario", path, "--samples", "8"]]
+
+    def csv_bytes(cwd: Path) -> "bytes | None":
+        csv = cwd / "rows.csv"
+        if not csv.exists():
+            return None
+        data = csv.read_bytes()
+        csv.unlink()
+        return data
+
+    here, fresh_dir = tmp_path / "in", tmp_path / "fresh"
+    here.mkdir()
+    fresh_dir.mkdir()
+    monkeypatch.chdir(here)
+    in_process = []
+    for argv in calls:
+        try:
+            code = run_command(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        in_process.append((code, out, err, csv_bytes(here)))
+    assert built[0] <= 1
+    assert [r[0] for r in in_process] == [0, 0, 2, 0]
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for argv, got in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "spectral_forge.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=fresh_dir, timeout=120)
+        assert got == (proc.returncode, proc.stdout, proc.stderr,
+                       csv_bytes(fresh_dir)), argv
 
 
 def test_float_conversions_do_not_scale_with_samples(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ between a family and its recomputed spectral cover.
 
 from __future__ import annotations
 
+import json
 import random
 import struct
 from dataclasses import replace
@@ -23,6 +24,7 @@ from spectral_forge import (
     InvalidFamilyError,
     NoSurjectionError,
     PellMap,
+    PushStep,
     QI,
     SplitFiber,
     TwoSections,
@@ -39,6 +41,7 @@ from spectral_forge import (
     is_regular,
     jump_report,
     jumping_sequence,
+    parse_scenario,
 )
 from conftest import (
     TAU_DYADIC,
@@ -331,6 +334,65 @@ def test_journal_index_matches_linear_replay(signed_zero, ops):
     # a shorter journal never inherits the longer one's index
     for k in (0, len(fam.steps) // 2):
         assert_matches_replay(replace(fam, steps=fam.steps[:k]))
+
+
+# Scenario spellings of JOURNAL_POINTS, index for index; 6/2 spells 3 again.
+JOURNAL_SPELLINGS = ([3, 1, 0, 1], [6, 2, 0, 1], [5, 1, 0, 1], [-2, 1, 0, 1],
+                     [0, 1, 3, 1], [5, 2, 1, 1], [7, 1, -1, 1], [-4, 1, 0, 1])
+
+
+def journal_doc(fam: FamilySpec) -> dict:
+    """The scenario document of a split family on surf_m23 and its journal,
+    each point spelled as the JOURNAL_POINTS entry it was built from."""
+    def spell(at: BasePoint) -> list[int]:
+        return JOURNAL_SPELLINGS[next(i for i, p in enumerate(JOURNAL_POINTS)
+                                      if p is at)]
+
+    mods = []
+    for step in fam.steps:
+        if isinstance(step, PushStep):
+            lp = step.line_point
+            mods.append({"op": "push", "at": spell(step.at),
+                         "degree": step.degree, "line_point": [lp.real, lp.imag]})
+        else:
+            mods.append({"op": "pop", "at": spell(step.at)})
+    factors = [[z.real, z.imag] for z in (fam.data.l1.constant_factor,
+                                          fam.data.l2.constant_factor)]
+    return {"surface": {"tau": [2.0, 0.0], "multiple_fibres": [
+                {"at": [5, 1, 0, 1], "m": 2}, {"at": [-7, 1, 0, 1], "m": 3}]},
+            "family": {"presentation": {"type": "split", "factors": factors},
+                       "modifications": mods}}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.booleans(), JOURNAL_OPS)
+def test_parsed_journal_matches_elem_mod_family(signed_zero, ops):
+    """The scenario parser's one-pass replay gives the family elem_mod and
+    allowable_mod build step by step, through JSON."""
+    fam = journal_family(signed_zero, ops)
+    parsed = parse_scenario(json.loads(json.dumps(journal_doc(fam)))).family
+    assert parsed == fam and hash(parsed) == hash(fam)
+    assert repr(parsed) == repr(fam)
+    assert_matches_replay(parsed)
+
+
+@pytest.mark.parametrize("factors,first", [
+    ((complex(0.7, -0.0), complex(1.3, -0.0)), ("0x1.d1eb851eb851ep-1", "-0x0.0p+0")),
+    ((1e200 + 0j, 3e200 + 0j), ("inf", "0x0.0p+0")),
+], ids=["signed-zero", "overflow"])
+def test_determinant_factor_keeps_the_per_step_bits(factors, first):
+    """Each step's twist multiplies the factor by 1+0j.  That turns a -0.0
+    part into +0.0 once, and an infinite factor into nan over two steps;
+    the step counts must keep those bits at every journal length."""
+    fam = split_family(surf_m23(), *factors)
+    assert float_bits(fam.determinant.constant_factor) == first
+    for at in (X0, BasePoint.of(5), X1, BasePoint.of(-7)):
+        fam = elem_mod(fam, at, 1, NU)
+        want = replay_determinant(fam)
+        assert (fam.determinant.base_class, fam.determinant.fibre_parts) == (
+            want.base_class, want.fibre_parts)
+        assert float_bits(fam.determinant.constant_factor) == float_bits(
+            want.constant_factor)
 
 
 def test_equal_points_share_one_stack():

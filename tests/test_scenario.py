@@ -195,6 +195,28 @@ def test_modification_steps_apply_in_order():
     assert [s.degree for s in fam.jump_stack(BasePoint.of(3))] == [2]
 
 
+def test_journal_regularity_is_decided_per_point():
+    """Equal split factors make every plain fibre non-regular (degree 1 is
+    refused) while the multiple fibre at 5 counts as regular; the replay
+    must decide each point for itself, whichever it meets first."""
+    doc = split_doc()
+    doc["surface"]["multiple_fibres"] = [{"at": [5, 1, 0, 1], "m": 2}]
+    doc["family"]["presentation"]["factors"] = [[0.7, 0.1], [0.7, 0.1]]
+    at5, at3 = [5, 1, 0, 1], [3, 1, 0, 1]
+    doc["family"]["modifications"] = [
+        {"op": "push", "at": at3, "degree": 2},
+        {"op": "push", "at": at5, "degree": 1}]
+    fam = parse_scenario(doc).family
+    assert fam.jump_points() == [BasePoint.of(3), BasePoint.of(5)]
+    doc["family"]["modifications"] = [
+        {"op": "push", "at": at5, "degree": 1},
+        {"op": "push", "at": at3, "degree": 1}]
+    with pytest.raises(SchemaError, match=re.escape(
+            "family.modifications[1]: no surjection of degree 1 exists at "
+            "BasePoint(3)")):
+        parse_scenario(doc)
+
+
 def test_cover_and_determinant_sections_parse():
     doc = {
         "surface": {"tau": [2.0, 0.0]},

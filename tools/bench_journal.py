@@ -1,0 +1,174 @@
+"""Per-layer timings of journal replay, written to BENCH_journal.json.
+
+Times five layers on push/pop journals of 200, 400, 800 and 1,600 steps
+over eight base points (three pushes to two pops at each), on the split
+family at tau = 2 and on the genus-1 pushforward family (w^2 = b^3 + 1,
+map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
+
+- ``parse_scenario``: the scenario document to a family, journal replayed;
+- ``determinant``: ``FamilySpec.determinant`` of the parsed family, its
+  cached value dropped before each run;
+- ``modify``, ``props``, ``cover``: the CLI reports at 32 samples, in
+  process, scenario file included.
+
+Each layer is run REPEAT times after one warm-up; best and median seconds
+are kept.  Results are merged into the output file under ``--label``, so
+two runs (one per tree) give the before and after:
+
+    python tools/bench_journal.py --src /path/to/parent/src --label parent
+    python tools/bench_journal.py --label change
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DESCRIPTION = (
+    "Per-layer timings of journal replay, written by tools/bench_journal.py: "
+    "parse_scenario, FamilySpec.determinant and the CLI modify, props and "
+    "cover reports (32 samples, in process) on push/pop journals of 200 to "
+    "1600 steps over 8 points, for the split family and the genus-1 "
+    "pushforward family at tau = 2; best and median seconds of 'repeat' "
+    "runs after one warm-up, one entry of 'runs' per source tree; "
+    "speedup_best is parent over change.")
+LENGTHS = (200, 400, 800, 1600)
+REPEAT = 7
+COMMANDS = ("modify", "props", "cover")
+F_G1 = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
+PRESENTATIONS = {
+    "split-t2": {"type": "split", "factors": [[0.7, 0.1], [1.3, -0.2]]},
+    "push-g1-t2": {"type": "pushforward", "cover": {"f": F_G1},
+                   "map": {"p": [[3, 1, 0, 1]], "q": [[1, 1, 0, 1]],
+                           "s": [1, 1, 0, 1]}},
+}
+# Away from the sample circle |b| = 2, the branch points of b^3 + 1 and the
+# poles b^3 = 8 of the genus-1 map.
+POINTS = ([3, 1, 0, 1], [-3, 1, 0, 1], [0, 1, 3, 1], [0, 1, -3, 1],
+          [5, 2, 1, 1], [-5, 2, -1, 1], [7, 3, 0, 1], [1, 2, 5, 2])
+
+
+def journal(length: int) -> list[dict]:
+    """A valid journal: pops only on jumped fibres, pushes never below the
+    current height (equal height reuses the line point)."""
+    rng = random.Random(length)
+    per_point = length // len(POINTS)
+    order = [i for i in range(len(POINTS)) for _ in range(per_point)]
+    rng.shuffle(order)
+    pops_left = [per_point * 2 // 5] * len(POINTS)
+    pushes_left = [per_point - q for q in pops_left]
+    stacks: list[list[int]] = [[] for _ in POINTS]
+    steps = []
+    for i in order:
+        stack, at = stacks[i], POINTS[i]
+        p, q = pushes_left[i], pops_left[i]
+        if stack and q and (not p or rng.random() < q / (p + q)):
+            pops_left[i] -= 1
+            stack.pop()
+            steps.append({"op": "pop", "at": at})
+            continue
+        pushes_left[i] -= 1
+        degree = (stack[-1] if stack else 1) + rng.randrange(2)
+        stack.append(degree)
+        steps.append({"op": "push", "at": at, "degree": degree,
+                      "line_point": [1.7, 0.0]})
+    return steps
+
+
+def timed(fn) -> dict:
+    fn()
+    runs = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - t0)
+    return {"best_s": min(runs), "median_s": statistics.median(runs)}
+
+
+def measure(workdir: Path) -> dict:
+    from spectral_forge import parse_scenario
+    from spectral_forge.cli import run_command
+
+    out: dict = {}
+    for name, pres in PRESENTATIONS.items():
+        out[name] = {}
+        for length in LENGTHS:
+            doc = {"surface": {"tau": [2.0, 0.0], "theta_degree": 1},
+                   "family": {"presentation": pres,
+                              "modifications": journal(length)}}
+            path = workdir / f"{name}-{length}.json"
+            path.write_text(json.dumps(doc))
+            family = parse_scenario(doc).family
+
+            def determinant():
+                family.__dict__.pop("determinant", None)
+                return family.determinant
+
+            row = {"parse_scenario": timed(lambda: parse_scenario(doc)),
+                   "determinant": timed(determinant)}
+            for cmd in COMMANDS:
+                argv = [cmd, "--scenario", str(path), "--samples", "32",
+                        "--json", str(workdir / "report.json")]
+                row[cmd] = timed(lambda: run_command(argv))
+            out[name][str(length)] = row
+    return out
+
+
+def git_commit(src: Path) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, timeout=10)
+    except OSError:
+        return None
+    return proc.stdout.strip() or None
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source tree holding spectral_forge (default: this repo's)")
+    parser.add_argument("--label", default="change", help="key of this run in the output")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_journal.json"))
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        layers = measure(Path(tmp))
+    out_path = Path(args.out)
+    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
+    doc["description"] = DESCRIPTION
+    doc.setdefault("runs", {})[args.label] = {
+        "layers": layers,
+        "provenance": {"python": platform.python_version(),
+                       "machine": platform.machine(), "nproc": os.cpu_count(),
+                       "commit": git_commit(src), "repeat": REPEAT},
+    }
+    runs = doc["runs"]
+    if "parent" in runs and "change" in runs:
+        before, after = runs["parent"]["layers"], runs["change"]["layers"]
+        doc["speedup_best"] = {
+            name: {n: {layer: round(before[name][n][layer]["best_s"]
+                                    / t["best_s"], 2)
+                       for layer, t in row.items()}
+                   for n, row in after[name].items()}
+            for name in after}
+    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for name, rows in layers.items():
+        for n, row in rows.items():
+            print(name, n, " ".join(f"{k}={v['best_s'] * 1e3:.2f}ms"
+                                    for k, v in row.items()))
+
+
+if __name__ == "__main__":
+    main()
