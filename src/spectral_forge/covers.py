@@ -12,12 +12,19 @@ Degree-0 divisor classes are stored in Mumford form (u, v) with u monic,
 deg v < deg u, u | v**2 - f, balanced by a multiple of infinity; the
 ``DivisorClass`` constructor checks these invariants, and the group law,
 which preserves them, builds its results without the check.  Group law is
-Cantor composition plus reduction to deg u <= g.  A polynomial is held as
-its canonical integer image (one common denominator, Gaussian-integer
-numerators): sums, products and divisions run on images, and the Q(i)
-coefficients are built only when something reads them, so the group law
-makes no Q(i) number.  No floating point enters the group law; float
-evaluation of the curve is provided separately for sampling.
+Cantor composition plus reduction to deg u <= g.  When the supports are
+coprime, composition is the CRT lift v = v1 + u1 (e1 (v2 - v1) mod u2), with
+e1 u1 = 1 mod u2, whose degree is already below deg u1 u2; Cantor's general
+numerator is left to supports that share a point (doubling, D + iota(D)).
+A polynomial is held as its canonical integer image (one common denominator,
+Gaussian-integer numerators): sums, products and divisions run on images,
+and the Q(i) coefficients are built only when something reads them, so the
+group law makes no Q(i) number.  A division multiplies its remainder only by
+the least integer that makes the next quotient digit integral.  Cantor's
+exact divisions by a monic u over Q need no multiplier at all (Gauss's
+lemma), so the group law handles integers near the height of its results.
+No floating point enters the group law; float evaluation of the curve is
+provided separately for sampling.
 
 Two independent decision procedures for principality are provided:
 
@@ -339,11 +346,15 @@ class Poly:
     def _pseudo_divmod(self, o: "Poly") -> tuple[_Image, _Image]:
         """Quotient and remainder as integer images.
 
-        Pseudo-division over Z[i]: with r, d the images of self and o and L
-        the leading numerator of d, L^k r = q d + rem (k = deg r - deg d + 1).
-        Dividing by L^k goes through conj(L)^k and the norm N(L)^k, so the
-        quotient is q conj(L)^k den_o / (N^k den_r) and the remainder
-        rem conj(L)^k / (N^k den_r)."""
+        Divides the numerators r of self over Z[i] by d, the numerators of o
+        over their rational-integer content c.  Each step removes the top
+        coefficient t of r with the digit t / L, L = lead(d).  When L does not
+        divide t, r and the digits so far are first multiplied by the least
+        integer that makes it divide, N(L) / gcd(N(L), Re T, Im T) with
+        T = t conj(L).  So M r = q d + rem, M the product of the multipliers;
+        M = 1 when o divides self and no Gaussian prime divides all of d
+        (Gauss's lemma).  The quotient is q den_o / (M c den_r) and the
+        remainder rem / (M den_r)."""
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         m = o.degree
@@ -352,34 +363,29 @@ class Poly:
         if k <= 0:
             return (1, [], []), (dr, rr[:], ri[:])
         do, orr, oi = o._image
+        c = gcd(*orr, *oi)
+        if c != 1:
+            orr, oi = [a // c for a in orr], [b // c for b in oi]
         rr, ri = rr[:], ri[:]
+        # t / L is t conj(L) / N(L), or t sgn(L) / |L| when L is real
         lr, li = orr[m], oi[m]
+        pr, pi, n = (lr, -li, lr * lr + li * li) if li else (1 if lr > 0 else -1, 0, abs(lr))
         qr, qi = [0] * k, [0] * k
         for j in range(k - 1, -1, -1):
             tr, ti = rr.pop(), ri.pop()
-            for s in range(j + 1, k):
-                qr[s], qi[s] = qr[s] * lr - qi[s] * li, qr[s] * li + qi[s] * lr
-            qr[j], qi[j] = tr, ti
-            for s in range(j + m):
-                a, b = rr[s], ri[s]
-                rr[s], ri[s] = a * lr - b * li, a * li + b * lr
-            if tr or ti:
-                for s in range(m):
-                    a, b = orr[s], oi[s]
-                    rr[j + s] -= tr * a - ti * b
-                    ri[j + s] -= tr * b + ti * a
-        # 1 / L^k = (cr + ci i) / n: conj(L)^k / N(L)^k, or 1 / L^k for real L
-        cr, ci, n = 1, 0, lr ** k
-        if li:
-            n = 1
-            for _ in range(k):
-                cr, ci = cr * lr + ci * li, ci * lr - cr * li
-                n *= lr * lr + li * li
-        den = n * dr
-        return ((den, [(a * cr - b * ci) * do for a, b in zip(qr, qi)],
-                 [(a * ci + b * cr) * do for a, b in zip(qr, qi)]),
-                (den, [a * cr - b * ci for a, b in zip(rr, ri)],
-                 [a * ci + b * cr for a, b in zip(rr, ri)]))
+            tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
+            g = gcd(n, tr, ti)
+            if g != n:
+                s = n // g
+                dr *= s
+                rr, ri = [a * s for a in rr], [b * s for b in ri]
+                qr, qi = [a * s for a in qr], [b * s for b in qi]
+            qr[j], qi[j] = tr, ti = tr // g, ti // g
+            for s in range(m):
+                a, b = orr[s], oi[s]
+                rr[j + s] -= tr * a - ti * b
+                ri[j + s] -= tr * b + ti * a
+        return (dr * c, [a * do for a in qr], [b * do for b in qi]), (dr, rr, ri)
 
     def divmod(self, o: "Poly") -> tuple["Poly", "Poly"]:
         q, r = self._pseudo_divmod(o)
@@ -657,6 +663,10 @@ def mumford_compose(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
     f = d1.cover.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
     g1, e1 = u1._gcd_cofactor(u2)
+    if g1.degree == 0:
+        # coprime supports: v = v1 mod u1, and v = v2 mod u2 as e1 u1 = 1 mod u2
+        v = v1 + u1 * (e1 * (v2 - v1) % u2)
+        return _group_law_class(d1.cover, u1 * u2, v, d1.inf_mult + d2.inf_mult)
     g, c1, c2 = g1.xgcd(v1 + v2)
     u = (u1 * u2).exact_div(g * g)
     # Cantor's numerator s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f), with s1 = c1 e1,

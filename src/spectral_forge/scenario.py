@@ -18,6 +18,7 @@ Encoding conventions (documented here and in the README):
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 from dataclasses import dataclass
@@ -55,7 +56,13 @@ def parse_complex(value: Any, where: str) -> complex:
             or not isinstance(value[0], (int, float))
             or not isinstance(value[1], (int, float))):
         raise SchemaError(f"{where}: expected [re, im], got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        z = complex(float(value[0]), float(value[1]))
+        if cmath.isfinite(z):
+            return z
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise SchemaError(f"{where}: expected finite [re, im], got {value!r}")
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -295,6 +302,9 @@ def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
             raise SchemaError("family.presentation.factors: expected 2 entries")
         f1 = parse_complex(factors[0], "family.presentation.factors[0]")
         f2 = parse_complex(factors[1], "family.presentation.factors[1]")
+        if not cmath.isfinite(f1 * f2):
+            raise SchemaError("family.presentation.factors: the product of "
+                              "the factors is not finite")
         bases = pres.get("base_classes", [0, 0])
         if (not isinstance(bases, list) or len(bases) != 2
                 or not all(isinstance(b, int) for b in bases)):

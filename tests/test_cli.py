@@ -311,6 +311,25 @@ def test_schema_error_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd", ["cover", "fm", "props", "roundtrip", "modify"])
+@pytest.mark.parametrize("factors, where", [
+    ([[1e200, 0], [3e200, 0]], "family.presentation.factors:"),
+    ([[float("inf"), 0], [1, 0]], "family.presentation.factors[0]:"),
+    ([[1, 0], [0, float("nan")]], "family.presentation.factors[1]:"),
+    ([[10 ** 400, 0], [1, 0]], "family.presentation.factors[0]:"),
+], ids=["overflowing-product", "infinite", "nan", "huge-integer"])
+def test_non_finite_split_factors_exit_two(tmp_path, capsys, cmd, factors, where):
+    """Caught by the parser, with or without a journal; the reports used to
+    raise a traceback, or print NaN factors and exit 0."""
+    doc = split_doc()
+    doc["family"]["presentation"]["factors"] = factors
+    for journal in ([], [{"op": "push", "at": [3, 1, 0, 1], "degree": 2}]):
+        doc["family"]["modifications"] = journal
+        path = write(tmp_path, doc)
+        assert run_command([cmd, "--scenario", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
 def test_puncture_at_declared_point_exits_64(tmp_path, capsys):
     doc = {
         "surface": {"tau": [2.0, 0.0]},

@@ -29,6 +29,7 @@ from spectral_forge import (
     in_prym,
     point_class,
 )
+from spectral_forge import covers
 from spectral_forge.covers import (
     _poly_over,
     cantor_reduce,
@@ -226,6 +227,11 @@ EDGE_CASES = [
     (Poly.of(5), Poly((QI.of(1), QI.of(0), QI(Fraction(2, 3), Fraction(-1))))),
     (Poly((HUGE, QI.of(1, 1), HUGE)), Poly((QI.of(-2), HUGE.conj()))),
     (Poly((QI.of(7), HUGE)), Poly((HUGE, QI.of(0), QI.of(2, -3)))),
+    # divisors whose division takes an exact step, then steps that need a
+    # multiplier: rational content 2 (3 divides 6 but not 1), and lead 1 + i
+    # (which divides 2 but not -1 + 2i)
+    (Poly.of(7, 1, 5, 6), Poly.of(4, 6)),
+    (Poly.of(3, 1, 2), Poly((QI.of(2), QI.of(1, 1)))),
 ]
 
 
@@ -348,6 +354,30 @@ def same_class(d, u, v, inf) -> bool:
             and d.inf_mult == inf)
 
 
+def add_matches_sympy(cov: HyperCover, d: DivisorClass,
+                      e: DivisorClass) -> DivisorClass:
+    """d + e by compose and reduce, each checked against sympy's Q(i) from
+    the exact inputs; returns the sum."""
+    f = to_sympy(cov.f)
+    u, v, g = sympy_compose(f, to_sympy(d.u), to_sympy(d.v),
+                            to_sympy(e.u), to_sympy(e.v))
+    inf = d.inf_mult + e.inf_mult - 2 * g
+    composed = mumford_compose(d, e)
+    assert same_class(composed, u, v, inf)
+    ru, rv = sympy_reduce(f, u, v, cov.genus)
+    rinf = inf - (u.degree() - ru.degree())
+    assert same_class(cantor_reduce(composed), ru, rv, rinf)
+    total = class_add(d, e)
+    assert same_class(total, ru, rv, rinf)
+    assert same_class(class_neg(total), ru, (-rv).rem(ru), rinf)
+    return total
+
+
+def cover_points(cov: HyperCover) -> list[DivisorClass]:
+    return [point_class(cov, x, w)
+            for x, w0 in affine_points(cov) for w in (w0, -w0)]
+
+
 @settings(max_examples=30, derandomize=True, deadline=None,
           database=None)
 @given(data=st.data())
@@ -356,23 +386,33 @@ def test_cantor_matches_sympy(data):
     covers, every step recomputed by compose and reduce over sympy's Q(i)
     from the previous exact class."""
     cov = data.draw(st.sampled_from(COVERS), label="cover")
-    points = [point_class(cov, x, w)
-              for x, w0 in affine_points(cov) for w in (w0, -w0)]
-    f = to_sympy(cov.f)
+    points = cover_points(cov)
     d = data.draw(st.sampled_from(points), label="start")
     for _ in range(data.draw(st.integers(1, 10), label="steps")):
-        p = data.draw(st.sampled_from(points), label="step")
-        u, v, g = sympy_compose(f, to_sympy(d.u), to_sympy(d.v),
-                                to_sympy(p.u), to_sympy(p.v))
-        inf = d.inf_mult + p.inf_mult - 2 * g
-        composed = mumford_compose(d, p)
-        assert same_class(composed, u, v, inf)
-        ru, rv = sympy_reduce(f, u, v, cov.genus)
-        rinf = inf - (u.degree() - ru.degree())
-        assert same_class(cantor_reduce(composed), ru, rv, rinf)
-        d = class_add(d, p)
-        assert same_class(d, ru, rv, rinf)
-        assert same_class(class_neg(d), ru, (-rv).rem(ru), rinf)
+        d = add_matches_sympy(cov, d, data.draw(st.sampled_from(points), label="step"))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          database=None)
+@given(data=st.data())
+def test_cantor_matches_sympy_on_class_pairs(data):
+    """Both operands reduced multi-point classes: D + E for a second walk E
+    (supports mostly coprime, the CRT composition), D + D, D + iota(D), and
+    D + (D + P), which shares part of D's support when no reduction moved
+    it (the general numerator)."""
+    cov = data.draw(st.sampled_from(COVERS), label="cover")
+    points = cover_points(cov)
+
+    def walk(label: str) -> DivisorClass:
+        d = data.draw(st.sampled_from(points), label=label)
+        for _ in range(data.draw(st.integers(1, 2 * cov.genus), label=f"{label} steps")):
+            d = class_add(d, data.draw(st.sampled_from(points), label=f"{label} step"))
+        return d
+
+    d, e = walk("D"), walk("E")
+    p = data.draw(st.sampled_from(points), label="P")
+    for other in (e, d, class_neg(d), class_add(d, p)):
+        add_matches_sympy(cov, d, other)
 
 
 # ============================================================
@@ -415,6 +455,33 @@ def test_group_law_skips_the_check_and_the_qi_loops(monkeypatch):
         assert d.u.coeffs and counts["qi"] >= len(d.u.coeffs), counts
         for d in chain:
             assert DivisorClass(cov, d.u, d.v, d.inf_mult) == d
+
+
+def test_group_law_numbers_stay_near_the_result_height(monkeypatch):
+    """Falsifiable guard on coefficient inflation: over 60 class_add steps
+    of P = (1, 1) on w^2 = b^7 - b + 1, no integer handed to ``_poly_over``
+    is more than twice as long as the longest integer of the final class.
+    Pseudo-division that multiplies by the leading coefficient at every
+    step reaches 12,335 bits here against 3,173."""
+    cov = cover_g3()
+    p = point_class(cov, QI.of(1), QI.of(1))
+    plain = covers._poly_over
+    longest = 0
+
+    def spy(den, re, im):
+        nonlocal longest
+        longest = max(longest, *(abs(x).bit_length() for x in (den, *re, *im)))
+        return plain(den, re, im)
+
+    monkeypatch.setattr(covers, "_poly_over", spy)
+    d = p
+    for _ in range(60):
+        d = class_add(d, p)
+    monkeypatch.undo()
+    final = max(abs(x).bit_length()
+                for den, re, im in (d.u._image, d.v._image) for x in (den, *re, *im))
+    assert final > 3000
+    assert longest <= 2 * final, (longest, final)
 
 
 @pytest.mark.parametrize("corrupt", [
