@@ -36,6 +36,14 @@ pair numerically (the argument principle on the two circles bounding one
 fundamental annulus, then Newton polish on the truncated series, which is
 a polynomial after multiplying by a power of g) and returns the resulting
 fibre class; ``extension_from_pair`` inverts the correspondence.
+
+The contour sums are trapezoid sums at K equispaced nodes per circle, so
+the polynomial and g times its derivative at all nodes are one length-K
+inverse DFT of the coefficients scaled to the circle (Trefethen and
+Weideman, SIAM Rev. 56 (2014) 385-458): one ``numpy.fft`` call per node
+doubling, loaded on the first solve.  Nodes where the polynomial is too
+small a fraction of its terms for the DFT's uniform rounding error are
+evaluated again by Horner.
 """
 
 from __future__ import annotations
@@ -253,6 +261,11 @@ _SUM_AGREEMENT = 1e-8
 # the moduli of its terms has lost its digits to cancellation (|tau| near 1)
 # or passes next to a zero; the next radius is tried.
 _CONTOUR_FLOOR = 1e-11
+# The DFT's error at a node is about 4e-16 of the sum of the moduli of the
+# terms, so w = g P'/P loses digits where |P| is a small fraction of that
+# sum (|tau| near 1.5 and below): nodes under this fraction are evaluated
+# again by Horner, whose error there is smaller.
+_DFT_TRUST = 1e-7
 # Roots closer than this (relative to the outer radius) are resolved
 # around the critical point of Obs between them.
 _CLOSE_ROOTS = 1e-3
@@ -261,6 +274,35 @@ _CLOSE_ROOTS = 1e-3
 _DOUBLE_RESIDUAL = 1e-14
 # The second zero must be the inverse of the first to this relative defect.
 _PARTNER_DEFECT = 1e-8
+
+
+@lru_cache(maxsize=32)
+def _dft_level(k: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half-step twiddles e^(i pi n/k) for n < length, and the powers
+    u**j / k, j = 0, 1, 2, of the k nodes u = e^(i pi (2l + 1)/k) as columns:
+    one row times them is the trapezoid mean of u**j times that row."""
+    t = np.exp(1j * math.pi / k * np.arange(max(length, 2 * k)))
+    unit = t[1:2 * k:2]
+    powers = np.stack((np.ones(k), unit, unit * unit), axis=1) / k
+    twiddle = t[:length]
+    twiddle.flags.writeable = powers.flags.writeable = False
+    return twiddle, powers
+
+
+def _node_values(rows: np.ndarray, k: int) -> np.ndarray:
+    """sum_n rows[:, n] e^(i pi n (2l + 1)/k) for l < k: each row's polynomial
+    at the k nodes offset by half a step.  One inverse FFT of the rows times
+    the half-step twiddle e^(i pi n/k), folded mod k when k is below their
+    length and zero-padded otherwise."""
+    from numpy import fft           # loaded on the first solve only
+    count, length = rows.shape
+    twiddled = rows * _dft_level(k, length)[0]
+    if k < length:
+        blocks = -(-length // k)
+        folded = np.zeros((count, blocks * k), dtype=complex)
+        folded[:, :length] = twiddled
+        twiddled = folded.reshape(count, blocks, k).sum(axis=1)
+    return fft.ifft(twiddled, n=k, axis=1, norm="forward")
 
 
 class _ObstructionPoly:
@@ -293,29 +335,54 @@ class _ObstructionPoly:
         return (p0, p1 - s * p0 / g,
                 p2 - 2 * s * p1 / g + s * (s + 1) * p0 / (g * g), size)
 
+    def circle_rows(self, *radii: float) -> np.ndarray:
+        """Two rows per radius r, c_n r**n and n c_n r**n for P(g) = sum_n
+        c_n g**n: on |g| = r their DFTs are P and g P'."""
+        coef = np.array(self.top_down[::-1], dtype=complex)
+        n = np.arange(len(coef))
+        scaled = coef * np.power.outer(np.array(radii), n)
+        return np.stack((scaled, scaled * n), axis=1).reshape(-1, len(coef))
+
+    def horner(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P and P' at the nodes g by Horner's rule."""
+        val = np.zeros_like(g)
+        der = np.zeros_like(g)
+        for a in self.top_down:
+            der *= g
+            der += val
+            val *= g
+            val += a
+        return val, der
+
     def annulus_sums(self, rho: float, big: float) -> np.ndarray:
         """N, s1, s2 for the zeros of Obs in rho < |g| < big: trapezoid values
         of (1/2 pi i) int g**j P'/P dg, j = 0, 1, 2, over |g| = big minus
-        |g| = rho, with K nodes per circle offset by half a step.  K doubles
-        until N is 2 and s1, s2 agree between K and 2K nodes."""
-        floor = _CONTOUR_FLOOR * min(self.at(big)[3], self.at(rho)[3])
+        |g| = rho, with K nodes per circle offset by half a step.  P and g P'
+        at the 2K nodes are one inverse DFT of the coefficients scaled to
+        each circle (``_node_values``); nodes where |P| is below
+        ``_DFT_TRUST`` of the sum of the moduli of its terms are evaluated
+        again by Horner.  K doubles until N is 2 and s1, s2 agree between K
+        and 2K nodes."""
+        rows = self.circle_rows(big, rho)
+        sizes = np.abs(rows[0::2]).sum(axis=1, keepdims=True)
+        floor = _CONTOUR_FLOOR * sizes.min()
+        radii = np.array([[big], [rho]])
+        scales = np.array([[1.0, big, big * big], [1.0, rho, rho * rho]])
         prev = None
         k = 16
         while k <= _MAX_NODES:
-            unit = np.exp(1j * math.pi * (2 * np.arange(k) + 1) / k)
-            g = np.concatenate((big * unit, rho * unit))
-            val = np.zeros(2 * k, dtype=complex)
-            der = np.zeros(2 * k, dtype=complex)
-            for a in self.top_down:     # P and P' at all 2K nodes by Horner
-                der *= g
-                der += val
-                val *= g
-                val += a
-            if not np.abs(val).min() > floor:
+            vals = _node_values(rows, k)
+            weak = np.abs(vals[0::2]) < _DFT_TRUST * sizes
+            if weak.any():
+                g = (radii * np.exp(1j * math.pi * (2 * np.arange(k) + 1) / k))[weak]
+                val, der = self.horner(g)
+                vals[0::2][weak] = val
+                vals[1::2][weak] = g * der
+            if not np.abs(vals[0::2]).min() > floor:
                 raise ArithmeticError("contour values lost to cancellation")
-            w = g * der / val           # g P'(g) / P(g)
-            both = np.array([w, g * w, g * g * w]).reshape(3, 2, k).mean(axis=2)
-            sums = both[:, 0] - both[:, 1]
+            w = vals[1::2] / vals[0::2]          # g P'(g) / P(g)
+            means = (w @ _dft_level(k, rows.shape[1])[1]) * scales
+            sums = means[0] - means[1]
             if (prev is not None and abs(sums[0] - 2) < 1e-8
                     and abs(sums[1] - prev[1]) <= _SUM_AGREEMENT * big
                     and abs(sums[2] - prev[2]) <= _SUM_AGREEMENT * big * big):

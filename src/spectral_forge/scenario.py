@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -289,6 +290,14 @@ def _parse_cover_curve(value: Any, where: str) -> HyperCover:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def _check_split_factor(name: str, z: complex) -> None:
+    """The fibre classes divide by the split factors, their product and
+    their ratio: each modulus and its reciprocal must be normal floats."""
+    if not sys.float_info.min <= abs(z) <= 1.0 / sys.float_info.min:
+        raise SchemaError(f"family.presentation.factors: {name} or its "
+                          "reciprocal is zero, subnormal or not finite")
+
+
 def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
     if not isinstance(value, dict):
         raise SchemaError("family: expected an object")
@@ -302,9 +311,10 @@ def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
             raise SchemaError("family.presentation.factors: expected 2 entries")
         f1 = parse_complex(factors[0], "family.presentation.factors[0]")
         f2 = parse_complex(factors[1], "family.presentation.factors[1]")
-        if not cmath.isfinite(f1 * f2):
-            raise SchemaError("family.presentation.factors: the product of "
-                              "the factors is not finite")
+        _check_split_factor("factor 0", f1)
+        _check_split_factor("factor 1", f2)
+        _check_split_factor("the product of the factors", f1 * f2)
+        _check_split_factor("the ratio of the factors", f1 / f2)
         bases = pres.get("base_classes", [0, 0])
         if (not isinstance(bases, list) or len(bases) != 2
                 or not all(isinstance(b, int) for b in bases)):

@@ -382,10 +382,21 @@ class ThetaBasis:
     indices: np.ndarray
     vectors: list[np.ndarray] = field(default_factory=list)
 
+    @cached_property
+    def _bands(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The band numbers k = -n..n and, per seed j, its coefficients at
+        the indices j + k d: the only nonzero entries of vector j."""
+        d = self.bundle.degree
+        lo = int(self.indices[0])
+        return (np.arange(lo // d, -lo // d + 1),
+                [v[j::d] for j, v in enumerate(self.vectors)])
+
     def evaluate(self, j: int, z: complex) -> complex:
-        """Evaluate basis section j at z in C*."""
-        powers = np.power(complex(z), self.indices.astype(float))
-        return complex(np.dot(self.vectors[j], powers))
+        """Evaluate basis section j at z in C*: z**j sum_k a_(j + k d) (z**d)**k
+        over the seed's own residue class."""
+        z = complex(z)
+        bands, coeffs = self._bands
+        return z ** j * complex(np.dot(coeffs[j], np.power(z ** self.bundle.degree, bands)))
 
     def residual(self, j: int, z: complex) -> float:
         """|s(tau z) - alpha z^d s(z)| / scale at z: functional-equation defect."""
@@ -418,18 +429,19 @@ def theta_sections(lb: TateLineBundle, n_terms: int = 64) -> ThetaBasis:
             f"{lb.curve.tolerance:.3g}; increase n_terms")
     lo, hi = -n_bands * d, n_bands * d + d - 1
     indices = np.arange(lo, hi + 1)
+    # tau**(-d k) for k = 1..n_bands: the recurrence's steps up are
+    # alpha tau**(-j) times these, its steps down tau**j / alpha times 1 and
+    # all but the last
+    steps = np.cumprod(np.full(n_bands, tau ** -d))
+    below = np.concatenate(([1.0], steps[:-1]))
     vectors: list[np.ndarray] = []
-    for seed in range(d):
-        coeffs = np.zeros(len(indices), dtype=complex)
-        for k in range(-n_bands, n_bands + 1):
-            n = seed + k * d
-            if n < lo or n > hi:
-                continue
-            expo = k * seed + d * k * (k + 1) // 2
-            try:
-                value = alpha ** k * tau ** (-expo)
-            except OverflowError:
-                value = 0.0
-            coeffs[n - lo] = value
-        vectors.append(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(d):
+            up = np.cumprod(alpha * tau ** -seed * steps)
+            down = np.cumprod(tau ** seed / alpha * below)
+            coeffs = np.zeros(len(indices), dtype=complex)
+            coeffs[seed::d] = np.concatenate((down[::-1], [1.0], up))
+            vectors.append(coeffs)
+    for coeffs in vectors:      # a coefficient past the float range reads 0
+        coeffs[~np.isfinite(coeffs)] = 0.0
     return ThetaBasis(lb, indices, vectors)

@@ -317,10 +317,20 @@ def test_schema_error_exits_two(tmp_path, capsys):
     ([[float("inf"), 0], [1, 0]], "family.presentation.factors[0]:"),
     ([[1, 0], [0, float("nan")]], "family.presentation.factors[1]:"),
     ([[10 ** 400, 0], [1, 0]], "family.presentation.factors[0]:"),
-], ids=["overflowing-product", "infinite", "nan", "huge-integer"])
+    ([[1e-160, 0], [1e-160, 0]],
+     "family.presentation.factors: the product of the factors or its reciprocal"),
+    ([[1e-200, 0], [1e-200, 0]],
+     "family.presentation.factors: the product of the factors or its reciprocal"),
+    ([[1e-320, 0], [1e300, 0]], "family.presentation.factors: factor 0 or its reciprocal"),
+    ([[1e300, 0], [1e-300, 0]],
+     "family.presentation.factors: the ratio of the factors or its reciprocal"),
+], ids=["overflowing-product", "infinite", "nan", "huge-integer", "subnormal-product",
+        "zero-product", "subnormal-factor", "overflowing-ratio"])
 def test_non_finite_split_factors_exit_two(tmp_path, capsys, cmd, factors, where):
     """Caught by the parser, with or without a journal; the reports used to
-    raise a traceback, or print NaN factors and exit 0."""
+    raise a traceback, or print NaN factors and exit 0.  Finite factors
+    whose product, ratio or reciprocals leave the normal float range are
+    refused as well: the fibre classes divide by all of them."""
     doc = split_doc()
     doc["family"]["presentation"]["factors"] = factors
     for journal in ([], [{"op": "push", "at": [3, 1, 0, 1], "degree": 2}]):

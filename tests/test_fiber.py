@@ -288,6 +288,75 @@ def test_solver_makes_no_scalar_theta_calls(monkeypatch):
     assert calls[0] == 0
 
 
+def scalar_node_values(poly, radius: float, nodes) -> tuple[list, list]:
+    """P and g P' at the given nodes by the scalar Horner ``at``: it returns
+    Obs' times g**shift, which is P' - shift P / g."""
+    vals, gders = [], []
+    for g in nodes:
+        f, f1, _, _ = poly.at(radius * g)
+        vals.append(f)
+        gders.append(radius * g * f1 + poly.shift * f)
+    return vals, gders
+
+
+def fft_deviation(tau: complex, k: int, offset: float) -> float:
+    """Largest gap between the DFT node values and the scalar ones at nodes
+    r e^(i pi (2l + offset)/k), relative to the sum of the moduli of the
+    row's terms: sum_n |c_n| r**n for P, sum_n n |c_n| r**n for g P'."""
+    poly = fiber._ObstructionPoly(tau, 1.3 - 0.2j, 0.8 + 0.1j, -0.4 + 1.1j)
+    rho = abs(tau) ** 0.5
+    radii = (rho * abs(tau), rho)
+    rows = poly.circle_rows(*radii)
+    got = fiber._node_values(rows, k)
+    nodes = [cmath.exp(1j * cmath.pi * (2 * l + offset) / k) for l in range(k)]
+    worst = 0.0
+    for i, r in enumerate(radii):
+        want = scalar_node_values(poly, r, nodes)
+        for j in (0, 1):
+            size = sum(abs(a) * r ** n * (n if j else 1)
+                       for n, a in enumerate(poly.top_down[::-1]))
+            gap = max(abs(x - y) for x, y in zip(got[2 * i + j], want[j]))
+            worst = max(worst, gap / size)
+    return worst
+
+
+@pytest.mark.parametrize("tau", [TAU_DYADIC, TAU_GENERIC], ids=["dyadic", "generic"])
+@pytest.mark.parametrize("k", [16, 128], ids=["folded", "padded"])
+def test_fft_node_values_match_scalar_horner(tau, k):
+    """The contour's P and g P' by one inverse FFT equal the scalar Horner
+    values at every node on both circles, with the powers folded mod K
+    (K = 16 is below the 4m + 2 coefficients) or zero-padded (K = 128)."""
+    assert len(fiber._ObstructionPoly(tau, 1.0, 1.0, 1.0).top_down) > 16
+    assert fft_deviation(tau, k, 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [16, 128], ids=["folded", "padded"])
+def test_fft_node_values_see_a_half_step_shift(k):
+    """Negative control: against nodes shifted by half a step (l instead of
+    l + 1/2), the same comparison fails."""
+    assert fft_deviation(TAU_DYADIC, k, 0.0) > 1e-6
+
+
+def test_contour_uses_horner_only_where_the_dft_loses_digits(monkeypatch):
+    """At tau = 1.5 with g0 on the middle circle |P| falls to 1e-8 of the
+    sum of its terms' moduli at some nodes; from the DFT alone the contour
+    sums never settle there and the solve raises.  Horner at those nodes
+    recovers the pair, and at tau = 2 no node needs it."""
+    calls = [0]
+    plain = fiber._ObstructionPoly.horner
+
+    def counted(self, g):
+        calls[0] += len(g)
+        return plain(self, g)
+    monkeypatch.setattr(fiber._ObstructionPoly, "horner", counted)
+    for tau, rho in ((TAU_DYADIC, 0.2), (TAU_DYADIC, 0.7), (1.5, 0.5)):
+        curve = TateCurve(tau)
+        g0 = abs(tau) ** rho * cmath.exp(2j * cmath.pi * 0.37 / 6)
+        z0, z1 = obstruction_zeros(curve, 1.0, *extension_from_pair(curve, 1.0, g0))
+        assert curve.same_pair((z0.value, z1.value), (g0, 1 / g0))
+        assert (calls[0] > 0) == (tau == 1.5), (tau, calls[0])
+
+
 def fake_polynomial(monkeypatch, roots):
     """Make the solver see prod (g - r) over roots in place of P."""
     top_down = [1.0 + 0j]

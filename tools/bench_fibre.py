@@ -1,0 +1,210 @@
+"""Per-layer timings of the theta and obstruction solves, written to BENCH_fibre.json.
+
+Times three layers at tau = 2, 1.5+0.5i and 1.3:
+
+- ``solve``: ``obstruction_zeros`` on the extension data of g0 =
+  |tau|^rho e^(2 pi i (a + 0.37)/16) for rho in (0.2, 0.7) and a in
+  (0, 5, 10), seconds per solve; a solve that raises ``ArithmeticError``
+  (|tau| near 1, where the theta series cancel) is timed as it is and
+  counted under ``raised``;
+- ``chart``: ``regular_chart`` at a branch point (a1 = a2, so g = 1 or -1)
+  followed by ``make_extension``, for a1 = 1.3+0.4i and -0.8+0.6i, seconds
+  per chart;
+- ``theta``: ``theta_sections`` of degree d = 1, 2, 3 (factor 0.8+0.3i,
+  64*d terms) and the largest functional-equation residual of its d
+  sections at three points, seconds per degree.
+
+For the solves it also records the node levels per solve: the number of
+node counts K = 16, 32, ... at which the contour sums were formed, over all
+radii tried (one more per radius than the node doublings).  They are
+counted by wrapping ``fiber._node_values`` where the tree has it,
+else the one ``np.exp`` per level of the Horner version of
+``annulus_sums``.
+
+Each layer is run REPEAT times after one warm-up, every run a batch lasting
+at least about a millisecond; best and median seconds are kept.  Results
+are merged into the output file under ``--label``, so two runs (one per
+tree) give the before and after:
+
+    python tools/bench_fibre.py --src /path/to/parent/src --label parent
+    python tools/bench_fibre.py --label change
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DESCRIPTION = (
+    "Per-layer timings of the theta and obstruction solves, written by "
+    "tools/bench_fibre.py, at tau = 2, 1.5+0.5i and 1.3: obstruction_zeros "
+    "(seconds per solve over six g0, with the solves that raised and the node "
+    "levels K evaluated per solve), regular_chart + make_extension at two branch "
+    "values (seconds per chart) and theta_sections + residual at d = 1, 2, 3 "
+    "(seconds per degree); best and median seconds of 'repeat' runs after one "
+    "warm-up, one entry of 'runs' per source tree; speedup_best is parent "
+    "over change.")
+TAUS = {"2": 2.0 + 0j, "1.5+0.5i": 1.5 + 0.5j, "1.3": 1.3 + 0j}
+RHOS = (0.2, 0.7)
+ANGLES = (0, 5, 10)
+CHART_VALUES = (1.3 + 0.4j, -0.8 + 0.6j)
+THETA_DEGREES = (1, 2, 3)
+THETA_FACTOR = 0.8 + 0.3j
+THETA_POINTS = (1.1 + 0.2j, -0.7 + 0.9j, 0.2 - 1.05j)
+REPEAT = 7
+MIN_RUN_S = 1e-3
+
+
+def timed(fn, items: int) -> dict:
+    """Best and median seconds per item of ``fn``, which handles ``items``."""
+    t0 = time.perf_counter()
+    fn()
+    number = max(1, int(MIN_RUN_S / max(time.perf_counter() - t0, 1e-9)))
+    runs = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        runs.append((time.perf_counter() - t0) / (number * items))
+    return {"best_s": min(runs), "median_s": statistics.median(runs)}
+
+
+class LevelCounter:
+    """Counts the contour levels (node counts K) the solver evaluates."""
+
+    def __init__(self, fiber):
+        self.count = 0
+        if hasattr(fiber, "_node_values"):
+            self._undo = self._wrap(fiber, "_node_values", fiber._node_values)
+        else:
+            np_mod = fiber.np
+
+            class Counted:
+                def __getattr__(_, name):
+                    return getattr(np_mod, name)
+
+                def exp(_, *args, **kwargs):
+                    self.count += 1
+                    return np_mod.exp(*args, **kwargs)
+            fiber.np = Counted()
+            self._undo = lambda: setattr(fiber, "np", np_mod)
+
+    def _wrap(self, owner, name, plain):
+        def counted(*args, **kwargs):
+            self.count += 1
+            return plain(*args, **kwargs)
+        setattr(owner, name, counted)
+        return lambda: setattr(owner, name, plain)
+
+    def close(self) -> None:
+        self._undo()
+
+
+def measure() -> tuple[dict, dict]:
+    import spectral_forge as sf
+    from spectral_forge import fiber
+
+    layers: dict = {}
+    solves: dict = {}
+    for name, tau in TAUS.items():
+        curve = sf.TateCurve(tau)
+        data = []
+        for rho in RHOS:
+            for a in ANGLES:
+                g0 = abs(tau) ** rho * cmath.exp(2j * math.pi * (a + 0.37) / 16)
+                data.append(sf.extension_from_pair(curve, 1.0 + 0j, g0))
+
+        def solve_all():
+            raised = 0
+            for p, q in data:
+                try:
+                    sf.obstruction_zeros(curve, 1.0 + 0j, p, q)
+                except ArithmeticError:
+                    raised += 1
+            return raised
+
+        def chart_all():
+            for value in CHART_VALUES:
+                chart = sf.regular_chart(curve, value, value)
+                try:
+                    sf.make_extension(curve, 1.0 + 0j, chart.p, chart.q)
+                except ArithmeticError:
+                    pass
+
+        counter = LevelCounter(fiber)
+        try:
+            raised = solve_all()
+        finally:
+            counter.close()
+        solves[name] = {"solves": len(data), "raised": raised,
+                        "levels_per_solve": counter.count / len(data)}
+        layers[name] = {"solve": timed(solve_all, len(data)),
+                        "chart": timed(chart_all, len(CHART_VALUES))}
+        for d in THETA_DEGREES:
+            lb = sf.TateLineBundle(curve, d, THETA_FACTOR)
+
+            def theta(lb=lb, d=d):
+                basis = sf.theta_sections(lb, n_terms=64 * d)
+                return max(basis.residual(j, z) for j in range(d) for z in THETA_POINTS)
+            layers[name][f"theta_d{d}"] = timed(theta, 1)
+            solves[name][f"theta_d{d}_residual"] = theta()
+    return layers, solves
+
+
+def git_commit(src: Path) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, timeout=10)
+    except OSError:
+        return None
+    return proc.stdout.strip() or None
+
+
+def ratios(before: dict, after: dict) -> dict:
+    return {name: {layer: round(before[name][layer]["best_s"] / t["best_s"], 2)
+                   for layer, t in row.items()}
+            for name, row in after.items()}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source tree holding spectral_forge (default: this repo's)")
+    parser.add_argument("--label", default="change", help="key of this run in the output")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_fibre.json"))
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+
+    layers, solves = measure()
+    out_path = Path(args.out)
+    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
+    doc["description"] = DESCRIPTION
+    doc.setdefault("runs", {})[args.label] = {
+        "layers": layers,
+        "solves": solves,
+        "provenance": {"python": platform.python_version(),
+                       "machine": platform.machine(), "nproc": os.cpu_count(),
+                       "commit": git_commit(src), "repeat": REPEAT},
+    }
+    runs = doc["runs"]
+    if "parent" in runs and "change" in runs:
+        doc["speedup_best"] = ratios(runs["parent"]["layers"], runs["change"]["layers"])
+    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for name, row in layers.items():
+        print(f"tau={name}", " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()),
+              " ".join(f"{k}={v:.3g}" for k, v in solves[name].items()))
+
+
+if __name__ == "__main__":
+    main()
