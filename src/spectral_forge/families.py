@@ -14,10 +14,10 @@ stored twice:
 - c2 = presentation c2 plus the signed degree of each step,
 - the fibre class at a modified point is read off the top of that point's
   push stack, and an allowable (pop) step is the exact inverse of the most
-  recent push there.  The per-point stacks are indexed once per family.  A
-  parsed journal is replayed in one pass against one mutable index
-  (``_JournalReplay``) and becomes a single family, so journal bookkeeping
-  is linear in its length.
+  recent push there.  Only ``_JournalReplay`` writes the per-point stacks:
+  the parser replays a journal in one pass into a single family, and
+  ``elem_mod``/``allowable_mod`` resume a replay from the family's index
+  and push or pop once, so journal bookkeeping is linear in its length.
 
 Jumping-sequence bookkeeping follows the stack discipline: pushing degree
 r >= current height prepends r to the sequence, the allowable modification
@@ -151,18 +151,6 @@ JournalStep = PushStep | PopStep
 _UNIT_FACTOR = 1.0 / (1.0 + 0j)
 
 
-def _stack_step(stacks: dict[BasePoint, tuple[PushStep, ...]],
-                step: JournalStep) -> None:
-    """Apply one journal step to per-point push stacks in place."""
-    stack = stacks.get(step.at, ())
-    if isinstance(step, PushStep):
-        stacks[step.at] = stack + (step,)
-    elif not stack:
-        raise InvalidFamilyError("pop without a jump in journal")
-    else:
-        stacks[step.at] = stack[:-1]
-
-
 def _presentation_fiber_class(curve: TateCurve,
                               data: SplitData | PushforwardData,
                               b: complex) -> FiberClass:
@@ -288,12 +276,16 @@ class FamilySpec:
     @cached_property
     def _stacks(self) -> dict[BasePoint, tuple[PushStep, ...]]:
         """Push stack of every journal point, in first-appearance order
-        (emptied stacks keep their place).  ``with_step`` extends the
-        parent's index by one step instead of rescanning the journal."""
-        stacks: dict[BasePoint, tuple[PushStep, ...]] = {}
+        (emptied stacks keep their place).  Replayed families come with it;
+        a raw ``steps`` tuple is replayed here through the same checked
+        ``push`` and ``pop``, so an illegal step raises on the first read."""
+        replay = _JournalReplay(self.surface, self.data, self.base_c2)
         for step in self.steps:
-            _stack_step(stacks, step)
-        return stacks
+            if isinstance(step, PushStep):
+                replay.push(step.at, step.degree, step.line_point)
+            else:
+                replay.pop(step.at)
+        return {p: tuple(s) for p, s in replay.stacks.items()}
 
     def jump_stack(self, at: BasePoint) -> list[PushStep]:
         return list(self._stacks.get(at, ()))
@@ -303,14 +295,6 @@ class FamilySpec:
 
     def has_jumps(self) -> bool:
         return any(self._stacks.values())
-
-    def with_step(self, step: JournalStep) -> "FamilySpec":
-        out = replace(self, steps=self.steps + (step,))
-        stacks = dict(self._stacks)
-        _stack_step(stacks, step)
-        # written like cached_property's own store: the dataclass is frozen
-        out.__dict__["_stacks"] = stacks
-        return out
 
     # ----- fibre data -----------------------------------------------------
 
@@ -463,20 +447,6 @@ def _push_allowed(stack: Sequence[PushStep] | None,
     return regular(at) or r >= 2
 
 
-def _check_push(stack: Sequence[PushStep] | None,
-                at: BasePoint, r: int, line_point: complex,
-                curve: TateCurve,
-                regular: Callable[[BasePoint], bool]) -> None:
-    if not _push_allowed(stack, at, r, line_point, curve, regular):
-        raise NoSurjectionError(f"no surjection of degree {r} exists at {at}")
-
-
-def _check_pop(stack: Sequence[PushStep] | None,
-               at: BasePoint) -> None:
-    if not stack:
-        raise NoSurjectionError(f"no jump at {at}; nothing to remove")
-
-
 def can_add_jump(family: FamilySpec, at: BasePoint, r: int,
                  line_point: complex | None = None) -> bool:
     """Whether a surjection onto a degree-r line bundle exists on the fibre.
@@ -500,22 +470,23 @@ def elem_mod(family: FamilySpec, at: BasePoint, r: int,
     pair (sub of degree r) + (its dual times the determinant)."""
     if r < 1:
         raise ValueError("modification degree must be >= 1")
-    _check_push(family._stacks.get(at), at, r, line_point, family.curve,
-                partial(_unjumped_regular, family.surface, family.data))
-    return family.with_step(PushStep(at, r, line_point))
+    replay = _JournalReplay.resume(family)
+    replay.push(at, r, line_point)
+    return replay.family()
 
 
 def allowable_mod(family: FamilySpec, at: BasePoint) -> FamilySpec:
     """The canonical modification onto the destabilising quotient; removes
     the head of the jumping sequence at `at`."""
-    _check_pop(family._stacks.get(at), at)
-    return family.with_step(PopStep(at))
+    replay = _JournalReplay.resume(family)
+    replay.pop(at)
+    return replay.family()
 
 
 class _JournalReplay:
     """A journal replayed in one pass against a presentation: one mutable
-    push stack per point, each step checked as ``elem_mod`` and
-    ``allowable_mod`` check it, and a single ``FamilySpec`` at the end.
+    push stack per point, each step checked by ``push`` or ``pop``, and a
+    single ``FamilySpec`` at the end.  The one writer of push stacks.
 
     The regularity of an unjumped fibre is computed once per point.  Callers
     that pass equal points as one object get identity hits in both tables."""
@@ -529,9 +500,19 @@ class _JournalReplay:
         self.stacks: dict[BasePoint, list[PushStep]] = {}
         self._regular = cache(partial(_unjumped_regular, surface, data))
 
+    @classmethod
+    def resume(cls, family: FamilySpec) -> "_JournalReplay":
+        """A replay at the end of ``family``'s journal, from its index."""
+        replay = cls(family.surface, family.data, family.base_c2)
+        replay.steps = list(family.steps)
+        replay.stacks = {p: list(s) for p, s in family._stacks.items()}
+        return replay
+
     def push(self, at: BasePoint, r: int, line_point: complex) -> None:
         stack = self.stacks.get(at)
-        _check_push(stack, at, r, line_point, self.surface.curve, self._regular)
+        if not _push_allowed(stack, at, r, line_point, self.surface.curve,
+                             self._regular):
+            raise NoSurjectionError(f"no surjection of degree {r} exists at {at}")
         step = PushStep(at, r, line_point)
         if stack is None:
             self.stacks[at] = [step]
@@ -541,7 +522,8 @@ class _JournalReplay:
 
     def pop(self, at: BasePoint) -> None:
         stack = self.stacks.get(at)
-        _check_pop(stack, at)
+        if not stack:
+            raise NoSurjectionError(f"no jump at {at}; nothing to remove")
         stack.pop()
         self.steps.append(PopStep(at))
 

@@ -319,21 +319,25 @@ class _ObstructionPoly:
         self.shift = 2 * m + 1
         self.top_down = coef[::-1]
 
-    def at(self, g: complex) -> tuple[complex, complex, complex, float]:
-        """Obs, Obs' and Obs'' at g, all times g**(2m + 1), and the sum of the
-        moduli of the terms of Obs(g) times |g|**(2m + 1)."""
-        r = abs(g)
+    def derivatives(self, g: complex) -> tuple[complex, complex, complex]:
+        """Obs, Obs' and Obs'' at g, all times g**(2m + 1)."""
         p0 = p1 = p2 = 0j
-        size = 0.0
         for a in self.top_down:
             p2 = p2 * g + p1
             p1 = p1 * g + p0
             p0 = p0 * g + a
-            size = size * r + abs(a)
         p2 *= 2
         s = self.shift
         return (p0, p1 - s * p0 / g,
-                p2 - 2 * s * p1 / g + s * (s + 1) * p0 / (g * g), size)
+                p2 - 2 * s * p1 / g + s * (s + 1) * p0 / (g * g))
+
+    def at(self, g: complex) -> tuple[complex, complex, complex, float]:
+        """``derivatives`` at g and sum_n |c_n| |g|**n for P(g) = sum_n c_n g**n."""
+        r = abs(g)
+        size = 0.0
+        for a in self.top_down:
+            size = size * r + abs(a)
+        return (*self.derivatives(g), size)
 
     def circle_rows(self, *radii: float) -> np.ndarray:
         """Two rows per radius r, c_n r**n and n c_n r**n for P(g) = sum_n
@@ -397,7 +401,7 @@ class _ObstructionPoly:
         below 1e-10 * scale: convergence is quadratic, so the error left is
         at the rounding level."""
         for _ in range(12):
-            vals = self.at(g)
+            vals = self.derivatives(g)
             step = vals[order] / vals[order + 1]
             g -= step
             if abs(step) <= 1e-10 * scale:

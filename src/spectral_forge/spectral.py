@@ -85,9 +85,6 @@ class TwoSections:
         if self.a1 == 0 or self.a2 == 0:
             raise ValueError("section values must be nonzero")
 
-    def evaluate(self, b: complex, sheet: int) -> complex:
-        return self.a1 if sheet == 0 else self.a2
-
     def sheet_values(self, b: complex) -> tuple[complex, complex]:
         return (self.a1, self.a2)
 
@@ -152,15 +149,8 @@ class PellMap:
     def sheet_flip(self) -> "PellMap":
         return _flipped_pell_map(self, self.scale)
 
-    def evaluate(self, b: complex, sheet: int) -> complex:
-        w = self.cover.sheets(b)[sheet]
-        return self.evaluate_at(b, w)
-
-    def evaluate_at(self, b: complex, w: complex) -> complex:
-        return self._values_at(b, (w,))[0]
-
     def sheet_values(self, b: complex) -> tuple[complex, complex]:
-        return self._values_at(b, self.cover.sheets(b))
+        return self._values_at(b)
 
     def punctures_near(self, b: complex, margin: float = 1e-6) -> bool:
         den, u, v = self._ruv_at(b)
@@ -196,13 +186,13 @@ class PellMap:
             out.append(value)
         return out[0], out[1], odd
 
-    def _values_at(self, b: complex, ws: tuple[complex, ...]) -> tuple[complex, ...]:
-        """A at (b, w) for each w, from one evaluation of R, U and V.  The
-        pole is checked before any zero, and zeros in the order of ``ws``.
-        Since R^2 = (U + V w)(U - V w), every zero of U + V w is a zero of
-        R, which is checked first: the "zero" branch is reached only through
-        float rounding, or through the absolute threshold when |U + V w| is
-        below it and |R| is not."""
+    def _values_at(self, b: complex) -> tuple[complex, complex]:
+        """A on both sheets over b from one evaluation of R, U and V; the pole
+        is checked first, then the zeros sheet by sheet.  Every zero of
+        U + V w is one of R, since R^2 = (U + V w)(U - V w): the "zero"
+        branch is reached only through float rounding, or through the
+        absolute threshold when |U + V w| is below it and |R| is not."""
+        ws = self.cover.sheets(b)
         den, u, v = self._ruv_at(b)
         if abs(den) < 1e-300:
             raise PunctureError(f"pole of bisection map at b={b}")
@@ -235,10 +225,6 @@ class PerturbedMap:
 
     base: "TwoSections | PellMap"
     eps: complex
-
-    def evaluate(self, b: complex, sheet: int) -> complex:
-        v = self.base.evaluate(b, sheet)
-        return v * (1.0 + self.eps) if sheet == 0 else v
 
     def sheet_values(self, b: complex) -> tuple[complex, complex]:
         v0, v1 = self.base.sheet_values(b)

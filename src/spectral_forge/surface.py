@@ -27,7 +27,7 @@ contributed by multiple fibres not sitting over branch points of the cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -219,37 +219,15 @@ class GroupPresentation:
         return self.torsion_order()
 
 
-def _factorise(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors(orders: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of a direct sum of cyclic groups."""
-    orders = [o for o in orders if o > 1]
-    if not orders:
-        return ()
-    per_prime: dict[int, list[int]] = {}
-    for o in orders:
-        for p, e in _factorise(o).items():
-            per_prime.setdefault(p, []).append(e)
-    k = max(len(v) for v in per_prime.values())
-    factors = [1] * k
-    for p, exps in per_prime.items():
-        exps = sorted(exps, reverse=True)
-        for i, e in enumerate(exps):
-            factors[i] *= p ** e
-    factors = [f for f in factors if f > 1]
-    factors.reverse()
-    return tuple(factors)
+    """Invariant factors d_1 | d_2 | ... of a direct sum of cyclic groups:
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), swept over every pair i < j, so
+    each entry ends up dividing all later ones."""
+    f = [o for o in orders if o > 1]
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            f[i], f[j] = gcd(f[i], f[j]), lcm(f[i], f[j])
+    return tuple(o for o in f if o > 1)
 
 
 def pic_relative(surface: SurfaceSpec) -> GroupPresentation:

@@ -24,6 +24,7 @@ from spectral_forge import (
     InvalidFamilyError,
     NoSurjectionError,
     PellMap,
+    PopStep,
     PushStep,
     QI,
     SplitFiber,
@@ -43,6 +44,7 @@ from spectral_forge import (
     jumping_sequence,
     parse_scenario,
 )
+from spectral_forge.errors import SchemaError
 from conftest import (
     TAU_DYADIC,
     combine,
@@ -126,6 +128,49 @@ def test_pop_without_jump_is_refused():
         # a raw pop journal entry with no matching push
         from spectral_forge import PopStep
         FamilySpec(surf_plain(), fresh_split().data, 0, (PopStep(X0),)).chern
+
+
+# Raw journals, each with one step the replay refuses, as scenario entries.
+RAW_JOURNALS = {
+    "pop-empty": ((0.7 + 0.1j, 1.3 - 0.2j),
+                  [{"op": "push", "at": [3, 1, 0, 1], "degree": 1},
+                   {"op": "pop", "at": [3, 1, 0, 1]},
+                   {"op": "pop", "at": [3, 1, 0, 1]}]),
+    "equal-factor-degree-one": ((1.3 + 0.2j, 1.3 + 0.2j),
+                                [{"op": "push", "at": [-2, 1, 0, 1], "degree": 2},
+                                 {"op": "push", "at": [3, 1, 0, 1], "degree": 1}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_JOURNALS))
+def test_raw_journal_is_checked_on_first_read(name):
+    """A family built from a raw steps tuple replays it through the checked
+    push and pop when its stacks are first read, and fails as the same
+    journal in a scenario does."""
+    factors, mods = RAW_JOURNALS[name]
+    steps = []
+    for mod in mods:
+        at = BasePoint.of(mod["at"][0])
+        steps.append(PushStep(at, mod["degree"], NU) if mod["op"] == "push"
+                     else PopStep(at))
+    data = split_family(surf_plain(), *factors).data
+    for read in (FamilySpec.jump_points, FamilySpec.has_jumps,
+                 lambda fam: elem_mod(fam, X1, 3, NU),
+                 lambda fam: cover_from_family(fam, 16)):
+        with pytest.raises(NoSurjectionError) as raw:
+            read(FamilySpec(surf_plain(), data, 0, tuple(steps)))
+    doc = {"surface": {"tau": [2.0, 0.0], "theta_degree": 1},
+           "family": {"presentation": {
+               "type": "split",
+               "factors": [[z.real, z.imag] for z in factors]},
+               "modifications": [dict(m, line_point=[NU.real, NU.imag])
+                                 if m["op"] == "push" else m for m in mods]}}
+    with pytest.raises(SchemaError) as parsed:
+        parse_scenario(doc)
+    assert str(parsed.value) == f"family.modifications[{len(mods) - 1}]: {raw.value}"
+    if name == "pop-empty":
+        with pytest.raises(InvalidFamilyError):
+            FamilySpec(surf_plain(), data, 0, tuple(steps)).chern
 
 
 # ============================================================

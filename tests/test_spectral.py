@@ -49,7 +49,6 @@ from conftest import (
 )
 from oracles import (
     reference_eval_complex,
-    reference_evaluate_at,
     reference_punctures_near,
     reference_sheet_values,
 )
@@ -80,8 +79,8 @@ def test_pell_inverse_multiplies_to_one():
     pm = pell_g2()
     inv = pm.inverse()
     for b in sample_circle(12, 2.0):
-        w = pm.cover.sheets(b)[0]
-        assert abs(pm.evaluate_at(b, w) * inv.evaluate_at(b, w) - 1.0) < 1e-9
+        for v, iv in zip(pm.sheet_values(b), inv.sheet_values(b)):
+            assert abs(v * iv - 1.0) < 1e-9
 
 
 def test_sheet_flip_swaps_values():
@@ -98,7 +97,8 @@ def test_two_sections_basics():
     assert ts.sheet_values(0.4) == (0.7 + 0.1j, 1.3 - 0.2j)
     assert abs(ts.norm_value() - (0.7 + 0.1j) * (1.3 - 0.2j)) < 1e-15
     inv = ts.inverse()
-    assert abs(inv.evaluate(0.0, 0) * ts.evaluate(0.0, 0) - 1.0) < 1e-15
+    for v, iv in zip(ts.sheet_values(0.0), inv.sheet_values(0.0)):
+        assert abs(v * iv - 1.0) < 1e-15
     assert bisection_torus_degree(ts) == 0
 
 
@@ -243,33 +243,36 @@ def tiny_pell_g0() -> PellMap:
 
 def test_root_of_r_is_a_pole():
     m = pell_g0()
-    for call in (lambda: m.evaluate(1 + 0j, 0), lambda: m.sheet_values(1 + 0j),
-                 lambda: m.evaluate_at(1 + 0j, 2.0 + 0j)):
+    # R is shared by the map, its inverse and its sheet flip
+    for pm in (m, m.inverse(), m.sheet_flip()):
         with pytest.raises(PunctureError, match="pole"):
-            call()
+            pm.sheet_values(1 + 0j)
     assert m.punctures_near(1 + 0j)
     assert not m.punctures_near(-2 + 0j)
 
 
 def test_pole_is_checked_before_zero():
-    # at b = 1 both R and U + Vw (sheet 1, w = -1) vanish
+    # at b = 1 both R and U + Vw (sheet 1, w = -1) vanish; the sheet flip
+    # moves that zero to sheet 0, which is checked before sheet 1
     m = pell_g0()
     assert m.u_part.eval_complex(1 + 0j) + m.v_part.eval_complex(1 + 0j) * -1 == 0
-    for call in (lambda: m.evaluate(1 + 0j, 1), lambda: m.evaluate_at(1 + 0j, -1 + 0j)):
+    flip = m.sheet_flip()
+    assert flip.u_part.eval_complex(1 + 0j) + flip.v_part.eval_complex(1 + 0j) == 0
+    for pm in (m, flip):
         with pytest.raises(PunctureError, match="pole"):
-            call()
+            pm.sheet_values(1 + 0j)
 
 
 def test_zero_of_numerator_is_a_zero():
-    with pytest.raises(PunctureError, match="zero"):
-        pell_g0().evaluate_at(0j, -0.5 + 0j)
     m = tiny_pell_g0()
     b = 1 - 1e-6 + 0j
-    assert abs(m.evaluate(b, 0)) > 1.0
-    for call in (lambda: m.evaluate(b, 1), lambda: m.sheet_values(b),
-                 lambda: m.evaluate_at(b, m.cover.sheets(b)[1])):
+    w0, w1 = m.cover.sheets(b)
+    u, v = m.u_part.eval_complex(b), m.v_part.eval_complex(b)
+    # only sheet 1 is a zero; the sheet flip moves it to sheet 0
+    assert abs(u + v * w0) > 1e-300 > abs(u + v * w1)
+    for pm in (m, m.sheet_flip()):
         with pytest.raises(PunctureError, match="zero"):
-            call()
+            pm.sheet_values(b)
     # |R| stays above this margin, so only the zero can trip it
     assert m.punctures_near(b, margin=1e-298)
     assert not m.punctures_near(0.5 + 0j, margin=1e-298)
@@ -324,6 +327,3 @@ def test_pell_map_matches_two_call_evaluation(cover, p, q, s, points):
         for b in points + [0j]:  # b = 0: the branch point of w^2 = b
             assert outcome(m.sheet_values, b) == outcome(reference_sheet_values, m, b)
             assert m.punctures_near(b) == reference_punctures_near(m, b)
-            w = m.cover.sheets(b)[1]
-            assert (outcome(m.evaluate_at, b, w)
-                    == outcome(reference_evaluate_at, m, b, w))

@@ -133,6 +133,7 @@ def test_pic_relative_picks_up_multiple_fibres():
 
 @pytest.mark.parametrize("orders", [
     (), (2,), (2, 3), (2, 2), (2, 4), (2, 3, 4), (6, 10), (2, 2, 3, 9),
+    (0, 1, 5), (1, 1), (4, 6, 10), (8, 12, 18, 27), (9, 3, 27, 1, 6),
 ])
 def test_invariant_factors_match_smith_form_oracle(orders):
     assert list(invariant_factors(orders)) == smith_invariant_factors(list(orders))

@@ -1,0 +1,98 @@
+"""Shared driver of the per-layer bench scripts ``tools/bench_*.py``.
+
+Each script defines ``measure()``, which times its layers and returns the
+entry of one run (``layers`` plus any extra tables), and hands it to
+``main``.  ``main`` parses ``--src``/``--label``/``--out``, puts ``--src``
+first on the import path, adds provenance to the entry and merges it into
+the output file under the label.  With a ``change`` run next to a
+``parent`` (or ``seed``) run it also writes their best-time ratios
+(``speedup_best``, ``seed_speedup_best``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 7
+
+
+def timed(fn, items: int = 1, min_run_s: float = 0.0) -> dict:
+    """Best and median seconds per item of ``fn``, which handles ``items``,
+    over REPEAT runs after one warm-up call.  Each run is a batch of calls
+    lasting at least about ``min_run_s`` (a single call when it is 0)."""
+    t0 = time.perf_counter()
+    fn()
+    number = max(1, int(min_run_s / max(time.perf_counter() - t0, 1e-9)))
+    runs = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        runs.append((time.perf_counter() - t0) / (number * items))
+    return {"best_s": min(runs), "median_s": statistics.median(runs)}
+
+
+def git_commit(src: Path) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
+                              capture_output=True, text=True, timeout=10)
+    except OSError:
+        return None
+    return proc.stdout.strip() or None
+
+
+def ratios(before: dict, after: dict) -> dict | float:
+    """Best-time ratio before over after at every timing of ``after``."""
+    if "best_s" in after:
+        return round(before["best_s"] / after["best_s"], 2)
+    return {key: ratios(before[key], value) for key, value in after.items()}
+
+
+def timing_rows(tree: dict, path: tuple[str, ...] = ()):
+    """(path, row) for every dict of timings in a layers tree."""
+    if all("best_s" in value for value in tree.values()):
+        yield path, tree
+        return
+    for key, value in tree.items():
+        yield from timing_rows(value, path + (key,))
+
+
+def main(doc: str, out_name: str, description: str,
+         measure: Callable[[], dict]) -> None:
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source tree holding spectral_forge (default: this repo's)")
+    parser.add_argument("--label", default="change", help="key of this run in the output")
+    parser.add_argument("--out", default=str(ROOT / out_name))
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+
+    entry = measure()
+    entry["provenance"] = {**entry.get("provenance", {}),
+                           "python": platform.python_version(),
+                           "machine": platform.machine(), "nproc": os.cpu_count(),
+                           "commit": git_commit(src), "repeat": REPEAT}
+    out_path = Path(args.out)
+    out = json.loads(out_path.read_text()) if out_path.exists() else {}
+    out["description"] = description
+    out.setdefault("runs", {})[args.label] = entry
+    runs = out["runs"]
+    if "change" in runs:
+        after = runs["change"]["layers"]
+        for before, key in (("parent", "speedup_best"), ("seed", "seed_speedup_best")):
+            if before in runs:
+                out[key] = ratios(runs[before]["layers"], after)
+    out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    for path, row in timing_rows(entry["layers"]):
+        print(*path, " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()))

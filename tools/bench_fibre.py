@@ -21,7 +21,7 @@ counted by wrapping ``fiber._node_values`` where the tree has it,
 else the one ``np.exp`` per level of the Horner version of
 ``annulus_sums``.
 
-Each layer is run REPEAT times after one warm-up, every run a batch lasting
+Each layer is run 7 times after one warm-up, every run a batch lasting
 at least about a millisecond; best and median seconds are kept.  Results
 are merged into the output file under ``--label``, so two runs (one per
 tree) give the before and after:
@@ -32,19 +32,11 @@ tree) give the before and after:
 
 from __future__ import annotations
 
-import argparse
 import cmath
-import json
 import math
-import os
-import platform
-import statistics
-import subprocess
-import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _layer_bench import main, timed
+
 DESCRIPTION = (
     "Per-layer timings of the theta and obstruction solves, written by "
     "tools/bench_fibre.py, at tau = 2, 1.5+0.5i and 1.3: obstruction_zeros "
@@ -61,22 +53,7 @@ CHART_VALUES = (1.3 + 0.4j, -0.8 + 0.6j)
 THETA_DEGREES = (1, 2, 3)
 THETA_FACTOR = 0.8 + 0.3j
 THETA_POINTS = (1.1 + 0.2j, -0.7 + 0.9j, 0.2 - 1.05j)
-REPEAT = 7
 MIN_RUN_S = 1e-3
-
-
-def timed(fn, items: int) -> dict:
-    """Best and median seconds per item of ``fn``, which handles ``items``."""
-    t0 = time.perf_counter()
-    fn()
-    number = max(1, int(MIN_RUN_S / max(time.perf_counter() - t0, 1e-9)))
-    runs = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        runs.append((time.perf_counter() - t0) / (number * items))
-    return {"best_s": min(runs), "median_s": statistics.median(runs)}
 
 
 class LevelCounter:
@@ -110,7 +87,7 @@ class LevelCounter:
         self._undo()
 
 
-def measure() -> tuple[dict, dict]:
+def measure() -> dict:
     import spectral_forge as sf
     from spectral_forge import fiber
 
@@ -148,63 +125,18 @@ def measure() -> tuple[dict, dict]:
             counter.close()
         solves[name] = {"solves": len(data), "raised": raised,
                         "levels_per_solve": counter.count / len(data)}
-        layers[name] = {"solve": timed(solve_all, len(data)),
-                        "chart": timed(chart_all, len(CHART_VALUES))}
+        layers[name] = {"solve": timed(solve_all, len(data), MIN_RUN_S),
+                        "chart": timed(chart_all, len(CHART_VALUES), MIN_RUN_S)}
         for d in THETA_DEGREES:
             lb = sf.TateLineBundle(curve, d, THETA_FACTOR)
 
             def theta(lb=lb, d=d):
                 basis = sf.theta_sections(lb, n_terms=64 * d)
                 return max(basis.residual(j, z) for j in range(d) for z in THETA_POINTS)
-            layers[name][f"theta_d{d}"] = timed(theta, 1)
+            layers[name][f"theta_d{d}"] = timed(theta, 1, MIN_RUN_S)
             solves[name][f"theta_d{d}_residual"] = theta()
-    return layers, solves
-
-
-def git_commit(src: Path) -> str | None:
-    try:
-        proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                              capture_output=True, text=True, timeout=10)
-    except OSError:
-        return None
-    return proc.stdout.strip() or None
-
-
-def ratios(before: dict, after: dict) -> dict:
-    return {name: {layer: round(before[name][layer]["best_s"] / t["best_s"], 2)
-                   for layer, t in row.items()}
-            for name, row in after.items()}
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="source tree holding spectral_forge (default: this repo's)")
-    parser.add_argument("--label", default="change", help="key of this run in the output")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_fibre.json"))
-    args = parser.parse_args()
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-
-    layers, solves = measure()
-    out_path = Path(args.out)
-    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
-    doc["description"] = DESCRIPTION
-    doc.setdefault("runs", {})[args.label] = {
-        "layers": layers,
-        "solves": solves,
-        "provenance": {"python": platform.python_version(),
-                       "machine": platform.machine(), "nproc": os.cpu_count(),
-                       "commit": git_commit(src), "repeat": REPEAT},
-    }
-    runs = doc["runs"]
-    if "parent" in runs and "change" in runs:
-        doc["speedup_best"] = ratios(runs["parent"]["layers"], runs["change"]["layers"])
-    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for name, row in layers.items():
-        print(f"tau={name}", " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()),
-              " ".join(f"{k}={v:.3g}" for k, v in solves[name].items()))
+    return {"layers": layers, "solves": solves}
 
 
 if __name__ == "__main__":
-    main()
+    main(__doc__, "BENCH_fibre.json", DESCRIPTION, measure)

@@ -11,7 +11,7 @@ map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 - ``modify``, ``props``, ``cover``: the CLI reports at 32 samples, in
   process, scenario file included.
 
-Each layer is run REPEAT times after one warm-up; best and median seconds
+Each layer is run 7 times after one warm-up; best and median seconds
 are kept.  Results are merged into the output file under ``--label``, so
 two runs (one per tree) give the before and after:
 
@@ -21,19 +21,13 @@ two runs (one per tree) give the before and after:
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
 import random
-import statistics
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _layer_bench import main, timed
+
 DESCRIPTION = (
     "Per-layer timings of journal replay, written by tools/bench_journal.py: "
     "parse_scenario, FamilySpec.determinant and the CLI modify, props and "
@@ -43,7 +37,6 @@ DESCRIPTION = (
     "runs after one warm-up, one entry of 'runs' per source tree; "
     "speedup_best is parent over change.")
 LENGTHS = (200, 400, 800, 1600)
-REPEAT = 7
 COMMANDS = ("modify", "props", "cover")
 F_G1 = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
 PRESENTATIONS = {
@@ -85,17 +78,12 @@ def journal(length: int) -> list[dict]:
     return steps
 
 
-def timed(fn) -> dict:
-    fn()
-    runs = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        fn()
-        runs.append(time.perf_counter() - t0)
-    return {"best_s": min(runs), "median_s": statistics.median(runs)}
+def measure() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {"layers": measure_in(Path(tmp))}
 
 
-def measure(workdir: Path) -> dict:
+def measure_in(workdir: Path) -> dict:
     from spectral_forge import parse_scenario
     from spectral_forge.cli import run_command
 
@@ -124,51 +112,5 @@ def measure(workdir: Path) -> dict:
     return out
 
 
-def git_commit(src: Path) -> str | None:
-    try:
-        proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                              capture_output=True, text=True, timeout=10)
-    except OSError:
-        return None
-    return proc.stdout.strip() or None
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="source tree holding spectral_forge (default: this repo's)")
-    parser.add_argument("--label", default="change", help="key of this run in the output")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_journal.json"))
-    args = parser.parse_args()
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-
-    with tempfile.TemporaryDirectory() as tmp:
-        layers = measure(Path(tmp))
-    out_path = Path(args.out)
-    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
-    doc["description"] = DESCRIPTION
-    doc.setdefault("runs", {})[args.label] = {
-        "layers": layers,
-        "provenance": {"python": platform.python_version(),
-                       "machine": platform.machine(), "nproc": os.cpu_count(),
-                       "commit": git_commit(src), "repeat": REPEAT},
-    }
-    runs = doc["runs"]
-    if "parent" in runs and "change" in runs:
-        before, after = runs["parent"]["layers"], runs["change"]["layers"]
-        doc["speedup_best"] = {
-            name: {n: {layer: round(before[name][n][layer]["best_s"]
-                                    / t["best_s"], 2)
-                       for layer, t in row.items()}
-                   for n, row in after[name].items()}
-            for name in after}
-    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for name, rows in layers.items():
-        for n, row in rows.items():
-            print(name, n, " ".join(f"{k}={v['best_s'] * 1e3:.2f}ms"
-                                    for k, v in row.items()))
-
-
 if __name__ == "__main__":
-    main()
+    main(__doc__, "BENCH_journal.json", DESCRIPTION, measure)

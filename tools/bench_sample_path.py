@@ -10,7 +10,7 @@ pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 
 The first two use the array forms where the source tree has them, else one
 scalar call per sample, so the same script times an older tree.  Each layer
-is run REPEAT times after one warm-up; best and median seconds are
+is run 7 times after one warm-up; best and median seconds are
 kept.  Results are merged into the output file under ``--label``, so two
 runs (one per tree) give the before and after:
 
@@ -20,18 +20,12 @@ runs (one per tree) give the before and after:
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
-import statistics
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from _layer_bench import main, timed
+
 DESCRIPTION = (
     "Per-layer timings of the per-sample path on the genus-1 pushforward "
     "family at tau = 2, written by tools/bench_sample_path.py: the factor "
@@ -40,7 +34,6 @@ DESCRIPTION = (
     "samples; best and median seconds of 'repeat' runs after one warm-up, "
     "one entry of 'runs' per source tree; speedup_best is parent over change.")
 SIZES = (256, 2048, 20_000)
-REPEAT = 7
 SCENARIO = {
     "surface": {"tau": [2.0, 0.0], "theta_degree": 1},
     "family": {"presentation": {
@@ -50,17 +43,15 @@ SCENARIO = {
 }
 
 
-def timed(fn) -> dict:
-    fn()
-    runs = []
-    for _ in range(REPEAT):
-        t0 = time.perf_counter()
-        fn()
-        runs.append(time.perf_counter() - t0)
-    return {"best_s": min(runs), "median_s": statistics.median(runs)}
+def measure() -> dict:
+    import numpy as np
+
+    with tempfile.TemporaryDirectory() as tmp:
+        return {"layers": measure_in(Path(tmp)),
+                "provenance": {"numpy": np.__version__}}
 
 
-def measure(workdir: Path) -> dict:
+def measure_in(workdir: Path) -> dict:
     import numpy as np
     from spectral_forge import cover_from_family, default_sample_points, parse_scenario
     from spectral_forge.cli import run_command
@@ -103,48 +94,5 @@ def measure(workdir: Path) -> dict:
     return out
 
 
-def git_commit(src: Path) -> str | None:
-    try:
-        proc = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                              capture_output=True, text=True, timeout=10)
-    except OSError:
-        return None
-    return proc.stdout.strip() or None
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="source tree holding spectral_forge (default: this repo's)")
-    parser.add_argument("--label", default="change", help="key of this run in the output")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_sample_path.json"))
-    args = parser.parse_args()
-    src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
-    import numpy as np
-
-    with tempfile.TemporaryDirectory() as tmp:
-        layers = measure(Path(tmp))
-    out_path = Path(args.out)
-    doc = json.loads(out_path.read_text()) if out_path.exists() else {}
-    doc["description"] = DESCRIPTION
-    doc.setdefault("runs", {})[args.label] = {
-        "layers": layers,
-        "provenance": {"python": platform.python_version(), "numpy": np.__version__,
-                       "machine": platform.machine(), "nproc": os.cpu_count(),
-                       "commit": git_commit(src), "repeat": REPEAT},
-    }
-    runs = doc["runs"]
-    if "parent" in runs and "change" in runs:
-        doc["speedup_best"] = {
-            n: {layer: round(runs["parent"]["layers"][n][layer]["best_s"]
-                             / runs["change"]["layers"][n][layer]["best_s"], 2)
-                for layer in runs["change"]["layers"][n]}
-            for n in runs["change"]["layers"]}
-    out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    for n, row in layers.items():
-        print(n, " ".join(f"{k}={v['best_s'] * 1e3:.2f}ms" for k, v in row.items()))
-
-
 if __name__ == "__main__":
-    main()
+    main(__doc__, "BENCH_sample_path.json", DESCRIPTION, measure)
