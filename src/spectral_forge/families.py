@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -285,7 +285,7 @@ class FamilySpec:
                 replay.push(step.at, step.degree, step.line_point)
             else:
                 replay.pop(step.at)
-        return {p: tuple(s) for p, s in replay.stacks.items()}
+        return replay.frozen_stacks()
 
     def jump_stack(self, at: BasePoint) -> list[PushStep]:
         return list(self._stacks.get(at, ()))
@@ -484,54 +484,77 @@ def allowable_mod(family: FamilySpec, at: BasePoint) -> FamilySpec:
 
 
 class _JournalReplay:
-    """A journal replayed in one pass against a presentation: one mutable
-    push stack per point, each step checked by ``push`` or ``pop``, and a
-    single ``FamilySpec`` at the end.  The one writer of push stacks.
+    """A journal replayed in one pass against a presentation: one push stack
+    per point, each step checked by ``push`` or ``pop``, and a single
+    ``FamilySpec`` at the end.  The one writer of push stacks.
 
-    The regularity of an unjumped fibre is computed once per point.  Callers
-    that pass equal points as one object get identity hits in both tables."""
+    A resumed replay starts from the family's steps and its stack tuples,
+    copying no stack until a step changes it; the stacks this replay wrote
+    are the lists among ``stacks``.  The regularity of an unjumped fibre is
+    computed once per point.  Callers that pass equal points as one object
+    get identity hits in both tables."""
 
     def __init__(self, surface: SurfaceSpec, data: SplitData | PushforwardData,
                  base_c2: int) -> None:
         self.surface = surface
         self.data = data
         self.base_c2 = base_c2
+        self._earlier: tuple[JournalStep, ...] = ()
         self.steps: list[JournalStep] = []
-        self.stacks: dict[BasePoint, list[PushStep]] = {}
-        self._regular = cache(partial(_unjumped_regular, surface, data))
+        self.stacks: dict[BasePoint, list[PushStep] | tuple[PushStep, ...]] = {}
+        self._regular: dict[BasePoint, bool] = {}
 
     @classmethod
     def resume(cls, family: FamilySpec) -> "_JournalReplay":
         """A replay at the end of ``family``'s journal, from its index."""
         replay = cls(family.surface, family.data, family.base_c2)
-        replay.steps = list(family.steps)
-        replay.stacks = {p: list(s) for p, s in family._stacks.items()}
+        replay._earlier = family.steps
+        replay.stacks = dict(family._stacks)
         return replay
+
+    def _is_regular(self, at: BasePoint) -> bool:
+        regular = self._regular.get(at)
+        if regular is None:
+            regular = self._regular[at] = _unjumped_regular(
+                self.surface, self.data, at)
+        return regular
 
     def push(self, at: BasePoint, r: int, line_point: complex) -> None:
         stack = self.stacks.get(at)
         if not _push_allowed(stack, at, r, line_point, self.surface.curve,
-                             self._regular):
+                             self._is_regular):
             raise NoSurjectionError(f"no surjection of degree {r} exists at {at}")
         step = PushStep(at, r, line_point)
-        if stack is None:
-            self.stacks[at] = [step]
-        else:
+        if type(stack) is list:
             stack.append(step)
+        else:  # a new point, or a resumed family's stack: copied once
+            self.stacks[at] = [*(stack or ()), step]
         self.steps.append(step)
 
     def pop(self, at: BasePoint) -> None:
         stack = self.stacks.get(at)
         if not stack:
             raise NoSurjectionError(f"no jump at {at}; nothing to remove")
-        stack.pop()
+        if type(stack) is list:
+            stack.pop()
+        else:
+            self.stacks[at] = list(stack[:-1])
         self.steps.append(PopStep(at))
+
+    def frozen_stacks(self) -> dict[BasePoint, tuple[PushStep, ...]]:
+        """The stacks as ``FamilySpec._stacks`` holds them: the lists this
+        replay wrote become tuples, the other stacks are shared."""
+        out = dict(self.stacks)
+        for p, stack in self.stacks.items():
+            if type(stack) is list:
+                out[p] = tuple(stack)
+        return out
 
     def family(self) -> FamilySpec:
         out = FamilySpec(self.surface, self.data, self.base_c2,
-                         tuple(self.steps))
+                         self._earlier + tuple(self.steps))
         # written like cached_property's own store: the dataclass is frozen
-        out.__dict__["_stacks"] = {p: tuple(s) for p, s in self.stacks.items()}
+        out.__dict__["_stacks"] = self.frozen_stacks()
         return out
 
 
@@ -667,6 +690,18 @@ def _factor_arrays(family: FamilySpec,
         return TwoSections(data.l1.constant_factor,
                            data.l2.constant_factor)._values_array(b)
     return data.factor_map._values_array(b)
+
+
+def _value_arrays(family: FamilySpec,
+                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``spectral_values_at`` at each sample, with the odd mask of the
+    inverse map's ``PellMap._values_array`` (none for the split constants)."""
+    data = family.data
+    if isinstance(data, SplitData):
+        return (np.full(b.shape, 1.0 / data.l1.constant_factor, dtype=complex),
+                np.full(b.shape, 1.0 / data.l2.constant_factor, dtype=complex),
+                np.zeros(b.shape, dtype=bool))
+    return data.factor_map.inverse()._values_array(b)
 
 
 def _fibre_arrays(

@@ -20,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from spectral_forge import (LineBundleOnX, Poly, PopStep, PunctureError, PushStep,
-                            QI, VerificationError, spectral_points)
+                            QI, UnsupportedError, VerificationError,
+                            sample_circle, spectral_points)
 
 # ============================================================
 # Rank-1 cohomology: Laurent seed counting
@@ -446,6 +447,38 @@ def reference_has_trivial_sub(family, pts) -> bool:
         if not (flags[0] or flags[1]):
             return False
     return flags[0] or flags[1]
+
+
+def reference_z_action_residual(family, twist,
+                                samples: "int | list[complex]" = 20) -> float:
+    """The descent closure defect of ``fourier.z_action_residual``."""
+    curve = family.curve
+    tau = curve.tau
+    if twist.b0.is_infinity:
+        raise UnsupportedError("descent base point must be affine")
+    b0 = twist.b0.to_complex()
+    d = family.surface.theta_degree
+    if isinstance(samples, int):
+        pts = sample_circle(samples, abs(tau), center=b0)
+    else:
+        pts = list(samples)
+    worst = 0.0
+    for x in pts:
+        alphas = family.spectral_values_at(x)
+        betas = family.fiber_factors_at(x)
+        for alpha, beta in zip(alphas, betas):
+            for j in range(-2, 2):
+                c_j = beta * tau ** j * alpha
+                c_next = beta * tau ** (j + 1) * alpha
+                n_j = curve.lattice_distance(c_j)[0]
+                n_next = curve.lattice_distance(c_next)[0]
+                step = twist.coefficient(j + 1) - twist.coefficient(j)
+                frame = (x - b0) ** (d - step)
+                closure = (frame * tau ** (n_next - n_j - 1)
+                           * (c_next * tau ** (-n_next))
+                           / (c_j * tau ** (-n_j)))
+                worst = max(worst, abs(closure - 1.0))
+    return worst
 
 
 def reference_sample_rows(cover, pts) -> list[str]:

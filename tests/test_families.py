@@ -448,6 +448,23 @@ def test_equal_points_share_one_stack():
     assert not allowable_mod(allowable_mod(fam, X0), three).has_jumps()
 
 
+def test_modifications_leave_their_source_unchanged():
+    """elem_mod and allowable_mod share the source's stack tuples and copy
+    only the one they change: the source and every family branched from it
+    keep the stacks of a replay of their own steps."""
+    x7 = BasePoint.of(7)
+    base = elem_mod(elem_mod(fresh_split(), X0, 1, NU), X1, 2, NU)
+    branches = [elem_mod(base, X0, 1, NU), elem_mod(base, x7, 1, NU),
+                allowable_mod(base, X1), allowable_mod(base, X0)]
+    branches.append(elem_mod(branches[0], X0, 2, NU))
+    for fam in (base, *branches):
+        for at in (X0, X1, x7):
+            assert fam.jump_stack(at) == replay_jump_stack(fam.steps, at)
+        assert fam.jump_points() == replay_jump_points(fam.steps)
+        assert all(type(stack) is tuple for stack in fam._stacks.values())
+    assert base.jump_points() == [X0, X1] and len(base.steps) == 2
+
+
 # ============================================================
 # Family <-> cover consistency
 # ============================================================

@@ -5,7 +5,7 @@ The array sample path against the scalar single-point methods, bit for bit.
 The kernels (Horner, sheets, Pell sheet values, canonical representatives,
 lattice distances) are compared with the scalar methods on 60,000 seeded
 random points and on edge sets; the report-level checks are compared with
-the former scalar loops kept in ``oracles``, errors included.  Two negative
+the former scalar loops kept in ``oracles``, errors included.  Three negative
 controls show that the comparison sees a change of one ulp.
 """
 
@@ -18,12 +18,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX,
-                            PellMap, PerturbedMap, Poly, PunctureError,
-                            SpectralCover, TateCurve, TwoSections,
-                            attach_generic_jumps, cover_from_family,
-                            fm_transform, invariance_residual, parse_scenario,
-                            sample_circle)
+from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
+                            LineBundleOnX, PellMap, PerturbedMap, Poly,
+                            PunctureError, SpectralCover, TateCurve,
+                            TwoSections, attach_generic_jumps,
+                            cover_from_family, descent_divisor, fm_transform,
+                            invariance_residual, parse_scenario, sample_circle)
 from spectral_forge import _carray, cli, fourier
 from spectral_forge.cli import run_command
 from spectral_forge.fourier import _has_trivial_sub, _roundtrip_report
@@ -126,6 +126,25 @@ def test_two_sections_and_perturbed_maps_match():
         scalar = [bis.sheet_values(x) for x in b.tolist()]
         assert mismatches(v0, [s[0] for s in scalar]) == 0
         assert mismatches(v1, [s[1] for s in scalar]) == 0
+
+
+def test_integer_powers_match_the_complex_power():
+    """Exponents up to CPython's small-integer cutoff of 100 on both sides;
+    past it ``powi`` reads NaN, which sends every sample to the scalar
+    operator."""
+    b = np.concatenate([random_points(11, 1_000),
+                        [0j, complex(-0.0, 0.0), 1e200 + 1e200j, 1e-200j,
+                         complex(math.inf, 0.0), complex(1.0, math.nan), 1 + 0j]])
+    for n in range(-101, 102):
+        got = _carray.powi(b, n)
+        if abs(n) > 100:
+            assert np.isnan(got).all()
+            continue
+        scalar = [outcome(pow, x, n) for x in b.tolist()]
+        raised = np.array([kind != "value" for kind, _ in scalar])
+        assert not np.isfinite(got[raised]).any()
+        assert mismatches(got[~raised], [v for kind, v in scalar
+                                         if kind == "value"]) == 0, n
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -414,6 +433,107 @@ def test_sample_rows_match_the_scalar_loop(tmp_path, capsys):
 
 
 # ============================================================
+# The descent residual against the scalar loop
+# ============================================================
+
+def residual_outcome(fn, *args):
+    """``outcome`` with a float value as ``float.hex``: every bit counts."""
+    kind, value = outcome(fn, *args)
+    return (kind, value.hex()) if kind == "value" else (kind, value)
+
+
+def descent_outcomes(fam, twist, samples) -> tuple:
+    return (residual_outcome(fourier.z_action_residual, fam, twist, samples),
+            residual_outcome(oracles.reference_z_action_residual, fam, twist,
+                             samples))
+
+
+@pytest.mark.parametrize("count", [20, 256, 2048])
+def test_descent_residual_matches_the_scalar_loop(descent_corpus, count):
+    for fam, b0 in descent_corpus:
+        twist = descent_divisor(fam, b0)
+        for tw in (twist, twist.disabled()):
+            got, want = descent_outcomes(fam, tw, count)
+            assert got == want and got[0] == "value"
+
+
+def test_descent_residual_matches_on_explicit_points(descent_corpus):
+    """Random points over many radii, the base point itself (a zero frame
+    with the twist off) and an integer sample."""
+    for index, (fam, b0) in enumerate(descent_corpus):
+        twist = descent_divisor(fam, b0)
+        pts = random_points(30 + index, 300, 1.5).tolist() + [b0.to_complex(), 3]
+        for tw in (twist, twist.disabled()):
+            got, want = descent_outcomes(fam, tw, pts)
+            assert got == want and got[0] == "value"
+
+
+def test_descent_residual_edges_match_the_scalar_loop():
+    """A pole of the factor map at b = 2; a frame that overflows (|b - b0| =
+    1e200 at degree 2, twist off); a finite closure whose modulus does not
+    fit a float (abs raises); a tau whose square overflows; a level value
+    that overflows on the second sheet only (factor 1e308); frame
+    exponents of 100 and 101 (the second past CPython's small-integer
+    cutoff, taken by ``_Py_c_pow``), and of -100 at b = b0; no samples;
+    and a NaN sample, whose defects are NaN with the twist off and are
+    skipped, as the builtin max skips them."""
+    origin = BasePoint.of(0)
+    push = push_family(surf_plain(), cover_g1(), pell_g1())
+    push_twist = descent_divisor(push, BasePoint.of(Fraction(1, 4)))
+    split = split_family(surf_plain(TAU_DYADIC, 2), 0.7 + 0.1j, 1.3 - 0.2j)
+    split_twist = descent_divisor(split, origin)
+    plain = split_family(surf_plain(), 0.7 + 0.1j, 1.3 - 0.2j)
+    plain_twist = descent_divisor(plain, origin)
+    huge = split_family(surf_plain(1e160 + 0j), 0.7 + 0.1j, 1.3 - 0.2j)
+    lopsided = split_family(surf_plain(), 0.7 + 0.1j, 1e308 + 0j)
+    near_one = [1 + 0.01j, 0.999j, -1.001 + 0j]
+    cases = [
+        (push, push_twist, [1j, 0.5 + 0j, 2 + 0j, -1 + 1j], "PunctureError"),
+        (push, push_twist.disabled(), [1j, 0.5 + 0j, 2 + 0j], "PunctureError"),
+        (split, split_twist.disabled(), [1 + 1j, 1e200 + 0j, 3j], "OverflowError"),
+        (split, split_twist, [1 + 1j, 1e200 + 0j, 3j], "value"),
+        (plain, plain_twist.disabled(), [1j, 1.7e308 + 1.7e308j], "OverflowError"),
+        (huge, descent_divisor(huge, origin), [1 + 1j, 2j], "ValueError"),
+        (lopsided, descent_divisor(lopsided, origin), [1 + 1j, 2j], "OverflowError"),
+        (split, DescentTwist(origin, (1, 1), -98), near_one, "value"),
+        (split, DescentTwist(origin, (1, 1), -99), near_one, "value"),
+        (split, DescentTwist(origin, (1, 1), 102), [1j, 0j], "ZeroDivisionError"),
+        (split, split_twist, [], "value"),
+        (split, split_twist, 0, "value"),
+        (push, push_twist, [], "value"),
+    ]
+    for fam, twist, pts, kind in cases:
+        got, want = descent_outcomes(fam, twist, pts)
+        assert got == want and got[0] == kind, (pts, got, want)
+    assert fourier.z_action_residual(push, push_twist, []) == 0.0
+    nan = complex(math.nan, 0.0)
+    for tw in (split_twist, split_twist.disabled()):
+        got, want = descent_outcomes(split, tw, [1 + 1j, nan, 2j])
+        assert got == want == descent_outcomes(split, tw, [1 + 1j, 2j])[1]
+        assert not math.isnan(float.fromhex(got[1]))
+
+
+def test_descent_residual_makes_no_scalar_calls_on_regular_samples(
+        descent_corpus, monkeypatch):
+    """No scalar lattice distance or sheet value on regular samples; a
+    pinned NaN sample (non-finite frame, twist off) takes the scalar route
+    once: one call for each sheet pair and 16 lattice distances."""
+    twists = [(fam, descent_divisor(fam, b0)) for fam, b0 in descent_corpus]
+    lattice = count_calls(monkeypatch, TateCurve, "lattice_distance")
+    values = count_calls(monkeypatch, FamilySpec, "spectral_values_at")
+    factors = count_calls(monkeypatch, FamilySpec, "fiber_factors_at")
+    for fam, twist in twists:
+        for tw in (twist, twist.disabled()):
+            fourier.z_action_residual(fam, tw, 256)
+            fourier.z_action_residual(fam, tw, random_points(40, 100).tolist())
+    assert (lattice, values, factors) == ([0], [0], [0])
+    fam, twist = twists[0]
+    fourier.z_action_residual(fam, twist.disabled(),
+                              [1 + 1j, complex(math.nan, 0.0), 2j])
+    assert (lattice, values, factors) == ([16], [1], [1])
+
+
+# ============================================================
 # Negative controls: one ulp is seen
 # ============================================================
 
@@ -436,6 +556,23 @@ def test_numpy_atan2_in_the_square_root_is_seen(monkeypatch):
     assert mismatches(cov._sheets_array(b), scalar) == 0
     monkeypatch.setattr(math, "atan2", lambda y, x: float(np.arctan2(y, x)))
     assert mismatches(cov._sheets_array(b), scalar) > 0
+
+
+def test_a_one_ulp_frame_change_is_seen(descent_corpus, monkeypatch):
+    fam, b0 = descent_corpus[6]  # split family at TAU_WIDE, degree 1
+    twist = descent_divisor(fam, b0)
+    cases = [(tw, n) for tw in (twist, twist.disabled()) for n in (20, 256, 2048)]
+    want = [oracles.reference_z_action_residual(fam, tw, n).hex() for tw, n in cases]
+    assert [fourier.z_action_residual(fam, tw, n).hex() for tw, n in cases] == want
+    plain = _carray.powi
+
+    def nudged(a, n):
+        out = plain(a, n)
+        return _carray.pack(np.nextafter(out.real, math.inf), out.imag)
+
+    monkeypatch.setattr(_carray, "powi", nudged)
+    got = [fourier.z_action_residual(fam, tw, n).hex() for tw, n in cases]
+    assert all(g != w for g, w in zip(got, want))
 
 
 # ============================================================

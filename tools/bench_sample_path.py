@@ -1,18 +1,20 @@
 """Per-layer timings of the per-sample path, written to BENCH_sample_path.json.
 
-Times four layers at 256, 2,048 and 20,000 samples on the genus-1
+Times five layers at 256, 2,048 and 20,000 samples on the genus-1
 pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 
 - ``sheet_values``: the factor map's two sheet values at every sample;
 - ``canonical_rep``: the canonical representatives of those 2n values;
 - ``cover_from_family``: the family's cover with its per-sample check;
-- ``props``: the CLI ``props`` report, in process, ladder included.
+- ``props``: the CLI ``props`` report, in process, ladder included;
+- ``descent``: ``z_action_residual`` with the descent twist at b0 = 0 on
+  and off (two calls), on the |tau| circle around b0.
 
 The first two use the array forms where the source tree has them, else one
-scalar call per sample, so the same script times an older tree.  Each layer
-is run 7 times after one warm-up; best and median seconds are
-kept.  Results are merged into the output file under ``--label``, so two
-runs (one per tree) give the before and after:
+scalar call per sample, so the same script times an older tree; the others
+call public functions only.  Each layer is run 7 times after one warm-up;
+best and median seconds are kept.  Results are merged into the output file
+under ``--label``, so two runs (one per tree) give the before and after:
 
     python tools/bench_sample_path.py --src /path/to/parent/src --label parent
     python tools/bench_sample_path.py --label change
@@ -29,8 +31,9 @@ from _layer_bench import main, timed
 DESCRIPTION = (
     "Per-layer timings of the per-sample path on the genus-1 pushforward "
     "family at tau = 2, written by tools/bench_sample_path.py: the factor "
-    "map's sheet values, canonical_rep of those values, cover_from_family "
-    "and the CLI props report (ladder included), at 256, 2048 and 20000 "
+    "map's sheet values, canonical_rep of those values, cover_from_family, "
+    "the CLI props report (ladder included) and z_action_residual with the "
+    "descent twist at b0 = 0 on and off, at 256, 2048 and 20000 "
     "samples; best and median seconds of 'repeat' runs after one warm-up, "
     "one entry of 'runs' per source tree; speedup_best is parent over change.")
 SIZES = (256, 2048, 20_000)
@@ -53,7 +56,8 @@ def measure() -> dict:
 
 def measure_in(workdir: Path) -> dict:
     import numpy as np
-    from spectral_forge import cover_from_family, default_sample_points, parse_scenario
+    from spectral_forge import (BasePoint, cover_from_family, default_sample_points,
+                                descent_divisor, parse_scenario, z_action_residual)
     from spectral_forge.cli import run_command
 
     path = workdir / "push-g1-t2.json"
@@ -61,6 +65,8 @@ def measure_in(workdir: Path) -> dict:
     family = parse_scenario(SCENARIO).family
     fmap = family.data.factor_map
     curve = family.curve
+    twist = descent_divisor(family, BasePoint.of(0))
+    untwisted = twist.disabled()
     out = {}
     for n in SIZES:
         pts = default_sample_points(family, n, phase=0.05)
@@ -90,6 +96,8 @@ def measure_in(workdir: Path) -> dict:
             "canonical_rep": timed(canonical),
             "cover_from_family": timed(lambda: cover_from_family(family, pts)),
             "props": timed(lambda: run_command(argv)),
+            "descent": timed(lambda: (z_action_residual(family, twist, n),
+                                      z_action_residual(family, untwisted, n))),
         }
     return out
 
