@@ -1,6 +1,14 @@
 # spectral_forge/_carray.py
 """
-Complex float arithmetic over numpy arrays, bit for bit equal to CPython's.
+Complex float arithmetic over numpy arrays, bit for bit equal to CPython's,
+and the package's one numpy boundary.
+
+No other module imports numpy: they take ``np`` from here.  ``np`` is
+numpy, loaded lazily (``importlib.util.LazyLoader``): the real import runs
+on the first attribute read, so code that never touches an array (the
+exact layer, the journal, ``modify`` and ``classify``) never loads numpy.
+After that read ``np`` is the plain numpy module, with no cost per call.
+A process that imported numpy first keeps its module.
 
 The per-sample path (sheet values, lattice reduction, fibre classes) runs
 over all samples at once.  Its values travel as complex128 arrays, but every
@@ -24,16 +32,32 @@ raise or return exactly what the scalar loop did.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from itertools import repeat
+from types import ModuleType
 from typing import Callable
 
-import numpy as np
 
-Array = np.ndarray
+def _lazy(name: str) -> ModuleType:
+    """The module ``name``, imported on the first read of an attribute."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def pack(re: Array, im: Array) -> Array:
+np = _lazy("numpy")
+
+
+def pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The complex128 array with these parts (no arithmetic on the way);
     ``re`` has the shape of the result."""
     out = np.empty(re.shape, dtype=complex)
@@ -42,13 +66,13 @@ def pack(re: Array, im: Array) -> Array:
     return out
 
 
-def mul(a: "Array | complex", b: "Array | complex") -> Array:
+def mul(a: "np.ndarray | complex", b: "np.ndarray | complex") -> np.ndarray:
     with np.errstate(all="ignore"):
         return pack(a.real * b.real - a.imag * b.imag,
                     a.real * b.imag + a.imag * b.real)
 
 
-def quot(a: "Array | complex", b: "Array | complex") -> Array:
+def quot(a: "np.ndarray | complex", b: "np.ndarray | complex") -> np.ndarray:
     """a / b as ``_Py_c_quot``: zero divisors give no error here."""
     b = np.asarray(b)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
@@ -66,7 +90,7 @@ def quot(a: "Array | complex", b: "Array | complex") -> Array:
                     np.where(by_re, (ai - ar * r1) / d1, im))
 
 
-def powi(a: Array, n: int) -> Array:
+def powi(a: np.ndarray, n: int) -> np.ndarray:
     """a ** n for an int n as CPython computes it for |n| <= 100 (``c_powi``):
     square and multiply by ``_Py_c_prod`` from 1 (``c_powu``), and 1 / a ** -n
     for n <= 0, so n = 0 gives 1 everywhere.  A larger |n| takes
@@ -82,19 +106,19 @@ def powi(a: Array, n: int) -> Array:
     return out if n > 0 else quot(1.0, out)
 
 
-def absolute(a: Array) -> Array:
+def absolute(a: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         return np.hypot(a.real, a.imag)
 
 
-def each(fn: Callable[..., float], *args: "Array | float") -> Array:
+def each(fn: Callable[..., float], *args: "np.ndarray | float") -> np.ndarray:
     """fn applied element by element (a ``math`` function, for parity) over
     1-d arrays; a float argument is the same at every element."""
     lists = (x.tolist() if isinstance(x, np.ndarray) else repeat(x) for x in args)
     return np.fromiter(map(fn, *lists), dtype=float, count=len(args[0]))
 
 
-def sqrt(a: Array) -> Array:
+def sqrt(a: np.ndarray) -> np.ndarray:
     """a ** 0.5 as CPython computes it (``_Py_c_pow`` with exponent 0.5):
     hypot, C pow, atan2, then length times cos and sin of the half phase;
     0 gives 0.  An overflow (an infinite part) raises in CPython."""
@@ -106,7 +130,7 @@ def sqrt(a: Array) -> Array:
     return out
 
 
-def nearest(b: Array, centres: "list[complex]") -> Array:
+def nearest(b: np.ndarray, centres: "list[complex]") -> np.ndarray:
     """Distance ``abs(c - b)`` from each sample to the nearest centre c
     (infinite without centres)."""
     out = np.full(np.shape(b), math.inf)
@@ -115,7 +139,7 @@ def nearest(b: Array, centres: "list[complex]") -> Array:
     return out
 
 
-def first_failure(ok: Array, odd: Array,
+def first_failure(ok: np.ndarray, odd: np.ndarray,
                   check: Callable[[int], bool]) -> "int | None":
     """Index of the first sample that fails, as a scalar loop stopping there
     would find it: odd samples are decided by ``check(i)``, which may raise,
@@ -126,7 +150,8 @@ def first_failure(ok: Array, odd: Array,
     return None
 
 
-def fill_odd(values: Array, odd: Array, scalar: Callable[[int], object]) -> Array:
+def fill_odd(values: np.ndarray, odd: np.ndarray,
+             scalar: Callable[[int], object]) -> np.ndarray:
     """``values`` with each odd sample replaced by ``scalar(i)``, in order."""
     for i in np.flatnonzero(odd).tolist():
         values[i] = scalar(i)

@@ -23,9 +23,8 @@ import functools
 import sys
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from . import _carray
+from ._carray import np
 from .covers import HyperCover
 from .errors import (SchemaError, SpectralForgeError, UnsupportedError,
                      VerificationError)
@@ -34,8 +33,8 @@ from .families import (FamilySpec, PushforwardData, _spectral_arrays,
 from .fiber import spectral_points
 from .fourier import (_roundtrip_report, descent_divisor, fm_transform,
                       roundtrip_check, z_action_residual)
-from .scenario import (Scenario, canonical_json, encode_base_point,
-                       encode_complex, load_scenario)
+from .scenario import (MAX_SAMPLES, Scenario, canonical_json,
+                       encode_base_point, encode_complex, load_scenario)
 from .spectral import (PellMap, SpectralCover, TwoSections, _fibre_defects,
                        _sample_ladder, invariance_residual)
 from .surface import GroupPresentation, fibre_component_groups, pic_relative
@@ -321,14 +320,23 @@ def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
         lines += (f"{at},0,{re0!r},{im0!r}", f"{at},1,{re1!r},{im1!r}")
     csv_text = "\n".join(lines) + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write(args.csv, csv_text)
     else:
         sys.stdout.write(csv_text)
     report = _envelope("sample", scn)
     report["rows"] = 2 * len(pts)
     report["csv"] = args.csv or "-"
     return report, 0
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written exits 2, like a
+    scenario that cannot be read."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 _HANDLERS: dict[str, Callable] = {
@@ -368,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--samples", type=int, default=None,
-                       help="sample count, a positive integer (default 32 "
-                            "or scenario run.samples)")
+                       help=f"sample count, from 1 to {MAX_SAMPLES} "
+                            "(default 32 or scenario run.samples)")
         p.add_argument("--tol", type=float, default=None,
                        help="the one tolerance, in (0, 1), for every gate "
                             "(default 1e-9 or scenario run.tol)")
@@ -386,6 +394,11 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
     try:
         scn = load_scenario(args.scenario, args.tol, args.samples, args.seed)
         report, code = _HANDLERS[args.command](scn, args)
+        text = canonical_json(report) + "\n"
+        if args.json:
+            _write(args.json, text)
+        elif args.command != "sample":
+            sys.stdout.write(text)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -395,12 +408,6 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
     except SpectralForgeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    text = canonical_json(report) + "\n"
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif args.command != "sample":
-        sys.stdout.write(text)
     return code
 
 

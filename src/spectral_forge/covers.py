@@ -45,9 +45,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-import numpy as np
-
 from . import _carray
+from ._carray import np
 
 __all__ = [
     "QI",

@@ -38,9 +38,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import _carray
+from ._carray import np
 from .covers import (BASE_POINT_RADIUS, BasePoint, DivisorClass, HyperCover,
                      class_add, norm_degree)
 from .errors import (InvalidFamilyError, NoSurjectionError, UnsupportedError,

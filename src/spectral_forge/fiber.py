@@ -53,8 +53,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
+from ._carray import np
 from .tate import TateCurve, TateLineBundle, TatePoint
 
 __all__ = [
@@ -294,7 +293,6 @@ def _node_values(rows: np.ndarray, k: int) -> np.ndarray:
     at the k nodes offset by half a step.  One inverse FFT of the rows times
     the half-step twiddle e^(i pi n/k), folded mod k when k is below their
     length and zero-padded otherwise."""
-    from numpy import fft           # loaded on the first solve only
     count, length = rows.shape
     twiddled = rows * _dft_level(k, length)[0]
     if k < length:
@@ -302,7 +300,7 @@ def _node_values(rows: np.ndarray, k: int) -> np.ndarray:
         folded = np.zeros((count, blocks * k), dtype=complex)
         folded[:, :length] = twiddled
         twiddled = folded.reshape(count, blocks, k).sum(axis=1)
-    return fft.ifft(twiddled, n=k, axis=1, norm="forward")
+    return np.fft.ifft(twiddled, n=k, axis=1, norm="forward")
 
 
 class _ObstructionPoly:

@@ -204,9 +204,16 @@ def parse_scenario(raw: Any, tol: float | None = None,
                     samples, seed, points)
 
 
+# The largest sample count a run may ask for: a larger one is refused before
+# any per-sample array is allocated.
+MAX_SAMPLES = 2 ** 20
+
+
 def _check_run(samples: Any, tol: Any, seed: Any) -> None:
     if not isinstance(samples, int) or samples < 1:
         raise SchemaError("run.samples: expected a positive integer")
+    if samples > MAX_SAMPLES:
+        raise SchemaError(f"run.samples: at most {MAX_SAMPLES}, got {samples}")
     if not isinstance(tol, (int, float)) or not 0 < tol < 1:
         raise SchemaError(f"run.tol: expected a number in (0, 1), got {tol!r}")
     if not isinstance(seed, int):

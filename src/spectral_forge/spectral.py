@@ -33,9 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-import numpy as np
-
 from . import _carray
+from ._carray import np
 from .covers import BasePoint, HyperCover, Poly, QI
 from .errors import PunctureError, VerificationError
 from .fiber import extension_from_pair

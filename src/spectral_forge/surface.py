@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
-import numpy as np
-
 from . import _carray
+from ._carray import np
 from .covers import BASE_POINT_RADIUS, BasePoint, HyperCover
 from .errors import MultipleFibreRestrictionError
 from .tate import TateLineBundle, TatePoint

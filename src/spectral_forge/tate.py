@@ -30,9 +30,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from . import _carray
+from ._carray import np
 
 __all__ = [
     "TateCurve",

@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX, PellMap,
-                            UnstableFiber, class_add, parse_scenario,
-                            point_class, scenario_hash)
+                            SchemaError, UnstableFiber, class_add,
+                            parse_scenario, point_class, scenario_hash)
 from spectral_forge import cli, families
 from spectral_forge.cli import main, run_command
 from conftest import cover_g2
@@ -269,6 +269,55 @@ def test_nonpositive_samples_flag_exits_two(tmp_path, capsys, cmd, samples):
     path = write(tmp_path, split_doc())
     assert run_command([cmd, "--scenario", path, "--samples", samples]) == 2
     assert "run.samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["cover", "props", "sample"])
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("samples", [2 ** 40, 10 ** 20])
+def test_oversized_samples_exit_two_before_sampling(tmp_path, capsys,
+                                                    monkeypatch, cmd, where,
+                                                    samples):
+    """A count above the cap is refused while the scenario is read: no
+    report handler, and so no per-sample array, is ever reached."""
+    def unreachable(*args):
+        raise AssertionError("a report ran on an oversized sample count")
+
+    monkeypatch.setitem(cli._HANDLERS, cmd, unreachable)
+    doc = split_doc()
+    flag = ["--samples", str(samples)] if where == "flag" else []
+    if where == "file":
+        doc["run"]["samples"] = samples
+    path = write(tmp_path, doc)
+    assert run_command([cmd, "--scenario", path, *flag]) == 2
+    assert capsys.readouterr().err == (
+        f"error: run.samples: at most {2 ** 20}, got {samples}\n")
+
+
+def test_sample_cap_is_inclusive():
+    doc = split_doc()
+    doc["run"]["samples"] = 2 ** 20
+    assert parse_scenario(doc).samples == 2 ** 20
+    doc["run"]["samples"] += 1
+    with pytest.raises(SchemaError, match="run.samples"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--json", "{missing}/x.json"],
+    ["sample", "--csv", "{missing}/x.csv"],
+    ["sample", "--csv", "{tmp}/rows.csv", "--json", "{missing}/x.json"],
+], ids=["cover-json", "sample-csv", "sample-json"])
+def test_unwritable_output_path_exits_two(tmp_path, capsys, argv):
+    """An output file that cannot be written is a usage error, like a
+    scenario that cannot be read, and no report reaches stdout."""
+    path = write(tmp_path, split_doc())
+    missing = tmp_path / "no" / "such" / "dir"
+    cmd, *flags = (a.format(missing=missing, tmp=tmp_path) for a in argv)
+    assert run_command([cmd, "--scenario", path, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {missing}/x.")
+    assert not missing.exists()
 
 
 def test_csv_flag_is_rejected_outside_sample(tmp_path, capsys):

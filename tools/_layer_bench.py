@@ -2,11 +2,13 @@
 
 Each script defines ``measure()``, which times its layers and returns the
 entry of one run (``layers`` plus any extra tables), and hands it to
-``main``.  ``main`` parses ``--src``/``--label``/``--out``, puts ``--src``
+``main`` (a script timing fresh processes may time two trees at once,
+see ``main``).  ``main`` parses ``--src``/``--label``/``--out``, puts ``--src``
 first on the import path, adds provenance to the entry and merges it into
 the output file under the label.  With a ``change`` run next to a
 ``parent`` (or ``seed``) run it also writes their best-time ratios
-(``speedup_best``, ``seed_speedup_best``).
+(``speedup_best``, ``seed_speedup_best``) and, against the parent, their
+median-time ratios (``speedup_median``).
 """
 
 from __future__ import annotations
@@ -51,11 +53,11 @@ def git_commit(src: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def ratios(before: dict, after: dict) -> dict | float:
-    """Best-time ratio before over after at every timing of ``after``."""
-    if "best_s" in after:
-        return round(before["best_s"] / after["best_s"], 2)
-    return {key: ratios(before[key], value) for key, value in after.items()}
+def ratios(before: dict, after: dict, stat: str = "best_s") -> dict | float:
+    """Ratio before over after of ``stat`` at every timing of ``after``."""
+    if stat in after:
+        return round(before[stat] / after[stat], 2)
+    return {key: ratios(before[key], value, stat) for key, value in after.items()}
 
 
 def timing_rows(tree: dict, path: tuple[str, ...] = ()):
@@ -68,31 +70,50 @@ def timing_rows(tree: dict, path: tuple[str, ...] = ()):
 
 
 def main(doc: str, out_name: str, description: str,
-         measure: Callable[[], dict]) -> None:
+         measure: Callable[..., dict], paired: bool = False) -> None:
+    """Run ``measure`` and merge its entry into the output file.  A
+    ``paired`` script takes ``--against``, a second tree that it times in
+    alternation with ``--src``: ``measure`` gets {label: tree} and returns
+    {label: entry}, with the second tree's run labelled ``parent``."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="source tree holding spectral_forge (default: this repo's)")
     parser.add_argument("--label", default="change", help="key of this run in the output")
     parser.add_argument("--out", default=str(ROOT / out_name))
+    if paired:
+        parser.add_argument("--against", default=None,
+                            help="second source tree, timed in alternation with "
+                                 "--src and written under the label 'parent'")
     args = parser.parse_args()
     src = Path(args.src).resolve()
-    sys.path.insert(0, str(src))
+    trees = {args.label: src}
+    if paired:
+        if args.against:
+            trees["parent"] = Path(args.against).resolve()
+        entries = measure(trees)
+    else:
+        sys.path.insert(0, str(src))
+        entries = {args.label: measure()}
 
-    entry = measure()
-    entry["provenance"] = {**entry.get("provenance", {}),
-                           "python": platform.python_version(),
-                           "machine": platform.machine(), "nproc": os.cpu_count(),
-                           "commit": git_commit(src), "repeat": REPEAT}
     out_path = Path(args.out)
     out = json.loads(out_path.read_text()) if out_path.exists() else {}
     out["description"] = description
-    out.setdefault("runs", {})[args.label] = entry
-    runs = out["runs"]
+    runs = out.setdefault("runs", {})
+    for label, entry in entries.items():
+        entry["provenance"] = {"python": platform.python_version(),
+                               "machine": platform.machine(), "nproc": os.cpu_count(),
+                               "commit": git_commit(trees[label]), "repeat": REPEAT,
+                               **entry.get("provenance", {})}
+        runs[label] = entry
     if "change" in runs:
         after = runs["change"]["layers"]
         for before, key in (("parent", "speedup_best"), ("seed", "seed_speedup_best")):
             if before in runs:
                 out[key] = ratios(runs[before]["layers"], after)
+        if "parent" in runs:
+            out["speedup_median"] = ratios(runs["parent"]["layers"], after, "median_s")
     out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    for path, row in timing_rows(entry["layers"]):
-        print(*path, " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()))
+    for label, entry in entries.items():
+        for path, row in timing_rows(entry["layers"]):
+            print(label, *path,
+                  " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()))
