@@ -9,7 +9,8 @@ give byte-identical output.  The tolerance, ``--tol`` or else ``run.tol``,
 is the surface curve's: it decides every lattice, invariance, round-trip and
 descent gate.  ``--samples`` and ``--seed`` replace ``run.samples`` and
 ``run.seed`` and are checked like them (samples must be a positive
-integer).  Only ``sample`` takes ``--csv``.
+integer, at most ``MAX_SAMPLES``; the seed at most ``MAX_SEED`` in
+magnitude).  Only ``sample`` takes ``--csv``.
 
 Exit codes: 0 success, 1 verification failure, 2 schema or input error,
 64 unsupported construction (including map punctures at sample points, and
@@ -33,7 +34,7 @@ from .families import (FamilySpec, PushforwardData, _spectral_arrays,
 from .fiber import spectral_points
 from .fourier import (_roundtrip_report, descent_divisor, fm_transform,
                       roundtrip_check, z_action_residual)
-from .scenario import (MAX_SAMPLES, Scenario, canonical_json,
+from .scenario import (MAX_SAMPLES, MAX_SEED, Scenario, canonical_json,
                        encode_base_point, encode_complex, load_scenario)
 from .spectral import (PellMap, SpectralCover, TwoSections, _fibre_defects,
                        _sample_ladder, invariance_residual)
@@ -382,7 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="the one tolerance, in (0, 1), for every gate "
                             "(default 1e-9 or scenario run.tol)")
         p.add_argument("--seed", type=int, default=None,
-                       help="sampling seed (default 0 or scenario value)")
+                       help=f"sampling seed, of magnitude at most {MAX_SEED} "
+                            "(default 0 or scenario value)")
         p.add_argument("--json", default=None, help="JSON report path")
         if name == "sample":
             p.add_argument("--csv", default=None, help="CSV output path")

@@ -46,8 +46,8 @@ from .errors import (InvalidFamilyError, NoSurjectionError, UnsupportedError,
                      VerificationError)
 from .fiber import (AtiyahRegular, FiberClass, SplitFiber, UnstableFiber,
                     is_regular, spectral_points)
-from .spectral import (Bisection, ChernData, PellMap, SpectralCover,
-                       TwoSections, _sample_ladder, bisection_torus_degree,
+from .spectral import (ChernData, PellMap, SpectralCover, TwoSections,
+                       _sample_ladder, bisection_torus_degree,
                        check_invariance)
 from .surface import LineBundleOnX, SurfaceSpec
 from .tate import TateCurve, TateLineBundle
@@ -89,6 +89,12 @@ class SplitData:
 
     def determinant(self) -> LineBundleOnX:
         return self.l1.tensor(self.l2)
+
+    @property
+    def factor_map(self) -> TwoSections:
+        """The fibre factors of the two summands: the pair of constant
+        sections, a reducible bisection read like a pushforward's map."""
+        return TwoSections(self.l1.constant_factor, self.l2.constant_factor)
 
 
 @dataclass(frozen=True)
@@ -327,18 +333,12 @@ class FamilySpec:
 
     def spectral_values_at(self, b: complex) -> tuple[complex, complex]:
         """The two torus values of the cover over b (semistable locus)."""
-        if isinstance(self.data, SplitData):
-            return (1.0 / self.data.l1.constant_factor,
-                    1.0 / self.data.l2.constant_factor)
         return self.data.factor_map.inverse().sheet_values(b)
 
     def fiber_factors_at(self, b: complex) -> tuple[complex, complex]:
         """Factors of the two graded line pieces over b, sheet-aligned with
         ``spectral_values_at`` (their componentwise product is 1 exactly in
         exact arithmetic, and up to roundoff here)."""
-        if isinstance(self.data, SplitData):
-            return (self.data.l1.constant_factor,
-                    self.data.l2.constant_factor)
         return self.data.factor_map.sheet_values(b)
 
     # ----- twisting -------------------------------------------------------
@@ -641,10 +641,10 @@ def cover_from_family(family: FamilySpec,
                       samples: "int | list[complex]" = 32) -> SpectralCover:
     """The family's spectral cover: journal verticals plus the bisection.
 
-    The bisection is the declared presentation's inverse factor map (or the
-    pair of constant sections); at every sample the fibre class's own
-    twist-cohomology support is recomputed and compared, so inconsistent
-    declarations fail loudly.
+    The bisection is the declared presentation's inverse factor map (for a
+    split family, the pair of inverted constant sections); at every sample
+    the fibre class's own twist-cohomology support is recomputed and
+    compared, so inconsistent declarations fail loudly.
     """
     pts = _resolve_points(family, samples)
     curve = family.curve
@@ -652,12 +652,7 @@ def cover_from_family(family: FamilySpec,
     for p, stack in family._stacks.items():
         if stack:
             verticals.append((p, sum(s.degree for s in stack)))
-    bis: Bisection
-    if isinstance(family.data, SplitData):
-        a1, a2 = family.spectral_values_at(0.0)
-        bis = TwoSections(a1, a2)
-    else:
-        bis = family.data.factor_map.inverse()
+    bis = family.data.factor_map.inverse()
 
     def agree_at(i: int) -> bool:
         pts_fc = spectral_points(family.fiber_class_at(pts[i]))
@@ -680,29 +675,6 @@ def cover_from_family(family: FamilySpec,
     return SpectralCover(family.surface, tuple(verticals), bis)
 
 
-def _factor_arrays(family: FamilySpec,
-                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``fiber_factors_at`` at each sample, with the odd mask of
-    ``PellMap._values_array``."""
-    data = family.data
-    if isinstance(data, SplitData):
-        return TwoSections(data.l1.constant_factor,
-                           data.l2.constant_factor)._values_array(b)
-    return data.factor_map._values_array(b)
-
-
-def _value_arrays(family: FamilySpec,
-                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``spectral_values_at`` at each sample, with the odd mask of the
-    inverse map's ``PellMap._values_array`` (none for the split constants)."""
-    data = family.data
-    if isinstance(data, SplitData):
-        return (np.full(b.shape, 1.0 / data.l1.constant_factor, dtype=complex),
-                np.full(b.shape, 1.0 / data.l2.constant_factor, dtype=complex),
-                np.zeros(b.shape, dtype=bool))
-    return data.factor_map.inverse()._values_array(b)
-
-
 def _fibre_arrays(
         family: FamilySpec,
         b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -712,7 +684,7 @@ def _fibre_arrays(
     (unstable fibres), the samples where ``fiber_class_at`` raises and those
     the arrays cannot follow; the scalar route decides them."""
     curve = family.curve
-    f0, f1, odd = _factor_arrays(family, b)
+    f0, f1, odd = family.data.factor_map._values_array(b)
     if isinstance(family.data, SplitData):
         atiyah = np.zeros(b.shape, dtype=bool)
         odd = odd | family.surface._multiple_mask(b)

@@ -31,8 +31,7 @@ from ._carray import np
 from .covers import BasePoint, DivisorClass, class_equal
 from .errors import UnsupportedError
 from .families import (FamilySpec, SplitData, cover_from_family,
-                       _factor_arrays, _family_on_cover, _fibre_arrays,
-                       _resolve_points, _value_arrays)
+                       _family_on_cover, _fibre_arrays, _resolve_points)
 from .spectral import ChernData, SpectralCover, sample_circle
 
 __all__ = [
@@ -120,7 +119,10 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
     not finite, a level value that is zero or not finite, a power of tau or
     a frame that is not a finite nonzero float, a finite closure whose
     modulus overflows) take the scalar route in sample order, so they raise
-    or return what the scalar loop did.
+    or return what the scalar loop did, with one exception: a frame
+    (x - b0)^e that overflows raises ``UnsupportedError`` naming the sample
+    and e, where the scalar loop raised ``OverflowError`` (on the default
+    circle |x - b0| = |tau|, once e passes about 1024 / log2 |tau|).
     """
     curve = family.curve
     tau = curve.tau
@@ -134,6 +136,13 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
     # the coefficient step (j+1)d - jd is the same at every level
     e = family.surface.theta_degree - (twist.coefficient(1) - twist.coefficient(0))
 
+    def frame_at(x: complex) -> complex:
+        try:
+            return (x - b0) ** e
+        except OverflowError:
+            raise UnsupportedError(
+                f"descent frame (x - b0)^{e} overflows at x={x}") from None
+
     def defect_at(i: int) -> float:
         x, worst_here = pts[i], 0.0
         for alpha, beta in zip(family.spectral_values_at(x),
@@ -143,7 +152,7 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
                 c_next = beta * tau ** (j + 1) * alpha
                 n_j = curve.lattice_distance(c_j)[0]
                 n_next = curve.lattice_distance(c_next)[0]
-                closure = ((x - b0) ** e * tau ** (n_next - n_j - 1)
+                closure = (frame_at(x) * tau ** (n_next - n_j - 1)
                            * (c_next * tau ** (-n_next))
                            / (c_j * tau ** (-n_j)))
                 worst_here = max(worst_here, abs(closure - 1.0))
@@ -152,8 +161,9 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
     b = np.array(pts, dtype=complex)
     frame = _carray.powi(b - b0, e)
     levels, odd_levels = curve._tau_powers(np.arange(-2.0, 3.0))
-    a0, a1, odd_a = _value_arrays(family, b)
-    f0, f1, odd_f = _factor_arrays(family, b)
+    factor_map = family.data.factor_map
+    a0, a1, odd_a = factor_map.inverse()._values_array(b)
+    f0, f1, odd_f = factor_map._values_array(b)
     odd = odd_a | odd_f | ~np.isfinite(frame) | odd_levels.any()
     worst = np.zeros(b.shape)
     for alpha, beta in ((a0, f0), (a1, f1)):
@@ -219,7 +229,7 @@ def _has_trivial_sub(family: FamilySpec, pts: list[complex]) -> bool:
     still trivial; odd samples before that point are decided by the scalar
     methods, in order, as that loop would."""
     curve = family.curve
-    f0, f1, odd = _factor_arrays(family, np.array(pts, dtype=complex))
+    f0, f1, odd = family.data.factor_map._values_array(np.array(pts, dtype=complex))
     _, d0, odd0 = curve._lattice_distance_array(f0)
     _, d1, odd1 = curve._lattice_distance_array(f1)
     trivial0, trivial1 = d0 <= curve.tolerance, d1 <= curve.tolerance

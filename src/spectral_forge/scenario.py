@@ -207,6 +207,10 @@ def parse_scenario(raw: Any, tol: float | None = None,
 # The largest sample count a run may ask for: a larger one is refused before
 # any per-sample array is allocated.
 MAX_SAMPLES = 2 ** 20
+# The largest seed magnitude: the sample phase 0.05 * seed then has an ulp
+# (below 2e-8) far under the spacing 2 pi / MAX_SAMPLES (6e-6) of the densest
+# circle, so a large seed cannot merge sample points.
+MAX_SEED = 2 ** 31
 
 
 def _check_run(samples: Any, tol: Any, seed: Any) -> None:
@@ -218,6 +222,8 @@ def _check_run(samples: Any, tol: Any, seed: Any) -> None:
         raise SchemaError(f"run.tol: expected a number in (0, 1), got {tol!r}")
     if not isinstance(seed, int):
         raise SchemaError("run.seed: expected an integer")
+    if abs(seed) > MAX_SEED:
+        raise SchemaError(f"run.seed: at most {MAX_SEED} in magnitude, got {seed}")
 
 
 # ============================================================

@@ -267,7 +267,9 @@ def fibre_component_groups(surface: SurfaceSpec,
     The continuous part is a product of ``genus`` line-bundle parameters on
     the cover (a Jacobian slice); its norm-trivial kernel is connected over a
     rational base since the pushforward of a degree-0 class is always
-    principal, which is computed from the degree map rather than asserted.
+    principal.  That is asserted, not computed: ``kernel_components`` is the
+    constant 1, and the identity-component quotient is the twist group
+    itself, so the order relation between the two holds by construction.
     Finite twists come from multiple fibres: a multiple fibre over a
     non-branch base point splits into two fibres of the cover and contributes
     Z/m of genuinely distinct twists, while over a branch point the sheet

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -25,6 +26,7 @@ from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX, PellMap,
                             parse_scenario, point_class, scenario_hash)
 from spectral_forge import cli, families
 from spectral_forge.cli import main, run_command
+from spectral_forge.scenario import MAX_SAMPLES, MAX_SEED
 from conftest import cover_g2
 
 F_CUBIC = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
@@ -302,6 +304,41 @@ def test_sample_cap_is_inclusive():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("cmd", ["cover", "props", "sample"])
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("seed", [10 ** 400, 10 ** 17, MAX_SEED + 1,
+                                  -MAX_SEED - 1])
+def test_oversized_seed_exits_two_before_sampling(tmp_path, capsys,
+                                                  monkeypatch, cmd, where, seed):
+    """A seed beyond the cap would overflow the sample phase 0.05 * seed or
+    round it so coarsely that sample points merge; it is refused while the
+    scenario is read, like an oversized sample count."""
+    def unreachable(*args):
+        raise AssertionError("a report ran on an oversized seed")
+
+    monkeypatch.setitem(cli._HANDLERS, cmd, unreachable)
+    doc = split_doc()
+    flag = ["--seed", str(seed)] if where == "flag" else []
+    if where == "file":
+        doc["run"]["seed"] = seed
+    path = write(tmp_path, doc)
+    assert run_command([cmd, "--scenario", path, *flag]) == 2
+    assert capsys.readouterr().err == (
+        f"error: run.seed: at most {MAX_SEED} in magnitude, got {seed}\n")
+
+
+def test_seed_cap_is_inclusive():
+    doc = split_doc()
+    for seed in (MAX_SEED, -MAX_SEED):
+        doc["run"]["seed"] = seed
+        assert parse_scenario(doc).seed == seed
+    doc["run"]["seed"] = MAX_SEED + 1
+    with pytest.raises(SchemaError, match="run.seed"):
+        parse_scenario(doc)
+    # the phase keeps a resolution far finer than the densest circle's spacing
+    assert math.ulp(0.05 * MAX_SEED) < 2 * math.pi / MAX_SAMPLES / 100
+
+
 @pytest.mark.parametrize("argv", [
     ["cover", "--json", "{missing}/x.json"],
     ["sample", "--csv", "{missing}/x.csv"],
@@ -402,6 +439,22 @@ def test_puncture_at_declared_point_exits_64(tmp_path, capsys):
     path = write(tmp_path, doc)
     assert run_command(["cover", "--scenario", path]) == 64
     assert "unsupported:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta_degree,code", [(150, 0), (10 ** 6, 64)])
+def test_descent_frame_overflow_exits_64(tmp_path, capsys, theta_degree, code):
+    """With the twist off the descent frame is (x - b0)^theta_degree on the
+    |tau| = 2 circle: 2^150 is a float, 2^(10^6) is not, and that sample is
+    reported as unsupported, not as an overflow traceback."""
+    doc = split_doc()
+    doc["surface"]["theta_degree"] = theta_degree
+    path = write(tmp_path, doc)
+    assert run_command(["props", "--scenario", path]) == code
+    err = capsys.readouterr().err
+    if code == 64:
+        assert err.startswith(
+            f"unsupported: descent frame (x - b0)^{theta_degree} overflows at x=(")
+    assert "Traceback" not in err
 
 
 def test_classify_without_double_cover_exits_64(tmp_path, capsys):

@@ -470,8 +470,10 @@ def test_descent_residual_matches_on_explicit_points(descent_corpus):
 
 def test_descent_residual_edges_match_the_scalar_loop():
     """A pole of the factor map at b = 2; a frame that overflows (|b - b0| =
-    1e200 at degree 2, twist off); a finite closure whose modulus does not
-    fit a float (abs raises); a tau whose square overflows; a level value
+    1e200 at degree 2, twist off), which the library reports as unsupported
+    where the scalar loop raised OverflowError; a finite closure whose
+    modulus does not fit a float (abs raises); a tau whose square
+    overflows; a level value
     that overflows on the second sheet only (factor 1e308); frame
     exponents of 100 and 101 (the second past CPython's small-integer
     cutoff, taken by ``_Py_c_pow``), and of -100 at b = b0; no samples;
@@ -490,7 +492,6 @@ def test_descent_residual_edges_match_the_scalar_loop():
     cases = [
         (push, push_twist, [1j, 0.5 + 0j, 2 + 0j, -1 + 1j], "PunctureError"),
         (push, push_twist.disabled(), [1j, 0.5 + 0j, 2 + 0j], "PunctureError"),
-        (split, split_twist.disabled(), [1 + 1j, 1e200 + 0j, 3j], "OverflowError"),
         (split, split_twist, [1 + 1j, 1e200 + 0j, 3j], "value"),
         (plain, plain_twist.disabled(), [1j, 1.7e308 + 1.7e308j], "OverflowError"),
         (huge, descent_divisor(huge, origin), [1 + 1j, 2j], "ValueError"),
@@ -506,6 +507,11 @@ def test_descent_residual_edges_match_the_scalar_loop():
         got, want = descent_outcomes(fam, twist, pts)
         assert got == want and got[0] == kind, (pts, got, want)
     assert fourier.z_action_residual(push, push_twist, []) == 0.0
+    got, want = descent_outcomes(split, split_twist.disabled(),
+                                 [1 + 1j, 1e200 + 0j, 3j])
+    assert want[0] == "OverflowError"
+    assert got == ("UnsupportedError",
+                   "descent frame (x - b0)^2 overflows at x=(1e+200+0j)")
     nan = complex(math.nan, 0.0)
     for tw in (split_twist, split_twist.disabled()):
         got, want = descent_outcomes(split, tw, [1 + 1j, nan, 2j])

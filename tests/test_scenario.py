@@ -18,6 +18,7 @@ from spectral_forge import (
     SchemaError,
     TwoSections,
     canonical_json,
+    cover_from_family,
     load_scenario,
     parse_scenario,
     scenario_hash,
@@ -129,6 +130,24 @@ def test_split_document_parses():
         1.0 / (0.7 + 0.1j), 1.0 / (1.3 - 0.2j))
     assert (scn.samples, scn.tol, scn.seed) == (16, 1e-9, 0)
     assert scn.points is None and scn.cover is None
+    # every bit of the split route, signed zeros included: a complex
+    # factor, a negative float (1 / (-2+0j) is -0.5-0j) and an imaginary
+    # part of -0.0
+    def bits(*zs):
+        return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+    for pair in ([(0.7, 0.1), (-2.0, 0.0)], [(0.5, -0.0), (1.3, -0.2)]):
+        doc = split_doc()
+        doc["family"]["presentation"]["factors"] = [list(f) for f in pair]
+        family = parse_scenario(doc).family
+        cf = [complex(*f) for f in pair]
+        cover = cover_from_family(family, 16)
+        for b in (0.0, 1.5 - 0.5j):
+            assert bits(*family.spectral_values_at(b)) == bits(1.0 / cf[0],
+                                                              1.0 / cf[1])
+            assert bits(*family.fiber_factors_at(b)) == bits(*cf)
+        assert bits(cover.bisection.a1, cover.bisection.a2) == bits(
+            1.0 / cf[0], 1.0 / cf[1])
 
 
 def test_run_defaults_and_points():

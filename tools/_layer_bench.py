@@ -9,6 +9,15 @@ the output file under the label.  With a ``change`` run next to a
 ``parent`` (or ``seed``) run it also writes their best-time ratios
 (``speedup_best``, ``seed_speedup_best``) and, against the parent, their
 median-time ratios (``speedup_median``).
+
+Every script takes ``--against``, a second tree written under ``parent``.
+A process can import only one tree, so an in-process script then runs
+itself in a child process per tree, ROUNDS times, alternating which tree
+goes first (``alternate``): timings of two trees taken minutes apart carry
+the host's drift, and timings taken in alternation much less.  Record a
+before/after comparison this way:
+
+    python tools/bench_sample_path.py --against /path/to/parent/src
 """
 
 from __future__ import annotations
@@ -20,12 +29,14 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 7
+ROUNDS = 4
 
 
 def timed(fn, items: int = 1, min_run_s: float = 0.0) -> dict:
@@ -69,28 +80,61 @@ def timing_rows(tree: dict, path: tuple[str, ...] = ()):
         yield from timing_rows(value, path + (key,))
 
 
+def merge_rounds(rows: list[dict]) -> dict:
+    """One layers tree from the trees of several rounds: each timing keeps
+    its best time and the median of its median times."""
+    if "best_s" in rows[0]:
+        return {"best_s": min(r["best_s"] for r in rows),
+                "median_s": statistics.median(r["median_s"] for r in rows)}
+    return {key: merge_rounds([r[key] for r in rows]) for key in rows[0]}
+
+
+def alternate(trees: dict[str, Path]) -> dict[str, dict]:
+    """{label: entry} of the running script over ROUNDS rounds, each a child
+    process per tree (``--src``, ``--label`` and a temporary ``--out``),
+    the first tree going first in even rounds and last in odd ones.  The
+    layers are merged by ``merge_rounds``; other tables are the first
+    round's."""
+    script = [sys.executable, str(Path(sys.argv[0]).resolve())]
+    entries: dict[str, list[dict]] = {label: [] for label in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "round.json"
+        for i in range(ROUNDS):
+            for label in list(trees)[::1 if i % 2 == 0 else -1]:
+                subprocess.run([*script, "--src", str(trees[label]), "--label", label,
+                                "--out", str(out)], check=True, stdout=subprocess.DEVNULL)
+                entries[label].append(json.loads(out.read_text())["runs"][label])
+                out.unlink()
+    return {label: {**runs[0], "layers": merge_rounds([r["layers"] for r in runs]),
+                    "provenance": {**runs[0]["provenance"], "rounds": ROUNDS,
+                                   "interleaved_with": sorted(trees)}}
+            for label, runs in entries.items()}
+
+
 def main(doc: str, out_name: str, description: str,
          measure: Callable[..., dict], paired: bool = False) -> None:
-    """Run ``measure`` and merge its entry into the output file.  A
-    ``paired`` script takes ``--against``, a second tree that it times in
-    alternation with ``--src``: ``measure`` gets {label: tree} and returns
-    {label: entry}, with the second tree's run labelled ``parent``."""
+    """Run ``measure`` and merge its entry into the output file.  With
+    ``--against`` a second tree is timed in alternation with ``--src`` and
+    its run labelled ``parent``: a ``paired`` script's ``measure`` gets
+    {label: tree} and returns {label: entry}, any other script is run by
+    ``alternate``."""
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="source tree holding spectral_forge (default: this repo's)")
     parser.add_argument("--label", default="change", help="key of this run in the output")
     parser.add_argument("--out", default=str(ROOT / out_name))
-    if paired:
-        parser.add_argument("--against", default=None,
-                            help="second source tree, timed in alternation with "
-                                 "--src and written under the label 'parent'")
+    parser.add_argument("--against", default=None,
+                        help="second source tree, timed in alternation with "
+                             "--src and written under the label 'parent'")
     args = parser.parse_args()
     src = Path(args.src).resolve()
     trees = {args.label: src}
+    if args.against:
+        trees["parent"] = Path(args.against).resolve()
     if paired:
-        if args.against:
-            trees["parent"] = Path(args.against).resolve()
         entries = measure(trees)
+    elif args.against:
+        entries = alternate(trees)
     else:
         sys.path.insert(0, str(src))
         entries = {args.label: measure()}

@@ -13,14 +13,14 @@ each n it times
 - ``chain``: the whole chain P, 2P, ..., nP by repeated ``class_add``;
 
 and keeps the largest coefficient bit length of nP (numerators and
-denominators of its Q(i) coefficients).  Each layer is run 7 times
-after one warm-up, every run a batch of calls lasting at least about a
-millisecond; best and median seconds per call are kept.  Results are merged
-into the output file under ``--label``, so two runs (one per tree) give the
-before and after:
+denominators of its Q(i) coefficients).  Each layer is run 7 times after
+one warm-up, every run a batch of calls lasting at least about a
+millisecond; best and median seconds per call are kept.  Results are
+merged into the output file under ``--label``.  A before/after comparison
+times both trees in alternation, in child processes, over several rounds
+(``_layer_bench.alternate``):
 
-    python tools/bench_exact.py --src /path/to/parent/src --label parent
-    python tools/bench_exact.py --label change
+    python tools/bench_exact.py --against /path/to/parent/src
 
 A run labelled ``seed`` (the first source tree) is compared with
 ``change`` as well.

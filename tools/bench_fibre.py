@@ -23,11 +23,11 @@ else the one ``np.exp`` per level of the Horner version of
 
 Each layer is run 7 times after one warm-up, every run a batch lasting
 at least about a millisecond; best and median seconds are kept.  Results
-are merged into the output file under ``--label``, so two runs (one per
-tree) give the before and after:
+are merged into the output file under ``--label``.  A before/after
+comparison times both trees in alternation, in child processes, over
+several rounds (``_layer_bench.alternate``):
 
-    python tools/bench_fibre.py --src /path/to/parent/src --label parent
-    python tools/bench_fibre.py --label change
+    python tools/bench_fibre.py --against /path/to/parent/src
 """
 
 from __future__ import annotations

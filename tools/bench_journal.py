@@ -11,12 +11,12 @@ map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 - ``modify``, ``props``, ``cover``: the CLI reports at 32 samples, in
   process, scenario file included.
 
-Each layer is run 7 times after one warm-up; best and median seconds
-are kept.  Results are merged into the output file under ``--label``, so
-two runs (one per tree) give the before and after:
+Each layer is run 7 times after one warm-up; best and median seconds are
+kept.  Results are merged into the output file under ``--label``.  A
+before/after comparison times both trees in alternation, in child
+processes, over several rounds (``_layer_bench.alternate``):
 
-    python tools/bench_journal.py --src /path/to/parent/src --label parent
-    python tools/bench_journal.py --label change
+    python tools/bench_journal.py --against /path/to/parent/src
 """
 
 from __future__ import annotations

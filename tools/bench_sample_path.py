@@ -10,14 +10,15 @@ pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 - ``descent``: ``z_action_residual`` with the descent twist at b0 = 0 on
   and off (two calls), on the |tau| circle around b0.
 
-The first two use the array forms where the source tree has them, else one
-scalar call per sample, so the same script times an older tree; the others
-call public functions only.  Each layer is run 7 times after one warm-up;
-best and median seconds are kept.  Results are merged into the output file
-under ``--label``, so two runs (one per tree) give the before and after:
+The first two use the array forms where the source tree has them, else
+one scalar call per sample, so the same script times an older tree; the
+others call public functions only.  Each layer is run 7 times after one
+warm-up; best and median seconds are kept.  Results are merged into the
+output file under ``--label``.  A before/after comparison times both
+trees in alternation, in child processes, over several rounds
+(``_layer_bench.alternate``):
 
-    python tools/bench_sample_path.py --src /path/to/parent/src --label parent
-    python tools/bench_sample_path.py --label change
+    python tools/bench_sample_path.py --against /path/to/parent/src
 """
 
 from __future__ import annotations
