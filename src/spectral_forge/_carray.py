@@ -16,9 +16,8 @@ kernel here computes on their float64 real and imaginary parts with the
 operations CPython's ``complex`` uses, in the same order:
 
 - ``mul`` is ``_Py_c_prod``, ``quot`` is ``_Py_c_quot`` (scale by the
-  larger component of the divisor), ``powi`` is ``z ** n`` for a small int
-  n, ``sqrt`` is ``z ** 0.5`` through ``_Py_c_pow``, and ``absolute`` is
-  ``abs(z)``, a hypot;
+  larger component of the divisor), ``sqrt`` is ``z ** 0.5`` through
+  ``_Py_c_pow``, and ``absolute`` is ``abs(z)``, a hypot;
 - only + - * /, floor, rint and hypot run in numpy.  log, atan2, pow, cos
   and sin are taken from ``math`` one element at a time: numpy's vectorised
   versions round differently on some inputs.
@@ -88,22 +87,6 @@ def quot(a: "np.ndarray | complex", b: "np.ndarray | complex") -> np.ndarray:
         im = np.where(by_im, (ai * r2 - ar) / d2, math.nan)
         return pack(np.where(by_re, (ar + ai * r1) / d1, re),
                     np.where(by_re, (ai - ar * r1) / d1, im))
-
-
-def powi(a: np.ndarray, n: int) -> np.ndarray:
-    """a ** n for an int n as CPython computes it for |n| <= 100 (``c_powi``):
-    square and multiply by ``_Py_c_prod`` from 1 (``c_powu``), and 1 / a ** -n
-    for n <= 0, so n = 0 gives 1 everywhere.  A larger |n| takes
-    ``_Py_c_pow`` there; it reads NaN here, which makes every sample odd."""
-    if abs(n) > 100:
-        return np.full(a.shape, complex(math.nan, math.nan))
-    out, p, m = np.ones(a.shape, dtype=complex), a, abs(n)
-    while m:
-        if m & 1:
-            out = mul(out, p)
-        m >>= 1
-        p = mul(p, p) if m else p
-    return out if n > 0 else quot(1.0, out)
 
 
 def absolute(a: np.ndarray) -> np.ndarray:

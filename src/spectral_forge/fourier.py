@@ -9,12 +9,12 @@ through a Z-action.  The action on stalks picks up one frame factor per
 translate; the descent twist cancels it with a divisor whose coefficient at
 the i-th translate of the cover values is exactly i * theta_degree.
 ``z_action_residual`` measures the cocycle-closure defect of the composite
-action numerically: with the twist enabled the chain closes to machine
-precision, with the twist disabled the defect is the leftover frame factor
-(x - b0)^theta_degree, bounded away from 1 on the sampling circle.  The
-sheet values cancel in the closure (one level up multiplies the coefficient
-by tau, up to rounding), so the check sees only the frame factor: it holds
-for any family and does not test the family's data.
+action.  The sheet values cancel in the closure (one level up multiplies
+the coefficient by tau), so it reduces to the frame factor the twist leaves
+over, and that is what is computed: with the twist enabled the defect is
+exactly 0, with the twist disabled it is |(x - b0)^theta_degree - 1|,
+bounded away from 0 on the sampling circle.  The check holds for any family
+and does not test the family's data.
 
 ``fm_transform`` sends a family to its support cover plus line data;
 ``fm_inverse`` rebuilds the pushforward family from vertical-free torsion
@@ -106,89 +106,34 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
     frame by the section's factor (x - b0)^theta_degree, with theta_degree
     the surface invariant of the family, and the twist's coefficient step
     (i+1)d - id cancels it when the twist is enabled and carries the same
-    degree.  Returns the max closure defect over all samples, sheets and
-    steps j = -2 .. 1, NaN defects skipped.
+    degree.  The sheet values cancel in the closure (c_(j+1) / c_j is tau),
+    so the closure is the frame (x - b0)^e with e = d - step, at every
+    sheet and level.  Returns the max of |(x - b0)^e - 1| over the samples,
+    NaN defects skipped: exactly 0.0 when the twist carries the degree,
+    |(x - b0)^d - 1| with the twist off.  The check therefore cannot tell a
+    wrong family from a right one, and it reads no family value.
 
-    The sheet values cancel: c_(j+1) / c_j is tau up to rounding, so the
-    closure is (x - b0)^(d - step) times 1 + rounding.  With the twist on
-    the defect is rounding only; with it off it is |(x - b0)^d - 1|.  The
-    check therefore cannot tell a wrong family from a right one.
-
-    All samples are evaluated at once over arrays, bit for bit as the
-    scalar operators would.  Odd samples (a sheet value that raises or is
-    not finite, a level value that is zero or not finite, a power of tau or
-    a frame that is not a finite nonzero float, a finite closure whose
-    modulus overflows) take the scalar route in sample order, so they raise
-    or return what the scalar loop did, with one exception: a frame
-    (x - b0)^e that overflows raises ``UnsupportedError`` naming the sample
-    and e, where the scalar loop raised ``OverflowError`` (on the default
+    A frame that overflows, or whose distance from 1 does not fit a float,
+    raises ``UnsupportedError`` naming the sample and e (on the default
     circle |x - b0| = |tau|, once e passes about 1024 / log2 |tau|).
     """
-    curve = family.curve
-    tau = curve.tau
     if twist.b0.is_infinity:
         raise UnsupportedError("descent base point must be affine")
     b0 = twist.b0.to_complex()
     if isinstance(samples, int):
-        pts = sample_circle(samples, abs(tau), center=b0)
+        pts = sample_circle(samples, abs(family.curve.tau), center=b0)
     else:
         pts = list(samples)
     # the coefficient step (j+1)d - jd is the same at every level
     e = family.surface.theta_degree - (twist.coefficient(1) - twist.coefficient(0))
-
-    def frame_at(x: complex) -> complex:
+    worst = 0.0
+    for x in pts:
         try:
-            return (x - b0) ** e
+            worst = max(worst, abs((x - b0) ** e - 1.0))
         except OverflowError:
             raise UnsupportedError(
                 f"descent frame (x - b0)^{e} overflows at x={x}") from None
-
-    def defect_at(i: int) -> float:
-        x, worst_here = pts[i], 0.0
-        for alpha, beta in zip(family.spectral_values_at(x),
-                               family.fiber_factors_at(x)):
-            for j in range(-2, 2):
-                c_j = beta * tau ** j * alpha
-                c_next = beta * tau ** (j + 1) * alpha
-                n_j = curve.lattice_distance(c_j)[0]
-                n_next = curve.lattice_distance(c_next)[0]
-                closure = (frame_at(x) * tau ** (n_next - n_j - 1)
-                           * (c_next * tau ** (-n_next))
-                           / (c_j * tau ** (-n_j)))
-                worst_here = max(worst_here, abs(closure - 1.0))
-        return worst_here
-
-    b = np.array(pts, dtype=complex)
-    frame = _carray.powi(b - b0, e)
-    levels, odd_levels = curve._tau_powers(np.arange(-2.0, 3.0))
-    factor_map = family.data.factor_map
-    a0, a1, odd_a = factor_map.inverse()._values_array(b)
-    f0, f1, odd_f = factor_map._values_array(b)
-    odd = odd_a | odd_f | ~np.isfinite(frame) | odd_levels.any()
-    worst = np.zeros(b.shape)
-    for alpha, beta in ((a0, f0), (a1, f1)):
-        # c_(j+1) at level j is c_j at level j + 1: each level is reduced once
-        for j, level in enumerate(levels.tolist()):
-            c = _carray.mul(_carray.mul(beta, level), alpha)
-            k, _, odd_k = curve._lattice_distance_array(c)
-            inverse, bad = curve._tau_powers(-k)
-            reduced = _carray.mul(c, inverse)
-            odd |= odd_k | bad
-            if j:
-                shift, bad = curve._tau_powers(k - k_below - 1.0)
-                closure = _carray.quot(
-                    _carray.mul(_carray.mul(frame, shift), reduced), below)
-                defect = _carray.absolute(
-                    _carray.pack(closure.real - 1.0, closure.imag))
-                # abs() raises where a finite closure has no finite modulus;
-                # the divisor is never 0: |c tau^-k| >= |tau|^-1.5 > 0
-                odd |= bad | (np.isfinite(closure) & ~np.isfinite(defect))
-                worst = np.fmax(worst, defect)
-            k_below, below = k, reduced
-    out = float(worst[~odd].max(initial=0.0))
-    for i in np.flatnonzero(odd).tolist():
-        out = max(out, defect_at(i))
-    return out
+    return worst
 
 
 # ============================================================

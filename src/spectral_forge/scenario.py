@@ -155,8 +155,10 @@ def load_scenario(path: str, tol: float | None = None,
             raw = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integer literals past the interpreter's digit limit
+        raise SchemaError(f"scenario is not readable JSON: {exc}") from exc
     return parse_scenario(raw, tol, samples, seed)
 
 

@@ -26,7 +26,7 @@ contributed by multiple fibres not sitting over branch points of the cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd, lcm, prod
 
 from . import _carray
@@ -210,13 +210,6 @@ class GroupPresentation:
     def invariant_factors(self) -> tuple[int, ...]:
         return invariant_factors(self.torsion)
 
-    def component_count(self) -> int:
-        """Number of connected components when the divisible part is the
-        identity component: the order of the discrete torsion quotient."""
-        if self.free_rank:
-            raise ValueError("free part is infinite; component count undefined")
-        return self.torsion_order()
-
 
 def invariant_factors(orders: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of a direct sum of cyclic groups:
@@ -268,8 +261,9 @@ def fibre_component_groups(surface: SurfaceSpec,
     the cover (a Jacobian slice); its norm-trivial kernel is connected over a
     rational base since the pushforward of a degree-0 class is always
     principal.  That is asserted, not computed: ``kernel_components`` is the
-    constant 1, and the identity-component quotient is the twist group
-    itself, so the order relation between the two holds by construction.
+    constant 1, and because the kernel is taken to be connected the
+    identity-component quotient is the twist group itself (the same object),
+    so the order relation between the two holds by construction.
     Finite twists come from multiple fibres: a multiple fibre over a
     non-branch base point splits into two fibres of the cover and contributes
     Z/m of genuinely distinct twists, while over a branch point the sheet
@@ -288,25 +282,15 @@ def fibre_component_groups(surface: SurfaceSpec,
         else:
             torsion.append(mf.multiplicity)
     twist = GroupPresentation(
-        free_rank=0,
         torsion=tuple(torsion),
         generators=tuple(f"m={m}" for m in torsion),
     )
-    ambient = GroupPresentation(
-        free_rank=0,
-        torsion=tuple(torsion),
-        divisible=(f"Jac(genus {g})",),
-        generators=("jacobian slice",) + tuple(f"m={m}" for m in torsion),
-    )
-    identity_quotient = GroupPresentation(
-        free_rank=0,
-        torsion=tuple(torsion),
-        generators=tuple(f"m={m}" for m in torsion),
-    )
+    ambient = replace(twist, divisible=(f"Jac(genus {g})",),
+                      generators=("jacobian slice",) + twist.generators)
     components = kernel_components * twist.torsion_order()
     return FibreComponentGroups(
         ambient=ambient,
-        identity_quotient=identity_quotient,
+        identity_quotient=twist,
         twist_group=twist,
         prym_genus=g,
         jacobian_copies=twist.torsion_order(),

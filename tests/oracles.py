@@ -451,7 +451,8 @@ def reference_has_trivial_sub(family, pts) -> bool:
 
 def reference_z_action_residual(family, twist,
                                 samples: "int | list[complex]" = 20) -> float:
-    """The descent closure defect of ``fourier.z_action_residual``."""
+    """The descent closure defect over both sheets and levels -2 .. 2, the
+    loop that ``fourier.z_action_residual`` reduces to the frame factor."""
     curve = family.curve
     tau = curve.tau
     if twist.b0.is_infinity:

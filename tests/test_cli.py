@@ -395,6 +395,19 @@ def test_schema_error_exits_two(tmp_path, capsys):
     assert run_command(["cover", "--scenario",
                         str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+    # an integer past the interpreter's 4,300-digit limit, bytes that are
+    # not UTF-8, and arrays nested deeper than the decoder's recursion
+    for name, data, cause in [
+            ("digits.json", b'{"run": {"seed": ' + b"7" * 5000 + b"}}",
+             "digits"),
+            ("latin1.json", b'{"surface": "caf\xe9"}', "utf-8"),
+            ("deep.json", b"[" * 100_000 + b"]" * 100_000, "recursion")]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run_command(["classify", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario is not readable JSON:")
+        assert cause in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("cmd", ["cover", "fm", "props", "roundtrip", "modify"])
@@ -455,6 +468,20 @@ def test_descent_frame_overflow_exits_64(tmp_path, capsys, theta_degree, code):
         assert err.startswith(
             f"unsupported: descent frame (x - b0)^{theta_degree} overflows at x=(")
     assert "Traceback" not in err
+
+
+def test_descent_at_a_huge_tau_exits_0(tmp_path, capsys):
+    """At tau = 1e160 the descent check reads the frame only: the twist
+    closes exactly and the untwisted frame is far from 1, with no lattice
+    reduction of a level value whose square overflows."""
+    doc = split_doc()
+    doc["surface"]["tau"] = [1e160, 0.0]
+    code, report = run_json(capsys, ["props", "--scenario", write(tmp_path, doc),
+                                     "--samples", "64"])
+    assert code == 0
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert details["descent_twist_enabled"] == "residual 0.000e+00"
+    assert details["descent_twist_disabled_detects"] == "residual 1.000e+160"
 
 
 def test_classify_without_double_cover_exits_64(tmp_path, capsys):

@@ -111,8 +111,9 @@ def test_descent_corpus_closure(descent_corpus):
 def test_residual_rejects_wrong_twist_degree(descent_corpus):
     fam, b0 = descent_corpus[-1]
     tw = descent_divisor(fam, b0)
-    wrong = DescentTwist(tw.b0, tw.pair, tw.theta_degree + 1, True)
-    assert z_action_residual(fam, wrong, 20) > 0.1
+    for degree in (tw.theta_degree + 1, tw.theta_degree - 1):
+        wrong = DescentTwist(tw.b0, tw.pair, degree, True)
+        assert z_action_residual(fam, wrong, 20) >= 0.1
 
 
 # ============================================================
