@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import _carray
 from ._carray import np
@@ -506,6 +506,12 @@ _ONE = _poly((1, [1], [0]))
 BASE_POINT_RADIUS = 1e-9
 
 
+def _base_point_near(points: list[BasePoint], b: complex) -> BasePoint | None:
+    """The first finite point of `points` within BASE_POINT_RADIUS of b, or None."""
+    return next((p for p in points if not p.is_infinity
+                 and abs(p.to_complex() - b) <= BASE_POINT_RADIUS), None)
+
+
 @dataclass(frozen=True)
 class BasePoint:
     """Point of the base line: a Q(i) coordinate, or infinity (x=None)."""
@@ -810,10 +816,27 @@ def _divisibility_rows(u: Poly, combo: Poly, da: int, dc: int) -> list[list[QI]]
     return mat
 
 
-def _vector_to_pair(vec: list[QI], da: int, dc: int) -> tuple[Poly, Poly]:
-    a = Poly(tuple(vec[: da + 1]))
-    c = Poly(tuple(vec[da + 1:])) if dc >= 0 else Poly()
-    return a, c
+def _search_witness(cover: HyperCover, conditions: list[tuple[Poly, Poly]],
+                    pole_order: int) -> tuple[bool, tuple[Poly, Poly] | None]:
+    """Search h = a(b) + c(b) w with pole order <= pole_order at infinity and
+    u | a + c * combo for each (u, combo) of `conditions`.  Returns whether
+    the nullspace is nonempty, and the first (a, c) of its basis whose norm
+    a^2 - c^2 f is a nonzero constant times the product of the u, or None."""
+    da, dc = _search_basis(cover.genus, pole_order)
+    rows = []
+    for u, combo in conditions:
+        rows += _divisibility_rows(u, combo, da, dc)
+    basis = qi_nullspace(rows, (da + 1) + (dc + 1 if dc >= 0 else 0))
+    if not basis:
+        return False, None
+    target = prod((u for u, _ in conditions), start=Poly.const(_QI_ONE))
+    for vec in basis:
+        a = Poly(tuple(vec[: da + 1]))
+        c = Poly(tuple(vec[da + 1:])) if dc >= 0 else Poly()
+        q, rem = (a * a - c * c * cover.f).divmod(target)
+        if rem.is_zero() and q.degree == 0:
+            return True, (a, c)
+    return True, None
 
 
 def classes_equal_by_search(d1: DivisorClass, d2: DivisorClass) -> bool:
@@ -829,34 +852,19 @@ def classes_equal_by_search(d1: DivisorClass, d2: DivisorClass) -> bool:
         raise ValueError("search oracle requires degree-0 classes")
     if d1.u.gcd(d2.u).degree != 0:
         raise ValueError("search oracle requires disjoint Mumford supports")
-    cover = d1.cover
     r = d1.u.degree + d2.u.degree
     if r == 0:
         return True
-    da, dc = _search_basis(cover.genus, r)
-    rows = []
-    if d1.u.degree > 0:
-        rows += _divisibility_rows(d1.u, d1.v % d1.u, da, dc)
-    if d2.u.degree > 0:
-        rows += _divisibility_rows(d2.u, (-d2.v) % d2.u, da, dc)
-    n_cols = (da + 1) + (dc + 1 if dc >= 0 else 0)
-    basis = qi_nullspace(rows, n_cols)
-    if not basis:
-        return False
+    conditions = [(d.u, v % d.u) for d, v in ((d1, d1.v), (d2, -d2.v))
+                  if d.u.degree > 0]
     # any nonzero solution vanishes on a degree-r divisor, hence has pole
-    # order exactly r; verify the norm identity as a hard witness check
-    for vec in basis:
-        a, c = _vector_to_pair(vec, da, dc)
-        if a.is_zero() and c.is_zero():
-            continue
-        nrm = a * a - c * c * cover.f
-        target = d1.u * d2.u
-        q, rem = nrm.divmod(target)
-        if rem.is_zero() and q.degree == 0:
-            return True
-    raise ArithmeticError(
-        "nullspace nonempty but no vector satisfied the norm identity; "
-        "inputs violate the generic-position precondition")
+    # order exactly r; the norm identity is a hard witness check
+    found, witness = _search_witness(d1.cover, conditions, r)
+    if found and witness is None:
+        raise ArithmeticError(
+            "nullspace nonempty but no vector satisfied the norm identity; "
+            "inputs violate the generic-position precondition")
+    return found
 
 
 def conjugate_sum_principal_witness(d: DivisorClass) -> tuple[Poly, Poly]:
@@ -868,24 +876,13 @@ def conjugate_sum_principal_witness(d: DivisorClass) -> tuple[Poly, Poly]:
     """
     if d.degree() != 0:
         raise ValueError("witness search requires a degree-0 class")
-    cover = d.cover
     r = d.u.degree
     if r == 0:
         return Poly.const(_QI_ONE), Poly()
-    da, dc = _search_basis(cover.genus, 2 * r)
     # vanishing on D and on iota(D) at shared u-roots forces u | a and u | c v;
     # impose the two divisibility conditions directly
-    rows = _divisibility_rows(d.u, d.v % d.u, da, dc)
-    rows += _divisibility_rows(d.u, (-d.v) % d.u, da, dc)
-    n_cols = (da + 1) + (dc + 1 if dc >= 0 else 0)
-    basis = qi_nullspace(rows, n_cols)
-    for vec in basis:
-        a, c = _vector_to_pair(vec, da, dc)
-        if a.is_zero() and c.is_zero():
-            continue
-        nrm = a * a - c * c * cover.f
-        target = d.u * d.u
-        q, rem = nrm.divmod(target)
-        if rem.is_zero() and q.degree == 0:
-            return a, c
-    raise ArithmeticError("no principality witness found for D + iota(D)")
+    witness = _search_witness(d.cover, [(d.u, d.v % d.u), (d.u, (-d.v) % d.u)],
+                              2 * r)[1]
+    if witness is None:
+        raise ArithmeticError("no principality witness found for D + iota(D)")
+    return witness

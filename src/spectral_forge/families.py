@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 from . import _carray
 from ._carray import np
 from .covers import (BASE_POINT_RADIUS, BasePoint, DivisorClass, HyperCover,
-                     class_add, norm_degree)
+                     _base_point_near, class_add, norm_degree)
 from .errors import (InvalidFamilyError, NoSurjectionError, UnsupportedError,
                      VerificationError)
 from .fiber import (AtiyahRegular, FiberClass, SplitFiber, UnstableFiber,
@@ -308,21 +308,13 @@ class FamilySpec:
         the dual of the determinant."""
         return self.determinant.dual()
 
-    def _match_journal_point(self, b: complex) -> BasePoint | None:
-        for p in self.jump_points():
-            if p.is_infinity:
-                continue
-            if abs(p.to_complex() - b) <= BASE_POINT_RADIUS:
-                return p
-        return None
-
     def base_fiber_class(self, b: complex) -> FiberClass:
         """Fibre class of the unmodified presentation over b."""
         return _presentation_fiber_class(self.curve, self.data, b)
 
     def fiber_class_at(self, b: complex) -> FiberClass:
         """Journal-aware fibre class over a smooth fibre."""
-        at = self._match_journal_point(b)
+        at = _base_point_near(self.jump_points(), b)
         if at is None:
             return self.base_fiber_class(b)
         top = self._stacks[at][-1]

@@ -144,9 +144,6 @@ class UnstableFiber:
     def curve(self) -> TateCurve:
         return self.sub.curve
 
-    def quotient(self) -> TateLineBundle:
-        return self.det * self.sub.dual()
-
     def det_factor(self) -> complex:
         return self.det.factor
 

@@ -36,7 +36,7 @@ from typing import Callable
 from . import _carray
 from ._carray import np
 from .covers import BasePoint, HyperCover, Poly, QI
-from .errors import PunctureError, VerificationError
+from .errors import PunctureError, UnsupportedError, VerificationError
 from .fiber import extension_from_pair
 from .surface import LineBundleOnX, SurfaceSpec
 from .tate import TateCurve
@@ -149,7 +149,26 @@ class PellMap:
         return _flipped_pell_map(self, self.scale)
 
     def sheet_values(self, b: complex) -> tuple[complex, complex]:
-        return self._values_at(b)
+        """A on both sheets over b from one evaluation of R, U and V; the pole
+        is checked first, then the zeros sheet by sheet.  Every zero of
+        U + V w is one of R, since R^2 = (U + V w)(U - V w): the "zero"
+        branch is reached only through float rounding, or through the
+        absolute threshold when |U + V w| is below it and |R| is not.  It
+        raises at exactly the samples that ``_values_array`` marks odd."""
+        ws = self.cover.sheets(b)
+        den, u, v = self._ruv_at(b)
+        if abs(den) < 1e-300:
+            raise PunctureError(f"pole of bisection map at b={b}")
+        out = []
+        for w in ws:
+            num = u + v * w
+            if abs(num) < 1e-300:
+                raise PunctureError(f"zero of bisection map at b={b}")
+            value = self._scale_complex * num / den
+            if not cmath.isfinite(value):
+                raise UnsupportedError(f"sheet value of bisection map overflows at b={b}")
+            out.append(value)
+        return tuple(out)
 
     def punctures_near(self, b: complex, margin: float = 1e-6) -> bool:
         den, u, v = self._ruv_at(b)
@@ -170,9 +189,9 @@ class PellMap:
 
     def _values_array(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``sheet_values`` at each sample, bit for bit, with the mask of odd
-        samples: those where ``sheet_values`` raises (an overflow of w, a
-        pole, a zero) or meets a non-finite value.  Their values are not
-        used; the scalar method decides them."""
+        samples: those where ``sheet_values`` raises (a pole, a zero, a
+        value that is not finite).  Their values are not used; the scalar
+        method decides them."""
         w = self.cover._sheets_array(b)
         den, u, v = self._ruv_array(b)
         odd = ~np.isfinite(w) | ~(_carray.absolute(den) >= 1e-300)
@@ -185,23 +204,6 @@ class PellMap:
             out.append(value)
         return out[0], out[1], odd
 
-    def _values_at(self, b: complex) -> tuple[complex, complex]:
-        """A on both sheets over b from one evaluation of R, U and V; the pole
-        is checked first, then the zeros sheet by sheet.  Every zero of
-        U + V w is one of R, since R^2 = (U + V w)(U - V w): the "zero"
-        branch is reached only through float rounding, or through the
-        absolute threshold when |U + V w| is below it and |R| is not."""
-        ws = self.cover.sheets(b)
-        den, u, v = self._ruv_at(b)
-        if abs(den) < 1e-300:
-            raise PunctureError(f"pole of bisection map at b={b}")
-        out = []
-        for w in ws:
-            num = u + v * w
-            if abs(num) < 1e-300:
-                raise PunctureError(f"zero of bisection map at b={b}")
-            out.append(self._scale_complex * num / den)
-        return tuple(out)
 
 
 def _flipped_pell_map(m: PellMap, scale: QI) -> PellMap:

@@ -31,7 +31,7 @@ from math import gcd, lcm, prod
 
 from . import _carray
 from ._carray import np
-from .covers import BASE_POINT_RADIUS, BasePoint, HyperCover
+from .covers import BASE_POINT_RADIUS, BasePoint, HyperCover, _base_point_near
 from .errors import MultipleFibreRestrictionError
 from .tate import TateLineBundle, TatePoint
 
@@ -89,12 +89,7 @@ class SurfaceSpec:
         return any(mf.at == b for mf in self.multiple_fibres)
 
     def is_multiple_point_complex(self, b: complex) -> bool:
-        for mf in self.multiple_fibres:
-            if mf.at.is_infinity:
-                continue
-            if abs(mf.at.to_complex() - b) <= BASE_POINT_RADIUS:
-                return True
-        return False
+        return _base_point_near([mf.at for mf in self.multiple_fibres], b) is not None
 
     def _multiple_mask(self, b: np.ndarray) -> np.ndarray:
         """``is_multiple_point_complex`` at each sample."""

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX, PellMap,
-                            SchemaError, UnstableFiber, class_add,
+                            PerturbedMap, SchemaError, UnstableFiber, class_add,
                             parse_scenario, point_class, scenario_hash)
 from spectral_forge import cli, families
 from spectral_forge.cli import main, run_command
@@ -484,6 +484,50 @@ def test_descent_at_a_huge_tau_exits_0(tmp_path, capsys):
     assert details["descent_twist_disabled_detects"] == "residual 1.000e+160"
 
 
+@pytest.mark.parametrize("cmd", ["cover", "props", "fm", "roundtrip", "sample"])
+def test_overflowing_sheet_value_exits_64(tmp_path, capsys, cmd):
+    """At tau = 1e160 the genus-2 pushforward (w^2 = b^5 - b + 1, P = b,
+    Q = 1) samples where f(b) overflows: the first such sample is reported
+    as unsupported, not as a traceback from a non-finite fibre value."""
+    doc = pushforward_doc()
+    doc["surface"]["tau"] = [1e160, 0.0]
+    doc["family"]["presentation"]["cover"]["f"] = [
+        [1, 1, 0, 1], [-1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1],
+        [1, 1, 0, 1]]
+    doc["family"]["presentation"]["map"].update(p=[[0, 1, 0, 1], [1, 1, 0, 1]],
+                                                q=[[1, 1, 0, 1]])
+    argv = [cmd, "--scenario", write(tmp_path, doc), "--samples", "64", "--seed", "1"]
+    if cmd == "sample":
+        argv += ["--csv", str(tmp_path / "rows.csv")]
+    assert run_command(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported: sheet value of bisection map overflows at b=(")
+    assert "Traceback" not in err
+
+
+def test_explicit_pell_map_matches_its_pair(tmp_path, capsys):
+    """The map of (p, q) = (3, 1) on w^2 = b^3 + 1, written out as
+    U = b^3 + 10, V = 6, R = 8 - b^3, reads the same props report and exit
+    code but for the scenario hash (at seed 0 both fail the cover check next
+    to a pole, the defect of condition-blind sampling); R = 8 + b^3 breaks
+    U^2 - f V^2 = R^2 and exits 2."""
+    explicit = pushforward_doc()
+    explicit["family"]["presentation"]["map"] = {
+        "u": [[10, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]],
+        "v": [[6, 1, 0, 1]],
+        "r": [[8, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [-1, 1, 0, 1]],
+        "s": [1, 1, 0, 1]}
+    runs = [run_json(capsys, ["props", "--scenario", write(tmp_path, doc, name),
+                              "--samples", "256"])
+            for doc, name in ((pushforward_doc(), "pair.json"),
+                              (explicit, "explicit.json"))]
+    hashes = {report.pop("scenario_hash") for _, report in runs}
+    assert len(hashes) == 2 and runs[0] == runs[1]
+    explicit["family"]["presentation"]["map"]["r"][3] = [1, 1, 0, 1]
+    assert run_command(["props", "--scenario", write(tmp_path, explicit)]) == 2
+    assert "Pell identity U^2 - f V^2 = R^2 violated" in capsys.readouterr().err
+
+
 def test_classify_without_double_cover_exits_64(tmp_path, capsys):
     path = write(tmp_path, split_doc())
     assert run_command(["classify", "--scenario", path]) == 64
@@ -849,6 +893,24 @@ def test_fibre_product_gate_detects_a_moved_point(tmp_path, capsys,
     failed = [(c["name"], c["detail"]) for c in report["checks"]
               if not c["passed"]]
     assert failed == [("fibre_product_involution", "max defect 3.000e-01")]
+
+
+def test_props_reports_a_failing_cover_check(tmp_path, capsys, monkeypatch):
+    """An inverse map moved by 1e-6 on one sheet disagrees with the cover at
+    every sample: props names the first sample, checks no invariance of the
+    cover it could not build, and fails."""
+    doc = pushforward_doc()
+    scn = parse_scenario(doc)
+    first = cli._family_points(scn)[0]
+    moved = PerturbedMap(scn.family.data.factor_map.inverse(), 1e-6)
+    monkeypatch.setattr(PellMap, "inverse", lambda self: moved)
+    code, report = run_json(capsys, ["props", "--scenario", write(tmp_path, doc)])
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["cover_consistency"] == {
+        "name": "cover_consistency", "passed": False,
+        "detail": f"declared and recomputed covers disagree at b={first}"}
+    assert "cover_invariance" not in checks
+    assert (code, report["status"]) == (1, "fail")
 
 
 def test_tol_decides_the_lattice_gate(tmp_path, capsys):

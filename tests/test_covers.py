@@ -199,6 +199,29 @@ def test_conjugate_sum_witness_satisfies_norm_identity(cov):
         assert q.degree == 0
 
 
+@pytest.mark.parametrize("nullspace", ["empty", "no witness"])
+def test_search_oracles_without_a_witness(monkeypatch, nullspace):
+    """Both oracles run one search.  With the nullspace emptied the equality
+    answers False and the witness search raises; with a basis vector (a = 1,
+    c = 0) that fails the norm identity each raises its own message."""
+    p, q = one_point_classes(cover_g2())[:2]
+
+    def fake(rows, n_cols):
+        return [] if nullspace == "empty" else [[QI.of(1)] + [QI.of(0)] * (n_cols - 1)]
+
+    monkeypatch.setattr(covers, "qi_nullspace", fake)
+    if nullspace == "empty":
+        assert classes_equal_by_search(p, q) is False
+    else:
+        with pytest.raises(ArithmeticError, match="^nullspace nonempty but no vector "
+                           "satisfied the norm identity; inputs violate the "
+                           "generic-position precondition$"):
+            classes_equal_by_search(p, q)
+    with pytest.raises(ArithmeticError,
+                       match=r"^no principality witness found for D \+ iota\(D\)$"):
+        conjugate_sum_principal_witness(p)
+
+
 # ============================================================
 # Integer kernels vs schoolbook Q(i) loops
 # ============================================================

@@ -22,6 +22,7 @@ from spectral_forge import (
     is_regular,
     make_extension,
     spectral_points,
+    theta_sections,
 )
 from spectral_forge import fiber
 from spectral_forge.fiber import (
@@ -437,3 +438,33 @@ def test_theta_table_sums_are_bit_identical_to_the_term_loops(tau):
         s = max(abs(pp), abs(qq))
         assert ([bits(z) for z in extension_from_pair(curve, c, g)]
                 == [bits(pp / s), bits(qq / s)])
+
+
+def worst_theta_defect(tau: complex, factor: complex, divide_by_tau: bool) -> float:
+    """Largest |Theta_j(g) - s_j(g)| over the sum of the moduli of the terms
+    of Theta_j, for the degree-2 theta sections s_0 and s_1 (the second
+    divided by tau if asked) of the bundle with the given factor, at
+    g = |tau|^rho e^(2 pi i (k + 0.37) / 12)."""
+    m = _theta_window(tau)
+    basis = theta_sections(TateLineBundle(TateCurve(tau), 2, factor), n_terms=2 * m)
+    even, odd = fiber._theta_table(tau, m)
+    worst = 0.0
+    for rho in (0.05, 0.25, 0.5, 0.75, 0.95):
+        for k in range(12):
+            g = abs(tau) ** rho * cmath.exp(2j * cmath.pi * (k + 0.37) / 12)
+            for j, theta, table in ((0, theta_even, even), (1, theta_odd, odd)):
+                scale = sum(abs(a * g ** (2 * n - j))
+                            for n, a in zip(range(-m, m + 1), table))
+                s = basis.evaluate(j, g) / (tau if j and divide_by_tau else 1)
+                worst = max(worst, abs(theta(tau, g) - s) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("tau", [2 + 0j, 1.5 + 0.5j, 0.5 + 3j, 1.3 + 0j])
+def test_obstruction_thetas_are_the_degree_two_sections(tau):
+    """Theta0 = s_0 and Theta1 = s_1 / tau for the factor-1 degree-2 bundle:
+    the two theta implementations agree to rounding.  Controls: factor 1.01
+    or a missing 1/tau is seen at every tau."""
+    assert worst_theta_defect(tau, 1.0, True) <= 1e-13
+    assert worst_theta_defect(tau, 1.01, True) >= 1e-3
+    assert worst_theta_defect(tau, 1.0, False) >= 0.1

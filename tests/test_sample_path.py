@@ -23,7 +23,7 @@ import pytest
 from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
                             LineBundleOnX, PellMap, PerturbedMap, Poly,
                             PunctureError, SpectralCover, TateCurve,
-                            TwoSections, attach_generic_jumps,
+                            TwoSections, UnsupportedError, attach_generic_jumps,
                             cover_from_family, descent_divisor, fm_transform,
                             invariance_residual, parse_scenario, sample_circle)
 from spectral_forge import _carray, cli, fourier
@@ -108,12 +108,19 @@ def test_sheets_match_the_complex_power():
 
 
 def test_sheet_values_match_and_odd_samples_raise():
-    b = random_points(3, N // 10)
+    """The last sample, b = 1e160 + 1e159j, overflows f(b) on every cover of
+    genus >= 1: it is odd there and raises as unsupported, not as a pole."""
+    huge = 1e160 + 1e159j
+    b = np.append(random_points(3, N // 10), huge)
     for m in pell_maps():
         v0, v1, odd = m._values_array(b)
-        for i in np.flatnonzero(odd).tolist():
+        for i in np.flatnonzero(odd[:-1]).tolist():
             with pytest.raises(PunctureError):
                 m.sheet_values(complex(b[i]))
+        assert odd[-1] == (m.cover.genus >= 1)
+        if odd[-1]:
+            with pytest.raises(UnsupportedError, match=r"overflows at b=\(1e\+160"):
+                m.sheet_values(huge)
         regular = [m.sheet_values(x) for x in b[~odd].tolist()]
         assert mismatches(v0[~odd], [v[0] for v in regular]) == 0
         assert mismatches(v1[~odd], [v[1] for v in regular]) == 0
@@ -653,7 +660,7 @@ def count_calls(monkeypatch, cls, name) -> list[int]:
 
 
 def test_reports_make_no_per_sample_scalar_calls(tmp_path, monkeypatch):
-    values_at = count_calls(monkeypatch, PellMap, "_values_at")
+    values_at = count_calls(monkeypatch, PellMap, "sheet_values")
     canonical = count_calls(monkeypatch, TateCurve, "canonical_rep")
     path = write(tmp_path, pushforward_doc())
     for cmd in ("cover", "fm", "roundtrip", "props", "sample"):
@@ -665,7 +672,7 @@ def test_reports_make_no_per_sample_scalar_calls(tmp_path, monkeypatch):
 
 
 def test_declared_cover_is_evaluated_once(tmp_path, monkeypatch):
-    values_at = count_calls(monkeypatch, PellMap, "_values_at")
+    values_at = count_calls(monkeypatch, PellMap, "sheet_values")
     arrays = count_calls(monkeypatch, PellMap, "_values_array")
     doc = pell_cover_doc()
     doc["determinant"] = {"factor": [1.0, 0.0]}

@@ -65,10 +65,12 @@ def git_commit(src: Path) -> str | None:
 
 
 def ratios(before: dict, after: dict, stat: str = "best_s") -> dict | float:
-    """Ratio before over after of ``stat`` at every timing of ``after``."""
+    """Ratio before over after of ``stat`` at every timing of ``after`` that
+    ``before`` has too (an older run may lack layers added since)."""
     if stat in after:
         return round(before[stat] / after[stat], 2)
-    return {key: ratios(before[key], value, stat) for key, value in after.items()}
+    return {key: ratios(before[key], value, stat) for key, value in after.items()
+            if key in before}
 
 
 def timing_rows(tree: dict, path: tuple[str, ...] = ()):

@@ -13,12 +13,24 @@ each n it times
 - ``chain``: the whole chain P, 2P, ..., nP by repeated ``class_add``;
 
 and keeps the largest coefficient bit length of nP (numerators and
-denominators of its Q(i) coefficients).  Each layer is run 7 times after
-one warm-up, every run a batch of calls lasting at least about a
-millisecond; best and median seconds per call are kept.  Results are
-merged into the output file under ``--label``.  A before/after comparison
-times both trees in alternation, in child processes, over several rounds
-(``_layer_bench.alternate``):
+denominators of its Q(i) coefficients).  On the genus-3 curve it also times
+the Q(i) and ``Poly`` operations on the coefficients of nP at n = 10 and 61
+(``qi``: the sum and product of u_0 and u_1, the inverse of u_0; ``poly``:
+u * v and the division of v^2 by u, with remainder).
+
+The function search (``search``) is timed on the low-height pairs of the
+benchmark's cantor-chain workload, at genus 1-3 on w^2 = b^3 + 1,
+w^2 = b^5 - b + 1 and w^2 = b^7 - b + 1 with P = (0, 1) and Q its second
+rational point: ``classes_equal_by_search`` of P and Q, and of the
+semi-reduced and the reduced kP at the least k = g+1..g+3 whose supports
+are disjoint, and ``conjugate_sum_principal_witness`` of that semi-reduced
+kP.
+
+Each layer is run 7 times after one warm-up, every run a batch of calls
+lasting at least about a millisecond; best and median seconds per call are
+kept.  Results are merged into the output file under ``--label``.  A
+before/after comparison times both trees in alternation, in child
+processes, over several rounds (``_layer_bench.alternate``):
 
     python tools/bench_exact.py --against /path/to/parent/src
 
@@ -37,12 +49,20 @@ DESCRIPTION = (
     "(P = (0, 1)), w^2 = b^5 - b + 1 and w^2 = b^7 - b + 1 (P = (1, 1)); "
     "best and median seconds per call of 'repeat' runs after one warm-up, "
     "one entry of 'runs' per source tree, with the largest coefficient bit "
-    "length of nP; speedup_best is parent over change, seed_speedup_best "
-    "seed over change.")
+    "length of nP; Q(i) and Poly operations on the coefficients of nP at "
+    "n = 10, 61 on the genus-3 curve (qi, poly); the function search on the "
+    "cantor-chain workload's low-height pairs at genus 1-3 (search); "
+    "speedup_best is parent over change, seed_speedup_best seed over change "
+    "(on the layers both runs have).")
 CURVES = {"g1": ((1, 1, 0, 1), (0, 1)),
           "g2": ((1, -1, 0, 0, 0, 1), (1, 1)),
           "g3": ((1, -1, 0, 0, 0, 0, 0, 1), (1, 1))}
 HEIGHTS = (10, 30, 61, 120)
+ARITH_HEIGHTS = (10, 61)
+# the cantor-chain workload's covers, with its first two rational points
+SEARCH_CURVES = {"g1": ((1, 0, 0, 1), (0, 1), (2, 3)),
+                 "g2": ((1, -1, 0, 0, 0, 1), (0, 1), (1, 1)),
+                 "g3": ((1, -1, 0, 0, 0, 0, 0, 1), (0, 1), (1, 1))}
 MIN_RUN_S = 1e-3
 
 
@@ -57,6 +77,8 @@ def measure() -> dict:
 
     layers: dict = {}
     bits: dict = {}
+    qi: dict = {}
+    poly: dict = {}
     for name, (f, (x, w)) in CURVES.items():
         cover = sf.HyperCover(sf.Poly.of(*f))
         p = sf.point_class(cover, sf.QI.of(x), sf.QI.of(w))
@@ -78,7 +100,38 @@ def measure() -> dict:
                                        min_run_s=MIN_RUN_S),
                 "chain": timed(chain, min_run_s=MIN_RUN_S)}
             bits[name][str(n)] = coeff_bits(sf.class_add(prev, p))
+            if name == "g3" and n in ARITH_HEIGHTS:
+                qi[str(n)], poly[str(n)] = arithmetic(sf.class_add(prev, p))
+    layers.update(qi=qi, poly=poly, search={name: search(sf, *curve)
+                                            for name, curve in SEARCH_CURVES.items()})
     return {"layers": layers, "coeff_bits": bits}
+
+
+def arithmetic(d) -> tuple[dict, dict]:
+    """Q(i) and Poly operations on the coefficients of the class d."""
+    u, v = d.u, d.v
+    a, b, square = u.coeffs[0], u.coeffs[1], v * v
+    return ({"add": timed(lambda: a + b, min_run_s=MIN_RUN_S),
+             "mul": timed(lambda: a * b, min_run_s=MIN_RUN_S),
+             "inv": timed(lambda: a.inv(), min_run_s=MIN_RUN_S)},
+            {"mul": timed(lambda: u * v, min_run_s=MIN_RUN_S),
+             "divmod": timed(lambda: square.divmod(u), min_run_s=MIN_RUN_S)})
+
+
+def search(sf, f, first, second) -> dict:
+    """The function search on one of the cantor-chain covers."""
+    cover = sf.HyperCover(sf.Poly.of(*f))
+    p, q = (sf.point_class(cover, sf.QI.of(x), sf.QI.of(w)) for x, w in (first, second))
+    composed = reduced = p
+    for k in range(2, cover.genus + 4):
+        composed, reduced = sf.mumford_compose(composed, p), sf.class_add(reduced, p)
+        if k > cover.genus and composed.u.gcd(reduced.u).degree == 0:
+            break
+    return {"points": timed(lambda: sf.classes_equal_by_search(p, q), min_run_s=MIN_RUN_S),
+            "kP": timed(lambda: sf.classes_equal_by_search(composed, reduced),
+                        min_run_s=MIN_RUN_S),
+            "witness": timed(lambda: sf.conjugate_sum_principal_witness(composed),
+                             min_run_s=MIN_RUN_S)}
 
 
 if __name__ == "__main__":
