@@ -16,11 +16,10 @@ kernel here computes on their float64 real and imaginary parts with the
 operations CPython's ``complex`` uses, in the same order:
 
 - ``mul`` is ``_Py_c_prod``, ``quot`` is ``_Py_c_quot`` (scale by the
-  larger component of the divisor), ``sqrt`` is ``z ** 0.5`` through
-  ``_Py_c_pow``, and ``absolute`` is ``abs(z)``, a hypot;
-- only + - * /, floor, rint and hypot run in numpy.  log, atan2, pow, cos
-  and sin are taken from ``math`` one element at a time: numpy's vectorised
-  versions round differently on some inputs.
+  larger component of the divisor), and ``absolute`` is ``abs(z)``, a hypot;
+- only + - * /, floor, rint and hypot run in numpy.  ``sqrt`` is CPython's
+  own ``z ** 0.5``, and log, cos and sin come from ``math``, one element
+  at a time: numpy's vectorised versions round differently on some inputs.
 
 The kernels never raise.  Where the scalar operation would raise, or lose
 its meaning (a zero divisor, an overflow), they return whatever the float
@@ -101,16 +100,17 @@ def each(fn: Callable[..., float], *args: "np.ndarray | float") -> np.ndarray:
     return np.fromiter(map(fn, *lists), dtype=float, count=len(args[0]))
 
 
+def _pow_half(z: complex) -> complex:
+    try:
+        return z ** 0.5
+    except OverflowError:
+        return complex(math.inf, math.inf)
+
+
 def sqrt(a: np.ndarray) -> np.ndarray:
-    """a ** 0.5 as CPython computes it (``_Py_c_pow`` with exponent 0.5):
-    hypot, C pow, atan2, then length times cos and sin of the half phase;
-    0 gives 0.  An overflow (an infinite part) raises in CPython."""
-    length = each(math.pow, absolute(a), 0.5)
-    phase = each(math.atan2, a.imag, a.real) * 0.5
-    with np.errstate(all="ignore"):
-        out = pack(length * each(math.cos, phase), length * each(math.sin, phase))
-    out[a == 0] = 0j
-    return out
+    """``z ** 0.5``, CPython's own power, at each element of a 1-d array;
+    where that power overflows (and raises) the element reads inf+infj."""
+    return np.fromiter(map(_pow_half, a.tolist()), dtype=complex, count=len(a))
 
 
 def nearest(b: np.ndarray, centres: "list[complex]") -> np.ndarray:

@@ -47,6 +47,7 @@ from math import gcd, lcm, prod
 
 from . import _carray
 from ._carray import np
+from .errors import UnsupportedError
 
 __all__ = [
     "QI",
@@ -160,7 +161,10 @@ class QI:
         return self * o.inv()
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise UnsupportedError(f"{self} is past the float range") from None
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -466,7 +470,11 @@ class Poly:
         polynomials with coefficients thousands of bits high never pay for
         it."""
         den, re, im = self._image
-        return tuple(complex(a / den, b / den) for a, b in zip(reversed(re), reversed(im)))
+        try:
+            return tuple(complex(a / den, b / den) for a, b in zip(re[::-1], im[::-1]))
+        except OverflowError:  # named by its size: str() caps an integer's digits
+            n = max(abs(c).bit_length() for c in re + im) - den.bit_length()
+            raise UnsupportedError(f"coefficient near 2^{n} past the float range") from None
 
     def eval_complex(self, b: complex) -> complex:
         acc = 0j
@@ -584,9 +592,6 @@ class HyperCover:
         -w); an infinite part marks an overflow, which raises in ``sheets``."""
         return _carray.sqrt(self.f._eval_array(b))
 
-    def same_curve(self, other: "HyperCover") -> bool:
-        return self.f == other.f
-
 
 # ============================================================
 # Mumford divisor classes
@@ -633,12 +638,6 @@ class DivisorClass:
     def is_reduced(self) -> bool:
         return self.u.degree <= self.cover.genus
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        return (self.cover.same_curve(other.cover) and self.u == other.u
-                and self.v == other.v and self.inf_mult == other.inf_mult)
-
     def __repr__(self) -> str:
         return f"DivisorClass(u={self.u}, v={self.v}, -{self.inf_mult}*inf)"
 
@@ -663,7 +662,7 @@ def point_class(cover: HyperCover, x: QI, w: QI) -> DivisorClass:
 
 def mumford_compose(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
     """Semi-reduced composition (no reduction step)."""
-    if not d1.cover.same_curve(d2.cover):
+    if d1.cover != d2.cover:
         raise ValueError("classes live on different covers")
     f = d1.cover.f
     u1, v1, u2, v2 = d1.u, d1.v, d2.u, d2.v
@@ -846,7 +845,7 @@ def classes_equal_by_search(d1: DivisorClass, d2: DivisorClass) -> bool:
     verifies the norm identity a^2 - c^2 f = const * u1 * u2 exactly.  Requires
     gcd(u1, u2) = 1 (generic position) and balanced degree-0 inputs.
     """
-    if not d1.cover.same_curve(d2.cover):
+    if d1.cover != d2.cover:
         raise ValueError("classes live on different covers")
     if d1.degree() != 0 or d2.degree() != 0:
         raise ValueError("search oracle requires degree-0 classes")

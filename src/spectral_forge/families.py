@@ -36,12 +36,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 from . import _carray
 from ._carray import np
 from .covers import (BASE_POINT_RADIUS, BasePoint, DivisorClass, HyperCover,
-                     _base_point_near, class_add, norm_degree)
+                     _base_point_near, class_add)
 from .errors import (InvalidFamilyError, NoSurjectionError, UnsupportedError,
                      VerificationError)
 from .fiber import (AtiyahRegular, FiberClass, SplitFiber, UnstableFiber,
@@ -114,10 +115,10 @@ class PushforwardData:
     torsion_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.cover.same_curve(self.factor_map.cover):
+        if self.cover != self.factor_map.cover:
             raise ValueError("factor map lives on a different cover")
         if self.twist is not None:
-            if not self.twist.cover.same_curve(self.cover):
+            if self.twist.cover != self.cover:
                 raise ValueError("twist class lives on a different cover")
             if self.twist.degree() != 0:
                 raise ValueError("twist must be a degree-0 class")
@@ -220,11 +221,7 @@ class FamilySpec:
         pair_iter = iter(self.data.torsion_pairs)
         for i, mf in enumerate(self.surface.multiple_fibres):
             if not self.data.cover.is_branch(mf.at):
-                try:
-                    a1, a2 = next(pair_iter)
-                except StopIteration:
-                    a1, a2 = 0, 0
-                parts[i] = a1 + a2
+                parts[i] = sum(next(pair_iter, (0, 0)))
         return LineBundleOnX(self.surface, 0, nrm, tuple(parts))
 
     @cached_property
@@ -347,10 +344,6 @@ class FamilySpec:
             raise UnsupportedError("twisting requires a pushforward family")
         if nu.degree() != 0:
             raise ValueError("twist must be a degree-0 class")
-        if norm_degree(nu) != 0:
-            raise InvalidFamilyError(
-                "unbalanced class: nonzero pushforward degree would change "
-                "the determinant")
         base = self.data.twist
         new = nu if base is None else class_add(base, nu)
         return replace(self, data=replace(self.data, twist=new))
@@ -361,14 +354,9 @@ class FamilySpec:
         unchanged; any other pair shifts them."""
         if not isinstance(self.data, PushforwardData):
             raise UnsupportedError("twisting requires a pushforward family")
-        old = self.data.torsion_pairs
-        n = max(len(old), len(pairs))
-        merged = []
-        for i in range(n):
-            o = old[i] if i < len(old) else (0, 0)
-            p = pairs[i] if i < len(pairs) else (0, 0)
-            merged.append((o[0] + p[0], o[1] + p[1]))
-        return replace(self, data=replace(self.data, torsion_pairs=tuple(merged)))
+        merged = tuple((o[0] + p[0], o[1] + p[1]) for o, p in zip_longest(
+            self.data.torsion_pairs, pairs, fillvalue=(0, 0)))
+        return replace(self, data=replace(self.data, torsion_pairs=merged))
 
 
 # ============================================================

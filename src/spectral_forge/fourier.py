@@ -168,24 +168,21 @@ class TransformedSheaf:
 
 
 def _has_trivial_sub(family: FamilySpec, pts: list[complex]) -> bool:
-    """Whether some graded piece is lattice-trivial on every sampled fibre.
-
-    A scalar loop would stop at the first sample where neither piece is
-    still trivial; odd samples before that point are decided by the scalar
-    methods, in order, as that loop would."""
+    """Whether some graded piece is lattice-trivial on every sampled fibre:
+    the scalar loop, stopping at the first sample where neither piece is
+    still trivial, over the factor map's value arrays; only odd samples
+    read ``fiber_factors_at``."""
     curve = family.curve
     f0, f1, odd = family.data.factor_map._values_array(np.array(pts, dtype=complex))
-    _, d0, odd0 = curve._lattice_distance_array(f0)
-    _, d1, odd1 = curve._lattice_distance_array(f1)
-    trivial0, trivial1 = d0 <= curve.tolerance, d1 <= curve.tolerance
-    for i in np.flatnonzero(odd | odd0 | odd1).tolist():
-        flag0, flag1 = bool(trivial0[:i].all()), bool(trivial1[:i].all())
+    flag0 = flag1 = True
+    for i, (g0, g1, o) in enumerate(zip(f0.tolist(), f1.tolist(), odd.tolist())):
+        if o:
+            g0, g1 = family.fiber_factors_at(pts[i])
+        flag0 = flag0 and curve.in_lattice(g0)
+        flag1 = flag1 and curve.in_lattice(g1)
         if not (flag0 or flag1):
-            break
-        g0, g1 = family.fiber_factors_at(pts[i])
-        trivial0[i] = flag0 and curve.in_lattice(g0)
-        trivial1[i] = flag1 and curve.in_lattice(g1)
-    return bool(trivial0.all() or trivial1.all())
+            return False
+    return True
 
 
 def fm_transform(family: FamilySpec,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -238,6 +239,7 @@ def _parse_surface(value: Any, tol: float) -> SurfaceSpec:
     if "tolerance" in value:
         raise SchemaError("surface.tolerance: removed; set run.tol instead")
     tau = parse_complex(value.get("tau"), "surface.tau")
+    _check_range("surface.tau", "tau", tau)
     theta = value.get("theta_degree", 1)
     if not isinstance(theta, int) or theta < 1:
         raise SchemaError("surface.theta_degree: expected a positive integer")
@@ -265,6 +267,7 @@ def _parse_determinant(value: Any, surface: SurfaceSpec) -> LineBundleOnX:
     if not isinstance(base, int):
         raise SchemaError("determinant.base_class: expected an integer")
     factor = parse_complex(value.get("factor", [1.0, 0.0]), "determinant.factor")
+    _check_range("determinant.factor", "the factor", factor)
     parts = value.get("fibre_parts", [0] * len(surface.multiple_fibres))
     if (not isinstance(parts, list)
             or not all(isinstance(p, int) for p in parts)):
@@ -279,6 +282,10 @@ def _parse_pell_map(value: Any, cover: HyperCover, where: str) -> PellMap:
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected a map object")
     s = parse_qi(value.get("s", [1, 1, 0, 1]), f"{where}.s")
+    if not s.is_zero():
+        scale = s.to_complex()
+        _check_range(f"{where}.s", "s", scale)
+        _check_range(f"{where}.s", "s squared", scale * scale)
     if "p" in value or "q" in value:
         p = parse_poly(value.get("p", []), f"{where}.p")
         q = parse_poly(value.get("q", []), f"{where}.q")
@@ -305,12 +312,19 @@ def _parse_cover_curve(value: Any, where: str) -> HyperCover:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _check_split_factor(name: str, z: complex) -> None:
-    """The fibre classes divide by the split factors, their product and
-    their ratio: each modulus and its reciprocal must be normal floats."""
-    if not sys.float_info.min <= abs(z) <= 1.0 / sys.float_info.min:
-        raise SchemaError(f"family.presentation.factors: {name} or its "
-                          "reciprocal is zero, subnormal or not finite")
+def _check_range(where: str, name: str, z: complex) -> None:
+    """The per-sample path divides by ``z``: |z| and 1/|z| must be normal floats."""
+    if not sys.float_info.min <= math.hypot(z.real, z.imag) <= 1.0 / sys.float_info.min:
+        raise SchemaError(f"{where}: {name} or its reciprocal is zero, "
+                          "subnormal or not finite")
+
+
+def _check_pair(where: str, a: complex, b: complex, names: tuple[str, str, str]) -> None:
+    """``_check_range`` on a, b, their product and their ratio."""
+    _check_range(where, names[0], a)
+    _check_range(where, names[1], b)
+    _check_range(where, f"the product of {names[2]}", a * b)
+    _check_range(where, f"the ratio of {names[2]}", a / b)
 
 
 def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
@@ -326,10 +340,8 @@ def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
             raise SchemaError("family.presentation.factors: expected 2 entries")
         f1 = parse_complex(factors[0], "family.presentation.factors[0]")
         f2 = parse_complex(factors[1], "family.presentation.factors[1]")
-        _check_split_factor("factor 0", f1)
-        _check_split_factor("factor 1", f2)
-        _check_split_factor("the product of the factors", f1 * f2)
-        _check_split_factor("the ratio of the factors", f1 / f2)
+        _check_pair("family.presentation.factors", f1, f2,
+                    ("factor 0", "factor 1", "the factors"))
         bases = pres.get("base_classes", [0, 0])
         if (not isinstance(bases, list) or len(bases) != 2
                 or not all(isinstance(b, int) for b in bases)):
@@ -457,6 +469,7 @@ def _parse_cover(value: Any, surface: SurfaceSpec) -> SpectralCover:
     if bis_raw["type"] == "two_sections":
         a1 = parse_complex(bis_raw.get("a1"), "cover.bisection.a1")
         a2 = parse_complex(bis_raw.get("a2"), "cover.bisection.a2")
+        _check_pair("cover.bisection", a1, a2, ("a1", "a2", "a1 and a2"))
         try:
             bis = TwoSections(a1, a2)
         except ValueError as exc:

@@ -505,6 +505,79 @@ def test_overflowing_sheet_value_exits_64(tmp_path, capsys, cmd):
     assert "Traceback" not in err
 
 
+def two_sections_doc() -> dict:
+    return {"surface": {"tau": [2.0, 0.0]}, "determinant": {"factor": [1.0, 0.0]},
+            "cover": {"bisection": {"type": "two_sections", "a1": [0.7, 0.1],
+                                    "a2": [1.3, -0.2]}}}
+
+
+HUGE_QI = [10 ** 400, 1, 0, 1]
+PRES = ("family", "presentation")
+# name: (base scenario, {key path: value}), each with one value past the
+# float range
+PAST_FLOAT_RANGE = {
+    "split-factor": (split_doc, {(*PRES, "factors"): [[1.7e308, 1.7e308], [1, 0]]}),
+    "determinant": (split_doc, {("determinant",): {"factor": [1e-320, 0]}}),
+    "tau": (split_doc, {("surface", "tau"): [1.7e308, 1.7e308]}),
+    "a1": (two_sections_doc, {("cover", "bisection", "a1"): [1e-320, 0]}),
+    "a1*a2=1e400": (two_sections_doc, {("cover", "bisection", "a1"): [1e200, 0],
+                                       ("cover", "bisection", "a2"): [1e200, 0]}),
+    "a1*a2=1e-400": (two_sections_doc, {("cover", "bisection", "a1"): [1e-200, 0],
+                                        ("cover", "bisection", "a2"): [1e-200, 0]}),
+    "s=1e-300": (pushforward_doc, {(*PRES, "map", "s"): [1, 10 ** 300, 0, 1]}),
+    "s=1e-160": (pushforward_doc, {(*PRES, "map", "s"): [1, 10 ** 160, 0, 1]}),
+    "s=1e160": (pushforward_doc, {(*PRES, "map", "s"): [10 ** 160, 1, 0, 1]}),
+    "s=1e200i": (pushforward_doc, {(*PRES, "map", "s"): [0, 1, 10 ** 200, 1]}),
+    "journal": (pushforward_doc, {("family", "modifications"): [{"op": "push",
+                                                                 "at": HUGE_QI}]}),
+    "fibre": (pushforward_doc, {("surface", "multiple_fibres"): [{"at": HUGE_QI, "m": 2}]}),
+    "descent": (split_doc, {("descent", "b0"): HUGE_QI}),
+    "f": (pushforward_doc, {(*PRES, "cover", "f"): [HUGE_QI, *F_CUBIC[1:]]}),
+    "p=1e300": (pushforward_doc, {(*PRES, "map", "p"): [[10 ** 300, 1, 0, 1]]}),
+    "p=1e4000": (pushforward_doc, {(*PRES, "map", "p"): [[10 ** 4000, 1, 0, 1]]}),
+}
+
+
+@pytest.mark.parametrize("case, cmd, code", [
+    *(("split-factor", c, 2) for c in ("cover", "classify", "sample")),
+    *(("determinant", c, 2) for c in ("cover", "fm", "props")),
+    *(("tau", c, 2) for c in ("cover", "modify", "classify")),
+    ("a1", "sample", 2), ("a1*a2=1e400", "cover", 2), ("a1*a2=1e-400", "cover", 2),
+    *(("s=1e-300", c, 2) for c in ("cover", "fm", "modify")),
+    *(("s=1e-160", c, 2) for c in ("cover", "props")),
+    *(("s=1e160", c, 2) for c in ("cover", "roundtrip")),
+    *(("s=1e200i", c, 2) for c in ("cover", "props")),
+    *(("journal", c, 64) for c in ("modify", "classify", "sample")),
+    *(("fibre", c, 64) for c in ("cover", "props")),
+    ("descent", "props", 64), ("f", "cover", 64),
+    ("p=1e300", "cover", 64), ("p=1e4000", "props", 64),
+])
+def test_values_past_the_float_range_exit_without_a_traceback(tmp_path, capsys,
+                                                              case, cmd, code):
+    """A float that the per-sample path divides by (a split factor, the
+    declared determinant, two section values, tau, the map scale and its
+    square) must be a normal float and so must its reciprocal, else exit 2;
+    exact data whose float image overflows exits 64, naming the value (a
+    polynomial coefficient by its size: at p = 10^4000 the map's U has
+    coefficients of 8,000 digits, past what ``str`` converts)."""
+    base, edits = PAST_FLOAT_RANGE[case]
+    doc = base()
+    for (*keys, last), value in edits.items():
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    argv = [cmd, "--scenario", write(tmp_path, doc),
+            "--samples", "16", "--json", str(tmp_path / "r.json")]
+    if cmd == "sample":
+        argv += ["--csv", str(tmp_path / "rows.csv")]
+    assert run_command(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " if code == 2 else "unsupported: ")
+    assert ("zero, subnormal or not finite" if code == 2
+            else "past the float range") in err
+
+
 def test_explicit_pell_map_matches_its_pair(tmp_path, capsys):
     """The map of (p, q) = (3, 1) on w^2 = b^3 + 1, written out as
     U = b^3 + 10, V = 6, R = 8 - b^3, reads the same props report and exit

@@ -13,6 +13,7 @@ compared with that loop within 8 ulps, and bit for bit at tau = 2.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -25,7 +26,8 @@ from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
                             PunctureError, SpectralCover, TateCurve,
                             TwoSections, UnsupportedError, attach_generic_jumps,
                             cover_from_family, descent_divisor, fm_transform,
-                            invariance_residual, parse_scenario, sample_circle)
+                            default_sample_points, invariance_residual,
+                            parse_scenario, sample_circle)
 from spectral_forge import _carray, cli, fourier
 from spectral_forge.cli import run_command
 from spectral_forge.fourier import _has_trivial_sub, _roundtrip_report
@@ -34,7 +36,7 @@ import oracles
 from conftest import (TAU_DYADIC, TAU_GENERIC, TAU_WIDE, cover_g0, cover_g1,
                       cover_g2, cover_g3, pell_g0, pell_g1, pell_g2, pell_g3,
                       push_family, split_family, surf_m23, surf_plain)
-from test_cli import pell_cover_doc, pushforward_doc, write
+from test_cli import pell_cover_doc, pushforward_doc, split_doc, write
 from test_spectral import tiny_pell_g0
 
 N = 60_000
@@ -340,25 +342,26 @@ def test_family_checks_match_the_scalar_loops(index):
 def test_scalar_fallbacks_at_a_huge_tau_match_the_scalar_loops(monkeypatch):
     """At tau = 1e160 a power of tau next to a value's exponent overflows or
     vanishes, so the arrays leave samples odd that the scalar route decides
-    without raising.  Three scalar fallbacks are taken, each with the
-    scalar loop's result: the odd-sample loop of ``_has_trivial_sub``
-    (split factors 1e-300 and 1, and 1e-300 and 0.5, where the loop stops
-    at the second sample); the agreement check of
-    ``cover_from_family`` past its vertical-point return, and the lattice
-    branch of ``_fibre_defects``, on pushforwards whose two factors
-    straddle |f| = 1 and on two sections whose product is 1e-100 against a
-    factor 1."""
+    without raising.  ``_has_trivial_sub`` gives the scalar loop's result on
+    split factors 1e-300 and 1, and 1e-300 and 0.5 (where the loop stops at
+    the second sample) without one ``fiber_factors_at`` call: every sample
+    is regular for the value arrays, and the loop reduces the values itself.
+    Two scalar fallbacks are taken, each with the scalar loop's result: the
+    agreement check of ``cover_from_family`` past its vertical-point return,
+    and the lattice branch of ``_fibre_defects``, on pushforwards whose two
+    factors straddle |f| = 1 and on two sections whose product is 1e-100
+    against a factor 1."""
     s = surf_plain(1e160 + 0j)
     split = split_family(s, 1e-300 + 0j, 1 + 0j)
     pts = sample_circle(16, 2.0)
     factors = count_calls(monkeypatch, FamilySpec, "fiber_factors_at")
     assert _has_trivial_sub(split, pts) is True
-    assert factors[0] == 16
+    assert factors[0] == 0
     assert oracles.reference_has_trivial_sub(split, pts) is True
     split = split_family(s, 1e-300 + 0j, 0.5 + 0j)
     factors[0] = 0
     assert _has_trivial_sub(split, pts) is False
-    assert factors[0] == 1
+    assert factors[0] == 0
     assert oracles.reference_has_trivial_sub(split, pts) is False
 
     def check_cover(fam, sample):
@@ -634,12 +637,15 @@ def test_a_one_ulp_coefficient_change_is_seen():
     assert mismatches(nudged._eval_array(b), scalar) > 0
 
 
-def test_numpy_atan2_in_the_square_root_is_seen(monkeypatch):
+def test_cmath_sqrt_in_the_square_root_is_seen(monkeypatch):
+    """``cmath.sqrt`` rounds differently from ``z ** 0.5`` on most inputs:
+    a square root taken that way is caught by the parity check."""
     b = random_points(7)
     cov = cover_g2()
     scalar = [cov.sheets(x)[0] for x in b.tolist()]
     assert mismatches(cov._sheets_array(b), scalar) == 0
-    monkeypatch.setattr(math, "atan2", lambda y, x: float(np.arctan2(y, x)))
+    monkeypatch.setattr(_carray, "sqrt", lambda a: np.array(
+        [cmath.sqrt(z) for z in a.tolist()], dtype=complex))
     assert mismatches(cov._sheets_array(b), scalar) > 0
 
 
@@ -669,6 +675,34 @@ def test_reports_make_no_per_sample_scalar_calls(tmp_path, monkeypatch):
                             *(["--csv", str(tmp_path / "s.csv")]
                               if cmd == "sample" else [])]) == 0
         assert (cmd, values_at[0], canonical[0]) == (cmd, 0, 0)
+
+
+def sweep_families() -> list[FamilySpec]:
+    """The split, genus-1 and genus-2 families of the sample sweep."""
+    push_g2 = pushforward_doc()
+    push_g2["surface"]["tau"] = [1.5, 0.5]
+    push_g2["family"]["presentation"].update(
+        cover={"f": [[1, 1, 0, 1], [-1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1],
+                     [0, 1, 0, 1], [1, 1, 0, 1]]},
+        map={"p": [[0, 1, 0, 1], [1, 1, 0, 1]], "q": [[1, 1, 0, 1]],
+             "s": [1, 1, 0, 1]})
+    return [parse_scenario(doc).family
+            for doc in (split_doc(), pushforward_doc(), push_g2)]
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11])
+def test_trivial_sub_reduces_no_lattice_array(monkeypatch, seed):
+    """``_has_trivial_sub`` is the scalar loop over the value arrays: on the
+    sweep families it stops at the first sample, after at most two scalar
+    lattice distances, and builds no lattice array."""
+    arrays = count_calls(monkeypatch, TateCurve, "_lattice_distance_array")
+    lattice = count_calls(monkeypatch, TateCurve, "lattice_distance")
+    for fam in sweep_families():
+        pts = default_sample_points(fam, 2048, phase=0.05 * seed)
+        lattice[0] = 0
+        assert _has_trivial_sub(fam, pts) is False
+        assert (arrays[0], lattice[0] <= 2) == (0, True)
+        assert oracles.reference_has_trivial_sub(fam, pts) is False
 
 
 def test_declared_cover_is_evaluated_once(tmp_path, monkeypatch):

@@ -8,7 +8,10 @@ first on the import path, adds provenance to the entry and merges it into
 the output file under the label.  With a ``change`` run next to a
 ``parent`` (or ``seed``) run it also writes their best-time ratios
 (``speedup_best``, ``seed_speedup_best``) and, against the parent, their
-median-time ratios (``speedup_median``).
+median-time ratios (``speedup_median``) next to each tree's own ``spread``:
+(max - min) / median of its per-round median times, per layer.  A median
+ratio whose distance from 1 lies inside the parent's spread is printed as
+unresolved: the parent's rounds alone vary that much.
 
 Every script takes ``--against``, a second tree written under ``parent``.
 A process can import only one tree, so an in-process script then runs
@@ -82,13 +85,35 @@ def timing_rows(tree: dict, path: tuple[str, ...] = ()):
         yield from timing_rows(value, path + (key,))
 
 
+def print_ratios(ratio: dict | float, spread: dict | float | None,
+                 path: tuple[str, ...] = ()) -> None:
+    """Print each median ratio, marked unresolved where its distance from 1
+    lies inside the parent's spread."""
+    if isinstance(ratio, dict):
+        for key, value in ratio.items():
+            print_ratios(value, (spread or {}).get(key), path + (key,))
+        return
+    mark = " unresolved" if spread is not None and abs(ratio - 1) <= spread else ""
+    print("median ratio", *path, f"{ratio:.2f}{mark}")
+
+
 def merge_rounds(rows: list[dict]) -> dict:
     """One layers tree from the trees of several rounds: each timing keeps
-    its best time and the median of its median times."""
+    its best time, the median of its median times and their spread."""
     if "best_s" in rows[0]:
-        return {"best_s": min(r["best_s"] for r in rows),
-                "median_s": statistics.median(r["median_s"] for r in rows)}
+        medians = [r["median_s"] for r in rows]
+        mid = statistics.median(medians)
+        return {"best_s": min(r["best_s"] for r in rows), "median_s": mid,
+                "spread": round((max(medians) - min(medians)) / mid, 3)}
     return {key: merge_rounds([r[key] for r in rows]) for key in rows[0]}
+
+
+def spreads(tree: dict) -> dict | float | None:
+    """The ``spread`` of every timing of a layers tree (None where a run was
+    not merged from rounds)."""
+    if "best_s" in tree:
+        return tree.get("spread")
+    return {key: spreads(value) for key, value in tree.items()}
 
 
 def alternate(trees: dict[str, Path]) -> dict[str, dict]:
@@ -158,8 +183,12 @@ def main(doc: str, out_name: str, description: str,
                 out[key] = ratios(runs[before]["layers"], after)
         if "parent" in runs:
             out["speedup_median"] = ratios(runs["parent"]["layers"], after, "median_s")
+            out["spread"] = {label: spreads(runs[label]["layers"])
+                             for label in ("parent", "change")}
     out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     for label, entry in entries.items():
         for path, row in timing_rows(entry["layers"]):
             print(label, *path,
                   " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()))
+    if "spread" in out:
+        print_ratios(out["speedup_median"], out["spread"]["parent"])

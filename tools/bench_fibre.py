@@ -17,9 +17,7 @@ Times three layers at tau = 2, 1.5+0.5i and 1.3:
 For the solves it also records the node levels per solve: the number of
 node counts K = 16, 32, ... at which the contour sums were formed, over all
 radii tried (one more per radius than the node doublings).  They are
-counted by wrapping ``fiber._node_values`` where the tree has it,
-else the one ``np.exp`` per level of the Horner version of
-``annulus_sums``.
+counted by wrapping ``fiber._node_values``.
 
 Each layer is run 7 times after one warm-up, every run a batch lasting
 at least about a millisecond; best and median seconds are kept.  Results
@@ -57,34 +55,20 @@ MIN_RUN_S = 1e-3
 
 
 class LevelCounter:
-    """Counts the contour levels (node counts K) the solver evaluates."""
+    """Counts the contour levels (node counts K) the solver evaluates: the
+    calls of ``fiber._node_values``."""
 
     def __init__(self, fiber):
         self.count = 0
-        if hasattr(fiber, "_node_values"):
-            self._undo = self._wrap(fiber, "_node_values", fiber._node_values)
-        else:
-            np_mod = fiber.np
+        self._fiber, self._plain = fiber, fiber._node_values
 
-            class Counted:
-                def __getattr__(_, name):
-                    return getattr(np_mod, name)
-
-                def exp(_, *args, **kwargs):
-                    self.count += 1
-                    return np_mod.exp(*args, **kwargs)
-            fiber.np = Counted()
-            self._undo = lambda: setattr(fiber, "np", np_mod)
-
-    def _wrap(self, owner, name, plain):
         def counted(*args, **kwargs):
             self.count += 1
-            return plain(*args, **kwargs)
-        setattr(owner, name, counted)
-        return lambda: setattr(owner, name, plain)
+            return self._plain(*args, **kwargs)
+        fiber._node_values = counted
 
     def close(self) -> None:
-        self._undo()
+        self._fiber._node_values = self._plain
 
 
 def measure() -> dict:

@@ -1,22 +1,22 @@
 """Per-layer timings of the per-sample path, written to BENCH_sample_path.json.
 
-Times five layers at 256, 2,048 and 20,000 samples on the genus-1
+Times six layers at 256, 2,048 and 20,000 samples on the genus-1
 pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 
-- ``sheet_values``: the factor map's two sheet values at every sample;
-- ``canonical_rep``: the canonical representatives of those 2n values;
+- ``sheet_values``: the factor map's two sheet values at every sample
+  (``_values_array``);
+- ``canonical_rep``: the canonical representatives of those 2n values
+  (``_canonical_array``);
 - ``cover_from_family``: the family's cover with its per-sample check;
+- ``fm``: the CLI ``fm`` report, in process, ladder included;
 - ``props``: the CLI ``props`` report, in process, ladder included;
 - ``descent``: ``z_action_residual`` with the descent twist at b0 = 0 on
   and off (two calls), on the |tau| circle around b0.
 
-The first two use the array forms where the source tree has them, else
-one scalar call per sample, so the same script times an older tree; the
-others call public functions only.  Each layer is run 7 times after one
-warm-up; best and median seconds are kept.  Results are merged into the
-output file under ``--label``.  A before/after comparison times both
-trees in alternation, in child processes, over several rounds
-(``_layer_bench.alternate``):
+Each layer is run 7 times after one warm-up; best and median seconds are
+kept.  Results are merged into the output file under ``--label``.  A
+before/after comparison times both trees in alternation, in child
+processes, over several rounds (``_layer_bench.alternate``):
 
     python tools/bench_sample_path.py --against /path/to/parent/src
 """
@@ -33,8 +33,8 @@ DESCRIPTION = (
     "Per-layer timings of the per-sample path on the genus-1 pushforward "
     "family at tau = 2, written by tools/bench_sample_path.py: the factor "
     "map's sheet values, canonical_rep of those values, cover_from_family, "
-    "the CLI props report (ladder included) and z_action_residual with the "
-    "descent twist at b0 = 0 on and off, at 256, 2048 and 20000 "
+    "the CLI fm and props reports (ladder included) and z_action_residual "
+    "with the descent twist at b0 = 0 on and off, at 256, 2048 and 20000 "
     "samples; best and median seconds of 'repeat' runs after one warm-up, "
     "one entry of 'runs' per source tree; speedup_best is parent over change.")
 SIZES = (256, 2048, 20_000)
@@ -72,31 +72,19 @@ def measure_in(workdir: Path) -> dict:
     for n in SIZES:
         pts = default_sample_points(family, n, phase=0.05)
         b = np.array(pts, dtype=complex)
-        if hasattr(fmap, "_values_array"):
-            def sheets():
-                return fmap._values_array(b)
+        v0, v1, _ = fmap._values_array(b)
+        values = np.concatenate([v0, v1])
 
-            v0, v1, _ = sheets()
-            values = np.concatenate([v0, v1])
+        def report(cmd):
+            return lambda: run_command([cmd, "--scenario", str(path), "--samples", str(n),
+                                        "--seed", "1", "--json", str(workdir / "r.json")])
 
-            def canonical():
-                return curve._canonical_array(values)
-        else:
-            def sheets():
-                return [fmap.sheet_values(x) for x in pts]
-
-            values = [v for pair in sheets() for v in pair]
-
-            def canonical():
-                return [curve.canonical_rep(v) for v in values]
-
-        argv = ["props", "--scenario", str(path), "--samples", str(n),
-                "--seed", "1", "--json", str(workdir / "props.json")]
         out[str(n)] = {
-            "sheet_values": timed(sheets),
-            "canonical_rep": timed(canonical),
+            "sheet_values": timed(lambda: fmap._values_array(b)),
+            "canonical_rep": timed(lambda: curve._canonical_array(values)),
             "cover_from_family": timed(lambda: cover_from_family(family, pts)),
-            "props": timed(lambda: run_command(argv)),
+            "fm": timed(report("fm")),
+            "props": timed(report("props")),
             "descent": timed(lambda: (z_action_residual(family, twist, n),
                                       z_action_residual(family, untwisted, n))),
         }
