@@ -11,9 +11,10 @@ After that read ``np`` is the plain numpy module, with no cost per call.
 A process that imported numpy first keeps its module.
 
 The per-sample path (sheet values, lattice reduction, fibre classes) runs
-over all samples at once.  Its values travel as complex128 arrays, but every
-kernel here computes on their float64 real and imaginary parts with the
-operations CPython's ``complex`` uses, in the same order:
+over all samples at once, in arrays that a report's frame
+(``families._Frame``) owns and builds once.  They travel as complex128, but
+every kernel here computes on their float64 real and imaginary parts with
+the operations CPython's ``complex`` uses, in the same order:
 
 - ``mul`` is ``_Py_c_prod``, ``quot`` is ``_Py_c_quot`` (scale by the
   larger component of the divisor), and ``absolute`` is ``abs(z)``, a hypot;

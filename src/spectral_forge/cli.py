@@ -29,15 +29,15 @@ from ._carray import np
 from .covers import HyperCover
 from .errors import (SchemaError, SpectralForgeError, UnsupportedError,
                      VerificationError)
-from .families import (FamilySpec, PushforwardData, _spectral_arrays,
-                       cover_from_family, default_sample_points, jump_report)
+from .families import (FamilySpec, PushforwardData, _Frame, cover_from_family,
+                       default_sample_points, jump_report)
 from .fiber import spectral_points
 from .fourier import (_roundtrip_report, descent_divisor, fm_transform,
                       roundtrip_check, z_action_residual)
 from .scenario import (MAX_SAMPLES, MAX_SEED, Scenario, canonical_json,
                        encode_base_point, encode_complex, load_scenario)
-from .spectral import (PellMap, SpectralCover, TwoSections, _fibre_defects,
-                       _sample_ladder, invariance_residual)
+from .spectral import (PellMap, SpectralCover, TwoSections, _max_fibre_defect,
+                       _sample_ladder)
 from .surface import GroupPresentation, fibre_component_groups, pic_relative
 
 __all__ = ["main", "run_command"]
@@ -64,25 +64,24 @@ def _family_points(scn: Scenario) -> list[complex]:
     return default_sample_points(fam, scn.samples, phase=0.05 * scn.seed)
 
 
-def _cover_and_points(scn: Scenario) -> tuple[SpectralCover, list[complex]]:
-    """The declared cover, else the family's, with its sample points.  A
-    declared cover without a family samples a circle avoiding punctures;
-    explicit points bypass the avoidance so poles at declared samples
-    surface as puncture errors."""
+def _cover_and_frame(scn: Scenario) -> tuple[SpectralCover, _Frame, tuple]:
+    """The declared cover, else the family's, with the report's frame and
+    the cover's values there (``_values_array``).  A declared cover without
+    a family samples a circle avoiding punctures; explicit points bypass
+    the avoidance so poles at declared samples surface as puncture errors."""
     if scn.cover is None:
-        fam = _require_family(scn)
-        pts = _family_points(scn)
-        return cover_from_family(fam, pts), pts
-    cover = scn.cover
+        frame = _Frame(_require_family(scn), _family_points(scn))
+        return cover_from_family(frame.family, frame), frame, frame.support
+    bis = scn.cover.bisection
     if scn.points is not None or scn.family is not None:
-        return cover, _family_points(scn)
-    bis = cover.bisection
+        frame = _Frame(scn.family, _family_points(scn))
+    else:
+        def reject(b: complex) -> bool:
+            return isinstance(bis, PellMap) and bis.punctures_near(b)
 
-    def reject(b: complex) -> bool:
-        return isinstance(bis, PellMap) and bis.punctures_near(b)
-
-    return cover, _sample_ladder(scn.samples, abs(cover.curve.tau),
-                                 0.05 * scn.seed, reject)
+        frame = _Frame(None, _sample_ladder(scn.samples, abs(scn.cover.curve.tau),
+                                            0.05 * scn.seed, reject))
+    return scn.cover, frame, bis._values_array(frame.b)
 
 
 def _invariance_delta(scn: Scenario):
@@ -129,17 +128,17 @@ def _encode_cover(cover: SpectralCover) -> dict:
     }
 
 
-def _max_product_defect(fam: FamilySpec, pts: list[complex]) -> float:
+def _max_product_defect(frame: _Frame) -> float:
     """The largest lattice defect of the product of a fibre's two spectral
     points against the involution bundle's factor (0 on jumped fibres)."""
-    def spectral_pair(i: int) -> "tuple[complex, complex] | None":
-        spts = spectral_points(fam.fiber_class_at(pts[i]))
+    fam = frame.family
+
+    def spectral_pair(b: complex) -> "tuple[complex, complex] | None":
+        spts = spectral_points(fam.fiber_class_at(b))
         return None if spts is None else (spts[0].value, spts[1].value)
 
-    b = np.array(pts, dtype=complex)
-    defects = _fibre_defects(fam.curve, fam.involution_bundle(), pts,
-                             *_spectral_arrays(fam, b), spectral_pair)
-    return max(defects) if defects else 0.0
+    return _max_fibre_defect(fam.curve, fam.involution_bundle(), frame.pts, frame.b,
+                             frame.spectral, spectral_pair)
 
 
 def _encode_group(g: GroupPresentation) -> dict:
@@ -164,19 +163,18 @@ def _envelope(command: str, scn: Scenario) -> dict:
 
 def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     code = 0
-    cover, pts = _cover_and_points(scn)
-    v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
+    cover, frame, (v0, v1, odd) = _cover_and_frame(scn)
     if scn.cover is not None:
         # evaluate every sample so declared sample points hit punctures loudly
         v0, v1 = _carray.fill_odd(np.stack([v0, v1], axis=1), odd,
-                                  lambda i: cover.values_at(pts[i])).T
+                                  lambda i: cover.values_at(frame.pts[i])).T
         odd[:] = False
     report = _envelope("cover", scn)
     report["cover"] = _encode_cover(cover)
     delta = _invariance_delta(scn)
     if delta is not None:
-        residual = max([0.0, *_fibre_defects(cover.curve, delta, pts, v0, v1, odd,
-                                             lambda i: cover.values_at(pts[i]))])
+        residual = _max_fibre_defect(cover.curve, delta, frame.pts, frame.b,
+                                     (v0, v1, odd), cover.values_at)
         passed = residual <= scn.tol
         report["invariance"] = {"checked": True, "max_residual": residual,
                                 "passed": passed}
@@ -189,10 +187,11 @@ def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     fam = _require_family(scn)
-    pts = _family_points(scn)
-    sheaf = fm_transform(fam, pts)
-    residual = invariance_residual(sheaf.support, fam.involution_bundle(), pts)
-    rt = _roundtrip_report(fam, pts, sheaf)
+    frame = _Frame(fam, _family_points(scn))
+    sheaf = fm_transform(fam, frame)
+    residual = _max_fibre_defect(fam.curve, fam.involution_bundle(), frame.pts, frame.b,
+                                 frame.support, sheaf.support.values_at)
+    rt = _roundtrip_report(frame, sheaf)
     report = _envelope("fm", scn)
     report["phi0_vanishes"] = sheaf.phi0_vanishes
     report["support"] = _encode_cover(sheaf.support)
@@ -206,8 +205,7 @@ def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_roundtrip(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     fam = _require_family(scn)
-    pts = _family_points(scn)
-    rt = roundtrip_check(fam, pts)
+    rt = roundtrip_check(fam, _family_points(scn))
     report = _envelope("roundtrip", scn)
     report["status"] = rt.status
     report["phi0_vanishes"] = rt.phi0_vanishes
@@ -257,21 +255,20 @@ def _cmd_modify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     fam = _require_family(scn)
-    pts = _family_points(scn)
+    frame = _Frame(fam, _family_points(scn))
     checks: list[dict] = []
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     try:
-        cover = cover_from_family(fam, pts)
-        add("cover_consistency", True)
+        cover = cover_from_family(fam, frame)
     except VerificationError as exc:
-        cover = None
         add("cover_consistency", False, str(exc))
-
-    if cover is not None:
-        residual = invariance_residual(cover, fam.involution_bundle(), pts)
+    else:
+        add("cover_consistency", True)
+        residual = _max_fibre_defect(fam.curve, fam.involution_bundle(), frame.pts,
+                                     frame.b, frame.support, cover.values_at)
         add("cover_invariance", residual <= scn.tol, f"max residual {residual:.3e}")
 
     for rec in jump_report(fam):
@@ -285,7 +282,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     add("chern_stack", fam.chern.c2 == fam.base_c2 + stacked,
         f"c2 {fam.chern.c2} vs base {fam.base_c2} + stacked {stacked}")
 
-    worst = _max_product_defect(fam, pts)
+    worst = _max_product_defect(frame)
     add("fibre_product_involution", worst <= scn.tol, f"max defect {worst:.3e}")
 
     if scn.descent_point is not None:
@@ -306,16 +303,15 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    cover, pts = _cover_and_points(scn)
+    cover, frame, (v0, v1, odd) = _cover_and_frame(scn)
     curve = cover.curve
-    v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
     a0, odd0 = curve._canonical_array(v0)
     a1, odd1 = curve._canonical_array(v1)
     alphas = _carray.fill_odd(
         np.stack([a0, a1], axis=1), odd | odd0 | odd1,
-        lambda i: [curve.canonical_rep(v).value for v in cover.values_at(pts[i])])
+        lambda i: [curve.canonical_rep(v).value for v in cover.values_at(frame.pts[i])])
     lines = ["b_re,b_im,sheet,alpha_re,alpha_im"]
-    for b, (re0, re1), (im0, im1) in zip(pts, alphas.real.tolist(),
+    for b, (re0, re1), (im0, im1) in zip(frame.pts, alphas.real.tolist(),
                                          alphas.imag.tolist()):
         at = f"{b.real!r},{b.imag!r}"
         lines += (f"{at},0,{re0!r},{im0!r}", f"{at},1,{re1!r},{im1!r}")
@@ -325,7 +321,7 @@ def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     else:
         sys.stdout.write(csv_text)
     report = _envelope("sample", scn)
-    report["rows"] = 2 * len(pts)
+    report["rows"] = 2 * len(frame.pts)
     report["csv"] = args.csv or "-"
     return report, 0
 

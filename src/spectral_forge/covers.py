@@ -163,8 +163,9 @@ class QI:
     def to_complex(self) -> complex:
         try:
             return complex(float(self.re), float(self.im))
-        except OverflowError:
-            raise UnsupportedError(f"{self} is past the float range") from None
+        except OverflowError:  # named by its size: str() caps an integer's digits
+            n = max(int(abs(x)).bit_length() for x in (self.re, self.im))
+            raise UnsupportedError(f"Q(i) value near 2^{n} past the float range") from None
 
     def __repr__(self) -> str:
         if self.im == 0:

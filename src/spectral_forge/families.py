@@ -28,7 +28,8 @@ Pushforward presentations use sheet-equivariant maps with exact constant
 norm, so the fibrewise determinant factor is the exact inverse-square of the
 map's scale; twisting by a divisor class on the cover changes the stored
 line data only -- its effect on the determinant is the norm class of the
-twist, computed by pushing the class forward to the base.
+twist, computed by pushing the class forward to the base.  One ``_Frame``
+per report owns the per-sample arrays its checks read, and builds each once.
 """
 
 from __future__ import annotations
@@ -609,14 +610,6 @@ def default_sample_points(family: FamilySpec, count: int = 32,
     return _sample_ladder(count, abs(family.curve.tau), phase, reject)
 
 
-def _resolve_points(family: FamilySpec,
-                    samples: "int | list[complex]") -> list[complex]:
-    """The family's default sample circle for a count, else the given points."""
-    if isinstance(samples, int):
-        return default_sample_points(family, samples)
-    return list(samples)
-
-
 def cover_from_family(family: FamilySpec,
                       samples: "int | list[complex]" = 32) -> SpectralCover:
     """The family's spectral cover: journal verticals plus the bisection.
@@ -626,7 +619,7 @@ def cover_from_family(family: FamilySpec,
     the fibre class's own twist-cohomology support is recomputed and
     compared, so inconsistent declarations fail loudly.
     """
-    pts = _resolve_points(family, samples)
+    frame = _Frame.of(family, samples)
     curve = family.curve
     verticals: list[tuple[BasePoint, int]] = []
     for p, stack in family._stacks.items():
@@ -635,59 +628,85 @@ def cover_from_family(family: FamilySpec,
     bis = family.data.factor_map.inverse()
 
     def agree_at(i: int) -> bool:
-        pts_fc = spectral_points(family.fiber_class_at(pts[i]))
+        pts_fc = spectral_points(family.fiber_class_at(frame.pts[i]))
         if pts_fc is None:
             return True  # vertical point: whole fibre supported
         want = [p.value for p in pts_fc]
-        got = [curve.canonical_rep(v).value for v in bis.sheet_values(pts[i])]
+        got = [curve.canonical_rep(v).value for v in bis.sheet_values(frame.pts[i])]
         return curve.same_pair(want, got)
 
-    b = np.array(pts, dtype=complex)
-    s0, s1, odd = _spectral_arrays(family, b)
-    g0, g1, godd = bis._values_array(b)
+    s0, s1, odd = frame.spectral
+    g0, g1, godd = frame.support
     c0, odd0 = curve._canonical_array(g0)
     c1, odd1 = curve._canonical_array(g1)
     agree, odd2 = curve._same_pair_array(s0, s1, c0, c1)
     bad = _carray.first_failure(agree, odd | godd | odd0 | odd1 | odd2, agree_at)
     if bad is not None:
         raise VerificationError(
-            f"declared and recomputed covers disagree at b={pts[bad]}")
+            f"declared and recomputed covers disagree at b={frame.pts[bad]}")
     return SpectralCover(family.surface, tuple(verticals), bis)
 
 
-def _fibre_arrays(
-        family: FamilySpec,
-        b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``fiber_class_at`` at each sample as arrays: the factors of the two
-    graded pieces, the mask of ``AtiyahRegular`` classes (whose line has the
-    first factor), and the odd mask.  Odd samples are the journal points
-    (unstable fibres), the samples where ``fiber_class_at`` raises and those
-    the arrays cannot follow; the scalar route decides them."""
-    curve = family.curve
-    f0, f1, odd = family.data.factor_map._values_array(b)
-    if isinstance(family.data, SplitData):
-        atiyah = np.zeros(b.shape, dtype=bool)
-        odd = odd | family.surface._multiple_mask(b)
-    else:
-        c0, odd0 = curve._canonical_array(f0)
-        c1, odd1 = curve._canonical_array(f1)
-        atiyah, odd2 = curve._same_point_array(c0, c1)
-        odd = odd | odd0 | odd1 | odd2
-    journal = [p.to_complex() for p in family.jump_points() if not p.is_infinity]
-    odd |= _carray.nearest(b, journal) <= BASE_POINT_RADIUS
-    return f0, f1, atiyah, odd
+class _Frame:
+    """One report's sample points and the per-sample arrays its checks read,
+    each built on first read and passed with the odd mask of the samples it
+    leaves to the scalar single-point methods.  A report passes its frame
+    where a function takes ``samples``."""
 
+    def __init__(self, family: "FamilySpec | None", pts: list[complex],
+                 b: "np.ndarray | None" = None) -> None:
+        self.family = family
+        self.pts = pts
+        self.b = np.array(pts, dtype=complex) if b is None else b
 
-def _spectral_arrays(
-        family: FamilySpec,
-        b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values of ``spectral_points(family.fiber_class_at(b))`` at each
-    sample, with the odd mask of ``_fibre_arrays`` and of the reduction."""
-    curve = family.curve
-    f0, f1, atiyah, odd = _fibre_arrays(family, b)
-    s0, odd0 = curve._canonical_array(_carray.quot(1.0, f0))
-    s1, odd1 = curve._canonical_array(_carray.quot(1.0, f1))
-    return s0, np.where(atiyah, s0, s1), odd | odd0 | odd1
+    @classmethod
+    def of(cls, family: FamilySpec, samples: "int | list[complex] | _Frame") -> "_Frame":
+        """``samples`` if it is a frame of ``family``, else the family's
+        frame at the points of ``samples``, or on its default circle."""
+        if isinstance(samples, _Frame):
+            return samples if samples.family is family else cls(family, samples.pts, samples.b)
+        if isinstance(samples, int):
+            return cls(family, default_sample_points(family, samples))
+        return cls(family, list(samples))
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values of ``fiber_factors_at`` (the factor map's)."""
+        return self.family.data.factor_map._values_array(self.b)
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values of ``spectral_values_at`` (the cover's bisection)."""
+        return self.family.data.factor_map.inverse()._values_array(self.b)
+
+    @cached_property
+    def fibre(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``fiber_class_at``: the factors of the two graded pieces, the mask
+        of ``AtiyahRegular`` classes (whose line has the first factor), and an
+        odd mask with the journal points and where ``fiber_class_at`` raises."""
+        family, b = self.family, self.b
+        curve = family.curve
+        f0, f1, odd = self.factors
+        if isinstance(family.data, SplitData):
+            atiyah = np.zeros(b.shape, dtype=bool)
+            odd = odd | family.surface._multiple_mask(b)
+        else:
+            c0, odd0 = curve._canonical_array(f0)
+            c1, odd1 = curve._canonical_array(f1)
+            atiyah, odd2 = curve._same_point_array(c0, c1)
+            odd = odd | odd0 | odd1 | odd2
+        journal = [p.to_complex() for p in family.jump_points() if not p.is_infinity]
+        odd |= _carray.nearest(b, journal) <= BASE_POINT_RADIUS
+        return f0, f1, atiyah, odd
+
+    @cached_property
+    def spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values of ``spectral_points(family.fiber_class_at(b))``."""
+        curve = self.family.curve
+        f0, f1, atiyah, odd = self.fibre
+        s0, odd0 = curve._canonical_array(_carray.quot(1.0, f0))
+        s1, odd1 = curve._canonical_array(_carray.quot(1.0, f1))
+        return s0, np.where(atiyah, s0, s1), odd | odd0 | odd1
 
 
 def build_regular_family(cover: SpectralCover, delta: LineBundleOnX,

@@ -24,15 +24,15 @@ Chern numbers (forward) and support plus line data (reverse).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import _carray
 from ._carray import np
 from .covers import BasePoint, DivisorClass, class_equal
 from .errors import UnsupportedError
 from .families import (FamilySpec, SplitData, cover_from_family,
-                       _family_on_cover, _fibre_arrays, _resolve_points)
-from .spectral import ChernData, SpectralCover, sample_circle
+                       _family_on_cover, _Frame)
+from .spectral import ChernData, SpectralCover, _sample_list
 
 __all__ = [
     "DescentTwist",
@@ -120,10 +120,7 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
     if twist.b0.is_infinity:
         raise UnsupportedError("descent base point must be affine")
     b0 = twist.b0.to_complex()
-    if isinstance(samples, int):
-        pts = sample_circle(samples, abs(family.curve.tau), center=b0)
-    else:
-        pts = list(samples)
+    pts = _sample_list(samples, family.curve, b0)
     # the coefficient step (j+1)d - jd is the same at every level
     e = family.surface.theta_degree - (twist.coefficient(1) - twist.coefficient(0))
     worst = 0.0
@@ -167,17 +164,17 @@ class TransformedSheaf:
     phi0_vanishes: bool
 
 
-def _has_trivial_sub(family: FamilySpec, pts: list[complex]) -> bool:
-    """Whether some graded piece is lattice-trivial on every sampled fibre:
-    the scalar loop, stopping at the first sample where neither piece is
-    still trivial, over the factor map's value arrays; only odd samples
-    read ``fiber_factors_at``."""
-    curve = family.curve
-    f0, f1, odd = family.data.factor_map._values_array(np.array(pts, dtype=complex))
+def _has_trivial_sub(frame: _Frame) -> bool:
+    """Whether some graded piece of the frame's family is lattice-trivial on
+    every sampled fibre: the scalar loop, stopping at the first sample where
+    neither piece is still trivial, over the frame's factor values; only
+    odd samples read ``fiber_factors_at``."""
+    curve = frame.family.curve
+    f0, f1, odd = frame.factors
     flag0 = flag1 = True
     for i, (g0, g1, o) in enumerate(zip(f0.tolist(), f1.tolist(), odd.tolist())):
         if o:
-            g0, g1 = family.fiber_factors_at(pts[i])
+            g0, g1 = frame.family.fiber_factors_at(frame.pts[i])
         flag0 = flag0 and curve.in_lattice(g0)
         flag1 = flag1 and curve.in_lattice(g1)
         if not (flag0 or flag1):
@@ -193,24 +190,15 @@ def fm_transform(family: FamilySpec,
     support) or a sub-line-bundle trivial on all fibres; the degree-1 piece
     is torsion on the spectral cover, recorded here by reference data
     sufficient for the inverse."""
-    pts = _resolve_points(family, samples)
-    support = cover_from_family(family, pts)
-    phi0 = not family.has_jumps() and not _has_trivial_sub(family, pts)
-    det = family.determinant
-    if isinstance(family.data, SplitData):
-        line = LineData(
-            split_base_classes=(family.data.l1.base_class,
-                                family.data.l2.base_class),
-            det_factor=det.constant_factor,
-            det_base=det.base_class,
-        )
+    frame = _Frame.of(family, samples)
+    support = cover_from_family(family, frame)
+    phi0 = not family.has_jumps() and not _has_trivial_sub(frame)
+    data, det = family.data, family.determinant
+    line = LineData(det_factor=det.constant_factor, det_base=det.base_class)
+    if isinstance(data, SplitData):
+        line = replace(line, split_base_classes=(data.l1.base_class, data.l2.base_class))
     else:
-        line = LineData(
-            twist=family.data.twist,
-            torsion_pairs=family.data.torsion_pairs,
-            det_factor=det.constant_factor,
-            det_base=det.base_class,
-        )
+        line = replace(line, twist=data.twist, torsion_pairs=data.torsion_pairs)
     return TransformedSheaf(support, line, family.chern, phi0)
 
 
@@ -278,23 +266,22 @@ def roundtrip_check(family: FamilySpec,
     silently skipped."""
     if family.has_jumps():
         return _JUMPED
-    pts = _resolve_points(family, samples)
-    return _roundtrip_report(family, pts, fm_transform(family, pts))
+    frame = _Frame.of(family, samples)
+    return _roundtrip_report(frame, fm_transform(family, frame))
 
 
-def _roundtrip_report(family: FamilySpec, pts: list[complex],
-                      sheaf: TransformedSheaf) -> RoundtripReport:
-    """``roundtrip_check`` at the given points, from the family's forward
-    transform ``sheaf`` at those points."""
+def _roundtrip_report(frame: _Frame, sheaf: TransformedSheaf) -> RoundtripReport:
+    """``roundtrip_check`` of the frame's family at its points, from the
+    family's forward transform ``sheaf`` there."""
+    family, pts = frame.family, frame.pts
     if family.has_jumps():
         return _JUMPED
     rebuilt = fm_inverse(sheaf)
     curve = family.curve
     checks: list[tuple[str, bool, str]] = []
 
-    b = np.array(pts, dtype=complex)
-    f0, f1, atiyah, odd = _fibre_arrays(family, b)
-    g0, g1, atiyah_g, odd_g = _fibre_arrays(rebuilt, b)
+    f0, f1, atiyah, odd = frame.fibre
+    g0, g1, atiyah_g, odd_g = _Frame.of(rebuilt, frame).fibre
     pairs, odd_pairs = curve._same_pair_array(f0, f1, g0, g1)
     lines, odd_lines = curve._same_point_array(f0, g0)
     same = np.where(atiyah, atiyah_g & lines, ~atiyah_g & pairs)
@@ -331,24 +318,23 @@ def torsion_roundtrip_check(sheaf: TransformedSheaf,
     except UnsupportedError as exc:
         return RoundtripReport("hypothesis_violated",
                                (("admissible", False, str(exc)),))
-    pts = _resolve_points(rebuilt_family, samples)
-    sheaf2 = fm_transform(rebuilt_family, pts)
+    frame = _Frame.of(rebuilt_family, samples)
+    sheaf2 = fm_transform(rebuilt_family, frame)
     curve = rebuilt_family.curve
     checks: list[tuple[str, bool, str]] = []
 
     ok_vert = sheaf2.support.verticals == ()
     checks.append(("support_verticals", ok_vert, ""))
 
-    b = np.array(pts, dtype=complex)
-    a0, a1, odd = sheaf.support.bisection._values_array(b)
-    c0, c1, odd_c = sheaf2.support.bisection._values_array(b)
+    a0, a1, odd = sheaf.support.bisection._values_array(frame.b)
+    c0, c1, odd_c = frame.support
     same, odd_pairs = curve._same_pair_array(a0, a1, c0, c1)
     bad = _carray.first_failure(
         same, odd | odd_c | odd_pairs,
-        lambda i: curve.same_pair(sheaf.support.values_at(pts[i]),
-                                  sheaf2.support.values_at(pts[i])))
+        lambda i: curve.same_pair(sheaf.support.values_at(frame.pts[i]),
+                                  sheaf2.support.values_at(frame.pts[i])))
     ok_bis = bad is None
-    detail = "" if ok_bis else f"support values differ at b={pts[bad]}"
+    detail = "" if ok_bis else f"support values differ at b={frame.pts[bad]}"
     checks.append(("support_bisection", ok_bis, detail))
 
     ld_in, ld_out = sheaf.line_data, sheaf2.line_data

@@ -19,12 +19,13 @@ Encoding conventions (documented here and in the README):
 from __future__ import annotations
 
 import cmath
+import contextlib
 import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .covers import BasePoint, DivisorClass, HyperCover, Poly, QI
 from .errors import NoSurjectionError, SchemaError
@@ -65,6 +66,15 @@ def parse_complex(value: Any, where: str) -> complex:
     except OverflowError:  # an integer beyond the float range
         pass
     raise SchemaError(f"{where}: expected finite [re, im], got {value!r}")
+
+
+@contextlib.contextmanager
+def _schema(where: str) -> Iterator[None]:
+    """A ``ValueError`` raised in the block, as a schema error at `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def encode_complex(z: complex) -> list[float]:
@@ -108,10 +118,8 @@ def parse_divisor_class(value: Any, cover: HyperCover, where: str) -> DivisorCla
     inf = value.get("inf", u.degree)
     if not isinstance(inf, int):
         raise SchemaError(f"{where}.inf: expected an integer")
-    try:
+    with _schema(where):
         return DivisorClass(cover, u, v, inf)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
 
 
 # ============================================================
@@ -253,11 +261,9 @@ def _parse_surface(value: Any, tol: float) -> SurfaceSpec:
             raise SchemaError(
                 f"surface.multiple_fibres[{i}].m: expected integer >= 2")
         fibres.append(MultipleFibre(at, m))
-    try:
+    with _schema("surface"):
         curve = TateCurve(tau, tol)
         return SurfaceSpec(curve, theta, tuple(fibres))
-    except ValueError as exc:
-        raise SchemaError(f"surface: {exc}") from exc
 
 
 def _parse_determinant(value: Any, surface: SurfaceSpec) -> LineBundleOnX:
@@ -272,10 +278,8 @@ def _parse_determinant(value: Any, surface: SurfaceSpec) -> LineBundleOnX:
     if (not isinstance(parts, list)
             or not all(isinstance(p, int) for p in parts)):
         raise SchemaError("determinant.fibre_parts: expected integers")
-    try:
+    with _schema("determinant"):
         return LineBundleOnX(surface, base, factor, tuple(parts))
-    except ValueError as exc:
-        raise SchemaError(f"determinant: {exc}") from exc
 
 
 def _parse_pell_map(value: Any, cover: HyperCover, where: str) -> PellMap:
@@ -289,27 +293,21 @@ def _parse_pell_map(value: Any, cover: HyperCover, where: str) -> PellMap:
     if "p" in value or "q" in value:
         p = parse_poly(value.get("p", []), f"{where}.p")
         q = parse_poly(value.get("q", []), f"{where}.q")
-        try:
+        with _schema(where):
             return PellMap.from_pell_pair(cover, p, q, s)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
     u = parse_poly(value.get("u", []), f"{where}.u")
     v = parse_poly(value.get("v", []), f"{where}.v")
     r = parse_poly(value.get("r", []), f"{where}.r")
-    try:
+    with _schema(where):
         return PellMap(cover, u, v, r, s)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _parse_cover_curve(value: Any, where: str) -> HyperCover:
     if not isinstance(value, dict) or "f" not in value:
         raise SchemaError(f"{where}: expected an object with f")
     f = parse_poly(value["f"], f"{where}.f")
-    try:
+    with _schema(where):
         return HyperCover(f)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _check_range(where: str, name: str, z: complex) -> None:
@@ -347,11 +345,9 @@ def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
                 or not all(isinstance(b, int) for b in bases)):
             raise SchemaError(
                 "family.presentation.base_classes: expected 2 integers")
-        try:
+        with _schema("family.presentation"):
             data = SplitData(LineBundleOnX(surface, bases[0], f1),
                              LineBundleOnX(surface, bases[1], f2))
-        except ValueError as exc:
-            raise SchemaError(f"family.presentation: {exc}") from exc
         base_c2 = 0
     elif kind == "pushforward":
         cover = _parse_cover_curve(pres.get("cover"), "family.presentation.cover")
@@ -365,13 +361,11 @@ def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
         base_c2 = pres.get("c2")
         if base_c2 is not None and not isinstance(base_c2, int):
             raise SchemaError("family.presentation.c2: expected an integer")
-        try:
+        with _schema("family.presentation"):
             data = PushforwardData(cover, fmap, twist, torsion)
             if base_c2 is None:
                 # the default of FamilySpec.pushforward
                 base_c2 = bisection_torus_degree(fmap.inverse())
-        except ValueError as exc:
-            raise SchemaError(f"family.presentation: {exc}") from exc
     else:
         raise SchemaError(f"family.presentation.type: unknown kind {kind!r}")
     # One pass: each step is parsed and then replayed before the next is
@@ -470,10 +464,8 @@ def _parse_cover(value: Any, surface: SurfaceSpec) -> SpectralCover:
         a1 = parse_complex(bis_raw.get("a1"), "cover.bisection.a1")
         a2 = parse_complex(bis_raw.get("a2"), "cover.bisection.a2")
         _check_pair("cover.bisection", a1, a2, ("a1", "a2", "a1 and a2"))
-        try:
+        with _schema("cover.bisection"):
             bis = TwoSections(a1, a2)
-        except ValueError as exc:
-            raise SchemaError(f"cover.bisection: {exc}") from exc
     elif bis_raw["type"] == "pell":
         cover_curve = _parse_cover_curve(bis_raw.get("cover"),
                                          "cover.bisection.cover")
@@ -482,7 +474,5 @@ def _parse_cover(value: Any, surface: SurfaceSpec) -> SpectralCover:
     else:
         raise SchemaError(
             f"cover.bisection.type: unknown kind {bis_raw['type']!r}")
-    try:
+    with _schema("cover"):
         return SpectralCover(surface, tuple(verticals), bis)
-    except ValueError as exc:
-        raise SchemaError(f"cover: {exc}") from exc

@@ -205,7 +205,6 @@ class PellMap:
         return out[0], out[1], odd
 
 
-
 def _flipped_pell_map(m: PellMap, scale: QI) -> PellMap:
     """m with V -> -V and the given nonzero scale.  The Pell identity
     U^2 - f V^2 = R^2 is invariant under V -> -V, so the map is built
@@ -306,9 +305,10 @@ class SpectralCover:
 # Invariance
 # ============================================================
 
-def _sample_list(samples: "int | list[complex]", curve: TateCurve) -> list[complex]:
+def _sample_list(samples: "int | list[complex]", curve: TateCurve,
+                 center: complex = 0j) -> list[complex]:
     if isinstance(samples, int):
-        return sample_circle(samples, abs(curve.tau))
+        return sample_circle(samples, abs(curve.tau), center)
     return list(samples)
 
 
@@ -346,34 +346,34 @@ def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
     from delta's fibre factor, measured after lattice reduction.
     """
     pts = _sample_list(samples, cover.curve)
-    v0, v1, odd = cover.bisection._values_array(np.array(pts, dtype=complex))
-    defects = _fibre_defects(cover.curve, delta, pts, v0, v1, odd,
-                             lambda i: cover.bisection.sheet_values(pts[i]))
-    return max([0.0, *defects])
+    b = np.array(pts, dtype=complex)
+    return _max_fibre_defect(cover.curve, delta, pts, b, cover.bisection._values_array(b),
+                             cover.bisection.sheet_values)
 
 
-def _fibre_defects(curve: TateCurve, delta: LineBundleOnX, pts: list[complex],
-                   v0: np.ndarray, v1: np.ndarray, odd: np.ndarray,
-                   pair_at: Callable[[int], "tuple[complex, complex] | None"]
-                   ) -> list[float]:
-    """The lattice defect of v0 * v1 against delta's fibre factor at each
-    sample.  Odd samples, multiple fibres and samples the lattice arrays do
-    not follow are measured by the scalar route, in sample order, from
-    ``pair_at(i)``: the two values at sample i, or None where the fibre has
-    none (defect 0)."""
-    odd = odd | delta.surface._multiple_mask(np.array(pts, dtype=complex))
+def _max_fibre_defect(curve: TateCurve, delta: LineBundleOnX, pts: list[complex],
+                      b: np.ndarray, values: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      pair_at: Callable[[complex], "tuple[complex, complex] | None"]
+                      ) -> float:
+    """The largest lattice defect of v0 * v1 against delta's fibre factor
+    over the samples ``pts`` (the array ``b``), 0.0 without samples, from
+    ``values`` = (v0, v1, odd mask).  Odd samples, multiple fibres and those
+    the lattice arrays do not follow are measured by the scalar route, in
+    order, from ``pair_at(b)``: the two values at b, or None (defect 0)."""
+    v0, v1, odd = values
+    odd = odd | delta.surface._multiple_mask(b)
     target = complex(delta.constant_factor)
     _, d, lodd = curve._lattice_distance_array(
         _carray.quot(_carray.mul(v0, v1), target))
 
     def defect_at(i: int) -> float:
-        pair = pair_at(i)
+        pair = pair_at(pts[i])
         if pair is None:
             return 0.0
         factor = delta.restrict_to_fiber(pts[i]).factor
         return curve.lattice_distance(pair[0] * pair[1] / factor)[1]
 
-    return _carray.fill_odd(d, odd | lodd, defect_at).tolist()
+    return max([0.0, *_carray.fill_odd(d, odd | lodd, defect_at).tolist()])
 
 
 def check_invariance(cover: SpectralCover, delta: LineBundleOnX,

@@ -32,6 +32,7 @@ from functools import cached_property
 
 from . import _carray
 from ._carray import np
+from .errors import UnsupportedError
 
 __all__ = [
     "TateCurve",
@@ -98,20 +99,24 @@ class TateCurve:
         """The power k of tau nearest to x and its defect |x / tau**k - 1|.
 
         k is searched among k0 - 1, k0, k0 + 1 with k0 the log-rounded
-        exponent; ties keep k0, then k0 - 1.  Raises ValueError at 0.
+        exponent; ties keep k0, then k0 - 1.  Raises ValueError at 0, and
+        UnsupportedError where |x| or a power of tau searched overflows.
         """
         x = complex(x)
         if x == 0:
             raise ValueError("0 has no lattice distance")
         log_tau, gap = self._log_tau_and_gap
-        k0 = round(math.log(abs(x)) / log_tau)
-        best_k, best_d = k0, abs(x / self.tau ** k0 - 1.0)
-        if best_d < gap:
-            return best_k, best_d
-        for k in (k0 - 1, k0 + 1):
-            d = abs(x / self.tau ** k - 1.0)
-            if d < best_d:
-                best_k, best_d = k, d
+        try:
+            k0 = round(math.log(abs(x)) / log_tau)
+            best_k, best_d = k0, abs(x / self.tau ** k0 - 1.0)
+            if best_d < gap:
+                return best_k, best_d
+            for k in (k0 - 1, k0 + 1):
+                d = abs(x / self.tau ** k - 1.0)
+                if d < best_d:
+                    best_k, best_d = k, d
+        except ArithmeticError:
+            raise UnsupportedError(f"lattice distance of {x} past the float range") from None
         return best_k, best_d
 
     def _tau_powers(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,10 +219,12 @@ class TateCurve:
         return match, odd
 
     def lattice_log(self, x: complex) -> int | None:
-        """Integer k with x = tau**k (within relative tolerance), or None."""
-        if x == 0:
+        """Integer k with x = tau**k (within relative tolerance), or None;
+        None also at 0 and where x or its nearest power is past the float range."""
+        try:
+            k, defect = self.lattice_distance(x)
+        except (ValueError, UnsupportedError):
             return None
-        k, defect = self.lattice_distance(x)
         return k if defect <= self.tolerance else None
 
     def in_lattice(self, x: complex) -> bool:

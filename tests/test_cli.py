@@ -578,6 +578,19 @@ def test_values_past_the_float_range_exit_without_a_traceback(tmp_path, capsys,
             else "past the float range") in err
 
 
+def test_a_journal_ratio_past_the_float_range_exits_two(tmp_path, capsys):
+    """Two degree-1 pushes at one point: the ratio of their line points has
+    its nearest power of tau past the float range, so the second push has
+    no surjection (exit 2) and no OverflowError escapes."""
+    doc = pushforward_doc()
+    doc["family"]["modifications"] = [
+        {"op": "push", "at": [3, 1, 0, 1], "degree": 1, "line_point": point}
+        for point in ([1.7, 0.0], [1e308, 1e308])]
+    assert run_command(["modify", "--scenario", write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == ("error: family.modifications[1]: no "
+                                       "surjection of degree 1 exists at BasePoint(3)\n")
+
+
 def test_explicit_pell_map_matches_its_pair(tmp_path, capsys):
     """The map of (p, q) = (3, 1) on w^2 = b^3 + 1, written out as
     U = b^3 + 10, V = 6, R = 8 - b^3, reads the same props report and exit
@@ -954,13 +967,16 @@ def test_fibre_product_gate_detects_a_moved_point(tmp_path, capsys,
     code, report = run_json(capsys, ["props", "--scenario", path])
     assert code == 0 and report["status"] == "pass"
 
-    plain = cli._spectral_arrays
+    plain = cli._max_product_defect
 
-    def moved(family, b):
-        first, second, odd = plain(family, b)
-        return first * 1.3, second, odd
+    def moved(frame):
+        # a copy of the frame, so that only this gate reads the moved point
+        first, second, odd = frame.spectral
+        copy = families._Frame(frame.family, frame.pts, frame.b)
+        copy.spectral = (first * 1.3, second, odd)
+        return plain(copy)
 
-    monkeypatch.setattr(cli, "_spectral_arrays", moved)
+    monkeypatch.setattr(cli, "_max_product_defect", moved)
     code, report = run_json(capsys, ["props", "--scenario", path])
     assert code == 1 and report["status"] == "fail"
     failed = [(c["name"], c["detail"]) for c in report["checks"]

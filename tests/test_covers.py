@@ -22,6 +22,7 @@ from spectral_forge import (
     HyperCover,
     Poly,
     QI,
+    UnsupportedError,
     class_add,
     class_equal,
     class_neg,
@@ -519,3 +520,15 @@ def test_checking_constructor_rejects_corrupted_classes(corrupt):
     u, v = corrupt(d)
     with pytest.raises(ValueError):
         DivisorClass(cov, u, v, d.inf_mult)
+
+
+@pytest.mark.parametrize("value, bits", [
+    (QI.of(10 ** 5000), 16610), (QI.of(1, -10 ** 400), 1329),
+    (QI.from_pair(10 ** 400, 3), 1328)])
+def test_qi_past_the_float_range_is_named_by_its_size(value, bits):
+    """A Q(i) value past the float range is unsupported and named by the
+    bit size of its larger part: ``str`` refuses integers past 4,300 digits,
+    and the value at 10^5000 is one."""
+    with pytest.raises(UnsupportedError,
+                       match=rf"^Q\(i\) value near 2\^{bits} past the float range$"):
+        value.to_complex()

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
-                            LineBundleOnX, PellMap, PerturbedMap, Poly,
+                            HyperCover, LineBundleOnX, PellMap, PerturbedMap, Poly,
                             PunctureError, SpectralCover, TateCurve,
                             TwoSections, UnsupportedError, attach_generic_jumps,
                             cover_from_family, descent_divisor, fm_transform,
@@ -30,6 +30,7 @@ from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
                             parse_scenario, sample_circle)
 from spectral_forge import _carray, cli, fourier
 from spectral_forge.cli import run_command
+from spectral_forge.families import _Frame
 from spectral_forge.fourier import _has_trivial_sub, _roundtrip_report
 
 import oracles
@@ -263,6 +264,15 @@ def outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
+def max_product_defect(fam, pts) -> float:
+    """The ``props`` fibre-product defect of ``fam`` on a frame at ``pts``."""
+    return cli._max_product_defect(_Frame(fam, pts))
+
+
+def has_trivial_sub(fam, pts) -> bool:
+    return _has_trivial_sub(_Frame(fam, pts))
+
+
 def test_poles_and_zeros_raise_as_the_scalar_loop():
     """A pole of pell_g0 at b = 1, of pell_g1 at b = 2, a pole of the tiny
     map where 0 < |R| < 1e-300 (its value would be finite) and a zero of it
@@ -286,8 +296,13 @@ def test_poles_and_zeros_raise_as_the_scalar_loop():
     assert got == ("PunctureError", "pole of bisection map at b=(2+0j)")
     assert got == outcome(oracles.reference_cover_check, fam,
                           fam.data.factor_map.inverse(), pts)
-    assert outcome(cli._max_product_defect, fam, pts) == outcome(
+    assert outcome(max_product_defect, fam, pts) == outcome(
         oracles.reference_max_product_defect, fam, pts)
+    # the pole first: an odd sample before the trivial-sub loop can stop
+    pole_first = pts[::-1]
+    got = outcome(has_trivial_sub, fam, pole_first)
+    assert got == ("PunctureError", "pole of bisection map at b=(2+0j)")
+    assert got == outcome(oracles.reference_has_trivial_sub, fam, pole_first)
 
 
 # ============================================================
@@ -322,11 +337,11 @@ def test_family_checks_match_the_scalar_loops(index):
         cover_from_family(fam, sample)
 
     for sample in (pts, pts[:-2]):
-        assert outcome(cli._max_product_defect, fam, sample) == outcome(
+        assert outcome(max_product_defect, fam, sample) == outcome(
             oracles.reference_max_product_defect, fam, sample)
         assert outcome(check_cover, sample) == outcome(
             oracles.reference_cover_check, fam, bis, sample)
-        assert outcome(_has_trivial_sub, fam, sample) == outcome(
+        assert outcome(has_trivial_sub, fam, sample) == outcome(
             oracles.reference_has_trivial_sub, fam, sample)
         if not fam.has_jumps():
             sheaf = fm_transform(fam, 16)
@@ -335,8 +350,8 @@ def test_family_checks_match_the_scalar_loops(index):
                 oracles.reference_invariance_residual, sheaf.support, delta, sample)
             detail = outcome(oracles.reference_fibre_mismatch, fam,
                              fourier.fm_inverse(sheaf), sample)
-            assert outcome(lambda: _roundtrip_report(fam, sample, sheaf).checks[0][2]
-                           ) == detail
+            frame = _Frame(fam, sample)
+            assert outcome(lambda: _roundtrip_report(frame, sheaf).checks[0][2]) == detail
 
 
 def test_scalar_fallbacks_at_a_huge_tau_match_the_scalar_loops(monkeypatch):
@@ -348,19 +363,19 @@ def test_scalar_fallbacks_at_a_huge_tau_match_the_scalar_loops(monkeypatch):
     is regular for the value arrays, and the loop reduces the values itself.
     Two scalar fallbacks are taken, each with the scalar loop's result: the
     agreement check of ``cover_from_family`` past its vertical-point return,
-    and the lattice branch of ``_fibre_defects``, on pushforwards whose two
+    and the lattice branch of ``_max_fibre_defect``, on pushforwards whose two
     factors straddle |f| = 1 and on two sections whose product is 1e-100
     against a factor 1."""
     s = surf_plain(1e160 + 0j)
     split = split_family(s, 1e-300 + 0j, 1 + 0j)
     pts = sample_circle(16, 2.0)
     factors = count_calls(monkeypatch, FamilySpec, "fiber_factors_at")
-    assert _has_trivial_sub(split, pts) is True
+    assert has_trivial_sub(split, pts) is True
     assert factors[0] == 0
     assert oracles.reference_has_trivial_sub(split, pts) is True
     split = split_family(s, 1e-300 + 0j, 0.5 + 0j)
     factors[0] = 0
-    assert _has_trivial_sub(split, pts) is False
+    assert has_trivial_sub(split, pts) is False
     assert factors[0] == 0
     assert oracles.reference_has_trivial_sub(split, pts) is False
 
@@ -372,7 +387,7 @@ def test_scalar_fallbacks_at_a_huge_tau_match_the_scalar_loops(monkeypatch):
     lattice = count_calls(monkeypatch, TateCurve, "lattice_distance")
     for cov, pell, kind in [(cover_g0(), pell_g0(), "value"),
                             (cover_g1(), pell_g1(), "value"),
-                            (cover_g2(), pell_g2(), "OverflowError")]:
+                            (cover_g2(), pell_g2(), "value")]:
         fam = push_family(s, cov, pell)
         pairs[0] = lattice[0] = 0
         got = outcome(check_cover, fam, pts)
@@ -380,7 +395,7 @@ def test_scalar_fallbacks_at_a_huge_tau_match_the_scalar_loops(monkeypatch):
         assert got == outcome(oracles.reference_cover_check, fam,
                               fam.data.factor_map.inverse(), pts)
         lattice[0] = 0
-        got = outcome(cli._max_product_defect, fam, pts)
+        got = outcome(max_product_defect, fam, pts)
         assert lattice[0] > 0 and got[0] == kind
         assert got == outcome(oracles.reference_max_product_defect, fam, pts)
     cover = SpectralCover(s, (), TwoSections(1e-50 + 0j, 1e-50 + 0j))
@@ -396,9 +411,9 @@ def test_journal_points_take_the_unstable_route():
     """At a jumped fibre the product defect is 0: the scalar route reads the
     unstable class, not the presentation's."""
     for fam in families()[7:]:
-        assert cli._max_product_defect(fam, [3 + 0j]) == 0.0
+        assert max_product_defect(fam, [3 + 0j]) == 0.0
         assert oracles.reference_max_product_defect(fam, [3 + 0j]) == 0.0
-        assert cli._max_product_defect(fam, [1.5 + 0.5j]) > 0.0
+        assert max_product_defect(fam, [1.5 + 0.5j]) > 0.0
 
 
 @pytest.mark.parametrize("cmd", ["cover", "fm", "roundtrip", "props", "sample"])
@@ -441,7 +456,7 @@ def test_roundtrip_fibres_match_the_scalar_loop(monkeypatch, nudge):
     fam = families()[0]
     pts = family_points(21)[:200]
     sheaf = fm_transform(fam, pts)
-    report = _roundtrip_report(fam, pts, sheaf)
+    report = _roundtrip_report(_Frame(fam, pts), sheaf)
     detail = oracles.reference_fibre_mismatch(fam, nudged(sheaf), pts)
     assert report.checks[0] == ("fiberwise_classes", detail == "", detail)
     assert (detail == "") == (nudge == 0.0)
@@ -587,7 +602,7 @@ def test_descent_residual_edges_match_the_scalar_loop():
             (push, push_twist, [1j, 0.5 + 0j, 2 + 0j, -1 + 1j], "PunctureError"),
             (huge, descent_divisor(huge, origin), [1 + 1j, 2j], "ValueError"),
             (lopsided, descent_divisor(lopsided, origin), [1 + 1j, 2j],
-             "OverflowError")]:
+             "UnsupportedError")]:
         assert outcome(oracles.reference_z_action_residual, fam, twist,
                        pts)[0] == kind
         assert fourier.z_action_residual(fam, twist, pts) == 0.0
@@ -677,8 +692,8 @@ def test_reports_make_no_per_sample_scalar_calls(tmp_path, monkeypatch):
         assert (cmd, values_at[0], canonical[0]) == (cmd, 0, 0)
 
 
-def sweep_families() -> list[FamilySpec]:
-    """The split, genus-1 and genus-2 families of the sample sweep."""
+def sweep_docs() -> list[dict]:
+    """The split, genus-1 and genus-2 scenarios of the sample sweep."""
     push_g2 = pushforward_doc()
     push_g2["surface"]["tau"] = [1.5, 0.5]
     push_g2["family"]["presentation"].update(
@@ -686,8 +701,38 @@ def sweep_families() -> list[FamilySpec]:
                      [0, 1, 0, 1], [1, 1, 0, 1]]},
         map={"p": [[0, 1, 0, 1], [1, 1, 0, 1]], "q": [[1, 1, 0, 1]],
              "s": [1, 1, 0, 1]})
-    return [parse_scenario(doc).family
-            for doc in (split_doc(), pushforward_doc(), push_g2)]
+    return [split_doc(), pushforward_doc(), push_g2]
+
+
+def sweep_families() -> list[FamilySpec]:
+    return [parse_scenario(doc).family for doc in sweep_docs()]
+
+
+# the most value arrays a report builds: each report's frame holds the
+# factor map's and the inverse map's values once, and fm and roundtrip add
+# the factor values of the family their inverse transform rebuilds
+VALUE_ARRAYS = {"cover": 2, "fm": 3, "roundtrip": 3, "props": 2, "sample": 2}
+
+
+@pytest.mark.parametrize("index", range(3), ids=["split", "push-g1", "push-g2"])
+def test_reports_build_each_value_array_once(tmp_path, monkeypatch, index):
+    """On the sample-sweep scenarios at 2,048 samples, seed 1: the value
+    arrays of ``PellMap`` and ``TwoSections`` together, and the sheet arrays
+    of the double cover, stay within VALUE_ARRAYS per report."""
+    values = [count_calls(monkeypatch, cls, "_values_array")
+              for cls in (PellMap, TwoSections)]
+    sheets = count_calls(monkeypatch, HyperCover, "_sheets_array")
+    path = write(tmp_path, sweep_docs()[index])
+    for cmd, most in VALUE_ARRAYS.items():
+        for calls in (*values, sheets):
+            calls[0] = 0
+        assert run_command([cmd, "--scenario", path, "--samples", "2048",
+                            "--seed", "1", "--json", str(tmp_path / "r.json"),
+                            *(["--csv", str(tmp_path / "s.csv")]
+                              if cmd == "sample" else [])]) == 0
+        built = (values[0][0] + values[1][0], sheets[0])
+        assert built[0] <= most and built[1] <= most, (cmd, built)
+        assert (built[1] > 0) == (index > 0)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 11])
@@ -700,7 +745,7 @@ def test_trivial_sub_reduces_no_lattice_array(monkeypatch, seed):
     for fam in sweep_families():
         pts = default_sample_points(fam, 2048, phase=0.05 * seed)
         lattice[0] = 0
-        assert _has_trivial_sub(fam, pts) is False
+        assert has_trivial_sub(fam, pts) is False
         assert (arrays[0], lattice[0] <= 2) == (0, True)
         assert oracles.reference_has_trivial_sub(fam, pts) is False
 

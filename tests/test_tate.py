@@ -11,11 +11,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_forge import TateCurve, TateLineBundle, theta_sections
+from spectral_forge import (TateCurve, TateLineBundle, UnsupportedError,
+                            theta_sections)
 from conftest import TAU_DYADIC, TAU_GENERIC
 from oracles import (
     automorphy_nullity,
@@ -140,6 +142,24 @@ def test_lattice_distance_at_zero():
         curve.lattice_distance(0)
     assert curve.lattice_log(0) is None
     assert not curve.in_lattice(0)
+
+
+def test_lattice_distance_past_the_float_range():
+    """Where |x|, or a power of tau searched near it, leaves the float range
+    (here tau^1024 at tau = 2, and |x| itself), the lattice distance is
+    unsupported, never an OverflowError, and ``lattice_log`` finds no
+    lattice point, as at 0 and NaN.  The array route leaves exactly those
+    values odd, so the scalar route decides them."""
+    curve = TateCurve(TAU_DYADIC)
+    far = [1.26e308 + 0j, (1e308 + 1e308j) / 1.7, 1.7e308 + 1.7e308j]
+    for x in far:
+        with pytest.raises(UnsupportedError, match="past the float range"):
+            curve.lattice_distance(x)
+        assert curve.lattice_log(x) is None and not curve.in_lattice(x)
+    assert curve.lattice_log(complex(math.nan, 0.0)) is None
+    _, d, odd = curve._lattice_distance_array(np.array([*far, 3 + 0j]))
+    assert odd.tolist() == [True, True, True, False]
+    assert d[-1] == curve.lattice_distance(3 + 0j)[1]
 
 
 def test_square_roots_square_back():

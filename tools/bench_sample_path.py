@@ -1,6 +1,6 @@
 """Per-layer timings of the per-sample path, written to BENCH_sample_path.json.
 
-Times six layers at 256, 2,048 and 20,000 samples on the genus-1
+Times eight layers at 256, 2,048 and 20,000 samples on the genus-1
 pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 
 - ``sheet_values``: the factor map's two sheet values at every sample
@@ -8,10 +8,15 @@ pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 - ``canonical_rep``: the canonical representatives of those 2n values
   (``_canonical_array``);
 - ``cover_from_family``: the family's cover with its per-sample check;
-- ``fm``: the CLI ``fm`` report, in process, ladder included;
-- ``props``: the CLI ``props`` report, in process, ladder included;
+- ``cover``, ``fm``, ``roundtrip``, ``props``, ``sample``: the CLI reports,
+  in process, ladder included;
 - ``descent``: ``z_action_residual`` with the descent twist at b0 = 0 on
   and off (two calls), on the |tau| circle around b0.
+
+Next to the timings, ``array_calls`` counts, per report at each size, the
+calls of the array routines that a report should build once: ``PellMap``
+and ``TwoSections._values_array``, ``HyperCover._sheets_array`` and
+``TateCurve._canonical_array``.  Counts do not drift with the host.
 
 Each layer is run 7 times after one warm-up; best and median seconds are
 kept.  Results are merged into the output file under ``--label``.  A
@@ -33,10 +38,16 @@ DESCRIPTION = (
     "Per-layer timings of the per-sample path on the genus-1 pushforward "
     "family at tau = 2, written by tools/bench_sample_path.py: the factor "
     "map's sheet values, canonical_rep of those values, cover_from_family, "
-    "the CLI fm and props reports (ladder included) and z_action_residual "
-    "with the descent twist at b0 = 0 on and off, at 256, 2048 and 20000 "
-    "samples; best and median seconds of 'repeat' runs after one warm-up, "
-    "one entry of 'runs' per source tree; speedup_best is parent over change.")
+    "the CLI cover, fm, roundtrip, props and sample reports (ladder "
+    "included) and z_action_residual with the descent twist at b0 = 0 on "
+    "and off, at 256, 2048 and 20000 samples; best and median seconds of "
+    "'repeat' runs after one warm-up, one entry of 'runs' per source tree; "
+    "speedup_best is parent over change.  'array_calls' counts, per report "
+    "and size, the _values_array, _sheets_array and _canonical_array calls.")
+REPORTS = ("cover", "fm", "roundtrip", "props", "sample")
+# the array routines a report should build once, by the class that owns them
+ARRAY_ROUTINES = (("PellMap", "_values_array"), ("TwoSections", "_values_array"),
+                  ("HyperCover", "_sheets_array"), ("TateCurve", "_canonical_array"))
 SIZES = (256, 2048, 20_000)
 SCENARIO = {
     "surface": {"tau": [2.0, 0.0], "theta_degree": 1},
@@ -51,11 +62,37 @@ def measure() -> dict:
     import numpy as np
 
     with tempfile.TemporaryDirectory() as tmp:
-        return {"layers": measure_in(Path(tmp)),
+        layers, calls = measure_in(Path(tmp))
+        return {"layers": layers, "array_calls": calls,
                 "provenance": {"numpy": np.__version__}}
 
 
-def measure_in(workdir: Path) -> dict:
+def count_array_calls(report) -> dict:
+    """{routine: calls} during one run of ``report``, each routine wrapped
+    for that run only."""
+    import spectral_forge
+
+    counts, wrapped = {}, []
+    for cls_name, name in ARRAY_ROUTINES:
+        cls, key = getattr(spectral_forge, cls_name), f"{cls_name}.{name}"
+        plain = getattr(cls, name)
+        counts[key] = 0
+
+        def counted(*args, _key=key, _plain=plain, **kwargs):
+            counts[_key] += 1
+            return _plain(*args, **kwargs)
+
+        wrapped.append((cls, name, plain))
+        setattr(cls, name, counted)
+    try:
+        report()
+    finally:
+        for cls, name, plain in wrapped:
+            setattr(cls, name, plain)
+    return counts
+
+
+def measure_in(workdir: Path) -> tuple[dict, dict]:
     import numpy as np
     from spectral_forge import (BasePoint, cover_from_family, default_sample_points,
                                 descent_divisor, parse_scenario, z_action_residual)
@@ -68,7 +105,7 @@ def measure_in(workdir: Path) -> dict:
     curve = family.curve
     twist = descent_divisor(family, BasePoint.of(0))
     untwisted = twist.disabled()
-    out = {}
+    out, calls = {}, {}
     for n in SIZES:
         pts = default_sample_points(family, n, phase=0.05)
         b = np.array(pts, dtype=complex)
@@ -76,19 +113,21 @@ def measure_in(workdir: Path) -> dict:
         values = np.concatenate([v0, v1])
 
         def report(cmd):
+            csv = ["--csv", str(workdir / "s.csv")] if cmd == "sample" else []
             return lambda: run_command([cmd, "--scenario", str(path), "--samples", str(n),
-                                        "--seed", "1", "--json", str(workdir / "r.json")])
+                                        "--seed", "1", "--json", str(workdir / "r.json"),
+                                        *csv])
 
         out[str(n)] = {
             "sheet_values": timed(lambda: fmap._values_array(b)),
             "canonical_rep": timed(lambda: curve._canonical_array(values)),
             "cover_from_family": timed(lambda: cover_from_family(family, pts)),
-            "fm": timed(report("fm")),
-            "props": timed(report("props")),
+            **{cmd: timed(report(cmd)) for cmd in REPORTS},
             "descent": timed(lambda: (z_action_residual(family, twist, n),
                                       z_action_residual(family, untwisted, n))),
         }
-    return out
+        calls[str(n)] = {cmd: count_array_calls(report(cmd)) for cmd in REPORTS}
+    return out, calls
 
 
 if __name__ == "__main__":
