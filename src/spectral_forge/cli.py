@@ -64,24 +64,21 @@ def _family_points(scn: Scenario) -> list[complex]:
     return default_sample_points(fam, scn.samples, phase=0.05 * scn.seed)
 
 
-def _cover_and_frame(scn: Scenario) -> tuple[SpectralCover, _Frame, tuple]:
-    """The declared cover, else the family's, with the report's frame and
-    the cover's values there (``_values_array``).  A declared cover without
-    a family samples a circle avoiding punctures; explicit points bypass
-    the avoidance so poles at declared samples surface as puncture errors."""
+def _cover_and_frame(scn: Scenario) -> tuple[SpectralCover, _Frame]:
+    """The declared cover, else the family's, with the report's frame, whose
+    ``support`` is that cover's values.  A declared cover without a family
+    samples a circle avoiding punctures; explicit points bypass the
+    avoidance so poles at declared samples surface as puncture errors."""
     if scn.cover is None:
         frame = _Frame(_require_family(scn), _family_points(scn))
-        return cover_from_family(frame.family, frame), frame, frame.support
+        return cover_from_family(frame.family, frame), frame
     bis = scn.cover.bisection
     if scn.points is not None or scn.family is not None:
-        frame = _Frame(scn.family, _family_points(scn))
+        pts = _family_points(scn)
     else:
-        def reject(b: complex) -> bool:
-            return isinstance(bis, PellMap) and bis.punctures_near(b)
-
-        frame = _Frame(None, _sample_ladder(scn.samples, abs(scn.cover.curve.tau),
-                                            0.05 * scn.seed, reject))
-    return scn.cover, frame, bis._values_array(frame.b)
+        pts = _sample_ladder(scn.samples, abs(scn.cover.curve.tau), 0.05 * scn.seed,
+                             lambda b: isinstance(bis, PellMap) and bis.punctures_near(b))
+    return scn.cover, _Frame(scn.family, pts, cover=scn.cover)
 
 
 def _invariance_delta(scn: Scenario):
@@ -163,12 +160,13 @@ def _envelope(command: str, scn: Scenario) -> dict:
 
 def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     code = 0
-    cover, frame, (v0, v1, odd) = _cover_and_frame(scn)
+    cover, frame = _cover_and_frame(scn)
+    v0, v1, odd = frame.support
     if scn.cover is not None:
         # evaluate every sample so declared sample points hit punctures loudly
         v0, v1 = _carray.fill_odd(np.stack([v0, v1], axis=1), odd,
                                   lambda i: cover.values_at(frame.pts[i])).T
-        odd[:] = False
+        odd = np.zeros_like(odd)
     report = _envelope("cover", scn)
     report["cover"] = _encode_cover(cover)
     delta = _invariance_delta(scn)
@@ -303,12 +301,11 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    cover, frame, (v0, v1, odd) = _cover_and_frame(scn)
+    cover, frame = _cover_and_frame(scn)
     curve = cover.curve
-    a0, odd0 = curve._canonical_array(v0)
-    a1, odd1 = curve._canonical_array(v1)
+    a0, a1, odd = frame.support_reps
     alphas = _carray.fill_odd(
-        np.stack([a0, a1], axis=1), odd | odd0 | odd1,
+        np.stack([a0, a1], axis=1), odd,
         lambda i: [curve.canonical_rep(v).value for v in cover.values_at(frame.pts[i])])
     lines = ["b_re,b_im,sheet,alpha_re,alpha_im"]
     for b, (re0, re1), (im0, im1) in zip(frame.pts, alphas.real.tolist(),

@@ -15,9 +15,10 @@ stored twice:
 - the fibre class at a modified point is read off the top of that point's
   push stack, and an allowable (pop) step is the exact inverse of the most
   recent push there.  Only ``_JournalReplay`` writes the per-point stacks:
-  the parser replays a journal in one pass into a single family, and
-  ``elem_mod``/``allowable_mod`` resume a replay from the family's index
-  and push or pop once, so journal bookkeeping is linear in its length.
+  the parser replays a journal, and ``attach_generic_jumps`` its whole
+  plan, in one pass into a single family, so journal bookkeeping is linear
+  in its length; ``elem_mod``/``allowable_mod`` resume a replay from copies
+  of the family's steps and stacks and push or pop once.
 
 Jumping-sequence bookkeeping follows the stack discipline: pushing degree
 r >= current height prepends r to the sequence, the allowable modification
@@ -34,9 +35,9 @@ per report owns the per-sample arrays its checks read, and builds each once.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import zip_longest
 from typing import Callable, Sequence
 
@@ -468,71 +469,50 @@ class _JournalReplay:
     per point, each step checked by ``push`` or ``pop``, and a single
     ``FamilySpec`` at the end.  The one writer of push stacks.
 
-    A resumed replay starts from the family's steps and its stack tuples,
-    copying no stack until a step changes it; the stacks this replay wrote
-    are the lists among ``stacks``.  The regularity of an unjumped fibre is
-    computed once per point.  Callers that pass equal points as one object
-    get identity hits in both tables."""
+    Every stack is a list while the replay runs and a tuple in the family it
+    makes; a resumed replay starts from copies of the family's steps and
+    stacks.  The regularity of an unjumped fibre is computed once per point,
+    and points passed as one object get identity hits in both tables."""
 
     def __init__(self, surface: SurfaceSpec, data: SplitData | PushforwardData,
-                 base_c2: int) -> None:
+                 base_c2: int, _steps: Sequence[JournalStep] = (),
+                 _stacks: dict[BasePoint, tuple[PushStep, ...]] | None = None) -> None:
         self.surface = surface
         self.data = data
         self.base_c2 = base_c2
-        self._earlier: tuple[JournalStep, ...] = ()
-        self.steps: list[JournalStep] = []
-        self.stacks: dict[BasePoint, list[PushStep] | tuple[PushStep, ...]] = {}
-        self._regular: dict[BasePoint, bool] = {}
+        self.steps: list[JournalStep] = list(_steps)
+        self.stacks: defaultdict[BasePoint, list[PushStep]] = defaultdict(
+            list, {p: list(stack) for p, stack in (_stacks or {}).items()})
+        self._is_regular = cache(partial(_unjumped_regular, surface, data))
 
     @classmethod
     def resume(cls, family: FamilySpec) -> "_JournalReplay":
         """A replay at the end of ``family``'s journal, from its index."""
-        replay = cls(family.surface, family.data, family.base_c2)
-        replay._earlier = family.steps
-        replay.stacks = dict(family._stacks)
-        return replay
-
-    def _is_regular(self, at: BasePoint) -> bool:
-        regular = self._regular.get(at)
-        if regular is None:
-            regular = self._regular[at] = _unjumped_regular(
-                self.surface, self.data, at)
-        return regular
+        return cls(family.surface, family.data, family.base_c2, family.steps,
+                   family._stacks)
 
     def push(self, at: BasePoint, r: int, line_point: complex) -> None:
-        stack = self.stacks.get(at)
+        stack = self.stacks[at]
         if not _push_allowed(stack, at, r, line_point, self.surface.curve,
                              self._is_regular):
             raise NoSurjectionError(f"no surjection of degree {r} exists at {at}")
         step = PushStep(at, r, line_point)
-        if type(stack) is list:
-            stack.append(step)
-        else:  # a new point, or a resumed family's stack: copied once
-            self.stacks[at] = [*(stack or ()), step]
+        stack.append(step)
         self.steps.append(step)
 
     def pop(self, at: BasePoint) -> None:
         stack = self.stacks.get(at)
         if not stack:
             raise NoSurjectionError(f"no jump at {at}; nothing to remove")
-        if type(stack) is list:
-            stack.pop()
-        else:
-            self.stacks[at] = list(stack[:-1])
+        stack.pop()
         self.steps.append(PopStep(at))
 
     def frozen_stacks(self) -> dict[BasePoint, tuple[PushStep, ...]]:
-        """The stacks as ``FamilySpec._stacks`` holds them: the lists this
-        replay wrote become tuples, the other stacks are shared."""
-        out = dict(self.stacks)
-        for p, stack in self.stacks.items():
-            if type(stack) is list:
-                out[p] = tuple(stack)
-        return out
+        """The stacks as ``FamilySpec._stacks`` holds them."""
+        return {p: tuple(stack) for p, stack in self.stacks.items()}
 
     def family(self) -> FamilySpec:
-        out = FamilySpec(self.surface, self.data, self.base_c2,
-                         self._earlier + tuple(self.steps))
+        out = FamilySpec(self.surface, self.data, self.base_c2, tuple(self.steps))
         # written like cached_property's own store: the dataclass is frozen
         out.__dict__["_stacks"] = self.frozen_stacks()
         return out
@@ -556,13 +536,13 @@ def attach_generic_jumps(family: FamilySpec,
                          line_point: complex = 2.0 + 0j) -> FamilySpec:
     """Realise each planned jump by multiplicity-many degree-1 steps, so all
     resulting sequences are {1, ..., 1}."""
-    out = family
+    replay = _JournalReplay.resume(family)
     for at, mult in plan:
         if mult < 1:
             raise ValueError("plan multiplicities must be >= 1")
         for _ in range(mult):
-            out = elem_mod(out, at, 1, line_point)
-    return out
+            replay.push(at, 1, line_point)
+    return replay.family()
 
 
 def assign_jumping_sequence(family: FamilySpec, at: BasePoint,
@@ -636,11 +616,9 @@ def cover_from_family(family: FamilySpec,
         return curve.same_pair(want, got)
 
     s0, s1, odd = frame.spectral
-    g0, g1, godd = frame.support
-    c0, odd0 = curve._canonical_array(g0)
-    c1, odd1 = curve._canonical_array(g1)
+    c0, c1, codd = frame.support_reps
     agree, odd2 = curve._same_pair_array(s0, s1, c0, c1)
-    bad = _carray.first_failure(agree, odd | godd | odd0 | odd1 | odd2, agree_at)
+    bad = _carray.first_failure(agree, odd | codd | odd2, agree_at)
     if bad is not None:
         raise VerificationError(
             f"declared and recomputed covers disagree at b={frame.pts[bad]}")
@@ -651,13 +629,16 @@ class _Frame:
     """One report's sample points and the per-sample arrays its checks read,
     each built on first read and passed with the odd mask of the samples it
     leaves to the scalar single-point methods.  A report passes its frame
-    where a function takes ``samples``."""
+    where a function takes ``samples``.  With a ``cover`` (a declared one)
+    the support values are that cover's, on its curve."""
 
     def __init__(self, family: "FamilySpec | None", pts: list[complex],
-                 b: "np.ndarray | None" = None) -> None:
+                 b: "np.ndarray | None" = None,
+                 cover: SpectralCover | None = None) -> None:
         self.family = family
         self.pts = pts
         self.b = np.array(pts, dtype=complex) if b is None else b
+        self.cover = cover
 
     @classmethod
     def of(cls, family: FamilySpec, samples: "int | list[complex] | _Frame") -> "_Frame":
@@ -677,7 +658,18 @@ class _Frame:
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The values of ``spectral_values_at`` (the cover's bisection)."""
+        if self.cover is not None:
+            return self.cover.bisection._values_array(self.b)
         return self.family.data.factor_map.inverse()._values_array(self.b)
+
+    @cached_property
+    def support_reps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``canonical_rep(v).value`` of both support values."""
+        curve = (self.family if self.cover is None else self.cover).curve
+        g0, g1, odd = self.support
+        c0, odd0 = curve._canonical_array(g0)
+        c1, odd1 = curve._canonical_array(g1)
+        return c0, c1, odd | odd0 | odd1
 
     @cached_property
     def fibre(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

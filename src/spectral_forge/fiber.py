@@ -159,11 +159,8 @@ FiberClass = SplitFiber | AtiyahRegular | UnstableFiber
 
 def is_regular(fc: FiberClass) -> bool:
     """Regular = automorphism group of minimal dimension for its type."""
-    if isinstance(fc, SplitFiber):
-        return not fc.l1.isomorphic(fc.l2)
-    if isinstance(fc, AtiyahRegular):
-        return True
-    return False
+    return isinstance(fc, AtiyahRegular) or (isinstance(fc, SplitFiber)
+                                             and not fc.l1.isomorphic(fc.l2))
 
 
 def spectral_points(fc: FiberClass) -> tuple[TatePoint, ...] | None:

@@ -371,11 +371,9 @@ def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
     # One pass: each step is parsed and then replayed before the next is
     # read, so the first bad step is the one reported, whatever its kind.
     journal = _JournalReplay(surface, data, base_c2)
-    spelled: dict[tuple[int, ...], BasePoint] = {}
-    interned: dict[BasePoint, BasePoint] = {}
+    points: dict[tuple[int, ...], BasePoint] = {}
     for i, step in enumerate(value.get("modifications", [])):
-        _replay_step(journal, step, f"family.modifications[{i}]",
-                     spelled, interned)
+        _replay_step(journal, step, f"family.modifications[{i}]", points)
     return journal.family()
 
 
@@ -396,50 +394,43 @@ _FOUR_INTS = [int] * 4
 
 
 def _journal_point(value: Any, where: str,
-                   spelled: dict[tuple[int, ...], BasePoint],
-                   interned: dict[BasePoint, BasePoint]) -> BasePoint:
-    """``parse_base_point`` of step `where`'s point, with per-parse tables:
-    a spelling seen before (four plain integers) is not parsed again, and
-    equal points share the first-seen object, so stack lookups meet
+                   points: dict[tuple[int, ...], BasePoint]) -> BasePoint:
+    """``parse_base_point`` of step `where`'s point.  A point spelled as four
+    plain integers is parsed once per spelling, in the per-parse table
+    ``points``, so its steps share one object and stack lookups meet
     identical keys."""
-    key = None
-    if type(value) is list and list(map(type, value)) == _FOUR_INTS:
-        key = tuple(value)
-        point = spelled.get(key)
-        if point is not None:
-            return point
-    point = parse_base_point(value, f"{where}.at")
-    point = interned.setdefault(point, point)
-    if key is not None:
-        spelled[key] = point
+    if type(value) is not list or list(map(type, value)) != _FOUR_INTS:
+        return parse_base_point(value, f"{where}.at")
+    key = tuple(value)
+    point = points.get(key)
+    if point is None:
+        point = points[key] = parse_base_point(value, f"{where}.at")
     return point
 
 
 def _replay_step(journal: _JournalReplay, step: Any, where: str,
-                 spelled: dict[tuple[int, ...], BasePoint],
-                 interned: dict[BasePoint, BasePoint]) -> None:
+                 points: dict[tuple[int, ...], BasePoint]) -> None:
     """Parse one journal entry and replay it; a step the family cannot take
     makes the scenario malformed, so it is reported as a schema error at
     `where`."""
     if not isinstance(step, dict) or "op" not in step:
         raise SchemaError(f"{where}: expected an object with op")
-    at = _journal_point(step.get("at"), where, spelled, interned)
+    at = _journal_point(step.get("at"), where, points)
     op = step["op"]
-    if op == "push":
-        degree = step.get("degree", 1)
-        if not isinstance(degree, int) or degree < 1:
-            raise SchemaError(f"{where}.degree: expected integer >= 1")
-        point = parse_complex(step.get("line_point", [2.0, 0.0]),
-                              f"{where}.line_point")
-        if point == 0:
-            raise SchemaError(f"{where}.line_point: must be nonzero")
-    elif op != "pop":
-        raise SchemaError(f"{where}.op: unknown op {op!r}")
     try:
         if op == "push":
+            degree = step.get("degree", 1)
+            if not isinstance(degree, int) or degree < 1:
+                raise SchemaError(f"{where}.degree: expected integer >= 1")
+            point = parse_complex(step.get("line_point", [2.0, 0.0]),
+                                  f"{where}.line_point")
+            if point == 0:
+                raise SchemaError(f"{where}.line_point: must be nonzero")
             journal.push(at, degree, point)
-        else:
+        elif op == "pop":
             journal.pop(at)
+        else:
+            raise SchemaError(f"{where}.op: unknown op {op!r}")
     except NoSurjectionError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

@@ -244,7 +244,7 @@ def bisection_torus_degree(bis: "TwoSections | PellMap | PerturbedMap") -> int:
 
     Constant sections have degree 0.  For a Pell map the generic fibre count
     of A over a torus value is read off the numerator degrees of A - a0:
-    max(2 max(deg U, deg R), 2 deg V + 2g + 1).
+    max(2 max(deg U, deg R), 2 deg V + 2g + 1), the second only for V != 0.
     """
     if isinstance(bis, TwoSections):
         return 0
@@ -252,8 +252,6 @@ def bisection_torus_degree(bis: "TwoSections | PellMap | PerturbedMap") -> int:
         return bisection_torus_degree(bis.base)
     du = max(bis.u_part.degree, bis.r_part.degree)
     dv = bis.v_part.degree
-    if dv < 0 and du <= 0:
-        return 0
     odd = 2 * dv + bis.cover.f.degree if dv >= 0 else -1
     return max(2 * du, odd)
 

@@ -75,9 +75,11 @@ class TateCurve:
         z = complex(z)
         if z == 0 or not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(f"point representative must lie in C*; got {z}")
-        log_mod = math.log(abs(z)) / math.log(abs(self.tau))
-        k = -math.floor(log_mod + 1e-12)
-        v = z * self.tau ** k
+        try:
+            k = -math.floor(math.log(abs(z)) / math.log(abs(self.tau)) + 1e-12)
+            v = z * self.tau ** k
+        except ArithmeticError:
+            raise UnsupportedError(f"representative of {z} past the float range") from None
         # float drift can leave |v| a hair outside the annulus
         if abs(v) < 1.0:
             v *= self.tau
@@ -99,8 +101,10 @@ class TateCurve:
         """The power k of tau nearest to x and its defect |x / tau**k - 1|.
 
         k is searched among k0 - 1, k0, k0 + 1 with k0 the log-rounded
-        exponent; ties keep k0, then k0 - 1.  Raises ValueError at 0, and
-        UnsupportedError where |x| or a power of tau searched overflows.
+        exponent; ties keep k0, then k0 - 1, and a NaN defect (CPython's
+        ``tau ** k`` can be NaN) loses to any other.  Raises ValueError at 0,
+        and UnsupportedError where |x| or a power of tau searched overflows
+        or no defect is finite.
         """
         x = complex(x)
         if x == 0:
@@ -113,11 +117,13 @@ class TateCurve:
                 return best_k, best_d
             for k in (k0 - 1, k0 + 1):
                 d = abs(x / self.tau ** k - 1.0)
-                if d < best_d:
+                if d < best_d or math.isnan(best_d):
                     best_k, best_d = k, d
+            if math.isfinite(best_d):
+                return best_k, best_d
         except ArithmeticError:
-            raise UnsupportedError(f"lattice distance of {x} past the float range") from None
-        return best_k, best_d
+            pass
+        raise UnsupportedError(f"lattice distance of {x} past the float range")
 
     def _tau_powers(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """tau ** k at each element of an integral float array, each distinct
@@ -428,7 +434,12 @@ def theta_sections(lb: TateLineBundle, n_terms: int = 64) -> ThetaBasis:
     n_bands = n_terms // d
     # magnitude of the first omitted band: |alpha|^m * |tau|^(-m(m-1)/2), m = n_bands + 1
     m = n_bands + 1
-    tail = (max(abs(alpha), 1.0 / abs(alpha)) ** m) * abs(tau) ** (-0.5 * m * (m - 1))
+    a = max(abs(alpha), 1.0 / abs(alpha))
+    try:
+        tail = a ** m * abs(tau) ** (-0.5 * m * (m - 1))
+    except OverflowError:  # a^m alone is past the float range: decide in logarithms
+        log_tail = m * math.log(a) - 0.5 * m * (m - 1) * math.log(abs(tau))
+        tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
     if tail >= lb.curve.tolerance:
         raise ValueError(
             f"truncation tail bound {tail:.3g} exceeds tolerance "

@@ -591,6 +591,20 @@ def test_a_journal_ratio_past_the_float_range_exits_two(tmp_path, capsys):
                                        "surjection of degree 1 exists at BasePoint(3)\n")
 
 
+def test_a_canonical_value_past_the_float_range_exits_64(tmp_path, capsys):
+    """sample at tau = 1e160 on the two sections 1e-300 and 1: the canonical
+    representative of 1e-300 needs tau^2, past the float range, so the
+    report is unsupported (exit 64) and names the value; no OverflowError
+    escapes."""
+    doc = {"surface": {"tau": [1e160, 0]},
+           "cover": {"bisection": {"type": "two_sections", "a1": [1e-300, 0],
+                                   "a2": [1, 0]}},
+           "run": {"samples": 4}}
+    assert run_command(["sample", "--scenario", write(tmp_path, doc)]) == 64
+    assert capsys.readouterr().err == (
+        "unsupported: representative of (1e-300+0j) past the float range\n")
+
+
 def test_explicit_pell_map_matches_its_pair(tmp_path, capsys):
     """The map of (p, q) = (3, 1) on w^2 = b^3 + 1, written out as
     U = b^3 + 10, V = 6, R = 8 - b^3, reads the same props report and exit

@@ -368,6 +368,14 @@ def test_euclid_matches_schoolbook(a, b):
     assert a.xgcd(b) == reference_xgcd(a, b)
 
 
+def test_xgcd_of_two_zero_polynomials():
+    """gcd(0, 0) = 0 with cofactors (1, 0): Euclid's loop does not run and
+    no leading coefficient is inverted."""
+    g, s, t = Poly().xgcd(Poly())
+    assert g.is_zero() and s == Poly.of(1) and t.is_zero()
+    assert (s * Poly() + t * Poly() - g).is_zero()
+
+
 # ============================================================
 # Cantor's algorithm vs sympy over QQ_I
 # ============================================================

@@ -22,12 +22,15 @@ from spectral_forge import (
     BasePoint,
     FamilySpec,
     InvalidFamilyError,
+    MultipleFibre,
     NoSurjectionError,
     PellMap,
     PopStep,
     PushStep,
     QI,
     SplitFiber,
+    SurfaceSpec,
+    TateCurve,
     TwoSections,
     UnstableFiber,
     UnsupportedError,
@@ -43,6 +46,7 @@ from spectral_forge import (
     jump_report,
     jumping_sequence,
     parse_scenario,
+    sample_circle,
 )
 from spectral_forge.errors import SchemaError
 from conftest import (
@@ -449,9 +453,9 @@ def test_equal_points_share_one_stack():
 
 
 def test_modifications_leave_their_source_unchanged():
-    """elem_mod and allowable_mod share the source's stack tuples and copy
-    only the one they change: the source and every family branched from it
-    keep the stacks of a replay of their own steps."""
+    """elem_mod and allowable_mod resume from copies of the source's steps
+    and stacks: the source and every family branched from it keep the
+    stacks of a replay of their own steps."""
     x7 = BasePoint.of(7)
     base = elem_mod(elem_mod(fresh_split(), X0, 1, NU), X1, 2, NU)
     branches = [elem_mod(base, X0, 1, NU), elem_mod(base, x7, 1, NU),
@@ -463,6 +467,19 @@ def test_modifications_leave_their_source_unchanged():
         assert fam.jump_points() == replay_jump_points(fam.steps)
         assert all(type(stack) is tuple for stack in fam._stacks.values())
     assert base.jump_points() == [X0, X1] and len(base.steps) == 2
+
+
+def test_sample_ladder_steps_past_a_multiple_fibre():
+    """A multiple fibre about 1e-4 from the first point of the 32-sample
+    circle at tau = 2 rejects that circle, so the samples come from the
+    second rung: radius 2 * 1.13 = 2.26, phase 0.05."""
+    near = BasePoint(QI.from_pair(499, 250, 78, 625))
+    surface = SurfaceSpec(TateCurve(TAU_DYADIC), 1, (MultipleFibre(near, 2),))
+    fam = split_family(surface, 0.7 + 0.1j, 1.3 - 0.2j)
+    assert abs(sample_circle(32, 2.0)[0] - near.to_complex()) < 2e-4
+    pts = default_sample_points(fam, 32)
+    assert pts == sample_circle(32, 2.0 * 1.13, 0j, phase=0.05)
+    assert default_sample_points(fresh_split(), 32) == sample_circle(32, 2.0)
 
 
 # ============================================================

@@ -209,6 +209,18 @@ def test_make_extension_classes_are_regular_with_oracle_support():
             assert extension_h1(DY.tau, c, p, q, pt.value) == 1
 
 
+@pytest.mark.parametrize("c", [1.0, 0.7 + 0.2j], ids=["one", "generic"])
+def test_zero_extension_data_gives_the_unstable_split(c):
+    """(p, q) = (0, 0) is the split extension L(1) + L(-1): unstable of
+    height 1 with sub L(1) of factor 1/c and trivial determinant, returned
+    without an obstruction solve."""
+    fc = make_extension(DY, c, 0.0, 0.0)
+    assert isinstance(fc, UnstableFiber) and fc.height == 1
+    assert fc.sub.degree == 1 and fc.sub.factor == 1.0 / c
+    assert fc.det.degree == 0 and fc.det.factor == 1.0
+    assert not is_regular(fc) and spectral_points(fc) is None
+
+
 def test_trivial_cocycle_gives_regular_split():
     fc = make_extension(DY, 1.0, 1.0, 0.0)
     assert isinstance(fc, SplitFiber)

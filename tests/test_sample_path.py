@@ -712,19 +712,26 @@ def sweep_families() -> list[FamilySpec]:
 # factor map's and the inverse map's values once, and fm and roundtrip add
 # the factor values of the family their inverse transform rebuilds
 VALUE_ARRAYS = {"cover": 2, "fm": 3, "roundtrip": 3, "props": 2, "sample": 2}
+# the most canonical-representative arrays: two per pair of values a report
+# reduces (the fibre factors, spectral values and support values of its
+# frame, and for fm and roundtrip the rebuilt family's fibre factors), so
+# sample's CSV rows reuse the support values its cover check reduced
+CANONICAL_ARRAYS = {"cover": 6, "fm": 8, "roundtrip": 8, "props": 6, "sample": 6}
 
 
 @pytest.mark.parametrize("index", range(3), ids=["split", "push-g1", "push-g2"])
 def test_reports_build_each_value_array_once(tmp_path, monkeypatch, index):
     """On the sample-sweep scenarios at 2,048 samples, seed 1: the value
     arrays of ``PellMap`` and ``TwoSections`` together, and the sheet arrays
-    of the double cover, stay within VALUE_ARRAYS per report."""
+    of the double cover, stay within VALUE_ARRAYS per report, and the
+    canonical-representative arrays within CANONICAL_ARRAYS."""
     values = [count_calls(monkeypatch, cls, "_values_array")
               for cls in (PellMap, TwoSections)]
     sheets = count_calls(monkeypatch, HyperCover, "_sheets_array")
+    canonical = count_calls(monkeypatch, TateCurve, "_canonical_array")
     path = write(tmp_path, sweep_docs()[index])
     for cmd, most in VALUE_ARRAYS.items():
-        for calls in (*values, sheets):
+        for calls in (*values, sheets, canonical):
             calls[0] = 0
         assert run_command([cmd, "--scenario", path, "--samples", "2048",
                             "--seed", "1", "--json", str(tmp_path / "r.json"),
@@ -733,6 +740,7 @@ def test_reports_build_each_value_array_once(tmp_path, monkeypatch, index):
         built = (values[0][0] + values[1][0], sheets[0])
         assert built[0] <= most and built[1] <= most, (cmd, built)
         assert (built[1] > 0) == (index > 0)
+        assert canonical[0] <= CANONICAL_ARRAYS[cmd], (cmd, canonical[0])
 
 
 @pytest.mark.parametrize("seed", [1, 5, 11])

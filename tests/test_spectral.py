@@ -110,6 +110,16 @@ def test_torus_degree_is_inversion_invariant_and_positive_for_maps():
         assert bisection_torus_degree(pm.sheet_flip()) == d
 
 
+def test_constant_pell_maps_have_torus_degree_zero():
+    """V = 0 and P constant: U = R = P^2, so A is the constant s and its
+    torus degree is 0, whatever the genus of the cover."""
+    for cover in (cover_g0(), cover_g1(), cover_g2(), cover_g3()):
+        pm = PellMap.from_pell_pair(cover, Poly.of(2), Poly(), QI.of(3))
+        assert pm.v_part.is_zero()
+        assert bisection_torus_degree(pm) == 0
+        assert bisection_torus_degree(pm.inverse()) == 0
+
+
 def test_cover_totals():
     s = surf_plain()
     from spectral_forge import BasePoint

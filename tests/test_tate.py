@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,54 @@ def test_lattice_distance_past_the_float_range():
     assert d[-1] == curve.lattice_distance(3 + 0j)[1]
 
 
+def test_lattice_distance_skips_a_nan_power():
+    """At tau = 1e160 CPython's tau ** k is nan+nanj for every k <= -2.  At
+    x = 1e-300 the rounded exponent is k0 = -2, whose NaN defect loses to
+    k = -1 (defect 1 - 1e-140, which rounds to 1.0): the distance is never
+    NaN, so a max over defects cannot drop it."""
+    curve = TateCurve(1e160)
+    assert cmath.isnan(curve.tau ** -2)
+    assert curve.lattice_distance(1e-300) == (-1, 1.0)
+    assert curve.lattice_log(1e-300) is None
+
+
+def test_lattice_arrays_at_a_nan_power_match_the_scalar_route():
+    """At tau = 1e160 the arrays leave odd every value that meets a NaN or
+    overflowing power of tau (k0 = -2 at 1e-300 and 1e-250, k0 + 1 = 2 at
+    1e200) and agree bit for bit with ``lattice_distance`` elsewhere; on
+    the odd values the scalar route returns a finite defect or raises
+    UnsupportedError."""
+    curve = TateCurve(1e160)
+    xs = np.array([1e-300, 1e-250, 3e-170, 1e-160, 1.0, 2.5, 1e150j, 1e159,
+                   1e200, 1e300], dtype=complex)
+    k, d, odd = curve._lattice_distance_array(xs)
+    assert odd[[0, 1, 8]].all()
+    for i, x in enumerate(xs.tolist()):
+        try:
+            want = curve.lattice_distance(x)
+        except UnsupportedError:
+            assert odd[i]
+            continue
+        assert math.isfinite(want[1])
+        if not odd[i]:
+            assert (int(k[i]), d[i].hex()) == (want[0], want[1].hex())
+
+
+@pytest.mark.parametrize("tau,z", [(2.0, 1e-310), (1e160, 1e-300),
+                                   (2.0, 1e308 + 1.7e308j)],
+                         ids=["subnormal", "nan-power", "huge-modulus"])
+def test_canonical_rep_past_the_float_range_is_unsupported(tau, z):
+    """Where the power of tau a representative needs overflows (tau^1030 at
+    tau = 2, tau^2 at 1e160) or |z| does, ``canonical_rep`` raises
+    UnsupportedError naming z, never OverflowError; the array route leaves
+    exactly those values odd."""
+    curve = TateCurve(tau)
+    with pytest.raises(UnsupportedError, match=re.escape(f"{complex(z)} past the float range")):
+        curve.canonical_rep(z)
+    _, odd = curve._canonical_array(np.array([z, 1.5], dtype=complex))
+    assert odd.tolist() == [True, False]
+
+
 def test_square_roots_square_back():
     curve = TateCurve(TAU_GENERIC)
     p = curve.point(0.8 + 0.5j)
@@ -290,6 +339,18 @@ def test_theta_basis_refuses_thin_truncation():
     lb = TateLineBundle(curve, 1, 1e6)
     with pytest.raises(ValueError):
         theta_sections(lb, 4)
+
+
+def test_theta_tail_past_the_float_range_is_decided_in_logarithms():
+    """At tau = 2 and alpha = 1e5 the default 64 terms make the first omitted
+    band m = 65, and alpha^65 = 1e325 overflows; the bound 1e325 * 2^-2080,
+    about 1e-301, is decided in logarithms and the basis is built.  Where
+    the bound is past the float range as well, the truncation is refused."""
+    basis = theta_sections(TateLineBundle(TateCurve(TAU_DYADIC), 1, 1e5))
+    for z in (1.0, 1.3 + 0.2j, 0.7j, -0.9 + 0.4j):
+        assert basis.residual(0, z) < 1e-12
+    with pytest.raises(ValueError, match="tail bound inf exceeds"):
+        theta_sections(TateLineBundle(TateCurve(1.2 + 0.1j), 1, 1e200))
 
 
 def test_theta_basis_rejects_nonpositive_degree():

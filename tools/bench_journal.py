@@ -1,6 +1,6 @@
 """Per-layer timings of journal replay, written to BENCH_journal.json.
 
-Times five layers on push/pop journals of 200, 400, 800 and 1,600 steps
+Times seven layers on push/pop journals of 200, 400, 800 and 1,600 steps
 over eight base points (three pushes to two pops at each), on the split
 family at tau = 2 and on the genus-1 pushforward family (w^2 = b^3 + 1,
 map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
@@ -8,6 +8,10 @@ map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 - ``parse_scenario``: the scenario document to a family, journal replayed;
 - ``determinant``: ``FamilySpec.determinant`` of the parsed family, its
   cached value dropped before each run;
+- ``elem_mod``: one degree-1 push at a point off the journal, on the
+  parsed family;
+- ``attach_generic_jumps``: as many degree-1 steps as the journal has,
+  spread over eight points off the journal, on the parsed family;
 - ``modify``, ``props``, ``cover``: the CLI reports at 32 samples, in
   process, scenario file included.
 
@@ -30,8 +34,10 @@ from _layer_bench import main, timed
 
 DESCRIPTION = (
     "Per-layer timings of journal replay, written by tools/bench_journal.py: "
-    "parse_scenario, FamilySpec.determinant and the CLI modify, props and "
-    "cover reports (32 samples, in process) on push/pop journals of 200 to "
+    "parse_scenario, FamilySpec.determinant, one elem_mod, "
+    "attach_generic_jumps of as many steps as the journal has, and the CLI "
+    "modify, props and cover reports (32 samples, in process) on push/pop "
+    "journals of 200 to "
     "1600 steps over 8 points, for the split family and the genus-1 "
     "pushforward family at tau = 2; best and median seconds of 'repeat' "
     "runs after one warm-up, one entry of 'runs' per source tree; "
@@ -49,6 +55,9 @@ PRESENTATIONS = {
 # poles b^3 = 8 of the genus-1 map.
 POINTS = ([3, 1, 0, 1], [-3, 1, 0, 1], [0, 1, 3, 1], [0, 1, -3, 1],
           [5, 2, 1, 1], [-5, 2, -1, 1], [7, 3, 0, 1], [1, 2, 5, 2])
+# Off the journal points, the sample circle, the branch points and the poles:
+# where elem_mod and attach_generic_jumps push.
+FRESH = ((4, 0), (-4, 0), (0, 4), (0, -4), (5, 0), (-5, 0), (0, 5), (0, -5))
 
 
 def journal(length: int) -> list[dict]:
@@ -84,8 +93,11 @@ def measure() -> dict:
 
 
 def measure_in(workdir: Path) -> dict:
-    from spectral_forge import parse_scenario
+    from spectral_forge import (BasePoint, attach_generic_jumps, elem_mod,
+                                parse_scenario)
     from spectral_forge.cli import run_command
+
+    fresh = [BasePoint.of(*xy) for xy in FRESH]
 
     out: dict = {}
     for name, pres in PRESENTATIONS.items():
@@ -102,8 +114,12 @@ def measure_in(workdir: Path) -> dict:
                 family.__dict__.pop("determinant", None)
                 return family.determinant
 
+            plan = [(at, length // len(fresh)) for at in fresh]
             row = {"parse_scenario": timed(lambda: parse_scenario(doc)),
-                   "determinant": timed(determinant)}
+                   "determinant": timed(determinant),
+                   "elem_mod": timed(lambda: elem_mod(family, fresh[0], 1, 2.0)),
+                   "attach_generic_jumps": timed(
+                       lambda: attach_generic_jumps(family, plan))}
             for cmd in COMMANDS:
                 argv = [cmd, "--scenario", str(path), "--samples", "32",
                         "--json", str(workdir / "report.json")]
