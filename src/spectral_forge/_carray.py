@@ -118,8 +118,9 @@ def nearest(b: np.ndarray, centres: "list[complex]") -> np.ndarray:
     """Distance ``abs(c - b)`` from each sample to the nearest centre c
     (infinite without centres)."""
     out = np.full(np.shape(b), math.inf)
-    for c in centres:
-        out = np.minimum(out, np.hypot(c.real - b.real, c.imag - b.imag))
+    with np.errstate(all="ignore"):
+        for c in centres:
+            out = np.minimum(out, np.hypot(c.real - b.real, c.imag - b.imag))
     return out
 
 

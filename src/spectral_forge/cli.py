@@ -77,7 +77,7 @@ def _cover_and_frame(scn: Scenario) -> tuple[SpectralCover, _Frame]:
         pts = _family_points(scn)
     else:
         pts = _sample_ladder(scn.samples, abs(scn.cover.curve.tau), 0.05 * scn.seed,
-                             lambda b: isinstance(bis, PellMap) and bis.punctures_near(b))
+                             bis.punctures_near if isinstance(bis, PellMap) else None)
     return scn.cover, _Frame(scn.family, pts, cover=scn.cover)
 
 

@@ -570,7 +570,10 @@ def default_sample_points(family: FamilySpec, count: int = 32,
     """Deterministic sample circle avoiding special points of the family.
 
     Tries a short ladder of radii and phases until every sample avoids
-    multiple fibres, journal points, branch points and map punctures."""
+    multiple fibres and journal points (within 1e-3), branch points
+    (|f| < 1e-6) and map punctures.  The first two are array tests over a
+    whole rung; the last, a pushforward's scalar ``PellMap.punctures_near``,
+    runs in sample order at the samples they pass (``_sample_ladder``)."""
     specials: list[complex] = []
     for mf in family.surface.multiple_fibres:
         if not mf.at.is_infinity:
@@ -579,15 +582,14 @@ def default_sample_points(family: FamilySpec, count: int = 32,
         if not at.is_infinity:
             specials.append(at.to_complex())
     data = family.data
+    cover = data.cover if isinstance(data, PushforwardData) else None
 
-    def reject(b: complex) -> bool:
-        if any(abs(b - s) < 1e-3 for s in specials):
-            return True
-        return (isinstance(data, PushforwardData)
-                and (data.cover.branch_distance(b) < 1e-6
-                     or data.factor_map.punctures_near(b)))
+    def flagged(b: np.ndarray) -> np.ndarray:
+        near = _carray.nearest(b, specials) < 1e-3
+        return near | (_carray.absolute(cover.f._eval_array(b)) < 1e-6) if cover else near
 
-    return _sample_ladder(count, abs(family.curve.tau), phase, reject)
+    return _sample_ladder(count, abs(family.curve.tau), phase,
+                          data.factor_map.punctures_near if cover else None, flagged)
 
 
 def cover_from_family(family: FamilySpec,

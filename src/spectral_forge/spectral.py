@@ -156,7 +156,8 @@ class PellMap:
         absolute threshold when |U + V w| is below it and |R| is not.  It
         raises at exactly the samples that ``_values_array`` marks odd."""
         ws = self.cover.sheets(b)
-        den, u, v = self._ruv_at(b)
+        den = self.r_part.eval_complex(b)
+        u, v = self.u_part.eval_complex(b), self.v_part.eval_complex(b)
         if abs(den) < 1e-300:
             raise PunctureError(f"pole of bisection map at b={b}")
         out = []
@@ -171,21 +172,18 @@ class PellMap:
         return tuple(out)
 
     def punctures_near(self, b: complex, margin: float = 1e-6) -> bool:
-        den, u, v = self._ruv_at(b)
-        num = min(abs(u + v * w) for w in self.cover.sheets(b))
-        return abs(den) < margin or num < margin
+        """True where |R(b)| or the smaller |U(b) +- V(b) w| is below
+        ``margin`` (near a pole or a zero of the map), from one evaluation
+        each of R, U, V and f.  The sample ladder calls it, in sample order,
+        at the samples its array tests (special and branch points) pass."""
+        u = self.u_part.eval_complex(b)
+        vw = self.v_part.eval_complex(b) * self.cover.f.eval_complex(b) ** 0.5
+        num = min(abs(u + vw), abs(u - vw))
+        return abs(self.r_part.eval_complex(b)) < margin or num < margin
 
     @cached_property
     def _scale_complex(self) -> complex:
         return self.scale.to_complex()
-
-    def _ruv_at(self, b: complex) -> tuple[complex, complex, complex]:
-        return (self.r_part.eval_complex(b), self.u_part.eval_complex(b),
-                self.v_part.eval_complex(b))
-
-    def _ruv_array(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.r_part._eval_array(b), self.u_part._eval_array(b),
-                self.v_part._eval_array(b))
 
     def _values_array(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``sheet_values`` at each sample, bit for bit, with the mask of odd
@@ -193,7 +191,8 @@ class PellMap:
         value that is not finite).  Their values are not used; the scalar
         method decides them."""
         w = self.cover._sheets_array(b)
-        den, u, v = self._ruv_array(b)
+        den, u, v = (self.r_part._eval_array(b), self.u_part._eval_array(b),
+                     self.v_part._eval_array(b))
         odd = ~np.isfinite(w) | ~(_carray.absolute(den) >= 1e-300)
         out = []
         for ws in (w, -w):
@@ -323,13 +322,20 @@ def sample_circle(count: int, radius: float, center: complex = 0j,
 
 
 def _sample_ladder(count: int, base_r: float, phase: float,
-                   reject: Callable[[complex], bool]) -> list[complex]:
+                   reject: "Callable[[complex], bool] | None" = None,
+                   flagged: "Callable[[np.ndarray], np.ndarray] | None" = None
+                   ) -> list[complex]:
     """The first of 8 circles, radius and phase stepped together, on which
-    ``reject`` flags no sample point."""
+    no sample point is rejected.  A rung runs the array test ``flagged`` (a
+    mask over its samples) once, then walks its samples in order up to the
+    first flagged one or the first one the scalar test ``reject`` flags:
+    ``reject`` sees the samples a scalar loop testing ``flagged`` first would."""
     for attempt in range(8):
         pts = sample_circle(count, base_r * (1.0 + 0.13 * attempt), 0j,
                             phase=phase + 0.05 * attempt)
-        if not any(reject(b) for b in pts):
+        hit = flagged(np.array(pts, dtype=complex)) if flagged else np.zeros(len(pts), bool)
+        if not (hit.any() if reject is None
+                else any(f or reject(b) for f, b in zip(hit.tolist(), pts))):
             return pts
     raise PunctureError(
         f"sampling: no clean sample circle among 8 rungs from radius "

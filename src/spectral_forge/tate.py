@@ -436,11 +436,14 @@ def theta_sections(lb: TateLineBundle, n_terms: int = 64) -> ThetaBasis:
     m = n_bands + 1
     a = max(abs(alpha), 1.0 / abs(alpha))
     try:
+        if a == math.inf:  # 1/|alpha| overflows: inf * 0.0 would read NaN
+            raise OverflowError
         tail = a ** m * abs(tau) ** (-0.5 * m * (m - 1))
-    except OverflowError:  # a^m alone is past the float range: decide in logarithms
-        log_tail = m * math.log(a) - 0.5 * m * (m - 1) * math.log(abs(tau))
+    except OverflowError:  # a or a^m is past the float range: decide in logarithms
+        log_a = math.log(a) if a < math.inf else abs(math.log(abs(alpha)))
+        log_tail = m * log_a - 0.5 * m * (m - 1) * math.log(abs(tau))
         tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
-    if tail >= lb.curve.tolerance:
+    if not tail < lb.curve.tolerance:  # a NaN bound is refused too
         raise ValueError(
             f"truncation tail bound {tail:.3g} exceeds tolerance "
             f"{lb.curve.tolerance:.3g}; increase n_terms")

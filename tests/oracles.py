@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from spectral_forge import (LineBundleOnX, Poly, PopStep, PunctureError, PushStep,
+from spectral_forge import (LineBundleOnX, Poly, PopStep, PunctureError,
+                            PushforwardData, PushStep,
                             QI, UnsupportedError, VerificationError,
                             sample_circle, spectral_points)
 
@@ -379,6 +380,34 @@ def reference_sample_circle(count: int, radius: float, center: complex = 0j,
         th = phase + 2.0 * math.pi * (k + 0.318) / count
         pts.append(center + radius * cmath.exp(1j * th))
     return pts
+
+
+def reference_sample_ladder(family, count: int, phase: float = 0.0,
+                            punctures_near=reference_punctures_near
+                            ) -> tuple[int, list[complex]]:
+    """(rung, samples) of ``default_sample_points`` as one scalar loop: each
+    rung's samples are tested in order, one at a time, against every
+    multiple fibre and journal point (within 1e-3), then, on a pushforward,
+    against the branch locus (|f(b)| < 1e-6) and the factor map's punctures
+    (``punctures_near(map, b)``); the first rejected sample ends the rung."""
+    specials = [mf.at.to_complex() for mf in family.surface.multiple_fibres
+                if not mf.at.is_infinity]
+    specials += [at.to_complex() for at in family._stacks if not at.is_infinity]
+    pell = family.data.factor_map if isinstance(family.data, PushforwardData) else None
+
+    def reject(b: complex) -> bool:
+        if any(abs(b - s) < 1e-3 for s in specials):
+            return True
+        return pell is not None and (abs(reference_eval_complex(pell.cover.f, b)) < 1e-6
+                                     or punctures_near(pell, b))
+
+    radius = abs(family.curve.tau)
+    for rung in range(8):
+        pts = reference_sample_circle(count, radius * (1.0 + 0.13 * rung), 0j,
+                                      phase + 0.05 * rung)
+        if not any(reject(b) for b in pts):
+            return rung, pts
+    raise PunctureError("sampling: no clean sample circle among 8 rungs")
 
 
 def reference_invariance_residual(cover, delta, pts) -> float:

@@ -21,6 +21,7 @@ from spectral_forge import (
     AtiyahRegular,
     BasePoint,
     FamilySpec,
+    HyperCover,
     InvalidFamilyError,
     MultipleFibre,
     NoSurjectionError,
@@ -577,6 +578,31 @@ def test_twist_guards():
         fam.twisted(unbalanced)
     with pytest.raises(UnsupportedError):
         fresh_split().twisted(gens[0])
+
+
+def test_pushforward_data_refuses_mismatched_parts():
+    """Each guard of ``PushforwardData`` with its message: a factor map or
+    a twist class on another cover, a twist of nonzero degree."""
+    from spectral_forge import DivisorClass, Poly, PushforwardData
+    other = HyperCover(Poly.of(1, -1, 0, 0, 0, 1))
+    elsewhere = DivisorClass(other, Poly.x_minus(QI.of(0)), Poly.const(QI.of(1)), 1)
+    unbalanced = DivisorClass(cover_g1(), Poly.x_minus(QI.of(0)), Poly.const(QI.of(1)), 0)
+    cases = ((other, pell_g1(), None, "factor map lives on a different cover"),
+             (cover_g1(), pell_g1(), elsewhere, "twist class lives on a different cover"),
+             (cover_g1(), pell_g1(), unbalanced, "twist must be a degree-0 class"))
+    for cover, factor_map, twist, message in cases:
+        with pytest.raises(ValueError) as info:
+            PushforwardData(cover, factor_map, twist)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("degree, line_point, message", [
+    (0, NU, "modification degree must be >= 1"),
+    (1, 0j, "line_point must be nonzero")], ids=["degree", "line-point"])
+def test_push_step_refuses_bad_data(degree, line_point, message):
+    with pytest.raises(ValueError) as info:
+        PushStep(X0, degree, line_point)
+    assert str(info.value) == message
 
 
 def test_torsion_twist_moves_determinant_residues():

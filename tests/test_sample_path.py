@@ -22,12 +22,13 @@ import numpy as np
 import pytest
 
 from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
-                            HyperCover, LineBundleOnX, PellMap, PerturbedMap, Poly,
-                            PunctureError, SpectralCover, TateCurve,
-                            TwoSections, UnsupportedError, attach_generic_jumps,
-                            cover_from_family, descent_divisor, fm_transform,
-                            default_sample_points, invariance_residual,
-                            parse_scenario, sample_circle)
+                            HyperCover, LineBundleOnX, MultipleFibre, PellMap,
+                            PerturbedMap, Poly, PunctureError, SpectralCover,
+                            SurfaceSpec, TateCurve, TwoSections, UnsupportedError,
+                            attach_generic_jumps, cover_from_family,
+                            default_sample_points, descent_divisor, elem_mod,
+                            fm_transform, invariance_residual, parse_scenario,
+                            sample_circle)
 from spectral_forge import _carray, cli, fourier
 from spectral_forge.cli import run_command
 from spectral_forge.families import _Frame
@@ -768,3 +769,136 @@ def test_declared_cover_is_evaluated_once(tmp_path, monkeypatch):
                         "--json", str(tmp_path / "r.json")]) == 0
     assert json.loads((tmp_path / "r.json").read_text())["invariance"]["checked"]
     assert (values_at[0], arrays[0]) == (0, 1)
+
+
+# ============================================================
+# The sample ladder: array tests, then the scalar map test
+# ============================================================
+
+def near_point(b: complex, offset: complex) -> BasePoint:
+    """A base point at b + offset, to six decimals."""
+    z = b + offset
+    return BasePoint(QI.from_pair(round(z.real * 1e6), 10**6, round(z.imag * 1e6), 10**6))
+
+
+def journal_near_circle() -> FamilySpec:
+    """The genus-1 sweep family with jumps 5e-4 off a sample of the first
+    256- and 2,048-sample rungs at phase 0 and of the second 256-sample
+    rung, and one 5e-3 off (not rejected)."""
+    fam = sweep_families()[1]
+    for b, offset in ((sample_circle(256, 2.0)[7], 5e-4),
+                      (sample_circle(256, 2.26, 0j, phase=0.05)[100], 5e-4j),
+                      (sample_circle(2048, 2.0)[1500], -5e-4),
+                      (sample_circle(256, 2.0)[200], 5e-3)):
+        fam = elem_mod(fam, near_point(b, offset), 1, 1.7)
+    return fam
+
+
+def multiple_fibre_near_sample(k: int) -> FamilySpec:
+    """The genus-1 pushforward on a surface with a double fibre 1e-4 off
+    sample k of the 32-sample circle at tau = 2."""
+    near = near_point(sample_circle(32, 2.0)[k], 1e-4)
+    surface = SurfaceSpec(TateCurve(TAU_DYADIC), 1, (MultipleFibre(near, 2),))
+    return push_family(surface, cover_g1(), pell_g1())
+
+
+def assert_same_ladder(fam: FamilySpec, count: int, phase: float) -> int:
+    rung, want = oracles.reference_sample_ladder(fam, count, phase)
+    got = default_sample_points(fam, count, phase=phase)
+    radius = abs(fam.curve.tau) * (1.0 + 0.13 * rung)
+    assert mismatches(got, want) == 0
+    assert got == sample_circle(count, radius, 0j, phase=phase + 0.05 * rung)
+    return rung
+
+
+@pytest.mark.parametrize("count", [256, 2048])
+def test_sample_ladder_matches_the_scalar_loop(count):
+    """The sweep families at seeds 0-15 pick the oracle's rung and points,
+    bit for bit."""
+    for fam in sweep_families():
+        for seed in range(16):
+            assert_same_ladder(fam, count, 0.05 * seed)
+
+
+def test_sample_ladder_matches_near_journal_points_and_multiple_fibres():
+    fam = journal_near_circle()
+    rungs = [assert_same_ladder(fam, 256, 0.05 * seed) for seed in range(16)]
+    rungs += [assert_same_ladder(fam, 2048, 0.05 * seed) for seed in range(4)]
+    assert (rungs[0], rungs[16], max(rungs)) == (2, 1, 2)
+    near = BasePoint(QI.from_pair(499, 250, 78, 625))
+    split = split_family(SurfaceSpec(TateCurve(TAU_DYADIC), 1, (MultipleFibre(near, 2),)),
+                         0.7 + 0.1j, 1.3 - 0.2j)
+    assert assert_same_ladder(split, 32, 0.0) == 1
+    assert assert_same_ladder(multiple_fibre_near_sample(10), 32, 0.0) == 1
+    # w^2 = b^3 - 8 branches at b = 2; at this phase the first sample is
+    # 1e-8 from it, where |f| is about 1.2e-7
+    cover = HyperCover(Poly.of(-8, 0, 0, 1))
+    branched = push_family(surf_plain(), cover,
+                           PellMap.from_pell_pair(cover, Poly.of(3), Poly.of(1), QI.of(1)))
+    phase = -2.0 * math.pi * 0.318 / 32 + 5e-9
+    assert 1e-9 < cover.branch_distance(sample_circle(32, 2.0, 0j, phase=phase)[0]) < 1e-6
+    assert assert_same_ladder(branched, 32, phase) == 1
+
+
+def test_a_special_point_past_the_float_range_from_the_circle_is_far():
+    """A journal point about 2.1e308 from every sample: the scalar loop's
+    ``abs(b - s)`` raised OverflowError there, the array distance reads
+    inf, so the ladder keeps its first rung (the oracle still raises)."""
+    big = int(1.5e308)
+    fam = elem_mod(sweep_families()[0], BasePoint.of(big, big), 1, 1.7)
+    assert default_sample_points(fam, 16) == sample_circle(16, 2.0)
+    with pytest.raises(OverflowError):
+        oracles.reference_sample_ladder(fam, 16)
+
+
+@pytest.mark.parametrize("puncture", [4, 20, None])
+def test_map_test_sees_the_scalar_loops_samples_in_order(monkeypatch, puncture):
+    """On a rung holding a multiple fibre by sample 10 and a puncture at
+    ``puncture``, the map test is called at the samples the scalar loop
+    reaches, in its order: up to the puncture, or up to the flagged sample
+    when that comes first; a raising map test raises the same error after
+    the same calls."""
+    fam = multiple_fibre_near_sample(10)
+    rung0 = sample_circle(32, 2.0)
+
+    def recorder(calls, boom=None):
+        def punctures_near(pell, b, margin=1e-6):
+            calls.append(b)
+            if b == boom:
+                raise PunctureError(f"map test failed at b={b}")
+            return (puncture is not None and b == rung0[puncture]
+                    or oracles.reference_punctures_near(pell, b))
+        return punctures_near
+
+    for boom in (None, sample_circle(32, 2.26, 0j, phase=0.05)[3]):
+        got, want = [], []
+        monkeypatch.setattr(PellMap, "punctures_near", recorder(got, boom))
+        try:
+            outcome = default_sample_points(fam, 32)
+        except PunctureError as exc:
+            outcome = str(exc)
+        try:
+            expected = oracles.reference_sample_ladder(fam, 32, 0.0, recorder(want, boom))[1]
+        except PunctureError as exc:
+            expected = str(exc)
+        assert got == want and outcome == expected
+        stop = puncture if puncture == 4 else 9
+        assert got[:stop + 1] == rung0[:stop + 1] and got[stop + 1] != rung0[stop + 1]
+
+
+def test_map_test_makes_four_scalar_evaluations_per_sample(monkeypatch):
+    """``Poly.eval_complex`` calls per ladder sample that reaches the map
+    test: 4 on a pushforward (R, U, V and f in ``punctures_near``; the
+    branch test runs in arrays), none on a split family.  perfbench's trace
+    test pins more than 256 of these calls in a 256-sample ``props`` report,
+    which 4 per sample keeps; that pin is what keeps the map test scalar."""
+    evals = count_calls(monkeypatch, Poly, "eval_complex")
+    tests = count_calls(monkeypatch, PellMap, "punctures_near")
+    split, *pushforwards = sweep_families()
+    for fam in pushforwards:
+        evals[0] = tests[0] = 0
+        default_sample_points(fam, 256, phase=0.05)
+        assert tests[0] == 256 and evals[0] == 4 * tests[0]
+    evals[0] = 0
+    default_sample_points(split, 256, phase=0.05)
+    assert (evals[0], tests[0]) == (0, 256)

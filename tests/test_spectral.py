@@ -131,6 +131,37 @@ def test_cover_totals():
         SpectralCover(s, ((BasePoint.of(3), 0),), pell_g1())
 
 
+def refused(build) -> str:
+    """The message of the ValueError that ``build()`` raises."""
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+def test_two_sections_refuse_a_zero_value():
+    assert refused(lambda: TwoSections(0.7 + 0.1j, 0j)) == "section values must be nonzero"
+
+
+def test_pell_map_refuses_a_zero_scale():
+    m = pell_g1()
+    assert (refused(lambda: PellMap(m.cover, m.u_part, m.v_part, m.r_part, QI.of(0)))
+            == "scale must be nonzero")
+
+
+def test_pell_map_refuses_a_zero_denominator():
+    """U = V = R = 0 satisfies the Pell identity, so only the denominator
+    check refuses it."""
+    assert (refused(lambda: PellMap(cover_g1(), Poly(), Poly(), Poly(), QI.of(1)))
+            == "denominator must be nonzero")
+
+
+def test_spectral_cover_refuses_a_repeated_vertical():
+    from spectral_forge import BasePoint
+    twice = ((BasePoint.of(3), 1), (BasePoint.of(3), 2))
+    assert (refused(lambda: SpectralCover(surf_plain(), twice, pell_g1()))
+            == "duplicate vertical component")
+
+
 # ============================================================
 # Invariance
 # ============================================================

@@ -353,6 +353,18 @@ def test_theta_tail_past_the_float_range_is_decided_in_logarithms():
         theta_sections(TateLineBundle(TateCurve(1.2 + 0.1j), 1, 1e200))
 
 
+@pytest.mark.parametrize("alpha, bound", [(1e-320, "inf"), (5e-324, "inf"),
+                                          (math.nan, "nan")],
+                         ids=["subnormal", "smallest-subnormal", "nan"])
+def test_theta_tail_with_an_overflowing_inverse_factor_is_refused(alpha, bound):
+    """At a subnormal alpha, 1/|alpha| overflows to inf and inf ** m does
+    not raise, so the plain bound would be inf * 0.0, NaN, and the basis
+    was built with residual 1.0 at z = 1.  The bound is decided in
+    logarithms (inf) and refused; a NaN bound is refused as well."""
+    with pytest.raises(ValueError, match=f"tail bound {bound} exceeds"):
+        theta_sections(TateLineBundle(TateCurve(TAU_DYADIC), 1, alpha))
+
+
 def test_theta_basis_rejects_nonpositive_degree():
     curve = TateCurve(TAU_DYADIC)
     with pytest.raises(ValueError):

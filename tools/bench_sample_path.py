@@ -1,8 +1,10 @@
 """Per-layer timings of the per-sample path, written to BENCH_sample_path.json.
 
-Times eight layers at 256, 2,048 and 20,000 samples on the genus-1
+Times nine layers at 256, 2,048 and 20,000 samples on the genus-1
 pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 
+- ``ladder``: ``default_sample_points`` at phase 0.05, the sample ladder's
+  array tests and its scalar map test (``PellMap.punctures_near``);
 - ``sheet_values``: the factor map's two sheet values at every sample
   (``_values_array``);
 - ``canonical_rep``: the canonical representatives of those 2n values
@@ -16,7 +18,9 @@ pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 Next to the timings, ``array_calls`` counts, per report at each size, the
 calls of the array routines that a report should build once: ``PellMap``
 and ``TwoSections._values_array``, ``HyperCover._sheets_array`` and
-``TateCurve._canonical_array``.  Counts do not drift with the host.
+``TateCurve._canonical_array``; ``eval_complex_calls`` counts the scalar
+``Poly.eval_complex`` calls of the ladder and of each report.  Counts do
+not drift with the host.
 
 Each layer is run 7 times after one warm-up; best and median seconds are
 kept.  Results are merged into the output file under ``--label``.  A
@@ -30,24 +34,29 @@ from __future__ import annotations
 
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 
 from _layer_bench import main, timed
 
 DESCRIPTION = (
     "Per-layer timings of the per-sample path on the genus-1 pushforward "
-    "family at tau = 2, written by tools/bench_sample_path.py: the factor "
-    "map's sheet values, canonical_rep of those values, cover_from_family, "
+    "family at tau = 2, written by tools/bench_sample_path.py: the sample "
+    "ladder (default_sample_points), the factor map's sheet values, "
+    "canonical_rep of those values, cover_from_family, "
     "the CLI cover, fm, roundtrip, props and sample reports (ladder "
     "included) and z_action_residual with the descent twist at b0 = 0 on "
     "and off, at 256, 2048 and 20000 samples; best and median seconds of "
     "'repeat' runs after one warm-up, one entry of 'runs' per source tree; "
     "speedup_best is parent over change.  'array_calls' counts, per report "
-    "and size, the _values_array, _sheets_array and _canonical_array calls.")
+    "and size, the _values_array, _sheets_array and _canonical_array calls; "
+    "'eval_complex_calls' the scalar Poly.eval_complex calls of the ladder "
+    "and of each report.")
 REPORTS = ("cover", "fm", "roundtrip", "props", "sample")
 # the array routines a report should build once, by the class that owns them
 ARRAY_ROUTINES = (("PellMap", "_values_array"), ("TwoSections", "_values_array"),
                   ("HyperCover", "_sheets_array"), ("TateCurve", "_canonical_array"))
+EVAL_COMPLEX = (("Poly", "eval_complex"),)
 SIZES = (256, 2048, 20_000)
 SCENARIO = {
     "surface": {"tau": [2.0, 0.0], "theta_degree": 1},
@@ -62,18 +71,18 @@ def measure() -> dict:
     import numpy as np
 
     with tempfile.TemporaryDirectory() as tmp:
-        layers, calls = measure_in(Path(tmp))
-        return {"layers": layers, "array_calls": calls,
+        layers, calls, evals = measure_in(Path(tmp))
+        return {"layers": layers, "array_calls": calls, "eval_complex_calls": evals,
                 "provenance": {"numpy": np.__version__}}
 
 
-def count_array_calls(report) -> dict:
+def count_calls(report, routines=ARRAY_ROUTINES) -> dict:
     """{routine: calls} during one run of ``report``, each routine wrapped
     for that run only."""
     import spectral_forge
 
     counts, wrapped = {}, []
-    for cls_name, name in ARRAY_ROUTINES:
+    for cls_name, name in routines:
         cls, key = getattr(spectral_forge, cls_name), f"{cls_name}.{name}"
         plain = getattr(cls, name)
         counts[key] = 0
@@ -92,7 +101,7 @@ def count_array_calls(report) -> dict:
     return counts
 
 
-def measure_in(workdir: Path) -> tuple[dict, dict]:
+def measure_in(workdir: Path) -> tuple[dict, dict, dict]:
     import numpy as np
     from spectral_forge import (BasePoint, cover_from_family, default_sample_points,
                                 descent_divisor, parse_scenario, z_action_residual)
@@ -105,9 +114,10 @@ def measure_in(workdir: Path) -> tuple[dict, dict]:
     curve = family.curve
     twist = descent_divisor(family, BasePoint.of(0))
     untwisted = twist.disabled()
-    out, calls = {}, {}
+    out, calls, evals = {}, {}, {}
     for n in SIZES:
-        pts = default_sample_points(family, n, phase=0.05)
+        ladder = partial(default_sample_points, family, n, phase=0.05)
+        pts = ladder()
         b = np.array(pts, dtype=complex)
         v0, v1, _ = fmap._values_array(b)
         values = np.concatenate([v0, v1])
@@ -119,6 +129,7 @@ def measure_in(workdir: Path) -> tuple[dict, dict]:
                                         *csv])
 
         out[str(n)] = {
+            "ladder": timed(ladder),
             "sheet_values": timed(lambda: fmap._values_array(b)),
             "canonical_rep": timed(lambda: curve._canonical_array(values)),
             "cover_from_family": timed(lambda: cover_from_family(family, pts)),
@@ -126,8 +137,11 @@ def measure_in(workdir: Path) -> tuple[dict, dict]:
             "descent": timed(lambda: (z_action_residual(family, twist, n),
                                       z_action_residual(family, untwisted, n))),
         }
-        calls[str(n)] = {cmd: count_array_calls(report(cmd)) for cmd in REPORTS}
-    return out, calls
+        calls[str(n)] = {cmd: count_calls(report(cmd)) for cmd in REPORTS}
+        evals[str(n)] = {name: count_calls(run, EVAL_COMPLEX)["Poly.eval_complex"]
+                         for name, run in (("ladder", ladder),
+                                           *((cmd, report(cmd)) for cmd in REPORTS))}
+    return out, calls, evals
 
 
 if __name__ == "__main__":
