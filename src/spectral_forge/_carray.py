@@ -18,9 +18,10 @@ the operations CPython's ``complex`` uses, in the same order:
 
 - ``mul`` is ``_Py_c_prod``, ``quot`` is ``_Py_c_quot`` (scale by the
   larger component of the divisor), and ``absolute`` is ``abs(z)``, a hypot;
-- only + - * /, floor, rint and hypot run in numpy.  ``sqrt`` is CPython's
-  own ``z ** 0.5``, and log, cos and sin come from ``math``, one element
-  at a time: numpy's vectorised versions round differently on some inputs.
+- only + - * /, floor, rint, hypot and log run in numpy.  ``sqrt`` is
+  CPython's own ``z ** 0.5``, and cos and sin come from ``math``, one
+  element at a time: numpy's vectorised versions round differently on some
+  inputs.  ``log`` only picks integers, by ``math.log`` at rounding edges.
 
 The kernels never raise.  Where the scalar operation would raise, or lose
 its meaning (a zero divisor, an overflow), they return whatever the float
@@ -34,7 +35,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from itertools import repeat
 from types import ModuleType
 from typing import Callable
 
@@ -94,11 +94,15 @@ def absolute(a: np.ndarray) -> np.ndarray:
         return np.hypot(a.real, a.imag)
 
 
-def each(fn: Callable[..., float], *args: "np.ndarray | float") -> np.ndarray:
+def each(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
     """fn applied element by element (a ``math`` function, for parity) over
-    1-d arrays; a float argument is the same at every element."""
-    lists = (x.tolist() if isinstance(x, np.ndarray) else repeat(x) for x in args)
-    return np.fromiter(map(fn, *lists), dtype=float, count=len(args[0]))
+    a 1-d array."""
+    return np.fromiter(map(fn, a.tolist()), dtype=float, count=len(a))
+
+
+def log(a: np.ndarray) -> np.ndarray:
+    """numpy's log, which may differ from ``math.log`` in the last bit."""
+    return np.log(a)
 
 
 def _pow_half(z: complex) -> complex:

@@ -580,8 +580,11 @@ class HyperCover:
         return self.f.eval(b.x).is_zero()
 
     def sheets(self, b: complex) -> tuple[complex, complex]:
-        """Float w-values over b: (w, -w) with w the principal square root."""
-        w = complex(self.f.eval_complex(b)) ** 0.5
+        """(w, -w) over b, w the principal square root; UnsupportedError on overflow."""
+        try:
+            w = complex(self.f.eval_complex(b)) ** 0.5
+        except OverflowError:
+            raise UnsupportedError(f"sheet of the cover overflows at b={b}") from None
         return (w, -w)
 
     def branch_distance(self, b: complex) -> float:

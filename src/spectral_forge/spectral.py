@@ -177,7 +177,7 @@ class PellMap:
         each of R, U, V and f.  The sample ladder calls it, in sample order,
         at the samples its array tests (special and branch points) pass."""
         u = self.u_part.eval_complex(b)
-        vw = self.v_part.eval_complex(b) * self.cover.f.eval_complex(b) ** 0.5
+        vw = self.v_part.eval_complex(b) * self.cover.sheets(b)[0]
         num = min(abs(u + vw), abs(u - vw))
         return abs(self.r_part.eval_complex(b)) < margin or num < margin
 

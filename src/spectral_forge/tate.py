@@ -143,19 +143,28 @@ class TateCurve:
         pw = np.array(powers, dtype=complex)
         return pw[index], (~np.isfinite(pw) | (pw == 0))[index]
 
-    def _log_abs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """math.log(abs(x)) at each element, and the mask of elements where
-        it raises or is not finite (zero or non-finite x); those read 0."""
+    def _exponents(self, x: np.ndarray, edge: float) -> tuple[np.ndarray, np.ndarray]:
+        """q = log|x| / log|tau|, math.log's where floor(q + edge) could differ, else
+        numpy's, and the mask where that log fails (x or |x| zero or not finite): q = 0."""
         r = _carray.absolute(x)
         odd = ~np.isfinite(x) | (r == 0) | ~np.isfinite(r)
-        return _carray.each(math.log, np.where(odd, 1.0, r)), odd
+        r, log_tau = np.where(odd, 1.0, r), self._log_tau_and_gap[0]
+        q = _carray.log(r) / log_tau
+        # numpy's log is within an ulp of math.log (3e6 doubles, numpy 2.4), so
+        # the floors can differ only within 1e-9 (1 + |q|) of an integer, some
+        # 10^6 ulps of q; past |q| = 5e8 (|tau| near 1 + 1e-6) all are rechecked.
+        s = q + edge
+        near = np.flatnonzero(~odd & (np.abs(s - np.rint(s)) < 1e-9 * (1.0 + np.abs(q))))
+        if near.size:
+            q[near] = _carray.each(math.log, r[near]) / log_tau
+        return q, odd
 
     def _canonical_array(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``canonical_rep(z).value`` at each element, bit for bit, and the
         odd mask: elements where ``canonical_rep`` raises, or where a power
         of tau is not a finite nonzero float (their values are not used)."""
-        logs, odd = self._log_abs(z)
-        k = -np.floor(logs / math.log(abs(self.tau)) + 1e-12)
+        q, odd = self._exponents(z, 1e-12)
+        k = -np.floor(q + 1e-12)
         pw, bad = self._tau_powers(k)
         odd |= bad
         v = _carray.mul(z, pw)
@@ -174,14 +183,13 @@ class TateCurve:
         """``lattice_distance(x)`` at each element, bit for bit, as arrays
         of k (floats) and defects, with the odd mask: elements where
         ``lattice_distance`` raises, or a power of tau is not a finite
-        nonzero float."""
-        logs, odd = self._log_abs(x)
-        log_tau, gap = self._log_tau_and_gap
-        k = np.rint(logs / log_tau)
+        nonzero float.  round(q) changes at half-integers: edge 0.5."""
+        q, odd = self._exponents(x, 0.5)
+        k = np.rint(q)
         pw, bad = self._tau_powers(k)
         odd |= bad
         d = self._defects(x, pw)
-        far = np.flatnonzero(~(d < gap) & ~odd)
+        far = np.flatnonzero(~(d < self._log_tau_and_gap[1]) & ~odd)
         if far.size:
             xs, k0 = x[far], k[far]
             best_k, best_d = k0, d[far]

@@ -505,6 +505,24 @@ def test_overflowing_sheet_value_exits_64(tmp_path, capsys, cmd):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tau", [5.8e102, 6.0e102, 6.2e102])
+@pytest.mark.parametrize("cmd", ["cover", "props", "fm", "roundtrip", "sample"])
+def test_overflowing_sheet_of_the_cover_exits_64(tmp_path, capsys, cmd, tau):
+    """On the genus-1 pushforward (w^2 = b^3 + 1, P = 3, Q = 1) at tau near
+    6e102 the sample ladder's map test reaches a sample where the cover's
+    sheet f(b) ** 0.5 overflows: it is reported as unsupported, naming b,
+    not as an OverflowError traceback."""
+    doc = pushforward_doc()
+    doc["surface"]["tau"] = [tau, 0.0]
+    argv = [cmd, "--scenario", write(tmp_path, doc), "--samples", "64"]
+    if cmd == "sample":
+        argv += ["--csv", str(tmp_path / "rows.csv")]
+    assert run_command(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("unsupported: sheet of the cover overflows at b=(")
+    assert "Traceback" not in err
+
+
 def two_sections_doc() -> dict:
     return {"surface": {"tau": [2.0, 0.0]}, "determinant": {"factor": [1.0, 0.0]},
             "cover": {"bisection": {"type": "two_sections", "a1": [0.7, 0.1],

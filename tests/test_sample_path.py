@@ -6,7 +6,9 @@ The kernels (Horner, sheets, Pell sheet values, canonical representatives,
 lattice distances) are compared with the scalar methods on 60,000 seeded
 random points and on edge sets; the report-level checks are compared with
 the former scalar loops kept in ``oracles``, errors included.  Two negative
-controls show that the comparison sees a change of one ulp.  The descent
+controls show that the comparison sees a change of one ulp.  At the
+rounding edges of the lattice exponents the kernels are also compared with
+their log 16 ulps off, which only the ``math.log`` recheck absorbs.  The descent
 residual is the frame identity the former closure loop reduces to; it is
 compared with that loop within 8 ulps, and bit for bit at tau = 2.
 """
@@ -14,6 +16,7 @@ compared with that loop within 8 ulps, and bit for bit at tau = 2.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from fractions import Fraction
@@ -220,6 +223,76 @@ def test_lattice_edges_match(tau):
     scalar = [curve.lattice_distance(x) for x in z.tolist()]
     assert k.tolist() == [float(s[0]) for s in scalar]
     assert bits(d).tobytes() == bits([s[1] for s in scalar]).tobytes()
+
+
+# the four tau of the rounding-edge tests: dyadic, generic, near 1, wide
+EDGE_TAUS = (TAU_DYADIC, TAU_GENERIC, 1.05 + 0j, 7.3 - 2j)
+PHASES = (1, -1, 1j, cmath.exp(0.7j))
+
+
+def rounding_edge_values(tau: complex) -> np.ndarray:
+    """Moduli |tau|^t at the rounding edges of the two exponents: t = n
+    (an exact power), n + 1/2 (lattice_distance's round) and n - 1e-12
+    (canonical_rep's floor), for n near 0 and over the float range, each
+    moved by up to 8 ulps either way, at four phases; then zero, subnormal
+    and non-finite values."""
+    r = abs(tau)
+    top = math.log(1.7e308) / math.log(r)
+    ns = np.unique(np.concatenate([np.arange(-20, 21), np.linspace(-top, top, 160).round(),
+                                   [-math.floor(top), math.floor(top)]]))
+    t = np.concatenate([ns, ns + 0.5, ns - 1e-12])
+    with np.errstate(over="ignore"):
+        moduli = r ** t
+    moduli = moduli[np.isfinite(moduli) & (moduli > 0)]
+    steps = np.arange(-8, 9)
+    moduli = (moduli[:, None] + steps * np.spacing(moduli)[:, None]).ravel()
+    specials = [0j, complex(-0.0, 0.0), 5e-324 + 0j, 1e-310 + 1e-310j,
+                complex(math.inf, 1.0), complex(1.0, math.nan), complex(math.nan, math.inf),
+                1.7e308 + 1.7e308j, 1e308 + 1e308j]
+    return np.concatenate([(moduli[:, None] * np.array(PHASES)).ravel(), specials])
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_reductions(tau: complex) -> tuple:
+    """The edge values at tau with the scalar canonical_rep and
+    lattice_distance outcomes at each."""
+    curve = TateCurve(tau)
+    z = rounding_edge_values(tau)
+    return (z, [outcome(lambda x: curve.canonical_rep(x).value, x) for x in z.tolist()],
+            [outcome(curve.lattice_distance, x) for x in z.tolist()])
+
+
+def shifted_log(monkeypatch, ulps: int) -> None:
+    """Make the array log kernel return results ``ulps`` ulps off."""
+    plain = _carray.log
+
+    def log(a):
+        out = plain(a)
+        for _ in range(abs(ulps)):
+            out = np.nextafter(out, math.copysign(math.inf, ulps))
+        return out
+
+    monkeypatch.setattr(_carray, "log", log)
+
+
+@pytest.mark.parametrize("ulps", [0, -16, 16], ids=["numpy", "16-below", "16-above"])
+@pytest.mark.parametrize("tau", EDGE_TAUS)
+def test_lattice_exponents_match_at_rounding_edges(monkeypatch, tau, ulps):
+    """The array exponents take numpy's log and recheck by math.log near a
+    rounding edge: on values at those edges they match the scalar methods
+    bit for bit, odd masks included, and still do with the log kernel 16
+    ulps off, which without the recheck moves exponents."""
+    z, canonical, lattice = scalar_reductions(complex(tau))
+    shifted_log(monkeypatch, ulps)
+    curve = TateCurve(tau)
+    v, odd = curve._canonical_array(z)
+    assert odd.tolist() == [kind != "value" for kind, _ in canonical]
+    assert mismatches(v[~odd], [value for kind, value in canonical if kind == "value"]) == 0
+    k, d, odd = curve._lattice_distance_array(z)
+    assert odd.tolist() == [kind != "value" for kind, _ in lattice]
+    regular = [value for kind, value in lattice if kind == "value"]
+    assert k[~odd].tolist() == [float(k) for k, _ in regular]
+    assert bits(d[~odd]).tobytes() == bits([d for _, d in regular]).tobytes()
 
 
 def test_same_pair_matches_in_order_and_crossed():
@@ -757,6 +830,47 @@ def test_trivial_sub_reduces_no_lattice_array(monkeypatch, seed):
         assert has_trivial_sub(fam, pts) is False
         assert (arrays[0], lattice[0] <= 2) == (0, True)
         assert oracles.reference_has_trivial_sub(fam, pts) is False
+
+
+def count_logs(monkeypatch) -> dict[str, int]:
+    """Elements passed to the array log kernel ("numpy") and to a
+    per-element ``math.log`` through ``_carray.each`` ("math")."""
+    seen = {"numpy": 0, "math": 0}
+    each, log = _carray.each, _carray.log
+
+    def counted_each(fn, a):
+        seen["math"] += len(a) if fn is math.log else 0
+        return each(fn, a)
+
+    def counted_log(a):
+        seen["numpy"] += len(a)
+        return log(a)
+
+    monkeypatch.setattr(_carray, "each", counted_each)
+    monkeypatch.setattr(_carray, "log", counted_log)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11])
+def test_reports_take_no_per_element_log_on_the_sweep(tmp_path, monkeypatch, seed):
+    """On the sample-sweep scenarios at 2,048 samples, every report reduces
+    its values mod tau^Z by numpy's log alone: no element is near enough to
+    a rounding edge to be rechecked by ``math.log``.  The count does see
+    rechecks: 1 and 2 sit on edges of both exponents, and 2^0.5 on one."""
+    seen = count_logs(monkeypatch)
+    for doc in sweep_docs():
+        path = write(tmp_path, doc)
+        for cmd in ("cover", "fm", "roundtrip", "props", "sample"):
+            seen["numpy"] = 0
+            assert run_command([cmd, "--scenario", path, "--samples", "2048",
+                                "--seed", str(seed), "--json", str(tmp_path / "r.json"),
+                                *(["--csv", str(tmp_path / "s.csv")]
+                                  if cmd == "sample" else [])]) == 0
+            assert (cmd, seen["math"]) == (cmd, 0) and seen["numpy"] >= 2 * 2048
+    curve = TateCurve(TAU_DYADIC)
+    curve._canonical_array(np.array([1, 2, 2 ** 0.5], dtype=complex))
+    curve._lattice_distance_array(np.array([1, 2, 2 ** 0.5], dtype=complex))
+    assert seen["math"] == 2 + 1
 
 
 def test_declared_cover_is_evaluated_once(tmp_path, monkeypatch):

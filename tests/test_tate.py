@@ -369,3 +369,27 @@ def test_theta_basis_rejects_nonpositive_degree():
     curve = TateCurve(TAU_DYADIC)
     with pytest.raises(ValueError):
         theta_sections(TateLineBundle(curve, 0, 1.0), 40)
+
+
+# ============================================================
+# Refused inputs, one raise each
+# ============================================================
+
+def two_bundles_on_different_curves() -> None:
+    TateLineBundle(TateCurve(2.0), 0, 1.0).tensor(TateLineBundle(TateCurve(3.0), 0, 1.0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TateCurve(2.0, tolerance=1.0), "tolerance must be in (0, 1); got 1.0"),
+    (lambda: TateCurve(2.0).same_point(0j, 1.5), "points of T are nonzero"),
+    (lambda: TateLineBundle(TateCurve(2.0), 0, 0j), "automorphy factor must be nonzero"),
+    (two_bundles_on_different_curves, "line bundles live on different curves"),
+    (lambda: TateLineBundle(TateCurve(2.0), 1, 1.0).point(),
+     "only degree-0 bundles define a point of Pic^0"),
+    (lambda: theta_sections(TateLineBundle(TateCurve(2.0), 2, 1.0), 3),
+     "n_terms too small for one band per seed"),
+], ids=["tolerance", "same-point-at-zero", "zero-factor", "tensor-across-curves",
+        "point-of-degree-1", "too-few-terms"])
+def test_refused_inputs_raise_a_value_error_naming_the_rule(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

@@ -1,6 +1,6 @@
 """Per-layer timings of the per-sample path, written to BENCH_sample_path.json.
 
-Times nine layers at 256, 2,048 and 20,000 samples on the genus-1
+Times ten layers at 256, 2,048 and 20,000 samples on the genus-1
 pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
 
 - ``ladder``: ``default_sample_points`` at phase 0.05, the sample ladder's
@@ -9,6 +9,8 @@ pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
   (``_values_array``);
 - ``canonical_rep``: the canonical representatives of those 2n values
   (``_canonical_array``);
+- ``lattice_distance``: the nearest powers of tau to those 2n values
+  (``_lattice_distance_array``);
 - ``cover_from_family``: the family's cover with its per-sample check;
 - ``cover``, ``fm``, ``roundtrip``, ``props``, ``sample``: the CLI reports,
   in process, ladder included;
@@ -19,8 +21,11 @@ Next to the timings, ``array_calls`` counts, per report at each size, the
 calls of the array routines that a report should build once: ``PellMap``
 and ``TwoSections._values_array``, ``HyperCover._sheets_array`` and
 ``TateCurve._canonical_array``; ``eval_complex_calls`` counts the scalar
-``Poly.eval_complex`` calls of the ladder and of each report.  Counts do
-not drift with the host.
+``Poly.eval_complex`` calls of the ladder and of each report, and
+``math_log_elements`` the elements each report passes to a per-element
+``math.log`` (through ``_carray.each``; lattice reduction rechecks only
+elements at a rounding edge of an exponent).  Counts do not drift with the
+host.
 
 Each layer is run 7 times after one warm-up; best and median seconds are
 kept.  Results are merged into the output file under ``--label``.  A
@@ -43,7 +48,7 @@ DESCRIPTION = (
     "Per-layer timings of the per-sample path on the genus-1 pushforward "
     "family at tau = 2, written by tools/bench_sample_path.py: the sample "
     "ladder (default_sample_points), the factor map's sheet values, "
-    "canonical_rep of those values, cover_from_family, "
+    "canonical_rep and lattice_distance of those values, cover_from_family, "
     "the CLI cover, fm, roundtrip, props and sample reports (ladder "
     "included) and z_action_residual with the descent twist at b0 = 0 on "
     "and off, at 256, 2048 and 20000 samples; best and median seconds of "
@@ -51,7 +56,8 @@ DESCRIPTION = (
     "speedup_best is parent over change.  'array_calls' counts, per report "
     "and size, the _values_array, _sheets_array and _canonical_array calls; "
     "'eval_complex_calls' the scalar Poly.eval_complex calls of the ladder "
-    "and of each report.")
+    "and of each report; 'math_log_elements' the elements each report passes "
+    "to a per-element math.log.")
 REPORTS = ("cover", "fm", "roundtrip", "props", "sample")
 # the array routines a report should build once, by the class that owns them
 ARRAY_ROUTINES = (("PellMap", "_values_array"), ("TwoSections", "_values_array"),
@@ -71,9 +77,9 @@ def measure() -> dict:
     import numpy as np
 
     with tempfile.TemporaryDirectory() as tmp:
-        layers, calls, evals = measure_in(Path(tmp))
+        layers, calls, evals, logs = measure_in(Path(tmp))
         return {"layers": layers, "array_calls": calls, "eval_complex_calls": evals,
-                "provenance": {"numpy": np.__version__}}
+                "math_log_elements": logs, "provenance": {"numpy": np.__version__}}
 
 
 def count_calls(report, routines=ARRAY_ROUTINES) -> dict:
@@ -101,7 +107,28 @@ def count_calls(report, routines=ARRAY_ROUTINES) -> dict:
     return counts
 
 
-def measure_in(workdir: Path) -> tuple[dict, dict, dict]:
+def count_log_elements(report) -> int:
+    """Elements passed to a per-element ``math.log`` by ``_carray.each``
+    during one run of ``report``."""
+    import math
+
+    from spectral_forge import _carray
+
+    plain, seen = _carray.each, [0]
+
+    def counted(fn, *args):
+        seen[0] += len(args[0]) if fn is math.log else 0
+        return plain(fn, *args)
+
+    _carray.each = counted
+    try:
+        report()
+    finally:
+        _carray.each = plain
+    return seen[0]
+
+
+def measure_in(workdir: Path) -> tuple[dict, dict, dict, dict]:
     import numpy as np
     from spectral_forge import (BasePoint, cover_from_family, default_sample_points,
                                 descent_divisor, parse_scenario, z_action_residual)
@@ -114,7 +141,7 @@ def measure_in(workdir: Path) -> tuple[dict, dict, dict]:
     curve = family.curve
     twist = descent_divisor(family, BasePoint.of(0))
     untwisted = twist.disabled()
-    out, calls, evals = {}, {}, {}
+    out, calls, evals, logs = {}, {}, {}, {}
     for n in SIZES:
         ladder = partial(default_sample_points, family, n, phase=0.05)
         pts = ladder()
@@ -132,6 +159,7 @@ def measure_in(workdir: Path) -> tuple[dict, dict, dict]:
             "ladder": timed(ladder),
             "sheet_values": timed(lambda: fmap._values_array(b)),
             "canonical_rep": timed(lambda: curve._canonical_array(values)),
+            "lattice_distance": timed(lambda: curve._lattice_distance_array(values)),
             "cover_from_family": timed(lambda: cover_from_family(family, pts)),
             **{cmd: timed(report(cmd)) for cmd in REPORTS},
             "descent": timed(lambda: (z_action_residual(family, twist, n),
@@ -141,7 +169,8 @@ def measure_in(workdir: Path) -> tuple[dict, dict, dict]:
         evals[str(n)] = {name: count_calls(run, EVAL_COMPLEX)["Poly.eval_complex"]
                          for name, run in (("ladder", ladder),
                                            *((cmd, report(cmd)) for cmd in REPORTS))}
-    return out, calls, evals
+        logs[str(n)] = {cmd: count_log_elements(report(cmd)) for cmd in REPORTS}
+    return out, calls, evals, logs
 
 
 if __name__ == "__main__":
