@@ -13,9 +13,10 @@ deg v < deg u, u | v**2 - f, balanced by a multiple of infinity; the
 ``DivisorClass`` constructor checks these invariants, and the group law,
 which preserves them, builds its results without the check.  Group law is
 Cantor composition plus reduction to deg u <= g.  When the supports are
-coprime, composition is the CRT lift v = v1 + u1 (e1 (v2 - v1) mod u2), with
-e1 u1 = 1 mod u2, whose degree is already below deg u1 u2; Cantor's general
-numerator is left to supports that share a point (doubling, D + iota(D)).
+coprime, composition is the CRT lift v = v1 + u1 (e1 (v2 - v1 mod u2) mod u2),
+with e1 u1 = 1 mod u2, whose degree is already below deg u1 u2; Cantor's
+general numerator is left to supports that share a point (doubling), and
+when every shared point cancels (D + iota(D), D - D) the sum is 0 outright.
 A polynomial is held as its canonical integer image (one common denominator,
 Gaussian-integer numerators): sums, products and divisions run on images,
 and the Q(i) coefficients are built only when something reads them, so the
@@ -30,9 +31,9 @@ Two independent decision procedures for principality are provided:
 
 - Cantor reduction (``cantor_reduce`` / ``class_add`` / ``in_prym``), and
 - explicit function search (``classes_equal_by_search``,
-  ``conjugate_sum_principal_witness``): exact linear algebra over Q(i) finds a
-  function a(b) + c(b) w with the prescribed divisor and verifies the norm
-  identity a**2 - c**2 f = const * (target) exactly.
+  ``conjugate_sum_principal_witness``): fraction-free elimination over Z[i]
+  finds a function a(b) + c(b) w with the prescribed divisor and verifies the
+  norm identity a**2 - c**2 f = const * (target) exactly.
 
 The second route never calls the first; the test suite plays them against
 each other.
@@ -378,7 +379,7 @@ class Poly:
         for j in range(k - 1, -1, -1):
             tr, ti = rr.pop(), ri.pop()
             tr, ti = tr * pr - ti * pi, tr * pi + ti * pr
-            g = gcd(n, tr, ti)
+            g = n if not (tr % n or ti % n) else gcd(n, tr, ti)
             if g != n:
                 s = n // g
                 dr *= s
@@ -432,18 +433,23 @@ class Poly:
 
     def _gcd_cofactor(self, o: "Poly") -> tuple["Poly", "Poly"]:
         """(g, s) of ``xgcd``: the Euclid loop tracks only the cofactor of
-        self."""
-        r0, r1 = self, o
-        s0, s1 = _ONE, _ZERO
-        while not r1.is_zero():
+        self.  The first quotient meets the cofactor 0, so that step is a
+        remainder alone; a constant remainder ends the loop (the gcd is 1)."""
+        r0, r1, s0, s1 = (self, o, _ONE, _ZERO) if o.is_zero() else (o, self % o, _ZERO, _ONE)
+        while r1.degree > 0:
             q, r = r0.divmod(r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
+        if not r1.is_zero():
+            r0, s0 = r1, s1
         if r0.is_zero():
             return r0, s0
-        # 1 / lead(r0) = den conj(L) / N(L) for the leading numerator L
+        # 1 / lead(r0) = den conj(L) / N(L) for the leading numerator L; a real
+        # constant's canonical image has gcd(den, L) = 1, a longer one's need not
         den, re, im = r0._image
         lr, li = re[-1], im[-1]
+        if len(re) == 1 and not li:
+            return _ONE, s0 * _poly((abs(lr), [den if lr > 0 else -den], [0]))
         return r0.monic(), s0 * _poly_over(lr * lr + li * li, [den * lr], [-den * li])
 
     def xgcd(self, o: "Poly") -> tuple["Poly", "Poly", "Poly"]:
@@ -452,8 +458,6 @@ class Poly:
         return g, s, (g - s * self).exact_div(o) if not o.is_zero() else _ZERO
 
     def is_squarefree(self) -> bool:
-        if self.degree < 1:
-            return not self.is_zero()
         return self.gcd(self.deriv()).degree == 0
 
     # ----- evaluation -----------------------------------------------------
@@ -503,6 +507,7 @@ class Poly:
 
 _ZERO = _poly((1, [], []))
 _ONE = _poly((1, [1], [0]))
+_B = _poly((1, [0, 1], [0, 0]))
 
 
 # ============================================================
@@ -673,10 +678,14 @@ def mumford_compose(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
     g1, e1 = u1._gcd_cofactor(u2)
     if g1.degree == 0:
         # coprime supports: v = v1 mod u1, and v = v2 mod u2 as e1 u1 = 1 mod u2
-        v = v1 + u1 * (e1 * (v2 - v1) % u2)
+        v = v1 + u1 * (e1 * ((v2 - v1) % u2) % u2)
         return _group_law_class(d1.cover, u1 * u2, v, d1.inf_mult + d2.inf_mult)
     g, c1, c2 = g1.xgcd(v1 + v2)
-    u = (u1 * u2).exact_div(g * g)
+    u = u1.exact_div(g) * u2.exact_div(g)
+    # each cancelled conjugate pair P + iota(P) is equivalent to 2*inf
+    inf = d1.inf_mult + d2.inf_mult - 2 * g.degree
+    if u.degree == 0:  # full cancellation, D + iota(D): v = 0 mod 1
+        return _group_law_class(d1.cover, u, _ZERO, inf)
     # Cantor's numerator s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f), with s1 = c1 e1,
     # s2 = c1 e2, s3 = c2, equals g v1 + s1 u1 (v2 - v1) + s3 (f - v1^2)
     # because s1 u1 + s2 u2 + s3 (v1 + v2) = g; this form needs no e2
@@ -684,8 +693,7 @@ def mumford_compose(d1: DivisorClass, d2: DivisorClass) -> DivisorClass:
     if not c2.is_zero():
         num = num + c2 * (f - v1 * v1)
     v = (v1 + (num.exact_div(g) if g.degree > 0 else num)) % u
-    # each cancelled conjugate pair P + iota(P) is equivalent to 2*inf
-    return _group_law_class(d1.cover, u, v, d1.inf_mult + d2.inf_mult - 2 * g.degree)
+    return _group_law_class(d1.cover, u, v, inf)
 
 
 def cantor_reduce(d: DivisorClass) -> DivisorClass:
@@ -745,40 +753,50 @@ def in_prym(d: DivisorClass) -> bool:
 
 
 # ============================================================
-# Exact linear algebra over Q(i)
+# Exact linear algebra over Q(i), eliminated in Z[i]
 # ============================================================
 
 def qi_nullspace(rows: list[list[QI]], n_cols: int) -> list[list[QI]]:
-    """Basis of the right nullspace of the matrix given by `rows`."""
-    m = [list(r) for r in rows]
+    """Basis of the right nullspace of the matrix given by `rows`: for each
+    free column of the reduced row echelon form, 1 there and minus that
+    column's entries at the pivot columns.
+
+    Each row is scaled to Gaussian integers by the lcm of its denominators
+    and eliminated over Z[i] without division: row <- p row - a (pivot row),
+    then over the rational content of its parts.  Each pivot row over its
+    pivot is a row of the reduced form, which is unique."""
+    m = []
+    for row in rows:
+        den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+        m.append(([x.re.numerator * (den // x.re.denominator) for x in row],
+                  [x.im.numerator * (den // x.im.denominator) for x in row]))
     pivots: list[int] = []
-    r = 0
     for c in range(n_cols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero():
-                pivot = i
-                break
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][0][c] or m[i][1][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inv()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        sr, si = m[r]
+        pr, pi = sr[c], si[c]
+        for i, (xr, xi) in enumerate(m):
+            ar, ai = xr[c], xi[c]
+            if i != r and (ar or ai):
+                re = [pr * x - pi * y - ar * s + ai * t for x, y, s, t in zip(xr, xi, sr, si)]
+                im = [pr * y + pi * x - ar * t - ai * s for x, y, s, t in zip(xr, xi, sr, si)]
+                g = gcd(*re, *im) or 1
+                m[i] = [a // g for a in re], [b // g for b in im]
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
-    free = [c for c in range(n_cols) if c not in pivots]
     basis: list[list[QI]] = []
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         vec = [_QI_ZERO] * n_cols
         vec[fc] = _QI_ONE
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][fc]
+        for (xr, xi), pc in zip(m, pivots):
+            a, b, p, q = xr[fc], xi[fc], xr[pc], xi[pc]
+            n = p * p + q * q
+            vec[pc] = QI(Fraction(-a * p - b * q, n), Fraction(a * q - b * p, n))
         basis.append(vec)
     return basis
 
@@ -797,26 +815,17 @@ def _search_basis(genus: int, pole_order: int) -> tuple[int, int]:
 
 def _divisibility_rows(u: Poly, combo: Poly, da: int, dc: int) -> list[list[QI]]:
     """Linear conditions: u | (a + c * combo), as rows over the coefficient
-    vector (a_0..a_da, c_0..c_dc).  `combo` is the signed v, reduced mod u."""
-    n_cols = (da + 1) + (dc + 1 if dc >= 0 else 0)
-    # remainder of b^k mod u, cached incrementally
-    rem_cache: list[Poly] = []
-    rem = Poly.const(_QI_ONE)
-    b_poly = Poly.of(0, 1)
-    for _ in range(max(da, dc if dc >= 0 else 0) + 1):
-        rem_cache.append(rem)
-        rem = (rem * b_poly) % u
-    mat: list[list[QI]] = [[_QI_ZERO] * n_cols for _ in range(u.degree)]
-    for k in range(da + 1):
-        rk = rem_cache[k]
-        for j in range(u.degree):
-            mat[j][k] = rk.coeff(j)
-    if dc >= 0:
-        for k in range(dc + 1):
-            rk = (rem_cache[k] * combo) % u
-            for j in range(u.degree):
-                mat[j][(da + 1) + k] = rk.coeff(j)
-    return mat
+    vector (a_0..a_da, c_0..c_dc).  `combo` is the signed v, reduced mod u.
+    Column k is b^k mod u, column da + 1 + k is b^k combo mod u: each the
+    one before it times b, mod u."""
+    cols: list[tuple[QI, ...]] = []
+    for rem, count in ((_ONE, da + 1), (combo, dc + 1)):
+        for k in range(count):
+            if k:
+                rem = (rem * _B) % u
+            cols.append(rem.coeffs)
+    return [[col[j] if j < len(col) else _QI_ZERO for col in cols]
+            for j in range(u.degree)]
 
 
 def _search_witness(cover: HyperCover, conditions: list[tuple[Poly, Poly]],

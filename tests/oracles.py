@@ -6,9 +6,10 @@ Everything here recomputes a quantity from first principles (coefficient
 recursions, truncated functional-equation matrices, Smith normal forms,
 linear journal replays, uncached float evaluation, the former per-module
 lattice distances, the former scalar sample loops, schoolbook Q(i)
-polynomial loops, Cantor's algorithm in sympy, the per-term theta loops and
-50-digit theta zeros in mpmath) without touching the library's closed
-forms, so each test compares two genuinely different computation routes.
+polynomial loops, Gauss-Jordan elimination in Q(i) Fractions, Cantor's
+algorithm in sympy, the per-term theta loops and 50-digit theta zeros in
+mpmath) without touching the library's closed forms, so each test compares
+two genuinely different computation routes.
 """
 
 from __future__ import annotations
@@ -603,6 +604,50 @@ def reference_xgcd(a, b):
         return r0, s0, t0
     c = r0.lead().inv()
     return reference_scale(r0, c), reference_scale(s0, c), reference_scale(t0, c)
+
+
+# ============================================================
+# Exact linear algebra: Gauss-Jordan in Q(i) Fractions
+# ============================================================
+
+_QI_ZERO = QI()
+_QI_ONE = QI.of(1)
+
+
+def reference_qi_nullspace(rows, n_cols):
+    """Basis of the right nullspace of the matrix given by `rows`: the
+    former ``covers.qi_nullspace``, every step a Q(i) Fraction operation."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot = None
+        for i in range(r, len(m)):
+            if not m[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c].inv()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][c].is_zero():
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis: list[list[QI]] = []
+    for fc in free:
+        vec = [_QI_ZERO] * n_cols
+        vec[fc] = _QI_ONE
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -m[row_idx][fc]
+        basis.append(vec)
+    return basis
 
 
 # ============================================================

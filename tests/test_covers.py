@@ -9,15 +9,20 @@ polynomial kernels against schoolbook Q(i) loops and Cantor in sympy.
 from __future__ import annotations
 
 import copy
+import functools
 import pickle
 import random
+import re
 import struct
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spectral_forge import (
+    BasePoint,
     DivisorClass,
     HyperCover,
     Poly,
@@ -38,12 +43,13 @@ from spectral_forge.covers import (
     involution_pullback,
     mumford_compose,
     norm_degree,
+    qi_nullspace,
 )
 from conftest import affine_points, combine, cover_g1, cover_g2, cover_g3, cover_g0, prym_generators
 from oracles import (from_sympy, reference_add, reference_divmod,
                      reference_eval_complex, reference_gcd, reference_monic, reference_mul, reference_neg, reference_scale,
-                     reference_sub, reference_xgcd, sympy_compose, sympy_reduce,
-                     to_sympy)
+                     reference_qi_nullspace, reference_sub, reference_xgcd, sympy_compose,
+                     sympy_reduce, to_sympy)
 
 COVERS = [cover_g1(), cover_g2(), cover_g3()]
 
@@ -224,6 +230,107 @@ def test_search_oracles_without_a_witness(monkeypatch, nullspace):
 
 
 # ============================================================
+# The nullspace over Z[i] vs the Q(i) Fraction elimination
+# ============================================================
+
+def random_qi(rng: random.Random, bits: int) -> QI:
+    """Zero one time in six, real one in three, else non-real; each part up
+    to 2^bits over a denominator up to 2^bits."""
+    def part() -> Fraction:
+        return Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits))
+    kind = rng.randrange(6)
+    return QI() if kind == 0 else QI(part(), part() if kind > 2 else 0)
+
+
+# rows, columns and the rank of the random factors
+NULLSPACE_SHAPES = {"rank-0": (3, 4, 0), "full-rank": (5, 5, 5), "tall": (7, 3, 3),
+                    "tall-deficient": (7, 3, 2), "wide": (3, 7, 3),
+                    "deficient": (5, 6, 2), "no-rows": (0, 4, 0)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", NULLSPACE_SHAPES)
+def test_nullspace_matches_the_fraction_elimination(shape, seed):
+    """Products of random n x r and r x m Q(i) matrices (complex pivots
+    among them), parts and denominators up to 2, 2^8, 2^32 and 2^64; at odd
+    seeds one row and one column are zeroed too.  The basis is the
+    reference's, vector for vector."""
+    rng = random.Random(f"{shape}:{seed}")
+    n_rows, n_cols, rank = NULLSPACE_SHAPES[shape]
+    bits = (1, 8, 32, 64)[seed]
+    left = [[random_qi(rng, bits) for _ in range(rank)] for _ in range(n_rows)]
+    right = [[random_qi(rng, bits) for _ in range(n_cols)] for _ in range(rank)]
+    rows = [[sum((a * right[k][j] for k, a in enumerate(row)), QI()) for j in range(n_cols)]
+            for row in left]
+    if rows and seed % 2:
+        rows[rng.randrange(n_rows)] = [QI()] * n_cols
+        zero = rng.randrange(n_cols)
+        rows = [[QI() if j == zero else x for j, x in enumerate(row)] for row in rows]
+    assert qi_nullspace(rows, n_cols) == reference_qi_nullspace(rows, n_cols)
+
+
+def cantor_chain_search_pairs() -> list[tuple[DivisorClass, DivisorClass]]:
+    """The pairs the cantor-chain benchmark's pool of equality jobs hands
+    to ``classes_equal_by_search``: one job per point P (both signs of w),
+    other point Q and k = genus + 1 .. genus + 3 on the genus 1-3 covers,
+    each searching P against Q and, where their supports are disjoint, k*P
+    composed against k*P reduced."""
+    pairs = []
+    for cov in COVERS:
+        pts = affine_points(cov)
+        for k in range(cov.genus + 1, cov.genus + 4):
+            for i, (x, w) in enumerate(pts):
+                for sign in (1, -1):
+                    p = point_class(cov, x, w if sign > 0 else -w)
+                    composed = reduced = p
+                    for _ in range(k - 1):
+                        composed, reduced = mumford_compose(composed, p), class_add(reduced, p)
+                    for j in range(len(pts)):
+                        if j != i:
+                            pairs.append((p, point_class(cov, *pts[j])))
+                            if composed.u.gcd(reduced.u).degree == 0:
+                                pairs.append((composed, reduced))
+    return pairs
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+def test_nullspace_makes_no_fraction_arithmetic(monkeypatch):
+    """Counts, not time: on every matrix the cantor-chain benchmark's search
+    jobs build, the elimination does no Fraction +, - or * (the former Q(i)
+    elimination does thousands), and each basis is the reference's."""
+    matrices = []
+    plain = covers.qi_nullspace
+
+    def spy(rows, n_cols):
+        matrices.append((rows, n_cols))
+        return plain(rows, n_cols)
+
+    monkeypatch.setattr(covers, "qi_nullspace", spy)
+    for d1, d2 in cantor_chain_search_pairs():
+        classes_equal_by_search(d1, d2)
+    monkeypatch.undo()
+    assert len(matrices) == 230
+    counts: Counter[str] = Counter()
+
+    def counted(op, fn):
+        def wrapper(a, b):
+            counts[op] += 1
+            return fn(a, b)
+        return wrapper
+
+    for op in FRACTION_OPS:
+        monkeypatch.setattr(Fraction, op, counted(op, getattr(Fraction, op)))
+    bases = [qi_nullspace(rows, n_cols) for rows, n_cols in matrices]
+    assert not counts, counts
+    reference = [reference_qi_nullspace(rows, n_cols) for rows, n_cols in matrices]
+    assert sum(counts.values()) > 1000
+    monkeypatch.undo()
+    assert bases == reference
+
+
+# ============================================================
 # Integer kernels vs schoolbook Q(i) loops
 # ============================================================
 
@@ -377,6 +484,44 @@ def test_xgcd_of_two_zero_polynomials():
 
 
 # ============================================================
+# Every result keeps the canonical image
+# ============================================================
+
+def assert_canonical(p: Poly) -> None:
+    """den > 0, gcd(den, re, im) = 1 and no trailing zero."""
+    den, re, im = p._image
+    assert den > 0 and len(re) == len(im), p._image
+    assert gcd(den, *re, *im) == 1, p._image
+    assert not re or re[-1] or im[-1], p._image
+
+
+# non-monic, with a leading numerator that shares a factor with den: the
+# constant term puts 6m into den, the lead 1/3 or (-2 + i)/3 gives den / 3
+SHARED_LEAD = st.builds(lambda p, m, c: Poly(p.coeffs + (c,)) + Poly.of(Fraction(1, 6 * m)),
+                        polys(4), st.integers(1, 40),
+                        st.sampled_from([QI.of(Fraction(1, 3)),
+                                         QI(Fraction(-2, 3), Fraction(1, 3))]))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None,
+          database=None)
+@given(a=st.one_of(polys(6), SHARED_LEAD), b=st.one_of(divisors(6), SHARED_LEAD))
+@example(a=Poly.of(Fraction(1, 6), Fraction(1, 3)), b=Poly.of(Fraction(1, 6), Fraction(1, 3)))
+@example(a=Poly.of(5), b=Poly.of(Fraction(-4, 9)))
+@with_edge_cases
+def test_every_op_keeps_a_canonical_image(a, b):
+    """Sums, products, divisions, monic, gcd and the cofactor routines,
+    including the gcd with zero (whose cofactor is 1 / lead) and constant
+    operands (whose inverse is taken without a gcd)."""
+    q, r = a.divmod(b)
+    results = [a + b, a - b, b - a, a * b, q, r, a % b, (a * b).exact_div(b), a.monic(),
+               b.monic(), a.gcd(b), b.gcd(a), *a.xgcd(b), *b.xgcd(a), *a._gcd_cofactor(b),
+               *b._gcd_cofactor(a), *a.xgcd(Poly()), *b._gcd_cofactor(Poly())]
+    for p in results:
+        assert_canonical(p)
+
+
+# ============================================================
 # Cantor's algorithm vs sympy over QQ_I
 # ============================================================
 
@@ -445,6 +590,57 @@ def test_cantor_matches_sympy_on_class_pairs(data):
     p = data.draw(st.sampled_from(points), label="P")
     for other in (e, d, class_neg(d), class_add(d, p)):
         add_matches_sympy(cov, d, other)
+
+
+# Multiples n*P whose images hold integers of 1,000 bits or more: P = (0, 1)
+# on w^2 = b^3 + b + 1 (of infinite order; cover_g1's points are torsion)
+# and P = (1, 1) on cover_g2 and cover_g3.
+HIGH_MULTIPLES = {1: ((1, 1, 0, 1), 0, 34), 2: ((1, -1, 0, 0, 0, 1), 1, 56),
+                  3: ((1, -1, 0, 0, 0, 0, 0, 1), 1, 40)}
+
+
+@functools.cache
+def high_multiple(genus: int) -> tuple[DivisorClass, DivisorClass]:
+    """(P, n*P) on the genus's curve of HIGH_MULTIPLES."""
+    f, x, n = HIGH_MULTIPLES[genus]
+    cov = HyperCover(Poly.of(*f))
+    p = point_class(cov, QI.of(x), QI.of(1))
+    d = p
+    for _ in range(n - 1):
+        d = class_add(d, p)
+    assert max(abs(x).bit_length() for den, re, im in (d.u._image, d.v._image)
+               for x in (den, *re, *im)) >= 1000
+    return p, d
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_compose_coprime_supports_at_height(genus):
+    """n*P + (n+1)*P: disjoint supports, the CRT lift."""
+    p, d = high_multiple(genus)
+    e = class_add(d, p)
+    assert d.u.gcd(e.u).degree == 0
+    add_matches_sympy(d.cover, d, e)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["doubling", "cancelling"])
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_compose_shared_support_at_height(genus, sign):
+    """D + E with E = D + P semi-reduced shares all of D's support.  Added
+    as it is, D's points double (nothing cancels, u = u_D^2 (b - x(P)));
+    added as iota(E), they cancel and leave u = b - x(P)."""
+    p, d = high_multiple(genus)
+    e = mumford_compose(d, p)
+    e = e if sign > 0 else class_neg(e)
+    add_matches_sympy(d.cover, d, e)
+    assert mumford_compose(d, e).u.degree == (2 * genus + 1 if sign > 0 else 1)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_compose_full_cancellation_at_height(genus):
+    """D + iota(D) cancels every point: u = 1, v = 0."""
+    p, d = high_multiple(genus)
+    add_matches_sympy(d.cover, d, involution_pullback(d))
+    assert mumford_compose(d, class_neg(d)).is_zero_class()
 
 
 # ============================================================
@@ -540,3 +736,69 @@ def test_qi_past_the_float_range_is_named_by_its_size(value, bits):
     with pytest.raises(UnsupportedError,
                        match=rf"^Q\(i\) value near 2\^{bits} past the float range$"):
         value.to_complex()
+
+
+# ============================================================
+# Refused inputs, one raise each, and the degenerate returns
+# ============================================================
+
+def degree_one_class() -> DivisorClass:
+    """(0, 1) on w^2 = b^3 + 1 without its balancing infinity."""
+    return DivisorClass(cover_g1(), Poly.x_minus(QI.of(0)), Poly.of(1), 0)
+
+
+def classes_on_two_covers() -> tuple[DivisorClass, DivisorClass]:
+    return (point_class(cover_g1(), QI.of(0), QI.of(1)),
+            point_class(cover_g2(), QI.of(0), QI.of(1)))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: setattr(QI.of(1), "re", Fraction(2)), AttributeError,
+     "cannot assign to field 're' of an immutable QI"),
+    (lambda: delattr(QI.of(1), "im"), AttributeError,
+     "cannot delete field 'im' of an immutable QI"),
+    (lambda: QI().inv(), ZeroDivisionError, "division by zero in Q(i)"),
+    (lambda: setattr(Poly.of(1), "coeffs", ()), AttributeError,
+     "cannot assign to field 'coeffs' of an immutable Poly"),
+    (lambda: delattr(Poly.of(1), "_image"), AttributeError,
+     "cannot delete field '_image' of an immutable Poly"),
+    (lambda: BasePoint.infinity().to_complex(), ValueError,
+     "infinity has no affine coordinate"),
+    (lambda: HyperCover(Poly.of(1, 0, 1)), ValueError, "deg f must be odd and >= 1; got 2"),
+    (lambda: HyperCover(Poly.of(0, 0, 0, 1)), ValueError, "f must be squarefree"),
+    (lambda: DivisorClass(cover_g1(), Poly(), Poly(), 0), ValueError, "u must be nonzero"),
+    (lambda: point_class(cover_g1(), QI.of(0), QI.of(2)), ValueError,
+     "(x, w) does not lie on the cover"),
+    (lambda: mumford_compose(*classes_on_two_covers()), ValueError,
+     "classes live on different covers"),
+    (lambda: classes_equal_by_search(*classes_on_two_covers()), ValueError,
+     "classes live on different covers"),
+    (lambda: classes_equal_by_search(degree_one_class(), degree_one_class()), ValueError,
+     "search oracle requires degree-0 classes"),
+    (lambda: conjugate_sum_principal_witness(degree_one_class()), ValueError,
+     "witness search requires a degree-0 class"),
+], ids=["qi-assign", "qi-delete", "qi-inverse-of-zero", "poly-assign", "poly-delete",
+        "infinity-coordinate", "even-degree", "not-squarefree", "zero-u", "off-the-cover",
+        "compose-across-covers", "search-across-covers", "search-of-degree-1",
+        "witness-of-degree-1"])
+def test_refused_inputs_raise_naming_the_rule(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_degenerate_inputs_have_plain_answers():
+    """A Q(i) number survives pickle and deepcopy; Q(i) numbers and
+    polynomials are never equal to an int; a nonzero constant is
+    squarefree and 0 is not; infinity is a branch point of an odd model;
+    the zero class equals itself by search, with the witness h = 1; and a
+    class prints as its Mumford pair."""
+    q = QI.from_pair(1, 3, -2, 5)
+    assert pickle.loads(pickle.dumps(q)) == q and copy.deepcopy(q) == q
+    assert QI.of(1) != 1 and Poly.of(1) != 1
+    assert Poly.of(3).is_squarefree() and not Poly().is_squarefree()
+    assert cover_g1().is_branch(BasePoint.infinity())
+    zero = DivisorClass.zero(cover_g2())
+    assert classes_equal_by_search(zero, zero)
+    assert conjugate_sum_principal_witness(zero) == (Poly.of(1), Poly())
+    assert repr(point_class(cover_g1(), QI.of(2), QI.of(3))) == (
+        "DivisorClass(u=Poly(-2*b^0 + 1*b^1), v=Poly(3*b^0), -1*inf)")

@@ -26,6 +26,13 @@ semi-reduced and the reduced kP at the least k = g+1..g+3 whose supports
 are disjoint, and ``conjugate_sum_principal_witness`` of that semi-reduced
 kP.
 
+The rest of the workload's group-law work is timed at n = 61 on the
+genus-3 curve (``group``): ``sum``, the generic add aP + bP of the two
+full-degree classes 30P and 31P; ``difference``, D - D as
+``class_equal(nP, nP)``; and ``prym``, D + iota(D) as ``in_prym(nP)``.
+``nullspace`` times ``qi_nullspace`` on every matrix the function search
+builds for the workload's pool of equality jobs, all of them per call.
+
 Each layer is run 7 times after one warm-up, every run a batch of calls
 lasting at least about a millisecond; best and median seconds per call are
 kept.  Results are merged into the output file under ``--label``.  A
@@ -52,6 +59,9 @@ DESCRIPTION = (
     "length of nP; Q(i) and Poly operations on the coefficients of nP at "
     "n = 10, 61 on the genus-3 curve (qi, poly); the function search on the "
     "cantor-chain workload's low-height pairs at genus 1-3 (search); "
+    "class_add(30P, 31P), class_equal(nP, nP) and in_prym(nP) at n = 61 on the "
+    "genus-3 curve (group); qi_nullspace on all the search matrices of the "
+    "workload's pool of equality jobs, per call for the lot (nullspace); "
     "speedup_best is parent over change, seed_speedup_best seed over change "
     "(on the layers both runs have).")
 CURVES = {"g1": ((1, 1, 0, 1), (0, 1)),
@@ -63,6 +73,12 @@ ARITH_HEIGHTS = (10, 61)
 SEARCH_CURVES = {"g1": ((1, 0, 0, 1), (0, 1), (2, 3)),
                  "g2": ((1, -1, 0, 0, 0, 1), (0, 1), (1, 1)),
                  "g3": ((1, -1, 0, 0, 0, 0, 0, 1), (0, 1), (1, 1))}
+# the cantor-chain workload's covers with all their rational points (x, 1),
+# x = (0, 1) standing for i
+POOL_CURVES = {"g1": ((1, 0, 0, 1), [(0, 1), (2, 3)]),
+               "g2": ((1, -1, 0, 0, 0, 1), [(0, 1), (1, 1), (-1, 1), ((0, 1), 1)]),
+               "g3": ((1, -1, 0, 0, 0, 0, 0, 1), [(0, 1), (1, 1), (-1, 1)])}
+GROUP_N, GROUP_SPLIT = 61, 30
 MIN_RUN_S = 1e-3
 
 
@@ -102,9 +118,13 @@ def measure() -> dict:
             bits[name][str(n)] = coeff_bits(sf.class_add(prev, p))
             if name == "g3" and n in ARITH_HEIGHTS:
                 qi[str(n)], poly[str(n)] = arithmetic(sf.class_add(prev, p))
+    matrices = search_matrices(sf)
     layers.update(qi=qi, poly=poly, search={name: search(sf, *curve)
-                                            for name, curve in SEARCH_CURVES.items()})
-    return {"layers": layers, "coeff_bits": bits}
+                                            for name, curve in SEARCH_CURVES.items()},
+                  group=group(sf), nullspace={"search_matrices": timed(
+                      lambda: [sf.qi_nullspace(rows, n) for rows, n in matrices],
+                      min_run_s=MIN_RUN_S)})
+    return {"layers": layers, "coeff_bits": bits, "nullspace_matrices": len(matrices)}
 
 
 def arithmetic(d) -> tuple[dict, dict]:
@@ -132,6 +152,56 @@ def search(sf, f, first, second) -> dict:
                         min_run_s=MIN_RUN_S),
             "witness": timed(lambda: sf.conjugate_sum_principal_witness(composed),
                              min_run_s=MIN_RUN_S)}
+
+
+def group(sf) -> dict:
+    """aP + bP, D - D and D + iota(D) at n = GROUP_N on the genus-3 curve."""
+    f, (x, w) = CURVES["g3"]
+    cover = sf.HyperCover(sf.Poly.of(*f))
+    p = sf.point_class(cover, sf.QI.of(x), sf.QI.of(w))
+    d, kept = p, {}
+    for n in range(2, GROUP_N + 1):
+        d = kept[n] = sf.class_add(d, p)
+    a, b = kept[GROUP_SPLIT], kept[GROUP_N - GROUP_SPLIT]
+    return {"sum": timed(lambda: sf.class_add(a, b), min_run_s=MIN_RUN_S),
+            "difference": timed(lambda: sf.class_equal(d, d), min_run_s=MIN_RUN_S),
+            "prym": timed(lambda: sf.in_prym(d), min_run_s=MIN_RUN_S)}
+
+
+def search_matrices(sf) -> list:
+    """(rows, n_cols) of every ``qi_nullspace`` call of the workload's pool
+    of equality jobs: per point P (both signs of w), other point Q and
+    k = g+1..g+3, the search of P against Q and, where the supports are
+    disjoint, of kP composed against kP reduced."""
+    matrices = []
+    plain = sf.qi_nullspace
+
+    def spy(rows, n_cols):
+        matrices.append((rows, n_cols))
+        return plain(rows, n_cols)
+
+    sf.qi_nullspace = spy
+    try:
+        for f, points in POOL_CURVES.values():
+            cover = sf.HyperCover(sf.Poly.of(*f))
+            pts = [(sf.QI.of(*x) if isinstance(x, tuple) else sf.QI.of(x), sf.QI.of(w))
+                   for x, w in points]
+            for k in range(cover.genus + 1, cover.genus + 4):
+                for i, (x, w) in enumerate(pts):
+                    for sign in (1, -1):
+                        p = sf.point_class(cover, x, w if sign > 0 else -w)
+                        composed = reduced = p
+                        for _ in range(k - 1):
+                            composed = sf.mumford_compose(composed, p)
+                            reduced = sf.class_add(reduced, p)
+                        for j in range(len(pts)):
+                            if j != i:
+                                sf.classes_equal_by_search(p, sf.point_class(cover, *pts[j]))
+                                if composed.u.gcd(reduced.u).degree == 0:
+                                    sf.classes_equal_by_search(composed, reduced)
+    finally:
+        sf.qi_nullspace = plain
+    return matrices
 
 
 if __name__ == "__main__":
