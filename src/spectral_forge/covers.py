@@ -329,14 +329,14 @@ class Poly:
         return _poly((den, [-a for a in re], [-b for b in im]))
 
     def __mul__(self, o: "Poly") -> "Poly":
-        if self.is_zero() or o.is_zero():
-            return _ZERO
-        if o.is_one():
-            return self
-        if self.is_one():
-            return o
         da, ar, ai = self._image
         db, br, bi = o._image
+        if not ar or not br:
+            return _ZERO
+        if o._image == _ONE._image:
+            return self
+        if self._image == _ONE._image:
+            return o
         re = [0] * (len(ar) + len(br) - 1)
         im = re[:]
         for i, (x, y) in enumerate(zip(ar, ai)):
@@ -360,14 +360,14 @@ class Poly:
         M = 1 when o divides self and no Gaussian prime divides all of d
         (Gauss's lemma).  The quotient is q den_o / (M c den_r) and the
         remainder rem / (M den_r)."""
-        if o.is_zero():
+        do, orr, oi = o._image
+        if not orr:
             raise ZeroDivisionError("polynomial division by zero")
-        m = o.degree
-        k = self.degree - m + 1
         dr, rr, ri = self._image
+        m = len(orr) - 1
+        k = len(rr) - m
         if k <= 0:
             return (1, [], []), (dr, rr[:], ri[:])
-        do, orr, oi = o._image
         c = gcd(*orr, *oi)
         if c != 1:
             orr, oi = [a // c for a in orr], [b // c for b in oi]
