@@ -94,6 +94,69 @@ def pell_cover_doc() -> dict:
     }
 
 
+def split_declared_doc() -> dict:
+    """A split family with base classes, a push on the multiple fibre and a
+    declared determinant that matches it only through its fibre part, read
+    at explicit sample points."""
+    return {
+        "surface": {"tau": [2.0, 0.0], "theta_degree": 1,
+                    "multiple_fibres": [{"at": [5, 1, 0, 1], "m": 2}]},
+        "family": {
+            "presentation": {"type": "split",
+                             "factors": [[0.7, 0.1], [1.3, -0.2]],
+                             "base_classes": [1, -2]},
+            "modifications": [{"op": "push", "at": [5, 1, 0, 1], "degree": 1}],
+        },
+        "determinant": {"base_class": -1, "factor": [0.93, -0.01],
+                        "fibre_parts": [1]},
+        "run": {"samples": 16, "seed": 1,
+                "points": [[2.0, 0.0], [0.0, 2.5], [-1.5, 0.5], [1.2, -1.1]]},
+    }
+
+
+def pushforward_twisted_doc() -> dict:
+    """A pushforward whose map is given as u, v, r (the pair p = 3, q = 1
+    spelled out), with a twist class, torsion pairs at two multiple fibres
+    and a declared c2 of 5 against the map's torus degree 6, so the round
+    trip's Chern check fails (exit 1)."""
+    return {
+        "surface": {"tau": [2.0, 0.0], "theta_degree": 1,
+                    "multiple_fibres": [{"at": [5, 1, 0, 1], "m": 2},
+                                        {"at": [-7, 1, 0, 1], "m": 3}]},
+        "family": {"presentation": {
+            "type": "pushforward",
+            "cover": {"f": F_CUBIC},
+            "map": {"u": [[10, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1],
+                          [1, 1, 0, 1]],
+                    "v": [[6, 1, 0, 1]],
+                    "r": [[8, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1],
+                          [-1, 1, 0, 1]]},
+            "twist": {"u": [[0, 1, 0, 1], [1, 1, 0, 1]], "v": [[1, 1, 0, 1]],
+                      "inf": 1},
+            "torsion_pairs": [[1, 0], [0, 2]],
+            "c2": 5,
+        }},
+        "determinant": {"base_class": 0, "factor": [1.0, 0.0],
+                        "fibre_parts": [1, 2]},
+        "run": {"samples": 16},
+    }
+
+
+def sections_cover_doc() -> dict:
+    """A cover of two constant sections and two vertical fibres, one of
+    multiplicity 2, checked against a declared determinant at explicit
+    sample points."""
+    return {
+        "surface": {"tau": [2.0, 0.0]},
+        "cover": {"verticals": [{"at": [3, 1, 0, 1], "multiplicity": 2},
+                                {"at": [-2, 1, 0, 1]}],
+                  "bisection": {"type": "two_sections",
+                                "a1": [2.0, 2.0], "a2": [2.0, -2.0]}},
+        "determinant": {"base_class": 0, "factor": [0.125, 0.0]},
+        "run": {"samples": 16, "points": [[1.5, 0.5], [-0.5, 2.0]]},
+    }
+
+
 def write(tmp_path, doc, name="scn.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -1094,7 +1157,10 @@ def test_exhausted_sample_ladder_exits_64_naming_the_stage(
 COMMANDS = ("cover", "fm", "roundtrip", "classify", "modify", "props",
             "sample")
 GOLDEN_DOCS = {"split": split_doc, "pushforward": pushforward_doc,
-               "readme": readme_doc, "pell-cover": pell_cover_doc}
+               "readme": readme_doc, "pell-cover": pell_cover_doc,
+               "split-declared": split_declared_doc,
+               "pushforward-twisted": pushforward_twisted_doc,
+               "sections-cover": sections_cover_doc}
 
 
 def digest(data: bytes) -> "str | None":
@@ -1154,6 +1220,33 @@ GOLDEN: dict[str, dict[str, tuple]] = {
         "modify": (0, "c4197ba37319d084", None),
         "props": (0, "ec95002730dabc98", None),
         "sample": (0, "ad14c26ec70faf93", "7fd1c501348d92c2"),
+    },
+    "split-declared": {
+        "cover": (0, "cd095c8c68a4ae5f", None),
+        "fm": (64, "2f62236ce0cb873d", None),
+        "roundtrip": (64, "ce034faa4f4131b7", None),
+        "classify": (64, None, None),
+        "modify": (0, "01b4523312dc9d5b", None),
+        "props": (0, "c620dacafd1e0167", None),
+        "sample": (0, "2d51f0e3c7e8d3a0", "e95e44de7c40cc71"),
+    },
+    "pushforward-twisted": {
+        "cover": (0, "97e35a399626898f", None),
+        "fm": (1, "ac8a2433368c4acc", None),
+        "roundtrip": (1, "c60644d62d310dba", None),
+        "classify": (0, "c85f0885d3dbfb58", None),
+        "modify": (0, "0c10c32ee17b5468", None),
+        "props": (0, "2b03ba9fd65a9ca0", None),
+        "sample": (0, "5e59a7f7393401e2", "5c359416171d6622"),
+    },
+    "sections-cover": {
+        "cover": (0, "d53b68a02520a38f", None),
+        "fm": (2, None, None),
+        "roundtrip": (2, None, None),
+        "classify": (64, None, None),
+        "modify": (2, None, None),
+        "props": (2, None, None),
+        "sample": (0, "69215f7be4789146", "c3ef2be8518fed4a"),
     },
 }
 
