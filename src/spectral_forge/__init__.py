@@ -41,11 +41,10 @@ from .fourier import (DescentTwist, LineData, RoundtripReport,
                       torsion_roundtrip_check, z_action_residual)
 from .scenario import (Scenario, canonical_json, load_scenario,
                        parse_scenario, scenario_hash)
-from .spectral import (ChernData, PellMap, PerturbedMap, RegularChart,
-                       RuledGraph, SpectralCover, TwoSections,
-                       bisection_torus_degree, check_invariance,
-                       graph_in_ruled_surface, invariance_residual,
-                       regular_chart, sample_circle)
+from .spectral import (ChernData, PellMap, RegularChart, RuledGraph,
+                       SpectralCover, TwoSections, bisection_torus_degree,
+                       check_invariance, graph_in_ruled_surface,
+                       invariance_residual, regular_chart, sample_circle)
 from .surface import (FibreComponentGroups, GroupPresentation, LineBundleOnX,
                       MultipleFibre, SurfaceSpec, fibre_component_groups,
                       invariant_factors, involution_on_fibre, pic_relative,
@@ -60,7 +59,7 @@ __all__ = [
     "HyperCover", "InvalidFamilyError",
     "JumpRecord", "LineBundleOnX", "LineData", "MultipleFibre",
     "MultipleFibreRestrictionError", "NoSurjectionError", "PellMap",
-    "PerturbedMap", "Poly", "PopStep", "PunctureError", "PushStep",
+    "Poly", "PopStep", "PunctureError", "PushStep",
     "PushforwardData", "QI", "RegularChart", "RoundtripReport", "RuledGraph",
     "Scenario", "SchemaError", "SpectralCover", "SpectralForgeError",
     "SplitData", "SplitFiber", "SurfaceSpec", "TateCurve", "TateLineBundle",

@@ -105,13 +105,11 @@ def _encode_bisection(bis: Any) -> dict:
     if isinstance(bis, TwoSections):
         return {"type": "two_sections",
                 "a1": encode_complex(bis.a1), "a2": encode_complex(bis.a2)}
-    if isinstance(bis, PellMap):
-        return {"type": "pell",
-                "genus": bis.cover.genus,
-                "degrees": {"u": bis.u_part.degree, "v": bis.v_part.degree,
-                            "r": bis.r_part.degree},
-                "norm_constant": encode_complex(bis.norm_value())}
-    return {"type": type(bis).__name__.lower()}
+    return {"type": "pell",
+            "genus": bis.cover.genus,
+            "degrees": {"u": bis.u_part.degree, "v": bis.v_part.degree,
+                        "r": bis.r_part.degree},
+            "norm_constant": encode_complex(bis.norm_value())}
 
 
 def _encode_cover(cover: SpectralCover) -> dict:

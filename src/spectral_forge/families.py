@@ -733,7 +733,5 @@ def _family_on_cover(
         l1 = LineBundleOnX(surface, base_classes[0], 1.0 / bis.a1)
         l2 = LineBundleOnX(surface, base_classes[1], 1.0 / bis.a2)
         return FamilySpec.split(surface, l1, l2)
-    if not isinstance(bis, PellMap):
-        raise UnsupportedError("perturbed supports are not invertible")
     return FamilySpec.pushforward(surface, bis.cover, bis.inverse(),
                                   twist=twist, torsion_pairs=torsion_pairs)

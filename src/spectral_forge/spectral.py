@@ -45,7 +45,6 @@ __all__ = [
     "ChernData",
     "TwoSections",
     "PellMap",
-    "PerturbedMap",
     "SpectralCover",
     "RegularChart",
     "RuledGraph",
@@ -214,31 +213,7 @@ def _flipped_pell_map(m: PellMap, scale: QI) -> PellMap:
     return out
 
 
-@dataclass(frozen=True)
-class PerturbedMap:
-    """A bisection map multiplied by (1 + eps) on one sheet.
-
-    Breaks the norm constancy on purpose; used to verify that invariance
-    checking actually detects non-invariant covers.
-    """
-
-    base: "TwoSections | PellMap"
-    eps: complex
-
-    def sheet_values(self, b: complex) -> tuple[complex, complex]:
-        v0, v1 = self.base.sheet_values(b)
-        return (v0 * (1.0 + self.eps), v1)
-
-    def _values_array(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        v0, v1, odd = self.base._values_array(b)
-        v0 = _carray.mul(v0, 1.0 + self.eps)
-        return v0, v1, odd | ~np.isfinite(v0)
-
-    def norm_value(self) -> complex:
-        return self.base.norm_value()
-
-
-def bisection_torus_degree(bis: "TwoSections | PellMap | PerturbedMap") -> int:
+def bisection_torus_degree(bis: "TwoSections | PellMap") -> int:
     """Declared degree of the bisection over the torus direction.
 
     Constant sections have degree 0.  For a Pell map the generic fibre count
@@ -247,15 +222,13 @@ def bisection_torus_degree(bis: "TwoSections | PellMap | PerturbedMap") -> int:
     """
     if isinstance(bis, TwoSections):
         return 0
-    if isinstance(bis, PerturbedMap):
-        return bisection_torus_degree(bis.base)
     du = max(bis.u_part.degree, bis.r_part.degree)
     dv = bis.v_part.degree
     odd = 2 * dv + bis.cover.f.degree if dv >= 0 else -1
     return max(2 * du, odd)
 
 
-Bisection = TwoSections | PellMap | PerturbedMap
+Bisection = TwoSections | PellMap
 
 
 # ============================================================

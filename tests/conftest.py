@@ -9,6 +9,7 @@ are session fixtures because their members get re-verified many times.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,17 @@ def pell_g2(s: QI | None = None) -> PellMap:
 def pell_g3(s: QI | None = None) -> PellMap:
     return PellMap.from_pell_pair(cover_g3(), Poly.of(0, 1), Poly.of(1),
                                   s or QI.of(1))
+
+
+def perturbed(bis: "TwoSections | PellMap", eps: complex) -> "TwoSections | PellMap":
+    """``bis`` moved off invariance by the factor 1 + eps: two sections on
+    a1 alone, a Pell map through its scale s (both sheets, so the sheet
+    product moves by (1 + eps)^2)."""
+    if isinstance(bis, TwoSections):
+        return TwoSections(bis.a1 * (1 + eps), bis.a2)
+    re, im = Fraction(1 + eps.real), Fraction(eps.imag)
+    return replace(bis, scale=bis.scale * QI.from_pair(
+        re.numerator, re.denominator, im.numerator, im.denominator))
 
 
 # ============================================================

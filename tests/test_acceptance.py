@@ -20,7 +20,6 @@ from spectral_forge import (
     DivisorClass,
     LineData,
     PellMap,
-    PerturbedMap,
     SpectralCover,
     TateCurve,
     TateLineBundle,
@@ -60,6 +59,7 @@ from conftest import (
     pell_g1,
     pell_g2,
     pell_g3,
+    perturbed,
     prym_generators,
     push_family,
     split_family,
@@ -182,7 +182,7 @@ def test_c4_involution_invariance(invariant_covers, descent_corpus,
     detected = 0
     for cov, delta in invariant_covers[:3]:
         bent = SpectralCover(cov.surface, cov.verticals,
-                             PerturbedMap(cov.bisection, 1e-3))
+                             perturbed(cov.bisection, 1e-3))
         if invariance_residual(bent, delta, 50) > 1e-4:
             detected += 1
     ok = ok and detected == 3

@@ -22,12 +22,12 @@ from pathlib import Path
 import pytest
 
 from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX, PellMap,
-                            PerturbedMap, SchemaError, UnstableFiber, class_add,
+                            SchemaError, UnstableFiber, class_add,
                             parse_scenario, point_class, scenario_hash)
 from spectral_forge import cli, families
 from spectral_forge.cli import main, run_command
 from spectral_forge.scenario import MAX_SAMPLES, MAX_SEED
-from conftest import cover_g2
+from conftest import cover_g2, perturbed
 
 F_CUBIC = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
 
@@ -1080,13 +1080,13 @@ def test_fibre_product_gate_detects_a_moved_point(tmp_path, capsys,
 
 
 def test_props_reports_a_failing_cover_check(tmp_path, capsys, monkeypatch):
-    """An inverse map moved by 1e-6 on one sheet disagrees with the cover at
-    every sample: props names the first sample, checks no invariance of the
-    cover it could not build, and fails."""
+    """An inverse map whose scale is moved by 1e-6 disagrees with the cover
+    at every sample: props names the first sample, checks no invariance of
+    the cover it could not build, and fails."""
     doc = pushforward_doc()
     scn = parse_scenario(doc)
     first = cli._family_points(scn)[0]
-    moved = PerturbedMap(scn.family.data.factor_map.inverse(), 1e-6)
+    moved = perturbed(scn.family.data.factor_map.inverse(), 1e-6)
     monkeypatch.setattr(PellMap, "inverse", lambda self: moved)
     code, report = run_json(capsys, ["props", "--scenario", write(tmp_path, doc)])
     checks = {c["name"]: c for c in report["checks"]}

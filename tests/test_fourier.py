@@ -19,7 +19,6 @@ from spectral_forge import (
     FamilySpec,
     LineData,
     PellMap,
-    PerturbedMap,
     SpectralCover,
     SurfaceSpec,
     TateCurve,
@@ -164,28 +163,12 @@ def test_inverse_guards():
         good.line_data, good.chern, True)
     with pytest.raises(UnsupportedError):
         fm_inverse(vert)
-    perturbed = TransformedSheaf(
-        SpectralCover(fam.surface, (),
-                      PerturbedMap(good.support.bisection, 1e-3)),
-        good.line_data, good.chern, True)
-    with pytest.raises(UnsupportedError):
-        fm_inverse(perturbed)
 
 
 def test_regular_family_is_the_inverse_of_trivial_line_data(invariant_covers):
     for cov, delta in invariant_covers[:5]:
         sheaf = TransformedSheaf(cov, LineData(), ChernData(0, 0), True)
         assert families.build_regular_family(cov, delta, 16) == fm_inverse(sheaf)
-    cov, delta = invariant_covers[2]
-    # a factor tau on one sheet keeps the sheet product on the lattice, so
-    # the perturbed cover passes the invariance check and reaches the build
-    perturbed = SpectralCover(cov.surface, (), PerturbedMap(
-        cov.bisection, cov.curve.tau - 1.0))
-    with pytest.raises(UnsupportedError, match="perturbed supports"):
-        families.build_regular_family(perturbed, delta, 16)
-    with pytest.raises(UnsupportedError, match="perturbed supports"):
-        fm_inverse(TransformedSheaf(perturbed, LineData(), ChernData(0, 0),
-                                    True))
 
 
 def test_branch_correction_is_reported_not_asserted():

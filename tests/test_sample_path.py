@@ -26,7 +26,7 @@ import pytest
 
 from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
                             HyperCover, LineBundleOnX, MultipleFibre, PellMap,
-                            PerturbedMap, Poly, PunctureError, SpectralCover,
+                            Poly, PunctureError, SpectralCover,
                             SurfaceSpec, TateCurve, TwoSections, UnsupportedError,
                             attach_generic_jumps, cover_from_family,
                             default_sample_points, descent_divisor, elem_mod,
@@ -40,7 +40,7 @@ from spectral_forge.fourier import _has_trivial_sub, _roundtrip_report
 import oracles
 from conftest import (TAU_DYADIC, TAU_GENERIC, TAU_WIDE, cover_g0, cover_g1,
                       cover_g2, cover_g3, pell_g0, pell_g1, pell_g2, pell_g3,
-                      push_family, split_family, surf_m23, surf_plain)
+                      perturbed, push_family, split_family, surf_m23, surf_plain)
 from test_cli import pell_cover_doc, pushforward_doc, split_doc, write
 from test_spectral import tiny_pell_g0
 
@@ -133,15 +133,14 @@ def test_sheet_values_match_and_odd_samples_raise():
         assert mismatches(v1[~odd], [v[1] for v in regular]) == 0
 
 
-def test_two_sections_and_perturbed_maps_match():
+def test_two_sections_match():
     b = random_points(4, 2_000)
-    for bis in (TwoSections(0.7 + 0.1j, 1.3 - 0.2j),
-                PerturbedMap(pell_g2(), 1e-3 - 2e-3j), PerturbedMap(pell_g1(), 0.25)):
-        v0, v1, odd = bis._values_array(b)
-        assert not odd.any()
-        scalar = [bis.sheet_values(x) for x in b.tolist()]
-        assert mismatches(v0, [s[0] for s in scalar]) == 0
-        assert mismatches(v1, [s[1] for s in scalar]) == 0
+    bis = TwoSections(0.7 + 0.1j, 1.3 - 0.2j)
+    v0, v1, odd = bis._values_array(b)
+    assert not odd.any()
+    scalar = [bis.sheet_values(x) for x in b.tolist()]
+    assert mismatches(v0, [s[0] for s in scalar]) == 0
+    assert mismatches(v1, [s[1] for s in scalar]) == 0
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -503,12 +502,12 @@ def test_a_pole_among_explicit_points_exits_64_naming_it(tmp_path, capsys, cmd):
 
 
 def test_cover_check_names_the_first_disagreeing_sample(monkeypatch):
-    """A family whose inverse map is moved by 1e-6 disagrees with its cover
-    at every sample: both routes name the first one."""
+    """A family whose inverse map's scale is moved by 1e-6 disagrees with its
+    cover at every sample: both routes name the first one."""
     fam = families()[3]
     pts = family_points(20)[:50]
     bis = fam.data.factor_map.inverse()
-    moved = PerturbedMap(bis, 1e-6)
+    moved = perturbed(bis, 1e-6)
     monkeypatch.setattr(PellMap, "inverse", lambda self: moved)
     got = outcome(cover_from_family, fam, pts)
     assert got == ("VerificationError",
@@ -696,7 +695,7 @@ def test_descent_residual_makes_no_scalar_calls_on_regular_samples(
     calls = [count_calls(monkeypatch, FamilySpec, "spectral_values_at"),
              count_calls(monkeypatch, FamilySpec, "fiber_factors_at"),
              count_calls(monkeypatch, TateCurve, "lattice_distance")]
-    for cls in (PellMap, TwoSections, PerturbedMap):
+    for cls in (PellMap, TwoSections):
         calls += [count_calls(monkeypatch, cls, "sheet_values"),
                   count_calls(monkeypatch, cls, "_values_array")]
     inputs = [20, 256, random_points(40, 100).tolist(),

@@ -21,7 +21,6 @@ from spectral_forge import (
     AtiyahRegular,
     LineBundleOnX,
     PellMap,
-    PerturbedMap,
     Poly,
     PunctureError,
     QI,
@@ -45,6 +44,7 @@ from conftest import (
     pell_g0,
     pell_g1,
     pell_g2,
+    perturbed,
     surf_plain,
 )
 from oracles import (
@@ -184,7 +184,7 @@ def test_wrong_bundle_is_detected(invariant_covers):
 def test_perturbed_map_is_detected(invariant_covers, eps):
     for cov, delta in invariant_covers[:5]:
         broken = SpectralCover(cov.surface, cov.verticals,
-                               PerturbedMap(cov.bisection, eps))
+                               perturbed(cov.bisection, eps))
         res = invariance_residual(broken, delta, 32)
         assert res > 1e-4
         assert not check_invariance(broken, delta, 32)
@@ -198,7 +198,7 @@ def test_curve_tolerance_decides_invariance(invariant_covers, tol, invariant):
     for cov, delta in invariant_covers:
         surface = replace(cov.surface, curve=TateCurve(cov.curve.tau, *tol))
         broken = SpectralCover(surface, cov.verticals,
-                               PerturbedMap(cov.bisection, 1e-6))
+                               perturbed(cov.bisection, 1e-6))
         delta = replace(delta, surface=surface)
         assert check_invariance(broken, delta, 32) is invariant
         if invariant:
