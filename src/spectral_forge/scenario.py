@@ -12,6 +12,14 @@ Encoding conventions (documented here and in the README):
 - base points: a Gaussian rational array, or the string "inf",
 - divisor classes: {"u": poly, "v": poly, "inf": int}.
 
+Every value is read by a reader: a function of ``(value, where)`` that
+returns the typed value or raises ``SchemaError`` naming ``where``, the
+value's path in the document.  The keys of each object are declared once,
+in a module-level table of key -> (reader, default), read in table order;
+the README's key table is checked against these tables.  Hand-written code
+is left only for rules across keys and for the journal, which is replayed
+step by step as it is read.
+
 ``scenario_hash`` is the sha256 of the canonical JSON serialization
 (sorted keys, tight separators), so reports embedding it are byte-stable.
 """
@@ -25,7 +33,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Iterator
+from functools import partial
+from typing import Any, Callable, Iterator
 
 from .covers import BasePoint, DivisorClass, HyperCover, Poly, QI
 from .errors import NoSurjectionError, SchemaError
@@ -48,6 +57,8 @@ __all__ = [
     "parse_base_point",
     "encode_base_point",
 ]
+
+_Reader = Callable[[Any, str], Any]
 
 
 # ============================================================
@@ -110,16 +121,126 @@ def encode_base_point(p: BasePoint) -> Any:
     return [x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator]
 
 
-def parse_divisor_class(value: Any, cover: HyperCover, where: str) -> DivisorClass:
+# ============================================================
+# Readers
+# ============================================================
+
+# The default of a key that, when absent, the build derives from the others
+_DERIVED = object()
+
+
+def _int(low: int | None = None) -> _Reader:
+    """An integer, at least `low` when one is given."""
+    text = "an integer" if low is None else f"integer >= {low}"
+
+    def read(value: Any, where: str) -> int:
+        if not isinstance(value, int) or low is not None and value < low:
+            raise SchemaError(f"{where}: expected {text}")
+        return value
+    return read
+
+
+_INTEGER, _POSITIVE = _int(), _int(1)
+
+
+def _array(item: _Reader | None, length: int | None = None,
+           nonempty: bool = False) -> _Reader:
+    """An array of `length` entries when one is given, nonempty when asked,
+    with entry i read by `item` at ``where[i]``.  Without `item` the entries
+    are kept as they are, for a caller that reads them one by one."""
+    text = (f"{length} entries" if length is not None
+            else "a nonempty array" if nonempty else "an array")
+
+    def read(value: Any, where: str) -> Any:
+        if (not isinstance(value, list) or not value and nonempty
+                or length is not None and len(value) != length):
+            raise SchemaError(f"{where}: expected {text}")
+        if item is None:
+            return value
+        return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(value))
+    return read
+
+
+def _fields(table: dict[str, tuple], value: Any, where: str) -> list:
+    """The values of `table`'s keys in the object `value`, in table order,
+    each read from the key's value or else from its default (None for an
+    absent ``_DERIVED`` key).  An entry (reader, default, *keys) hands its
+    reader the values of those earlier keys too.  Other keys are ignored."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{where}: expected a divisor object")
-    u = parse_poly(value.get("u", []), f"{where}.u")
-    v = parse_poly(value.get("v", []), f"{where}.v")
-    inf = value.get("inf", u.degree)
-    if not isinstance(inf, int):
-        raise SchemaError(f"{where}.inf: expected an integer")
-    with _schema(where):
-        return DivisorClass(cover, u, v, inf)
+        raise SchemaError(f"{where}: expected an object")
+    got: dict[str, Any] = {}
+    for key, (read, default, *after) in table.items():
+        got[key] = (None if default is _DERIVED and key not in value
+                    else read(value.get(key, default), f"{where}.{key}",
+                              *(got[k] for k in after)))
+    return list(got.values())
+
+
+def _object(table: dict[str, tuple], build: Callable) -> _Reader:
+    """An object with the keys of `table`, made by ``build(*fields)``; a
+    ``ValueError`` of the build is a schema error at the object."""
+    def read(value: Any, where: str) -> Any:
+        fields = _fields(table, value, where)
+        with _schema(where):
+            return build(*fields)
+    return read
+
+
+def _tagged(kinds: dict[str, _Reader]) -> _Reader:
+    """An object whose ``type`` names the reader of the whole object."""
+    def read(value: Any, where: str) -> Any:
+        if not isinstance(value, dict) or "type" not in value:
+            raise SchemaError(f"{where}: expected an object with type")
+        kind = value["type"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise SchemaError(f"{where}.type: unknown kind {kind!r}")
+        return kinds[kind](value, where)
+    return read
+
+
+def _optional(read: _Reader) -> _Reader:
+    """`read`, with null read as None."""
+    return lambda value, where, *more: None if value is None else read(value, where, *more)
+
+
+def _check_range(where: str, name: str, z: complex) -> None:
+    """The per-sample path divides by ``z``: |z| and 1/|z| must be normal floats."""
+    if not sys.float_info.min <= math.hypot(z.real, z.imag) <= 1.0 / sys.float_info.min:
+        raise SchemaError(f"{where}: {name} or its reciprocal is zero, "
+                          "subnormal or not finite")
+
+
+def _check_pair(where: str, a: complex, b: complex, names: tuple[str, str, str]) -> None:
+    """``_check_range`` on a, b, their product and their ratio."""
+    _check_range(where, names[0], a)
+    _check_range(where, names[1], b)
+    _check_range(where, f"the product of {names[2]}", a * b)
+    _check_range(where, f"the ratio of {names[2]}", a / b)
+
+
+def _ranged(name: str) -> _Reader:
+    """A complex number the per-sample path divides by."""
+    def read(value: Any, where: str) -> complex:
+        z = parse_complex(value, where)
+        _check_range(where, name, z)
+        return z
+    return read
+
+
+def _scale(value: Any, where: str) -> QI:
+    """A map's scale s; a nonzero one and its square must be in range."""
+    s = parse_qi(value, where)
+    if not s.is_zero():
+        scale = s.to_complex()
+        _check_range(where, "s", scale)
+        _check_range(where, "s squared", scale * scale)
+    return s
+
+
+def _factors(value: Any, where: str) -> tuple[complex, complex]:
+    f1, f2 = _array(parse_complex, 2)(value, where)
+    _check_pair(where, f1, f2, ("factor 0", "factor 1", "the factors"))
+    return f1, f2
 
 
 # ============================================================
@@ -181,39 +302,28 @@ def parse_scenario(raw: Any, tol: float | None = None,
     if not isinstance(raw, dict):
         raise SchemaError("scenario root must be an object")
     run = raw.get("run", {})
-    if not isinstance(run, dict):
-        raise SchemaError("run: expected an object")
-    in_file = (run.get("samples", 32), run.get("tol", 1e-9), run.get("seed", 0))
-    _check_run(*in_file)
-    samples, tol, seed = (f if v is None else v
-                          for v, f in zip((samples, tol, seed), in_file))
-    _check_run(samples, tol, seed)
-    points = None
-    if run.get("points") is not None:
-        raw_pts = run["points"]
-        if not isinstance(raw_pts, list) or not raw_pts:
-            raise SchemaError("run.points: expected a nonempty array")
-        points = tuple(parse_complex(p, f"run.points[{i}]")
-                       for i, p in enumerate(raw_pts))
-    surface = _parse_surface(raw.get("surface"), float(tol))
-    family = None
-    if "family" in raw and raw["family"] is not None:
-        family = _parse_family(raw["family"], surface)
-    cover = None
-    if "cover" in raw and raw["cover"] is not None:
-        cover = _parse_cover(raw["cover"], surface)
-    determinant = None
-    if "determinant" in raw and raw["determinant"] is not None:
-        determinant = _parse_determinant(raw["determinant"], surface)
-    descent_point = None
-    descent = raw.get("descent")
-    if descent is not None:
-        if not isinstance(descent, dict) or "b0" not in descent:
-            raise SchemaError("descent: expected an object with b0")
-        descent_point = parse_base_point(descent["b0"], "descent.b0")
+    samples, tol, seed = (
+        f if v is None else _RUN[key][0](v, f"run.{key}")
+        for key, v, f in zip(_RUN, (samples, tol, seed), _fields(_RUN, run, "run")))
+    points, = _fields(_RUN_POINTS, run, "run")
+    value = raw.get("surface")
+    if isinstance(value, dict) and "tolerance" in value:
+        raise SchemaError("surface.tolerance: removed; set run.tol instead")
+    surface = _object(_SURFACE, lambda tau, theta, fibres: SurfaceSpec(
+        TateCurve(tau, float(tol)), theta, fibres))(value, "surface")
+    family, cover, determinant, descent_point = (
+        None if raw.get(key) is None else read(raw[key], key) for key, read in (
+            ("family", lambda value, where: _read_family(value, surface)),
+            ("cover", _object(_COVER, partial(SpectralCover, surface))),
+            ("determinant", _object(_DETERMINANT, partial(LineBundleOnX, surface))),
+            ("descent", _object(_DESCENT, lambda b0: b0))))
     return Scenario(raw, surface, family, cover, determinant, descent_point,
                     samples, seed, points)
 
+
+# ============================================================
+# Sections
+# ============================================================
 
 # The largest sample count a run may ask for: a larger one is refused before
 # any per-sample array is allocated.
@@ -224,169 +334,74 @@ MAX_SAMPLES = 2 ** 20
 MAX_SEED = 2 ** 31
 
 
-def _check_run(samples: Any, tol: Any, seed: Any) -> None:
-    if not isinstance(samples, int) or samples < 1:
-        raise SchemaError("run.samples: expected a positive integer")
-    if samples > MAX_SAMPLES:
-        raise SchemaError(f"run.samples: at most {MAX_SAMPLES}, got {samples}")
-    if not isinstance(tol, (int, float)) or not 0 < tol < 1:
-        raise SchemaError(f"run.tol: expected a number in (0, 1), got {tol!r}")
-    if not isinstance(seed, int):
-        raise SchemaError("run.seed: expected an integer")
-    if abs(seed) > MAX_SEED:
-        raise SchemaError(f"run.seed: at most {MAX_SEED} in magnitude, got {seed}")
+def _samples(value: Any, where: str) -> int:
+    value = _POSITIVE(value, where)
+    if value > MAX_SAMPLES:
+        raise SchemaError(f"{where}: at most {MAX_SAMPLES}, got {value}")
+    return value
 
 
-# ============================================================
-# Section parsers
-# ============================================================
-
-def _parse_surface(value: Any, tol: float) -> SurfaceSpec:
-    if not isinstance(value, dict):
-        raise SchemaError("surface: required object missing")
-    if "tolerance" in value:
-        raise SchemaError("surface.tolerance: removed; set run.tol instead")
-    tau = parse_complex(value.get("tau"), "surface.tau")
-    _check_range("surface.tau", "tau", tau)
-    theta = value.get("theta_degree", 1)
-    if not isinstance(theta, int) or theta < 1:
-        raise SchemaError("surface.theta_degree: expected a positive integer")
-    fibres = []
-    for i, mf in enumerate(value.get("multiple_fibres", [])):
-        if not isinstance(mf, dict):
-            raise SchemaError(f"surface.multiple_fibres[{i}]: expected object")
-        at = parse_base_point(mf.get("at"), f"surface.multiple_fibres[{i}].at")
-        m = mf.get("m")
-        if not isinstance(m, int) or m < 2:
-            raise SchemaError(
-                f"surface.multiple_fibres[{i}].m: expected integer >= 2")
-        fibres.append(MultipleFibre(at, m))
-    with _schema("surface"):
-        curve = TateCurve(tau, tol)
-        return SurfaceSpec(curve, theta, tuple(fibres))
+def _tol(value: Any, where: str) -> float:
+    if not isinstance(value, (int, float)) or not 0 < value < 1:
+        raise SchemaError(f"{where}: expected a number in (0, 1), got {value!r}")
+    return value
 
 
-def _parse_determinant(value: Any, surface: SurfaceSpec) -> LineBundleOnX:
-    if not isinstance(value, dict):
-        raise SchemaError("determinant: expected an object")
-    base = value.get("base_class", 0)
-    if not isinstance(base, int):
-        raise SchemaError("determinant.base_class: expected an integer")
-    factor = parse_complex(value.get("factor", [1.0, 0.0]), "determinant.factor")
-    _check_range("determinant.factor", "the factor", factor)
-    parts = value.get("fibre_parts", [0] * len(surface.multiple_fibres))
-    if (not isinstance(parts, list)
-            or not all(isinstance(p, int) for p in parts)):
-        raise SchemaError("determinant.fibre_parts: expected integers")
-    with _schema("determinant"):
-        return LineBundleOnX(surface, base, factor, tuple(parts))
+def _seed(value: Any, where: str) -> int:
+    value = _INTEGER(value, where)
+    if abs(value) > MAX_SEED:
+        raise SchemaError(f"{where}: at most {MAX_SEED} in magnitude, got {value}")
+    return value
 
 
-def _parse_pell_map(value: Any, cover: HyperCover, where: str) -> PellMap:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{where}: expected a map object")
-    s = parse_qi(value.get("s", [1, 1, 0, 1]), f"{where}.s")
-    if not s.is_zero():
-        scale = s.to_complex()
-        _check_range(f"{where}.s", "s", scale)
-        _check_range(f"{where}.s", "s squared", scale * scale)
+def _read_map(value: Any, where: str, cover: HyperCover) -> PellMap:
+    """The map on `cover`: the scale ``s``, then the Pell pair ``p``, ``q``
+    when either is given (``u``, ``v`` and ``r`` are then not read), else
+    ``u``, ``v``, ``r``."""
+    s, = _fields(_MAP, value, where)
     if "p" in value or "q" in value:
-        p = parse_poly(value.get("p", []), f"{where}.p")
-        q = parse_poly(value.get("q", []), f"{where}.q")
+        p, q = _fields(_PELL_PAIR, value, where)
         with _schema(where):
             return PellMap.from_pell_pair(cover, p, q, s)
-    u = parse_poly(value.get("u", []), f"{where}.u")
-    v = parse_poly(value.get("v", []), f"{where}.v")
-    r = parse_poly(value.get("r", []), f"{where}.r")
+    u, v, r = _fields(_PELL_UVR, value, where)
     with _schema(where):
         return PellMap(cover, u, v, r, s)
 
 
-def _parse_cover_curve(value: Any, where: str) -> HyperCover:
-    if not isinstance(value, dict) or "f" not in value:
-        raise SchemaError(f"{where}: expected an object with f")
-    f = parse_poly(value["f"], f"{where}.f")
+def _read_divisor(value: Any, where: str, cover: HyperCover) -> DivisorClass:
+    """A divisor class on `cover`; ``inf`` is deg u unless given."""
+    u, v, inf = _fields(_DIVISOR, value, where)
     with _schema(where):
-        return HyperCover(f)
+        return DivisorClass(cover, u, v, u.degree if inf is None else inf)
 
 
-def _check_range(where: str, name: str, z: complex) -> None:
-    """The per-sample path divides by ``z``: |z| and 1/|z| must be normal floats."""
-    if not sys.float_info.min <= math.hypot(z.real, z.imag) <= 1.0 / sys.float_info.min:
-        raise SchemaError(f"{where}: {name} or its reciprocal is zero, "
-                          "subnormal or not finite")
+def _split(factors: tuple[complex, complex], bases: tuple[int, int]) -> Callable:
+    """Split data and base c2 (0) as a function of the surface."""
+    return lambda surface: (SplitData(LineBundleOnX(surface, bases[0], factors[0]),
+                                      LineBundleOnX(surface, bases[1], factors[1])), 0)
 
 
-def _check_pair(where: str, a: complex, b: complex, names: tuple[str, str, str]) -> None:
-    """``_check_range`` on a, b, their product and their ratio."""
-    _check_range(where, names[0], a)
-    _check_range(where, names[1], b)
-    _check_range(where, f"the product of {names[2]}", a * b)
-    _check_range(where, f"the ratio of {names[2]}", a / b)
+def _pushforward(cover: HyperCover, fmap: PellMap, twist: DivisorClass | None,
+                 torsion: tuple[tuple[int, int], ...], c2: int | None) -> Callable:
+    """Pushforward data and base c2 as a function of the surface; c2 is by
+    default the inverse map's torus degree, as in ``FamilySpec.pushforward``."""
+    data = PushforwardData(cover, fmap, twist, torsion)
+    base_c2 = bisection_torus_degree(fmap.inverse()) if c2 is None else c2
+    return lambda surface: (data, base_c2)
 
 
-def _parse_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
-    if not isinstance(value, dict):
-        raise SchemaError("family: expected an object")
-    pres = value.get("presentation")
-    if not isinstance(pres, dict) or "type" not in pres:
-        raise SchemaError("family.presentation: expected an object with type")
-    kind = pres["type"]
-    if kind == "split":
-        factors = pres.get("factors")
-        if not isinstance(factors, list) or len(factors) != 2:
-            raise SchemaError("family.presentation.factors: expected 2 entries")
-        f1 = parse_complex(factors[0], "family.presentation.factors[0]")
-        f2 = parse_complex(factors[1], "family.presentation.factors[1]")
-        _check_pair("family.presentation.factors", f1, f2,
-                    ("factor 0", "factor 1", "the factors"))
-        bases = pres.get("base_classes", [0, 0])
-        if (not isinstance(bases, list) or len(bases) != 2
-                or not all(isinstance(b, int) for b in bases)):
-            raise SchemaError(
-                "family.presentation.base_classes: expected 2 integers")
-        with _schema("family.presentation"):
-            data = SplitData(LineBundleOnX(surface, bases[0], f1),
-                             LineBundleOnX(surface, bases[1], f2))
-        base_c2 = 0
-    elif kind == "pushforward":
-        cover = _parse_cover_curve(pres.get("cover"), "family.presentation.cover")
-        fmap = _parse_pell_map(pres.get("map"), cover, "family.presentation.map")
-        twist = None
-        if pres.get("twist") is not None:
-            twist = parse_divisor_class(pres["twist"], cover,
-                                        "family.presentation.twist")
-        torsion = _parse_torsion_pairs(pres.get("torsion_pairs", []),
-                                       "family.presentation.torsion_pairs")
-        base_c2 = pres.get("c2")
-        if base_c2 is not None and not isinstance(base_c2, int):
-            raise SchemaError("family.presentation.c2: expected an integer")
-        with _schema("family.presentation"):
-            data = PushforwardData(cover, fmap, twist, torsion)
-            if base_c2 is None:
-                # the default of FamilySpec.pushforward
-                base_c2 = bisection_torus_degree(fmap.inverse())
-    else:
-        raise SchemaError(f"family.presentation.type: unknown kind {kind!r}")
-    # One pass: each step is parsed and then replayed before the next is
-    # read, so the first bad step is the one reported, whatever its kind.
+def _read_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
+    """The presentation, then the journal in one pass: each step is parsed
+    and then replayed before the next is read, so the first bad step is the
+    one reported, whatever its kind."""
+    data_on, steps = _fields(_FAMILY, value, "family")
+    with _schema("family.presentation"):
+        data, base_c2 = data_on(surface)
     journal = _JournalReplay(surface, data, base_c2)
     points: dict[tuple[int, ...], BasePoint] = {}
-    for i, step in enumerate(value.get("modifications", [])):
+    for i, step in enumerate(steps):
         _replay_step(journal, step, f"family.modifications[{i}]", points)
     return journal.family()
-
-
-def _parse_torsion_pairs(value: Any, where: str) -> tuple[tuple[int, int], ...]:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected an array")
-    out = []
-    for i, pair in enumerate(value):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)):
-            raise SchemaError(f"{where}[{i}]: expected [int, int]")
-        out.append((pair[0], pair[1]))
-    return tuple(out)
 
 
 # the element types of a base point spelled as four plain integers
@@ -420,8 +435,8 @@ def _replay_step(journal: _JournalReplay, step: Any, where: str,
     try:
         if op == "push":
             degree = step.get("degree", 1)
-            if not isinstance(degree, int) or degree < 1:
-                raise SchemaError(f"{where}.degree: expected integer >= 1")
+            if type(degree) is not int or degree < 1:  # the hot path skips the call
+                degree = _POSITIVE(degree, f"{where}.degree")
             point = parse_complex(step.get("line_point", [2.0, 0.0]),
                                   f"{where}.line_point")
             if point == 0:
@@ -435,35 +450,46 @@ def _replay_step(journal: _JournalReplay, step: Any, where: str,
         raise SchemaError(f"{where}: {exc}") from exc
 
 
-def _parse_cover(value: Any, surface: SurfaceSpec) -> SpectralCover:
-    if not isinstance(value, dict):
-        raise SchemaError("cover: expected an object")
-    verticals = []
-    for i, vert in enumerate(value.get("verticals", [])):
-        if not isinstance(vert, dict):
-            raise SchemaError(f"cover.verticals[{i}]: expected object")
-        at = parse_base_point(vert.get("at"), f"cover.verticals[{i}].at")
-        mult = vert.get("multiplicity", 1)
-        if not isinstance(mult, int) or mult < 1:
-            raise SchemaError(
-                f"cover.verticals[{i}].multiplicity: expected integer >= 1")
-        verticals.append((at, mult))
-    bis_raw = value.get("bisection")
-    if not isinstance(bis_raw, dict) or "type" not in bis_raw:
-        raise SchemaError("cover.bisection: expected an object with type")
-    if bis_raw["type"] == "two_sections":
-        a1 = parse_complex(bis_raw.get("a1"), "cover.bisection.a1")
-        a2 = parse_complex(bis_raw.get("a2"), "cover.bisection.a2")
-        _check_pair("cover.bisection", a1, a2, ("a1", "a2", "a1 and a2"))
-        with _schema("cover.bisection"):
-            bis = TwoSections(a1, a2)
-    elif bis_raw["type"] == "pell":
-        cover_curve = _parse_cover_curve(bis_raw.get("cover"),
-                                         "cover.bisection.cover")
-        bis = _parse_pell_map(bis_raw.get("map"), cover_curve,
-                              "cover.bisection.map")
-    else:
-        raise SchemaError(
-            f"cover.bisection.type: unknown kind {bis_raw['type']!r}")
-    with _schema("cover"):
-        return SpectralCover(surface, tuple(verticals), bis)
+def _two_sections(a1: complex, a2: complex) -> TwoSections:
+    _check_pair("cover.bisection", a1, a2, ("a1", "a2", "a1 and a2"))
+    return TwoSections(a1, a2)
+
+
+# Each object's keys, in the order they are read: key -> (reader, default,
+# *earlier keys the reader takes).  A default is read like a given value;
+# None with a reader that refuses it makes the key required.  The README's
+# key table is checked against these.
+_RUN = {"samples": (_samples, 32), "tol": (_tol, 1e-9), "seed": (_seed, 0)}
+# read after the run flags are checked
+_RUN_POINTS = {"points": (_optional(_array(parse_complex, nonempty=True)), None)}
+_MULTIPLE_FIBRE = {"at": (parse_base_point, None), "m": (_int(2), None)}
+_SURFACE = {"tau": (_ranged("tau"), None), "theta_degree": (_POSITIVE, 1),
+            "multiple_fibres": (_array(_object(_MULTIPLE_FIBRE, MultipleFibre)), [])}
+_CURVE = {"f": (parse_poly, None)}
+_MAP = {"s": (_scale, [1, 1, 0, 1])}
+_PELL_PAIR = {"p": (parse_poly, []), "q": (parse_poly, [])}
+_PELL_UVR = {"u": (parse_poly, []), "v": (parse_poly, []), "r": (parse_poly, [])}
+_DIVISOR = {"u": (parse_poly, []), "v": (parse_poly, []), "inf": (_INTEGER, _DERIVED)}
+_SPLIT = {"factors": (_factors, None),
+          "base_classes": (_array(_INTEGER, 2), [0, 0])}
+_PUSHFORWARD = {"cover": (_object(_CURVE, HyperCover), None),
+                "map": (_read_map, None, "cover"),
+                "twist": (_optional(_read_divisor), None, "cover"),
+                "torsion_pairs": (_array(_array(_INTEGER, 2)), []),
+                "c2": (_optional(_INTEGER), None)}
+# the journal's entries are read by _replay_step
+_FAMILY = {"presentation": (_tagged({"split": _object(_SPLIT, _split),
+                                     "pushforward": _object(_PUSHFORWARD, _pushforward)}),
+                            None),
+           "modifications": (_array(None), [])}
+_DETERMINANT = {"base_class": (_INTEGER, 0),
+                "factor": (_ranged("the factor"), [1.0, 0.0]),
+                "fibre_parts": (_array(_INTEGER), [])}
+_VERTICAL = {"at": (parse_base_point, None), "multiplicity": (_POSITIVE, 1)}
+_TWO_SECTIONS = {"a1": (parse_complex, None), "a2": (parse_complex, None)}
+_PELL = {"cover": (_object(_CURVE, HyperCover), None), "map": (_read_map, None, "cover")}
+_COVER = {"verticals": (_array(_object(_VERTICAL, lambda at, m: (at, m))), []),
+          "bisection": (_tagged({"two_sections": _object(_TWO_SECTIONS, _two_sections),
+                                 "pell": _object(_PELL, lambda curve, fmap: fmap)}),
+                        None)}
+_DESCENT = {"b0": (parse_base_point, None)}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from spectral_forge import (
     parse_scenario,
     scenario_hash,
 )
+from spectral_forge import scenario
 from spectral_forge.scenario import (
     encode_base_point,
     encode_complex,
@@ -295,6 +297,41 @@ def test_schema_error_catalogue(mangle, where):
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("mangle, message", [
+    pytest.param(lambda d: d.update(determinant=[1]),
+                 "determinant: expected an object", id="object"),
+    pytest.param(lambda d: d["family"]["presentation"].update(base_classes=[0]),
+                 "family.presentation.base_classes: expected 2 entries",
+                 id="array-length"),
+    pytest.param(lambda d: d["run"].update(points=[]),
+                 "run.points: expected a nonempty array", id="array-empty"),
+    pytest.param(lambda d: d["family"].update(modifications=3),
+                 "family.modifications: expected an array", id="array-type"),
+    pytest.param(lambda d: d["surface"].update(
+        multiple_fibres=[{"at": [5, 1, 0, 1], "m": 1}]),
+                 "surface.multiple_fibres[0].m: expected integer >= 2",
+                 id="integer-bound"),
+    pytest.param(lambda d: d.update(cover={"bisection": {"type": "pel"}}),
+                 "cover.bisection.type: unknown kind 'pel'", id="unknown-type"),
+    pytest.param(lambda d: d["family"].update(presentation={"factors": []}),
+                 "family.presentation: expected an object with type",
+                 id="no-type"),
+    pytest.param(lambda d: d.update(cover={"bisection": {
+        "type": "pell", "cover": {"f": 3}}}),
+                 "cover.bisection.cover.f: expected a coefficient array",
+                 id="polynomial"),
+    pytest.param(lambda d: d["family"].update(modifications=[["push"]]),
+                 "family.modifications[0]: expected an object with op",
+                 id="journal-step"),
+])
+def test_each_reader_refuses_naming_the_path(mangle, message):
+    doc = split_doc()
+    mangle(doc)
+    with pytest.raises(SchemaError) as err:
+        parse_scenario(doc)
+    assert str(err.value) == message
+
+
 def test_schema_error_on_bad_surface_lattice():
     doc = split_doc()
     doc["surface"]["tau"] = [0.5, 0.0]  # inside the unit circle
@@ -313,3 +350,57 @@ def test_load_errors(tmp_path):
     notdict.write_text("[1, 2]")
     with pytest.raises(SchemaError):
         load_scenario(str(notdict))
+
+
+# ============================================================
+# README key table
+# ============================================================
+
+# README object name -> the tables of its keys
+README_OBJECTS = {
+    "`run`": ["_RUN", "_RUN_POINTS"], "`surface`": ["_SURFACE"],
+    "multiple fibre": ["_MULTIPLE_FIBRE"], "`family`": ["_FAMILY"],
+    "split presentation": ["_SPLIT"],
+    "pushforward presentation": ["_PUSHFORWARD"], "curve": ["_CURVE"],
+    "map": ["_MAP", "_PELL_PAIR", "_PELL_UVR"], "divisor class": ["_DIVISOR"],
+    "`determinant`": ["_DETERMINANT"], "`cover`": ["_COVER"],
+    "vertical": ["_VERTICAL"], "two-sections bisection": ["_TWO_SECTIONS"],
+    "pell bisection": ["_PELL"], "`descent`": ["_DESCENT"],
+}
+# keys read by hand, with their JSON defaults: the document's sections by
+# parse_scenario, a journal step's by _replay_step
+README_BY_HAND = {
+    "document": {"surface": None, "family": None, "cover": None,
+                 "determinant": None, "descent": None, "run": {}},
+    "journal step": {"op": None, "at": None, "degree": 1,
+                     "line_point": [2.0, 0.0]},
+}
+
+
+def readme_key_table() -> dict[str, dict[str, object]]:
+    """{object: {key: JSON default or None}} of README's key table; a
+    default cell that does not start with a JSON literal reads as None."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| object | key | type | default |") + 2
+    table: dict[str, dict[str, object]] = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        obj, key, _, default = (c.strip() for c in line.strip("|").split("|"))
+        literal = json.loads(default[1:default.index("`", 1)]) if default.startswith("`") else None
+        table.setdefault(obj, {})[key.strip("`")] = literal
+    return table
+
+
+def test_readme_key_table_matches_the_readers():
+    """Every key of every reader table, and no other, is in README's table
+    with its default; a default None or derived has no literal there."""
+    tables = {name: table for name, table in vars(scenario).items()
+              if isinstance(table, dict) and name.isupper() and table
+              and all(isinstance(v, tuple) and len(v) >= 2 for v in table.values())}
+    assert sorted(tables) == sorted(t for names in README_OBJECTS.values() for t in names)
+    want = dict(README_BY_HAND)
+    for obj, names in README_OBJECTS.items():
+        want[obj] = {key: None if entry[1] is scenario._DERIVED else entry[1]
+                     for name in names for key, entry in tables[name].items()}
+    assert readme_key_table() == want
