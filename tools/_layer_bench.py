@@ -10,8 +10,8 @@ the output file under the label.  With a ``change`` run next to a
 (``speedup_best``, ``seed_speedup_best``) and, against the parent, their
 median-time ratios (``speedup_median``) next to each tree's own ``spread``:
 (max - min) / median of its per-round median times, per layer.  A median
-ratio whose distance from 1 lies inside the parent's spread is printed as
-unresolved: the parent's rounds alone vary that much.
+ratio whose distance from 1 lies inside the larger of the two trees'
+spreads is printed as unresolved: one tree's rounds alone vary that much.
 
 Every script takes ``--against``, a second tree written under ``parent``.
 A process can import only one tree, so an in-process script then runs
@@ -85,15 +85,18 @@ def timing_rows(tree: dict, path: tuple[str, ...] = ()):
         yield from timing_rows(value, path + (key,))
 
 
-def print_ratios(ratio: dict | float, spread: dict | float | None,
+def print_ratios(ratio: dict | float, spread: dict[str, dict | float | None],
                  path: tuple[str, ...] = ()) -> None:
     """Print each median ratio, marked unresolved where its distance from 1
-    lies inside the parent's spread."""
+    lies inside the larger of the spreads, {label: spread tree}, of the two
+    trees."""
     if isinstance(ratio, dict):
         for key, value in ratio.items():
-            print_ratios(value, (spread or {}).get(key), path + (key,))
+            print_ratios(value, {label: (tree or {}).get(key)
+                                 for label, tree in spread.items()}, path + (key,))
         return
-    mark = " unresolved" if spread is not None and abs(ratio - 1) <= spread else ""
+    known = [s for s in spread.values() if s is not None]
+    mark = " unresolved" if known and abs(ratio - 1) <= max(known) else ""
     print("median ratio", *path, f"{ratio:.2f}{mark}")
 
 
@@ -191,4 +194,4 @@ def main(doc: str, out_name: str, description: str,
             print(label, *path,
                   " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()))
     if "spread" in out:
-        print_ratios(out["speedup_median"], out["spread"]["parent"])
+        print_ratios(out["speedup_median"], out["spread"])
