@@ -12,13 +12,14 @@ Encoding conventions (documented here and in the README):
 - base points: a Gaussian rational array, or the string "inf",
 - divisor classes: {"u": poly, "v": poly, "inf": int}.
 
-Every value is read by a reader: a function of ``(value, where)`` that
-returns the typed value or raises ``SchemaError`` naming ``where``, the
-value's path in the document.  The keys of each object are declared once,
-in a module-level table of key -> (reader, default), read in table order;
-the README's key table is checked against these tables.  Hand-written code
-is left only for rules across keys and for the journal, which is replayed
-step by step as it is read.
+Every value is read by a reader: a function of ``(value, where)`` (and of
+the cover beside it, for data that lives on a cover) that returns the typed
+value or raises ``SchemaError`` naming ``where``, the value's path in the
+document.  The keys of each object are declared once, in a module-level
+table of key -> (reader, default), read in table order; the README's key
+table is checked against these tables.  Hand-written code is left only for
+rules across keys and for the journal, which is replayed step by step as it
+is read.
 
 ``scenario_hash`` is the sha256 of the canonical JSON serialization
 (sorted keys, tight separators), so reports embedding it are byte-stable.
@@ -157,7 +158,7 @@ def _array(item: _Reader | None, length: int | None = None,
             raise SchemaError(f"{where}: expected {text}")
         if item is None:
             return value
-        return tuple(item(x, f"{where}[{i}]") for i, x in enumerate(value))
+        return tuple([item(x, f"{where}[{i}]") for i, x in enumerate(value)])
     return read
 
 
@@ -172,7 +173,7 @@ def _fields(table: dict[str, tuple], value: Any, where: str) -> list:
     for key, (read, default, *after) in table.items():
         got[key] = (None if default is _DERIVED and key not in value
                     else read(value.get(key, default), f"{where}.{key}",
-                              *(got[k] for k in after)))
+                              *map(got.__getitem__, after)))
     return list(got.values())
 
 
