@@ -63,7 +63,6 @@ __all__ = [
     "class_neg",
     "involution_pullback",
     "class_equal",
-    "norm_degree",
     "in_prym",
     "classes_equal_by_search",
     "conjugate_sum_principal_witness",
@@ -644,9 +643,6 @@ class DivisorClass:
     def is_zero_class(self) -> bool:
         return self.u.degree == 0 and self.inf_mult == 0
 
-    def is_reduced(self) -> bool:
-        return self.u.degree <= self.cover.genus
-
     def __repr__(self) -> str:
         return f"DivisorClass(u={self.u}, v={self.v}, -{self.inf_mult}*inf)"
 
@@ -729,15 +725,6 @@ def involution_pullback(d: DivisorClass) -> DivisorClass:
 def class_equal(d1: DivisorClass, d2: DivisorClass) -> bool:
     """Exact class equality via Cantor reduction of the difference."""
     return class_add(d1, class_neg(d2)).is_zero_class()
-
-
-def norm_degree(d: DivisorClass) -> int:
-    """Degree of the pushforward to the base line.
-
-    The affine part pushes forward point by point; infinity on the cover maps
-    to infinity on the base.  For balanced (degree-0) classes this is 0.
-    """
-    return d.u.degree - d.inf_mult
 
 
 def in_prym(d: DivisorClass) -> bool:

@@ -51,7 +51,7 @@ from .fiber import (AtiyahRegular, FiberClass, SplitFiber, UnstableFiber,
                     is_regular, spectral_points)
 from .spectral import (ChernData, PellMap, SpectralCover, TwoSections,
                        _sample_ladder, bisection_torus_degree,
-                       check_invariance)
+                       invariance_residual)
 from .surface import LineBundleOnX, SurfaceSpec
 from .tate import TateCurve, TateLineBundle
 
@@ -338,9 +338,10 @@ class FamilySpec:
         """Twist the pushforward line data by a degree-0 class on the cover.
 
         The spectral cover is untouched.  The determinant changes by the
-        norm of nu, which is computed from its pushforward degree; over a
-        rational base a degree-0 norm class is principal, so the determinant
-        bookkeeping is unchanged exactly when norm_degree(nu) == 0.
+        norm of nu, whose degree on the base line is nu.degree() (the affine
+        part pushes forward point by point, infinity to infinity); over a
+        rational base a degree-0 norm class is principal, so for the degree-0
+        classes accepted here the determinant bookkeeping is unchanged.
         """
         if not isinstance(self.data, PushforwardData):
             raise UnsupportedError("twisting requires a pushforward family")
@@ -714,7 +715,7 @@ def build_regular_family(cover: SpectralCover, delta: LineBundleOnX,
     line data."""
     if cover.verticals:
         raise UnsupportedError("regular construction needs a vertical-free cover")
-    if not check_invariance(cover, delta, samples):
+    if invariance_residual(cover, delta, samples) > cover.curve.tolerance:
         raise VerificationError("cover is not invariant for this delta")
     return _family_on_cover(cover)
 

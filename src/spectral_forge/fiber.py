@@ -63,7 +63,6 @@ __all__ = [
     "FiberClass",
     "is_regular",
     "spectral_points",
-    "h1_restrict",
     "theta_even",
     "theta_odd",
     "obstruction",
@@ -177,21 +176,6 @@ def spectral_points(fc: FiberClass) -> tuple[TatePoint, ...] | None:
         p = fc.curve.point(1.0 / fc.line.factor)
         return (p, p)
     return None
-
-
-def h1_restrict(fc: FiberClass, alpha: complex) -> int:
-    """dim H^1 of the fibre class twisted by the degree-0 bundle of factor alpha."""
-    if isinstance(fc, SplitFiber):
-        c = fc.curve
-        total = 0
-        for l in (fc.l1, fc.l2):
-            if c.in_lattice(l.factor * alpha):
-                total += 1
-        return total
-    if isinstance(fc, AtiyahRegular):
-        return 1 if fc.curve.in_lattice(fc.line.factor * alpha) else 0
-    # unstable: the degree-h sub always contributes through the quotient side
-    return fc.height
 
 
 # ============================================================

@@ -42,7 +42,6 @@ __all__ = [
     "TransformedSheaf",
     "fm_transform",
     "fm_inverse",
-    "branch_correction",
     "RoundtripReport",
     "roundtrip_check",
     "torsion_roundtrip_check",
@@ -76,10 +75,6 @@ class DescentTwist:
 
     def disabled(self) -> "DescentTwist":
         return DescentTwist(self.b0, self.pair, self.theta_degree, False)
-
-    def gamma_divisor(self) -> tuple[int, BasePoint]:
-        """The section's divisor: -theta_degree times the base point."""
-        return (-self.theta_degree, self.b0)
 
 
 def descent_divisor(family: FamilySpec, b0: BasePoint) -> DescentTwist:
@@ -207,33 +202,16 @@ def fm_inverse(sheaf: TransformedSheaf) -> FamilySpec:
 
     Rebuilds the family as the pushforward of the line data along the
     support bisection (or the split family for disconnected supports).
-    The determinant correction from the branch divisor is reported by
-    ``branch_correction`` on the result's data rather than asserted."""
+    The result's determinant is its own norm constant; it is not checked
+    against ``line_data.det_factor``, because the exact sequence fixing the
+    correction from the branch divisor involves an undetermined reference
+    bundle."""
     if sheaf.support.verticals:
         raise UnsupportedError(
             "vertical components are outside the inverse hypotheses")
     line = sheaf.line_data
     return _family_on_cover(sheaf.support, line.split_base_classes or (0, 0),
                             line.twist, line.torsion_pairs)
-
-
-def branch_correction(sheaf: TransformedSheaf) -> dict:
-    """Empirical determinant correction of the inverse construction.
-
-    Compares the determinant factor computed by the inverse (the exact norm
-    constant of the factor map) with the naive sheet product of the source
-    line data; the ratio is reported, not asserted, because the exact
-    sequence fixing it involves an undetermined reference bundle."""
-    rebuilt = fm_inverse(sheaf)
-    computed = rebuilt.determinant.constant_factor
-    naive = sheaf.line_data.det_factor
-    ratio = computed / naive if naive != 0 else float("nan")
-    return {
-        "status": "empirical",
-        "computed_det_factor": computed,
-        "source_det_factor": naive,
-        "ratio": ratio,
-    }
 
 
 # ============================================================

@@ -51,12 +51,6 @@ __all__ = [
     "parse_scenario",
     "scenario_hash",
     "canonical_json",
-    "encode_complex",
-    "parse_complex",
-    "parse_qi",
-    "parse_poly",
-    "parse_base_point",
-    "encode_base_point",
 ]
 
 _Reader = Callable[[Any, str], Any]

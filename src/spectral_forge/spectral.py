@@ -36,7 +36,7 @@ from typing import Callable
 from . import _carray
 from ._carray import np
 from .covers import BasePoint, HyperCover, Poly, QI
-from .errors import PunctureError, UnsupportedError, VerificationError
+from .errors import PunctureError, UnsupportedError
 from .fiber import extension_from_pair
 from .surface import LineBundleOnX, SurfaceSpec
 from .tate import TateCurve
@@ -47,10 +47,8 @@ __all__ = [
     "PellMap",
     "SpectralCover",
     "RegularChart",
-    "RuledGraph",
-    "check_invariance",
+    "bisection_torus_degree",
     "invariance_residual",
-    "graph_in_ruled_surface",
     "regular_chart",
     "sample_circle",
 ]
@@ -351,48 +349,6 @@ def _max_fibre_defect(curve: TateCurve, delta: LineBundleOnX, pts: list[complex]
         return curve.lattice_distance(pair[0] * pair[1] / factor)[1]
 
     return max([0.0, *_carray.fill_odd(d, odd | lodd, defect_at).tolist()])
-
-
-def check_invariance(cover: SpectralCover, delta: LineBundleOnX,
-                     samples: "int | list[complex]" = 32) -> bool:
-    """True iff the sheet product matches delta's factor at every sample,
-    within the cover curve's tolerance (a scenario's ``run.tol``)."""
-    return invariance_residual(cover, delta, samples) <= cover.curve.tolerance
-
-
-# ============================================================
-# The graph in the ruled quotient
-# ============================================================
-
-@dataclass(frozen=True)
-class RuledGraph:
-    """Image of a cover in the quotient by the fibrewise involution."""
-
-    ruling_fibres: tuple[tuple[BasePoint, int], ...]
-    section_points: tuple[tuple[complex, tuple[complex, complex]], ...]
-    fixed_meets: tuple[complex, ...]
-
-
-def graph_in_ruled_surface(cover: SpectralCover, delta: LineBundleOnX,
-                           samples: "int | list[complex]" = 32) -> RuledGraph:
-    """Descend the cover to the ruled quotient: verticals become ruling
-    fibres, the bisection a single-valued section in orbit coordinates.
-    Raises VerificationError unless ``check_invariance`` holds, so the
-    cover curve's tolerance decides."""
-    if not check_invariance(cover, delta, samples):
-        raise VerificationError("cover is not invariant for this delta")
-    curve = cover.curve
-    section = []
-    fixed = []
-    for b in _sample_list(samples, curve):
-        v0, v1 = cover.bisection.sheet_values(b)
-        p0, p1 = curve.point(v0), curve.point(v1)
-        pair = sorted([p0, p1],
-                      key=lambda p: (abs(p.value), p.value.real, p.value.imag))
-        section.append((b, (pair[0].value, pair[1].value)))
-        if p0 == p1:
-            fixed.append(b)
-    return RuledGraph(tuple(cover.verticals), tuple(section), tuple(fixed))
 
 
 # ============================================================

@@ -33,7 +33,7 @@ from . import _carray
 from ._carray import np
 from .covers import BASE_POINT_RADIUS, BasePoint, HyperCover, _base_point_near
 from .errors import MultipleFibreRestrictionError
-from .tate import TateLineBundle, TatePoint
+from .tate import TateLineBundle
 
 __all__ = [
     "MultipleFibre",
@@ -43,8 +43,6 @@ __all__ = [
     "FibreComponentGroups",
     "pic_relative",
     "invariant_factors",
-    "involution_on_fibre",
-    "ruled_orbit",
     "fibre_component_groups",
 ]
 
@@ -164,22 +162,6 @@ class LineBundleOnX:
                 and self.fibre_parts == other.fibre_parts
                 and self.surface.curve.in_lattice(
                     self.constant_factor / other.constant_factor))
-
-
-def involution_on_fibre(delta: LineBundleOnX, b: complex,
-                        lam: TatePoint) -> TatePoint:
-    """The fibrewise involution lambda -> delta_b * lambda^(-1)."""
-    dl = delta.restrict_to_fiber(b)
-    return lam.curve.point(dl.factor / lam.value)
-
-
-def ruled_orbit(delta: LineBundleOnX, b: complex,
-                lam: TatePoint) -> tuple[TatePoint, TatePoint]:
-    """Unordered involution orbit {lambda, delta_b / lambda}, canonically sorted."""
-    other = involution_on_fibre(delta, b, lam)
-    pair = [lam, other]
-    pair.sort(key=lambda p: (abs(p.value), p.value.real, p.value.imag))
-    return (pair[0], pair[1])
 
 
 # ============================================================

@@ -25,7 +25,6 @@ Conventions
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -257,17 +256,6 @@ class TateCurve:
         return ((self.same_point(a[0], b[0]) and self.same_point(a[1], b[1]))
                 or (self.same_point(a[0], b[1])
                     and self.same_point(a[1], b[0])))
-
-    def square_roots(self, p: "TatePoint") -> tuple["TatePoint", ...]:
-        """The four points q with q*q = p on T (2-torsion translates)."""
-        r = cmath.sqrt(p.value)
-        rt = cmath.sqrt(p.value * self.tau)
-        return (
-            self.canonical_rep(r),
-            self.canonical_rep(-r),
-            self.canonical_rep(rt),
-            self.canonical_rep(-rt),
-        )
 
     def close(self, other: "TateCurve") -> bool:
         return abs(self.tau - other.tau) <= self.tolerance * abs(self.tau)

@@ -23,12 +23,15 @@ from spectral_forge import (
     FamilySpec,
     HyperCover,
     InvalidFamilyError,
+    JumpRecord,
+    LineBundleOnX,
     MultipleFibre,
     NoSurjectionError,
     PellMap,
     PopStep,
     PushStep,
     QI,
+    SplitData,
     SplitFiber,
     SurfaceSpec,
     TateCurve,
@@ -264,6 +267,25 @@ def test_assign_single_height_is_one_push():
     fam = assign_jumping_sequence(fresh_split(), X0, [3], NU)
     assert len(fam.steps) == 1
     assert jumping_sequence(fam, X0).sequence == (3,)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: JumpRecord(X0, 0, 0, 0, ()), "empty jumping sequence"),
+    (lambda: JumpRecord(X0, 1, 3, 2, (2, 1)), "height must head the sequence"),
+    (lambda: JumpRecord(X0, 2, 4, 2, (2, 1)), "multiplicity must be the sequence sum"),
+    (lambda: JumpRecord(X0, 2, 3, 3, (2, 1)), "length must be the sequence length"),
+    (lambda: JumpRecord(X0, 1, 3, 2, (1, 2)), "jumping sequences are non-increasing"),
+    (lambda: attach_generic_jumps(fresh_split(), [(X0, 2), (X1, 0)]),
+     "plan multiplicities must be >= 1"),
+    (lambda: SplitData(LineBundleOnX(surf_plain(), 0, 0.7),
+                       LineBundleOnX(surf_m23(), 0, 1.3)),
+     "summands live on different surfaces"),
+], ids=["empty", "height", "multiplicity", "length", "increasing", "plan",
+        "split-surfaces"])
+def test_presentations_and_jumps_refuse_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_generic_jumps_have_unit_sequences():
@@ -578,6 +600,8 @@ def test_twist_guards():
         fam.twisted(unbalanced)
     with pytest.raises(UnsupportedError):
         fresh_split().twisted(gens[0])
+    with pytest.raises(UnsupportedError, match="twisting requires a pushforward family"):
+        fresh_split().twisted_torsion(((1, -1),))
 
 
 def test_pushforward_data_refuses_mismatched_parts():

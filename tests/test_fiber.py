@@ -1,8 +1,8 @@
 # tests/test_fiber.py
 """
 Rank-2 fibre classes and the extension chart, verified against the
-functional-equation nullity oracle: twist-cohomology support, restriction
-dimensions, theta identities, zero pairs and chart inversion.
+functional-equation nullity oracle: twist-cohomology support, fibre-class
+constructors, theta identities, zero pairs and chart inversion.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from spectral_forge import (
     TateCurve,
     TateLineBundle,
     UnstableFiber,
-    h1_restrict,
     is_regular,
     make_extension,
     spectral_points,
@@ -94,38 +93,65 @@ def test_unstable_support_is_vertical():
     assert spectral_points(fc) is None
 
 
-# ============================================================
-# Restriction dimensions
-# ============================================================
-
-def test_unstable_height_three_restricts_to_three():
-    fc = UnstableFiber(3, TateLineBundle(DY, 3, 1.3), TateLineBundle(DY, 0, 0.9))
-    assert h1_restrict(fc, 0.7 + 0.1j) == 3
-
-
 def test_unstable_restriction_matches_nullity_oracle():
-    # destabilised automorphy [[s z^3, z], [0, d z^-3 / s]]; h^1 of the dual
+    # destabilised automorphy [[s z^3, z], [0, d z^-3 / s]]: the dual twisted
+    # by any g has h^1 = height, so the support is the whole fibre
     s, det = 1.3, 0.9
+    fc = UnstableFiber(3, TateLineBundle(DY, 3, s), TateLineBundle(DY, 0, det))
+    assert spectral_points(fc) is None
     for g in (1.0, 0.7 + 0.1j, 2.0):
         dual = [[{-3: 1 / (s * g)}, {}],
                 [{-1: -1 / g}, {3: s / (det * g)}]]
-        assert automorphy_nullity(DY.tau, dual) == 3
+        assert automorphy_nullity(DY.tau, dual) == fc.height
 
 
-def test_split_restriction_counts_trivialised_factors():
-    fc = split_two_three()
-    assert h1_restrict(fc, 0.5) == 1
-    assert h1_restrict(fc, 1 / 3) == 1
-    assert h1_restrict(fc, 0.7) == 0
-    doubled = SplitFiber(TateLineBundle(DY, 0, 2.0), TateLineBundle(DY, 0, 2.0))
-    assert h1_restrict(doubled, 0.5) == 2
-    assert not is_regular(doubled)
+# ============================================================
+# Fibre-class constructors
+# ============================================================
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SplitFiber(TateLineBundle(DY, 1, 2.0), TateLineBundle(DY, 0, 3.0)),
+     "split fibre classes use degree-0 factors"),
+    (lambda: SplitFiber(TateLineBundle(DY, 0, 2.0), TateLineBundle(GEN, 0, 3.0)),
+     "factors live on different curves"),
+    (lambda: AtiyahRegular(TateLineBundle(DY, 1, 2.0)),
+     "regular nonsplit classes use a degree-0 factor"),
+    (lambda: UnstableFiber(0, TateLineBundle(DY, 0, 1.3), TateLineBundle(DY, 0, 0.9)),
+     "unstable fibres need height >= 1"),
+    (lambda: UnstableFiber(2, TateLineBundle(DY, 1, 1.3), TateLineBundle(DY, 0, 0.9)),
+     "sub must have degree equal to height"),
+    (lambda: UnstableFiber(1, TateLineBundle(DY, 1, 1.3), TateLineBundle(DY, 1, 0.9)),
+     "det of a relatively-degree-0 fibre must be 0"),
+    (lambda: make_extension(DY, 0j, 1.0, 0.5), "sub factor must be nonzero"),
+], ids=["split-degree", "split-curves", "atiyah-degree", "unstable-height",
+        "unstable-sub", "unstable-det", "extension-sub"])
+def test_fibre_classes_refuse_bad_data(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
-def test_regular_nonsplit_restriction_is_one():
+def test_nonsplit_class_curve_determinant_and_isomorphism():
     fc = AtiyahRegular(TateLineBundle(DY, 0, 2.0))
-    assert h1_restrict(fc, 0.5) == 1
-    assert h1_restrict(fc, 0.9) == 0
+    assert fc.curve is DY
+    assert fc.det_factor() == 4.0
+    assert fc.isomorphic(AtiyahRegular(TateLineBundle(DY, 0, 2.0 * DY.tau)))
+    assert not fc.isomorphic(AtiyahRegular(TateLineBundle(DY, 0, 3.0)))
+    assert not fc.isomorphic(SplitFiber(TateLineBundle(DY, 0, 2.0),
+                                        TateLineBundle(DY, 0, 2.0)))
+
+
+def test_unstable_class_curve_determinant_and_isomorphism():
+    fc = UnstableFiber(2, TateLineBundle(DY, 2, 1.3), TateLineBundle(DY, 0, 0.9))
+    assert fc.curve is DY
+    assert fc.det_factor() == 0.9
+    assert fc.isomorphic(UnstableFiber(2, TateLineBundle(DY, 2, 1.3 * DY.tau),
+                                       TateLineBundle(DY, 0, 0.9 / DY.tau)))
+    assert not fc.isomorphic(UnstableFiber(1, TateLineBundle(DY, 1, 1.3),
+                                           TateLineBundle(DY, 0, 0.9)))
+    assert not fc.isomorphic(UnstableFiber(2, TateLineBundle(DY, 2, 1.3),
+                                           TateLineBundle(DY, 0, 1.1)))
+    assert not fc.isomorphic(AtiyahRegular(TateLineBundle(DY, 0, 0.9)))
 
 
 # ============================================================

@@ -26,7 +26,6 @@ from spectral_forge import (
     TwoSections,
     UnsupportedError,
     attach_generic_jumps,
-    branch_correction,
     descent_divisor,
     elem_mod,
     fm_inverse,
@@ -82,7 +81,6 @@ def test_descent_divisor_records_pair_and_coefficients():
     assert tw.theta_degree == 2
     assert tw.pair == fam.spectral_values_at(0.0)
     assert [tw.coefficient(i) for i in (-1, 0, 1, 2)] == [-2, 0, 2, 4]
-    assert tw.gamma_divisor() == (-2, B0)
     off = tw.disabled()
     assert all(off.coefficient(i) == 0 for i in (-1, 0, 1, 2))
 
@@ -97,6 +95,9 @@ def test_descent_divisor_guards():
                       BasePoint.of(3), 1, 1.7 + 0j)
     with pytest.raises(UnsupportedError):
         descent_divisor(jumped, BasePoint.of(3))
+    at_infinity = DescentTwist(BasePoint.infinity(), (0.7 + 0.1j, 1.3 - 0.2j), 1)
+    with pytest.raises(UnsupportedError, match="descent base point must be affine"):
+        z_action_residual(fam, at_infinity)
 
 
 def test_descent_corpus_closure(descent_corpus):
@@ -169,13 +170,6 @@ def test_regular_family_is_the_inverse_of_trivial_line_data(invariant_covers):
     for cov, delta in invariant_covers[:5]:
         sheaf = TransformedSheaf(cov, LineData(), ChernData(0, 0), True)
         assert families.build_regular_family(cov, delta, 16) == fm_inverse(sheaf)
-
-
-def test_branch_correction_is_reported_not_asserted():
-    fam = push_family(surf_plain(), cover_g1(), pell_g1())
-    report = branch_correction(fm_transform(fam, 16))
-    assert report["status"] == "empirical"
-    assert abs(report["ratio"] - 1.0) < 1e-12
 
 
 # ============================================================

@@ -1,19 +1,23 @@
 # tests/test_import.py
 """
 The numpy boundary: ``_carray`` is the only module that imports numpy, and
-it does so lazily, so work without arrays never loads it.
+it does so lazily, so work without arrays never loads it.  The public
+names: each declared once, all exported by the package and named in README.
 
-Each check runs in a fresh interpreter, because this test process already
-has numpy loaded (through ``oracles``).  Until the first array operation
-``numpy`` sits in ``sys.modules`` as a lazy module that has run none of
-numpy's code, so no ``numpy.*`` submodule is loaded yet.
+Each numpy check runs in a fresh interpreter, because this test process
+already has numpy loaded (through ``oracles``).  Until the first array
+operation ``numpy`` sits in ``sys.modules`` as a lazy module that has run
+none of numpy's code, so no ``numpy.*`` submodule is loaded yet.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -25,6 +29,7 @@ import spectral_forge
 
 SRC = Path(spectral_forge.__file__).resolve().parents[1]
 PACKAGE = SRC / "spectral_forge"
+README = SRC.parent / "README.md"
 
 F_G1 = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
 POINTS = ([3, 1, 0, 1], [-3, 1, 0, 1], [0, 1, 3, 1], [0, 1, -3, 1],
@@ -149,3 +154,25 @@ def test_numpy_is_imported_only_by_carray():
     users = {p.name for p in PACKAGE.glob("*.py") if "np." in p.read_text()}
     for name in users - {"_carray.py"}:
         assert "from ._carray import np" in (PACKAGE / name).read_text(), name
+
+
+def test_package_exports_are_the_union_of_the_module_lists():
+    """Each public name is declared in one module's ``__all__``, by the
+    module that defines it, and the package exports exactly their union."""
+    lists = {}
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"spectral_forge.{path.stem}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name
+            assert lists.setdefault(name, path.stem) == path.stem, name
+    lists.pop("main"), lists.pop("run_command")    # cli: not imported by the package
+    assert sorted(spectral_forge.__all__) == sorted(lists)
+
+
+def test_every_public_name_is_in_the_readme():
+    """README's library section names every export; a name added to a
+    module's ``__all__`` needs a line there too."""
+    text = README.read_text(encoding="utf-8")
+    assert [n for n in spectral_forge.__all__ if not re.search(rf"\b{n}\b", text)] == []

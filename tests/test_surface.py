@@ -1,6 +1,6 @@
 # tests/test_surface.py
 """
-Surface-level bookkeeping: line bundle algebra, fibrewise involution,
+Surface-level bookkeeping: line bundle algebra, refused inputs, the
 relative Picard presentation and classification component groups, with
 group shapes cross-checked against the Smith-form oracle.
 """
@@ -11,6 +11,7 @@ import pytest
 
 from spectral_forge import (
     BasePoint,
+    GroupPresentation,
     LineBundleOnX,
     MultipleFibre,
     MultipleFibreRestrictionError,
@@ -18,9 +19,7 @@ from spectral_forge import (
     TateCurve,
     fibre_component_groups,
     invariant_factors,
-    involution_on_fibre,
     pic_relative,
-    ruled_orbit,
 )
 from conftest import (
     TAU_DYADIC,
@@ -85,26 +84,22 @@ def test_duplicate_multiple_fibre_rejected():
                      MultipleFibre(BasePoint.of(5), 3)))
 
 
-# ============================================================
-# Fibrewise involution
-# ============================================================
-
-def test_involution_is_an_involution():
-    s = surf_plain()
-    delta = LineBundleOnX(s, 0, 0.8 - 0.3j)
-    lam = s.curve.point(1.2 + 0.4j)
-    once = involution_on_fibre(delta, 0.5, lam)
-    twice = involution_on_fibre(delta, 0.5, once)
-    assert twice.equivalent(lam)
-    assert (once * lam).equivalent(s.curve.point(0.8 - 0.3j))
-
-
-def test_ruled_orbit_is_unordered():
-    s = surf_plain()
-    delta = LineBundleOnX(s, 0, 0.8 - 0.3j)
-    lam = s.curve.point(1.2 + 0.4j)
-    other = involution_on_fibre(delta, 0.5, lam)
-    assert ruled_orbit(delta, 0.5, lam) == ruled_orbit(delta, 0.5, other)
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultipleFibre(BasePoint.of(5), 1),
+     "multiple fibres have multiplicity >= 2"),
+    (lambda: SurfaceSpec(TateCurve(TAU_DYADIC), 0), "theta_degree must be >= 1"),
+    (lambda: LineBundleOnX(surf_plain(), 0, 0j), "constant factor must be nonzero"),
+    (lambda: LineBundleOnX(surf_m23(), 0, 1.5, (1,)),
+     "fibre_parts length must match multiple fibres"),
+    (lambda: LineBundleOnX(surf_plain(), 0, 1.5).tensor(LineBundleOnX(surf_m23(), 0, 1.5)),
+     "bundles live on different surfaces"),
+    (lambda: GroupPresentation(torsion=(3, 1)), "torsion orders must be >= 2"),
+], ids=["multiplicity", "theta-degree", "factor", "fibre-parts", "tensor",
+        "torsion"])
+def test_surface_data_refuse_bad_input(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 # ============================================================

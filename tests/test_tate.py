@@ -211,23 +211,22 @@ def test_canonical_rep_past_the_float_range_is_unsupported(tau, z):
     assert odd.tolist() == [True, False]
 
 
-def test_square_roots_square_back():
-    curve = TateCurve(TAU_GENERIC)
-    p = curve.point(0.8 + 0.5j)
-    roots = curve.square_roots(p)
-    assert len(roots) == 4
-    for q in roots:
-        assert (q * q).equivalent(p)
-    # the four roots are pairwise distinct on the torus
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert not roots[i].equivalent(roots[j])
-
-
 def test_point_rejects_zero():
     curve = TateCurve(TAU_DYADIC)
     with pytest.raises(ValueError):
         curve.point(0.0)
+
+
+def test_points_multiply_modulo_tau():
+    """The group law of T = C*/tau^Z: products land on the canonical
+    representative, whichever lattice translate a factor is given by."""
+    curve = TateCurve(TAU_GENERIC)
+    p, q = curve.point(0.8 + 0.5j), curve.point(1.2 - 0.4j)
+    pq = p * q
+    assert pq.equivalent((0.8 + 0.5j) * (1.2 - 0.4j))
+    assert pq.value == curve.canonical_rep(pq.value).value
+    assert (p * ((1.2 - 0.4j) * curve.tau ** 3)).equivalent(pq)
+    assert (p * p.inverse()).equivalent(1.0)
 
 
 # ============================================================
