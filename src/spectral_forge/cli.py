@@ -36,8 +36,8 @@ from .fourier import (_roundtrip_report, descent_divisor, fm_transform,
                       roundtrip_check, z_action_residual)
 from .scenario import (MAX_SAMPLES, MAX_SEED, Scenario, canonical_json,
                        encode_base_point, encode_complex, load_scenario)
-from .spectral import (PellMap, SpectralCover, TwoSections, _max_fibre_defect,
-                       _sample_ladder)
+from .spectral import (PellMap, SpectralCover, TwoSections, _cover_points,
+                       _max_fibre_defect, invariance_residual)
 from .surface import GroupPresentation, fibre_component_groups, pic_relative
 
 __all__ = ["main", "run_command"]
@@ -58,27 +58,23 @@ def _require_family(scn: Scenario) -> FamilySpec:
 
 
 def _family_points(scn: Scenario) -> list[complex]:
+    """``run.points`` (poles there raise), else the family's ladder, else the
+    declared cover's; a family's declared determinant is checked regardless."""
+    if scn.family is not None or scn.cover is None:
+        _require_family(scn)
     if scn.points is not None:
         return list(scn.points)
-    fam = _require_family(scn)
-    return default_sample_points(fam, scn.samples, phase=0.05 * scn.seed)
+    if scn.family is not None:
+        return default_sample_points(scn.family, scn.samples, phase=0.05 * scn.seed)
+    return _cover_points(scn.cover, scn.samples, 0.05 * scn.seed)
 
 
 def _cover_and_frame(scn: Scenario) -> tuple[SpectralCover, _Frame]:
     """The declared cover, else the family's, with the report's frame, whose
-    ``support`` is that cover's values.  A declared cover without a family
-    samples a circle avoiding punctures; explicit points bypass the
-    avoidance so poles at declared samples surface as puncture errors."""
-    if scn.cover is None:
-        frame = _Frame(_require_family(scn), _family_points(scn))
-        return cover_from_family(frame.family, frame), frame
-    bis = scn.cover.bisection
-    if scn.points is not None or scn.family is not None:
-        pts = _family_points(scn)
-    else:
-        pts = _sample_ladder(scn.samples, abs(scn.cover.curve.tau), 0.05 * scn.seed,
-                             bis.punctures_near if isinstance(bis, PellMap) else None)
-    return scn.cover, _Frame(scn.family, pts, cover=scn.cover)
+    ``support`` is that cover's values."""
+    frame = _Frame(scn.family, _family_points(scn), cover=scn.cover)
+    cover = scn.cover if scn.cover is not None else cover_from_family(scn.family, frame)
+    return cover, frame
 
 
 def _invariance_delta(scn: Scenario):
@@ -157,36 +153,28 @@ def _envelope(command: str, scn: Scenario) -> dict:
 # ============================================================
 
 def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    code = 0
     cover, frame = _cover_and_frame(scn)
-    v0, v1, odd = frame.support
     if scn.cover is not None:
-        # evaluate every sample so declared sample points hit punctures loudly
-        v0, v1 = _carray.fill_odd(np.stack([v0, v1], axis=1), odd,
-                                  lambda i: cover.values_at(frame.pts[i])).T
-        odd = np.zeros_like(odd)
+        # odd samples raise, so declared sample points hit punctures first
+        for i in np.flatnonzero(frame.support[2]).tolist():
+            cover.values_at(frame.pts[i])
     report = _envelope("cover", scn)
     report["cover"] = _encode_cover(cover)
     delta = _invariance_delta(scn)
-    if delta is not None:
-        residual = _max_fibre_defect(cover.curve, delta, frame.pts, frame.b,
-                                     (v0, v1, odd), cover.values_at)
-        passed = residual <= scn.tol
-        report["invariance"] = {"checked": True, "max_residual": residual,
-                                "passed": passed}
-        if not passed:
-            code = 1
-    else:
+    if delta is None:
         report["invariance"] = {"checked": False}
-    return report, code
+        return report, 0
+    residual = invariance_residual(cover, delta, frame)
+    passed = residual <= scn.tol
+    report["invariance"] = {"checked": True, "max_residual": residual, "passed": passed}
+    return report, 0 if passed else 1
 
 
 def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     fam = _require_family(scn)
     frame = _Frame(fam, _family_points(scn))
     sheaf = fm_transform(fam, frame)
-    residual = _max_fibre_defect(fam.curve, fam.involution_bundle(), frame.pts, frame.b,
-                                 frame.support, sheaf.support.values_at)
+    residual = invariance_residual(sheaf.support, fam.involution_bundle(), frame)
     rt = _roundtrip_report(frame, sheaf)
     report = _envelope("fm", scn)
     report["phi0_vanishes"] = sheaf.phi0_vanishes
@@ -263,8 +251,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
         add("cover_consistency", False, str(exc))
     else:
         add("cover_consistency", True)
-        residual = _max_fibre_defect(fam.curve, fam.involution_bundle(), frame.pts,
-                                     frame.b, frame.support, cover.values_at)
+        residual = invariance_residual(cover, fam.involution_bundle(), frame)
         add("cover_invariance", residual <= scn.tol, f"max residual {residual:.3e}")
 
     for rec in jump_report(fam):

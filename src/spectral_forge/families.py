@@ -659,11 +659,15 @@ class _Frame:
         return self.family.data.factor_map._values_array(self.b)
 
     @cached_property
+    def bisection(self) -> "TwoSections | PellMap":
+        """The declared cover's bisection, else the inverse factor map."""
+        return (self.family.data.factor_map.inverse() if self.cover is None
+                else self.cover.bisection)
+
+    @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The values of ``spectral_values_at`` (the cover's bisection)."""
-        if self.cover is not None:
-            return self.cover.bisection._values_array(self.b)
-        return self.family.data.factor_map.inverse()._values_array(self.b)
+        """The values of the bisection's ``sheet_values``."""
+        return self.bisection._values_array(self.b)
 
     @cached_property
     def support_reps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -32,7 +32,7 @@ from .covers import BasePoint, DivisorClass, class_equal
 from .errors import UnsupportedError
 from .families import (FamilySpec, SplitData, cover_from_family,
                        _family_on_cover, _Frame)
-from .spectral import ChernData, SpectralCover, _sample_list
+from .spectral import ChernData, SpectralCover, sample_circle
 
 __all__ = [
     "DescentTwist",
@@ -115,7 +115,8 @@ def z_action_residual(family: FamilySpec, twist: DescentTwist,
     if twist.b0.is_infinity:
         raise UnsupportedError("descent base point must be affine")
     b0 = twist.b0.to_complex()
-    pts = _sample_list(samples, family.curve, b0)
+    pts = (sample_circle(samples, abs(family.curve.tau), b0)
+           if isinstance(samples, int) else list(samples))
     # the coefficient step (j+1)d - jd is the same at every level
     e = family.surface.theta_degree - (twist.coefficient(1) - twist.coefficient(0))
     worst = 0.0

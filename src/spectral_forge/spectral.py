@@ -273,13 +273,6 @@ class SpectralCover:
 # Invariance
 # ============================================================
 
-def _sample_list(samples: "int | list[complex]", curve: TateCurve,
-                 center: complex = 0j) -> list[complex]:
-    if isinstance(samples, int):
-        return sample_circle(samples, abs(curve.tau), center)
-    return list(samples)
-
-
 def sample_circle(count: int, radius: float, center: complex = 0j,
                   phase: float = 0.0) -> list[complex]:
     """Evenly spaced points on a circle; a small default phase offset keeps
@@ -313,17 +306,30 @@ def _sample_ladder(count: int, base_r: float, phase: float,
         f"{base_r:.6g}, phase {phase:.6g}")
 
 
+def _cover_points(cover: SpectralCover, count: int, phase: float = 0.0) -> list[complex]:
+    """A cover's own sample ladder about |tau|, clear of a Pell map's punctures."""
+    bis = cover.bisection
+    return _sample_ladder(count, abs(cover.curve.tau), phase,
+                          bis.punctures_near if isinstance(bis, PellMap) else None)
+
+
 def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
                         samples: "int | list[complex]" = 32) -> float:
-    """Max defect of A(c) * A(iota c) = delta_b over the samples.
+    """Max defect of A(c) * A(iota c) = delta_b over the samples: a count
+    (the cover's ladder, ``_cover_points``), points, or a report's frame,
+    whose support values are read where they are this bisection's.
 
     The defect at b is the distance of the product of the two sheet values
     from delta's fibre factor, measured after lattice reduction.
     """
-    pts = _sample_list(samples, cover.curve)
-    b = np.array(pts, dtype=complex)
-    return _max_fibre_defect(cover.curve, delta, pts, b, cover.bisection._values_array(b),
-                             cover.bisection.sheet_values)
+    bis = cover.bisection
+    if isinstance(samples, int):
+        samples = _cover_points(cover, samples)
+    frame = hasattr(samples, "pts")  # a report's frame, else points
+    pts = samples.pts if frame else list(samples)
+    b = samples.b if frame else np.array(pts, dtype=complex)
+    values = samples.support if frame and samples.bisection == bis else bis._values_array(b)
+    return _max_fibre_defect(cover.curve, delta, pts, b, values, bis.sheet_values)
 
 
 def _max_fibre_defect(curve: TateCurve, delta: LineBundleOnX, pts: list[complex],

@@ -327,6 +327,28 @@ def test_declared_determinant_mismatch_exits_one(tmp_path, capsys):
     assert report["invariance"]["passed"]
 
 
+@pytest.mark.parametrize("points", [None, [[2.0, 0.5], [-1.5, 1.0], [0.3, -2.2]]],
+                         ids=["ladder", "points"])
+@pytest.mark.parametrize("cmd", ["cover", "sample"])
+def test_family_determinant_is_checked_whatever_the_samples(tmp_path, capsys,
+                                                            cmd, points):
+    """A family with a declared pell cover of its own map and a declared
+    determinant that disagrees with the family: cover and sample exit 1 on
+    the family's ladder and at explicit run.points alike, before any
+    output."""
+    doc = pushforward_doc()
+    doc["cover"] = pell_cover_doc()["cover"]
+    doc["determinant"] = {"factor": [1.7, 0.3]}
+    if points is not None:
+        doc["run"]["points"] = points
+    csv = ["--csv", str(tmp_path / "rows.csv")] if cmd == "sample" else []
+    assert run_command([cmd, "--scenario", write(tmp_path, doc), *csv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "declared determinant disagrees" in captured.err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 @pytest.mark.parametrize("cmd", ["cover", "props", "sample"])
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_nonpositive_samples_flag_exits_two(tmp_path, capsys, cmd, samples):

@@ -28,10 +28,11 @@ from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
                             HyperCover, LineBundleOnX, MultipleFibre, PellMap,
                             Poly, PunctureError, SpectralCover,
                             SurfaceSpec, TateCurve, TwoSections, UnsupportedError,
-                            attach_generic_jumps, cover_from_family,
-                            default_sample_points, descent_divisor, elem_mod,
-                            fm_transform, invariance_residual, parse_scenario,
-                            sample_circle)
+                            attach_generic_jumps, build_regular_family,
+                            cover_from_family, default_sample_points,
+                            descent_divisor, elem_mod, fm_transform,
+                            invariance_residual, parse_scenario, roundtrip_check,
+                            sample_circle, torsion_roundtrip_check)
 from spectral_forge import _carray, cli, fourier
 from spectral_forge.cli import run_command
 from spectral_forge.families import _Frame
@@ -814,6 +815,37 @@ def test_reports_build_each_value_array_once(tmp_path, monkeypatch, index):
         assert built[0] <= most and built[1] <= most, (cmd, built)
         assert (built[1] > 0) == (index > 0)
         assert canonical[0] <= CANONICAL_ARRAYS[cmd], (cmd, canonical[0])
+
+
+def exact(result):
+    """``outcome`` with a float result as its bits (``float.hex``)."""
+    kind, value = result
+    return (kind, value.hex()) if isinstance(value, float) else result
+
+
+@pytest.mark.parametrize("index", range(3), ids=["split", "push-g1", "push-g2"])
+def test_sampled_checks_read_a_report_frame_as_its_points(index):
+    """On the sample-sweep scenarios at 256 samples, seed 1, every public
+    sampled check gives the same result, bit for bit, with the ``cover``
+    report's frame as with that frame's points.  A cover of another
+    bisection (the inverse map moved by 1e-6) is measured on its own values,
+    not on the frame's: its residual exceeds 1e-7."""
+    scn = parse_scenario(sweep_docs()[index], samples=256, seed=1)
+    fam, delta = scn.family, scn.family.involution_bundle()
+    cover, frame = cli._cover_and_frame(scn)
+    pts = list(frame.pts)
+    sheaf = fm_transform(fam, frame)
+    assert cover == cover_from_family(fam, pts)
+    assert sheaf == fm_transform(fam, pts)
+    assert roundtrip_check(fam, frame) == roundtrip_check(fam, pts)
+    assert torsion_roundtrip_check(sheaf, frame) == torsion_roundtrip_check(sheaf, pts)
+    moved = SpectralCover(cover.surface, (), perturbed(cover.bisection, 1e-6))
+    for spectral_cover in (cover, sheaf.support, moved):
+        for check in (invariance_residual, build_regular_family):
+            assert exact(outcome(check, spectral_cover, delta, frame)) == exact(
+                outcome(check, spectral_cover, delta, pts))
+    assert invariance_residual(cover, delta, frame) <= scn.tol
+    assert invariance_residual(moved, delta, frame) > 1e-7
 
 
 @pytest.mark.parametrize("seed", [1, 5, 11])

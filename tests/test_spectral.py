@@ -202,6 +202,33 @@ def test_curve_tolerance_decides_invariance(invariant_covers, tol, invariant):
         assert (res <= broken.curve.tolerance) is invariant
 
 
+def test_a_count_samples_the_covers_ladder(invariant_covers, monkeypatch):
+    """A sample count is the cover's own ladder: its rung 0 is
+    ``sample_circle(count, |tau|)``, bit for bit, and a Pell cover with a
+    puncture near a rung-0 sample is evaluated on rung 1 instead."""
+    seen: list[list[complex]] = []
+    for cls in (TwoSections, PellMap):
+        monkeypatch.setattr(cls, "_values_array", lambda self, b, f=cls._values_array:
+                            seen.append(b.tolist()) or f(self, b))
+    pell = 0
+    for cov, delta in invariant_covers:
+        radius = abs(cov.curve.tau)
+        rung0 = sample_circle(32, radius)
+        seen.clear()
+        assert (invariance_residual(cov, delta, 32).hex()
+                == invariance_residual(cov, delta, rung0).hex())
+        assert seen == [rung0, rung0]
+        if isinstance(cov.bisection, PellMap):
+            pell += 1
+            with monkeypatch.context() as m:
+                m.setattr(PellMap, "punctures_near",
+                          lambda self, b, margin=1e-6: b == rung0[5])
+                seen.clear()
+                invariance_residual(cov, delta, 32)
+            assert seen == [sample_circle(32, radius * (1.0 + 0.13), 0j, phase=0.05)]
+    assert pell == 3
+
+
 # ============================================================
 # Regular charts
 # ============================================================

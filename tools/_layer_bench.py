@@ -10,8 +10,10 @@ the output file under the label.  With a ``change`` run next to a
 (``speedup_best``, ``seed_speedup_best``) and, against the parent, their
 median-time ratios (``speedup_median``) next to each tree's own ``spread``:
 (max - min) / median of its per-round median times, per layer.  A median
-ratio whose distance from 1 lies inside the larger of the two trees'
-spreads is printed as unresolved: one tree's rounds alone vary that much.
+ratio is printed as resolved only where every round of one tree beat every
+round of the other.  For two equally fast trees, 2 of the 70 equally likely
+orderings of their 8 round times do that; a ratio of medians outside both
+spreads is no such test, since one slow round moves a median of 4.
 
 Every script takes ``--against``, a second tree written under ``parent``.
 A process can import only one tree, so an in-process script then runs
@@ -85,38 +87,40 @@ def timing_rows(tree: dict, path: tuple[str, ...] = ()):
         yield from timing_rows(value, path + (key,))
 
 
-def print_ratios(ratio: dict | float, spread: dict[str, dict | float | None],
+def print_ratios(ratio: dict | float, rounds: dict[str, dict | list | None],
                  path: tuple[str, ...] = ()) -> None:
-    """Print each median ratio, marked unresolved where its distance from 1
-    lies inside the larger of the spreads, {label: spread tree}, of the two
-    trees."""
+    """Print each median ratio, marked unresolved unless every round time of
+    one tree lies below every round time of the other; ``rounds`` is
+    {label: tree of each timing's round times} for the two trees (None where
+    a run has none)."""
     if isinstance(ratio, dict):
         for key, value in ratio.items():
             print_ratios(value, {label: (tree or {}).get(key)
-                                 for label, tree in spread.items()}, path + (key,))
+                                 for label, tree in rounds.items()}, path + (key,))
         return
-    known = [s for s in spread.values() if s is not None]
-    mark = " unresolved" if known and abs(ratio - 1) <= max(known) else ""
-    print("median ratio", *path, f"{ratio:.2f}{mark}")
+    a, b = rounds.values()
+    apart = bool(a and b) and (max(a) < min(b) or max(b) < min(a))
+    print("median ratio", *path, f"{ratio:.2f}{'' if apart else ' unresolved'}")
 
 
 def merge_rounds(rows: list[dict]) -> dict:
     """One layers tree from the trees of several rounds: each timing keeps
-    its best time, the median of its median times and their spread."""
+    its best time, each round's median time (``rounds``), their median and
+    their spread."""
     if "best_s" in rows[0]:
         medians = [r["median_s"] for r in rows]
         mid = statistics.median(medians)
         return {"best_s": min(r["best_s"] for r in rows), "median_s": mid,
-                "spread": round((max(medians) - min(medians)) / mid, 3)}
+                "rounds": medians, "spread": round((max(medians) - min(medians)) / mid, 3)}
     return {key: merge_rounds([r[key] for r in rows]) for key in rows[0]}
 
 
-def spreads(tree: dict) -> dict | float | None:
-    """The ``spread`` of every timing of a layers tree (None where a run was
-    not merged from rounds)."""
+def leaves(tree: dict, key: str) -> dict | float | list | None:
+    """The ``key`` of every timing of a layers tree (None where it has none,
+    as a run not merged from rounds has no ``spread``)."""
     if "best_s" in tree:
-        return tree.get("spread")
-    return {key: spreads(value) for key, value in tree.items()}
+        return tree.get(key)
+    return {name: leaves(value, key) for name, value in tree.items()}
 
 
 def alternate(trees: dict[str, Path]) -> dict[str, dict]:
@@ -186,7 +190,7 @@ def main(doc: str, out_name: str, description: str,
                 out[key] = ratios(runs[before]["layers"], after)
         if "parent" in runs:
             out["speedup_median"] = ratios(runs["parent"]["layers"], after, "median_s")
-            out["spread"] = {label: spreads(runs[label]["layers"])
+            out["spread"] = {label: leaves(runs[label]["layers"], "spread")
                              for label in ("parent", "change")}
     out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
     for label, entry in entries.items():
@@ -194,4 +198,5 @@ def main(doc: str, out_name: str, description: str,
             print(label, *path,
                   " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()))
     if "spread" in out:
-        print_ratios(out["speedup_median"], out["spread"])
+        print_ratios(out["speedup_median"], {label: leaves(runs[label]["layers"], "rounds")
+                                             for label in ("parent", "change")})

@@ -144,7 +144,8 @@ def measure_in(workdir: Path, trees: dict[str, Path]) -> dict[str, dict]:
             for part in path:
                 node = node.setdefault(part, {})
             times = walls[(label, key)]
-            node[leaf] = {"best_s": min(times), "median_s": statistics.median(times)}
+            node[leaf] = {"best_s": min(times), "median_s": statistics.median(times),
+                          "rounds": times}
         out[label] = {
             "layers": layers, "exit_codes": exits[label],
             "importtime_self_us": {m: statistics.median(v)
