@@ -199,6 +199,8 @@ def _cmd_roundtrip(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_classify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
+    if scn.family is not None:
+        _require_family(scn)
     cover = _hyper_cover(scn)
     groups = fibre_component_groups(scn.surface, cover)
     pic = pic_relative(scn.surface)

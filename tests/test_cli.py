@@ -329,13 +329,14 @@ def test_declared_determinant_mismatch_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("points", [None, [[2.0, 0.5], [-1.5, 1.0], [0.3, -2.2]]],
                          ids=["ladder", "points"])
-@pytest.mark.parametrize("cmd", ["cover", "sample"])
+@pytest.mark.parametrize("cmd", ["cover", "fm", "roundtrip", "classify", "modify",
+                                 "props", "sample"])
 def test_family_determinant_is_checked_whatever_the_samples(tmp_path, capsys,
                                                             cmd, points):
     """A family with a declared pell cover of its own map and a declared
-    determinant that disagrees with the family: cover and sample exit 1 on
+    determinant that disagrees with the family: every command exits 1 on
     the family's ladder and at explicit run.points alike, before any
-    output."""
+    output, classify too, though it reads only the double cover."""
     doc = pushforward_doc()
     doc["cover"] = pell_cover_doc()["cover"]
     doc["determinant"] = {"factor": [1.7, 0.3]}
@@ -590,15 +591,20 @@ def test_overflowing_sheet_value_exits_64(tmp_path, capsys, cmd):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tau", [5.8e102, 6.0e102, 6.2e102])
+@pytest.mark.parametrize("tau, at_point", [
+    pytest.param(tau, at_point, id=f"{tau}{'-points' if at_point else ''}")
+    for at_point in (False, True) for tau in (5.8e102, 6.0e102, 6.2e102)])
 @pytest.mark.parametrize("cmd", ["cover", "props", "fm", "roundtrip", "sample"])
-def test_overflowing_sheet_of_the_cover_exits_64(tmp_path, capsys, cmd, tau):
+def test_overflowing_sheet_of_the_cover_exits_64(tmp_path, capsys, cmd, tau, at_point):
     """On the genus-1 pushforward (w^2 = b^3 + 1, P = 3, Q = 1) at tau near
     6e102 the sample ladder's map test reaches a sample where the cover's
     sheet f(b) ** 0.5 overflows: it is reported as unsupported, naming b,
-    not as an OverflowError traceback."""
+    not as an OverflowError traceback.  Given as ``run.points`` (b = tau
+    e^(0.3i)), such a sample overflows in the array square root instead."""
     doc = pushforward_doc()
     doc["surface"]["tau"] = [tau, 0.0]
+    if at_point:
+        doc["run"]["points"] = [[tau * math.cos(0.3), tau * math.sin(0.3)]]
     argv = [cmd, "--scenario", write(tmp_path, doc), "--samples", "64"]
     if cmd == "sample":
         argv += ["--csv", str(tmp_path / "rows.csv")]

@@ -270,6 +270,17 @@ def test_two_torsion_target_gives_regular_nonsplit(curve, target):
     assert curve.same_point(fc.line.factor ** 2, 1.0)
 
 
+def test_close_roots_off_two_torsion_give_a_split_class():
+    """Near but off 2-torsion (g0 = 1 + 1e-3 at tau = 2) the contour sums
+    give two close roots and Obs does not vanish between them: the solver
+    takes them as centre +- sqrt(-2 Obs / Obs''), and the fibre splits on
+    {g0, 1/g0} within the curve's tolerance."""
+    g0 = 1 + 1e-3
+    fc = make_extension(DY, 1.0, *extension_from_pair(DY, 1.0, g0))
+    assert isinstance(fc, SplitFiber)
+    assert DY.same_pair((fc.l1.factor, fc.l2.factor), (g0, 1 / g0))
+
+
 def test_chart_roundtrip_reproduces_class():
     rng = random.Random(97)
     for _ in range(4):

@@ -308,6 +308,15 @@ def test_isomorphism_ignores_lattice_factors():
     assert not a.isomorphic(TateLineBundle(curve, 1, 1.1))
 
 
+def test_degree_0_point_is_the_canonical_representative():
+    """A degree-0 bundle's point of Pic^0 is its factor moved by powers of
+    tau into 1 <= |v| < |tau|, the same for factors a lattice power apart."""
+    curve = TateCurve(TAU_DYADIC)
+    for factor in (1.5, 12.0, 0.375, 1.5 * curve.tau ** -7):
+        point = TateLineBundle(curve, 0, factor).point()
+        assert point.value == 1.5
+
+
 # ============================================================
 # Explicit section bases
 # ============================================================

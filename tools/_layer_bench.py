@@ -3,17 +3,24 @@
 Each script defines ``measure()``, which times its layers and returns the
 entry of one run (``layers`` plus any extra tables), and hands it to
 ``main`` (a script timing fresh processes may time two trees at once,
-see ``main``).  ``main`` parses ``--src``/``--label``/``--out``, puts ``--src``
-first on the import path, adds provenance to the entry and merges it into
-the output file under the label.  With a ``change`` run next to a
-``parent`` (or ``seed``) run it also writes their best-time ratios
-(``speedup_best``, ``seed_speedup_best``) and, against the parent, their
-median-time ratios (``speedup_median``) next to each tree's own ``spread``:
-(max - min) / median of its per-round median times, per layer.  A median
+see ``main``).  ``main`` parses ``--src``/``--label``/``--out``, puts
+``--src`` first on the import path and ``perfbench/`` after it, adds
+provenance to the entry and merges it into the output file under the label.
+With a ``change`` run next to a ``parent`` (or ``seed``) run it also writes
+their best-time ratios (``speedup_best``, ``seed_speedup_best``) and,
+against the parent, their median-time ratios (``speedup_median``) next to
+each tree's own ``spread``: (max - min) / median of its per-round median
+times, per layer.  A median
 ratio is printed as resolved only where every round of one tree beat every
-round of the other.  For two equally fast trees, 2 of the 70 equally likely
-orderings of their 8 round times do that; a ratio of medians outside both
-spreads is no such test, since one slow round moves a median of 4.
+round of the other.  For two equally fast trees, 2 of the 924 equally likely
+orderings of their 12 round times do that, about 0.12 false resolutions in a
+recording of 56 layers; a ratio of medians outside both spreads is no such
+test, since one slow round moves a median of 6.
+
+The inputs a script shares with the end-to-end benchmark (scenario
+documents, journals, covers and equality jobs) are read from
+``perfbench/workloads.py`` inside ``measure`` (see ``workload``), so both
+time the same inputs.
 
 Every script takes ``--against``, a second tree written under ``parent``.
 A process can import only one tree, so an in-process script then runs
@@ -28,6 +35,7 @@ before/after comparison this way:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -41,7 +49,7 @@ from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 7
-ROUNDS = 4
+ROUNDS = 6
 
 
 def timed(fn, items: int = 1, min_run_s: float = 0.0) -> dict:
@@ -69,58 +77,100 @@ def git_commit(src: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def ratios(before: dict, after: dict, stat: str = "best_s") -> dict | float:
-    """Ratio before over after of ``stat`` at every timing of ``after`` that
-    ``before`` has too (an older run may lack layers added since)."""
-    if stat in after:
-        return round(before[stat] / after[stat], 2)
-    return {key: ratios(before[key], value, stat) for key, value in after.items()
-            if key in before}
+def flat(tree, path: tuple[str, ...] = ()) -> dict:
+    """{path: leaf} of a tree of dicts, in depth-first order; a leaf is a
+    timing (a dict holding ``best_s``) or anything that is not a dict."""
+    if not isinstance(tree, dict) or "best_s" in tree:
+        return {path: tree}
+    return {leaf_path: leaf for key, value in tree.items()
+            for leaf_path, leaf in flat(value, path + (key,)).items()}
 
 
-def timing_rows(tree: dict, path: tuple[str, ...] = ()):
-    """(path, row) for every dict of timings in a layers tree."""
-    if all("best_s" in value for value in tree.values()):
-        yield path, tree
-        return
-    for key, value in tree.items():
-        yield from timing_rows(value, path + (key,))
+def nest(leaf_at: dict):
+    """The tree whose ``flat`` is ``leaf_at``."""
+    if () in leaf_at:
+        return leaf_at[()]
+    tree: dict = {}
+    for (*path, key), leaf in leaf_at.items():
+        node = tree
+        for part in path:
+            node = node.setdefault(part, {})
+        node[key] = leaf
+    return tree
 
 
-def print_ratios(ratio: dict | float, rounds: dict[str, dict | list | None],
-                 path: tuple[str, ...] = ()) -> None:
-    """Print each median ratio, marked unresolved unless every round time of
-    one tree lies below every round time of the other; ``rounds`` is
-    {label: tree of each timing's round times} for the two trees (None where
-    a run has none)."""
-    if isinstance(ratio, dict):
-        for key, value in ratio.items():
-            print_ratios(value, {label: (tree or {}).get(key)
-                                 for label, tree in rounds.items()}, path + (key,))
-        return
-    a, b = rounds.values()
-    apart = bool(a and b) and (max(a) < min(b) or max(b) < min(a))
-    print("median ratio", *path, f"{ratio:.2f}{'' if apart else ' unresolved'}")
+def ratios(before: dict, after: dict, stat: str = "best_s") -> dict:
+    """Ratio before over after of ``stat`` at every timing of the flat tree
+    ``after`` that ``before`` has too (an older run may lack layers added
+    since)."""
+    return {path: round(before[path][stat] / timing[stat], 2)
+            for path, timing in after.items() if path in before}
+
+
+def leaves(layers: dict, key: str) -> dict:
+    """The tree of the ``key`` of every timing of the flat tree ``layers``
+    (None where it has none, as a run not merged from rounds has no
+    ``spread``)."""
+    return nest({path: timing.get(key) for path, timing in layers.items()})
+
+
+def print_ratios(ratio: dict, rounds: dict[str, dict | None]) -> None:
+    """Print each median ratio of the tree ``ratio``, marked unresolved
+    unless every round time of one tree lies below every round time of the
+    other; ``rounds`` is {label: tree of each timing's round times} for the
+    two trees (None where a run has none)."""
+    a_rounds, b_rounds = (flat(tree or {}) for tree in rounds.values())
+    for path, value in flat(ratio).items():
+        a, b = a_rounds.get(path), b_rounds.get(path)
+        apart = bool(a and b) and (max(a) < min(b) or max(b) < min(a))
+        print("median ratio", *path, f"{value:.2f}{'' if apart else ' unresolved'}")
 
 
 def merge_rounds(rows: list[dict]) -> dict:
     """One layers tree from the trees of several rounds: each timing keeps
     its best time, each round's median time (``rounds``), their median and
     their spread."""
-    if "best_s" in rows[0]:
-        medians = [r["median_s"] for r in rows]
+    flats = [flat(row) for row in rows]
+    merged = {}
+    for path in flats[0]:
+        medians = [f[path]["median_s"] for f in flats]
         mid = statistics.median(medians)
-        return {"best_s": min(r["best_s"] for r in rows), "median_s": mid,
-                "rounds": medians, "spread": round((max(medians) - min(medians)) / mid, 3)}
-    return {key: merge_rounds([r[key] for r in rows]) for key in rows[0]}
+        merged[path] = {"best_s": min(f[path]["best_s"] for f in flats), "median_s": mid,
+                        "rounds": medians,
+                        "spread": round((max(medians) - min(medians)) / mid, 3)}
+    return nest(merged)
 
 
-def leaves(tree: dict, key: str) -> dict | float | list | None:
-    """The ``key`` of every timing of a layers tree (None where it has none,
-    as a run not merged from rounds has no ``spread``)."""
-    if "best_s" in tree:
-        return tree.get(key)
-    return {name: leaves(value, key) for name, value in tree.items()}
+@contextlib.contextmanager
+def hooked(owner, name: str, hook: Callable[..., object]):
+    """Within the block, ``owner.name`` first calls ``hook`` with the
+    arguments of each call, then the original, which is put back after."""
+    plain = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        hook(*args, **kwargs)
+        return plain(*args, **kwargs)
+
+    setattr(owner, name, call)
+    try:
+        yield
+    finally:
+        setattr(owner, name, plain)
+
+
+def workload(name: str):
+    """The perfbench workload ``name`` of ``perfbench/workloads.py``, built
+    in a temporary working directory: it writes its scenario files relative
+    to that."""
+    from workloads import WORKLOADS
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            return WORKLOADS[name](0)
+        finally:
+            os.chdir(cwd)
 
 
 def alternate(trees: dict[str, Path]) -> dict[str, dict]:
@@ -162,6 +212,7 @@ def main(doc: str, out_name: str, description: str,
                              "--src and written under the label 'parent'")
     args = parser.parse_args()
     src = Path(args.src).resolve()
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     trees = {args.label: src}
     if args.against:
         trees["parent"] = Path(args.against).resolve()
@@ -170,7 +221,6 @@ def main(doc: str, out_name: str, description: str,
     elif args.against:
         entries = alternate(trees)
     else:
-        sys.path.insert(0, str(src))
         entries = {args.label: measure()}
 
     out_path = Path(args.out)
@@ -183,20 +233,24 @@ def main(doc: str, out_name: str, description: str,
                                "commit": git_commit(trees[label]), "repeat": REPEAT,
                                **entry.get("provenance", {})}
         runs[label] = entry
-    if "change" in runs:
-        after = runs["change"]["layers"]
+    layers = {label: flat(runs[label]["layers"])
+              for label in {*entries, "change", "parent", "seed"} if label in runs}
+    if "change" in layers:
+        after = layers["change"]
         for before, key in (("parent", "speedup_best"), ("seed", "seed_speedup_best")):
-            if before in runs:
-                out[key] = ratios(runs[before]["layers"], after)
-        if "parent" in runs:
-            out["speedup_median"] = ratios(runs["parent"]["layers"], after, "median_s")
-            out["spread"] = {label: leaves(runs[label]["layers"], "spread")
+            if before in layers:
+                out[key] = nest(ratios(layers[before], after))
+        if "parent" in layers:
+            out["speedup_median"] = nest(ratios(layers["parent"], after, "median_s"))
+            out["spread"] = {label: leaves(layers[label], "spread")
                              for label in ("parent", "change")}
     out_path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    for label, entry in entries.items():
-        for path, row in timing_rows(entry["layers"]):
-            print(label, *path,
-                  " ".join(f"{k}={v['best_s'] * 1e3:.3f}ms" for k, v in row.items()))
+    for label in entries:
+        rows: dict[tuple[str, ...], list[str]] = {}
+        for (*path, key), timing in layers[label].items():
+            rows.setdefault(tuple(path), []).append(f"{key}={timing['best_s'] * 1e3:.3f}ms")
+        for path, row in rows.items():
+            print(label, *path, " ".join(row))
     if "spread" in out:
-        print_ratios(out["speedup_median"], {label: leaves(runs[label]["layers"], "rounds")
+        print_ratios(out["speedup_median"], {label: leaves(layers[label], "rounds")
                                              for label in ("parent", "change")})

@@ -5,12 +5,14 @@ median (and best) of 11 runs:
 
 - ``baseline``: the bare interpreter (``-c pass``), ``import numpy`` and
   ``import spectral_forge.cli``;
-- the seven subcommands at 32, 256 and 2,048 samples (seed 1) on three
-  jump-free documents: the split family at tau = 2 (with a descent point),
-  the genus-1 pushforward (w^2 = b^3 + 1) at tau = 2 and the genus-2
-  pushforward (w^2 = b^5 - b + 1) at tau = 1.5+0.5i;
+- the seven subcommands at 32, 256 and 2,048 samples (seed 1) on the three
+  jump-free documents of the benchmark's sample-sweep workload: the split
+  family at tau = 2 (with a descent point), the genus-1 pushforward
+  (w^2 = b^3 + 1) at tau = 2 and the genus-2 pushforward
+  (w^2 = b^5 - b + 1) at tau = 1.5+0.5i;
 - ``journal-800``: ``modify`` on the 800-step push/pop journal of
-  ``tools/bench_journal.py`` over the genus-1 pushforward.
+  ``tools/bench_journal.py`` (the journal-replay workload's variant 0) over
+  the genus-1 pushforward.
 
 The runs go round all commands 11 times, so a drift of the host spreads
 over every entry.  Given a second tree (``--against``), each run of a
@@ -40,8 +42,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from _layer_bench import main
-from bench_journal import PRESENTATIONS, journal
+from _layer_bench import main, nest, workload
+from bench_journal import with_journal
 
 DESCRIPTION = (
     "Cold-start wall times of the CLI, written by tools/bench_cold.py: each "
@@ -58,25 +60,6 @@ DESCRIPTION = (
 COLD_REPEAT = 11
 SIZES = (32, 256, 2048)
 COMMANDS = ("cover", "fm", "roundtrip", "classify", "modify", "props", "sample")
-F_G2 = [[1, 1, 0, 1], [-1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1],
-        [0, 1, 0, 1], [1, 1, 0, 1]]
-SURFACE_T2 = {"tau": [2.0, 0.0], "theta_degree": 1}
-DOCS = {
-    "split-t2": {"surface": SURFACE_T2,
-                 "family": {"presentation": PRESENTATIONS["split-t2"]},
-                 "descent": {"b0": [0, 1, 0, 1]}},
-    "push-g1-t2": {"surface": SURFACE_T2,
-                   "family": {"presentation": PRESENTATIONS["push-g1-t2"]}},
-    "push-g2-t1.5+0.5i": {
-        "surface": {"tau": [1.5, 0.5], "theta_degree": 1},
-        "family": {"presentation": {
-            "type": "pushforward", "cover": {"f": F_G2},
-            "map": {"p": [[0, 1, 0, 1], [1, 1, 0, 1]], "q": [[1, 1, 0, 1]],
-                    "s": [1, 1, 0, 1]}}}},
-}
-JOURNAL = {"surface": SURFACE_T2,
-           "family": {"presentation": PRESENTATIONS["push-g1-t2"],
-                      "modifications": journal(800)}}
 IMPORTTIME = re.compile(r"import time:\s+(\d+) \|\s+\d+ \|\s+(spectral_forge\S*)")
 
 
@@ -95,9 +78,11 @@ def commands(workdir: Path) -> dict[tuple[str, ...], list[str]]:
            ("baseline", "import numpy"): py + ["-c", "import numpy"],
            ("baseline", "import spectral_forge.cli"):
                py + ["-c", "import spectral_forge.cli"]}
-    for name, doc in {**DOCS, "journal-800": JOURNAL}.items():
+    docs = workload("sample-sweep").docs
+    journal = with_journal(workload("journal-replay").bases["push-g1-t2"], 800)
+    for name, doc in {**docs, "journal-800": journal}.items():
         (workdir / f"{name}.json").write_text(json.dumps(doc))
-    for name in DOCS:
+    for name in docs:
         for n in SIZES:
             for cmd in COMMANDS:
                 out[(name, str(n), cmd)] = report(cmd, workdir / f"{name}.json", n)
@@ -116,7 +101,7 @@ def measure_in(workdir: Path, trees: dict[str, Path]) -> dict[str, dict]:
     env["PYTHONPYCACHEPREFIX"] = str(workdir / "pycache")
     envs = {label: {**env, "PYTHONPATH": str(src)} for label, src in trees.items()}
     runs = commands(workdir)
-    walls = {(label, key): [] for label in trees for key in runs}
+    walls = {label: {key: [] for key in runs} for label in trees}
     # warm-up: writes the bytecode of both trees and numpy
     exits = {label: {"/".join(key): subprocess.run(argv, env=envs[label],
                                                    capture_output=True).returncode
@@ -128,7 +113,7 @@ def measure_in(workdir: Path, trees: dict[str, Path]) -> dict[str, dict]:
             for label in order:
                 t0 = time.perf_counter()
                 subprocess.run(argv, env=envs[label], capture_output=True)
-                walls[(label, key)].append(time.perf_counter() - t0)
+                walls[label][key].append(time.perf_counter() - t0)
         for label in order:
             proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
                                    "import spectral_forge.cli"],
@@ -137,17 +122,10 @@ def measure_in(workdir: Path, trees: dict[str, Path]) -> dict[str, dict]:
                 selves[label].setdefault(module, []).append(int(self_us))
     out = {}
     for label in trees:
-        layers: dict = {}
-        for key in runs:
-            *path, leaf = key
-            node = layers
-            for part in path:
-                node = node.setdefault(part, {})
-            times = walls[(label, key)]
-            node[leaf] = {"best_s": min(times), "median_s": statistics.median(times),
-                          "rounds": times}
         out[label] = {
-            "layers": layers, "exit_codes": exits[label],
+            "layers": nest({key: {"best_s": min(times), "median_s": statistics.median(times),
+                                  "rounds": times} for key, times in walls[label].items()}),
+            "exit_codes": exits[label],
             "importtime_self_us": {m: statistics.median(v)
                                    for m, v in sorted(selves[label].items())},
             "provenance": {"repeat": COLD_REPEAT, "interleaved_with": sorted(trees),

@@ -19,10 +19,10 @@ the Q(i) and ``Poly`` operations on the coefficients of nP at n = 10 and 61
 u * v and the division of v^2 by u, with remainder).
 
 The function search (``search``) is timed on the low-height pairs of the
-benchmark's cantor-chain workload, at genus 1-3 on w^2 = b^3 + 1,
-w^2 = b^5 - b + 1 and w^2 = b^7 - b + 1 with P = (0, 1) and Q its second
-rational point: ``classes_equal_by_search`` of P and Q, and of the
-semi-reduced and the reduced kP at the least k = g+1..g+3 whose supports
+benchmark's cantor-chain workload (its ``CANTOR_COVERS``), at genus 1-3 on
+w^2 = b^3 + 1, w^2 = b^5 - b + 1 and w^2 = b^7 - b + 1 with P = (0, 1) and
+Q its second rational point: ``classes_equal_by_search`` of P and Q, and of
+the semi-reduced and the reduced kP at the least k = g+1..g+3 whose supports
 are disjoint, and ``conjugate_sum_principal_witness`` of that semi-reduced
 kP.
 
@@ -31,7 +31,8 @@ genus-3 curve (``group``): ``sum``, the generic add aP + bP of the two
 full-degree classes 30P and 31P; ``difference``, D - D as
 ``class_equal(nP, nP)``; and ``prym``, D + iota(D) as ``in_prym(nP)``.
 ``nullspace`` times ``qi_nullspace`` on every matrix the function search
-builds for the workload's pool of equality jobs, all of them per call.
+builds for the workload's pool of equality jobs, collected by running
+those jobs, all of them per call.
 
 Each layer is run 7 times after one warm-up, every run a batch of calls
 lasting at least about a millisecond; best and median seconds per call are
@@ -47,7 +48,7 @@ A run labelled ``seed`` (the first source tree) is compared with
 
 from __future__ import annotations
 
-from _layer_bench import main, timed
+from _layer_bench import hooked, main, timed, workload
 
 DESCRIPTION = (
     "Per-layer timings of the exact group law, written by tools/bench_exact.py: "
@@ -69,27 +70,13 @@ CURVES = {"g1": ((1, 1, 0, 1), (0, 1)),
           "g3": ((1, -1, 0, 0, 0, 0, 0, 1), (1, 1))}
 HEIGHTS = (10, 30, 61, 120)
 ARITH_HEIGHTS = (10, 61)
-# the cantor-chain workload's covers, with its first two rational points
-SEARCH_CURVES = {"g1": ((1, 0, 0, 1), (0, 1), (2, 3)),
-                 "g2": ((1, -1, 0, 0, 0, 1), (0, 1), (1, 1)),
-                 "g3": ((1, -1, 0, 0, 0, 0, 0, 1), (0, 1), (1, 1))}
-# the cantor-chain workload's covers with all their rational points (x, 1),
-# x = (0, 1) standing for i
-POOL_CURVES = {"g1": ((1, 0, 0, 1), [(0, 1), (2, 3)]),
-               "g2": ((1, -1, 0, 0, 0, 1), [(0, 1), (1, 1), (-1, 1), ((0, 1), 1)]),
-               "g3": ((1, -1, 0, 0, 0, 0, 0, 1), [(0, 1), (1, 1), (-1, 1)])}
 GROUP_N, GROUP_SPLIT = 61, 30
 MIN_RUN_S = 1e-3
 
 
-def coeff_bits(d) -> int:
-    return max(max(abs(c.re.numerator).bit_length(), c.re.denominator.bit_length(),
-                   abs(c.im.numerator).bit_length(), c.im.denominator.bit_length())
-               for p in (d.u, d.v) for c in p.coeffs)
-
-
 def measure() -> dict:
     import spectral_forge.covers as sf
+    from workloads import CANTOR_COVERS, coeff_bits
 
     layers: dict = {}
     bits: dict = {}
@@ -118,9 +105,11 @@ def measure() -> dict:
             bits[name][str(n)] = coeff_bits(sf.class_add(prev, p))
             if name == "g3" and n in ARITH_HEIGHTS:
                 qi[str(n)], poly[str(n)] = arithmetic(sf.class_add(prev, p))
-    matrices = search_matrices(sf)
-    layers.update(qi=qi, poly=poly, search={name: search(sf, *curve)
-                                            for name, curve in SEARCH_CURVES.items()},
+    chain = workload("cantor-chain")
+    matrices = search_matrices(sf, chain)
+    layers.update(qi=qi, poly=poly, search={f"g{g}": search(sf, chain.point(g, 0, 1),
+                                                            chain.point(g, 1, 1))
+                                            for g in CANTOR_COVERS},
                   group=group(sf), nullspace={"search_matrices": timed(
                       lambda: [sf.qi_nullspace(rows, n) for rows, n in matrices],
                       min_run_s=MIN_RUN_S)})
@@ -138,14 +127,14 @@ def arithmetic(d) -> tuple[dict, dict]:
              "divmod": timed(lambda: square.divmod(u), min_run_s=MIN_RUN_S)})
 
 
-def search(sf, f, first, second) -> dict:
-    """The function search on one of the cantor-chain covers."""
-    cover = sf.HyperCover(sf.Poly.of(*f))
-    p, q = (sf.point_class(cover, sf.QI.of(x), sf.QI.of(w)) for x, w in (first, second))
+def search(sf, p, q) -> dict:
+    """The function search on the points P and Q of one of the cantor-chain
+    covers."""
+    genus = p.cover.genus
     composed = reduced = p
-    for k in range(2, cover.genus + 4):
+    for k in range(2, genus + 4):
         composed, reduced = sf.mumford_compose(composed, p), sf.class_add(reduced, p)
-        if k > cover.genus and composed.u.gcd(reduced.u).degree == 0:
+        if k > genus and composed.u.gcd(reduced.u).degree == 0:
             break
     return {"points": timed(lambda: sf.classes_equal_by_search(p, q), min_run_s=MIN_RUN_S),
             "kP": timed(lambda: sf.classes_equal_by_search(composed, reduced),
@@ -168,39 +157,14 @@ def group(sf) -> dict:
             "prym": timed(lambda: sf.in_prym(d), min_run_s=MIN_RUN_S)}
 
 
-def search_matrices(sf) -> list:
-    """(rows, n_cols) of every ``qi_nullspace`` call of the workload's pool
-    of equality jobs: per point P (both signs of w), other point Q and
-    k = g+1..g+3, the search of P against Q and, where the supports are
-    disjoint, of kP composed against kP reduced."""
-    matrices = []
-    plain = sf.qi_nullspace
-
-    def spy(rows, n_cols):
-        matrices.append((rows, n_cols))
-        return plain(rows, n_cols)
-
-    sf.qi_nullspace = spy
-    try:
-        for f, points in POOL_CURVES.values():
-            cover = sf.HyperCover(sf.Poly.of(*f))
-            pts = [(sf.QI.of(*x) if isinstance(x, tuple) else sf.QI.of(x), sf.QI.of(w))
-                   for x, w in points]
-            for k in range(cover.genus + 1, cover.genus + 4):
-                for i, (x, w) in enumerate(pts):
-                    for sign in (1, -1):
-                        p = sf.point_class(cover, x, w if sign > 0 else -w)
-                        composed = reduced = p
-                        for _ in range(k - 1):
-                            composed = sf.mumford_compose(composed, p)
-                            reduced = sf.class_add(reduced, p)
-                        for j in range(len(pts)):
-                            if j != i:
-                                sf.classes_equal_by_search(p, sf.point_class(cover, *pts[j]))
-                                if composed.u.gcd(reduced.u).degree == 0:
-                                    sf.classes_equal_by_search(composed, reduced)
-    finally:
-        sf.qi_nullspace = plain
+def search_matrices(sf, chain) -> list:
+    """(rows, n_cols) of every ``qi_nullspace`` call of the equality jobs in
+    the pool of the cantor-chain workload ``chain``."""
+    matrices: list = []
+    with hooked(sf, "qi_nullspace", lambda rows, n_cols: matrices.append((rows, n_cols))):
+        for task in chain.pool():
+            if task.kind == "equal":
+                chain.execute(task)
     return matrices
 
 

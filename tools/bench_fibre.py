@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from _layer_bench import main, timed
+from _layer_bench import hooked, main, timed
 
 DESCRIPTION = (
     "Per-layer timings of the theta and obstruction solves, written by "
@@ -52,23 +52,6 @@ THETA_DEGREES = (1, 2, 3)
 THETA_FACTOR = 0.8 + 0.3j
 THETA_POINTS = (1.1 + 0.2j, -0.7 + 0.9j, 0.2 - 1.05j)
 MIN_RUN_S = 1e-3
-
-
-class LevelCounter:
-    """Counts the contour levels (node counts K) the solver evaluates: the
-    calls of ``fiber._node_values``."""
-
-    def __init__(self, fiber):
-        self.count = 0
-        self._fiber, self._plain = fiber, fiber._node_values
-
-        def counted(*args, **kwargs):
-            self.count += 1
-            return self._plain(*args, **kwargs)
-        fiber._node_values = counted
-
-    def close(self) -> None:
-        self._fiber._node_values = self._plain
 
 
 def measure() -> dict:
@@ -102,13 +85,14 @@ def measure() -> dict:
                 except ArithmeticError:
                     pass
 
-        counter = LevelCounter(fiber)
-        try:
+        levels = [0]
+
+        def count_level(*args):
+            levels[0] += 1
+        with hooked(fiber, "_node_values", count_level):
             raised = solve_all()
-        finally:
-            counter.close()
         solves[name] = {"solves": len(data), "raised": raised,
-                        "levels_per_solve": counter.count / len(data)}
+                        "levels_per_solve": levels[0] / len(data)}
         layers[name] = {"solve": timed(solve_all, len(data), MIN_RUN_S),
                         "chart": timed(chart_all, len(CHART_VALUES), MIN_RUN_S)}
         for d in THETA_DEGREES:

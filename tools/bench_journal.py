@@ -3,7 +3,9 @@
 Times seven layers on push/pop journals of 200, 400, 800 and 1,600 steps
 over eight base points (three pushes to two pops at each), on the split
 family at tau = 2 and on the genus-1 pushforward family (w^2 = b^3 + 1,
-map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
+map (10 + b^3 + 6w) / (8 - b^3), tau = 2).  The families, the points and
+the journals (variant 0 of ``make_journal``) are those of the benchmark's
+journal-replay workload:
 
 - ``parse_scenario``: the scenario document to a family, journal replayed;
 - ``determinant``: ``FamilySpec.determinant`` of the parsed family, its
@@ -26,11 +28,10 @@ processes, over several rounds (``_layer_bench.alternate``):
 from __future__ import annotations
 
 import json
-import random
 import tempfile
 from pathlib import Path
 
-from _layer_bench import main, timed
+from _layer_bench import main, timed, workload
 
 DESCRIPTION = (
     "Per-layer timings of journal replay, written by tools/bench_journal.py: "
@@ -44,47 +45,18 @@ DESCRIPTION = (
     "speedup_best is parent over change.")
 LENGTHS = (200, 400, 800, 1600)
 COMMANDS = ("modify", "props", "cover")
-F_G1 = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
-PRESENTATIONS = {
-    "split-t2": {"type": "split", "factors": [[0.7, 0.1], [1.3, -0.2]]},
-    "push-g1-t2": {"type": "pushforward", "cover": {"f": F_G1},
-                   "map": {"p": [[3, 1, 0, 1]], "q": [[1, 1, 0, 1]],
-                           "s": [1, 1, 0, 1]}},
-}
-# Away from the sample circle |b| = 2, the branch points of b^3 + 1 and the
-# poles b^3 = 8 of the genus-1 map.
-POINTS = ([3, 1, 0, 1], [-3, 1, 0, 1], [0, 1, 3, 1], [0, 1, -3, 1],
-          [5, 2, 1, 1], [-5, 2, -1, 1], [7, 3, 0, 1], [1, 2, 5, 2])
 # Off the journal points, the sample circle, the branch points and the poles:
 # where elem_mod and attach_generic_jumps push.
 FRESH = ((4, 0), (-4, 0), (0, 4), (0, -4), (5, 0), (-5, 0), (0, 5), (0, -5))
 
 
-def journal(length: int) -> list[dict]:
-    """A valid journal: pops only on jumped fibres, pushes never below the
-    current height (equal height reuses the line point)."""
-    rng = random.Random(length)
-    per_point = length // len(POINTS)
-    order = [i for i in range(len(POINTS)) for _ in range(per_point)]
-    rng.shuffle(order)
-    pops_left = [per_point * 2 // 5] * len(POINTS)
-    pushes_left = [per_point - q for q in pops_left]
-    stacks: list[list[int]] = [[] for _ in POINTS]
-    steps = []
-    for i in order:
-        stack, at = stacks[i], POINTS[i]
-        p, q = pushes_left[i], pops_left[i]
-        if stack and q and (not p or rng.random() < q / (p + q)):
-            pops_left[i] -= 1
-            stack.pop()
-            steps.append({"op": "pop", "at": at})
-            continue
-        pushes_left[i] -= 1
-        degree = (stack[-1] if stack else 1) + rng.randrange(2)
-        stack.append(degree)
-        steps.append({"op": "push", "at": at, "degree": degree,
-                      "line_point": [1.7, 0.0]})
-    return steps
+def with_journal(base: dict, length: int) -> dict:
+    """The scenario document ``base`` with the journal-replay workload's
+    journal of ``length`` steps (variant 0)."""
+    from workloads import make_journal
+
+    return {**base, "family": {**base["family"],
+                               "modifications": make_journal(0, length)}}
 
 
 def measure() -> dict:
@@ -100,12 +72,10 @@ def measure_in(workdir: Path) -> dict:
     fresh = [BasePoint.of(*xy) for xy in FRESH]
 
     out: dict = {}
-    for name, pres in PRESENTATIONS.items():
+    for name, base in workload("journal-replay").bases.items():
         out[name] = {}
         for length in LENGTHS:
-            doc = {"surface": {"tau": [2.0, 0.0], "theta_degree": 1},
-                   "family": {"presentation": pres,
-                              "modifications": journal(length)}}
+            doc = with_journal(base, length)
             path = workdir / f"{name}-{length}.json"
             path.write_text(json.dumps(doc))
             family = parse_scenario(doc).family

@@ -1,7 +1,8 @@
 """Per-layer timings of the per-sample path, written to BENCH_sample_path.json.
 
 Times ten layers at 256, 2,048 and 20,000 samples on the genus-1
-pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2):
+pushforward family (w^2 = b^3 + 1, map (10 + b^3 + 6w) / (8 - b^3), tau = 2),
+the ``push-g1-t2`` document of the benchmark's sample-sweep workload:
 
 - ``ladder``: ``default_sample_points`` at phase 0.05, the sample ladder's
   array tests and its scalar map test (``PellMap.punctures_near``);
@@ -37,12 +38,14 @@ processes, over several rounds (``_layer_bench.alternate``):
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import tempfile
 from functools import partial
 from pathlib import Path
 
-from _layer_bench import main, timed
+from _layer_bench import hooked, main, timed, workload
 
 DESCRIPTION = (
     "Per-layer timings of the per-sample path on the genus-1 pushforward "
@@ -64,13 +67,6 @@ ARRAY_ROUTINES = (("PellMap", "_values_array"), ("TwoSections", "_values_array")
                   ("HyperCover", "_sheets_array"), ("TateCurve", "_canonical_array"))
 EVAL_COMPLEX = (("Poly", "eval_complex"),)
 SIZES = (256, 2048, 20_000)
-SCENARIO = {
-    "surface": {"tau": [2.0, 0.0], "theta_degree": 1},
-    "family": {"presentation": {
-        "type": "pushforward",
-        "cover": {"f": [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]},
-        "map": {"p": [[3, 1, 0, 1]], "q": [[1, 1, 0, 1]], "s": [1, 1, 0, 1]}}},
-}
 
 
 def measure() -> dict:
@@ -87,44 +83,31 @@ def count_calls(report, routines=ARRAY_ROUTINES) -> dict:
     for that run only."""
     import spectral_forge
 
-    counts, wrapped = {}, []
-    for cls_name, name in routines:
-        cls, key = getattr(spectral_forge, cls_name), f"{cls_name}.{name}"
-        plain = getattr(cls, name)
-        counts[key] = 0
+    counts = {}
+    with contextlib.ExitStack() as stack:
+        for cls_name, name in routines:
+            key = f"{cls_name}.{name}"
+            counts[key] = 0
 
-        def counted(*args, _key=key, _plain=plain, **kwargs):
-            counts[_key] += 1
-            return _plain(*args, **kwargs)
-
-        wrapped.append((cls, name, plain))
-        setattr(cls, name, counted)
-    try:
+            def count(*args, _key=key, **kwargs):
+                counts[_key] += 1
+            stack.enter_context(hooked(getattr(spectral_forge, cls_name), name, count))
         report()
-    finally:
-        for cls, name, plain in wrapped:
-            setattr(cls, name, plain)
     return counts
 
 
 def count_log_elements(report) -> int:
     """Elements passed to a per-element ``math.log`` by ``_carray.each``
     during one run of ``report``."""
-    import math
-
     from spectral_forge import _carray
 
-    plain, seen = _carray.each, [0]
+    seen = [0]
 
-    def counted(fn, *args):
+    def count(fn, *args):
         seen[0] += len(args[0]) if fn is math.log else 0
-        return plain(fn, *args)
 
-    _carray.each = counted
-    try:
+    with hooked(_carray, "each", count):
         report()
-    finally:
-        _carray.each = plain
     return seen[0]
 
 
@@ -134,9 +117,10 @@ def measure_in(workdir: Path) -> tuple[dict, dict, dict, dict]:
                                 descent_divisor, parse_scenario, z_action_residual)
     from spectral_forge.cli import run_command
 
+    doc = workload("sample-sweep").docs["push-g1-t2"]
     path = workdir / "push-g1-t2.json"
-    path.write_text(json.dumps(SCENARIO))
-    family = parse_scenario(SCENARIO).family
+    path.write_text(json.dumps(doc))
+    family = parse_scenario(doc).family
     fmap = family.data.factor_map
     curve = family.curve
     twist = descent_divisor(family, BasePoint.of(0))
