@@ -191,6 +191,14 @@ _QI_ONE = QI(Fraction(1))
 _Image = tuple[int, list[int], list[int]]
 
 
+def _image_of(xs: list[QI]) -> _Image:
+    """(den, re, im) with den the lcm of the denominators of ``xs`` and
+    xs[k] = (re[k] + im[k] i) / den."""
+    den = lcm(*(x.re.denominator for x in xs), *(x.im.denominator for x in xs))
+    return (den, [x.re.numerator * (den // x.re.denominator) for x in xs],
+            [x.im.numerator * (den // x.im.denominator) for x in xs])
+
+
 def _poly(image: _Image) -> "Poly":
     """The polynomial whose canonical image is ``image``."""
     p = object.__new__(Poly)
@@ -230,11 +238,7 @@ class Poly:
         cs = list(coeffs)
         while cs and cs[-1].is_zero():
             cs.pop()
-        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
-        self.__dict__.update(
-            coeffs=tuple(cs),
-            _image=(den, [c.re.numerator * (den // c.re.denominator) for c in cs],
-                    [c.im.numerator * (den // c.im.denominator) for c in cs]))
+        self.__dict__.update(coeffs=tuple(cs), _image=_image_of(cs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Poly")
@@ -752,11 +756,7 @@ def qi_nullspace(rows: list[list[QI]], n_cols: int) -> list[list[QI]]:
     and eliminated over Z[i] without division: row <- p row - a (pivot row),
     then over the rational content of its parts.  Each pivot row over its
     pivot is a row of the reduced form, which is unique."""
-    m = []
-    for row in rows:
-        den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-        m.append(([x.re.numerator * (den // x.re.denominator) for x in row],
-                  [x.im.numerator * (den // x.im.denominator) for x in row]))
+    m = [_image_of(row)[1:] for row in rows]
     pivots: list[int] = []
     for c in range(n_cols):
         r = len(pivots)

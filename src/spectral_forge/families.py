@@ -202,12 +202,9 @@ class FamilySpec:
     def pushforward(surface: SurfaceSpec, cover: HyperCover,
                     factor_map: PellMap,
                     twist: DivisorClass | None = None,
-                    torsion_pairs: tuple[tuple[int, int], ...] = (),
-                    base_c2: int | None = None) -> "FamilySpec":
+                    torsion_pairs: tuple[tuple[int, int], ...] = ()) -> "FamilySpec":
         data = PushforwardData(cover, factor_map, twist, torsion_pairs)
-        if base_c2 is None:
-            base_c2 = bisection_torus_degree(factor_map.inverse())
-        return FamilySpec(surface, data, base_c2, ())
+        return FamilySpec(surface, data, bisection_torus_degree(factor_map.inverse()), ())
 
     # ----- derived invariants --------------------------------------------
 

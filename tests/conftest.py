@@ -190,6 +190,24 @@ def push_family(surface: SurfaceSpec, cov: HyperCover,
 
 
 # ============================================================
+# Call counts
+# ============================================================
+
+def count_calls(monkeypatch, owner, name) -> list[int]:
+    """Replace ``owner.name`` by a wrapper that counts its calls, for the
+    test's duration; the count is the one item of the returned list."""
+    calls = [0]
+    plain = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# ============================================================
 # Corpora
 # ============================================================
 

@@ -27,7 +27,7 @@ from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX, PellMap,
 from spectral_forge import cli, families
 from spectral_forge.cli import main, run_command
 from spectral_forge.scenario import MAX_SAMPLES, MAX_SEED
-from conftest import cover_g2, perturbed
+from conftest import count_calls, cover_g2, perturbed
 
 F_CUBIC = [[1, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 1]]
 
@@ -864,14 +864,7 @@ def split_journal(length: int) -> list[dict]:
 def test_journal_bookkeeping_scales_linearly(tmp_path, monkeypatch):
     """Point comparisons, not time: a 4x longer journal may cost at most 5x
     as many BasePoint equality tests in modify and props."""
-    calls = [0]
-    plain_eq = BasePoint.__eq__
-
-    def counted_eq(self, other):
-        calls[0] += 1
-        return plain_eq(self, other)
-
-    monkeypatch.setattr(BasePoint, "__eq__", counted_eq)
+    calls = count_calls(monkeypatch, BasePoint, "__eq__")
     counts = {}
     for length in (400, 1600):
         doc = split_doc()
@@ -889,14 +882,7 @@ def test_journal_bookkeeping_scales_linearly(tmp_path, monkeypatch):
 def test_journal_points_hash_once(tmp_path, monkeypatch):
     """Each parsed journal point hashes its two Fraction parts once; base
     point lookups after that reuse the cached Q(i) hash."""
-    calls = [0]
-    plain_hash = Fraction.__hash__
-
-    def counted_hash(self):
-        calls[0] += 1
-        return plain_hash(self)
-
-    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    calls = count_calls(monkeypatch, Fraction, "__hash__")
     doc = pushforward_doc()
     doc["family"]["modifications"] = split_journal(800)
     path = write(tmp_path, doc)
@@ -913,29 +899,19 @@ def test_journal_parse_builds_one_family(monkeypatch, make_doc):
     """Counts, not time: an 800-step journal is replayed against one stack
     index into a single family, with no family per step and no Fraction
     comparison (the pushforward presentation makes a few of its own)."""
-    counts = {"init": 0, "replace": 0, "eq": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(FamilySpec, "__init__",
-                        counted("init", FamilySpec.__init__))
-    monkeypatch.setattr(dataclasses, "replace",
-                        counted("replace", dataclasses.replace))
-    monkeypatch.setattr(families, "replace", counted("replace", families.replace))
-    monkeypatch.setattr(Fraction, "__eq__", counted("eq", Fraction.__eq__))
+    counts = {"init": count_calls(monkeypatch, FamilySpec, "__init__"),
+              "replace": count_calls(monkeypatch, dataclasses, "replace"),
+              "eq": count_calls(monkeypatch, Fraction, "__eq__")}
+    monkeypatch.setattr(families, "replace", dataclasses.replace)
     seen = {}
     for length in (0, 800):
         doc = make_doc()
         doc["family"]["modifications"] = split_journal(length)
-        for key in counts:
-            counts[key] = 0
+        for calls in counts.values():
+            calls[0] = 0
         fam = parse_scenario(doc).family
         assert len(fam.steps) == length
-        seen[length] = dict(counts)
+        seen[length] = {key: calls[0] for key, calls in counts.items()}
     assert seen[800]["init"] == 1 and seen[800]["replace"] == 0, seen
     assert seen[800]["eq"] == seen[0]["eq"], seen
     if make_doc is split_doc:
@@ -945,14 +921,7 @@ def test_journal_parse_builds_one_family(monkeypatch, make_doc):
 def test_determinant_cost_does_not_grow_with_the_journal(monkeypatch):
     """The determinant is built from step counts: the same number of line
     bundles at 200 and at 1,600 steps."""
-    calls = [0]
-    plain = LineBundleOnX.__post_init__
-
-    def counted(self):
-        calls[0] += 1
-        plain(self)
-
-    monkeypatch.setattr(LineBundleOnX, "__post_init__", counted)
+    calls = count_calls(monkeypatch, LineBundleOnX, "__post_init__")
     counts = {}
     for length in (200, 1600):
         doc = split_doc()
@@ -970,14 +939,7 @@ def test_parser_is_built_once_and_reports_match_fresh_processes(
     props; each exit code, output and CSV equals that of a fresh process,
     and the argument parser is built at most once over the four calls."""
     monkeypatch.setenv("COLUMNS", "80")
-    built = [0]
-    plain = argparse.ArgumentParser.add_subparsers
-
-    def counted(self, *args, **kwargs):
-        built[0] += 1
-        return plain(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    built = count_calls(monkeypatch, argparse.ArgumentParser, "add_subparsers")
     path = write(tmp_path, readme_doc())
     calls = [["sample", "--scenario", path, "--csv", "rows.csv"],
              ["modify", "--scenario", path],
@@ -1019,14 +981,7 @@ def test_parser_is_built_once_and_reports_match_fresh_processes(
 def test_float_conversions_do_not_scale_with_samples(tmp_path, monkeypatch):
     """Exact coefficients are converted to floats once per polynomial, not
     once per sample, and exact-only arithmetic converts none."""
-    calls = [0]
-    plain_to_complex = QI.to_complex
-
-    def counted_to_complex(self):
-        calls[0] += 1
-        return plain_to_complex(self)
-
-    monkeypatch.setattr(QI, "to_complex", counted_to_complex)
+    calls = count_calls(monkeypatch, QI, "to_complex")
     path = write(tmp_path, pushforward_doc())
     for cmd in ("props", "cover"):
         counts = {}
@@ -1050,15 +1005,8 @@ def test_float_conversions_do_not_scale_with_samples(tmp_path, monkeypatch):
 def test_fm_transforms_once(tmp_path, monkeypatch):
     """The fm report and its round trip share one forward transform."""
     from spectral_forge import fourier
-    calls = [0]
-    plain = fourier.fm_transform
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return plain(*args, **kwargs)
-
-    monkeypatch.setattr(fourier, "fm_transform", counted)
-    monkeypatch.setattr(cli, "fm_transform", counted)
+    calls = count_calls(monkeypatch, fourier, "fm_transform")
+    monkeypatch.setattr(cli, "fm_transform", fourier.fm_transform)
     path = write(tmp_path, pushforward_doc())
     assert run_command(["fm", "--scenario", path, "--json",
                         str(tmp_path / "out.json")]) == 0

@@ -141,6 +141,19 @@ def test_numpy_imported_first_is_kept(tmp_path):
     assert result == {"same": True, "plain": True}
 
 
+def test_lazy_import_keeps_a_loaded_module_and_names_a_missing_one():
+    """``_carray._lazy`` hands back a module already in ``sys.modules`` as
+    it is, and refuses a name no finder knows with ModuleNotFoundError
+    naming it."""
+    from spectral_forge import _carray
+
+    assert _carray._lazy("math") is sys.modules["math"]
+    missing = "spectral_forge_no_such_module"
+    with pytest.raises(ModuleNotFoundError, match=missing) as info:
+        _carray._lazy(missing)
+    assert info.value.name == missing
+
+
 def test_numpy_is_imported_only_by_carray():
     importers = set()
     for path in PACKAGE.glob("*.py"):

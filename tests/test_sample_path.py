@@ -39,9 +39,10 @@ from spectral_forge.families import _Frame
 from spectral_forge.fourier import _has_trivial_sub, _roundtrip_report
 
 import oracles
-from conftest import (TAU_DYADIC, TAU_GENERIC, TAU_WIDE, cover_g0, cover_g1,
-                      cover_g2, cover_g3, pell_g0, pell_g1, pell_g2, pell_g3,
-                      perturbed, push_family, split_family, surf_m23, surf_plain)
+from conftest import (TAU_DYADIC, TAU_GENERIC, TAU_WIDE, count_calls, cover_g0,
+                      cover_g1, cover_g2, cover_g3, pell_g0, pell_g1, pell_g2,
+                      pell_g3, perturbed, push_family, split_family, surf_m23,
+                      surf_plain)
 from test_cli import pell_cover_doc, pushforward_doc, split_doc, write
 from test_spectral import tiny_pell_g0
 
@@ -741,18 +742,6 @@ def test_cmath_sqrt_in_the_square_root_is_seen(monkeypatch):
 # ============================================================
 # Count guards: no per-sample scalar route on regular samples
 # ============================================================
-
-def count_calls(monkeypatch, cls, name) -> list[int]:
-    calls = [0]
-    plain = getattr(cls, name)
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return plain(*args, **kwargs)
-
-    monkeypatch.setattr(cls, name, counted)
-    return calls
-
 
 def test_reports_make_no_per_sample_scalar_calls(tmp_path, monkeypatch):
     values_at = count_calls(monkeypatch, PellMap, "sheet_values")

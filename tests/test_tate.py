@@ -229,6 +229,18 @@ def test_points_multiply_modulo_tau():
     assert (p * p.inverse()).equivalent(1.0)
 
 
+def test_point_equality_leaves_other_types_to_them():
+    """A point compares equal to a lattice translate of its value; against
+    anything that is not a point or a number it returns NotImplemented, so
+    ``==`` falls back to identity and reads False."""
+    curve = TateCurve(TAU_DYADIC)
+    p = curve.point(1.5)
+    assert p == 1.5 * curve.tau ** 3
+    assert p.__eq__("x") is NotImplemented
+    assert not p == "x"
+    assert repr(p) == "TatePoint(1.5+0j)"
+
+
 # ============================================================
 # Cohomology closed form vs oracle
 # ============================================================
@@ -306,6 +318,19 @@ def test_isomorphism_ignores_lattice_factors():
     b = TateLineBundle(curve, 1, (0.9 + 0.2j) * curve.tau ** 2)
     assert a.isomorphic(b)
     assert not a.isomorphic(TateLineBundle(curve, 1, 1.1))
+
+
+def test_bundle_equality_is_isomorphism():
+    """``==`` on line bundles is isomorphism: true for factors a lattice
+    power apart, false for another degree, and NotImplemented (so False)
+    against anything that is not a bundle."""
+    curve = TateCurve(TAU_DYADIC)
+    a = TateLineBundle(curve, 1, 0.9 + 0.2j)
+    assert a == TateLineBundle(curve, 1, (0.9 + 0.2j) * curve.tau ** 2)
+    assert not a == TateLineBundle(curve, 2, 0.9 + 0.2j)
+    assert a.__eq__("x") is NotImplemented
+    assert not a == "x"
+    assert repr(a) == "TateLineBundle(d=1, factor=0.9+0.2j)"
 
 
 def test_degree_0_point_is_the_canonical_representative():
