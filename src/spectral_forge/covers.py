@@ -20,12 +20,14 @@ when every shared point cancels (D + iota(D), D - D) the sum is 0 outright.
 A polynomial is held as its canonical integer image (one common denominator,
 Gaussian-integer numerators): sums, products and divisions run on images,
 and the Q(i) coefficients are built only when something reads them, so the
-group law makes no Q(i) number.  A division multiplies its remainder only by
-the least integer that makes the next quotient digit integral.  Cantor's
+group law makes no Q(i) number.  A division multiplies its remainder only
+by the least integer that makes the next quotient digit integral.  Cantor's
 exact divisions by a monic u over Q need no multiplier at all (Gauss's
 lemma), so the group law handles integers near the height of its results.
-No floating point enters the group law; float evaluation of the curve is
-provided separately for sampling.
+Exact evaluation is a division too: f(a) is the remainder of f by b - a,
+and so is the on-curve test of ``point_class``.  No floating point enters
+the group law; float evaluation of the curve is provided separately for
+sampling.
 
 Two independent decision procedures for principality are provided:
 
@@ -231,8 +233,8 @@ class Poly:
     """Dense polynomial over Q(i), coefficients ascending, no trailing zeros.
 
     Immutable.  Held as its canonical integer image (see above); ``coeffs``,
-    the tuple of QI coefficients, is built on first read.  Equality compares
-    images; hash and repr are those of the coefficient tuple."""
+    the tuple of QI coefficients, is built on first read.  Equality and the
+    hash are those of the image; repr reads the coefficients."""
 
     def __init__(self, coeffs: tuple[QI, ...] = ()) -> None:
         cs = list(coeffs)
@@ -262,7 +264,7 @@ class Poly:
         return self._image == o._image
 
     def __hash__(self) -> int:
-        return hash((self.coeffs,))
+        return hash((self._image[0], *self._image[1], *self._image[2]))
 
     # ----- constructors ---------------------------------------------------
 
@@ -429,10 +431,7 @@ class Poly:
                           [k * b for k, b in enumerate(im)][1:])
 
     def gcd(self, o: "Poly") -> "Poly":
-        a, b = self, o
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return self._gcd_cofactor(o)[0]
 
     def _gcd_cofactor(self, o: "Poly") -> tuple["Poly", "Poly"]:
         """(g, s) of ``xgcd``: the Euclid loop tracks only the cofactor of
@@ -466,10 +465,8 @@ class Poly:
     # ----- evaluation -----------------------------------------------------
 
     def eval(self, b: QI) -> QI:
-        acc = _QI_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * b + c
-        return acc
+        """self(b), the remainder of self by b - x (Knuth, TAOCP 4.6.1)."""
+        return (self % Poly.x_minus(b)).coeff(0)
 
     @cached_property
     def _horner_complex(self) -> tuple[complex, ...]:
@@ -639,7 +636,7 @@ class DivisorClass:
 
     @staticmethod
     def zero(cover: HyperCover) -> "DivisorClass":
-        return DivisorClass(cover, Poly.const(_QI_ONE), Poly(), 0)
+        return DivisorClass(cover, _ONE, Poly(), 0)
 
     def degree(self) -> int:
         return self.u.degree - self.inf_mult
@@ -662,9 +659,10 @@ def _group_law_class(cover: HyperCover, u: Poly, v: Poly,
 
 def point_class(cover: HyperCover, x: QI, w: QI) -> DivisorClass:
     """Degree-0 class (P) - (inf) for the affine point P = (x, w)."""
-    if not (w * w - cover.f.eval(x)).is_zero():
+    u, v = Poly.x_minus(x), Poly.const(w)
+    if not ((cover.f - v * v) % u).is_zero():
         raise ValueError("(x, w) does not lie on the cover")
-    return DivisorClass(cover, Poly.x_minus(x), Poly.const(w), 1)
+    return DivisorClass(cover, u, v, 1)
 
 
 # ----- Cantor composition and reduction ----------------------------------
@@ -828,7 +826,7 @@ def _search_witness(cover: HyperCover, conditions: list[tuple[Poly, Poly]],
     basis = qi_nullspace(rows, (da + 1) + (dc + 1 if dc >= 0 else 0))
     if not basis:
         return False, None
-    target = prod((u for u, _ in conditions), start=Poly.const(_QI_ONE))
+    target = prod((u for u, _ in conditions), start=_ONE)
     for vec in basis:
         a = Poly(tuple(vec[: da + 1]))
         c = Poly(tuple(vec[da + 1:])) if dc >= 0 else Poly()
@@ -877,7 +875,7 @@ def conjugate_sum_principal_witness(d: DivisorClass) -> tuple[Poly, Poly]:
         raise ValueError("witness search requires a degree-0 class")
     r = d.u.degree
     if r == 0:
-        return Poly.const(_QI_ONE), Poly()
+        return _ONE, Poly()
     # vanishing on D and on iota(D) at shared u-roots forces u | a and u | c v;
     # impose the two divisibility conditions directly
     witness = _search_witness(d.cover, [(d.u, d.v % d.u), (d.u, (-d.v) % d.u)],

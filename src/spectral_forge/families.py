@@ -365,26 +365,28 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class JumpRecord:
-    """Summary of one jump: height, multiplicity, length, full sequence."""
+    """One jump at a point; height, multiplicity and length are read off its sequence."""
 
     at: BasePoint
-    height: int
-    multiplicity: int
-    length: int
     sequence: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.sequence:
             raise ValueError("empty jumping sequence")
-        if self.height != self.sequence[0]:
-            raise ValueError("height must head the sequence")
-        if self.multiplicity != sum(self.sequence):
-            raise ValueError("multiplicity must be the sequence sum")
-        if self.length != len(self.sequence):
-            raise ValueError("length must be the sequence length")
-        if any(self.sequence[i + 1] > self.sequence[i]
-               for i in range(len(self.sequence) - 1)):
+        if any(a < b for a, b in zip(self.sequence, self.sequence[1:])):
             raise ValueError("jumping sequences are non-increasing")
+
+    @property
+    def height(self) -> int:
+        return self.sequence[0]
+
+    @property
+    def multiplicity(self) -> int:
+        return sum(self.sequence)
+
+    @property
+    def length(self) -> int:
+        return len(self.sequence)
 
 
 # ============================================================
@@ -522,7 +524,7 @@ def jumping_sequence(family: FamilySpec, at: BasePoint) -> JumpRecord:
     heights = tuple(s.degree for s in reversed(family._stacks.get(at, ())))
     if not heights:
         raise NoSurjectionError(f"no jump at {at}")
-    return JumpRecord(at, heights[0], sum(heights), len(heights), heights)
+    return JumpRecord(at, heights)
 
 
 def jump_report(family: FamilySpec) -> list[JumpRecord]:

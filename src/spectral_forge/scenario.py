@@ -62,8 +62,7 @@ _Reader = Callable[[Any, str], Any]
 
 def parse_complex(value: Any, where: str) -> complex:
     if (not isinstance(value, list) or len(value) != 2
-            or not isinstance(value[0], (int, float))
-            or not isinstance(value[1], (int, float))):
+            or not all(type(x) in (int, float) for x in value)):  # no bool
         raise SchemaError(f"{where}: expected [re, im], got {value!r}")
     try:
         z = complex(float(value[0]), float(value[1]))
@@ -89,7 +88,7 @@ def encode_complex(z: complex) -> list[float]:
 
 def parse_qi(value: Any, where: str) -> QI:
     if (not isinstance(value, list) or len(value) != 4
-            or not all(isinstance(x, int) for x in value)):
+            or not all(type(x) is int for x in value)):
         raise SchemaError(
             f"{where}: expected [re_num, re_den, im_num, im_den], got {value!r}")
     if value[1] == 0 or value[3] == 0:
@@ -129,7 +128,7 @@ def _int(low: int | None = None) -> _Reader:
     text = "an integer" if low is None else f"integer >= {low}"
 
     def read(value: Any, where: str) -> int:
-        if not isinstance(value, int) or low is not None and value < low:
+        if type(value) is not int or low is not None and value < low:
             raise SchemaError(f"{where}: expected {text}")
         return value
     return read

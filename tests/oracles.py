@@ -584,6 +584,14 @@ def reference_monic(p):
     return reference_scale(p, p.lead().inv())
 
 
+def reference_eval(p, b):
+    """p(b) by Horner, every step a Q(i) operation."""
+    acc = QI()
+    for c in reversed(p.coeffs):
+        acc = acc * b + c
+    return acc
+
+
 def reference_gcd(a, b):
     while not b.is_zero():
         a, b = b, reference_divmod(a, b)[1]

@@ -1,12 +1,14 @@
 # tests/test_census.py
 """
 ``tools/census.py`` without tracing the suite: the function and statement
-spans of one small module, one traced library call, and the label order.
+spans of one small module, one traced library call, one traced import,
+and the label order.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import sys
 import textwrap
@@ -93,6 +95,24 @@ def test_a_traced_call_records_entries_and_lines_and_restores_the_tracer():
     body = range(start + 1, start + len(source))
     assert set(run["lines"][path]) & set(body)
     assert all(f.startswith(str(census.PACKAGE)) for f in run["lines"])
+
+
+def test_a_call_made_while_importing_under_trace_is_recorded(tmp_path, monkeypatch):
+    """A module imported under ``traced`` is entered, and so is the function
+    its module-level code calls, with the lines of both: import-time code
+    goes to the run that imports the module."""
+    path = tmp_path / "census_probe.py"
+    path.write_text('"""Probe."""\n\n\ndef make(n):\n    return n + 1\n\n\nVALUE = make(1)\n',
+                    encoding="utf-8")
+    monkeypatch.setattr(census, "PACKAGE", tmp_path)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        run, module = census.traced(importlib.import_module, "census_probe")
+    finally:
+        sys.modules.pop("census_probe", None)
+    assert module.VALUE == 2
+    assert run["entered"] == [(str(path), 1), (str(path), 4)]
+    assert {5, 8} <= set(run["lines"][str(path)])
 
 
 def test_labels_go_cli_bench_tools_tests_none():

@@ -14,8 +14,10 @@ import json
 import math
 import os
 import random
+import runpy
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -449,6 +451,19 @@ def test_csv_flag_is_rejected_outside_sample(tmp_path, capsys):
         run_command(["cover", "--scenario", path, "--csv", "x"])
     assert exc.value.code == 2
     assert "--csv" in capsys.readouterr().err
+
+
+def test_module_run_as_a_script_exits_with_the_command_code(tmp_path, capsys, monkeypatch):
+    """``python -m spectral_forge.cli`` hands ``main``'s code to sys.exit:
+    0 for a report, 2 for a missing scenario."""
+    for name, code in ((write(tmp_path, split_doc()), 0), (str(tmp_path / "missing.json"), 2)):
+        monkeypatch.setattr(sys, "argv", ["spectral_forge.cli", "cover", "--scenario", name])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            # runpy warns that this module, imported above, is in sys.modules
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("spectral_forge.cli", run_name="__main__")
+        assert exc.value.code == code
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("tol", ["0", "1.5", "nan"])

@@ -45,7 +45,7 @@ from spectral_forge.covers import (
     qi_nullspace,
 )
 from conftest import affine_points, combine, cover_g1, cover_g2, cover_g3, cover_g0, prym_generators
-from oracles import (from_sympy, reference_add, reference_divmod,
+from oracles import (from_sympy, reference_add, reference_divmod, reference_eval,
                      reference_eval_complex, reference_gcd, reference_monic, reference_mul, reference_neg, reference_scale,
                      reference_qi_nullspace, reference_sub, reference_xgcd, sympy_compose,
                      sympy_reduce, to_sympy)
@@ -293,6 +293,22 @@ def cantor_chain_search_pairs() -> list[tuple[DivisorClass, DivisorClass]]:
 FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
 
 
+def count_fraction_ops(monkeypatch) -> Counter[str]:
+    """The Fraction +, - and * made from now until ``monkeypatch.undo()``,
+    counted per operator."""
+    counts: Counter[str] = Counter()
+
+    def counted(op, fn):
+        def wrapper(a, b):
+            counts[op] += 1
+            return fn(a, b)
+        return wrapper
+
+    for op in FRACTION_OPS:
+        monkeypatch.setattr(Fraction, op, counted(op, getattr(Fraction, op)))
+    return counts
+
+
 def test_nullspace_makes_no_fraction_arithmetic(monkeypatch):
     """Counts, not time: on every matrix the cantor-chain benchmark's search
     jobs build, the elimination does no Fraction +, - or * (the former Q(i)
@@ -309,22 +325,35 @@ def test_nullspace_makes_no_fraction_arithmetic(monkeypatch):
         classes_equal_by_search(d1, d2)
     monkeypatch.undo()
     assert len(matrices) == 230
-    counts: Counter[str] = Counter()
-
-    def counted(op, fn):
-        def wrapper(a, b):
-            counts[op] += 1
-            return fn(a, b)
-        return wrapper
-
-    for op in FRACTION_OPS:
-        monkeypatch.setattr(Fraction, op, counted(op, getattr(Fraction, op)))
+    counts = count_fraction_ops(monkeypatch)
     bases = [qi_nullspace(rows, n_cols) for rows, n_cols in matrices]
     assert not counts, counts
     reference = [reference_qi_nullspace(rows, n_cols) for rows, n_cols in matrices]
     assert sum(counts.values()) > 1000
     monkeypatch.undo()
     assert bases == reference
+
+
+def test_exact_evaluation_makes_no_fraction_arithmetic(monkeypatch):
+    """Counts, not time: building the four test covers, testing their
+    points and branch points with ``is_branch`` and evaluating f there, and
+    building each point's class do no Fraction +, - or *; the Q(i) Horner
+    of the reference does, at the same points, and gives the same values."""
+    counts = count_fraction_ops(monkeypatch)
+    covs = [cover_g0(), cover_g1(), cover_g2(), cover_g3()]
+    branch = [(covs[0], QI.of(0)), (covs[1], QI.of(-1))]
+    points = [(cov, x, w) for cov in covs for x, w in affine_points(cov)]
+    assert all(cov.is_branch(BasePoint(x)) for cov, x in branch)
+    assert not any(cov.is_branch(BasePoint(x)) for cov, x, _ in points)
+    at = [(cov, x) for cov, x, _ in points] + branch
+    values = [cov.f.eval(x) for cov, x in at]
+    classes = [point_class(cov, x, w) for cov, x, w in points]
+    assert not counts, counts
+    reference = [reference_eval(cov.f, x) for cov, x in at]
+    assert sum(counts.values()) > 0
+    monkeypatch.undo()
+    assert values == reference and values[-2:] == [QI(), QI()]
+    assert [d.u for d in classes] == [Poly.x_minus(x) for _, x, _ in points]
 
 
 # ============================================================
@@ -452,13 +481,25 @@ def test_lazy_and_eager_polys_agree(nums, div, k):
         assert complex_bits(p.eval_complex(z)) == want
         assert complex_bits(eager.eval_complex(z)) == want
     assert "coeffs" not in vars(p)
-    assert p.eval(QI.of(2, -1)) == eager.eval(QI.of(2, -1))
+    assert p.eval(QI.of(2, -1)) == reference_eval(eager, QI.of(2, -1))
     assert p.coeffs == eager.coeffs
     assert hash(p) == hash(eager) and repr(p) == repr(eager)
     for q in (pickle.loads(pickle.dumps(lazy())), copy.deepcopy(lazy()),
               pickle.loads(pickle.dumps(eager)), copy.deepcopy(eager)):
         assert q == eager and q._image == eager._image
         assert hash(q) == hash(eager) and repr(q) == repr(eager)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          database=None)
+@given(a=polys(7), x=st.builds(QI, PARTS, PARTS))
+@example(a=Poly(), x=HUGE)
+@example(a=Poly.of(Fraction(-2, 3)), x=QI.of(0, 1))
+@example(a=Poly((HUGE, QI.of(1, 1), HUGE)), x=HUGE.conj())
+def test_eval_is_the_remainder_by_b_minus_x(a, x):
+    """f(x) as the remainder of f by b - x is the Q(i) Horner value, for
+    the zero polynomial, constants and Gaussian points among others."""
+    assert a.eval(x) == reference_eval(a, x)
 
 
 # Euclid over Q(i) roughly doubles the coefficient height per step, which the

@@ -299,6 +299,23 @@ def test_obstruction_rejects_zero_data():
         obstruction_zeros(DY, 1.0, 0.0, 0.0)
 
 
+def test_make_extension_refuses_a_doubled_zero_off_two_torsion(monkeypatch):
+    """A solver answer of one zero twice, at 1.5 on tau = 2 (not 2-torsion),
+    is refused rather than read as a regular non-split class."""
+    point = DY.canonical_rep(1.5)
+    monkeypatch.setattr(fiber, "obstruction_zeros", lambda curve, c, p, q: (point, point))
+    with pytest.raises(ArithmeticError, match="^doubled obstruction zero is not 2-torsion$"):
+        make_extension(DY, 1.0, 1.0, 1.0)
+
+
+def test_extension_from_pair_refuses_vanishing_thetas(monkeypatch):
+    """Both thetas 0 at g0 leave no projective point to normalise."""
+    monkeypatch.setattr(fiber, "theta_even", lambda tau, g, window=None: 0j)
+    monkeypatch.setattr(fiber, "theta_odd", lambda tau, g, window=None: 0j)
+    with pytest.raises(ArithmeticError, match="^degenerate pair: both thetas vanish$"):
+        extension_from_pair(DY, 1.0, 1.5)
+
+
 # ============================================================
 # The contour solver: conditioning, cost and the mpmath oracle
 # ============================================================

@@ -25,6 +25,7 @@ from spectral_forge import (
     scenario_hash,
 )
 from spectral_forge import scenario
+from spectral_forge.cli import main
 from spectral_forge.scenario import (
     encode_base_point,
     encode_complex,
@@ -330,6 +331,30 @@ def test_each_reader_refuses_naming_the_path(mangle, message):
     with pytest.raises(SchemaError) as err:
         parse_scenario(doc)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("mangle, message", [
+    pytest.param(lambda d: d["run"].update(samples=True),
+                 "run.samples: expected integer >= 1", id="integer"),
+    pytest.param(lambda d: d["surface"].update(multiple_fibres=[{"at": [True, 1, 0, 1], "m": 2}]),
+                 "surface.multiple_fibres[0].at: expected [re_num, re_den, im_num, im_den], "
+                 "got [True, 1, 0, 1]", id="gaussian-rational"),
+    pytest.param(lambda d: d["family"]["presentation"].update(factors=[[0.7, False], [1.3, 0.0]]),
+                 "family.presentation.factors[0]: expected [re, im], got [0.7, False]",
+                 id="complex"),
+    pytest.param(lambda d: d["family"].update(modifications=[
+        {"op": "push", "at": [3, 1, 0, 1], "degree": True}]),
+                 "family.modifications[0].degree: expected integer >= 1", id="journal"),
+])
+def test_json_booleans_are_refused_where_a_number_is_expected(mangle, message, tmp_path, capsys):
+    """Python reads JSON true and false as 1 and 0; a number key refuses
+    them, and the command exits 2 naming the key."""
+    doc = split_doc()
+    mangle(doc)
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["modify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_schema_error_on_bad_surface_lattice():

@@ -3,12 +3,13 @@ statements no tier-1 test executes.  No options:  python tools/census.py
 
 Traces two fresh interpreters at once under ``sys.settrace``, so that the
 caches one kind of run fills (the CLI's parser, theta tables) hide no
-function from the other.  One runs, in order, ``CLI`` (the seven
-subcommands at 64 and 256 samples on the golden documents of
-``tests/test_cli.py`` and the perfbench scenarios), ``bench`` (two rounds
-of each perfbench workload at seed 11) and ``tools`` (each timed layer of
-``tools/bench_{exact,fibre,journal,sample_path}.py`` once); the other runs
-``tests`` (tier-1; tests that start fresh interpreters are not traced).
+function from the other.  One runs ``CLI`` (the import of the package,
+then the seven subcommands at 64 and 256 samples on the golden documents
+of ``tests/test_cli.py`` and the perfbench scenarios), ``bench`` (building
+each perfbench workload at seed 11, then two rounds of it) and ``tools``
+(each timed layer of ``tools/bench_{exact,fibre,journal,sample_path}.py``
+once); the other runs ``tests`` (tier-1; tests that start fresh
+interpreters are not traced).
 Prints ``label module:line qualname (lines)`` per function, the label being
 the first run that entered it, else "none"; then ``module:line: source``
 per statement no test executed (its header, decorators through the line
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -120,35 +122,51 @@ def each(calls) -> None:
 
 
 def trace_runs(out: str) -> None:
-    """The CLI, bench and tools traces, in that order, written to ``out``.
-    The CLI reads scenario files written to the working directory first;
-    the calls of each run are drawn while it is traced."""
+    """The CLI, bench and tools traces, written to ``out``.  The package is
+    first imported under the CLI trace, the workloads are built (writing the
+    perfbench scenarios) under the bench trace; then the CLI runs on the
+    golden documents, written to the working directory, and on those
+    scenarios, the workloads run their rounds and the tools their layers.
+    A label goes by LABELS order, not time: what building the workloads
+    enters is labelled bench unless a CLI run enters it too.  The calls of
+    each run are drawn while it is traced."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
     import _layer_bench
-    from spectral_forge.cli import main
-    from test_cli import GOLDEN_DOCS
-    from workloads import WORK, WORKLOADS
 
-    workloads = [cls(SEED) for cls in WORKLOADS.values()]
-    for wl in workloads:
-        wl.round_tasks(0)
+    entered: dict[str, set] = {k: set() for k in LABELS[:3]}
+
+    def stage(k: str, fn, *args):
+        run, result = traced(fn, *args)
+        entered[k].update(run["entered"])
+        return result
+
+    def build() -> tuple[list, list[Path]]:
+        from workloads import WORK, WORKLOADS
+        workloads = [cls(SEED) for cls in WORKLOADS.values()]
+        for wl in workloads:
+            wl.round_tasks(0)
+        return workloads, sorted((WORK / "scenarios").glob("*.json"))
+
+    main = stage("CLI", importlib.import_module, "spectral_forge.cli").main
+    from test_cli import GOLDEN_DOCS
     paths = [Path(f"{name}.json") for name in sorted(GOLDEN_DOCS)]
     for path in paths:
         path.write_text(json.dumps(GOLDEN_DOCS[path.stem]()), encoding="utf-8")
-    paths += sorted((WORK / "scenarios").glob("*.json"))
+    workloads, scenarios = stage("bench", build)
+    paths += scenarios
 
     def once(fn, items: int = 1, min_run_s: float = 0.0) -> dict:
         fn()
         return {"best_s": 0.0, "median_s": 0.0}
 
     _layer_bench.timed = once     # before the bench scripts import it
-    runs = {"CLI": ((main, [cmd, "--scenario", str(path), "--samples", str(n),
-                            "--json", "report.json"])
-                    for path in paths for cmd in COMMANDS for n in SAMPLES),
-            "bench": ((wl.execute, task) for wl in workloads
-                      for rnd in range(ROUNDS) for task in wl.round_tasks(rnd)),
-            "tools": ((__import__(name).measure,) for name in TOOLS)}
-    runs = {k: traced(each, calls)[0] for k, calls in runs.items()}
+    stage("CLI", each, ((main, [cmd, "--scenario", str(path), "--samples", str(n),
+                                "--json", "report.json"])
+                        for path in paths for cmd in COMMANDS for n in SAMPLES))
+    stage("bench", each, ((wl.execute, task) for wl in workloads
+                          for rnd in range(ROUNDS) for task in wl.round_tasks(rnd)))
+    stage("tools", each, ((__import__(name).measure,) for name in TOOLS))
+    runs = {k: {"entered": sorted(keys)} for k, keys in entered.items()}
     Path(out).write_text(json.dumps({**runs, "scenarios": len(paths)}), encoding="utf-8")
 
 
