@@ -2,8 +2,8 @@
 """
 Exact arithmetic on hyperelliptic double covers of the projective line.
 
-Everything in this module is exact: coefficients live in Q(i) (pairs of
-`fractions.Fraction`), curves are odd models
+Everything in this module is exact: coefficients live in Q(i) (integer
+images, below), curves are odd models
 
     w**2 = f(b),   f squarefree over Q(i), deg f = 2g + 1, g >= 1,
 
@@ -17,13 +17,11 @@ coprime, composition is the CRT lift v = v1 + u1 (e1 (v2 - v1 mod u2) mod u2),
 with e1 u1 = 1 mod u2, whose degree is already below deg u1 u2; Cantor's
 general numerator is left to supports that share a point (doubling), and
 when every shared point cancels (D + iota(D), D - D) the sum is 0 outright.
-A polynomial is held as its canonical integer image (one common denominator,
-Gaussian-integer numerators): sums, products and divisions run on images,
-and the Q(i) coefficients are built only when something reads them, so the
-group law makes no Q(i) number.  A division multiplies its remainder only
-by the least integer that makes the next quotient digit integral.  Cantor's
-exact divisions by a monic u over Q need no multiplier at all (Gauss's
-lemma), so the group law handles integers near the height of its results.
+Numbers and polynomials are integer images, so the group law makes no Q(i)
+number.  A division multiplies its remainder only by the least integer that
+makes the next quotient digit integral.  Cantor's exact divisions by a monic
+u over Q need no multiplier at all (Gauss's lemma), so the group law handles
+integers near the height of its results.
 Exact evaluation is a division too: f(a) is the remainder of f by b - a,
 and so is the on-curve test of ``point_class``.  No floating point enters
 the group law; float evaluation of the curve is provided separately for
@@ -73,132 +71,173 @@ __all__ = [
 
 
 # ============================================================
-# Gaussian rationals
+# Gaussian rationals and integer images
 # ============================================================
+#
+# A Q(i) number or polynomial is its image (den, re, im): coefficient k is
+# (re[k] + im[k] i) / den with integer re, im and one common den (a number
+# holds bare integers).  The kept image is canonical: den > 0,
+# gcd(den, re, im) = 1, no trailing zero; so equal values have equal images.
+# Each result costs one content gcd; a polynomial's QIs and a QI's Fractions
+# are built only when read.  Kept lists are never mutated.
 
-_F0 = Fraction(0)
-_set = object.__setattr__
+_Image = tuple[int, list[int], list[int]]
 
 
-class QI:
-    """Element of Q(i): re + im*i with exact Fraction parts.
+class _Immutable:
+    """Refuses assignment and deletion, naming the class."""
 
-    Immutable; the hash is computed on first use and kept, so dict lookups
-    keyed by base points do not redo the Fraction hashes."""
-
-    __slots__ = ("re", "im", "_hash")
-
-    def __init__(self, re: int | Fraction = _F0, im: int | Fraction = _F0) -> None:
-        _set(self, "re", re if type(re) is Fraction else Fraction(re))
-        _set(self, "im", im if type(im) is Fraction else Fraction(im))
+    __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable QI")
+        raise AttributeError(
+            f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable QI")
+        raise AttributeError(
+            f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+def _qi(den: int, re: int, im: int) -> "QI":
+    """The QI (re + im i) / den, den != 0, in lowest terms with den > 0."""
+    g = gcd(den, re, im)
+    if den < 0:
+        g = -g
+    x = object.__new__(QI)
+    object.__setattr__(x, "_den", den // g)
+    object.__setattr__(x, "_re", re // g)
+    object.__setattr__(x, "_im", im // g)
+    return x
+
+
+def _sum(a: _Image, b: _Image, sign: int) -> _Image:
+    """a + sign * b over the lcm of the two denominators, not canonical."""
+    da, ar, ai = a
+    db, br, bi = b
+    den = lcm(da, db)
+    ma, mb = den // da, sign * (den // db)
+    re = [x * ma for x in ar]
+    im = [y * ma for y in ai]
+    pad = len(br) - len(re)
+    if pad > 0:
+        re += [0] * pad
+        im += [0] * pad
+    for k, (x, y) in enumerate(zip(br, bi)):
+        re[k] += x * mb
+        im[k] += y * mb
+    return den, re, im
+
+
+def _product(a: _Image, b: _Image) -> _Image:
+    """a * b over the product of the denominators, not canonical."""
+    da, ar, ai = a
+    db, br, bi = b
+    re = [0] * (len(ar) + len(br) - 1)
+    im = re[:]
+    for i, (x, y) in enumerate(zip(ar, ai)):
+        for j, (u, v) in enumerate(zip(br, bi)):
+            re[i + j] += x * u - y * v
+            im[i + j] += x * v + y * u
+    return da * db, re, im
+
+
+def _scalar(image: _Image) -> "QI":
+    den, (re,), (im,) = image
+    return _qi(den, re, im)
+
+
+class QI(_Immutable):
+    """Q(i) number: the canonical image of the constant it is, with the +, -
+    and * of the polynomial kernels.  Built from int or Fraction parts."""
+
+    __slots__ = ("_den", "_re", "_im")
+
+    def __new__(cls, re: int | Fraction = 0, im: int | Fraction = 0) -> "QI":
+        return QI.from_pair(re.numerator, re.denominator, im.numerator, im.denominator)
 
     def __reduce__(self) -> tuple:
-        return QI, (self.re, self.im)
+        return _qi, (self._den, self._re, self._im)
 
     def __eq__(self, o: object) -> bool:
         if o.__class__ is not QI:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._den == o._den and self._re == o._re and self._im == o._im
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.re, self.im))
-            _set(self, "_hash", h)
-            return h
+        return hash((self._den, self._re, self._im))
+
+    re = property(lambda self: Fraction(self._re, self._den), doc="Real part.")
+    im = property(lambda self: Fraction(self._im, self._den), doc="Imaginary part.")
+    _image = property(lambda self: (self._den, [self._re], [self._im]))
 
     # ----- constructors ---------------------------------------------------
 
     @staticmethod
     def of(re: int | Fraction, im: int | Fraction = 0) -> "QI":
-        return QI(Fraction(re), Fraction(im))
+        return QI(re, im)
 
     @staticmethod
     def from_pair(re_num: int, re_den: int, im_num: int = 0, im_den: int = 1) -> "QI":
-        return QI(Fraction(re_num, re_den), Fraction(im_num, im_den))
+        if not re_den or not im_den:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return _qi(re_den * im_den, re_num * im_den, im_num * re_den)
 
     # ----- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._re and not self._im
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self._re == self._den == 1 and not self._im
 
     # ----- arithmetic -----------------------------------------------------
 
     def __add__(self, o: "QI") -> "QI":
-        return QI(self.re + o.re, self.im + o.im)
+        return _scalar(_sum(self._image, o._image, 1))
 
     def __sub__(self, o: "QI") -> "QI":
-        return QI(self.re - o.re, self.im - o.im)
+        return _scalar(_sum(self._image, o._image, -1))
 
     def __neg__(self) -> "QI":
-        return QI(-self.re, -self.im)
+        return _qi(self._den, -self._re, -self._im)
 
     def __mul__(self, o: "QI") -> "QI":
-        return QI(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        return _scalar(_product(self._image, o._image))
 
     def conj(self) -> "QI":
-        return QI(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return _qi(self._den, self._re, -self._im)
 
     def inv(self) -> "QI":
-        n = self.norm2()
-        if n == 0:
+        n = self._re * self._re + self._im * self._im
+        if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return QI(self.re / n, -self.im / n)
+        return _qi(n, self._den * self._re, -self._den * self._im)
 
     def __truediv__(self, o: "QI") -> "QI":
         return self * o.inv()
 
     def to_complex(self) -> complex:
-        try:
-            return complex(float(self.re), float(self.im))
+        den = self._den
+        try:  # each part correctly rounded, as float(Fraction) is
+            return complex(self._re / den, self._im / den)
         except OverflowError:  # named by its size: str() caps an integer's digits
-            n = max(int(abs(x)).bit_length() for x in (self.re, self.im))
+            n = (max(abs(self._re), abs(self._im)) // den).bit_length()
             raise UnsupportedError(f"Q(i) value near 2^{n} past the float range") from None
 
     def __repr__(self) -> str:
-        if self.im == 0:
+        if not self._im:
             return f"{self.re}"
-        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+        return f"({self.re}{'+' if self._im > 0 else '-'}{abs(self.im)}i)"
 
 
 _QI_ZERO = QI()
-_QI_ONE = QI(Fraction(1))
-
-
-# ----- integer images ---------------------------------------------------
-#
-# A Poly is its image (den, re, im): coefficient k is (re[k] + im[k] i) / den
-# with integer re, im and one common den.  The kept image is canonical: no
-# trailing zero, den > 0 and gcd(den, re, im) = 1, so den is the lcm of the
-# coefficient denominators and two polynomials are equal exactly when their
-# images are.  Sums, products and divisions cost integer operations and one
-# content gcd per result; the Fraction coefficients (``Poly.coeffs``) are
-# built only when something reads them.  The lists of a kept image are never
-# mutated.
-
-_Image = tuple[int, list[int], list[int]]
 
 
 def _image_of(xs: list[QI]) -> _Image:
-    """(den, re, im) with den the lcm of the denominators of ``xs`` and
-    xs[k] = (re[k] + im[k] i) / den."""
-    den = lcm(*(x.re.denominator for x in xs), *(x.im.denominator for x in xs))
-    return (den, [x.re.numerator * (den // x.re.denominator) for x in xs],
-            [x.im.numerator * (den // x.im.denominator) for x in xs])
+    """The image of ``xs`` as coefficients: den is the lcm of their dens."""
+    den = lcm(*(x._den for x in xs))
+    return (den, [x._re * (den // x._den) for x in xs],
+            [x._im * (den // x._den) for x in xs])
 
 
 def _poly(image: _Image) -> "Poly":
@@ -229,7 +268,7 @@ def _poly_over(den: int, re: list[int], im: list[int]) -> "Poly":
 # Dense univariate polynomials over Q(i)
 # ============================================================
 
-class Poly:
+class Poly(_Immutable):
     """Dense polynomial over Q(i), coefficients ascending, no trailing zeros.
 
     Immutable.  Held as its canonical integer image (see above); ``coeffs``,
@@ -237,16 +276,7 @@ class Poly:
     hash are those of the image; repr reads the coefficients."""
 
     def __init__(self, coeffs: tuple[QI, ...] = ()) -> None:
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.__dict__.update(coeffs=tuple(cs), _image=_image_of(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable Poly")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable Poly")
+        self.__dict__["_image"] = _poly_over(*_image_of(tuple(coeffs)))._image
 
     def __reduce__(self) -> tuple:
         den, re, im = self._image
@@ -255,8 +285,7 @@ class Poly:
     @cached_property
     def coeffs(self) -> tuple[QI, ...]:
         den, re, im = self._image
-        return tuple(QI(Fraction(a, den) if a else _F0, Fraction(b, den) if b else _F0)
-                     for a, b in zip(re, im))
+        return tuple(_qi(den, a, b) for a, b in zip(re, im))
 
     def __eq__(self, o: object) -> bool:
         if o.__class__ is not Poly:
@@ -278,7 +307,7 @@ class Poly:
 
     @staticmethod
     def x_minus(a: QI) -> "Poly":
-        return Poly((-a, _QI_ONE))
+        return _poly((a._den, [-a._re, a._den], [-a._im, 0]))
 
     # ----- structure ------------------------------------------------------
 
@@ -302,53 +331,28 @@ class Poly:
         den, re, im = self._image
         if not 0 <= k < len(re):
             return _QI_ZERO
-        return QI(Fraction(re[k], den), Fraction(im[k], den))
+        return _qi(den, re[k], im[k])
 
     # ----- ring operations ------------------------------------------------
 
-    def _plus(self, o: "Poly", sign: int) -> "Poly":
-        """self + sign * o over the lcm of the two denominators."""
-        da, ar, ai = self._image
-        db, br, bi = o._image
-        den = lcm(da, db)
-        ma, mb = den // da, sign * (den // db)
-        re = [a * ma for a in ar]
-        im = [b * ma for b in ai]
-        pad = len(br) - len(re)
-        if pad > 0:
-            re += [0] * pad
-            im += [0] * pad
-        for k, (a, b) in enumerate(zip(br, bi)):
-            re[k] += a * mb
-            im[k] += b * mb
-        return _poly_over(den, re, im)
-
     def __add__(self, o: "Poly") -> "Poly":
-        return self._plus(o, 1)
+        return _poly_over(*_sum(self._image, o._image, 1))
 
     def __sub__(self, o: "Poly") -> "Poly":
-        return self._plus(o, -1)
+        return _poly_over(*_sum(self._image, o._image, -1))
 
     def __neg__(self) -> "Poly":
         den, re, im = self._image
         return _poly((den, [-a for a in re], [-b for b in im]))
 
     def __mul__(self, o: "Poly") -> "Poly":
-        da, ar, ai = self._image
-        db, br, bi = o._image
-        if not ar or not br:
+        if not self._image[1] or not o._image[1]:
             return _ZERO
         if o._image == _ONE._image:
             return self
         if self._image == _ONE._image:
             return o
-        re = [0] * (len(ar) + len(br) - 1)
-        im = re[:]
-        for i, (x, y) in enumerate(zip(ar, ai)):
-            for j, (u, v) in enumerate(zip(br, bi)):
-                re[i + j] += x * u - y * v
-                im[i + j] += x * v + y * u
-        return _poly_over(da * db, re, im)
+        return _poly_over(*_product(self._image, o._image))
 
     def scale(self, c: QI) -> "Poly":
         return self * Poly((c,))
@@ -580,9 +584,7 @@ class HyperCover:
 
     def is_branch(self, b: BasePoint) -> bool:
         """Branch point of the cover: a root of f, or infinity (odd model)."""
-        if b.is_infinity:
-            return True
-        return self.f.eval(b.x).is_zero()
+        return b.is_infinity or self.f.eval(b.x).is_zero()
 
     def sheets(self, b: complex) -> tuple[complex, complex]:
         """(w, -w) over b, w the principal square root; UnsupportedError on overflow."""
@@ -611,10 +613,9 @@ class DivisorClass:
     """Semi-reduced Mumford pair (u, v) minus inf_mult * infinity.
 
     Invariants: u monic, deg v < deg u, u | v**2 - f.  The constructor checks
-    them on every class built from outside data (scenario files, user code,
-    ``point_class``); the group law (``mumford_compose``, ``cantor_reduce``,
-    ``class_neg``) produces classes that satisfy them by construction and
-    builds those without the check.
+    them on every class built from outside data (scenario files, user code);
+    the group law, whose classes satisfy them by construction, and
+    ``point_class``, which tests the one left open, skip the check.
     degree() = deg u - inf_mult; the group law acts on degree-0 classes.
     """
 
@@ -650,19 +651,18 @@ class DivisorClass:
 
 def _group_law_class(cover: HyperCover, u: Poly, v: Poly,
                      inf_mult: int) -> DivisorClass:
-    """A class produced by the group law from valid classes: the invariants
-    hold by construction, so ``DivisorClass.__post_init__`` is skipped."""
+    """A class known to be valid (group law, ``point_class``), built unchecked."""
     d = object.__new__(DivisorClass)
     d.__dict__.update(cover=cover, u=u, v=v, inf_mult=inf_mult)
     return d
 
 
 def point_class(cover: HyperCover, x: QI, w: QI) -> DivisorClass:
-    """Degree-0 class (P) - (inf) for the affine point P = (x, w)."""
+    """(P) - (inf) for P = (x, w): u = b - x, v = w; only u | f - v^2 needs a test."""
     u, v = Poly.x_minus(x), Poly.const(w)
     if not ((cover.f - v * v) % u).is_zero():
         raise ValueError("(x, w) does not lie on the cover")
-    return DivisorClass(cover, u, v, 1)
+    return _group_law_class(cover, u, v, 1)
 
 
 # ----- Cantor composition and reduction ----------------------------------
@@ -777,11 +777,11 @@ def qi_nullspace(rows: list[list[QI]], n_cols: int) -> list[list[QI]]:
     basis: list[list[QI]] = []
     for fc in (c for c in range(n_cols) if c not in pivots):
         vec = [_QI_ZERO] * n_cols
-        vec[fc] = _QI_ONE
+        vec[fc] = QI(1)
         for (xr, xi), pc in zip(m, pivots):
             a, b, p, q = xr[fc], xi[fc], xr[pc], xi[pc]
             n = p * p + q * q
-            vec[pc] = QI(Fraction(-a * p - b * q, n), Fraction(a * q - b * p, n))
+            vec[pc] = _qi(n, -a * p - b * q, a * q - b * p)
         basis.append(vec)
     return basis
 

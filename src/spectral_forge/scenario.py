@@ -111,8 +111,8 @@ def parse_base_point(value: Any, where: str) -> BasePoint:
 def encode_base_point(p: BasePoint) -> Any:
     if p.is_infinity:
         return "inf"
-    x = p.x
-    return [x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator]
+    re, im = p.x.re, p.x.im
+    return [re.numerator, re.denominator, im.numerator, im.denominator]
 
 
 # ============================================================

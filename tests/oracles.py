@@ -6,7 +6,8 @@ Everything here recomputes a quantity from first principles (coefficient
 recursions, truncated functional-equation matrices, Smith normal forms,
 linear journal replays, uncached float evaluation, the former per-module
 lattice distances, the former scalar sample loops, schoolbook Q(i)
-polynomial loops, Gauss-Jordan elimination in Q(i) Fractions, Cantor's
+polynomial loops and Gauss-Jordan elimination on pairs of Fractions (the
+library's former number type), Cantor's
 algorithm in sympy, the per-term theta loops and 50-digit theta zeros in
 mpmath) without touching the library's closed forms, so each test compares
 two genuinely different computation routes.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -270,10 +272,11 @@ def replay_determinant(family):
 # ============================================================
 
 def reference_eval_complex(poly, b: complex) -> complex:
-    """Horner's rule with every coefficient converted to float afresh."""
+    """Horner's rule with every coefficient converted to float afresh, part
+    by part through ``float(Fraction)``."""
     acc = 0j
     for c in reversed(poly.coeffs):
-        acc = acc * b + c.to_complex()
+        acc = acc * b + FractionQI.of(c).to_complex()
     return acc
 
 
@@ -292,7 +295,7 @@ def reference_evaluate_at(pell, b: complex, w: complex) -> complex:
            + reference_eval_complex(pell.v_part, b) * w)
     if abs(num) < 1e-300:
         raise PunctureError(f"zero of bisection map at b={b}")
-    return pell.scale.to_complex() * num / den
+    return FractionQI.of(pell.scale).to_complex() * num / den
 
 
 def reference_sheet_values(pell, b: complex) -> tuple[complex, complex]:
@@ -524,29 +527,100 @@ def reference_sample_rows(cover, pts) -> list[str]:
 
 
 # ============================================================
-# Exact polynomials: schoolbook Q(i) loops
+# Exact polynomials: schoolbook Q(i) loops on Fraction parts
 # ============================================================
+
+class FractionQI:
+    """re + im*i with Fraction parts, every operation a Fraction operation
+    on the parts: the library's former Q(i) number, kept here so that the
+    references below share no arithmetic with its integer images."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0) -> None:
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x) -> "FractionQI":
+        """The parts of a library QI (or of another FractionQI)."""
+        return FractionQI(x.re, x.im)
+
+    def qi(self) -> QI:
+        return QI(self.re, self.im)
+
+    def __eq__(self, o: object) -> bool:
+        return isinstance(o, FractionQI) and self.re == o.re and self.im == o.im
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def is_one(self) -> bool:
+        return self.re == 1 and self.im == 0
+
+    def __add__(self, o: "FractionQI") -> "FractionQI":
+        return FractionQI(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o: "FractionQI") -> "FractionQI":
+        return FractionQI(self.re - o.re, self.im - o.im)
+
+    def __neg__(self) -> "FractionQI":
+        return FractionQI(-self.re, -self.im)
+
+    def __mul__(self, o: "FractionQI") -> "FractionQI":
+        return FractionQI(self.re * o.re - self.im * o.im,
+                          self.re * o.im + self.im * o.re)
+
+    def conj(self) -> "FractionQI":
+        return FractionQI(self.re, -self.im)
+
+    def inv(self) -> "FractionQI":
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return FractionQI(self.re / n, -self.im / n)
+
+    def __truediv__(self, o: "FractionQI") -> "FractionQI":
+        return self * o.inv()
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self) -> str:
+        if self.im == 0:
+            return f"{self.re}"
+        return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+
+
+def fraction_coeffs(p) -> list[FractionQI]:
+    return [FractionQI.of(c) for c in p.coeffs]
+
+
+def poly_of(cs) -> Poly:
+    """The library polynomial with FractionQI coefficients ``cs``."""
+    return Poly(tuple(c.qi() for c in cs))
+
 
 def reference_mul(a, b):
     """Product coefficient by coefficient, every step a Q(i) operation."""
     if a.is_zero() or b.is_zero():
         return Poly()
-    out = [QI()] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
+    xs, ys = fraction_coeffs(a), fraction_coeffs(b)
+    out = [FractionQI()] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
         if x.is_zero():
             continue
-        for j, y in enumerate(b.coeffs):
+        for j, y in enumerate(ys):
             out[i + j] = out[i + j] + x * y
-    return Poly(tuple(out))
+    return poly_of(out)
 
 
 def reference_divmod(a, b):
     """Long division, one Q(i) quotient coefficient per step."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q = [QI()] * max(0, a.degree - b.degree + 1)
-    r = list(a.coeffs)
-    inv_lead = b.lead().inv()
+    q = [FractionQI()] * max(0, a.degree - b.degree + 1)
+    r, ys = fraction_coeffs(a), fraction_coeffs(b)
+    inv_lead = ys[-1].inv()
     while len(r) - 1 >= b.degree and any(not c.is_zero() for c in r):
         while r and r[-1].is_zero():
             r.pop()
@@ -555,41 +629,44 @@ def reference_divmod(a, b):
         k = len(r) - 1 - b.degree
         c = r[-1] * inv_lead
         q[k] = q[k] + c
-        for j, y in enumerate(b.coeffs):
+        for j, y in enumerate(ys):
             r[k + j] = r[k + j] - c * y
-    return Poly(tuple(q)), Poly(tuple(r))
+    return poly_of(q), poly_of(r)
 
 
 def reference_add(a, b):
-    n = max(len(a.coeffs), len(b.coeffs))
-    return Poly(tuple(a.coeff(k) + b.coeff(k) for k in range(n)))
+    return poly_of(x + y for x, y in zip_longest(fraction_coeffs(a), fraction_coeffs(b),
+                                                 fillvalue=FractionQI()))
 
 
 def reference_sub(a, b):
-    n = max(len(a.coeffs), len(b.coeffs))
-    return Poly(tuple(a.coeff(k) - b.coeff(k) for k in range(n)))
+    return poly_of(x - y for x, y in zip_longest(fraction_coeffs(a), fraction_coeffs(b),
+                                                 fillvalue=FractionQI()))
 
 
 def reference_neg(p):
-    return Poly(tuple(-c for c in p.coeffs))
+    return poly_of(-c for c in fraction_coeffs(p))
 
 
 def reference_scale(p, c):
-    return Poly(tuple(x * c for x in p.coeffs))
+    """p times c, a library QI or a FractionQI."""
+    c = FractionQI.of(c)
+    return poly_of(x * c for x in fraction_coeffs(p))
 
 
 def reference_monic(p):
-    if p.is_zero() or p.lead().is_one():
+    if p.is_zero():
         return p
-    return reference_scale(p, p.lead().inv())
+    lead = fraction_coeffs(p)[-1]
+    return p if lead.is_one() else reference_scale(p, lead.inv())
 
 
 def reference_eval(p, b):
     """p(b) by Horner, every step a Q(i) operation."""
-    acc = QI()
-    for c in reversed(p.coeffs):
-        acc = acc * b + c
-    return acc
+    acc, x = FractionQI(), FractionQI.of(b)
+    for c in reversed(fraction_coeffs(p)):
+        acc = acc * x + c
+    return acc.qi()
 
 
 def reference_gcd(a, b):
@@ -610,22 +687,18 @@ def reference_xgcd(a, b):
         t0, t1 = t1, reference_sub(t0, reference_mul(q, t1))
     if r0.is_zero():
         return r0, s0, t0
-    c = r0.lead().inv()
+    c = fraction_coeffs(r0)[-1].inv()
     return reference_scale(r0, c), reference_scale(s0, c), reference_scale(t0, c)
 
 
 # ============================================================
-# Exact linear algebra: Gauss-Jordan in Q(i) Fractions
+# Exact linear algebra: Gauss-Jordan on Fraction parts
 # ============================================================
-
-_QI_ZERO = QI()
-_QI_ONE = QI.of(1)
-
 
 def reference_qi_nullspace(rows, n_cols):
     """Basis of the right nullspace of the matrix given by `rows`: the
     former ``covers.qi_nullspace``, every step a Q(i) Fraction operation."""
-    m = [list(r) for r in rows]
+    m = [[FractionQI.of(x) for x in r] for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
@@ -650,11 +723,11 @@ def reference_qi_nullspace(rows, n_cols):
     free = [c for c in range(n_cols) if c not in pivots]
     basis: list[list[QI]] = []
     for fc in free:
-        vec = [_QI_ZERO] * n_cols
-        vec[fc] = _QI_ONE
+        vec = [FractionQI()] * n_cols
+        vec[fc] = FractionQI(1)
         for row_idx, pc in enumerate(pivots):
             vec[pc] = -m[row_idx][fc]
-        basis.append(vec)
+        basis.append([x.qi() for x in vec])
     return basis
 
 

@@ -25,6 +25,7 @@ from spectral_forge import (
     BasePoint,
     DivisorClass,
     HyperCover,
+    PellMap,
     Poly,
     QI,
     UnsupportedError,
@@ -33,6 +34,7 @@ from spectral_forge import (
     class_neg,
     classes_equal_by_search,
     in_prym,
+    parse_scenario,
     point_class,
 )
 from spectral_forge import covers
@@ -45,7 +47,7 @@ from spectral_forge.covers import (
     qi_nullspace,
 )
 from conftest import affine_points, combine, cover_g1, cover_g2, cover_g3, cover_g0, prym_generators
-from oracles import (from_sympy, reference_add, reference_divmod, reference_eval,
+from oracles import (FractionQI, from_sympy, reference_add, reference_divmod, reference_eval,
                      reference_eval_complex, reference_gcd, reference_monic, reference_mul, reference_neg, reference_scale,
                      reference_qi_nullspace, reference_sub, reference_xgcd, sympy_compose,
                      sympy_reduce, to_sympy)
@@ -290,18 +292,19 @@ def cantor_chain_search_pairs() -> list[tuple[DivisorClass, DivisorClass]]:
     return pairs
 
 
-FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+FRACTION_OPS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                "__rmul__")
 
 
 def count_fraction_ops(monkeypatch) -> Counter[str]:
-    """The Fraction +, - and * made from now until ``monkeypatch.undo()``,
-    counted per operator."""
+    """The Fractions built and the Fraction +, - and * made from now until
+    ``monkeypatch.undo()``, counted per operator."""
     counts: Counter[str] = Counter()
 
     def counted(op, fn):
-        def wrapper(a, b):
+        def wrapper(*args, **kwargs):
             counts[op] += 1
-            return fn(a, b)
+            return fn(*args, **kwargs)
         return wrapper
 
     for op in FRACTION_OPS:
@@ -311,8 +314,9 @@ def count_fraction_ops(monkeypatch) -> Counter[str]:
 
 def test_nullspace_makes_no_fraction_arithmetic(monkeypatch):
     """Counts, not time: on every matrix the cantor-chain benchmark's search
-    jobs build, the elimination does no Fraction +, - or * (the former Q(i)
-    elimination does thousands), and each basis is the reference's."""
+    jobs build, the elimination builds no Fraction and does no Fraction +,
+    - or * (the former Q(i) elimination does thousands), and each basis is
+    the reference's."""
     matrices = []
     plain = covers.qi_nullspace
 
@@ -337,8 +341,9 @@ def test_nullspace_makes_no_fraction_arithmetic(monkeypatch):
 def test_exact_evaluation_makes_no_fraction_arithmetic(monkeypatch):
     """Counts, not time: building the four test covers, testing their
     points and branch points with ``is_branch`` and evaluating f there, and
-    building each point's class do no Fraction +, - or *; the Q(i) Horner
-    of the reference does, at the same points, and gives the same values."""
+    building each point's class build no Fraction and do no Fraction +, -
+    or *; the Q(i) Horner of the reference does, at the same points, and
+    gives the same values."""
     counts = count_fraction_ops(monkeypatch)
     covs = [cover_g0(), cover_g1(), cover_g2(), cover_g3()]
     branch = [(covs[0], QI.of(0)), (covs[1], QI.of(-1))]
@@ -356,18 +361,149 @@ def test_exact_evaluation_makes_no_fraction_arithmetic(monkeypatch):
     assert [d.u for d in classes] == [Poly.x_minus(x) for _, x, _ in points]
 
 
+def chain_coefficients() -> list[tuple[QI, ...]]:
+    """The coefficients of u and v at every step of a 40-step n*P chain on
+    w^2 = b^7 - b + 1, P = (1, 1)."""
+    cov = cover_g3()
+    p = d = point_class(cov, QI.of(1), QI.of(1))
+    out = []
+    for _ in range(40):
+        d = class_add(d, p)
+        out += [d.u.coeffs, d.v.coeffs]
+    return out
+
+
+def search_jobs() -> list[bool]:
+    pairs = cantor_chain_search_pairs()
+    assert len(pairs) == 230
+    return [classes_equal_by_search(d1, d2) for d1, d2 in pairs]
+
+
+def pell_scales() -> list[QI]:
+    """The scales of a Pell map's inverse and of its inverse's inverse,
+    and its norm constant."""
+    s = QI.from_pair(3, 2, -1, 5)
+    m = PellMap.from_pell_pair(cover_g1(), Poly.of(3), Poly.of(1), s)
+    assert m.inverse().scale * s == QI.of(1) and m.inverse().inverse().scale == s
+    assert m.norm_constant() == s * s == QI.from_pair(221, 100, -3, 5)
+    return [m.inverse().scale, m.norm_constant()]
+
+
+def parse_readme() -> object:
+    from test_cli import readme_doc
+    return parse_scenario(readme_doc()).family
+
+
+EXACT_JOBS = {"chain": chain_coefficients, "search": search_jobs, "pell": pell_scales,
+              "parse": parse_readme}
+
+
+@pytest.mark.parametrize("job", EXACT_JOBS)
+def test_the_exact_layer_builds_no_fraction(monkeypatch, job):
+    """Counts, not time: a 40-step genus-3 chain with the coefficients of
+    every class read, the cantor-chain benchmark's 230 search jobs from
+    their points on, a Pell map's inverse and norm constant, and the parse
+    of the README scenario (a pushforward with a journal) build no Fraction
+    and do no Fraction +, - or *.  Reading a part of a Q(i) number does
+    build one: the positive control."""
+    counts = count_fraction_ops(monkeypatch)
+    assert EXACT_JOBS[job]()
+    assert not counts, counts
+    part = QI.from_pair(1, 3).re
+    assert counts == {"__new__": 1}, counts
+    assert part == Fraction(1, 3)
+
+
+def test_point_class_tests_divisibility_once(monkeypatch):
+    """Counts, not time: ``point_class`` divides once, for its on-curve
+    test, and builds its class without the checking constructor, whose
+    third invariant is the same test; every class passes the check when
+    rebuilt."""
+    points = [(cov, x, w) for cov in (cover_g0(), *COVERS) for x, w in affine_points(cov)]
+    plain, calls = Poly._pseudo_divmod, [0]
+
+    def counted(self, o):
+        calls[0] += 1
+        return plain(self, o)
+
+    monkeypatch.setattr(Poly, "_pseudo_divmod", counted)
+    classes = [point_class(cov, x, w) for cov, x, w in points]
+    assert calls[0] == len(points) == 12
+    monkeypatch.undo()
+    for d in classes:
+        assert DivisorClass(d.cover, d.u, d.v, d.inf_mult) == d
+
+
 # ============================================================
-# Integer kernels vs schoolbook Q(i) loops
+# Q(i) numbers vs the Fraction-pair definitions
 # ============================================================
 
 BIG = 2 ** 500
 PARTS = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
                   st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+NUMBERS = st.builds(QI, PARTS, PARTS)
+HUGE = QI(Fraction(BIG - 1, 3 ** 300), Fraction(-(BIG // 7), 5 ** 200))
+INTS = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+
+
+def assert_canonical_qi(x: QI) -> None:
+    """den > 0 and gcd(den, re, im) = 1."""
+    assert x._den > 0 and gcd(x._den, x._re, x._im) == 1, (x._den, x._re, x._im)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          database=None)
+@given(x=NUMBERS, y=NUMBERS, k=INTS.filter(bool))
+@example(x=HUGE, y=HUGE.conj(), k=-3)
+@example(x=QI(), y=QI(), k=1)
+@example(x=QI(Fraction(2, 4)), y=QI.from_pair(1, 2, 0, 5), k=6)
+@example(x=QI.of(1), y=QI.of(0, -1), k=-1)
+@example(x=QI(Fraction(-6, 4), 3), y=QI.from_pair(3, -2, 6, 2), k=2)
+def test_qi_matches_the_fraction_pair_definitions(x, y, k):
+    """+, -, *, /, inv, conj, neg, ==, is_zero, is_one, the float value bit
+    for bit and repr against the former Fraction-pair number
+    (``oracles.FractionQI``).  Every result keeps the canonical image, and
+    equal values are equal and hash alike however they are spelled: from
+    parts, from a pair with both fractions over k (negative k among them),
+    through pickle and deepcopy."""
+    fx, fy = FractionQI.of(x), FractionQI.of(y)
+    pairs = [(x + y, fx + fy), (y + x, fy + fx), (x - y, fx - fy), (y - x, fy - fx),
+             (x * y, fx * fy), (-x, -fx), (x.conj(), fx.conj())]
+    if fy.is_zero():
+        for op in (y.inv, lambda: x / y):
+            with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q\(i\)$"):
+                op()
+    else:
+        pairs += [(y.inv(), fy.inv()), (x / y, fx / fy)]
+    for got, want in pairs:
+        assert (got.re, got.im) == (want.re, want.im)
+        assert_canonical_qi(got)
+    assert (x == y) == (fx == fy) and (x != y) == (not fx == fy)
+    if x == y:
+        assert hash(x) == hash(y)
+    for a, fa in ((x, fx), (y, fy)):
+        assert_canonical_qi(a)
+        assert a.is_zero() == fa.is_zero() and a.is_one() == fa.is_one()
+        assert complex_bits(a.to_complex()) == complex_bits(fa.to_complex())
+        assert repr(a) == repr(fa)
+        re, im = a.re, a.im
+        spellings = [QI(re, im), QI.of(re, im), fa.qi(), pickle.loads(pickle.dumps(a)),
+                     copy.deepcopy(a), QI.from_pair(re.numerator * k, re.denominator * k,
+                                                    im.numerator * k, im.denominator * k)]
+        for b in spellings:
+            assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
+            assert_canonical_qi(b)
+
+
+# ============================================================
+# Integer kernels vs schoolbook Q(i) loops
+# ============================================================
+
 GAUSSIAN = st.builds(QI, PARTS, PARTS.filter(bool))
 
 
 def polys(max_size: int):
-    return st.lists(st.builds(QI, PARTS, PARTS), max_size=max_size).map(
+    return st.lists(NUMBERS, max_size=max_size).map(
         lambda cs: Poly(tuple(cs)))
 
 
@@ -378,7 +514,6 @@ def divisors(max_size: int):
                                polys(max_size - 1), GAUSSIAN))
 
 
-HUGE = QI(Fraction(BIG - 1, 3 ** 300), Fraction(-(BIG // 7), 5 ** 200))
 EDGE_CASES = [
     (Poly(), Poly.of(3)),
     (Poly.of(5), Poly((QI.of(1), QI.of(0), QI(Fraction(2, 3), Fraction(-1))))),
@@ -431,9 +566,6 @@ def test_kernels_match_schoolbook(a, b):
 # Lazy coefficients: a Poly built from an integer image is the Poly of its
 # coefficients
 # ============================================================
-
-INTS = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
-
 
 def complex_bits(z: complex) -> bytes:
     return struct.pack("<2d", z.real, z.imag)
@@ -492,7 +624,7 @@ def test_lazy_and_eager_polys_agree(nums, div, k):
 
 @settings(max_examples=150, derandomize=True, deadline=None,
           database=None)
-@given(a=polys(7), x=st.builds(QI, PARTS, PARTS))
+@given(a=polys(7), x=NUMBERS)
 @example(a=Poly(), x=HUGE)
 @example(a=Poly.of(Fraction(-2, 3)), x=QI.of(0, 1))
 @example(a=Poly((HUGE, QI.of(1, 1), HUGE)), x=HUGE.conj())
@@ -687,14 +819,13 @@ def test_compose_full_cancellation_at_height(genus):
 
 def test_group_law_skips_the_check_and_the_qi_loops(monkeypatch):
     """Counts, not time: a genus-3 n*P chain builds no class through the
-    checking constructor and no Q(i) number at all, the coefficients of
-    its classes are built when read, and every class passes the check when
-    rebuilt."""
+    checking constructor and no Q(i) number at all (counted at ``_qi``,
+    which builds every QI), the coefficients of its classes are built when
+    read, and every class passes the check when rebuilt."""
     cov = cover_g3()
     p = point_class(cov, QI.of(1), QI.of(1))
     counts = {"check": 0, "mul": 0, "qi": 0}
-    plain_check, plain_mul, plain_init = (DivisorClass.__post_init__, QI.__mul__,
-                                          QI.__init__)
+    plain_check, plain_mul, plain_qi = DivisorClass.__post_init__, QI.__mul__, covers._qi
 
     def counted_check(self):
         counts["check"] += 1
@@ -704,13 +835,13 @@ def test_group_law_skips_the_check_and_the_qi_loops(monkeypatch):
         counts["mul"] += 1
         return plain_mul(self, o)
 
-    def counted_init(self, *args):
+    def counted_qi(*args):
         counts["qi"] += 1
-        plain_init(self, *args)
+        return plain_qi(*args)
 
     monkeypatch.setattr(DivisorClass, "__post_init__", counted_check)
     monkeypatch.setattr(QI, "__mul__", counted_mul)
-    monkeypatch.setattr(QI, "__init__", counted_init)
+    monkeypatch.setattr(covers, "_qi", counted_qi)
     for steps in (20, 40):
         counts.update(check=0, mul=0, qi=0)
         d, chain = p, []
@@ -796,6 +927,7 @@ def classes_on_two_covers() -> tuple[DivisorClass, DivisorClass]:
     (lambda: delattr(QI.of(1), "im"), AttributeError,
      "cannot delete field 'im' of an immutable QI"),
     (lambda: QI().inv(), ZeroDivisionError, "division by zero in Q(i)"),
+    (lambda: QI.from_pair(1, 0), ZeroDivisionError, "division by zero in Q(i)"),
     (lambda: setattr(Poly.of(1), "coeffs", ()), AttributeError,
      "cannot assign to field 'coeffs' of an immutable Poly"),
     (lambda: delattr(Poly.of(1), "_image"), AttributeError,
@@ -815,8 +947,9 @@ def classes_on_two_covers() -> tuple[DivisorClass, DivisorClass]:
      "search oracle requires degree-0 classes"),
     (lambda: conjugate_sum_principal_witness(degree_one_class()), ValueError,
      "witness search requires a degree-0 class"),
-], ids=["qi-assign", "qi-delete", "qi-inverse-of-zero", "poly-assign", "poly-delete",
-        "infinity-coordinate", "even-degree", "not-squarefree", "zero-u", "off-the-cover",
+], ids=["qi-assign", "qi-delete", "qi-inverse-of-zero", "qi-zero-denominator", "poly-assign",
+        "poly-delete", "infinity-coordinate", "even-degree", "not-squarefree", "zero-u",
+        "off-the-cover",
         "compose-across-covers", "search-across-covers", "search-of-degree-1",
         "witness-of-degree-1"])
 def test_refused_inputs_raise_naming_the_rule(make, error, message):
