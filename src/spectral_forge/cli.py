@@ -59,9 +59,7 @@ def _require_family(scn: Scenario) -> FamilySpec:
 
 def _family_points(scn: Scenario) -> list[complex]:
     """``run.points`` (poles there raise), else the family's ladder, else the
-    declared cover's; a family's declared determinant is checked regardless."""
-    if scn.family is not None or scn.cover is None:
-        _require_family(scn)
+    declared cover's.  The caller has checked a family's declared determinant."""
     if scn.points is not None:
         return list(scn.points)
     if scn.family is not None:
@@ -71,7 +69,10 @@ def _family_points(scn: Scenario) -> list[complex]:
 
 def _cover_and_frame(scn: Scenario) -> tuple[SpectralCover, _Frame]:
     """The declared cover, else the family's, with the report's frame, whose
-    ``support`` is that cover's values."""
+    ``support`` is that cover's values; a family's declared determinant is
+    checked first."""
+    if scn.family is not None or scn.cover is None:
+        _require_family(scn)
     frame = _Frame(scn.family, _family_points(scn), cover=scn.cover)
     cover = scn.cover if scn.cover is not None else cover_from_family(scn.family, frame)
     return cover, frame

@@ -234,7 +234,9 @@ _QI_ZERO = QI()
 
 
 def _image_of(xs: list[QI]) -> _Image:
-    """The image of ``xs`` as coefficients: den is the lcm of their dens."""
+    """The image of ``xs`` as coefficients: den is the lcm of their dens.
+    It has no content: a prime of the lcm does not divide the multiplier of
+    the coefficient whose den it divides most, which is in lowest terms."""
     den = lcm(*(x._den for x in xs))
     return (den, [x._re * (den // x._den) for x in xs],
             [x._im * (den // x._den) for x in xs])
@@ -272,11 +274,15 @@ class Poly(_Immutable):
     """Dense polynomial over Q(i), coefficients ascending, no trailing zeros.
 
     Immutable.  Held as its canonical integer image (see above); ``coeffs``,
-    the tuple of QI coefficients, is built on first read.  Equality and the
-    hash are those of the image; repr reads the coefficients."""
+    the tuple of QI coefficients, is the one given, else built on first
+    read.  Equality and the hash are those of the image; repr reads the
+    coefficients."""
 
     def __init__(self, coeffs: tuple[QI, ...] = ()) -> None:
-        self.__dict__["_image"] = _poly_over(*_image_of(tuple(coeffs)))._image
+        coeffs = tuple(coeffs)
+        while coeffs and coeffs[-1].is_zero():
+            coeffs = coeffs[:-1]
+        self.__dict__.update(coeffs=coeffs, _image=_image_of(coeffs))
 
     def __reduce__(self) -> tuple:
         den, re, im = self._image

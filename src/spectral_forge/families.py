@@ -565,35 +565,20 @@ def assign_jumping_sequence(family: FamilySpec, at: BasePoint,
 # Family <-> cover
 # ============================================================
 
-def default_sample_points(family: FamilySpec, count: int = 32,
+def default_sample_points(family: FamilySpec, count: int,
                           phase: float = 0.0) -> list[complex]:
-    """Deterministic sample circle avoiding special points of the family.
-
-    Tries a short ladder of radii and phases until every sample avoids
-    multiple fibres and journal points (within 1e-3), branch points
-    (|f| < 1e-6) and map punctures.  The first two are array tests over a
-    whole rung; the last, a pushforward's scalar ``PellMap.punctures_near``,
-    runs in sample order at the samples they pass (``_sample_ladder``)."""
-    specials: list[complex] = []
-    for mf in family.surface.multiple_fibres:
-        if not mf.at.is_infinity:
-            specials.append(mf.at.to_complex())
-    for at in family._stacks:
-        if not at.is_infinity:
-            specials.append(at.to_complex())
-    data = family.data
-    cover = data.cover if isinstance(data, PushforwardData) else None
-
-    def flagged(b: np.ndarray) -> np.ndarray:
-        near = _carray.nearest(b, specials) < 1e-3
-        return near | (_carray.absolute(cover.f._eval_array(b)) < 1e-6) if cover else near
-
-    return _sample_ladder(count, abs(family.curve.tau), phase,
-                          data.factor_map.punctures_near if cover else None, flagged)
+    """The family's sample ladder (``_sample_ladder``): the first circle of
+    a short ladder of radii and phases whose samples avoid the multiple
+    fibres and every journal point, emptied stacks' too (within 1e-3), and,
+    on a pushforward, the branch points (|f| < 1e-6) and the factor map's
+    punctures.  A declared cover's ladder applies the same rules to its
+    vertical points and bisection."""
+    return _sample_ladder(count, family.surface, family._stacks, family.data.factor_map,
+                          phase)
 
 
 def cover_from_family(family: FamilySpec,
-                      samples: "int | list[complex]" = 32) -> SpectralCover:
+                      samples: "int | list[complex]") -> SpectralCover:
     """The family's spectral cover: journal verticals plus the bisection.
 
     The bisection is the declared presentation's inverse factor map (for a
@@ -644,10 +629,12 @@ class _Frame:
 
     @classmethod
     def of(cls, family: FamilySpec, samples: "int | list[complex] | _Frame") -> "_Frame":
-        """``samples`` if it is a frame of ``family``, else the family's
-        frame at the points of ``samples``, or on its default circle."""
+        """``samples`` if it is a frame of ``family`` with the family's own
+        support, else the family's frame at the points of ``samples``, or on
+        its default circle."""
         if isinstance(samples, _Frame):
-            return samples if samples.family is family else cls(family, samples.pts, samples.b)
+            own = samples.family is family and samples.cover is None
+            return samples if own else cls(family, samples.pts, samples.b)
         if isinstance(samples, int):
             return cls(family, default_sample_points(family, samples))
         return cls(family, list(samples))
@@ -708,7 +695,7 @@ class _Frame:
 
 
 def build_regular_family(cover: SpectralCover, delta: LineBundleOnX,
-                         samples: "int | list[complex]" = 32) -> FamilySpec:
+                         samples: "int | list[complex]") -> FamilySpec:
     """A fibrewise-regular family with the given invariant cover.
 
     Pre: no verticals, bisection invariant for delta.  The determinant of

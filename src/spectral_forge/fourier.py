@@ -24,7 +24,7 @@ Chern numbers (forward) and support plus line data (reverse).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import _carray
 from ._carray import np
@@ -92,7 +92,7 @@ def descent_divisor(family: FamilySpec, b0: BasePoint) -> DescentTwist:
 
 
 def z_action_residual(family: FamilySpec, twist: DescentTwist,
-                      samples: "int | list[complex]" = 20) -> float:
+                      samples: "int | list[complex]") -> float:
     """Cocycle-closure defect of the lattice action on the twisted data.
 
     The level-j stalk over (x, sheet) carries the coefficient
@@ -138,16 +138,12 @@ class LineData:
     """Line data carried on the support bisection.
 
     For split supports the two base classes; for irreducible supports the
-    divisor-class twist on the cover plus torsion residue pairs.  det_factor
-    and det_base record the source determinant, which the inverse transform
-    must reproduce.
+    divisor-class twist on the cover plus torsion residue pairs.
     """
 
     twist: DivisorClass | None = None
     torsion_pairs: tuple[tuple[int, int], ...] = ()
     split_base_classes: tuple[int, int] | None = None
-    det_factor: complex = 1.0 + 0j
-    det_base: int = 0
 
 
 @dataclass(frozen=True)
@@ -179,7 +175,7 @@ def _has_trivial_sub(frame: _Frame) -> bool:
 
 
 def fm_transform(family: FamilySpec,
-                 samples: "int | list[complex]" = 32) -> TransformedSheaf:
+                 samples: "int | list[complex]") -> TransformedSheaf:
     """Forward transform: support cover plus line data.
 
     The degree-0 piece vanishes unless the family has jumps (vertical
@@ -189,12 +185,11 @@ def fm_transform(family: FamilySpec,
     frame = _Frame.of(family, samples)
     support = cover_from_family(family, frame)
     phi0 = not family.has_jumps() and not _has_trivial_sub(frame)
-    data, det = family.data, family.determinant
-    line = LineData(det_factor=det.constant_factor, det_base=det.base_class)
+    data = family.data
     if isinstance(data, SplitData):
-        line = replace(line, split_base_classes=(data.l1.base_class, data.l2.base_class))
+        line = LineData(split_base_classes=(data.l1.base_class, data.l2.base_class))
     else:
-        line = replace(line, twist=data.twist, torsion_pairs=data.torsion_pairs)
+        line = LineData(data.twist, data.torsion_pairs)
     return TransformedSheaf(support, line, family.chern, phi0)
 
 
@@ -204,7 +199,7 @@ def fm_inverse(sheaf: TransformedSheaf) -> FamilySpec:
     Rebuilds the family as the pushforward of the line data along the
     support bisection (or the split family for disconnected supports).
     The result's determinant is its own norm constant; it is not checked
-    against ``line_data.det_factor``, because the exact sequence fixing the
+    against the source family's, because the exact sequence fixing the
     correction from the branch divisor involves an undetermined reference
     bundle."""
     if sheaf.support.verticals:
@@ -236,7 +231,7 @@ _JUMPED = RoundtripReport("hypothesis_violated",
 
 
 def roundtrip_check(family: FamilySpec,
-                    samples: "int | list[complex]" = 50) -> RoundtripReport:
+                    samples: "int | list[complex]") -> RoundtripReport:
     """Forward-then-inverse comparison on a jump-free family.
 
     Compares fibrewise isomorphism classes at every sample, the determinant
@@ -290,7 +285,7 @@ def _roundtrip_report(frame: _Frame, sheaf: TransformedSheaf) -> RoundtripReport
 
 
 def torsion_roundtrip_check(sheaf: TransformedSheaf,
-                            samples: "int | list[complex]" = 50) -> RoundtripReport:
+                            samples: "int | list[complex]") -> RoundtripReport:
     """Inverse-then-forward comparison for admissible torsion data."""
     try:
         rebuilt_family = fm_inverse(sheaf)

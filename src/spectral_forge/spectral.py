@@ -31,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import _carray
 from ._carray import np
@@ -285,21 +285,28 @@ def sample_circle(count: int, radius: float, center: complex = 0j,
     return (center + _carray.mul(radius, unit)).tolist()
 
 
-def _sample_ladder(count: int, base_r: float, phase: float,
-                   reject: "Callable[[complex], bool] | None" = None,
-                   flagged: "Callable[[np.ndarray], np.ndarray] | None" = None
-                   ) -> list[complex]:
-    """The first of 8 circles, radius and phase stepped together, on which
-    no sample point is rejected.  A rung runs the array test ``flagged`` (a
-    mask over its samples) once, then walks its samples in order up to the
-    first flagged one or the first one the scalar test ``reject`` flags:
-    ``reject`` sees the samples a scalar loop testing ``flagged`` first would."""
+def _sample_ladder(count: int, surface: SurfaceSpec, specials: Iterable[BasePoint],
+                   bisection: Bisection, phase: float) -> list[complex]:
+    """The first of 8 circles about |tau|, radius and phase stepped together,
+    none of whose samples lies within 1e-3 of a finite multiple fibre or
+    point of ``specials``, on the branch locus (|f| < 1e-6) of a Pell
+    bisection, or near its punctures.  A rung makes the first two tests in
+    arrays, then walks its samples in order up to the first one they flag or
+    ``PellMap.punctures_near`` rejects, so the scalar map test sees the
+    samples a scalar loop making all three tests in turn would."""
+    near = [p.to_complex() for p in (*(mf.at for mf in surface.multiple_fibres), *specials)
+            if not p.is_infinity]
+    pell = bisection if isinstance(bisection, PellMap) else None
+    base_r = abs(surface.curve.tau)
     for attempt in range(8):
         pts = sample_circle(count, base_r * (1.0 + 0.13 * attempt), 0j,
                             phase=phase + 0.05 * attempt)
-        hit = flagged(np.array(pts, dtype=complex)) if flagged else np.zeros(len(pts), bool)
-        if not (hit.any() if reject is None
-                else any(f or reject(b) for f, b in zip(hit.tolist(), pts))):
+        b = np.array(pts, dtype=complex)
+        hit = _carray.nearest(b, near) < 1e-3
+        if pell is not None:
+            hit |= _carray.absolute(pell.cover.f._eval_array(b)) < 1e-6
+        if not (hit.any() if pell is None
+                else any(h or pell.punctures_near(x) for h, x in zip(hit.tolist(), pts))):
             return pts
     raise PunctureError(
         f"sampling: no clean sample circle among 8 rungs from radius "
@@ -307,14 +314,14 @@ def _sample_ladder(count: int, base_r: float, phase: float,
 
 
 def _cover_points(cover: SpectralCover, count: int, phase: float = 0.0) -> list[complex]:
-    """A cover's own sample ladder about |tau|, clear of a Pell map's punctures."""
-    bis = cover.bisection
-    return _sample_ladder(count, abs(cover.curve.tau), phase,
-                          bis.punctures_near if isinstance(bis, PellMap) else None)
+    """A declared cover's sample ladder, clear of its vertical fibres; a
+    map's inverse has its punctures, so a cover samples like a family."""
+    return _sample_ladder(count, cover.surface, (at for at, _ in cover.verticals),
+                          cover.bisection, phase)
 
 
 def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
-                        samples: "int | list[complex]" = 32) -> float:
+                        samples: "int | list[complex]") -> float:
     """Max defect of A(c) * A(iota c) = delta_b over the samples: a count
     (the cover's ladder, ``_cover_points``), points, or a report's frame,
     whose support values are read where they are this bisection's.

@@ -1,8 +1,8 @@
 # tests/test_census.py
 """
 ``tools/census.py`` without tracing the suite: the function and statement
-spans of one small module, one traced library call, one traced import,
-and the label order.
+spans of one small module, its line count, one traced library call, one
+traced import, and the label order.
 """
 
 from __future__ import annotations
@@ -70,6 +70,15 @@ def test_spans_of_functions_and_statements(tmp_path):
         (24, 24, 25),               # if: a header over two lines
         (26, 26, 27), (28, 28, 28),                 # a two-line return, return None
     ]
+
+
+def test_module_lines_count_each_module_as_wc_does(tmp_path):
+    """Newlines per ``.py`` file, by file name; other files are not
+    modules, and a last line without its newline is not counted."""
+    (tmp_path / "sample.py").write_text(SOURCE, encoding="utf-8")
+    (tmp_path / "tail.py").write_text("x = 1\ny = 2", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("not a module\n", encoding="utf-8")
+    assert census.module_lines(tmp_path) == {"sample.py": 28, "tail.py": 1}
 
 
 def test_a_traced_call_records_entries_and_lines_and_restores_the_tracer():

@@ -25,7 +25,8 @@ import pytest
 
 from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX, PellMap,
                             SchemaError, UnstableFiber, class_add,
-                            parse_scenario, point_class, scenario_hash)
+                            parse_scenario, point_class, sample_circle,
+                            scenario_hash)
 from spectral_forge import cli, families
 from spectral_forge.cli import main, run_command
 from spectral_forge.scenario import MAX_SAMPLES, MAX_SEED
@@ -156,6 +157,25 @@ def sections_cover_doc() -> dict:
                                 "a1": [2.0, 2.0], "a2": [2.0, -2.0]}},
         "determinant": {"base_class": 0, "factor": [0.125, 0.0]},
         "run": {"samples": 16, "points": [[1.5, 0.5], [-0.5, 2.0]]},
+    }
+
+
+def multiple_fibre_cover_doc() -> dict:
+    """Two constant sections without a family, on a surface with a double
+    fibre at the Gaussian rational (denominators up to 10^12) nearest
+    sample 0 of the first 4-sample rung, checked against the determinant
+    whose dual is their product."""
+    a1, a2 = 0.7 + 0.1j, 1.3 - 0.2j
+    det = 1 / (a1 * a2)
+    b = sample_circle(4, 2.0)[0]
+    re, im = (Fraction(x).limit_denominator(10**12) for x in (b.real, b.imag))
+    return {
+        "surface": {"tau": [2.0, 0.0], "multiple_fibres": [
+            {"at": [re.numerator, re.denominator, im.numerator, im.denominator], "m": 2}]},
+        "cover": {"bisection": {"type": "two_sections",
+                                "a1": [a1.real, a1.imag], "a2": [a2.real, a2.imag]}},
+        "determinant": {"factor": [det.real, det.imag]},
+        "run": {"samples": 4, "seed": 0},
     }
 
 
@@ -1026,6 +1046,18 @@ def test_fm_transforms_once(tmp_path, monkeypatch):
     assert calls[0] == 1
 
 
+def test_declared_determinant_is_checked_once_per_report(tmp_path, monkeypatch):
+    """Each report on a family with a declared determinant compares it with
+    the family's once."""
+    calls = count_calls(monkeypatch, LineBundleOnX, "isomorphic")
+    path = write(tmp_path, split_declared_doc())
+    for cmd in COMMANDS:
+        calls[0] = 0
+        run_command([cmd, "--scenario", path, "--json", str(tmp_path / "out.json"),
+                     *(["--csv", str(tmp_path / "rows.csv")] if cmd == "sample" else [])])
+        assert (cmd, calls[0]) == (cmd, 1)
+
+
 def test_main_entry_point_matches(tmp_path, capsys):
     path = write(tmp_path, split_doc())
     assert main(["modify", "--scenario", path]) == 0
@@ -1137,6 +1169,22 @@ def test_exhausted_sample_ladder_exits_64_naming_the_stage(
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("unsupported: sampling: ")
+
+
+def test_a_declared_cover_steps_past_a_multiple_fibre(tmp_path, capsys):
+    """A declared cover's ladder avoids the multiple fibres as a family's
+    does: with a double fibre at a sample of the first rung, ``cover``
+    samples the second rung, where the family of the inverse sections does
+    too, and passes its invariance check."""
+    doc = multiple_fibre_cover_doc()
+    inverses = [1 / complex(*doc["cover"]["bisection"][k]) for k in ("a1", "a2")]
+    twin = {key: value for key, value in doc.items() if key != "cover"}
+    twin["family"] = {"presentation": {"type": "split",
+                                       "factors": [[a.real, a.imag] for a in inverses]}}
+    points = [cli._family_points(parse_scenario(d)) for d in (doc, twin)]
+    assert points[0] == points[1] == sample_circle(4, 2.26, 0j, phase=0.05)
+    code, report = run_json(capsys, ["cover", "--scenario", write(tmp_path, doc)])
+    assert code == 0 and report["invariance"]["passed"]
 
 
 # ============================================================

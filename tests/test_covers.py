@@ -46,7 +46,8 @@ from spectral_forge.covers import (
     mumford_compose,
     qi_nullspace,
 )
-from conftest import affine_points, combine, cover_g1, cover_g2, cover_g3, cover_g0, prym_generators
+from conftest import (affine_points, combine, count_calls, cover_g1, cover_g2, cover_g3, cover_g0,
+                      prym_generators)
 from oracles import (FractionQI, from_sympy, reference_add, reference_divmod, reference_eval,
                      reference_eval_complex, reference_gcd, reference_monic, reference_mul, reference_neg, reference_scale,
                      reference_qi_nullspace, reference_sub, reference_xgcd, sympy_compose,
@@ -525,6 +526,31 @@ EDGE_CASES = [
     (Poly.of(7, 1, 5, 6), Poly.of(4, 6)),
     (Poly.of(3, 1, 2), Poly((QI.of(2), QI.of(1, 1)))),
 ]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          database=None)
+@given(cs=st.lists(NUMBERS, max_size=6), zeros=st.integers(0, 2))
+@example(cs=[HUGE, QI.of(1, 1), HUGE.conj()], zeros=1)
+@example(cs=[QI(Fraction(1, 6)), QI(0, Fraction(1, 10)), QI(Fraction(1, 15))], zeros=0)
+@example(cs=[QI(), QI()], zeros=2)
+def test_poly_keeps_the_coefficients_it_is_given(cs, zeros):
+    """``Poly(coeffs)`` keeps the given QIs, trailing zeros stripped, as its
+    ``coeffs`` and divides out no content (no ``_poly_over`` call): its
+    image over the lcm of the dens is the canonical image ``_poly_over``
+    makes of it, and the coefficients read back from that image are the
+    given ones."""
+    given_coeffs = (*cs, *[QI()] * zeros)
+    kept = list(given_coeffs)
+    while kept and kept[-1].is_zero():
+        kept.pop()
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_calls(m, covers, "_poly_over")
+        p = Poly(given_coeffs)
+    assert calls[0] == 0
+    assert len(p.coeffs) == len(kept) and all(a is b for a, b in zip(p.coeffs, kept))
+    assert p._image == _poly_over(*covers._image_of(given_coeffs))._image
+    assert pickle.loads(pickle.dumps(p)).coeffs == tuple(kept)
 
 
 def with_edge_cases(test):

@@ -28,7 +28,7 @@ from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
                             HyperCover, LineBundleOnX, MultipleFibre, PellMap,
                             Poly, PunctureError, SpectralCover,
                             SurfaceSpec, TateCurve, TwoSections, UnsupportedError,
-                            attach_generic_jumps, build_regular_family,
+                            allowable_mod, attach_generic_jumps, build_regular_family,
                             cover_from_family, default_sample_points,
                             descent_divisor, elem_mod, fm_transform,
                             invariance_residual, parse_scenario, roundtrip_check,
@@ -37,6 +37,7 @@ from spectral_forge import _carray, cli, fourier
 from spectral_forge.cli import run_command
 from spectral_forge.families import _Frame
 from spectral_forge.fourier import _has_trivial_sub, _roundtrip_report
+from spectral_forge.spectral import _cover_points
 
 import oracles
 from conftest import (TAU_DYADIC, TAU_GENERIC, TAU_WIDE, count_calls, cover_g0,
@@ -837,6 +838,21 @@ def test_sampled_checks_read_a_report_frame_as_its_points(index):
     assert invariance_residual(moved, delta, frame) > 1e-7
 
 
+def test_a_frame_with_a_declared_cover_lends_the_family_its_points_only():
+    """A frame whose support is a declared cover (the family's own, its map
+    scale moved by 1e-6) is not the family's frame: the family's cover and
+    transform on it are those on its points, checked against the family's
+    map at every sample."""
+    fam = sweep_families()[1]
+    pts = default_sample_points(fam, 64)
+    own = cover_from_family(fam, pts)
+    declared = SpectralCover(own.surface, own.verticals, perturbed(own.bisection, 1e-6))
+    frame = _Frame(fam, pts, cover=declared)
+    assert _Frame.of(fam, frame) is not frame
+    assert cover_from_family(fam, frame) == own
+    assert fm_transform(fam, frame) == fm_transform(fam, pts)
+
+
 @pytest.mark.parametrize("seed", [1, 5, 11])
 def test_trivial_sub_reduces_no_lattice_array(monkeypatch, seed):
     """``_has_trivial_sub`` is the scalar loop over the value arrays: on the
@@ -936,12 +952,25 @@ def multiple_fibre_near_sample(k: int) -> FamilySpec:
     return push_family(surface, cover_g1(), pell_g1())
 
 
+def declared_cover(fam: FamilySpec) -> SpectralCover:
+    """The family's spectral cover as a document declares it: its jumps as
+    verticals, its inverse factor map as the bisection."""
+    verticals = tuple((p, sum(s.degree for s in stack))
+                      for p, stack in fam._stacks.items() if stack)
+    return SpectralCover(fam.surface, verticals, fam.data.factor_map.inverse())
+
+
 def assert_same_ladder(fam: FamilySpec, count: int, phase: float) -> int:
+    """The family's rung, after checking its points against the scalar loop
+    and, where every journal point carries a jump, against the ladder of
+    its declared cover."""
     rung, want = oracles.reference_sample_ladder(fam, count, phase)
     got = default_sample_points(fam, count, phase=phase)
     radius = abs(fam.curve.tau) * (1.0 + 0.13 * rung)
     assert mismatches(got, want) == 0
     assert got == sample_circle(count, radius, 0j, phase=phase + 0.05 * rung)
+    if all(fam._stacks.values()):
+        assert _cover_points(declared_cover(fam), count, phase) == got
     return rung
 
 
@@ -972,6 +1001,20 @@ def test_sample_ladder_matches_near_journal_points_and_multiple_fibres():
     phase = -2.0 * math.pi * 0.318 / 32 + 5e-9
     assert 1e-9 < cover.branch_distance(sample_circle(32, 2.0, 0j, phase=phase)[0]) < 1e-6
     assert assert_same_ladder(branched, 32, phase) == 1
+
+
+def test_a_family_avoids_journal_points_whose_stacks_are_emptied():
+    """A push and its pop 5e-4 off a sample of the first 32-sample rung
+    leave the family jump-free with the point in its journal: its ladder
+    steps past the point, as the scalar loop's does.  Its cover has no
+    vertical there and keeps the first rung."""
+    at = near_point(sample_circle(32, 2.0)[7], 5e-4)
+    fam = allowable_mod(elem_mod(sweep_families()[1], at, 1, 1.7), at)
+    assert not fam.has_jumps()
+    assert assert_same_ladder(fam, 32, 0.0) == 1
+    cover = declared_cover(fam)
+    assert cover.verticals == ()
+    assert _cover_points(cover, 32) == sample_circle(32, 2.0)
 
 
 def test_a_special_point_past_the_float_range_from_the_circle_is_far():

@@ -14,7 +14,8 @@ Prints ``label module:line qualname (lines)`` per function, the label being
 the first run that entered it, else "none"; then ``module:line: source``
 per statement no test executed (its header, decorators through the line
 before its body, if compound, else any of its lines; docstrings and
-``try``, ``global`` and ``nonlocal`` headers carry no code); then totals.
+``try``, ``global`` and ``nonlocal`` headers carry no code); then totals,
+and the lines of each module and of the package (as ``wc -l`` counts them).
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ def spans(tree: ast.Module) -> tuple[list, list]:
 
     walk(tree, "")
     return functions, sorted(statements)
+
+
+def module_lines(package: Path) -> dict[str, int]:
+    """Lines of each module of ``package`` by name, as ``wc -l`` counts them."""
+    return {path.name: path.read_text(encoding="utf-8").count("\n")
+            for path in sorted(package.glob("*.py"))}
 
 
 def label(key: tuple[str, int], entered: dict[str, set]) -> str:
@@ -221,6 +228,10 @@ def main() -> None:
     for module, count in sorted(Counter(item.split(":")[0] for item in listing).items()):
         print(f"{module}: {count} statements")
     print(f"total: {len(listing)} statements")
+    lines = module_lines(PACKAGE)
+    for name, count in lines.items():
+        print(f"{name}: {count} lines")
+    print(f"{PACKAGE.relative_to(ROOT)}: {sum(lines.values())} lines")
 
 
 if __name__ == "__main__":
