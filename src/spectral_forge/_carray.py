@@ -12,7 +12,7 @@ A process that imported numpy first keeps its module.
 
 The per-sample path (sheet values, lattice reduction, fibre classes) runs
 over all samples at once, in arrays that a report's frame
-(``families._Frame``) owns and builds once.  They travel as complex128, but
+(``spectral._Frame``) builds once per owner.  They travel as complex128, but
 every kernel here computes on their float64 real and imaginary parts with
 the operations CPython's ``complex`` uses, in the same order:
 

@@ -29,14 +29,14 @@ from ._carray import np
 from .covers import HyperCover
 from .errors import (SchemaError, SpectralForgeError, UnsupportedError,
                      VerificationError)
-from .families import (FamilySpec, PushforwardData, _Frame, cover_from_family,
+from .families import (FamilySpec, PushforwardData, cover_from_family,
                        default_sample_points, jump_report)
 from .fiber import spectral_points
 from .fourier import (_roundtrip_report, descent_divisor, fm_transform,
                       roundtrip_check, z_action_residual)
 from .scenario import (MAX_SAMPLES, MAX_SEED, Scenario, canonical_json,
                        encode_base_point, encode_complex, load_scenario)
-from .spectral import (PellMap, SpectralCover, TwoSections, _cover_points,
+from .spectral import (PellMap, SpectralCover, TwoSections, _cover_points, _Frame,
                        _max_fibre_defect, invariance_residual)
 from .surface import GroupPresentation, fibre_component_groups, pic_relative
 
@@ -57,23 +57,23 @@ def _require_family(scn: Scenario) -> FamilySpec:
     return scn.family
 
 
-def _family_points(scn: Scenario) -> list[complex]:
-    """``run.points`` (poles there raise), else the family's ladder, else the
-    declared cover's.  The caller has checked a family's declared determinant."""
+def _frame(scn: Scenario) -> _Frame:
+    """The report's frame: at ``run.points`` (poles there raise), else on
+    the family's ladder, else on the declared cover's.  The caller has
+    checked a family's declared determinant."""
     if scn.points is not None:
-        return list(scn.points)
+        return _Frame(list(scn.points))
     if scn.family is not None:
-        return default_sample_points(scn.family, scn.samples, phase=0.05 * scn.seed)
-    return _cover_points(scn.cover, scn.samples, 0.05 * scn.seed)
+        return _Frame(default_sample_points(scn.family, scn.samples, phase=0.05 * scn.seed))
+    return _Frame(_cover_points(scn.cover, scn.samples, 0.05 * scn.seed))
 
 
 def _cover_and_frame(scn: Scenario) -> tuple[SpectralCover, _Frame]:
-    """The declared cover, else the family's, with the report's frame, whose
-    ``support`` is that cover's values; a family's declared determinant is
-    checked first."""
+    """The declared cover, else the family's, with the report's frame; a
+    family's declared determinant is checked first."""
     if scn.family is not None or scn.cover is None:
         _require_family(scn)
-    frame = _Frame(scn.family, _family_points(scn), cover=scn.cover)
+    frame = _frame(scn)
     cover = scn.cover if scn.cover is not None else cover_from_family(scn.family, frame)
     return cover, frame
 
@@ -120,17 +120,15 @@ def _encode_cover(cover: SpectralCover) -> dict:
     }
 
 
-def _max_product_defect(frame: _Frame) -> float:
+def _max_product_defect(fam: FamilySpec, frame: _Frame) -> float:
     """The largest lattice defect of the product of a fibre's two spectral
     points against the involution bundle's factor (0 on jumped fibres)."""
-    fam = frame.family
-
     def spectral_pair(b: complex) -> "tuple[complex, complex] | None":
         spts = spectral_points(fam.fiber_class_at(b))
         return None if spts is None else (spts[0].value, spts[1].value)
 
-    return _max_fibre_defect(fam.curve, fam.involution_bundle(), frame.pts, frame.b,
-                             frame.spectral, spectral_pair)
+    return _max_fibre_defect(fam.curve, fam.involution_bundle(), frame,
+                             frame.spectral(fam), spectral_pair)
 
 
 def _encode_group(g: GroupPresentation) -> dict:
@@ -157,7 +155,7 @@ def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     cover, frame = _cover_and_frame(scn)
     if scn.cover is not None:
         # odd samples raise, so declared sample points hit punctures first
-        for i in np.flatnonzero(frame.support[2]).tolist():
+        for i in np.flatnonzero(frame.values(cover.bisection)[2]).tolist():
             cover.values_at(frame.pts[i])
     report = _envelope("cover", scn)
     report["cover"] = _encode_cover(cover)
@@ -173,10 +171,10 @@ def _cmd_cover(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     fam = _require_family(scn)
-    frame = _Frame(fam, _family_points(scn))
+    frame = _frame(scn)
     sheaf = fm_transform(fam, frame)
     residual = invariance_residual(sheaf.support, fam.involution_bundle(), frame)
-    rt = _roundtrip_report(frame, sheaf)
+    rt = _roundtrip_report(fam, frame, sheaf)
     report = _envelope("fm", scn)
     report["phi0_vanishes"] = sheaf.phi0_vanishes
     report["support"] = _encode_cover(sheaf.support)
@@ -190,7 +188,7 @@ def _cmd_fm(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_roundtrip(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     fam = _require_family(scn)
-    rt = roundtrip_check(fam, _family_points(scn))
+    rt = roundtrip_check(fam, _frame(scn))
     report = _envelope("roundtrip", scn)
     report["status"] = rt.status
     report["phi0_vanishes"] = rt.phi0_vanishes
@@ -242,7 +240,7 @@ def _cmd_modify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     fam = _require_family(scn)
-    frame = _Frame(fam, _family_points(scn))
+    frame = _frame(scn)
     checks: list[dict] = []
 
     def add(name: str, passed: bool, detail: str = "") -> None:
@@ -268,7 +266,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     add("chern_stack", fam.chern.c2 == fam.base_c2 + stacked,
         f"c2 {fam.chern.c2} vs base {fam.base_c2} + stacked {stacked}")
 
-    worst = _max_product_defect(frame)
+    worst = _max_product_defect(fam, frame)
     add("fibre_product_involution", worst <= scn.tol, f"max defect {worst:.3e}")
 
     if scn.descent_point is not None:
@@ -291,7 +289,7 @@ def _cmd_props(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_sample(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
     cover, frame = _cover_and_frame(scn)
     curve = cover.curve
-    a0, a1, odd = frame.support_reps
+    a0, a1, odd = frame.reps(cover.bisection, curve)
     alphas = _carray.fill_odd(
         np.stack([a0, a1], axis=1), odd,
         lambda i: [curve.canonical_rep(v).value for v in cover.values_at(frame.pts[i])])

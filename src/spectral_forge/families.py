@@ -29,27 +29,26 @@ Pushforward presentations use sheet-equivariant maps with exact constant
 norm, so the fibrewise determinant factor is the exact inverse-square of the
 map's scale; twisting by a divisor class on the cover changes the stored
 line data only -- its effect on the determinant is the norm class of the
-twist, computed by pushing the class forward to the base.  One ``_Frame``
-per report owns the per-sample arrays its checks read, and builds each once.
+twist, computed by pushing the class forward to the base.  A report's
+frame (``spectral._Frame``) builds each per-sample array once per family.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, partial
 from itertools import zip_longest
 from typing import Callable, Sequence
 
 from . import _carray
-from ._carray import np
-from .covers import (BASE_POINT_RADIUS, BasePoint, DivisorClass, HyperCover,
-                     _base_point_near, class_add)
+from .covers import (BasePoint, DivisorClass, HyperCover, _base_point_near,
+                     class_add)
 from .errors import (InvalidFamilyError, NoSurjectionError, UnsupportedError,
                      VerificationError)
 from .fiber import (AtiyahRegular, FiberClass, SplitFiber, UnstableFiber,
                     is_regular, spectral_points)
-from .spectral import (ChernData, PellMap, SpectralCover, TwoSections,
+from .spectral import (ChernData, PellMap, SpectralCover, TwoSections, _Frame,
                        _sample_ladder, bisection_torus_degree,
                        invariance_residual)
 from .surface import LineBundleOnX, SurfaceSpec
@@ -93,7 +92,7 @@ class SplitData:
     def determinant(self) -> LineBundleOnX:
         return self.l1.tensor(self.l2)
 
-    @property
+    @cached_property
     def factor_map(self) -> TwoSections:
         """The fibre factors of the two summands: the pair of constant
         sections, a reducible bisection read like a pushforward's map."""
@@ -124,6 +123,16 @@ class PushforwardData:
                 raise ValueError("twist class lives on a different cover")
             if self.twist.degree() != 0:
                 raise ValueError("twist must be a degree-0 class")
+
+
+def _torsion_fibres(surface: SurfaceSpec, data: PushforwardData) -> list[int]:
+    """The indices of the multiple fibres off the branch locus, which carry
+    ``data``'s torsion pairs in order; surplus pairs raise ``ValueError``."""
+    out = [i for i, mf in enumerate(surface.multiple_fibres) if not data.cover.is_branch(mf.at)]
+    if len(data.torsion_pairs) > len(out):
+        raise ValueError(f"{len(data.torsion_pairs)} torsion pairs for {len(out)} "
+                         "multiple fibres off the branch locus")
+    return out
 
 
 # ============================================================
@@ -217,10 +226,8 @@ class FamilySpec:
             return self.data.determinant()
         nrm = self.data.factor_map.norm_constant().to_complex()
         parts = [0] * len(self.surface.multiple_fibres)
-        pair_iter = iter(self.data.torsion_pairs)
-        for i, mf in enumerate(self.surface.multiple_fibres):
-            if not self.data.cover.is_branch(mf.at):
-                parts[i] = sum(next(pair_iter, (0, 0)))
+        for i, pair in zip(_torsion_fibres(self.surface, self.data), self.data.torsion_pairs):
+            parts[i] = sum(pair)
         return LineBundleOnX(self.surface, 0, nrm, tuple(parts))
 
     @cached_property
@@ -228,19 +235,13 @@ class FamilySpec:
         """The presentation determinant twisted by O(-fibre) for every
         journal step: a step on a multiple fibre lowers that fibre's residue
         by one, any other step lowers the base class by one.  Both come from
-        step counts per point, so the cost does not grow with the journal
-        beyond one counting pass."""
+        the count of steps on each multiple fibre, one pass over the journal
+        per multiple fibre, which hashes no point."""
         det = self.presentation_determinant()
         if not self.steps:
             return det
-        parts = list(det.fibre_parts)
-        off_multiple = len(self.steps)
-        for at, n in Counter(step.at for step in self.steps).items():
-            for i, mf in enumerate(self.surface.multiple_fibres):
-                if mf.at == at:
-                    parts[i] -= n
-                    off_multiple -= n
-                    break
+        on = [sum(mf.at == step.at for step in self.steps)
+              for mf in self.surface.multiple_fibres]
         # Each step's twist has the factor _UNIT_FACTOR = 1+0j, and
         # multiplying by it is not the identity on every float: a -0.0 part
         # becomes +0.0 on the first multiply, and an infinite part turns its
@@ -250,8 +251,8 @@ class FamilySpec:
         factor = det.constant_factor
         for _ in range(min(len(self.steps), 2)):
             factor = factor * _UNIT_FACTOR
-        return LineBundleOnX(self.surface, det.base_class - off_multiple,
-                             factor, tuple(parts))
+        return LineBundleOnX(self.surface, det.base_class - len(self.steps) + sum(on),
+                             factor, tuple(p - n for p, n in zip(det.fibre_parts, on)))
 
     @cached_property
     def chern(self) -> ChernData:
@@ -349,14 +350,16 @@ class FamilySpec:
         return replace(self, data=replace(self.data, twist=new))
 
     def twisted_torsion(self, pairs: tuple[tuple[int, int], ...]) -> "FamilySpec":
-        """Twist by residue pairs (a', a'') at the non-branch multiple
-        fibres.  Antisymmetric pairs (a, -a) leave the determinant parts
-        unchanged; any other pair shifts them."""
+        """Twist by residue pairs (a', a''), one per non-branch multiple
+        fibre (``ValueError`` past them).  Antisymmetric pairs (a, -a) leave
+        the determinant parts unchanged; any other pair shifts them."""
         if not isinstance(self.data, PushforwardData):
             raise UnsupportedError("twisting requires a pushforward family")
         merged = tuple((o[0] + p[0], o[1] + p[1]) for o, p in zip_longest(
             self.data.torsion_pairs, pairs, fillvalue=(0, 0)))
-        return replace(self, data=replace(self.data, torsion_pairs=merged))
+        data = replace(self.data, torsion_pairs=merged)
+        _torsion_fibres(self.surface, data)
+        return replace(self, data=data)
 
 
 # ============================================================
@@ -578,7 +581,7 @@ def default_sample_points(family: FamilySpec, count: int,
 
 
 def cover_from_family(family: FamilySpec,
-                      samples: "int | list[complex]") -> SpectralCover:
+                      samples: "int | list[complex] | _Frame") -> SpectralCover:
     """The family's spectral cover: journal verticals plus the bisection.
 
     The bisection is the declared presentation's inverse factor map (for a
@@ -586,7 +589,7 @@ def cover_from_family(family: FamilySpec,
     the fibre class's own twist-cohomology support is recomputed and
     compared, so inconsistent declarations fail loudly.
     """
-    frame = _Frame.of(family, samples)
+    frame = _Frame.of(samples, partial(default_sample_points, family))
     curve = family.curve
     verticals: list[tuple[BasePoint, int]] = []
     for p, stack in family._stacks.items():
@@ -602,96 +605,14 @@ def cover_from_family(family: FamilySpec,
         got = [curve.canonical_rep(v).value for v in bis.sheet_values(frame.pts[i])]
         return curve.same_pair(want, got)
 
-    s0, s1, odd = frame.spectral
-    c0, c1, codd = frame.support_reps
+    s0, s1, odd = frame.spectral(family)
+    c0, c1, codd = frame.reps(bis, curve)
     agree, odd2 = curve._same_pair_array(s0, s1, c0, c1)
     bad = _carray.first_failure(agree, odd | codd | odd2, agree_at)
     if bad is not None:
         raise VerificationError(
             f"declared and recomputed covers disagree at b={frame.pts[bad]}")
     return SpectralCover(family.surface, tuple(verticals), bis)
-
-
-class _Frame:
-    """One report's sample points and the per-sample arrays its checks read,
-    each built on first read and passed with the odd mask of the samples it
-    leaves to the scalar single-point methods.  A report passes its frame
-    where a function takes ``samples``.  With a ``cover`` (a declared one)
-    the support values are that cover's, on its curve."""
-
-    def __init__(self, family: "FamilySpec | None", pts: list[complex],
-                 b: "np.ndarray | None" = None,
-                 cover: SpectralCover | None = None) -> None:
-        self.family = family
-        self.pts = pts
-        self.b = np.array(pts, dtype=complex) if b is None else b
-        self.cover = cover
-
-    @classmethod
-    def of(cls, family: FamilySpec, samples: "int | list[complex] | _Frame") -> "_Frame":
-        """``samples`` if it is a frame of ``family`` with the family's own
-        support, else the family's frame at the points of ``samples``, or on
-        its default circle."""
-        if isinstance(samples, _Frame):
-            own = samples.family is family and samples.cover is None
-            return samples if own else cls(family, samples.pts, samples.b)
-        if isinstance(samples, int):
-            return cls(family, default_sample_points(family, samples))
-        return cls(family, list(samples))
-
-    @cached_property
-    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The values of ``fiber_factors_at`` (the factor map's)."""
-        return self.family.data.factor_map._values_array(self.b)
-
-    @cached_property
-    def bisection(self) -> "TwoSections | PellMap":
-        """The declared cover's bisection, else the inverse factor map."""
-        return (self.family.data.factor_map.inverse() if self.cover is None
-                else self.cover.bisection)
-
-    @cached_property
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The values of the bisection's ``sheet_values``."""
-        return self.bisection._values_array(self.b)
-
-    @cached_property
-    def support_reps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``canonical_rep(v).value`` of both support values."""
-        curve = (self.family if self.cover is None else self.cover).curve
-        g0, g1, odd = self.support
-        c0, odd0 = curve._canonical_array(g0)
-        c1, odd1 = curve._canonical_array(g1)
-        return c0, c1, odd | odd0 | odd1
-
-    @cached_property
-    def fibre(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``fiber_class_at``: the factors of the two graded pieces, the mask
-        of ``AtiyahRegular`` classes (whose line has the first factor), and an
-        odd mask with the journal points and where ``fiber_class_at`` raises."""
-        family, b = self.family, self.b
-        curve = family.curve
-        f0, f1, odd = self.factors
-        if isinstance(family.data, SplitData):
-            atiyah = np.zeros(b.shape, dtype=bool)
-            odd = odd | family.surface._multiple_mask(b)
-        else:
-            c0, odd0 = curve._canonical_array(f0)
-            c1, odd1 = curve._canonical_array(f1)
-            atiyah, odd2 = curve._same_point_array(c0, c1)
-            odd = odd | odd0 | odd1 | odd2
-        journal = [p.to_complex() for p in family.jump_points() if not p.is_infinity]
-        odd |= _carray.nearest(b, journal) <= BASE_POINT_RADIUS
-        return f0, f1, atiyah, odd
-
-    @cached_property
-    def spectral(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The values of ``spectral_points(family.fiber_class_at(b))``."""
-        curve = self.family.curve
-        f0, f1, atiyah, odd = self.fibre
-        s0, odd0 = curve._canonical_array(_carray.quot(1.0, f0))
-        s1, odd1 = curve._canonical_array(_carray.quot(1.0, f1))
-        return s0, np.where(atiyah, s0, s1), odd | odd0 | odd1
 
 
 def build_regular_family(cover: SpectralCover, delta: LineBundleOnX,

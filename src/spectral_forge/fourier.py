@@ -25,14 +25,15 @@ Chern numbers (forward) and support plus line data (reverse).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import _carray
 from ._carray import np
 from .covers import BasePoint, DivisorClass, class_equal
 from .errors import UnsupportedError
 from .families import (FamilySpec, SplitData, cover_from_family,
-                       _family_on_cover, _Frame)
-from .spectral import ChernData, SpectralCover, sample_circle
+                       _family_on_cover, default_sample_points)
+from .spectral import ChernData, SpectralCover, _Frame, sample_circle
 
 __all__ = [
     "DescentTwist",
@@ -156,17 +157,17 @@ class TransformedSheaf:
     phi0_vanishes: bool
 
 
-def _has_trivial_sub(frame: _Frame) -> bool:
-    """Whether some graded piece of the frame's family is lattice-trivial on
-    every sampled fibre: the scalar loop, stopping at the first sample where
+def _has_trivial_sub(family: FamilySpec, frame: _Frame) -> bool:
+    """Whether some graded piece of the family is lattice-trivial on every
+    sampled fibre: the scalar loop, stopping at the first sample where
     neither piece is still trivial, over the frame's factor values; only
     odd samples read ``fiber_factors_at``."""
-    curve = frame.family.curve
-    f0, f1, odd = frame.factors
+    curve = family.curve
+    f0, f1, odd = frame.values(family.data.factor_map)
     flag0 = flag1 = True
     for i, (g0, g1, o) in enumerate(zip(f0.tolist(), f1.tolist(), odd.tolist())):
         if o:
-            g0, g1 = frame.family.fiber_factors_at(frame.pts[i])
+            g0, g1 = family.fiber_factors_at(frame.pts[i])
         flag0 = flag0 and curve.in_lattice(g0)
         flag1 = flag1 and curve.in_lattice(g1)
         if not (flag0 or flag1):
@@ -175,16 +176,16 @@ def _has_trivial_sub(frame: _Frame) -> bool:
 
 
 def fm_transform(family: FamilySpec,
-                 samples: "int | list[complex]") -> TransformedSheaf:
+                 samples: "int | list[complex] | _Frame") -> TransformedSheaf:
     """Forward transform: support cover plus line data.
 
     The degree-0 piece vanishes unless the family has jumps (vertical
     support) or a sub-line-bundle trivial on all fibres; the degree-1 piece
     is torsion on the spectral cover, recorded here by reference data
     sufficient for the inverse."""
-    frame = _Frame.of(family, samples)
+    frame = _Frame.of(samples, partial(default_sample_points, family))
     support = cover_from_family(family, frame)
-    phi0 = not family.has_jumps() and not _has_trivial_sub(frame)
+    phi0 = not family.has_jumps() and not _has_trivial_sub(family, frame)
     data = family.data
     if isinstance(data, SplitData):
         line = LineData(split_base_classes=(data.l1.base_class, data.l2.base_class))
@@ -231,7 +232,7 @@ _JUMPED = RoundtripReport("hypothesis_violated",
 
 
 def roundtrip_check(family: FamilySpec,
-                    samples: "int | list[complex]") -> RoundtripReport:
+                    samples: "int | list[complex] | _Frame") -> RoundtripReport:
     """Forward-then-inverse comparison on a jump-free family.
 
     Compares fibrewise isomorphism classes at every sample, the determinant
@@ -240,22 +241,23 @@ def roundtrip_check(family: FamilySpec,
     silently skipped."""
     if family.has_jumps():
         return _JUMPED
-    frame = _Frame.of(family, samples)
-    return _roundtrip_report(frame, fm_transform(family, frame))
+    frame = _Frame.of(samples, partial(default_sample_points, family))
+    return _roundtrip_report(family, frame, fm_transform(family, frame))
 
 
-def _roundtrip_report(frame: _Frame, sheaf: TransformedSheaf) -> RoundtripReport:
-    """``roundtrip_check`` of the frame's family at its points, from the
-    family's forward transform ``sheaf`` there."""
-    family, pts = frame.family, frame.pts
+def _roundtrip_report(family: FamilySpec, frame: _Frame,
+                      sheaf: TransformedSheaf) -> RoundtripReport:
+    """``roundtrip_check`` of the family at the frame's points, from its
+    forward transform ``sheaf`` there."""
+    pts = frame.pts
     if family.has_jumps():
         return _JUMPED
     rebuilt = fm_inverse(sheaf)
     curve = family.curve
     checks: list[tuple[str, bool, str]] = []
 
-    f0, f1, atiyah, odd = frame.fibre
-    g0, g1, atiyah_g, odd_g = _Frame.of(rebuilt, frame).fibre
+    f0, f1, atiyah, odd = frame.fibre(family)
+    g0, g1, atiyah_g, odd_g = frame.fibre(rebuilt)
     pairs, odd_pairs = curve._same_pair_array(f0, f1, g0, g1)
     lines, odd_lines = curve._same_point_array(f0, g0)
     same = np.where(atiyah, atiyah_g & lines, ~atiyah_g & pairs)
@@ -285,14 +287,14 @@ def _roundtrip_report(frame: _Frame, sheaf: TransformedSheaf) -> RoundtripReport
 
 
 def torsion_roundtrip_check(sheaf: TransformedSheaf,
-                            samples: "int | list[complex]") -> RoundtripReport:
+                            samples: "int | list[complex] | _Frame") -> RoundtripReport:
     """Inverse-then-forward comparison for admissible torsion data."""
     try:
         rebuilt_family = fm_inverse(sheaf)
     except UnsupportedError as exc:
         return RoundtripReport("hypothesis_violated",
                                (("admissible", False, str(exc)),))
-    frame = _Frame.of(rebuilt_family, samples)
+    frame = _Frame.of(samples, partial(default_sample_points, rebuilt_family))
     sheaf2 = fm_transform(rebuilt_family, frame)
     curve = rebuilt_family.curve
     checks: list[tuple[str, bool, str]] = []
@@ -300,8 +302,8 @@ def torsion_roundtrip_check(sheaf: TransformedSheaf,
     ok_vert = sheaf2.support.verticals == ()
     checks.append(("support_verticals", ok_vert, ""))
 
-    a0, a1, odd = sheaf.support.bisection._values_array(frame.b)
-    c0, c1, odd_c = frame.support
+    a0, a1, odd = frame.values(sheaf.support.bisection)
+    c0, c1, odd_c = frame.values(sheaf2.support.bisection)
     same, odd_pairs = curve._same_pair_array(a0, a1, c0, c1)
     bad = _carray.first_failure(
         same, odd | odd_c | odd_pairs,

@@ -39,7 +39,8 @@ from typing import Any, Callable, Iterator
 
 from .covers import BasePoint, DivisorClass, HyperCover, Poly, QI
 from .errors import NoSurjectionError, SchemaError
-from .families import FamilySpec, PushforwardData, SplitData, _JournalReplay
+from .families import (FamilySpec, PushforwardData, SplitData, _JournalReplay,
+                       _torsion_fibres)
 from .spectral import (PellMap, SpectralCover, TwoSections,
                        bisection_torus_degree)
 from .surface import LineBundleOnX, MultipleFibre, SurfaceSpec
@@ -385,12 +386,15 @@ def _pushforward(cover: HyperCover, fmap: PellMap, twist: DivisorClass | None,
 
 
 def _read_family(value: Any, surface: SurfaceSpec) -> FamilySpec:
-    """The presentation, then the journal in one pass: each step is parsed
-    and then replayed before the next is read, so the first bad step is the
-    one reported, whatever its kind."""
+    """The presentation (a multiple fibre off the branch locus per torsion
+    pair), then the journal in one pass: each step is parsed and replayed
+    before the next is read, so the first bad step of any kind is reported."""
     data_on, steps = _fields(_FAMILY, value, "family")
     with _schema("family.presentation"):
         data, base_c2 = data_on(surface)
+    if isinstance(data, PushforwardData):
+        with _schema("family.presentation.torsion_pairs"):
+            _torsion_fibres(surface, data)
     journal = _JournalReplay(surface, data, base_c2)
     points: dict[tuple[int, ...], BasePoint] = {}
     for i, step in enumerate(steps):

@@ -14,7 +14,8 @@ parametric shapes:
   determinant bookkeeping exact.
 
 Zeros and poles of a bisection map are punctures: evaluation there raises
-instead of silently contributing vertical components.
+instead of silently contributing vertical components.  A report's samples
+travel in one ``_Frame``, which builds each per-sample array once per owner.
 
 The involution-invariance contract ties a cover to a degree-0 line bundle
 ``delta`` on the surface: the two values over a base point must multiply to
@@ -30,12 +31,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, wraps
 from typing import Callable, Iterable
 
 from . import _carray
 from ._carray import np
-from .covers import BasePoint, HyperCover, Poly, QI
+from .covers import BASE_POINT_RADIUS, BasePoint, HyperCover, Poly, QI
 from .errors import PunctureError, UnsupportedError
 from .fiber import extension_from_pair
 from .surface import LineBundleOnX, SurfaceSpec
@@ -320,45 +321,112 @@ def _cover_points(cover: SpectralCover, count: int, phase: float = 0.0) -> list[
                           cover.bisection, phase)
 
 
+def _per_owner(build: Callable) -> Callable:
+    """A ``_Frame`` method that builds its arrays once per identity of its
+    arguments, the owners, which the frame then holds."""
+    @wraps(build)
+    def read(frame: "_Frame", *owners):
+        key = (build.__name__, *map(id, owners))
+        if key not in frame._built:
+            frame._built[key] = (build(frame, *owners), owners)
+        return frame._built[key][0]
+    return read
+
+
+class _Frame:
+    """One report's sample points, ``pts`` and the array ``b``, and the
+    per-sample arrays its checks read, each built once per owner (a map, a
+    curve, a family) with the odd mask of the samples it leaves to the
+    scalar single-point methods.  A report passes its frame where a function
+    takes ``samples``.  Arrays are keyed by their owners' ids, and the frame
+    holds the owners, so no id is reused while it lives."""
+
+    def __init__(self, pts: list[complex]) -> None:
+        self.pts = pts
+        self.b = np.array(pts, dtype=complex)
+        self._built: dict[tuple, tuple] = {}
+
+    @classmethod
+    def of(cls, samples: "int | list[complex] | _Frame",
+           ladder: Callable[[int], list[complex]]) -> "_Frame":
+        """``samples`` if it is a frame, else the frame at its points, or at
+        ``ladder(samples)`` for a count."""
+        if isinstance(samples, _Frame):
+            return samples
+        return cls(ladder(samples) if isinstance(samples, int) else list(samples))
+
+    @_per_owner
+    def values(self, bis: "Bisection") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values of ``bis.sheet_values``."""
+        return bis._values_array(self.b)
+
+    @_per_owner
+    def reps(self, bis: "Bisection", curve: TateCurve
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``curve.canonical_rep(v).value`` of both values of ``bis``."""
+        g0, g1, odd = self.values(bis)
+        c0, odd0 = curve._canonical_array(g0)
+        c1, odd1 = curve._canonical_array(g1)
+        return c0, c1, odd | odd0 | odd1
+
+    @_per_owner
+    def fibre(self, family) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``family.fiber_class_at``: the factors of the two graded pieces,
+        the mask of ``AtiyahRegular`` classes (whose line has the first
+        factor), and an odd mask with the journal points and where
+        ``fiber_class_at`` raises."""
+        fmap, b, curve = family.data.factor_map, self.b, family.curve
+        f0, f1, odd = self.values(fmap)
+        if isinstance(fmap, TwoSections):  # a split family
+            atiyah, odd2 = np.zeros(b.shape, dtype=bool), family.surface._multiple_mask(b)
+        else:
+            c0, c1, odd = self.reps(fmap, curve)
+            atiyah, odd2 = curve._same_point_array(c0, c1)
+        journal = [p.to_complex() for p in family.jump_points() if not p.is_infinity]
+        return f0, f1, atiyah, odd | odd2 | (_carray.nearest(b, journal) <= BASE_POINT_RADIUS)
+
+    @_per_owner
+    def spectral(self, family) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values of ``spectral_points(family.fiber_class_at(b))``."""
+        f0, f1, atiyah, odd = self.fibre(family)
+        s0, odd0 = family.curve._canonical_array(_carray.quot(1.0, f0))
+        s1, odd1 = family.curve._canonical_array(_carray.quot(1.0, f1))
+        return s0, np.where(atiyah, s0, s1), odd | odd0 | odd1
+
+
 def invariance_residual(cover: SpectralCover, delta: LineBundleOnX,
-                        samples: "int | list[complex]") -> float:
+                        samples: "int | list[complex] | _Frame") -> float:
     """Max defect of A(c) * A(iota c) = delta_b over the samples: a count
-    (the cover's ladder, ``_cover_points``), points, or a report's frame,
-    whose support values are read where they are this bisection's.
+    (the cover's ladder, ``_cover_points``), points, or a report's frame.
 
     The defect at b is the distance of the product of the two sheet values
     from delta's fibre factor, measured after lattice reduction.
     """
+    frame = _Frame.of(samples, partial(_cover_points, cover))
     bis = cover.bisection
-    if isinstance(samples, int):
-        samples = _cover_points(cover, samples)
-    frame = hasattr(samples, "pts")  # a report's frame, else points
-    pts = samples.pts if frame else list(samples)
-    b = samples.b if frame else np.array(pts, dtype=complex)
-    values = samples.support if frame and samples.bisection == bis else bis._values_array(b)
-    return _max_fibre_defect(cover.curve, delta, pts, b, values, bis.sheet_values)
+    return _max_fibre_defect(cover.curve, delta, frame, frame.values(bis), bis.sheet_values)
 
 
-def _max_fibre_defect(curve: TateCurve, delta: LineBundleOnX, pts: list[complex],
-                      b: np.ndarray, values: tuple[np.ndarray, np.ndarray, np.ndarray],
+def _max_fibre_defect(curve: TateCurve, delta: LineBundleOnX, frame: _Frame,
+                      values: tuple[np.ndarray, np.ndarray, np.ndarray],
                       pair_at: Callable[[complex], "tuple[complex, complex] | None"]
                       ) -> float:
     """The largest lattice defect of v0 * v1 against delta's fibre factor
-    over the samples ``pts`` (the array ``b``), 0.0 without samples, from
-    ``values`` = (v0, v1, odd mask).  Odd samples, multiple fibres and those
-    the lattice arrays do not follow are measured by the scalar route, in
-    order, from ``pair_at(b)``: the two values at b, or None (defect 0)."""
+    over the frame's samples, 0.0 without samples, from ``values`` = (v0,
+    v1, odd mask).  Odd samples, multiple fibres and those the lattice
+    arrays do not follow are measured by the scalar route, in order, from
+    ``pair_at(b)``: the two values at b, or None (defect 0)."""
     v0, v1, odd = values
-    odd = odd | delta.surface._multiple_mask(b)
+    odd = odd | delta.surface._multiple_mask(frame.b)
     target = complex(delta.constant_factor)
     _, d, lodd = curve._lattice_distance_array(
         _carray.quot(_carray.mul(v0, v1), target))
 
     def defect_at(i: int) -> float:
-        pair = pair_at(pts[i])
+        pair = pair_at(frame.pts[i])
         if pair is None:
             return 0.0
-        factor = delta.restrict_to_fiber(pts[i]).factor
+        factor = delta.restrict_to_fiber(frame.pts[i]).factor
         return curve.lattice_distance(pair[0] * pair[1] / factor)[1]
 
     return max([0.0, *_carray.fill_odd(d, odd | lodd, defect_at).tolist()])

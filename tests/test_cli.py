@@ -27,7 +27,7 @@ from spectral_forge import (QI, BasePoint, FamilySpec, LineBundleOnX, PellMap,
                             SchemaError, UnstableFiber, class_add,
                             parse_scenario, point_class, sample_circle,
                             scenario_hash)
-from spectral_forge import cli, families
+from spectral_forge import cli, families, spectral
 from spectral_forge.cli import main, run_command
 from spectral_forge.scenario import MAX_SAMPLES, MAX_SEED
 from conftest import count_calls, cover_g2, perturbed
@@ -1085,12 +1085,12 @@ def test_fibre_product_gate_detects_a_moved_point(tmp_path, capsys,
 
     plain = cli._max_product_defect
 
-    def moved(frame):
+    def moved(fam, frame):
         # a copy of the frame, so that only this gate reads the moved point
-        first, second, odd = frame.spectral
-        copy = families._Frame(frame.family, frame.pts, frame.b)
-        copy.spectral = (first * 1.3, second, odd)
-        return plain(copy)
+        first, second, odd = frame.spectral(fam)
+        copy = spectral._Frame(frame.pts)
+        copy.spectral = lambda family: (first * 1.3, second, odd)
+        return plain(fam, copy)
 
     monkeypatch.setattr(cli, "_max_product_defect", moved)
     code, report = run_json(capsys, ["props", "--scenario", path])
@@ -1106,7 +1106,7 @@ def test_props_reports_a_failing_cover_check(tmp_path, capsys, monkeypatch):
     the cover it could not build, and fails."""
     doc = pushforward_doc()
     scn = parse_scenario(doc)
-    first = cli._family_points(scn)[0]
+    first = cli._frame(scn).pts[0]
     moved = perturbed(scn.family.data.factor_map.inverse(), 1e-6)
     monkeypatch.setattr(PellMap, "inverse", lambda self: moved)
     code, report = run_json(capsys, ["props", "--scenario", write(tmp_path, doc)])
@@ -1181,7 +1181,7 @@ def test_a_declared_cover_steps_past_a_multiple_fibre(tmp_path, capsys):
     twin = {key: value for key, value in doc.items() if key != "cover"}
     twin["family"] = {"presentation": {"type": "split",
                                        "factors": [[a.real, a.imag] for a in inverses]}}
-    points = [cli._family_points(parse_scenario(d)) for d in (doc, twin)]
+    points = [cli._frame(parse_scenario(d)).pts for d in (doc, twin)]
     assert points[0] == points[1] == sample_circle(4, 2.26, 0j, phase=0.05)
     code, report = run_json(capsys, ["cover", "--scenario", write(tmp_path, doc)])
     assert code == 0 and report["invariance"]["passed"]

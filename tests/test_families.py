@@ -56,6 +56,7 @@ from spectral_forge.errors import SchemaError
 from conftest import (
     TAU_DYADIC,
     combine,
+    count_calls,
     cover_g1,
     pell_g1,
     prym_generators,
@@ -463,6 +464,15 @@ def test_determinant_factor_keeps_the_per_step_bits(factors, first):
             want.constant_factor)
 
 
+def test_determinant_hashes_no_point_without_multiple_fibres(monkeypatch):
+    """The determinant counts the steps on each multiple fibre, so over a
+    surface without one an 800-step journal costs it no point hash."""
+    fam = attach_generic_jumps(fresh_split(), [(BasePoint.of(k + 2), 100) for k in range(8)])
+    hashes = count_calls(monkeypatch, BasePoint, "__hash__")
+    assert fam.determinant.base_class == replay_determinant(fam).base_class == -800
+    assert hashes[0] == 0
+
+
 def test_equal_points_share_one_stack():
     three = BasePoint(QI(Fraction(6, 2)))
     fam = elem_mod(elem_mod(fresh_split(), X0, 1, NU), three, 2, NU)
@@ -633,6 +643,17 @@ def test_torsion_twist_moves_determinant_residues():
     assert sym.determinant.fibre_parts == (0, 2)
     moved = fam.twisted_torsion(((1, 0), (0, 0)))
     assert moved.determinant.fibre_parts == (1, 2)
+
+
+def test_torsion_twist_refuses_surplus_pairs():
+    """surf_m23 has two multiple fibres off the branch locus of cover_g1, and
+    surf_plain none: a pair past those fibres raises."""
+    fam = push_family(surf_m23(), cover_g1(), pell_g1())
+    assert fam.twisted_torsion(((1, 0), (0, 1))).data.torsion_pairs == ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="^3 torsion pairs for 2 multiple fibres off"):
+        fam.twisted_torsion(((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(ValueError, match="^1 torsion pairs for 0 multiple fibres off"):
+        fresh_push().twisted_torsion(((1, -1),))
 
 
 # ============================================================

@@ -35,9 +35,8 @@ from spectral_forge import (QI, BasePoint, DescentTwist, FamilySpec,
                             sample_circle, torsion_roundtrip_check)
 from spectral_forge import _carray, cli, fourier
 from spectral_forge.cli import run_command
-from spectral_forge.families import _Frame
 from spectral_forge.fourier import _has_trivial_sub, _roundtrip_report
-from spectral_forge.spectral import _cover_points
+from spectral_forge.spectral import _cover_points, _Frame
 
 import oracles
 from conftest import (TAU_DYADIC, TAU_GENERIC, TAU_WIDE, count_calls, cover_g0,
@@ -342,11 +341,11 @@ def outcome(fn, *args):
 
 def max_product_defect(fam, pts) -> float:
     """The ``props`` fibre-product defect of ``fam`` on a frame at ``pts``."""
-    return cli._max_product_defect(_Frame(fam, pts))
+    return cli._max_product_defect(fam, _Frame(pts))
 
 
 def has_trivial_sub(fam, pts) -> bool:
-    return _has_trivial_sub(_Frame(fam, pts))
+    return _has_trivial_sub(fam, _Frame(pts))
 
 
 def test_poles_and_zeros_raise_as_the_scalar_loop():
@@ -426,8 +425,8 @@ def test_family_checks_match_the_scalar_loops(index):
                 oracles.reference_invariance_residual, sheaf.support, delta, sample)
             detail = outcome(oracles.reference_fibre_mismatch, fam,
                              fourier.fm_inverse(sheaf), sample)
-            frame = _Frame(fam, sample)
-            assert outcome(lambda: _roundtrip_report(frame, sheaf).checks[0][2]) == detail
+            frame = _Frame(sample)
+            assert outcome(lambda: _roundtrip_report(fam, frame, sheaf).checks[0][2]) == detail
 
 
 def test_scalar_fallbacks_at_a_huge_tau_match_the_scalar_loops(monkeypatch):
@@ -532,7 +531,7 @@ def test_roundtrip_fibres_match_the_scalar_loop(monkeypatch, nudge):
     fam = families()[0]
     pts = family_points(21)[:200]
     sheaf = fm_transform(fam, pts)
-    report = _roundtrip_report(_Frame(fam, pts), sheaf)
+    report = _roundtrip_report(fam, _Frame(pts), sheaf)
     detail = oracles.reference_fibre_mismatch(fam, nudged(sheaf), pts)
     assert report.checks[0] == ("fiberwise_classes", detail == "", detail)
     assert (detail == "") == (nudge == 0.0)
@@ -838,17 +837,41 @@ def test_sampled_checks_read_a_report_frame_as_its_points(index):
     assert invariance_residual(moved, delta, frame) > 1e-7
 
 
-def test_a_frame_with_a_declared_cover_lends_the_family_its_points_only():
-    """A frame whose support is a declared cover (the family's own, its map
-    scale moved by 1e-6) is not the family's frame: the family's cover and
-    transform on it are those on its points, checked against the family's
-    map at every sample."""
+@pytest.mark.parametrize("reverse", [False, True], ids=["declared-first", "rebuilt-first"])
+def test_one_frame_serves_a_declared_cover_the_family_and_a_rebuilt_family(
+        monkeypatch, reverse):
+    """One frame, read for a declared bisection (the family's inverse map,
+    its scale moved by 1e-6), for the family and for the family its inverse
+    transform rebuilds, in either order and twice over, gives each the
+    arrays a fresh frame gives it, bit for bit.  It builds one value array
+    per owning map and the two canonical-representative arrays of each pair
+    of values it reduces, once.  The family's cover and transform on that
+    frame are those on its points, checked against the family's own map."""
     fam = sweep_families()[1]
     pts = default_sample_points(fam, 64)
     own = cover_from_family(fam, pts)
-    declared = SpectralCover(own.surface, own.verticals, perturbed(own.bisection, 1e-6))
-    frame = _Frame(fam, pts, cover=declared)
-    assert _Frame.of(fam, frame) is not frame
+    declared = perturbed(own.bisection, 1e-6)
+    rebuilt = fourier.fm_inverse(fm_transform(fam, pts))
+    reads = [lambda frame: frame.reps(declared, fam.curve),
+             lambda frame: frame.spectral(fam),
+             lambda frame: frame.fibre(rebuilt)]
+    if reverse:
+        reads.reverse()
+    owners = []
+    plain = PellMap._values_array
+    monkeypatch.setattr(PellMap, "_values_array",
+                        lambda self, b: owners.append(self) or plain(self, b))
+    canonical = count_calls(monkeypatch, TateCurve, "_canonical_array")
+    frame = _Frame(pts)
+    shared = [read(frame) for read in reads * 2]
+    assert [id(m) for m in owners] == [id(m) for m in (
+        declared, fam.data.factor_map, rebuilt.data.factor_map)[::-1 if reverse else 1]]
+    # reps: 2 for the declared values; spectral: 2 for the factor values'
+    # classes and 2 for the spectral values; fibre: 2 for the rebuilt factors
+    assert canonical[0] == 8
+    for got, read in zip(shared, reads * 2):
+        for have, want in zip(got, read(_Frame(pts))):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
     assert cover_from_family(fam, frame) == own
     assert fm_transform(fam, frame) == fm_transform(fam, pts)
 

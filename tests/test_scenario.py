@@ -290,6 +290,11 @@ def test_pell_cover_section_parses():
     (lambda d: d["family"].update(modifications=[{"op": "spin",
                                                   "at": [3, 1, 0, 1]}]),
      "op"),
+    # two pairs on a surface without multiple fibres
+    pytest.param(lambda d: d["family"].update(presentation={
+        **pushforward_doc()["family"]["presentation"], "torsion_pairs": [[1, 2], [5, 7]]}),
+                 "family.presentation.torsion_pairs: 2 torsion pairs for 0 multiple "
+                 "fibres off the branch locus", id="surplus-torsion-pairs"),
 ])
 def test_schema_error_catalogue(mangle, where):
     doc = split_doc()

@@ -17,6 +17,12 @@ journal-replay workload:
 - ``modify``, ``props``, ``cover``: the CLI reports at 32 samples, in
   process, scenario file included.
 
+Next to the timings, ``point_hashes`` counts, per family and length, the
+``QI.__hash__`` calls of one ``parse_scenario`` and of one run of each
+report; a journal point (``BasePoint``) hashes as its ``QI`` coordinate.
+They are counted once, outside the timed runs, and do not drift with the
+host.
+
 Each layer is run 7 times after one warm-up; best and median seconds are
 kept.  Results are merged into the output file under ``--label``.  A
 before/after comparison times both trees in alternation, in child
@@ -31,7 +37,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from _layer_bench import main, timed, workload
+from _layer_bench import hooked, main, timed, workload
 
 DESCRIPTION = (
     "Per-layer timings of journal replay, written by tools/bench_journal.py: "
@@ -42,7 +48,8 @@ DESCRIPTION = (
     "1600 steps over 8 points, for the split family and the genus-1 "
     "pushforward family at tau = 2; best and median seconds of 'repeat' "
     "runs after one warm-up, one entry of 'runs' per source tree; "
-    "speedup_best is parent over change.")
+    "speedup_best is parent over change.  'point_hashes' counts, per family "
+    "and length, the QI.__hash__ calls of parse_scenario and of each report.")
 LENGTHS = (200, 400, 800, 1600)
 COMMANDS = ("modify", "props", "cover")
 # Off the journal points, the sample circle, the branch points and the poles:
@@ -61,10 +68,25 @@ def with_journal(base: dict, length: int) -> dict:
 
 def measure() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        return {"layers": measure_in(Path(tmp))}
+        layers, hashes = measure_in(Path(tmp))
+        return {"layers": layers, "point_hashes": hashes}
 
 
-def measure_in(workdir: Path) -> dict:
+def count_hashes(run) -> int:
+    """``QI.__hash__`` calls during one call of ``run``."""
+    from spectral_forge import QI
+
+    seen = [0]
+
+    def count(*args):
+        seen[0] += 1
+
+    with hooked(QI, "__hash__", count):
+        run()
+    return seen[0]
+
+
+def measure_in(workdir: Path) -> tuple[dict, dict]:
     from spectral_forge import (BasePoint, attach_generic_jumps, elem_mod,
                                 parse_scenario)
     from spectral_forge.cli import run_command
@@ -72,8 +94,9 @@ def measure_in(workdir: Path) -> dict:
     fresh = [BasePoint.of(*xy) for xy in FRESH]
 
     out: dict = {}
+    hashes: dict = {}
     for name, base in workload("journal-replay").bases.items():
-        out[name] = {}
+        out[name], hashes[name] = {}, {}
         for length in LENGTHS:
             doc = with_journal(base, length)
             path = workdir / f"{name}-{length}.json"
@@ -90,12 +113,15 @@ def measure_in(workdir: Path) -> dict:
                    "elem_mod": timed(lambda: elem_mod(family, fresh[0], 1, 2.0)),
                    "attach_generic_jumps": timed(
                        lambda: attach_generic_jumps(family, plan))}
+            counts = {"parse_scenario": count_hashes(lambda: parse_scenario(doc))}
             for cmd in COMMANDS:
                 argv = [cmd, "--scenario", str(path), "--samples", "32",
                         "--json", str(workdir / "report.json")]
                 row[cmd] = timed(lambda: run_command(argv))
+                counts[cmd] = count_hashes(lambda: run_command(argv))
             out[name][str(length)] = row
-    return out
+            hashes[name][str(length)] = counts
+    return out, hashes
 
 
 if __name__ == "__main__":
