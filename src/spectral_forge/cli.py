@@ -50,17 +50,12 @@ __all__ = ["main", "run_command"]
 def _require_family(scn: Scenario) -> FamilySpec:
     if scn.family is None:
         raise SchemaError("this command needs a family section")
-    if scn.determinant is not None:
-        if not scn.family.determinant.isomorphic(scn.determinant):
-            raise VerificationError(
-                "declared determinant disagrees with the family presentation")
     return scn.family
 
 
 def _frame(scn: Scenario) -> _Frame:
     """The report's frame: at ``run.points`` (poles there raise), else on
-    the family's ladder, else on the declared cover's.  The caller has
-    checked a family's declared determinant."""
+    the family's ladder, else on the declared cover's."""
     if scn.points is not None:
         return _Frame(list(scn.points))
     if scn.family is not None:
@@ -69,9 +64,8 @@ def _frame(scn: Scenario) -> _Frame:
 
 
 def _cover_and_frame(scn: Scenario) -> tuple[SpectralCover, _Frame]:
-    """The declared cover, else the family's, with the report's frame; a
-    family's declared determinant is checked first."""
-    if scn.family is not None or scn.cover is None:
+    """The declared cover, else the family's, with the report's frame."""
+    if scn.cover is None:
         _require_family(scn)
     frame = _frame(scn)
     cover = scn.cover if scn.cover is not None else cover_from_family(scn.family, frame)
@@ -198,8 +192,6 @@ def _cmd_roundtrip(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_classify(scn: Scenario, args: argparse.Namespace) -> tuple[dict, int]:
-    if scn.family is not None:
-        _require_family(scn)
     cover = _hyper_cover(scn)
     groups = fibre_component_groups(scn.surface, cover)
     pic = pic_relative(scn.surface)
@@ -374,6 +366,10 @@ def run_command(argv: "Sequence[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scn = load_scenario(args.scenario, args.tol, args.samples, args.seed)
+        if (scn.family is not None and scn.determinant is not None
+                and not scn.family.determinant.isomorphic(scn.determinant)):
+            raise VerificationError(
+                "declared determinant disagrees with the family presentation")
         report, code = _HANDLERS[args.command](scn, args)
         text = canonical_json(report) + "\n"
         if args.json:

@@ -141,7 +141,10 @@ class PellMap:
 
     @cached_property
     def _inverse(self) -> "PellMap":
-        return _flipped_pell_map(self, self.scale.inv())
+        # s -> 1/s and V -> -V are exact, so the inverse's inverse is this map
+        out = _flipped_pell_map(self, self.scale.inv())
+        out.__dict__["_inverse"] = self
+        return out
 
     def sheet_flip(self) -> "PellMap":
         return _flipped_pell_map(self, self.scale)

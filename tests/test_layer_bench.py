@@ -1,7 +1,8 @@
 # tests/test_layer_bench.py
 """
-The shared driver of the per-layer bench scripts: how it merges rounds and
-which median ratios it prints as unresolved.
+The shared driver of the per-layer bench scripts: how it merges rounds,
+which median ratios it prints as unresolved, and the calls it counts in a
+timed layer.
 """
 
 from __future__ import annotations
@@ -9,9 +10,14 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from _layer_bench import merge_rounds, print_ratios  # noqa: E402
+import _layer_bench  # noqa: E402
+import census  # noqa: E402
+from _layer_bench import merge_rounds, print_ratios, timed  # noqa: E402
+from spectral_forge import Poly, TateCurve, covers  # noqa: E402
 
 
 def timing(*medians: float) -> dict:
@@ -48,3 +54,57 @@ def test_a_ratio_is_resolved_only_where_one_trees_rounds_all_beat_the_others(cap
         "median ratio layer slower 0.84",
         "median ratio layer overlap 1.67 unresolved",
         "median ratio layer single 2.00 unresolved"]
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_a_timed_layer_counts_each_call_of_a_counted_function(monkeypatch, k):
+    """k calls of ``TateCurve.canonical_rep`` in a layer record k, in the
+    one untimed run under the tracer; a counted function the layer does not
+    call records 0."""
+    monkeypatch.setattr(_layer_bench, "COUNTED",
+                        ("tate.TateCurve.canonical_rep", "tate.TateCurve._canonical_array"))
+    curve = TateCurve(2 + 0j)
+    t = timed(lambda: [curve.canonical_rep(12.0 + j) for j in range(k)])
+    assert t["calls"] == {"tate.TateCurve.canonical_rep": k,
+                          "tate.TateCurve._canonical_array": 0}
+    assert set(t) == {"best_s", "median_s", "calls"}
+
+
+def test_no_comprehension_is_counted():
+    """``_image_of`` enters its generator expression (and, where Python
+    builds them as code objects, its list comprehensions): the tracer
+    enters them, and counts the function by ``module.qualname`` but none of
+    them."""
+    run, _ = census.traced(Poly.of, 1, 2, 3)
+    code = covers._image_of.__code__
+    inner = [c for c in code.co_consts if hasattr(c, "co_firstlineno")]
+    assert inner and all((c.co_filename, c.co_firstlineno) in run["entered"] for c in inner)
+    assert run["calls"]["covers._image_of"] == 1
+    assert not [key for key in run["calls"] if "<" in key]
+
+
+def test_rounds_keep_their_counts_and_must_repeat_them():
+    """Counts that every round repeats are kept as they are; rounds whose
+    counts differ raise, naming the layer."""
+    rows = [{"layer": {"best_s": m, "median_s": m, "calls": {"f": 3}}} for m in (1.0, 1.1)]
+    assert merge_rounds(rows)["layer"]["calls"] == {"f": 3}
+    rows[1]["layer"]["calls"] = {"f": 4}
+    with pytest.raises(ValueError, match="layer"):
+        merge_rounds(rows)
+
+
+def test_counting_puts_back_the_tracer_in_place_before(monkeypatch):
+    """The tracer in place before a counted layer is in place after it."""
+    def outer(frame, event, arg):
+        return None
+
+    monkeypatch.setattr(_layer_bench, "COUNTED", ("tate.TateCurve.canonical_rep",))
+    curve = TateCurve(2 + 0j)
+    before = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        t = timed(lambda: curve.canonical_rep(12.0))
+        assert sys.gettrace() is outer
+    finally:
+        sys.settrace(before)
+    assert t["calls"] == {"tate.TateCurve.canonical_rep": 1}

@@ -41,6 +41,7 @@ from conftest import (
     pell_g0,
     pell_g1,
     pell_g2,
+    pell_g3,
     perturbed,
     surf_plain,
 )
@@ -78,6 +79,16 @@ def test_pell_inverse_multiplies_to_one():
     for b in sample_circle(12, 2.0):
         for v, iv in zip(pm.sheet_values(b), inv.sheet_values(b)):
             assert abs(v * iv - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("make", [pell_g1, pell_g2, pell_g3], ids=["g1", "g2", "g3"])
+def test_pell_inverse_inverts_back_to_the_map_itself(make):
+    """The inverse's inverse is the map itself, which is sound because the
+    map an inverse builds afresh equals it: s -> 1/s and V -> -V are exact."""
+    for m in (make(), make(QI.of(2, 1))):
+        inv = m.inverse()
+        assert inv.inverse() is m
+        assert replace(inv).inverse() == m and replace(inv).inverse() is not m
 
 
 def test_sheet_flip_swaps_values():

@@ -2,10 +2,14 @@
 
 Each script defines ``measure()``, which times its layers and returns the
 entry of one run (``layers`` plus any extra tables), and hands it to
-``main`` (a script timing fresh processes may time two trees at once,
-see ``main``).  ``main`` parses ``--src``/``--label``/``--out``, puts
-``--src`` first on the import path and ``perfbench/`` after it, adds
-provenance to the entry and merges it into the output file under the label.
+``main`` with its docstring, written as the file's ``description``, and the
+functions whose calls it counts (a script timing fresh processes may time
+two trees at once, see ``main``).  ``main`` parses
+``--src``/``--label``/``--out``, puts ``--src`` first on the import path
+and ``perfbench/`` after it, adds provenance to the entry and merges it
+into the output file under the label.  Each timed layer then carries, under
+``calls``, the calls of each counted function in one more run of the layer
+under ``census.traced``: counts repeat exactly where times drift.
 With a ``change`` run next to a ``parent`` (or ``seed``) run it also writes
 their best-time ratios (``speedup_best``, ``seed_speedup_best``) and,
 against the parent, their median-time ratios (``speedup_median``) next to
@@ -47,15 +51,22 @@ import time
 from pathlib import Path
 from typing import Callable
 
+import census
+
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 7
 ROUNDS = 6
+# the functions, by ``module.qualname``, whose calls each timed layer counts; set by ``main``
+COUNTED: tuple[str, ...] = ()
 
 
 def timed(fn, items: int = 1, min_run_s: float = 0.0) -> dict:
     """Best and median seconds per item of ``fn``, which handles ``items``,
     over REPEAT runs after one warm-up call.  Each run is a batch of calls
-    lasting at least about ``min_run_s`` (a single call when it is 0)."""
+    lasting at least about ``min_run_s`` (a single call when it is 0).
+    With COUNTED, ``calls`` holds the calls of each of its functions in
+    ``spectral_forge`` (0 for one not called) in one more run, untimed,
+    under ``census.traced``."""
     t0 = time.perf_counter()
     fn()
     number = max(1, int(min_run_s / max(time.perf_counter() - t0, 1e-9)))
@@ -65,7 +76,13 @@ def timed(fn, items: int = 1, min_run_s: float = 0.0) -> dict:
         for _ in range(number):
             fn()
         runs.append((time.perf_counter() - t0) / (number * items))
-    return {"best_s": min(runs), "median_s": statistics.median(runs)}
+    out = {"best_s": min(runs), "median_s": statistics.median(runs)}
+    if COUNTED:
+        import spectral_forge
+
+        run, _ = census.traced(fn, package=Path(spectral_forge.__file__).parent)
+        out["calls"] = {name: run["calls"].get(name, 0) for name in COUNTED}
+    return out
 
 
 def git_commit(src: Path) -> str | None:
@@ -129,7 +146,7 @@ def print_ratios(ratio: dict, rounds: dict[str, dict | None]) -> None:
 def merge_rounds(rows: list[dict]) -> dict:
     """One layers tree from the trees of several rounds: each timing keeps
     its best time, each round's median time (``rounds``), their median and
-    their spread."""
+    their spread, and its call counts, which every round must repeat."""
     flats = [flat(row) for row in rows]
     merged = {}
     for path in flats[0]:
@@ -138,6 +155,11 @@ def merge_rounds(rows: list[dict]) -> dict:
         merged[path] = {"best_s": min(f[path]["best_s"] for f in flats), "median_s": mid,
                         "rounds": medians,
                         "spread": round((max(medians) - min(medians)) / mid, 3)}
+        counts = [f[path].get("calls") for f in flats]
+        if any(c != counts[0] for c in counts):
+            raise ValueError(f"rounds counted different calls at {'/'.join(path)}: {counts}")
+        if counts[0] is not None:
+            merged[path]["calls"] = counts[0]
     return nest(merged)
 
 
@@ -195,13 +217,16 @@ def alternate(trees: dict[str, Path]) -> dict[str, dict]:
             for label, runs in entries.items()}
 
 
-def main(doc: str, out_name: str, description: str,
-         measure: Callable[..., dict], paired: bool = False) -> None:
-    """Run ``measure`` and merge its entry into the output file.  With
-    ``--against`` a second tree is timed in alternation with ``--src`` and
-    its run labelled ``parent``: a ``paired`` script's ``measure`` gets
+def main(doc: str, out_name: str, measure: Callable[..., dict],
+         counted: tuple[str, ...] = (), paired: bool = False) -> None:
+    """Run ``measure``, counting the calls of ``counted`` in each timed
+    layer, and merge its entry into the output file, described by ``doc``.
+    With ``--against`` a second tree is timed in alternation with ``--src``
+    and its run labelled ``parent``: a ``paired`` script's ``measure`` gets
     {label: tree} and returns {label: entry}, any other script is run by
     ``alternate``."""
+    global COUNTED
+    COUNTED = counted
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="source tree holding spectral_forge (default: this repo's)")
@@ -225,7 +250,7 @@ def main(doc: str, out_name: str, description: str,
 
     out_path = Path(args.out)
     out = json.loads(out_path.read_text()) if out_path.exists() else {}
-    out["description"] = description
+    out["description"] = doc
     runs = out.setdefault("runs", {})
     for label, entry in entries.items():
         entry["provenance"] = {"python": platform.python_version(),

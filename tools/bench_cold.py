@@ -45,18 +45,6 @@ from pathlib import Path
 from _layer_bench import main, nest, workload
 from bench_journal import with_journal
 
-DESCRIPTION = (
-    "Cold-start wall times of the CLI, written by tools/bench_cold.py: each "
-    "entry is a fresh interpreter from start to exit, best and median "
-    "seconds of 'repeat' runs with cached bytecode; the bare "
-    "interpreter, import numpy and import spectral_forge.cli baselines; the "
-    "seven subcommands at 32, 256 and 2048 samples (seed 1) on the split "
-    "family and the genus-1 pushforward at tau = 2 and the genus-2 "
-    "pushforward at tau = 1.5+0.5i; modify on an 800-step journal; "
-    "importtime_self_us is the -X importtime self time of each "
-    "spectral_forge module; the parent and change runs are timed in "
-    "alternation, command by command (--against); speedup_best and "
-    "speedup_median are parent over change.")
 COLD_REPEAT = 11
 SIZES = (32, 256, 2048)
 COMMANDS = ("cover", "fm", "roundtrip", "classify", "modify", "props", "sample")
@@ -135,4 +123,4 @@ def measure_in(workdir: Path, trees: dict[str, Path]) -> dict[str, dict]:
 
 
 if __name__ == "__main__":
-    main(__doc__, "BENCH_cold.json", DESCRIPTION, measure, paired=True)
+    main(__doc__, "BENCH_cold.json", measure, paired=True)

@@ -50,21 +50,6 @@ from __future__ import annotations
 
 from _layer_bench import hooked, main, timed, workload
 
-DESCRIPTION = (
-    "Per-layer timings of the exact group law, written by tools/bench_exact.py: "
-    "class_add, mumford_compose and cantor_reduce of the step (n-1)P + P, and "
-    "the whole chain P..nP, for n = 10, 30, 61, 120 on w^2 = b^3 + b + 1 "
-    "(P = (0, 1)), w^2 = b^5 - b + 1 and w^2 = b^7 - b + 1 (P = (1, 1)); "
-    "best and median seconds per call of 'repeat' runs after one warm-up, "
-    "one entry of 'runs' per source tree, with the largest coefficient bit "
-    "length of nP; Q(i) and Poly operations on the coefficients of nP at "
-    "n = 10, 61 on the genus-3 curve (qi, poly); the function search on the "
-    "cantor-chain workload's low-height pairs at genus 1-3 (search); "
-    "class_add(30P, 31P), class_equal(nP, nP) and in_prym(nP) at n = 61 on the "
-    "genus-3 curve (group); qi_nullspace on all the search matrices of the "
-    "workload's pool of equality jobs, per call for the lot (nullspace); "
-    "speedup_best is parent over change, seed_speedup_best seed over change "
-    "(on the layers both runs have).")
 CURVES = {"g1": ((1, 1, 0, 1), (0, 1)),
           "g2": ((1, -1, 0, 0, 0, 1), (1, 1)),
           "g3": ((1, -1, 0, 0, 0, 0, 0, 1), (1, 1))}
@@ -169,4 +154,4 @@ def search_matrices(sf, chain) -> list:
 
 
 if __name__ == "__main__":
-    main(__doc__, "BENCH_exact.json", DESCRIPTION, measure)
+    main(__doc__, "BENCH_exact.json", measure)

@@ -14,10 +14,10 @@ Times three layers at tau = 2, 1.5+0.5i and 1.3:
   64*d terms) and the largest functional-equation residual of its d
   sections at three points, seconds per degree.
 
-For the solves it also records the node levels per solve: the number of
-node counts K = 16, 32, ... at which the contour sums were formed, over all
-radii tried (one more per radius than the node doublings).  They are
-counted by wrapping ``fiber._node_values``.
+Each layer also counts its ``fiber._node_values`` calls, in one more run
+under ``census.traced``: the node counts K = 16, 32, ... at which the
+contour sums were formed, over all radii tried (one more per radius than
+the node doublings).
 
 Each layer is run 7 times after one warm-up, every run a batch lasting
 at least about a millisecond; best and median seconds are kept.  Results
@@ -33,17 +33,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from _layer_bench import hooked, main, timed
+from _layer_bench import main, timed
 
-DESCRIPTION = (
-    "Per-layer timings of the theta and obstruction solves, written by "
-    "tools/bench_fibre.py, at tau = 2, 1.5+0.5i and 1.3: obstruction_zeros "
-    "(seconds per solve over six g0, with the solves that raised and the node "
-    "levels K evaluated per solve), regular_chart + make_extension at two branch "
-    "values (seconds per chart) and theta_sections + residual at d = 1, 2, 3 "
-    "(seconds per degree); best and median seconds of 'repeat' runs after one "
-    "warm-up, one entry of 'runs' per source tree; speedup_best is parent "
-    "over change.")
 TAUS = {"2": 2.0 + 0j, "1.5+0.5i": 1.5 + 0.5j, "1.3": 1.3 + 0j}
 RHOS = (0.2, 0.7)
 ANGLES = (0, 5, 10)
@@ -52,11 +43,11 @@ THETA_DEGREES = (1, 2, 3)
 THETA_FACTOR = 0.8 + 0.3j
 THETA_POINTS = (1.1 + 0.2j, -0.7 + 0.9j, 0.2 - 1.05j)
 MIN_RUN_S = 1e-3
+COUNTED = ("fiber._node_values",)
 
 
 def measure() -> dict:
     import spectral_forge as sf
-    from spectral_forge import fiber
 
     layers: dict = {}
     solves: dict = {}
@@ -85,14 +76,7 @@ def measure() -> dict:
                 except ArithmeticError:
                     pass
 
-        levels = [0]
-
-        def count_level(*args):
-            levels[0] += 1
-        with hooked(fiber, "_node_values", count_level):
-            raised = solve_all()
-        solves[name] = {"solves": len(data), "raised": raised,
-                        "levels_per_solve": levels[0] / len(data)}
+        solves[name] = {"solves": len(data), "raised": solve_all()}
         layers[name] = {"solve": timed(solve_all, len(data), MIN_RUN_S),
                         "chart": timed(chart_all, len(CHART_VALUES), MIN_RUN_S)}
         for d in THETA_DEGREES:
@@ -107,4 +91,4 @@ def measure() -> dict:
 
 
 if __name__ == "__main__":
-    main(__doc__, "BENCH_fibre.json", DESCRIPTION, measure)
+    main(__doc__, "BENCH_fibre.json", measure, COUNTED)

@@ -18,15 +18,10 @@ the ``push-g1-t2`` document of the benchmark's sample-sweep workload:
 - ``descent``: ``z_action_residual`` with the descent twist at b0 = 0 on
   and off (two calls), on the |tau| circle around b0.
 
-Next to the timings, ``array_calls`` counts, per report at each size, the
-calls of the array routines that a report should build once: ``PellMap``
-and ``TwoSections._values_array``, ``HyperCover._sheets_array`` and
-``TateCurve._canonical_array``; ``eval_complex_calls`` counts the scalar
-``Poly.eval_complex`` calls of the ladder and of each report, and
-``math_log_elements`` the elements each report passes to a per-element
-``math.log`` (through ``_carray.each``; lattice reduction rechecks only
-elements at a rounding edge of an exponent).  Counts do not drift with the
-host.
+Each layer also counts the calls of the array routines that a report
+should build once (``PellMap`` and ``TwoSections._values_array``,
+``HyperCover._sheets_array`` and ``TateCurve._canonical_array``) and of the
+scalar ``Poly.eval_complex``, in one more run under ``census.traced``.
 
 Each layer is run 7 times after one warm-up; best and median seconds are
 kept.  Results are merged into the output file under ``--label``.  A
@@ -38,34 +33,17 @@ processes, over several rounds (``_layer_bench.alternate``):
 
 from __future__ import annotations
 
-import contextlib
 import json
-import math
 import tempfile
 from functools import partial
 from pathlib import Path
 
-from _layer_bench import hooked, main, timed, workload
+from _layer_bench import main, timed, workload
 
-DESCRIPTION = (
-    "Per-layer timings of the per-sample path on the genus-1 pushforward "
-    "family at tau = 2, written by tools/bench_sample_path.py: the sample "
-    "ladder (default_sample_points), the factor map's sheet values, "
-    "canonical_rep and lattice_distance of those values, cover_from_family, "
-    "the CLI cover, fm, roundtrip, props and sample reports (ladder "
-    "included) and z_action_residual with the descent twist at b0 = 0 on "
-    "and off, at 256, 2048 and 20000 samples; best and median seconds of "
-    "'repeat' runs after one warm-up, one entry of 'runs' per source tree; "
-    "speedup_best is parent over change.  'array_calls' counts, per report "
-    "and size, the _values_array, _sheets_array and _canonical_array calls; "
-    "'eval_complex_calls' the scalar Poly.eval_complex calls of the ladder "
-    "and of each report; 'math_log_elements' the elements each report passes "
-    "to a per-element math.log.")
 REPORTS = ("cover", "fm", "roundtrip", "props", "sample")
-# the array routines a report should build once, by the class that owns them
-ARRAY_ROUTINES = (("PellMap", "_values_array"), ("TwoSections", "_values_array"),
-                  ("HyperCover", "_sheets_array"), ("TateCurve", "_canonical_array"))
-EVAL_COMPLEX = (("Poly", "eval_complex"),)
+COUNTED = ("spectral.PellMap._values_array", "spectral.TwoSections._values_array",
+           "covers.HyperCover._sheets_array", "tate.TateCurve._canonical_array",
+           "covers.Poly.eval_complex")
 SIZES = (256, 2048, 20_000)
 
 
@@ -73,45 +51,10 @@ def measure() -> dict:
     import numpy as np
 
     with tempfile.TemporaryDirectory() as tmp:
-        layers, calls, evals, logs = measure_in(Path(tmp))
-        return {"layers": layers, "array_calls": calls, "eval_complex_calls": evals,
-                "math_log_elements": logs, "provenance": {"numpy": np.__version__}}
+        return {"layers": measure_in(Path(tmp)), "provenance": {"numpy": np.__version__}}
 
 
-def count_calls(report, routines=ARRAY_ROUTINES) -> dict:
-    """{routine: calls} during one run of ``report``, each routine wrapped
-    for that run only."""
-    import spectral_forge
-
-    counts = {}
-    with contextlib.ExitStack() as stack:
-        for cls_name, name in routines:
-            key = f"{cls_name}.{name}"
-            counts[key] = 0
-
-            def count(*args, _key=key, **kwargs):
-                counts[_key] += 1
-            stack.enter_context(hooked(getattr(spectral_forge, cls_name), name, count))
-        report()
-    return counts
-
-
-def count_log_elements(report) -> int:
-    """Elements passed to a per-element ``math.log`` by ``_carray.each``
-    during one run of ``report``."""
-    from spectral_forge import _carray
-
-    seen = [0]
-
-    def count(fn, *args):
-        seen[0] += len(args[0]) if fn is math.log else 0
-
-    with hooked(_carray, "each", count):
-        report()
-    return seen[0]
-
-
-def measure_in(workdir: Path) -> tuple[dict, dict, dict, dict]:
+def measure_in(workdir: Path) -> dict:
     import numpy as np
     from spectral_forge import (BasePoint, cover_from_family, default_sample_points,
                                 descent_divisor, parse_scenario, z_action_residual)
@@ -125,7 +68,7 @@ def measure_in(workdir: Path) -> tuple[dict, dict, dict, dict]:
     curve = family.curve
     twist = descent_divisor(family, BasePoint.of(0))
     untwisted = twist.disabled()
-    out, calls, evals, logs = {}, {}, {}, {}
+    out = {}
     for n in SIZES:
         ladder = partial(default_sample_points, family, n, phase=0.05)
         pts = ladder()
@@ -149,13 +92,8 @@ def measure_in(workdir: Path) -> tuple[dict, dict, dict, dict]:
             "descent": timed(lambda: (z_action_residual(family, twist, n),
                                       z_action_residual(family, untwisted, n))),
         }
-        calls[str(n)] = {cmd: count_calls(report(cmd)) for cmd in REPORTS}
-        evals[str(n)] = {name: count_calls(run, EVAL_COMPLEX)["Poly.eval_complex"]
-                         for name, run in (("ladder", ladder),
-                                           *((cmd, report(cmd)) for cmd in REPORTS))}
-        logs[str(n)] = {cmd: count_log_elements(report(cmd)) for cmd in REPORTS}
-    return out, calls, evals, logs
+    return out
 
 
 if __name__ == "__main__":
-    main(__doc__, "BENCH_sample_path.json", DESCRIPTION, measure)
+    main(__doc__, "BENCH_sample_path.json", measure, COUNTED)

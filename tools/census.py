@@ -82,16 +82,20 @@ def label(key: tuple[str, int], entered: dict[str, set]) -> str:
     return next((k for k in LABELS[:-1] if key in entered.get(k, ())), "none")
 
 
-def traced(fn, *args) -> tuple[dict, object]:
-    """What ``fn(*args)`` did in the package, and its result: the
-    (file, first line) of each code object entered and the lines executed
-    per file.  The tracer in place before is put back after."""
-    prefix = str(PACKAGE) + os.sep
+def traced(fn, *args, package: Path | None = None) -> tuple[dict, object]:
+    """What ``fn(*args)`` did in ``package`` (default PACKAGE), and its
+    result: the (file, first line) of each code object entered, the lines
+    executed per file, and the calls of each function by
+    ``module.qualname`` (a generator's resumptions count as calls; code
+    objects named ``<...>``, such as comprehensions and lambdas, are left
+    out).  The tracer in place before is put back after."""
+    prefix = str(package or PACKAGE) + os.sep
     entered: set[tuple[str, int]] = set()
     lines: dict[str, set[int]] = {}
     # codes whose lines were all seen need no line events; by id (code hashes slowly), kept alive
     own: dict[int, tuple] = {}
     done: set[int] = set()
+    calls: Counter = Counter()
 
     def local(frame, event, arg):
         if event == "line":
@@ -100,7 +104,10 @@ def traced(fn, *args) -> tuple[dict, object]:
 
     def call(frame, event, arg):
         code = frame.f_code
-        if not code.co_filename.startswith(prefix) or id(code) in done:
+        if not code.co_filename.startswith(prefix):
+            return None
+        calls[id(code)] += 1
+        if id(code) in done:
             return None
         entered.add((code.co_filename, code.co_firstlineno))
         seen = lines.setdefault(code.co_filename, set())
@@ -118,7 +125,13 @@ def traced(fn, *args) -> tuple[dict, object]:
         result = fn(*args)
     finally:
         sys.settrace(before)
-    return {"entered": sorted(entered), "lines": {f: sorted(s) for f, s in lines.items()}}, result
+    named: Counter = Counter()
+    for key, count in calls.items():
+        code = own[key][0]
+        if not code.co_name.startswith("<"):
+            named[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += count
+    return {"entered": sorted(entered), "lines": {f: sorted(s) for f, s in lines.items()},
+            "calls": dict(named)}, result
 
 
 def each(calls) -> None:
