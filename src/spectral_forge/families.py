@@ -551,17 +551,20 @@ def attach_generic_jumps(family: FamilySpec,
 def assign_jumping_sequence(family: FamilySpec, at: BasePoint,
                             seq: list[int],
                             line_point: complex = 2.0 + 0j) -> FamilySpec:
-    """Build a jump with the prescribed sequence by pushing in reverse."""
+    """Build a jump with the prescribed sequence by pushing in reverse, in
+    one replay."""
     if not seq:
         raise ValueError("sequence must be nonempty")
     if any(seq[i + 1] > seq[i] for i in range(len(seq) - 1)):
         raise ValueError("jumping sequences must be non-increasing")
     if family._stacks.get(at):
         raise UnsupportedError("fibre already jumped; assign on a clean fibre")
-    out = family
+    if seq[-1] < 1:  # the least entry, pushed first
+        raise ValueError("modification degree must be >= 1")
+    replay = _JournalReplay.resume(family)
     for r in reversed(seq):
-        out = elem_mod(out, at, r, line_point)
-    return out
+        replay.push(at, r, line_point)
+    return replay.family()
 
 
 # ============================================================

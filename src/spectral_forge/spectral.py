@@ -451,7 +451,6 @@ class RegularChart:
     p: complex
     q: complex
     scale: complex
-    normalised_zero: complex
 
 
 def regular_chart(curve: TateCurve, a1: complex, a2: complex) -> RegularChart:
@@ -463,6 +462,5 @@ def regular_chart(curve: TateCurve, a1: complex, a2: complex) -> RegularChart:
     2-torsion: the chart realises the nonsplit self-extension.
     """
     scale = cmath.sqrt(a1 * a2)
-    g = a1 / scale
-    p, q = extension_from_pair(curve, 1.0 + 0j, g)
-    return RegularChart(p, q, scale, g)
+    p, q = extension_from_pair(curve, 1.0 + 0j, a1 / scale)
+    return RegularChart(p, q, scale)

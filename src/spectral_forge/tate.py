@@ -26,7 +26,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import _carray
@@ -382,29 +382,20 @@ class TateLineBundle:
 class ThetaBasis:
     """Truncated Laurent basis of H^0 for a degree-d bundle, d >= 1.
 
-    Coefficient vectors share the index window `indices`; vector j is the
-    solution seeded at Laurent index j (one per residue class mod d).
+    Section j, seeded at a_j = 1 (one per residue class mod d), is
+    z**j sum_k a_(j + k d) (z**d)**k over the band numbers k in `bands`;
+    `vectors[j]` holds its coefficients a_(j + k d) in band order.
     """
 
     bundle: TateLineBundle
-    indices: np.ndarray
-    vectors: list[np.ndarray] = field(default_factory=list)
-
-    @cached_property
-    def _bands(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The band numbers k = -n..n and, per seed j, its coefficients at
-        the indices j + k d: the only nonzero entries of vector j."""
-        d = self.bundle.degree
-        lo = int(self.indices[0])
-        return (np.arange(lo // d, -lo // d + 1),
-                [v[j::d] for j, v in enumerate(self.vectors)])
+    bands: np.ndarray
+    vectors: list[np.ndarray]
 
     def evaluate(self, j: int, z: complex) -> complex:
-        """Evaluate basis section j at z in C*: z**j sum_k a_(j + k d) (z**d)**k
-        over the seed's own residue class."""
+        """Evaluate basis section j at z in C*."""
         z = complex(z)
-        bands, coeffs = self._bands
-        return z ** j * complex(np.dot(coeffs[j], np.power(z ** self.bundle.degree, bands)))
+        zd = np.power(z ** self.bundle.degree, self.bands)
+        return z ** j * complex(np.dot(self.vectors[j], zd))
 
     def residual(self, j: int, z: complex) -> float:
         """|s(tau z) - alpha z^d s(z)| / scale at z: functional-equation defect."""
@@ -418,46 +409,33 @@ class ThetaBasis:
 def theta_sections(lb: TateLineBundle, n_terms: int = 64) -> ThetaBasis:
     """Explicit H^0 basis for a degree-d bundle, d >= 1, as truncated Laurent data.
 
-    Coefficients follow a_n = alpha * tau**(-n) * a_(n-d) from seed a_j = 1,
-    j = 0..d-1.  Raises if the truncation tail bound is not below the curve
-    tolerance (never silently truncates).
+    The recurrence a_n = alpha * tau**(-n) * a_(n-d) from seed a_j = 1,
+    j = 0..d-1, has the closed form a_(j + k d) = alpha**k *
+    tau**-(k j + d k (k + 1) / 2) (Mumford, Tata Lectures on Theta I, ch. I),
+    taken for the bands k = -n..n, n = n_terms // d; a coefficient past the
+    float range reads 0.  Raises if the truncation tail bound is not below
+    the curve tolerance (never silently truncates).
     """
     d, alpha, tau = lb.degree, lb.factor, lb.curve.tau
     if d < 1:
         raise ValueError(f"theta basis requires degree >= 1; got {d}")
     if n_terms < 2 * d:
         raise ValueError("n_terms too small for one band per seed")
-    n_bands = n_terms // d
-    # magnitude of the first omitted band: |alpha|^m * |tau|^(-m(m-1)/2), m = n_bands + 1
-    m = n_bands + 1
-    a = max(abs(alpha), 1.0 / abs(alpha))
-    try:
-        if a == math.inf:  # 1/|alpha| overflows: inf * 0.0 would read NaN
-            raise OverflowError
-        tail = a ** m * abs(tau) ** (-0.5 * m * (m - 1))
-    except OverflowError:  # a or a^m is past the float range: decide in logarithms
-        log_a = math.log(a) if a < math.inf else abs(math.log(abs(alpha)))
-        log_tail = m * log_a - 0.5 * m * (m - 1) * math.log(abs(tau))
-        tail = math.exp(log_tail) if log_tail < 709.0 else math.inf
+    n = n_terms // d
+    # the first omitted band, m = n + 1, is at most max(|alpha|, 1/|alpha|)^m *
+    # |tau|^(-m(m-1)/2) in modulus; decided by its logarithm (inf from 709 on,
+    # a NaN kept)
+    m = n + 1
+    log_tail = m * abs(math.log(abs(alpha))) - 0.5 * m * (m - 1) * math.log(abs(tau))
+    tail = math.inf if log_tail >= 709.0 else math.exp(log_tail)
     if not tail < lb.curve.tolerance:  # a NaN bound is refused too
         raise ValueError(
             f"truncation tail bound {tail:.3g} exceeds tolerance "
             f"{lb.curve.tolerance:.3g}; increase n_terms")
-    lo, hi = -n_bands * d, n_bands * d + d - 1
-    indices = np.arange(lo, hi + 1)
-    # tau**(-d k) for k = 1..n_bands: the recurrence's steps up are
-    # alpha tau**(-j) times these, its steps down tau**j / alpha times 1 and
-    # all but the last
-    steps = np.cumprod(np.full(n_bands, tau ** -d))
-    below = np.concatenate(([1.0], steps[:-1]))
-    vectors: list[np.ndarray] = []
+    k = np.arange(-n, n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for seed in range(d):
-            up = np.cumprod(alpha * tau ** -seed * steps)
-            down = np.cumprod(tau ** seed / alpha * below)
-            coeffs = np.zeros(len(indices), dtype=complex)
-            coeffs[seed::d] = np.concatenate((down[::-1], [1.0], up))
-            vectors.append(coeffs)
+        vectors = [np.exp(k * np.log(alpha) - (k * j + d * k * (k + 1) // 2) * np.log(tau))
+                   for j in range(d)]
     for coeffs in vectors:      # a coefficient past the float range reads 0
         coeffs[~np.isfinite(coeffs)] = 0.0
-    return ThetaBasis(lb, indices, vectors)
+    return ThetaBasis(lb, k, vectors)

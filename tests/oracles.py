@@ -837,3 +837,14 @@ def mp_zero_near(tau: complex, c: complex, p: complex, q: complex,
     import mpmath as mp
     with mp.workdps(50):
         return complex(mp.findroot(mp_obstruction(tau, c, p, q), mp.mpc(start)))
+
+
+def mp_theta_coefficients(tau: complex, alpha: complex, d: int, j: int,
+                          bands) -> list:
+    """The coefficients a_(j + k d) = alpha**k * tau**-(k j + d k (k + 1) / 2)
+    of the degree-d theta section seeded at a_j = 1, one mpc per band k,
+    from 50-digit integer powers."""
+    import mpmath as mp
+    with mp.workdps(50):
+        t, a = mp.mpc(tau), mp.mpc(alpha)
+        return [a ** k * t ** -(k * j + d * k * (k + 1) // 2) for k in map(int, bands)]

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_forge import families
 from spectral_forge import (
     AtiyahRegular,
     BasePoint,
@@ -268,6 +269,28 @@ def test_assign_single_height_is_one_push():
     fam = assign_jumping_sequence(fresh_split(), X0, [3], NU)
     assert len(fam.steps) == 1
     assert jumping_sequence(fam, X0).sequence == (3,)
+
+
+def test_assign_pushes_in_one_replay(monkeypatch):
+    """A 3-entry sequence resumes one replay, where the elem_mod chain
+    resumed one per entry, and gives the chain's steps and stacks."""
+    chain = fresh_split()
+    for r in (2, 2, 3):
+        chain = elem_mod(chain, X0, r, NU)
+    resumes = count_calls(monkeypatch, families._JournalReplay, "resume")
+    fam = assign_jumping_sequence(fresh_split(), X0, [3, 2, 2], NU)
+    assert resumes == [1]
+    assert fam.steps == chain.steps and fam._stacks == chain._stacks
+
+
+@pytest.mark.parametrize("at, seq, error, message", [
+    (X0, [2, 0], ValueError, "modification degree must be >= 1"),
+    (BasePoint.infinity(), [2, 1], NoSurjectionError,
+     "no surjection of degree 1 exists at "),
+], ids=["degree", "infinity"])
+def test_assign_refuses_an_entry_as_elem_mod_does(at, seq, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        assign_jumping_sequence(fresh_split(), at, seq, NU)
 
 
 @pytest.mark.parametrize("build, message", [
