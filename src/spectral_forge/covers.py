@@ -78,8 +78,9 @@ __all__ = [
 # (re[k] + im[k] i) / den with integer re, im and one common den (a number
 # holds bare integers).  The kept image is canonical: den > 0,
 # gcd(den, re, im) = 1, no trailing zero; so equal values have equal images.
-# Each result costs one content gcd; a polynomial's QIs and a QI's Fractions
-# are built only when read.  Kept lists are never mutated.
+# A result costs a content gcd (``_content``) unless its producer bounds it: a
+# sum's content divides gcd(da, db), a square's is a power of 2.  QIs and
+# Fractions are built only when read.  Kept lists are never mutated.
 
 _Image = tuple[int, list[int], list[int]]
 
@@ -110,12 +111,15 @@ def _qi(den: int, re: int, im: int) -> "QI":
     return x
 
 
-def _sum(a: _Image, b: _Image, sign: int) -> _Image:
-    """a + sign * b over the lcm of the two denominators, not canonical."""
+def _sum(a: _Image, b: _Image, sign: int) -> tuple[int, int, list[int], list[int]]:
+    """(g, den, re, im): a + sign * b over den = lcm(da, db), not canonical,
+    and g = gcd(da, db), a multiple of its content for canonical a and b: a
+    prime dividing da more often than db leaves a coefficient over it."""
     da, ar, ai = a
     db, br, bi = b
-    den = lcm(da, db)
-    ma, mb = den // da, sign * (den // db)
+    g = gcd(da, db)
+    den = da // g * db
+    ma, mb = db // g, sign * (da // g)
     re = [x * ma for x in ar]
     im = [y * ma for y in ai]
     pad = len(br) - len(re)
@@ -125,7 +129,7 @@ def _sum(a: _Image, b: _Image, sign: int) -> _Image:
     for k, (x, y) in enumerate(zip(br, bi)):
         re[k] += x * mb
         im[k] += y * mb
-    return den, re, im
+    return g, den, re, im
 
 
 def _product(a: _Image, b: _Image) -> _Image:
@@ -193,10 +197,10 @@ class QI(_Immutable):
     # ----- arithmetic -----------------------------------------------------
 
     def __add__(self, o: "QI") -> "QI":
-        return _scalar(_sum(self._image, o._image, 1))
+        return _scalar(_sum(self._image, o._image, 1)[1:])
 
     def __sub__(self, o: "QI") -> "QI":
-        return _scalar(_sum(self._image, o._image, -1))
+        return _scalar(_sum(self._image, o._image, -1)[1:])
 
     def __neg__(self) -> "QI":
         return _qi(self._den, -self._re, -self._im)
@@ -256,13 +260,31 @@ def _poly_over(den: int, re: list[int], im: list[int]) -> "Poly":
     while re and not re[-1] and not im[-1]:
         re.pop()
         im.pop()
-    g = gcd(den, *re, *im)
+    g = _content(den, *re, *im)
     if den < 0:
         g = -g
     if g != 1:
-        den //= g
-        re = [a // g for a in re]
-        im = [b // g for b in im]
+        den, re, im = den // g, [a // g for a in re], [b // g for b in im]
+    return _poly((den, re, im))
+
+
+def _content(*ints: int) -> int:
+    """gcd(ints): the full content gcds are one function, which counts see."""
+    return gcd(*ints)
+
+
+def _poly_lowest(g: int, den: int, re: list[int], im: list[int]) -> "Poly":
+    """``_poly_over`` of an image, den > 0, whose content divides g, known
+    from how it was made (``_sum``, ``Poly.__mul__``); g = 1 takes no gcd."""
+    while re and not re[-1] and not im[-1]:
+        re.pop()
+        im.pop()
+    if not re:
+        return _poly((1, re, im))
+    if g != 1:
+        g = gcd(g, *re, *im)
+    if g != 1:
+        den, re, im = den // g, [a // g for a in re], [b // g for b in im]
     return _poly((den, re, im))
 
 
@@ -342,10 +364,10 @@ class Poly(_Immutable):
     # ----- ring operations ------------------------------------------------
 
     def __add__(self, o: "Poly") -> "Poly":
-        return _poly_over(*_sum(self._image, o._image, 1))
+        return _poly_lowest(*_sum(self._image, o._image, 1))
 
     def __sub__(self, o: "Poly") -> "Poly":
-        return _poly_over(*_sum(self._image, o._image, -1))
+        return _poly_lowest(*_sum(self._image, o._image, -1))
 
     def __neg__(self) -> "Poly":
         den, re, im = self._image
@@ -358,6 +380,9 @@ class Poly(_Immutable):
             return self
         if self._image == _ONE._image:
             return o
+        if o is self:  # of den^2's primes only 2 = -i (1 + i)^2 can divide A^2 (Gauss)
+            den, re, im = _product(self._image, self._image)
+            return _poly_lowest(den & -den, den, re, im)
         return _poly_over(*_product(self._image, o._image))
 
     def scale(self, c: QI) -> "Poly":
@@ -367,14 +392,14 @@ class Poly(_Immutable):
         """Quotient and remainder as integer images.
 
         Divides the numerators r of self over Z[i] by d, the numerators of o
-        over their rational-integer content c.  Each step removes the top
-        coefficient t of r with the digit t / L, L = lead(d).  When L does not
-        divide t, r and the digits so far are first multiplied by the least
-        integer that makes it divide, N(L) / gcd(N(L), Re T, Im T) with
-        T = t conj(L).  So M r = q d + rem, M the product of the multipliers;
-        M = 1 when o divides self and no Gaussian prime divides all of d
-        (Gauss's lemma).  The quotient is q den_o / (M c den_r) and the
-        remainder rem / (M den_r)."""
+        over their rational-integer content c (1 for a monic o: c divides den_o).
+        Each step removes the top coefficient t of r with the digit t / L,
+        L = lead(d).  When L does not divide t, r and the digits so far are
+        first multiplied by the least integer that makes it divide,
+        N(L) / gcd(N(L), Re T, Im T) with T = t conj(L).  So M r = q d + rem,
+        M the product of the multipliers; M = 1 when o divides self and no
+        Gaussian prime divides all of d (Gauss's lemma).  The quotient is
+        q den_o / (M c den_r) and the remainder rem / (M den_r)."""
         do, orr, oi = o._image
         if not orr:
             raise ZeroDivisionError("polynomial division by zero")
@@ -383,7 +408,7 @@ class Poly(_Immutable):
         k = len(rr) - m
         if k <= 0:
             return (1, [], []), (dr, rr[:], ri[:])
-        c = gcd(*orr, *oi)
+        c = 1 if orr[m] == do and not oi[m] else _content(*orr, *oi)
         if c != 1:
             orr, oi = [a // c for a in orr], [b // c for b in oi]
         rr, ri = rr[:], ri[:]

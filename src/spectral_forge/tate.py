@@ -412,9 +412,10 @@ def theta_sections(lb: TateLineBundle, n_terms: int = 64) -> ThetaBasis:
     The recurrence a_n = alpha * tau**(-n) * a_(n-d) from seed a_j = 1,
     j = 0..d-1, has the closed form a_(j + k d) = alpha**k *
     tau**-(k j + d k (k + 1) / 2) (Mumford, Tata Lectures on Theta I, ch. I),
-    taken for the bands k = -n..n, n = n_terms // d; a coefficient past the
+    taken for the bands k = -n..n, n = n_terms // d; a coefficient below the
     float range reads 0.  Raises if the truncation tail bound is not below
-    the curve tolerance (never silently truncates).
+    the curve tolerance, or if a coefficient in the window is past the float
+    range (never silently truncates).
     """
     d, alpha, tau = lb.degree, lb.factor, lb.curve.tau
     if d < 1:
@@ -436,6 +437,9 @@ def theta_sections(lb: TateLineBundle, n_terms: int = 64) -> ThetaBasis:
     with np.errstate(over="ignore", invalid="ignore"):
         vectors = [np.exp(k * np.log(alpha) - (k * j + d * k * (k + 1) // 2) * np.log(tau))
                    for j in range(d)]
-    for coeffs in vectors:      # a coefficient past the float range reads 0
-        coeffs[~np.isfinite(coeffs)] = 0.0
+    for j, coeffs in enumerate(vectors):
+        past = np.flatnonzero(~np.isfinite(coeffs))
+        if past.size:
+            raise ValueError(f"theta coefficient of seed {j} in band {k[past[0]]} "
+                             f"is past the float range")
     return ThetaBasis(lb, k, vectors)

@@ -14,9 +14,11 @@ import pickle
 import random
 import re
 import struct
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -52,6 +54,9 @@ from oracles import (FractionQI, from_sympy, reference_add, reference_divmod, re
                      reference_eval_complex, reference_gcd, reference_monic, reference_mul, reference_neg, reference_scale,
                      reference_qi_nullspace, reference_sub, reference_xgcd, sympy_compose,
                      sympy_reduce, to_sympy)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import census  # noqa: E402
 
 COVERS = [cover_g1(), cover_g2(), cover_g3()]
 
@@ -718,6 +723,146 @@ def test_every_op_keeps_a_canonical_image(a, b):
 
 
 # ============================================================
+# Content gcds only where a content can exist
+# ============================================================
+
+# dens and Gaussian factors of the numerators from the inert prime 3, the
+# split prime 5 = (2 + i)(2 - i) and the ramified prime 2 = -i (1 + i)^2
+CONTENT_DENS = (1, 2, 4, 8, 3, 9, 5, 25, 6, 10, 12, 15, 20, 45, 60, 100, 120)
+CONTENT_FACTORS = ((1, 0), (1, 1), (0, 2), (2, 1), (2, -1), (3, 0), (5, 0), (3, 3))
+
+
+def content_poly(rng: random.Random, den: int = 0) -> Poly:
+    """A canonical polynomial of degree <= 3 over ``den`` (else one of
+    CONTENT_DENS), its numerators small Gaussian integers times one factor
+    of CONTENT_FACTORS."""
+    fr, fi = rng.choice(CONTENT_FACTORS)
+    xs = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))]
+    return _poly_over(den or rng.choice(CONTENT_DENS), [x * fr - y * fi for x, y in xs],
+                      [x * fi + y * fr for x, y in xs])
+
+
+def content_pairs() -> list[tuple[Poly, Poly]]:
+    """(a, b) with b of any den, over a's den, of den 1, a itself, -a, and
+    c - a for a c of small den, so that a + b = c carries a content."""
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(150):
+        a = content_poly(rng)
+        pairs += [(a, content_poly(rng)), (a, content_poly(rng, a._image[0])),
+                  (a, content_poly(rng, 1)), (a, a), (a, -a),
+                  (a, content_poly(rng, rng.choice((1, 2, 3, 5))) - a)]
+    return pairs
+
+
+def bounded_mismatches(pairs: list[tuple[Poly, Poly]]) -> list[tuple]:
+    """Each (x, y, result) where x + y, x - y, y - x or x * x, its content
+    bounded by its producer, is not ``_poly_over`` of the same raw image,
+    which takes the full gcd."""
+    bad = []
+    for a, b in pairs:
+        for x, y, sign in ((a, b, 1), (a, b, -1), (b, a, -1)):
+            got = x + y if sign > 0 else x - y
+            if got._image != _poly_over(*covers._sum(x._image, y._image, sign)[1:])._image:
+                bad.append((x, y, got))
+        if a * a != _poly_over(*covers._product(a._image, a._image)):
+            bad.append((a, a, a * a))
+    return bad
+
+
+def test_sums_and_squares_bound_their_content():
+    """Over canonical images with dens and numerators carrying 2, 3 and 5,
+    equal dens and den-1 operands, every sum, difference and square is the
+    canonical image the full gcd gives; a zero sum is (1, [], []), and a
+    square over den 2 comes down to den 2: ((1 + i)/2)^2 = i/2."""
+    pairs = content_pairs()
+    assert bounded_mismatches(pairs) == []
+    # raw images that had a content: 336 of 900 sums, 33 of 150 squares
+    assert sum((a + b)._image[0] < covers._sum(a._image, b._image, 1)[1]
+               for a, b in pairs) > 300
+    assert sum((a * a)._image[0] < covers._product(a._image, a._image)[0]
+               for a, _ in pairs[::6]) > 20
+    for a, _ in pairs[:60]:
+        assert (a - a)._image == (a + -a)._image == (1, [], [])
+    half = Poly((QI(Fraction(1, 2), Fraction(1, 2)),))
+    assert covers._product(half._image, half._image) == (4, [0], [2])
+    assert (half * half)._image == (2, [0], [1])
+
+
+def test_a_sum_rule_skipping_shared_dens_is_caught(monkeypatch):
+    """Control: a sum that skips the gcd whenever gcd(da, db) != 1 (and
+    takes the full gcd otherwise) leaves contents the check finds."""
+    plain = covers._sum
+
+    def skipping(a, b, sign):
+        g, den, re, im = plain(a, b, sign)
+        return (1 if g != 1 else 0), den, re, im
+
+    monkeypatch.setattr(covers, "_sum", skipping)
+    assert len(bounded_mismatches(content_pairs())) > 50
+
+
+def test_a_monic_divisor_has_no_content():
+    """The divisor content c that pseudo-division skips for a monic divisor
+    is 1, and its quotient and remainder are still the division's."""
+    rng = random.Random(5)
+    for _ in range(200):
+        u, a = content_poly(rng).monic(), content_poly(rng) * content_poly(rng)
+        den, re, im = u._image
+        assert re[-1] == den and not im[-1] and gcd(*re, *im) == 1
+        q, r = a.divmod(u)
+        assert q * u + r == a and r.degree < u.degree
+        assert_canonical(q)
+        assert_canonical(r)
+
+
+def test_a_product_takes_its_content_from_a_split_prime():
+    """(b + (2 + i)/5)(b + (2 - i)/5) = b^2 + 4/5 b + 1/5: each factor is
+    canonical over 5, yet the raw product (25, [5, 20, 25]) has content 5,
+    as (2 + i)(2 - i) = 5.  So products keep the full gcd: the square's
+    bound, the power of 2 in den, would leave this one over 25."""
+    a = Poly.x_minus(QI(Fraction(-2, 5), Fraction(-1, 5)))
+    b = Poly.x_minus(QI(Fraction(-2, 5), Fraction(1, 5)))
+    raw = covers._product(a._image, b._image)
+    assert raw == (25, [5, 20, 25], [0, 0, 0])
+    assert (a * b)._image == (5, [1, 4, 5], [0, 0, 0])
+    assert covers._poly_lowest(25 & -25, *raw)._image[0] == 25
+
+
+def chain_content_gcds() -> int:
+    """Full content gcds (``covers._content``) of the chain P, 2P, ..., 61P
+    on w^2 = b^7 - b + 1, P = (1, 1), counted by ``census.traced``."""
+    cov = cover_g3()
+    p = point_class(cov, QI.of(1), QI.of(1))
+
+    def chain():
+        d = p
+        for _ in range(60):
+            d = class_add(d, p)
+
+    return census.traced(chain)[0]["calls"].get("covers._content", 0)
+
+
+def test_the_genus_3_chain_takes_few_content_gcds(monkeypatch):
+    """Counts, not time: 495 full content gcds on the chain, where a full
+    gcd for every result and every divisor took 989.  Controls: sums and
+    squares through the full gcd read 746, the content of each monic
+    divisor taken again 801; the cap 550 sees either."""
+    assert chain_content_gcds() <= 550
+    plain_divmod = Poly._pseudo_divmod
+    monkeypatch.setattr(covers, "_poly_lowest", lambda g, *image: _poly_over(*image))
+    assert chain_content_gcds() > 550
+    monkeypatch.undo()
+
+    def with_content(self, o):
+        covers._content(*o._image[1], *o._image[2])
+        return plain_divmod(self, o)
+
+    monkeypatch.setattr(Poly, "_pseudo_divmod", with_content)
+    assert chain_content_gcds() > 550
+
+
+# ============================================================
 # Cantor's algorithm vs sympy over QQ_I
 # ============================================================
 
@@ -905,6 +1050,31 @@ def test_group_law_numbers_stay_near_the_result_height(monkeypatch):
                 for den, re, im in (d.u._image, d.v._image) for x in (den, *re, *im))
     assert final > 3000
     assert longest <= 2 * final, (longest, final)
+
+
+def test_sums_and_squares_stay_near_the_result_height(monkeypatch):
+    """The guard above for the images of sums and squares, which go to
+    ``_poly_lowest`` instead of ``_poly_over``: over the same 60 steps none
+    holds an integer longer than twice the final class's (4,161 bits here
+    against 3,173)."""
+    cov = cover_g3()
+    p = point_class(cov, QI.of(1), QI.of(1))
+    plain = covers._poly_lowest
+    longest = 0
+
+    def spy(g, den, re, im):
+        nonlocal longest
+        longest = max(longest, *(abs(x).bit_length() for x in (den, *re, *im)))
+        return plain(g, den, re, im)
+
+    monkeypatch.setattr(covers, "_poly_lowest", spy)
+    d = p
+    for _ in range(60):
+        d = class_add(d, p)
+    monkeypatch.undo()
+    final = max(abs(x).bit_length()
+                for den, re, im in (d.u._image, d.v._image) for x in (den, *re, *im))
+    assert 3000 < final < longest <= 2 * final, (longest, final)
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -419,6 +419,20 @@ def test_theta_tail_past_the_float_range_is_decided_in_logarithms():
         theta_sections(TateLineBundle(TateCurve(1.2 + 0.1j), 1, 1e200))
 
 
+def test_theta_coefficient_past_the_float_range_is_refused():
+    """At tau = 2 and alpha = 1e300 with 4,000 terms the tail bound passes,
+    but log|a_k| = 690.8 k - 0.69 k (k + 1) / 2 peaks near 344,000 at band
+    996: the coefficients from band 2 on are past the float range.  They
+    used to read 0 (7,996 of 8,001), with residual(0, 1) NaN; the basis is
+    refused naming the first such band.  Coefficients below the float
+    range still read 0: at alpha = 1e5 band -64 is about 1e-928."""
+    with pytest.raises(ValueError,
+                       match=r"^theta coefficient of seed 0 in band 2 is past the float range$"):
+        theta_sections(TateLineBundle(TateCurve(TAU_DYADIC), 1, 1e300), 4000)
+    basis = theta_sections(TateLineBundle(TateCurve(TAU_DYADIC), 1, 1e5))
+    assert basis.vectors[0][0] == 0 and basis.residual(0, 1.0) < 1e-12
+
+
 @pytest.mark.parametrize("alpha, bound", [(1e-320, "inf"), (5e-324, "inf"),
                                           (math.nan, "nan")],
                          ids=["subnormal", "smallest-subnormal", "nan"])

@@ -36,9 +36,11 @@ those jobs, all of them per call.
 
 Each layer is run 7 times after one warm-up, every run a batch of calls
 lasting at least about a millisecond; best and median seconds per call are
-kept.  Results are merged into the output file under ``--label``.  A
-before/after comparison times both trees in alternation, in child
-processes, over several rounds (``_layer_bench.alternate``):
+kept, with the calls of ``class_add`` and of ``covers._content``, the full
+content gcd of the polynomials, in one more run.  Results are merged into
+the output file under ``--label``.  A before/after comparison times both
+trees in alternation, in child processes, over several rounds
+(``_layer_bench.alternate``):
 
     python tools/bench_exact.py --against /path/to/parent/src
 
@@ -57,6 +59,7 @@ HEIGHTS = (10, 30, 61, 120)
 ARITH_HEIGHTS = (10, 61)
 GROUP_N, GROUP_SPLIT = 61, 30
 MIN_RUN_S = 1e-3
+COUNTED = ("covers.class_add", "covers._content")
 
 
 def measure() -> dict:
@@ -154,4 +157,4 @@ def search_matrices(sf, chain) -> list:
 
 
 if __name__ == "__main__":
-    main(__doc__, "BENCH_exact.json", measure)
+    main(__doc__, "BENCH_exact.json", measure, COUNTED)
